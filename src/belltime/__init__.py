@@ -1,6 +1,6 @@
 """Time-optimal Bell-state preparation workbench for a two-spin system.
 
-A small numpy/scipy toolkit for designing piecewise-constant control
+A small numpy toolkit for designing piecewise-constant control
 pulses that steer two coupled spins into the maximally entangled singlet
 state in the least possible time: exact fidelity gradients for climbing,
 a dual-objective optimizer that then trades pulse duration against
@@ -21,7 +21,6 @@ from .cartan import (
     nearest_local_product,
 )
 from .dynamics import (
-    CHANNEL_NAMES,
     GradientBundle,
     PulseSequence,
     SystemModel,
@@ -30,7 +29,7 @@ from .dynamics import (
     propagate,
     random_pulse,
     read_pulse_csv,
-    slice_hamiltonian,
+    slice_propagators,
     write_pulse_csv,
 )
 from .experiment import (
@@ -64,7 +63,6 @@ from .runconfig import ConfigError, RunConfig, load_config, parse_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHANNEL_NAMES",
     "MODES",
     "CartanCoordinates",
     "ConfigError",
@@ -104,7 +102,7 @@ __all__ = [
     "read_pulse_csv",
     "run_optimization",
     "singlet_state",
-    "slice_hamiltonian",
+    "slice_propagators",
     "state_fidelity",
     "verify_trace_invariants",
     "write_pulse_csv",

@@ -4,7 +4,8 @@ Measurement budget arithmetic (``budget`` subcommand): balanced runs
 charge 3 readouts per iteration (one three-observable fidelity estimate),
 so 2000 iterations at 10 s per readout project to 60000 s = 16.7 h.
 Experiment-only runs also measure every gradient by central differences:
-3 + 4*M*2*3 + M*2*3 readouts per iteration, which is 1503 for M = 50 and
+3 + 4*M*2*3 + M*2*3 readouts per iteration (counted by
+``optimizer.readouts_per_iteration``), which is 1503 for M = 50 and
 projects to 8350 h for the same 2000 iterations.  A commonly quoted
 round figure for this protocol is about 7500 h; it corresponds to
 1350 readouts per iteration, i.e. counting one-sided duration probes
@@ -37,7 +38,12 @@ from .dynamics import (
 )
 from .experiment import ExperimentBackend, ledger_report
 from .linalg import ket, singlet_state
-from .optimizer import MODES, run_optimization
+from .optimizer import (
+    MODES,
+    measurements_per_iteration,
+    readouts_per_iteration,
+    run_optimization,
+)
 from .runconfig import ConfigError, RunConfig, load_config
 
 __all__ = ["main"]
@@ -54,15 +60,6 @@ def _fmt_hours(hours: float) -> str:
     if hours >= 1000.0:
         return f"{hours:.0f} h"
     return f"{hours:#.3g} h"
-
-
-def measurements_per_iteration(mode: str, m_slices: int) -> int:
-    """Oracle readouts one iteration charges, by run mode."""
-    if mode == "model-only":
-        return 0
-    if mode == "balanced":
-        return 3
-    return 3 + 4 * m_slices * 2 * 3 + m_slices * 2 * 3
 
 
 def _resolved_config(args) -> RunConfig:
@@ -231,9 +228,11 @@ def _cmd_budget(args) -> int:
         f"{seconds:g} s = {_fmt_hours(hours)}"
     )
     if args.mode == "experiment-only":
+        split = readouts_per_iteration(args.mode, args.m_slices)
         print(
-            f"  per-iteration split: 3 fidelity + {4 * args.m_slices * 2 * 3} "
-            f"control probes + {args.m_slices * 2 * 3} duration probes"
+            f"  per-iteration split: {split['fidelity_partial']} fidelity + "
+            f"{split['gradient_control']} control probes + "
+            f"{split['gradient_time']} duration probes"
         )
         print(
             "  note: the often-quoted ~7500 h figure counts 1350/iteration "

@@ -25,8 +25,6 @@ import numpy as np
 
 from .linalg import pauli_string, require_state
 
-CHANNEL_NAMES = ("ux1", "uy1", "ux2", "uy2")
-
 # Control operators in channel order; module-level so they are built once.
 _CONTROL_OPS = np.stack(
     [
@@ -116,56 +114,30 @@ def random_pulse(
     return PulseSequence(duration_s, amps)
 
 
-def slice_hamiltonian(model: SystemModel, pulse: PulseSequence, m: int) -> np.ndarray:
-    """Hamiltonian of slice m (0-based) in rad/s."""
-    if not 0 <= m < pulse.n_slices:
-        raise IndexError(f"slice index {m} out of range for M={pulse.n_slices}")
-    return _hamiltonians(model, pulse.amplitudes_hz)[m]
+def slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, dt):
+    """Slice propagators exp(-i H_m dt_m), with the Hamiltonians and eigensystems.
 
-
-def _hamiltonians(model: SystemModel, amplitudes_hz: np.ndarray) -> np.ndarray:
-    """All M slice Hamiltonians at once, shape (M, 4, 4)."""
+    ``amplitudes_hz`` is the (M, 4) grid of applied amplitudes and ``dt``
+    the slice duration, a scalar or one value per slice.  Returns
+    (U, H, w, v): propagators and Hamiltonians (rad/s), each (M, 4, 4),
+    and the eigenvalues w (M, 4) and eigenvectors v (M, 4, 4) of H_m.
+    """
     drift = (np.pi / 2.0) * model.g_hz * _ZZ
     ctrl = np.pi * np.einsum("mc,cij->mij", amplitudes_hz, _CONTROL_OPS)
-    return drift[None, :, :] + ctrl
-
-
-def _propagators(hams: np.ndarray, dt):
-    """Slice propagators exp(-i H_m dt_m) plus the eigensystems.
-
-    dt may be a scalar or a length-M array of per-slice durations.
-    Returns (U, w, v) with U (M,4,4), eigenvalues w (M,4), eigenvectors v.
-    """
+    hams = drift[None, :, :] + ctrl
     w, v = np.linalg.eigh(hams)
-    dt = np.asarray(dt, dtype=np.float64)
-    if dt.ndim == 0:
-        dt = np.broadcast_to(dt, (hams.shape[0],))
-    phases = np.exp(-1j * w * dt[:, None])
+    phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
     u = np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
-    return u, w, v
+    return u, hams, w, v
 
 
-def propagate(
-    model: SystemModel,
-    pulse: PulseSequence,
-    psi0: np.ndarray,
-    return_intermediates: bool = False,
-):
-    """Apply U_M ... U_1 to psi0.
-
-    With return_intermediates=True, also returns the (M+1, 4) array of
-    states after 0..M slices (first row is psi0).
-    """
-    psi0 = require_state(psi0)
-    hams = _hamiltonians(model, pulse.amplitudes_hz)
-    u, _, _ = _propagators(hams, pulse.slice_duration_s)
-    states = np.empty((pulse.n_slices + 1, 4), dtype=np.complex128)
-    states[0] = psi0
-    for m in range(pulse.n_slices):
-        states[m + 1] = u[m] @ states[m]
-    if return_intermediates:
-        return states[-1], states
-    return states[-1]
+def propagate(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray) -> np.ndarray:
+    """Apply U_M ... U_1 to psi0."""
+    psi = require_state(psi0)
+    u = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)[0]
+    for u_m in u:
+        psi = u_m @ psi
+    return psi
 
 
 def model_fidelity(
@@ -202,8 +174,7 @@ def fidelity_and_gradients(
     m_slices = pulse.n_slices
     dt = pulse.slice_duration_s
 
-    hams = _hamiltonians(model, pulse.amplitudes_hz)
-    u, w, v = _propagators(hams, dt)
+    u, hams, w, v = slice_propagators(model, pulse.amplitudes_hz, dt)
 
     # Forward states psi_m and backward costates chi_m with
     # c = chi_m^dag U_m psi_{m-1} for every m.

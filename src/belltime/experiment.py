@@ -22,12 +22,11 @@ Fidelity oracles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .dynamics import PulseSequence, SystemModel, _hamiltonians, _propagators
+from .dynamics import PulseSequence, SystemModel, slice_propagators
 from .linalg import expectation, pauli_string, require_density, singlet_state
 
 LEDGER_CATEGORIES = (
@@ -42,7 +41,8 @@ TOMOGRAPHY_LABELS = tuple(
     (a, b) for a in "IXYZ" for b in "IXYZ" if (a, b) != ("I", "I")
 )
 
-_PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
+# The three correlators of one fidelity_partial estimate, one readout each.
+PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
 
 
 def _as_duration_pair(value, name: str) -> tuple[float, float]:
@@ -142,29 +142,29 @@ def distort_pulse(
 ) -> PulseSequence:
     """First-order low-pass distortion of the programmed waveform.
 
-    Per channel, y[m] = y[m-1] + (1 - exp(-dt_m/tau)) (u[m] - y[m-1])
-    with y[-1] = 0; tau_s = 0 returns the input unchanged.
+    Per channel, y[m] = (1 - k_m) u[m] + k_m y[m-1] with
+    k_m = exp(-dt_m/tau) and y[-1] = 0, where dt_m is the slice duration
+    (the uniform T/M unless ``slice_durations_s`` gives one per slice);
+    tau_s = 0 returns the input unchanged.
     """
     if tau_s < 0:
         raise ValueError(f"tau_s must be >= 0, got {tau_s}")
     if tau_s == 0.0:
         return pulse
     if slice_durations_s is None:
-        k = math.exp(-pulse.slice_duration_s / tau_s)
-        distorted = lfilter([1.0 - k], [1.0, -k], pulse.amplitudes_hz, axis=0)
+        dts = np.full(pulse.n_slices, pulse.slice_duration_s)
     else:
         dts = np.asarray(slice_durations_s, dtype=float)
         if dts.shape != (pulse.n_slices,):
             raise ValueError(
                 f"need {pulse.n_slices} slice durations, got shape {dts.shape}"
             )
-        distorted = np.empty_like(pulse.amplitudes_hz)
-        state = np.zeros(4)
-        for m, dt in enumerate(dts):
-            state = state + (1.0 - math.exp(-dt / tau_s)) * (
-                pulse.amplitudes_hz[m] - state
-            )
-            distorted[m] = state
+    distorted = np.empty_like(pulse.amplitudes_hz)
+    y = np.zeros(4)
+    for m, dt in enumerate(dts):
+        k = math.exp(-dt / tau_s)
+        y = (1.0 - k) * pulse.amplitudes_hz[m] + k * y
+        distorted[m] = y
     return pulse.with_amplitudes(distorted)
 
 
@@ -186,6 +186,20 @@ def _relaxation_kraus(t1_s: float, t2_s: float, dt: float):
         z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
         ops.append([math.sqrt(1.0 - q) * eye, math.sqrt(q) * z])
     return ops
+
+
+def _relaxation_channels(config: ExperimentConfig, dt: float):
+    """Both spins' relaxation over dt as two-spin Kraus channels.
+
+    One list of (K, K^dag) pairs per channel, in the order applied.
+    """
+    eye = np.eye(2, dtype=np.complex128)
+    channels = []
+    for spin in range(2):
+        for ops in _relaxation_kraus(config.t1_s[spin], config.t2_s[spin], dt):
+            lifted = [np.kron(k, eye) if spin == 0 else np.kron(eye, k) for k in ops]
+            channels.append([(k, k.conj().T) for k in lifted])
+    return channels
 
 
 class ExperimentBackend:
@@ -230,36 +244,18 @@ class ExperimentBackend:
         else:
             rho = require_density(np.asarray(rho0, dtype=np.complex128)).copy()
 
-        distorted = distort_pulse(
-            pulse, cfg.distortion_tau_s,
-            None if slice_durations_s is None else dts,
-        )
+        distorted = distort_pulse(pulse, cfg.distortion_tau_s, dts)
         applied = distorted.amplitudes_hz * np.asarray(cfg.amplitude_scale)
-        hams = _hamiltonians(self._model, applied)
-        props, _, _ = _propagators(hams, dts)
+        props = slice_propagators(self._model, applied, dts)[0]
 
-        kraus_by_spin = [
-            _relaxation_kraus(cfg.t1_s[spin], cfg.t2_s[spin], float(dts[0]))
-            for spin in range(2)
-        ]
-        uniform = slice_durations_s is None
-        eye = np.eye(2, dtype=np.complex128)
-        for m in range(pulse.n_slices):
-            u = props[m]
+        relaxation = {}  # slice duration -> its Kraus channels, built once
+        for u, dt in zip(props, dts):
             rho = u @ rho @ u.conj().T
-            if not uniform:
-                kraus_by_spin = [
-                    _relaxation_kraus(cfg.t1_s[spin], cfg.t2_s[spin], float(dts[m]))
-                    for spin in range(2)
-                ]
-            for spin, channels in enumerate(kraus_by_spin):
-                for ops in channels:
-                    rho = sum(
-                        (np.kron(k, eye) if spin == 0 else np.kron(eye, k))
-                        @ rho
-                        @ (np.kron(k, eye) if spin == 0 else np.kron(eye, k)).conj().T
-                        for k in ops
-                    )
+            dt = float(dt)
+            if dt not in relaxation:
+                relaxation[dt] = _relaxation_channels(cfg, dt)
+            for channel in relaxation[dt]:
+                rho = sum(k @ rho @ k_dag for k, k_dag in channel)
         return rho
 
     def measure_pauli(self, rho: np.ndarray, labels, category: str) -> float:
@@ -281,7 +277,7 @@ class ExperimentBackend:
         """Singlet-overlap estimate from 3 correlator measurements."""
         rho = self.evolve_open(pulse, slice_durations_s=slice_durations_s)
         total = sum(
-            self.measure_pauli(rho, labels, category) for labels in _PARTIAL_LABELS
+            self.measure_pauli(rho, labels, category) for labels in PARTIAL_LABELS
         )
         return (1.0 - total) / 4.0
 

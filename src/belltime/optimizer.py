@@ -34,14 +34,20 @@ iterations are free, measurement-driven iterations cost 3 readouts for
 the fidelity and, when gradients are also measured, 2 x 3 readouts per
 probed parameter.
 
-Run modes:
+Run modes differ only in their oracle pair, picked once when the run
+starts: a fidelity source that scores every trial for the acceptance
+tests, and a gradient source that proposes the next trial.
 
-* ``model-only``     - fidelity and gradients from the design model.
+* ``model-only``      - design-model fidelity, exact model gradients; no
+  readouts.
 * ``experiment-only`` - measured fidelity; gradients by central finite
   differences through the measured fidelity (4M amplitude probes plus M
   per-slice duration probes per iteration).
-* ``balanced``       - measured fidelity in every acceptance test, exact
+* ``balanced``        - measured fidelity in every acceptance test, exact
   model gradients at zero measurement cost.
+
+Each evaluation also returns the design model's prediction for the same
+controls, which the trace logs beside the oracle's value.
 
 The phase machine starts climbing at the initial duration, switches to
 shrinking once the baseline reaches the target fidelity (or once the
@@ -69,7 +75,12 @@ from .dynamics import (
     model_fidelity,
     random_pulse,
 )
-from .experiment import ExperimentBackend, ExperimentConfig, MeasurementLedger
+from .experiment import (
+    PARTIAL_LABELS,
+    ExperimentBackend,
+    ExperimentConfig,
+    MeasurementLedger,
+)
 from .linalg import ket, singlet_state
 
 MODES = ("model-only", "experiment-only", "balanced")
@@ -224,10 +235,11 @@ def lower_threshold(n: int, config: OptimizerConfig) -> float:
     )
 
 
-def _climb_trial(pulse: PulseSequence, step: float, grad_u: np.ndarray,
-                 config: OptimizerConfig) -> tuple[PulseSequence, float]:
-    """Climb trial at step size ``step`` and its (clipped) ``grad_dot``."""
-    trial_amps = pulse.amplitudes_hz + step * grad_u
+def _step_along(pulse: PulseSequence, step: float, direction: np.ndarray,
+                grad_u: np.ndarray, config: OptimizerConfig) -> tuple[PulseSequence, float]:
+    """Amplitudes moved ``step`` along ``direction`` (clipped to the cap),
+    and the ``grad_dot`` of the move actually made."""
+    trial_amps = pulse.amplitudes_hz + step * direction
     if config.amplitude_cap_hz is not None:
         np.clip(
             trial_amps, -config.amplitude_cap_hz, config.amplitude_cap_hz,
@@ -257,7 +269,7 @@ def _restart_climb_step(
     step = config.d1_init
     for _ in range(config.max_backtracks):
         grown = step / config.backtrack_factor
-        trial, dot = _climb_trial(pulse, grown, grad_u, config)
+        trial, dot = _step_along(pulse, grown, grad_u, grad_u, config)
         rhs = j_start + config.alpha * grown * dot
         if not model_fidelity(model, trial, psi0, target) >= rhs:
             break
@@ -317,6 +329,82 @@ def finite_diff_gradients(
     )
 
 
+def readouts_per_iteration(mode: str, m_slices: int) -> dict:
+    """Readouts one iteration charges in ``mode``, by ledger category.
+
+    Measured modes charge one ``fidelity_partial`` estimate per iteration;
+    experiment-only adds the probes of ``finite_diff_gradients``, one such
+    estimate each: two per control amplitude (4M) and two per slice
+    duration (M).
+    """
+    if mode == "model-only":
+        return {}
+    per_estimate = len(PARTIAL_LABELS)
+    readouts = {"fidelity_partial": per_estimate}
+    if mode == "experiment-only":
+        readouts["gradient_control"] = 2 * 4 * m_slices * per_estimate
+        readouts["gradient_time"] = 2 * m_slices * per_estimate
+    return readouts
+
+
+def measurements_per_iteration(mode: str, m_slices: int) -> int:
+    """Oracle readouts one iteration charges, by run mode."""
+    return sum(readouts_per_iteration(mode, m_slices).values())
+
+
+def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
+             experiment: Optional[ExperimentConfig], psi0: np.ndarray,
+             target: np.ndarray):
+    """The oracle pair of ``mode``, as (evaluate, gradients, report).
+
+    ``evaluate(pulse)`` returns (j_oracle, j_model, readouts charged) and
+    ``gradients(pulse, j_base)`` returns (GradientBundle, readouts
+    charged).  ``report(pulse)`` returns the run's ledger, its seconds per
+    measurement and the pulse's closing full-tomography fidelity (None
+    without an apparatus).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+    def model_gradients(p: PulseSequence, j_base: float):
+        return fidelity_and_gradients(model, p, psi0, target), 0
+
+    if mode == "model-only":
+        def model_evaluate(p: PulseSequence):
+            j = model_fidelity(model, p, psi0, target)
+            return j, j, 0
+
+        return model_evaluate, model_gradients, lambda p: (MeasurementLedger(), 10.0, None)
+
+    if experiment is None:
+        raise ValueError(f"{mode} mode requires an experiment configuration")
+    backend = ExperimentBackend(experiment)
+    ledger = backend.ledger
+
+    def measured_evaluate(p: PulseSequence):
+        before = ledger.total_measurements
+        j = backend.fidelity_partial(p)
+        return j, model_fidelity(model, p, psi0, target), ledger.total_measurements - before
+
+    def measured_gradients(p: PulseSequence, j_base: float):
+        before = ledger.total_measurements
+        bundle = finite_diff_gradients(
+            backend, p, config.fd_step_amplitude_hz, config.fd_step_time_s,
+            baseline_fidelity=j_base,
+        )
+        return bundle, ledger.total_measurements - before
+
+    def report(p: PulseSequence):
+        # The closing full tomography is a report-time diagnostic, not part
+        # of the optimization loop, so it runs on a detached replay of the
+        # same instrument and leaves the run ledger untouched.
+        full = ExperimentBackend(experiment).fidelity_full(p)
+        return ledger, experiment.seconds_per_measurement, full
+
+    gradients = measured_gradients if mode == "experiment-only" else model_gradients
+    return measured_evaluate, gradients, report
+
+
 def run_optimization(
     mode: str,
     model: SystemModel,
@@ -332,13 +420,9 @@ def run_optimization(
     ``initial_pulse`` is given); the measurement noise stream is seeded
     by the experiment configuration itself.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    backend = None
-    if mode != "model-only":
-        if experiment is None:
-            raise ValueError(f"{mode} mode requires an experiment configuration")
-        backend = ExperimentBackend(experiment)
+    psi0 = ket("00")
+    target = singlet_state()
+    evaluate, gradients, report = _oracles(mode, model, config, experiment, psi0, target)
 
     if initial_pulse is None:
         rng = np.random.default_rng(seed)
@@ -348,30 +432,9 @@ def run_optimization(
     else:
         pulse = initial_pulse
 
-    psi0 = ket("00")
-    target = singlet_state()
-
-    def measure(p: PulseSequence):
-        if backend is None:
-            return model_fidelity(model, p, psi0, target), 0
-        before = backend.ledger.total_measurements
-        j = backend.fidelity_partial(p)
-        return j, backend.ledger.total_measurements - before
-
-    def gradients(p: PulseSequence, j_base: float):
-        if mode == "experiment-only":
-            before = backend.ledger.total_measurements
-            bundle = finite_diff_gradients(
-                backend, p, config.fd_step_amplitude_hz, config.fd_step_time_s,
-                baseline_fidelity=j_base,
-            )
-            return bundle, backend.ledger.total_measurements - before
-        return fidelity_and_gradients(model, p, psi0, target), 0
-
     records: list[IterationRecord] = []
     phase = STEP1
-    d1 = config.d1_init
-    d2 = config.d2_init
+    step = {STEP1: config.d1_init, STEP2: config.d2_init}  # adaptive step sizes
     streak = 0   # consecutive rejections behind the current step size
     plateau = 0  # consecutive climb rejections since the last acceptance
     pending: Optional[_Proposal] = None
@@ -380,70 +443,54 @@ def run_optimization(
     incumbent: Optional[PulseSequence] = None  # latest state meeting the target
     termination = "max_iterations"
 
+    def enter(new_phase: str) -> None:
+        """Switch phase; the rejection counts restart with the new phase."""
+        nonlocal phase, streak, plateau
+        if phase != new_phase:
+            phase = new_phase
+            streak = 0
+            plateau = 0
+
     refresh = False
     for n in range(config.max_iterations):
         event = None
-        restart = refresh  # re-measuring after a climb stall: resize d1
+        restart = refresh  # re-measuring after a climb stall: resize the climb step
         refresh = False
 
         # 1. One oracle evaluation: the pending trial, or a baseline
         #    measurement of the current point when nothing is pending.
+        j_trial, j_model_rec, n_meas = evaluate(
+            pulse if pending is None else pending.trial
+        )
+        # A baseline iteration logs as a zero step accepted at its own value.
+        tried = pending or _Proposal(phase, pulse, j_trial, 0.0, 0.0, j_trial)
+        accepted = pending is None or bool(j_trial >= tried.rhs)
+        backtracks = streak
         if pending is None:
-            j_trial, n_meas = measure(pulse)
             j_base = j_trial
-            rec_phase = phase
-            accepted = True
-            step_used = 0.0
-            grad_dot = 0.0
-            reference = j_trial
-            rhs = j_trial
-            backtracks = streak
-            j_model_rec = (
-                j_trial if backend is None
-                else model_fidelity(model, pulse, psi0, target)
-            )
         else:
-            j_trial, n_meas = measure(pending.trial)
-            rec_phase = pending.kind
-            rhs = pending.rhs
-            accepted = bool(j_trial >= rhs)
-            step_used = pending.step_size
-            grad_dot = pending.grad_dot
-            reference = pending.j_reference
-            backtracks = streak
-            j_model_rec = (
-                j_trial if backend is None
-                else model_fidelity(model, pending.trial, psi0, target)
-            )
+            kind = pending.kind
             if accepted:
                 pulse = pending.trial
                 j_base = j_trial
                 if streak == 0:
-                    if pending.kind == STEP1:
-                        d1 = d1 / config.backtrack_factor
-                    else:
-                        d2 = d2 / config.backtrack_factor
+                    step[kind] = step[kind] / config.backtrack_factor
                 streak = 0
                 plateau = 0
             else:
                 streak += 1
-                if pending.kind == STEP1:
-                    d1 = max(d1 * config.backtrack_factor, config.d_min)
+                step[kind] = max(step[kind] * config.backtrack_factor, config.d_min)
+                if kind == STEP1:
                     plateau += 1
-                else:
-                    d2 = max(d2 * config.backtrack_factor, config.d_min)
                 if streak >= config.max_backtracks:
-                    event = (
-                        EVENT_STALL_STEP1 if pending.kind == STEP1
-                        else EVENT_STALL_STEP2
-                    )
+                    event = EVENT_STALL_STEP1 if kind == STEP1 else EVENT_STALL_STEP2
                     streak = 0
-                    if pending.kind == STEP1:
+                    if kind == STEP1:
                         # A noisy oracle can inflate the stored baseline on a
                         # lucky draw and starve the climb; re-measure the
                         # current point next iteration, then restart the
                         # step size on the design model.
-                        d1 = config.d1_init
+                        step[STEP1] = config.d1_init
                         refresh = True
 
         threshold = lower_threshold(n, config)
@@ -453,25 +500,17 @@ def run_optimization(
         #    climb hands over to shrinking at target fidelity, or on a
         #    plateau when the target is out of physical reach.
         if j_trial < threshold:
-            if phase != STEP1:
-                phase = STEP1
-                streak = 0
-                plateau = 0
+            enter(STEP1)
         elif phase == STEP1 and j_base >= config.target_fidelity:
-            phase = STEP2
-            streak = 0
-            plateau = 0
+            enter(STEP2)
         elif phase == STEP1 and plateau >= config.step1_patience:
             event = event or EVENT_PLATEAU_PROMOTION
-            phase = STEP2
-            streak = 0
-            plateau = 0
-        elif rec_phase == STEP2 and phase == STEP2 and not accepted and d2 <= config.d_min:
+            enter(STEP2)
+        elif (tried.kind == STEP2 and phase == STEP2 and not accepted
+              and step[STEP2] <= config.d_min):
             # the shrink direction is exhausted at the smallest step;
             # climb again so the baseline can recover before retrying
-            phase = STEP1
-            streak = 0
-            plateau = 0
+            enter(STEP1)
 
         # 3. Propose the next trial from the gradient at the current point.
         bundle, g_meas = gradients(pulse, j_base)
@@ -481,11 +520,9 @@ def run_optimization(
 
         if phase == STEP2 and abs(grad_t) <= config.time_gradient_floor:
             event = event or EVENT_DEGENERATE_TIME_GRADIENT
-            phase = STEP1
-            streak = 0
-            plateau = 0
+            enter(STEP1)
 
-        pending = None
+        trial = None  # the next proposal, if any
         if refresh:
             pass  # next iteration re-measures the baseline instead
         elif phase == STEP1:
@@ -493,58 +530,44 @@ def run_optimization(
                 event = event or EVENT_STALL_STEP1
             else:
                 if restart:
-                    d1 = _restart_climb_step(model, pulse, grad_u, config, psi0, target)
-                trial, next_dot = _climb_trial(pulse, d1, grad_u, config)
-                pending = _Proposal(
-                    kind=STEP1,
-                    trial=trial,
-                    j_reference=j_base,
-                    grad_dot=next_dot,
-                    step_size=d1,
-                    rhs=j_base + config.alpha * d1 * next_dot,
-                )
+                    step[STEP1] = _restart_climb_step(
+                        model, pulse, grad_u, config, psi0, target
+                    )
+                trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u, config)
+                rhs = j_base + config.alpha * step[STEP1] * next_dot
         else:
             du = grad_u / grad_t
             dt_change = -float(np.sum(du * du))
-            while d2 > config.d_min and pulse.duration_s + d2 * dt_change <= 0.0:
-                d2 = max(d2 * config.backtrack_factor, config.d_min)
-            new_duration = pulse.duration_s + d2 * dt_change
+            while (step[STEP2] > config.d_min
+                   and pulse.duration_s + step[STEP2] * dt_change <= 0.0):
+                step[STEP2] = max(step[STEP2] * config.backtrack_factor, config.d_min)
+            new_duration = pulse.duration_s + step[STEP2] * dt_change
             if new_duration <= 0.0:
                 event = event or EVENT_DEGENERATE_TIME_GRADIENT
-                phase = STEP1
-                streak = 0
-                plateau = 0
+                enter(STEP1)
             else:
-                trial_amps = pulse.amplitudes_hz + d2 * du
-                if config.amplitude_cap_hz is not None:
-                    np.clip(
-                        trial_amps, -config.amplitude_cap_hz, config.amplitude_cap_hz,
-                        out=trial_amps,
-                    )
-                delta = trial_amps - pulse.amplitudes_hz
-                pending = _Proposal(
-                    kind=STEP2,
-                    trial=pulse.with_amplitudes(trial_amps).with_duration(new_duration),
-                    j_reference=j_base,
-                    grad_dot=float(np.sum(delta * grad_u) / d2),
-                    step_size=d2,
-                    rhs=config.beta * j_base,
-                )
+                trial, next_dot = _step_along(pulse, step[STEP2], du, grad_u, config)
+                trial = trial.with_duration(new_duration)
+                rhs = config.beta * j_base
+        pending = (
+            None if trial is None
+            else _Proposal(phase, trial, j_base, next_dot, step[phase], rhs)
+        )
 
         records.append(
             IterationRecord(
                 n=n,
-                phase=rec_phase,
+                phase=tried.kind,
                 t_seconds=pulse.duration_s,
                 j_oracle=j_trial,
                 j_model=j_model_rec,
-                step_size_used=step_used,
+                step_size_used=tried.step_size,
                 accepted=accepted,
                 backtracks=backtracks,
                 measurements_this_iter=n_meas,
-                j_reference=reference,
-                grad_dot=grad_dot,
-                acceptance_rhs=rhs,
+                j_reference=tried.j_reference,
+                grad_dot=tried.grad_dot,
+                acceptance_rhs=tried.rhs,
                 threshold=threshold,
                 event=event,
             )
@@ -574,23 +597,14 @@ def run_optimization(
     # never met the target return their last state.
     final_pulse = incumbent if incumbent is not None else pulse
     final_model = model_fidelity(model, final_pulse, psi0, target)
-    # The closing full tomography is a report-time diagnostic, not part of
-    # the optimization loop, so it runs on a detached replay of the same
-    # instrument and leaves the run ledger untouched.
-    final_full = (
-        ExperimentBackend(backend.config).fidelity_full(final_pulse)
-        if backend is not None
-        else None
-    )
+    ledger, seconds_per_measurement, final_full = report(final_pulse)
     return OptimizationResult(
         mode=mode,
         final_pulse=final_pulse,
         records=records,
         termination=termination,
-        ledger=backend.ledger if backend is not None else MeasurementLedger(),
-        seconds_per_measurement=(
-            backend.config.seconds_per_measurement if backend is not None else 10.0
-        ),
+        ledger=ledger,
+        seconds_per_measurement=seconds_per_measurement,
         final_model_fidelity=final_model,
         final_full_fidelity=final_full,
         seed=None if initial_pulse is not None else seed,

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import belltime
 from belltime.cli import main, measurements_per_iteration
 from belltime.dynamics import PulseSequence, read_pulse_csv, write_pulse_csv
 from belltime.linalg import pauli_string
@@ -283,3 +288,19 @@ class TestExportCommand:
 
     def test_missing_trace_is_runtime_error(self, capsys):
         assert main(["export", "--trace", "absent.jsonl"]) == 3
+
+
+class TestPackaging:
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; the package must not import it.
+        code = (
+            "import sys, belltime; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(belltime.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stdout
+        assert out.strip() == "[]"

@@ -18,10 +18,10 @@ from belltime.dynamics import (
     propagate,
     random_pulse,
     read_pulse_csv,
-    slice_hamiltonian,
+    slice_propagators,
     write_pulse_csv,
 )
-from belltime.linalg import ket, pauli_string, singlet_state
+from belltime.linalg import expm_hermitian, ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 
 MODEL = SystemModel(g_hz=217.4)
@@ -88,19 +88,19 @@ class TestPulseSequence:
 
 class TestSliceHamiltonian:
     def test_zero_controls_is_pure_drift(self):
-        p = PulseSequence(1e-3, np.zeros((4, 4)))
-        h = slice_hamiltonian(MODEL, p, 0)
-        np.testing.assert_allclose(h, (np.pi / 2) * 217.4 * pauli_string("Z", "Z"))
+        drift = (np.pi / 2) * 217.4 * pauli_string("Z", "Z")
+        u, h, _, _ = slice_propagators(MODEL, np.zeros((4, 4)), 2.5e-4)
+        np.testing.assert_allclose(h[0], drift)
+        np.testing.assert_allclose(u[0], expm_hermitian(drift, 2.5e-4), atol=1e-12)
 
     def test_single_channel_term(self):
         amps = np.zeros((2, 4))
         amps[1, 2] = 7.0  # ux2
-        p = PulseSequence(1e-3, amps)
-        h = slice_hamiltonian(MODEL, p, 1)
         expected = (np.pi / 2) * 217.4 * pauli_string("Z", "Z") + np.pi * 7.0 * pauli_string("I", "X")
-        np.testing.assert_allclose(h, expected)
-        with pytest.raises(IndexError):
-            slice_hamiltonian(MODEL, p, 2)
+        dts = np.array([3e-4, 7e-4])
+        u, h, _, _ = slice_propagators(MODEL, amps, dts)
+        np.testing.assert_allclose(h[1], expected)
+        np.testing.assert_allclose(u[1], expm_hermitian(expected, 7e-4), atol=1e-12)
 
 
 class TestPropagate:
@@ -137,14 +137,6 @@ class TestPropagate:
         np.testing.assert_allclose(
             propagate(MODEL, p1, PSI0), propagate(MODEL, p2, PSI0), atol=1e-12
         )
-
-    def test_intermediate_states(self):
-        rng = np.random.default_rng(10)
-        p = random_pulse(6, 1e-3, 50.0, rng)
-        psi, states = propagate(MODEL, p, PSI0, return_intermediates=True)
-        assert states.shape == (7, 4)
-        np.testing.assert_array_equal(states[0], PSI0)
-        np.testing.assert_array_equal(states[-1], psi)
 
     def test_analytic_singlet_recipe(self):
         # Hand-built preparation sequence must hit the target at M = 50.

@@ -74,7 +74,20 @@ class TestDistortion:
         uniform = np.full(15, pulse.slice_duration_s)
         a = distort_pulse(pulse, 30e-6)
         b = distort_pulse(pulse, 30e-6, slice_durations_s=uniform)
-        assert np.allclose(a.amplitudes_hz, b.amplitudes_hz, atol=1e-12)
+        assert np.array_equal(a.amplitudes_hz, b.amplitudes_hz)
+
+    def test_recursion_matches_lfilter_bit_for_bit(self):
+        # scipy's IIR filter is the oracle of the per-slice recursion.
+        from scipy.signal import lfilter
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            pulse = random_pulse(
+                int(rng.integers(1, 60)), rng.uniform(1e-4, 6e-3), 200.0, rng
+            )
+            tau = 10.0 ** rng.uniform(-6.0, -2.0)
+            k = math.exp(-pulse.slice_duration_s / tau)
+            expected = lfilter([1.0 - k], [1.0, -k], pulse.amplitudes_hz, axis=0)
+            assert np.array_equal(distort_pulse(pulse, tau).amplitudes_hz, expected)
 
     def test_rejects_bad_inputs(self):
         pulse = random_pulse(5, 1e-3, 10.0, np.random.default_rng(4))
@@ -141,7 +154,7 @@ class TestOpenEvolution:
         uniform = np.full(12, pulse.slice_duration_s)
         a = backend.evolve_open(pulse)
         b = backend.evolve_open(pulse, slice_durations_s=uniform)
-        assert np.max(np.abs(a - b)) < 1e-12
+        assert np.array_equal(a, b)
 
     def test_output_is_physical_under_mismatch(self):
         backend = ExperimentBackend(mismatch_config())

@@ -12,7 +12,7 @@ from belltime.dynamics import (
     model_fidelity,
     random_pulse,
 )
-from belltime.experiment import ExperimentBackend, ExperimentConfig
+from belltime.experiment import LEDGER_CATEGORIES, ExperimentBackend, ExperimentConfig
 from belltime.linalg import ket, singlet_state
 from belltime.optimizer import (
     EVENT_DEGENERATE_TIME_GRADIENT,
@@ -23,6 +23,8 @@ from belltime.optimizer import (
     OptimizerConfig,
     finite_diff_gradients,
     lower_threshold,
+    measurements_per_iteration,
+    readouts_per_iteration,
     run_optimization,
     verify_trace_invariants,
 )
@@ -160,6 +162,20 @@ class TestMeasurementAccounting:
             "experiment-only", model, config, experiment=backend.config, seed=1
         )
         assert result.ledger.total_measurements == 2 * (3 + 1200 + 300)
+
+    @pytest.mark.parametrize("m_slices", [1, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_iteration_costs_the_budget_figure(self, model, mode, m_slices):
+        config = OptimizerConfig(max_iterations=2, m_slices=m_slices)
+        result = run_optimization(
+            mode, model, config, experiment=ideal_config(noise_sigma=1e-3, seed=4), seed=3
+        )
+        per_iter = measurements_per_iteration(mode, m_slices)
+        assert [r.measurements_this_iter for r in result.records] == [per_iter] * 2
+        readouts = readouts_per_iteration(mode, m_slices)
+        assert result.ledger.as_dict() == {
+            c: 2 * readouts.get(c, 0) for c in LEDGER_CATEGORIES
+        }
 
     def test_balanced_costs_three_per_iteration(self, model):
         config = OptimizerConfig(max_iterations=40)
