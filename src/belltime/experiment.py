@@ -17,6 +17,13 @@ Fidelity oracles:
   nontrivial two-spin Pauli expectations (15 measurements), projects it
   back onto the physical set, and returns the exact overlap with the
   target.
+
+Measured gradients probe the fidelity hundreds of times at one pulse.
+``fidelity_partial_batch`` evolves such probes PROBE_CHUNK at a time
+through the same code a single ``evolve_open`` runs (a single pulse is
+the batch of one), validates each evolved state once, and draws the
+chunk's readout noise as one vector; values, noise stream and ledger
+are bit-identical to one ``fidelity_partial`` call per probe.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PulseSequence, SystemModel, slice_propagators
-from .linalg import expectation, pauli_string, require_density, singlet_state
+from .linalg import pauli_string, require_density, require_hermitian, singlet_state
 
 LEDGER_CATEGORIES = (
     "fidelity_partial",
@@ -43,6 +50,12 @@ TOMOGRAPHY_LABELS = tuple(
 
 # The three correlators of one fidelity_partial estimate, one readout each.
 PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
+
+# Probes evolved together by fidelity_partial_batch.  It bounds the working
+# set, about six arrays of chunk x M complex 4 x 4 matrices: at M = 50 one
+# gradient's 500 probes at once add ~35 MB of peak memory, chunks of 64 add
+# ~6 MB and chunks of 16 ~2 MB, with coherent gradients as fast as at 64.
+PROBE_CHUNK = 16
 
 
 def _as_duration_pair(value, name: str) -> tuple[float, float]:
@@ -151,21 +164,49 @@ def distort_pulse(
         raise ValueError(f"tau_s must be >= 0, got {tau_s}")
     if tau_s == 0.0:
         return pulse
+    dts = _slice_durations(pulse, slice_durations_s)
+    return pulse.with_amplitudes(_low_pass(pulse.amplitudes_hz[None], dts[None], tau_s)[0])
+
+
+def _slice_durations(pulse: PulseSequence, slice_durations_s) -> np.ndarray:
+    """The pulse's (M,) slice durations: uniform T/M unless given."""
     if slice_durations_s is None:
-        dts = np.full(pulse.n_slices, pulse.slice_duration_s)
-    else:
-        dts = np.asarray(slice_durations_s, dtype=float)
-        if dts.shape != (pulse.n_slices,):
-            raise ValueError(
-                f"need {pulse.n_slices} slice durations, got shape {dts.shape}"
-            )
-    distorted = np.empty_like(pulse.amplitudes_hz)
-    y = np.zeros(4)
-    for m, dt in enumerate(dts):
-        k = math.exp(-dt / tau_s)
-        y = (1.0 - k) * pulse.amplitudes_hz[m] + k * y
-        distorted[m] = y
-    return pulse.with_amplitudes(distorted)
+        return np.full(pulse.n_slices, pulse.slice_duration_s)
+    dts = np.asarray(slice_durations_s, dtype=float)
+    if dts.shape != (pulse.n_slices,) or np.any(dts <= 0):
+        raise ValueError("slice_durations_s must hold one positive value per slice")
+    return dts
+
+
+def _one_density(rho) -> np.ndarray:
+    """``rho`` checked as one 4 x 4 density matrix."""
+    rho = require_density(rho)
+    if rho.shape != (4, 4):
+        raise ValueError(f"need one 4 x 4 density matrix, got shape {rho.shape}")
+    return rho
+
+
+def _uniform_columns(dts: np.ndarray) -> list:
+    """Per slice, whether all B rows of the (B, M) durations agree."""
+    return np.all(dts == dts[:1], axis=0).tolist()
+
+
+def _low_pass(amplitudes: np.ndarray, dts: np.ndarray, tau_s: float) -> np.ndarray:
+    """The recursion of ``distort_pulse`` over a stack of B waveforms.
+
+    ``amplitudes`` is (B, M, 4) and ``dts`` (B, M).  Each k_m is taken
+    with ``math.exp`` once per distinct duration (``np.exp`` can round
+    differently in the last bit), and a slice whose duration is the same
+    in every row is filtered with that one scalar.
+    """
+    k_of = {dt: math.exp(-dt / tau_s) for dt in set(dts.ravel().tolist())}
+    out = np.empty_like(amplitudes)
+    y = np.zeros((amplitudes.shape[0], 4))
+    for m, (uniform, column) in enumerate(zip(_uniform_columns(dts), dts.T.tolist())):
+        k_m = k_of[column[0]] if uniform else np.array([k_of[dt] for dt in column])[:, None]
+        y = (1.0 - k_m) * amplitudes[:, m] + k_m * y
+        out[:, m] = y
+    return out
 
 
 def _relaxation_kraus(t1_s: float, t2_s: float, dt: float):
@@ -216,8 +257,13 @@ class ExperimentBackend:
         self._model = SystemModel(g_hz=config.true_g_hz)
         self._target = singlet_state()
         self._pauli = {
-            labels: pauli_string(*labels) for labels in TOMOGRAPHY_LABELS
+            labels: require_hermitian(pauli_string(*labels))
+            for labels in TOMOGRAPHY_LABELS
         }
+        self._partial_ops = np.stack([self._pauli[labels] for labels in PARTIAL_LABELS])
+        self._tomography_ops = np.stack(list(self._pauli.values()))
+        self._ground = np.zeros((4, 4), dtype=np.complex128)
+        self._ground[0, 0] = 1.0
 
     def evolve_open(
         self,
@@ -231,42 +277,81 @@ class ExperimentBackend:
         each slice applies its unitary followed by per-spin relaxation
         channels over the slice duration.  rho0 defaults to |00><00|.
         """
+        dts = _slice_durations(pulse, slice_durations_s)
+        rho = self._ground if rho0 is None else _one_density(rho0)
+        return self._evolve(pulse.amplitudes_hz[None], dts[None], rho)[0]
+
+    def _evolve(self, amplitudes: np.ndarray, dts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+        """``evolve_open`` of B pulses at once: (B, M, 4) amplitudes, (B, M) durations.
+
+        Returns the (B, 4, 4) final states.  Every matrix product is the
+        one ``evolve_open`` makes for that pulse alone, so each state is
+        bit-identical to its own single-pulse evolution.  Relaxation is
+        applied per distinct slice duration: to all rows at once where a
+        slice has one duration, else to each group of equal durations.
+        """
         cfg = self.config
-        if slice_durations_s is None:
-            dts = np.full(pulse.n_slices, pulse.slice_duration_s)
-        else:
-            dts = np.asarray(slice_durations_s, dtype=float)
-            if dts.shape != (pulse.n_slices,) or np.any(dts <= 0):
-                raise ValueError("slice_durations_s must hold one positive value per slice")
-        if rho0 is None:
-            rho = np.zeros((4, 4), dtype=np.complex128)
-            rho[0, 0] = 1.0
-        else:
-            rho = require_density(np.asarray(rho0, dtype=np.complex128)).copy()
+        n_rows, m_slices = dts.shape
+        if cfg.distortion_tau_s > 0.0:
+            amplitudes = _low_pass(amplitudes, dts, cfg.distortion_tau_s)
+        applied = amplitudes * np.asarray(cfg.amplitude_scale)
+        u = slice_propagators(self._model, applied.reshape(-1, 4), dts.reshape(-1))[0]
+        u = u.reshape(n_rows, m_slices, 4, 4).swapaxes(0, 1)  # slice-major
+        u_dag = u.conj().swapaxes(-1, -2)
+        rho = np.repeat(rho0[None], n_rows, axis=0)
+        if n_rows == 1:  # plain 4 x 4 products cost less per call than stacks of one
+            u, u_dag, rho = u[:, 0], u_dag[:, 0], rho[0]
 
-        distorted = distort_pulse(pulse, cfg.distortion_tau_s, dts)
-        applied = distorted.amplitudes_hz * np.asarray(cfg.amplitude_scale)
-        props = slice_propagators(self._model, applied, dts)[0]
+        relaxing = any(math.isfinite(t) for t in cfg.t1_s + cfg.t2_s)
+        if relaxing:  # each distinct slice duration's Kraus channels, built once
+            channels = {dt: _relaxation_channels(cfg, dt) for dt in set(dts.ravel().tolist())}
+            uniform = _uniform_columns(dts)
+            first_row = dts[0].tolist()
 
-        relaxation = {}  # slice duration -> its Kraus channels, built once
-        for u, dt in zip(props, dts):
-            rho = u @ rho @ u.conj().T
-            dt = float(dt)
-            if dt not in relaxation:
-                relaxation[dt] = _relaxation_channels(cfg, dt)
-            for channel in relaxation[dt]:
+        def relax(rho, dt):
+            for channel in channels[dt]:
                 rho = sum(k @ rho @ k_dag for k, k_dag in channel)
-        return rho
+            return rho
+
+        for m, (u_m, u_dag_m) in enumerate(zip(u, u_dag)):
+            rho = u_m @ rho @ u_dag_m
+            if not relaxing:
+                continue
+            if uniform[m]:
+                rho = relax(rho, first_row[m])
+            else:
+                column = dts[:, m]
+                for dt in np.unique(column).tolist():
+                    rows = column == dt
+                    rho[rows] = relax(rho[rows], dt)
+        return rho.reshape(n_rows, 4, 4)
+
+    def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
+        """Noisy expectations (B, L) of L observables in B checked states.
+
+        The B*L noise samples are one draw from the stream, in the order
+        of B*L scalar readouts (state by state, observable by
+        observable); state b's L readouts are charged to categories[b].
+        """
+        values = np.trace(rhos[:, None] @ observables, axis1=-2, axis2=-1).real
+        sigma = self.config.noise_sigma
+        if sigma > 0.0:
+            values = values + self._rng.normal(0.0, sigma, size=values.size).reshape(values.shape)
+            values = np.clip(values, -1.0 - 5.0 * sigma, 1.0 + 5.0 * sigma)
+        for category in dict.fromkeys(categories):
+            self.ledger.record(category, categories.count(category) * len(observables))
+        return values
+
+    def _partial(self, rhos: np.ndarray, categories) -> np.ndarray:
+        """Three-correlator fidelity estimates of B evolved states."""
+        values = self._readouts(require_density(rhos), self._partial_ops, categories)
+        # sum() over the columns adds in the order of a scalar sum of readouts
+        return (1.0 - sum(values.T)) / 4.0
 
     def measure_pauli(self, rho: np.ndarray, labels, category: str) -> float:
         """One noisy expectation value of a Pauli string, charged to the ledger."""
-        value = expectation(rho, self._pauli[tuple(labels)])
-        sigma = self.config.noise_sigma
-        if sigma > 0.0:
-            value += self._rng.normal(0.0, sigma)
-            value = float(np.clip(value, -1.0 - 5.0 * sigma, 1.0 + 5.0 * sigma))
-        self.ledger.record(category, 1)
-        return float(value)
+        observable = self._pauli[tuple(labels)][None]
+        return float(self._readouts(_one_density(rho)[None], observable, [category])[0, 0])
 
     def fidelity_partial(
         self,
@@ -276,18 +361,44 @@ class ExperimentBackend:
     ) -> float:
         """Singlet-overlap estimate from 3 correlator measurements."""
         rho = self.evolve_open(pulse, slice_durations_s=slice_durations_s)
-        total = sum(
-            self.measure_pauli(rho, labels, category) for labels in PARTIAL_LABELS
-        )
-        return (1.0 - total) / 4.0
+        return float(self._partial(rho[None], [category])[0])
+
+    def fidelity_partial_batch(
+        self, amplitudes_hz: np.ndarray, slice_durations_s: np.ndarray, categories
+    ) -> np.ndarray:
+        """``fidelity_partial`` of B probes, evolved PROBE_CHUNK at a time.
+
+        Probe b runs the (M, 4) amplitudes ``amplitudes_hz[b]`` over the
+        slice durations ``slice_durations_s[b]`` and is charged to
+        ``categories[b]``.  Values, noise draws and ledger are those of B
+        ``fidelity_partial`` calls in order.
+        """
+        amps = np.asarray(amplitudes_hz, dtype=float)
+        dts = np.asarray(slice_durations_s, dtype=float)
+        categories = list(categories)
+        if amps.ndim != 3 or amps.shape[2] != 4 or dts.shape != amps.shape[:2]:
+            raise ValueError(
+                f"need (B, M, 4) amplitudes and (B, M) slice durations, "
+                f"got {amps.shape} and {dts.shape}"
+            )
+        if len(categories) != len(amps):
+            raise ValueError(f"need {len(amps)} ledger categories, got {len(categories)}")
+        if not np.all(np.isfinite(amps)) or np.any(dts <= 0):
+            raise ValueError("probe amplitudes must be finite and slice durations positive")
+        fidelities = np.empty(len(amps))
+        for start in range(0, len(amps), PROBE_CHUNK):
+            chunk = slice(start, start + PROBE_CHUNK)
+            rhos = self._evolve(amps[chunk], dts[chunk], self._ground)
+            fidelities[chunk] = self._partial(rhos, categories[chunk])
+        return fidelities
 
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction."""
-        rho = self.evolve_open(pulse)
+        rho = require_density(self.evolve_open(pulse))
+        values = self._readouts(rho[None], self._tomography_ops, ["fidelity_full"])[0]
         estimate = np.eye(4, dtype=np.complex128)
-        for labels in TOMOGRAPHY_LABELS:
-            value = self.measure_pauli(rho, labels, "fidelity_full")
-            estimate = estimate + value * self._pauli[labels]
+        for value, observable in zip(values.tolist(), self._tomography_ops):
+            estimate = estimate + value * observable
         estimate /= 4.0
         w, v = np.linalg.eigh(estimate)
         w = np.clip(w, 0.0, None)

@@ -90,15 +90,30 @@ def require_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
 
 
 def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check trace one, Hermiticity and eigenvalues >= -tol."""
-    rho = _as_square(rho, "density matrix")
-    require_hermitian(rho, tol)
-    tr_dev = abs(np.trace(rho).real - 1.0)
-    if tr_dev > tol:
-        raise ValueError(f"density matrix trace deviates from 1 by {tr_dev:.3e}")
-    lo = np.linalg.eigvalsh(rho).min()
-    if lo < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+    """Check trace one, Hermiticity and eigenvalues >= -tol.
+
+    ``rho`` is one square matrix or a stack of them, shape (..., n, n).
+    Each matrix is held to exactly the checks it would meet on its own;
+    the error names the first bad one by its stack index.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
+    lo = np.linalg.eigvalsh(stack).min(axis=-1)
+    bad = (herm_dev > tol) | (tr_dev > tol) | (lo < -tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = "density matrix"
+        if rho.ndim > 2:
+            name += f" {list(map(int, np.unravel_index(i, rho.shape[:-2])))}"
+        if herm_dev[i] > tol:
+            raise ValueError(f"{name} is not Hermitian: max |H - H^dag| = {herm_dev[i]:.3e}")
+        if tr_dev[i] > tol:
+            raise ValueError(f"{name} trace deviates from 1 by {tr_dev[i]:.3e}")
+        raise ValueError(f"{name} has negative eigenvalue {lo[i]:.3e}")
     return rho
 
 

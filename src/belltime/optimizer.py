@@ -291,38 +291,38 @@ def finite_diff_gradients(
     3-measurement fidelity estimate.  The duration derivative of the
     uniform grid is the mean of the per-slice duration derivatives, since
     stretching T by dT stretches every slice by dT/M.
+
+    All probes go to the backend as one stack, in the order of one
+    probe at a time: amplitude (m, c) at rows 2(4m + c) (+h) and
+    2(4m + c) + 1 (-h), then slice m's duration at rows 2(4M + m) (+ht)
+    and 2(4M + m) + 1 (-ht).
     """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
-    grad_u = np.zeros_like(amps)
+    n_amps = amps.size
     h = fd_step_amplitude_hz
-    for m in range(m_slices):
-        for c in range(4):
-            probe = amps.copy()
-            probe[m, c] += h
-            j_plus = backend.fidelity_partial(
-                pulse.with_amplitudes(probe), category="gradient_control"
-            )
-            probe[m, c] -= 2.0 * h
-            j_minus = backend.fidelity_partial(
-                pulse.with_amplitudes(probe), category="gradient_control"
-            )
-            grad_u[m, c] = (j_plus - j_minus) / (2.0 * h)
-
     ht = fd_step_time_s
     base = pulse.slice_duration_s
+
+    n_probes = 2 * n_amps + 2 * m_slices
+    probes = np.repeat(amps.reshape(1, n_amps), n_probes, axis=0)
+    index = np.arange(n_amps)
+    probes[2 * index, index] += h
+    probes[2 * index + 1, index] = probes[2 * index, index] - 2.0 * h
+    durations = np.full((n_probes, m_slices), base)
+    index = np.arange(m_slices)
+    durations[2 * n_amps + 2 * index, index] = base + ht
+    durations[2 * n_amps + 2 * index + 1, index] = base - ht
+    categories = ["gradient_control"] * (2 * n_amps) + ["gradient_time"] * (2 * m_slices)
+
+    j = backend.fidelity_partial_batch(
+        probes.reshape(n_probes, m_slices, 4), durations, categories
+    ).reshape(-1, 2)  # (+, -) pairs
+    differences = j[:, 0] - j[:, 1]
+    grad_u = (differences[:n_amps] / (2.0 * h)).reshape(amps.shape)
     slope_sum = 0.0
-    for m in range(m_slices):
-        durations = np.full(m_slices, base)
-        durations[m] = base + ht
-        j_plus = backend.fidelity_partial(
-            pulse, category="gradient_time", slice_durations_s=durations
-        )
-        durations[m] = base - ht
-        j_minus = backend.fidelity_partial(
-            pulse, category="gradient_time", slice_durations_s=durations
-        )
-        slope_sum += (j_plus - j_minus) / (2.0 * ht)
+    for slope in (differences[n_amps:] / (2.0 * ht)).tolist():  # summed in probe order
+        slope_sum += slope
     grad_t = slope_sum / m_slices
     return GradientBundle(
         fidelity=baseline_fidelity, grad_amplitudes=grad_u, grad_duration=grad_t

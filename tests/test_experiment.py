@@ -1,5 +1,6 @@
 """Emulated-lab behavior: distortion, relaxation, noisy readout, ledger."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +13,20 @@ from belltime.dynamics import (
     propagate,
     random_pulse,
 )
+from belltime.dynamics import slice_propagators
 from belltime.experiment import (
+    PARTIAL_LABELS,
+    PROBE_CHUNK,
+    TOMOGRAPHY_LABELS,
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
+    _low_pass,
+    _relaxation_channels,
     distort_pulse,
     ledger_report,
 )
-from belltime.linalg import ket, singlet_state
+from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 
 G_HZ = 217.4
@@ -27,6 +34,41 @@ G_HZ = 217.4
 
 def ideal_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(true_g_hz=G_HZ, **overrides)
+
+
+def reference_distortion(amplitudes, tau_s, dts):
+    """The low-pass recursion one slice at a time, for one waveform."""
+    distorted = np.empty_like(amplitudes)
+    y = np.zeros(4)
+    for m, dt in enumerate(dts):
+        k = math.exp(-dt / tau_s)
+        y = (1.0 - k) * amplitudes[m] + k * y
+        distorted[m] = y
+    return distorted
+
+
+def reference_evolution(backend, pulse, dts):
+    """One pulse's open evolution as a per-slice Kraus loop, from |00><00|."""
+    cfg = backend.config
+    distorted = distort_pulse(pulse, cfg.distortion_tau_s, dts)
+    applied = distorted.amplitudes_hz * np.asarray(cfg.amplitude_scale)
+    props = slice_propagators(SystemModel(cfg.true_g_hz), applied, dts)[0]
+    rho = np.outer(ket("00"), ket("00").conj())
+    for u, dt in zip(props, dts):
+        rho = u @ rho @ u.conj().T
+        for channel in _relaxation_channels(cfg, float(dt)):
+            rho = sum(k @ rho @ k_dag for k, k_dag in channel)
+    return rho
+
+
+def probe_stack(pulse, rng, n_rows):
+    """n_rows perturbed copies of a pulse, each with one slice's duration moved."""
+    amps = pulse.amplitudes_hz + rng.normal(0.0, 0.1, size=(n_rows,) + pulse.amplitudes_hz.shape)
+    dts = np.full((n_rows, pulse.n_slices), pulse.slice_duration_s)
+    moved = rng.integers(0, pulse.n_slices, size=n_rows)
+    dts[np.arange(n_rows), moved] *= rng.choice([0.999, 1.001], size=n_rows)
+    dts[::3] = pulse.slice_duration_s  # every third row keeps the uniform grid
+    return amps, dts
 
 
 def mismatch_config(**overrides) -> ExperimentConfig:
@@ -88,6 +130,30 @@ class TestDistortion:
             k = math.exp(-pulse.slice_duration_s / tau)
             expected = lfilter([1.0 - k], [1.0, -k], pulse.amplitudes_hz, axis=0)
             assert np.array_equal(distort_pulse(pulse, tau).amplitudes_hz, expected)
+
+    def test_recursion_matches_per_slice_reference(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            pulse = random_pulse(int(rng.integers(1, 40)), rng.uniform(1e-4, 6e-3), 200.0, rng)
+            tau = 10.0 ** rng.uniform(-6.0, -2.0)
+            dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=pulse.n_slices)
+            expected = reference_distortion(pulse.amplitudes_hz, tau, dts)
+            assert np.array_equal(distort_pulse(pulse, tau, dts).amplitudes_hz, expected)
+
+    def test_stacked_recursion_matches_per_pulse(self):
+        # uniform rows and rows with one slice's duration moved, in one stack
+        from scipy.signal import lfilter
+        rng = np.random.default_rng(23)
+        pulse = random_pulse(30, 2.4e-3, 150.0, rng)
+        amps, dts = probe_stack(pulse, rng, 40)
+        tau = 50e-6
+        stacked = _low_pass(amps, dts, tau)
+        k = math.exp(-pulse.slice_duration_s / tau)
+        for row, (a, d) in enumerate(zip(amps, dts)):
+            alone = distort_pulse(pulse.with_amplitudes(a), tau, d).amplitudes_hz
+            assert np.array_equal(stacked[row], alone)
+            if np.all(d == pulse.slice_duration_s):
+                assert np.array_equal(stacked[row], lfilter([1.0 - k], [1.0, -k], a, axis=0))
 
     def test_rejects_bad_inputs(self):
         pulse = random_pulse(5, 1e-3, 10.0, np.random.default_rng(4))
@@ -155,6 +221,44 @@ class TestOpenEvolution:
         a = backend.evolve_open(pulse)
         b = backend.evolve_open(pulse, slice_durations_s=uniform)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
+    def test_matches_per_slice_reference(self, noise_sigma):
+        rng = np.random.default_rng(29)
+        for config in (ideal_config(), mismatch_config(), mismatch_config(distortion_tau_s=0.0),
+                       mismatch_config(t1_s=(math.inf, math.inf), t2_s=(0.05, 0.07))):
+            backend = ExperimentBackend(dataclasses.replace(config, noise_sigma=noise_sigma))
+            for m_slices in (1, 7, 50):
+                pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
+                dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
+                uniform = np.full(m_slices, pulse.slice_duration_s)
+                assert np.array_equal(
+                    backend.evolve_open(pulse), reference_evolution(backend, pulse, uniform)
+                )
+                assert np.array_equal(
+                    backend.evolve_open(pulse, slice_durations_s=dts),
+                    reference_evolution(backend, pulse, dts),
+                )
+
+    def test_single_pulse_equals_its_row_of_a_stack(self):
+        rng = np.random.default_rng(31)
+        pulse = random_pulse(20, 2.4e-3, 150.0, rng)
+        amps, dts = probe_stack(pulse, rng, 70)
+        for config in (ideal_config(), mismatch_config()):
+            backend = ExperimentBackend(config)
+            ground = np.outer(ket("00"), ket("00").conj())
+            stacked = backend._evolve(amps, dts, ground)
+            for row in range(len(amps)):
+                alone = backend.evolve_open(pulse.with_amplitudes(amps[row]), slice_durations_s=dts[row])
+                assert np.array_equal(stacked[row], alone)
+
+    def test_rejects_bad_initial_state(self):
+        backend = ExperimentBackend(ideal_config())
+        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="trace"):
+            backend.evolve_open(pulse, rho0=np.eye(4))
+        with pytest.raises(ValueError, match="4 x 4"):
+            backend.evolve_open(pulse, rho0=np.stack([np.diag([1.0, 0, 0, 0])] * 2))
 
     def test_output_is_physical_under_mismatch(self):
         backend = ExperimentBackend(mismatch_config())
@@ -241,6 +345,112 @@ class TestReadout:
             if abs(noisy - clean) <= 3.0 * (math.sqrt(3.0) / 4.0) * sigma:
                 inside += 1
         assert inside >= 0.97 * trials
+
+    def test_normal_vector_equals_scalar_draws(self):
+        # The batched readouts draw B*L noise samples at once; that they equal
+        # B*L scalar draws, and leave the stream in the same state, is numpy's
+        # behaviour, pinned here so an upgrade that changes it fails loudly.
+        for sigma, n in ((1e-3, 1500), (0.5, 7), (2.0, 1)):
+            vector, scalar = np.random.default_rng(41), np.random.default_rng(41)
+            drawn = vector.normal(0.0, sigma, size=n)
+            assert np.array_equal(drawn, [scalar.normal(0.0, sigma) for _ in range(n)])
+            assert vector.bit_generator.state == scalar.bit_generator.state
+
+    def test_partial_fidelity_equals_scalar_readouts(self):
+        pulse = bell_recipe_pulse(G_HZ)
+        batched = ExperimentBackend(mismatch_config(seed=21))
+        scalar = ExperimentBackend(mismatch_config(seed=21))
+        for _ in range(3):
+            rho = scalar.evolve_open(pulse)
+            total = sum(
+                scalar.measure_pauli(rho, labels, "fidelity_partial") for labels in PARTIAL_LABELS
+            )
+            assert batched.fidelity_partial(pulse) == (1.0 - total) / 4.0
+        assert batched.ledger.as_dict() == scalar.ledger.as_dict()
+        assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+    def test_full_tomography_equals_scalar_readouts(self):
+        pulse = bell_recipe_pulse(G_HZ)
+        batched = ExperimentBackend(mismatch_config(noise_sigma=2e-2, seed=22))
+        scalar = ExperimentBackend(mismatch_config(noise_sigma=2e-2, seed=22))
+        for _ in range(3):
+            rho = scalar.evolve_open(pulse)
+            estimate = np.eye(4, dtype=np.complex128)
+            for labels in TOMOGRAPHY_LABELS:
+                value = scalar.measure_pauli(rho, labels, "fidelity_full")
+                estimate = estimate + value * pauli_string(*labels)
+            estimate /= 4.0
+            w, v = np.linalg.eigh(estimate)
+            w = np.clip(w, 0.0, None)
+            w /= w.sum()
+            projected = (v * w) @ v.conj().T
+            psi = singlet_state()
+            expected = float(np.real(psi.conj() @ projected @ psi))
+            assert batched.fidelity_full(pulse) == expected
+        assert batched.ledger.as_dict() == scalar.ledger.as_dict()
+        assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+    def test_batch_equals_one_call_per_probe(self):
+        rng = np.random.default_rng(37)
+        pulse = random_pulse(10, 2.4e-3, 150.0, rng)
+        amps, dts = probe_stack(pulse, rng, 150)  # not a whole number of chunks
+        categories = ["gradient_control", "gradient_time", "fidelity_partial"] * 50
+        assert len(amps) % PROBE_CHUNK != 0
+        batched = ExperimentBackend(mismatch_config(seed=24))
+        single = ExperimentBackend(mismatch_config(seed=24))
+        values = batched.fidelity_partial_batch(amps, dts, categories)
+        expected = [
+            single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
+            for a, d, c in zip(amps, dts, categories)
+        ]
+        assert np.array_equal(values, expected)
+        assert batched.ledger.as_dict() == single.ledger.as_dict()
+        assert batched._rng.bit_generator.state == single._rng.bit_generator.state
+
+    def test_batch_rejects_malformed_probes(self):
+        backend = ExperimentBackend(ideal_config())
+        amps = np.zeros((3, 5, 4))
+        dts = np.full((3, 5), 1e-4)
+        with pytest.raises(ValueError, match="slice durations"):
+            backend.fidelity_partial_batch(amps, dts[:, :4], ["gradient_control"] * 3)
+        with pytest.raises(ValueError, match="categories"):
+            backend.fidelity_partial_batch(amps, dts, ["gradient_control"] * 2)
+        dts[1, 2] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            backend.fidelity_partial_batch(amps, dts, ["gradient_control"] * 3)
+        assert backend.ledger.total_measurements == 0
+
+    @pytest.mark.parametrize("corruption", ["non-Hermitian", "trace"])
+    def test_batch_rejects_a_bad_state(self, corruption, monkeypatch):
+        # One probe of a chunk evolves to a matrix that is not a density
+        # matrix; the batch must fail as one call for that probe would.
+        backend = ExperimentBackend(ideal_config(noise_sigma=1e-3))
+        evolve = backend._evolve
+
+        def corrupt(amplitudes, dts, rho0):
+            rhos = evolve(amplitudes, dts, rho0)
+            if corruption == "non-Hermitian":
+                rhos[5, 0, 1] += 1e-6
+            else:
+                rhos[5] *= 1.0 + 1e-6
+            return rhos
+
+        monkeypatch.setattr(backend, "_evolve", corrupt)
+        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(10))
+        amps = np.repeat(pulse.amplitudes_hz[None], 9, axis=0)
+        dts = np.full((9, 4), pulse.slice_duration_s)
+        match = r"\[5\] is not Hermitian" if corruption == "non-Hermitian" else r"\[5\] trace"
+        with pytest.raises(ValueError, match=match):
+            backend.fidelity_partial_batch(amps, dts, ["gradient_control"] * 9)
+
+    def test_measure_pauli_validates_its_state(self):
+        backend = ExperimentBackend(ideal_config())
+        with pytest.raises(ValueError, match="trace"):
+            backend.measure_pauli(np.eye(4), ("Z", "Z"), "fidelity_partial")
+        lopsided = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            backend.measure_pauli(lopsided, ("Z", "Z"), "fidelity_partial")
+        assert backend.ledger.total_measurements == 0
 
     def test_full_reconstruction_stays_physical_under_noise(self):
         backend = ExperimentBackend(mismatch_config(noise_sigma=5e-2, seed=13))

@@ -137,3 +137,53 @@ def test_expectation_rejects_bad_density():
     lopsided = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         expectation(lopsided, pauli_string("Z", "Z"))
+
+
+def test_density_stack_names_first_bad_matrix():
+    good = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    stack = np.repeat(good[None], 6, axis=0)
+    stack[4, 0, 0] += 1e-3  # trace off
+    stack[2, 0, 1] = 1e-3  # not Hermitian, and earlier in the stack
+    with pytest.raises(ValueError, match=r"density matrix \[2\] is not Hermitian"):
+        linalg.require_density(stack)
+    grid = np.repeat(good[None], 6, axis=0).reshape(2, 3, 4, 4)
+    grid[1, 1] *= 1.0 + 1e-3
+    with pytest.raises(ValueError, match=r"density matrix \[1, 1\] trace"):
+        linalg.require_density(grid)
+    assert linalg.require_density(stack[[0, 1, 3, 5]]).shape == (4, 4, 4)
+    with pytest.raises(ValueError, match="square"):
+        linalg.require_density(np.zeros((3, 4, 2)))
+
+
+def test_density_stack_is_as_strict_as_one_at_a_time():
+    # Perturbations straddling the tolerance: the stack fails exactly when
+    # some matrix fails alone, and names the first such matrix and check.
+    rng = np.random.default_rng(43)
+    tol = linalg.DENSITY_TOL
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        raw = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        stack = raw @ raw.conj().swapaxes(-1, -2)
+        stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+        for i in range(n):
+            kind = rng.integers(0, 4)
+            size = tol * rng.choice([0.5, 2.0])
+            if kind == 1:
+                stack[i, 0, 1] += size
+            elif kind == 2:
+                stack[i] *= 1.0 + size
+            elif kind == 3:
+                stack[i] = np.diag([1.0 + size, -size, 0.0, 0.0])
+        alone = []
+        for i in range(n):
+            try:
+                linalg.require_density(stack[i])
+            except ValueError as exc:
+                alone.append((i, str(exc)))
+        if not alone:
+            linalg.require_density(stack)
+            continue
+        first, message = alone[0]
+        with pytest.raises(ValueError) as caught:
+            linalg.require_density(stack)
+        assert str(caught.value) == message.replace("density matrix", f"density matrix [{first}]")

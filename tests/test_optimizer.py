@@ -12,7 +12,13 @@ from belltime.dynamics import (
     model_fidelity,
     random_pulse,
 )
-from belltime.experiment import LEDGER_CATEGORIES, ExperimentBackend, ExperimentConfig
+from belltime import experiment
+from belltime.experiment import (
+    LEDGER_CATEGORIES,
+    PROBE_CHUNK,
+    ExperimentBackend,
+    ExperimentConfig,
+)
 from belltime.linalg import ket, singlet_state
 from belltime.optimizer import (
     EVENT_DEGENERATE_TIME_GRADIENT,
@@ -34,6 +40,52 @@ G_HZ = 217.4
 
 def ideal_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(true_g_hz=G_HZ, **overrides)
+
+
+# The acceptance apparatus (tests/test_acceptance.py): all of MISMATCH, and
+# COHERENT_MISMATCH, its coupling, amplitude scales and readout noise only.
+COHERENT_MISMATCH = dict(
+    true_g_hz=1.01 * G_HZ, amplitude_scale=(0.98, 1.0, 0.98, 1.0), noise_sigma=1e-3,
+)
+MISMATCH = dict(
+    COHERENT_MISMATCH, distortion_tau_s=50e-6, t1_s=(0.730, 0.096), t2_s=(0.0965, 0.0425),
+)
+
+
+def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_step_time_s):
+    """Reference for finite_diff_gradients: one fidelity_partial call per probe."""
+    amps = pulse.amplitudes_hz
+    m_slices = pulse.n_slices
+    grad_u = np.zeros_like(amps)
+    h = fd_step_amplitude_hz
+    for m in range(m_slices):
+        for c in range(4):
+            probe = amps.copy()
+            probe[m, c] += h
+            j_plus = backend.fidelity_partial(
+                pulse.with_amplitudes(probe), category="gradient_control"
+            )
+            probe[m, c] -= 2.0 * h
+            j_minus = backend.fidelity_partial(
+                pulse.with_amplitudes(probe), category="gradient_control"
+            )
+            grad_u[m, c] = (j_plus - j_minus) / (2.0 * h)
+
+    ht = fd_step_time_s
+    base = pulse.slice_duration_s
+    slope_sum = 0.0
+    for m in range(m_slices):
+        durations = np.full(m_slices, base)
+        durations[m] = base + ht
+        j_plus = backend.fidelity_partial(
+            pulse, category="gradient_time", slice_durations_s=durations
+        )
+        durations[m] = base - ht
+        j_minus = backend.fidelity_partial(
+            pulse, category="gradient_time", slice_durations_s=durations
+        )
+        slope_sum += (j_plus - j_minus) / (2.0 * ht)
+    return grad_u, slope_sum / m_slices
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +186,32 @@ class TestFiniteDifferenceGradients:
         assert counts["gradient_control"] == 2 * 4 * 3 * 3
         assert counts["gradient_time"] == 2 * 3 * 3
         assert backend.ledger.total_measurements == 90
+
+    @pytest.mark.parametrize("chunk", [PROBE_CHUNK, 7])
+    @pytest.mark.parametrize("m_slices", [1, 3, 50])
+    @pytest.mark.parametrize(
+        "apparatus",
+        [dict(true_g_hz=G_HZ), COHERENT_MISMATCH, MISMATCH],
+        ids=["ideal", "coherent-mismatch", "mismatch"],
+    )
+    def test_batched_probes_equal_sequential_probes(self, apparatus, m_slices, chunk,
+                                                    monkeypatch):
+        # 10M probes, 8M of them control probes: at both chunk sizes no probe
+        # count is a whole number of chunks, and a chunk holds both kinds
+        # (at M = 50 only with chunks of 7).
+        monkeypatch.setattr(experiment, "PROBE_CHUNK", chunk)
+        assert (10 * m_slices) % chunk != 0
+        pulse = random_pulse(m_slices, 2.4e-3, 150.0, np.random.default_rng(m_slices))
+        batched = ExperimentBackend(ExperimentConfig(seed=9, **apparatus))
+        sequential = ExperimentBackend(ExperimentConfig(seed=9, **apparatus))
+
+        fd = finite_diff_gradients(batched, pulse, 0.1, 1e-8)
+        grad_u, grad_t = sequential_finite_diff_gradients(sequential, pulse, 0.1, 1e-8)
+
+        assert np.array_equal(fd.grad_amplitudes, grad_u)
+        assert fd.grad_duration == grad_t
+        assert batched.ledger.as_dict() == sequential.ledger.as_dict()
+        assert batched._rng.bit_generator.state == sequential._rng.bit_generator.state
 
     def test_noise_spread_scales_with_probe_step(self):
         # std of a central-difference entry is sigma_J / (sqrt(2) h) with
