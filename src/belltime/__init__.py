@@ -18,7 +18,6 @@ from .cartan import (
     kak_factorize,
     minimum_time_bell,
     minimum_time_unitary,
-    nearest_local_product,
 )
 from .dynamics import (
     GradientBundle,
@@ -40,12 +39,9 @@ from .experiment import (
     ledger_report,
 )
 from .linalg import (
-    expectation,
-    expm_hermitian,
     ket,
     pauli_string,
     singlet_state,
-    state_fidelity,
 )
 from .optimizer import (
     MODES,
@@ -81,8 +77,6 @@ __all__ = [
     "bell_recipe_pulse",
     "cartan_coordinates",
     "distort_pulse",
-    "expectation",
-    "expm_hermitian",
     "fidelity_and_gradients",
     "finite_diff_gradients",
     "interaction_core",
@@ -94,7 +88,6 @@ __all__ = [
     "minimum_time_bell",
     "minimum_time_unitary",
     "model_fidelity",
-    "nearest_local_product",
     "parse_config",
     "pauli_string",
     "propagate",
@@ -103,7 +96,6 @@ __all__ = [
     "run_optimization",
     "singlet_state",
     "slice_propagators",
-    "state_fidelity",
     "verify_trace_invariants",
     "write_pulse_csv",
 ]

@@ -278,21 +278,6 @@ def cartan_coordinates(u: np.ndarray) -> CartanCoordinates:
     return kak_factorize(u).coordinates
 
 
-def nearest_local_product(u: np.ndarray):
-    """Best tensor-product approximation A (x) B of a 4x4 matrix.
-
-    Returns (A, B, residual) where residual is the max-abs deviation of
-    A (x) B from u.  For an exactly local unitary the residual is at
-    numerical noise level.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    r = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    uu, ss, vv = np.linalg.svd(r)
-    a = (uu[:, 0] * np.sqrt(ss[0])).reshape(2, 2)
-    b = (vv[0, :] * np.sqrt(ss[0])).reshape(2, 2)
-    return a, b, float(np.max(np.abs(np.kron(a, b) - u)))
-
-
 def minimum_time_unitary(u: np.ndarray, g_hz: float) -> float:
     """Coupling-limited minimum time, in seconds, to realize U.
 

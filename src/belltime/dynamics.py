@@ -240,8 +240,9 @@ def read_pulse_csv(path) -> PulseSequence:
         m_slices = int(meta["M"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: bad metadata line {lines[0]!r}") from exc
-    if lines[1] != PULSE_HEADER:
-        raise ValueError(f"{path}: expected header {PULSE_HEADER!r}, got {lines[1]!r}")
+    if lines[1:2] != [PULSE_HEADER]:
+        found = repr(lines[1]) if len(lines) > 1 else "end of file"
+        raise ValueError(f"{path}: expected header {PULSE_HEADER!r}, got {found}")
     rows = lines[2:]
     if len(rows) != m_slices:
         raise ValueError(f"{path}: metadata says M={m_slices} but found {len(rows)} rows")

@@ -3,7 +3,9 @@
 The backend evolves density matrices under a hidden "true" model that
 deliberately differs from the design model: a miscalibrated coupling,
 per-channel amplitude scale errors, a first-order low-pass distortion of
-the programmed waveforms, and per-spin relaxation.  Expectation values
+the programmed waveforms, and per-spin T1/T2 relaxation, applied after
+each slice's unitary as a closed-form elementwise map on the density
+matrix (amplitude damping plus dephasing).  Expectation values
 are read out through a seeded Gaussian noise stream, and every readout
 is charged to a measurement ledger so the wall-clock cost of an
 optimization run can be audited afterwards.
@@ -84,12 +86,15 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("true_g_hz", "distortion_tau_s", "noise_sigma", "seconds_per_measurement"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.true_g_hz > 0:
             raise ValueError(f"true_g_hz must be positive, got {self.true_g_hz}")
         scale = tuple(float(s) for s in np.atleast_1d(self.amplitude_scale))
-        if len(scale) != 4 or any(s <= 0 for s in scale):
+        if len(scale) != 4 or not all(0.0 < s < math.inf for s in scale):
             raise ValueError(
-                f"amplitude_scale needs 4 positive entries, got {self.amplitude_scale!r}"
+                f"amplitude_scale needs 4 finite positive entries, got {self.amplitude_scale!r}"
             )
         object.__setattr__(self, "amplitude_scale", scale)
         if self.distortion_tau_s < 0:
@@ -186,61 +191,48 @@ def _one_density(rho) -> np.ndarray:
     return rho
 
 
-def _uniform_columns(dts: np.ndarray) -> list:
-    """Per slice, whether all B rows of the (B, M) durations agree."""
-    return np.all(dts == dts[:1], axis=0).tolist()
+def _decay_factors(dts: np.ndarray, times_s) -> np.ndarray:
+    """exp(-dt/t) for each (B, M) duration and each time t: (B, M, len(times_s)).
+
+    ``math.exp`` runs once per distinct duration (``np.exp`` can round
+    differently in the last bit), so a pulse gets the same factors alone
+    as in any stack.
+    """
+    distinct, index = np.unique(dts, return_inverse=True)
+    table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct.tolist()])
+    return table[index.reshape(dts.shape)]
 
 
 def _low_pass(amplitudes: np.ndarray, dts: np.ndarray, tau_s: float) -> np.ndarray:
     """The recursion of ``distort_pulse`` over a stack of B waveforms.
 
-    ``amplitudes`` is (B, M, 4) and ``dts`` (B, M).  Each k_m is taken
-    with ``math.exp`` once per distinct duration (``np.exp`` can round
-    differently in the last bit), and a slice whose duration is the same
-    in every row is filtered with that one scalar.
+    ``amplitudes`` is (B, M, 4) and ``dts`` (B, M).
     """
-    k_of = {dt: math.exp(-dt / tau_s) for dt in set(dts.ravel().tolist())}
+    k = _decay_factors(dts, (tau_s,))
     out = np.empty_like(amplitudes)
     y = np.zeros((amplitudes.shape[0], 4))
-    for m, (uniform, column) in enumerate(zip(_uniform_columns(dts), dts.T.tolist())):
-        k_m = k_of[column[0]] if uniform else np.array([k_of[dt] for dt in column])[:, None]
-        y = (1.0 - k_m) * amplitudes[:, m] + k_m * y
+    for m in range(amplitudes.shape[1]):
+        y = (1.0 - k[:, m]) * amplitudes[:, m] + k[:, m] * y
         out[:, m] = y
     return out
 
 
-def _relaxation_kraus(t1_s: float, t2_s: float, dt: float):
-    """Single-spin Kraus operators for amplitude damping plus dephasing."""
-    ops = []
-    p = -math.expm1(-dt / t1_s)
-    if p > 0.0:
-        ops.append(
-            [
-                np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=np.complex128),
-                np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=np.complex128),
-            ]
-        )
-    gamma_phi = 1.0 / t2_s - 0.5 / t1_s
-    q = 0.5 * -math.expm1(-gamma_phi * dt) if gamma_phi > 0 else 0.0
-    if q > 0.0:
-        eye = np.eye(2, dtype=np.complex128)
-        z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-        ops.append([math.sqrt(1.0 - q) * eye, math.sqrt(q) * z])
-    return ops
+def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
+    """T1/T2 relaxation of both spins over one slice, in place, per row.
 
-
-def _relaxation_channels(config: ExperimentConfig, dt: float):
-    """Both spins' relaxation over dt as two-spin Kraus channels.
-
-    One list of (K, K^dag) pairs per channel, in the order applied.
+    ``rho`` is (B, 4, 4) or one 4 x 4 state, ``factors`` (B, 4): per row
+    a_1, a_2, e_1, e_2 with a_s = exp(-dt/T1_s) and e_s = exp(-dt/T2_s).
+    This is amplitude damping plus dephasing (Nielsen & Chuang, section
+    8.3) in closed form: per spin, 1 - a_s of the |1> population decays
+    to |0>, and the coherences between |0> and |1> shrink by e_s.
     """
-    eye = np.eye(2, dtype=np.complex128)
-    channels = []
-    for spin in range(2):
-        for ops in _relaxation_kraus(config.t1_s[spin], config.t2_s[spin], dt):
-            lifted = [np.kron(k, eye) if spin == 0 else np.kron(eye, k) for k in ops]
-            channels.append([(k, k.conj().T) for k in lifted])
-    return channels
+    r = rho.reshape(-1, 2, 2, 2, 2)  # (row, ket spin 1, ket spin 2, bra spin 1, bra spin 2)
+    for spin, spin_first in enumerate((r, r.transpose(0, 2, 1, 4, 3))):
+        a, e = factors[:, spin, None, None], factors[:, 2 + spin, None, None]
+        spin_first[:, 0, :, 0] += (1.0 - a) * spin_first[:, 1, :, 1]
+        spin_first[:, 1, :, 1] *= a
+        spin_first[:, 0, :, 1] *= e
+        spin_first[:, 1, :, 0] *= e
 
 
 class ExperimentBackend:
@@ -275,7 +267,7 @@ class ExperimentBackend:
 
         The programmed waveform is distorted, then scaled per channel;
         each slice applies its unitary followed by per-spin relaxation
-        channels over the slice duration.  rho0 defaults to |00><00|.
+        over the slice duration.  rho0 defaults to |00><00|.
         """
         dts = _slice_durations(pulse, slice_durations_s)
         rho = self._ground if rho0 is None else _one_density(rho0)
@@ -284,11 +276,11 @@ class ExperimentBackend:
     def _evolve(self, amplitudes: np.ndarray, dts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
         """``evolve_open`` of B pulses at once: (B, M, 4) amplitudes, (B, M) durations.
 
-        Returns the (B, 4, 4) final states.  Every matrix product is the
-        one ``evolve_open`` makes for that pulse alone, so each state is
-        bit-identical to its own single-pulse evolution.  Relaxation is
-        applied per distinct slice duration: to all rows at once where a
-        slice has one duration, else to each group of equal durations.
+        Returns the (B, 4, 4) final states.  Each slice applies its
+        unitary, then ``_relax`` with that row's decay factors over the
+        slice duration.  Every operation is the one ``evolve_open`` makes
+        for that pulse alone, so each state is bit-identical to its own
+        single-pulse evolution.
         """
         cfg = self.config
         n_rows, m_slices = dts.shape
@@ -303,27 +295,13 @@ class ExperimentBackend:
             u, u_dag, rho = u[:, 0], u_dag[:, 0], rho[0]
 
         relaxing = any(math.isfinite(t) for t in cfg.t1_s + cfg.t2_s)
-        if relaxing:  # each distinct slice duration's Kraus channels, built once
-            channels = {dt: _relaxation_channels(cfg, dt) for dt in set(dts.ravel().tolist())}
-            uniform = _uniform_columns(dts)
-            first_row = dts[0].tolist()
-
-        def relax(rho, dt):
-            for channel in channels[dt]:
-                rho = sum(k @ rho @ k_dag for k, k_dag in channel)
-            return rho
-
+        if relaxing:  # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
+            t2 = tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
+            factors = _decay_factors(dts, cfg.t1_s + t2)
         for m, (u_m, u_dag_m) in enumerate(zip(u, u_dag)):
             rho = u_m @ rho @ u_dag_m
-            if not relaxing:
-                continue
-            if uniform[m]:
-                rho = relax(rho, first_row[m])
-            else:
-                column = dts[:, m]
-                for dt in np.unique(column).tolist():
-                    rows = column == dt
-                    rho[rows] = relax(rho[rows], dt)
+            if relaxing:
+                _relax(rho, factors[:, m])
         return rho.reshape(n_rows, 4, 4)
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:

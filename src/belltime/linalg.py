@@ -116,27 +116,3 @@ def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
         raise ValueError(f"{name} has negative eigenvalue {lo[i]:.3e}")
     return rho
 
-
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via eigendecomposition.
-
-    Exact up to the eigensolver, so it is safe for any t (no step-size
-    or truncation assumptions).
-    """
-    h = require_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def state_fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
-    """|<psi|phi>|^2 for normalized pure states."""
-    psi = require_state(psi)
-    phi = require_state(phi)
-    return float(abs(np.vdot(psi, phi)) ** 2)
-
-
-def expectation(rho: np.ndarray, observable: np.ndarray) -> float:
-    """Tr(rho O) for a valid density matrix and Hermitian observable."""
-    rho = require_density(rho)
-    observable = require_hermitian(observable)
-    return float(np.trace(rho @ observable).real)

@@ -133,6 +133,9 @@ class OptimizerConfig:
     init_amplitude_hz: float = 100.0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:

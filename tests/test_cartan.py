@@ -11,9 +11,9 @@ from belltime.cartan import (
     kak_factorize,
     minimum_time_bell,
     minimum_time_unitary,
-    nearest_local_product,
 )
-from belltime.linalg import expm_hermitian, ket, pauli_string, singlet_state
+from belltime.linalg import ket, pauli_string, singlet_state
+from oracles import expm_hermitian, nearest_local_product
 
 G_HZ = 217.4
 

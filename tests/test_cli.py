@@ -106,6 +106,24 @@ class TestParseConfig:
         config = parse_config(MINIMAL + "experiment:\n  t1_s: [.inf, .inf]\n")
         assert config.experiment.t1_s == (math.inf, math.inf)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("experiment", "noise_sigma", ".nan"),
+        ("experiment", "noise_sigma", ".inf"),
+        ("experiment", "distortion_tau_s", ".nan"),
+        ("experiment", "distortion_tau_s", ".inf"),
+        ("experiment", "amplitude_scale", "[1.0, .nan, 1.0, 1.0]"),
+        ("experiment", "amplitude_scale", "[1.0, 1.0, .inf, 1.0]"),
+        ("experiment", "true_g_hz", ".inf"),
+        ("experiment", "seconds_per_measurement", ".inf"),
+        ("optimizer", "threshold_rate", ".nan"),
+        ("optimizer", "init_amplitude_hz", ".nan"),
+        ("optimizer", "initial_duration_s", ".inf"),
+        ("optimizer", "d1_init", ".inf"),
+    ])
+    def test_non_finite_settings_rejected_by_name(self, section, field, value):
+        with pytest.raises(ConfigError, match=f"{section}: {field}"):
+            parse_config(MINIMAL + f"{section}:\n  {field}: {value}\n")
+
     def test_measured_modes_require_experiment_section(self):
         with pytest.raises(ConfigError, match="experiment section"):
             parse_config("mode: balanced\n")
@@ -266,6 +284,12 @@ class TestEvaluateCommand:
 
     def test_missing_pulse_is_runtime_error(self, capsys):
         assert main(["evaluate", "--pulse", "nowhere.csv"]) == 3
+
+    def test_pulse_without_rows_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "pulse.csv"
+        path.write_text("# T_seconds=0.001 M=3\n")
+        assert main(["evaluate", "--pulse", str(path)]) == 3
+        assert f"error: {path}: expected header" in capsys.readouterr().err
 
 
 class TestExportCommand:

@@ -21,8 +21,9 @@ from belltime.dynamics import (
     slice_propagators,
     write_pulse_csv,
 )
-from belltime.linalg import expm_hermitian, ket, pauli_string, singlet_state
+from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
+from oracles import expm_hermitian
 
 MODEL = SystemModel(g_hz=217.4)
 PSI0 = ket("00")
@@ -83,6 +84,12 @@ class TestPulseSequence:
         path = tmp_path / "bad.csv"
         path.write_text("slice,ux1_hz\n0,1\n")
         with pytest.raises(ValueError, match="metadata"):
+            read_pulse_csv(path)
+
+    def test_csv_with_only_its_metadata_line(self, tmp_path):
+        path = tmp_path / "truncated.csv"
+        path.write_text("# T_seconds=0.001 M=3\n")
+        with pytest.raises(ValueError, match="truncated.csv: expected header .* end of file"):
             read_pulse_csv(path)
 
 

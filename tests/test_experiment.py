@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from belltime.dynamics import (
     PulseSequence,
@@ -21,8 +24,9 @@ from belltime.experiment import (
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
+    _decay_factors,
     _low_pass,
-    _relaxation_channels,
+    _relax,
     distort_pulse,
     ledger_report,
 )
@@ -47,6 +51,36 @@ def reference_distortion(amplitudes, tau_s, dts):
     return distorted
 
 
+def relaxation_kraus(t1_s: float, t2_s: float, dt: float):
+    """Single-spin Kraus operators for amplitude damping plus dephasing."""
+    ops = []
+    p = -math.expm1(-dt / t1_s)
+    if p > 0.0:
+        ops.append(
+            [
+                np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - p)]], dtype=np.complex128),
+                np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=np.complex128),
+            ]
+        )
+    gamma_phi = 1.0 / t2_s - 0.5 / t1_s
+    q = 0.5 * -math.expm1(-gamma_phi * dt) if gamma_phi > 0 else 0.0
+    if q > 0.0:
+        eye = np.eye(2, dtype=np.complex128)
+        z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+        ops.append([math.sqrt(1.0 - q) * eye, math.sqrt(q) * z])
+    return ops
+
+
+def relax_kraus(rho, t1_s, t2_s, dt):
+    """Both spins' relaxation over dt applied as two-spin Kraus channels."""
+    eye = np.eye(2, dtype=np.complex128)
+    for spin in range(2):
+        for ops in relaxation_kraus(t1_s[spin], t2_s[spin], dt):
+            lifted = [np.kron(k, eye) if spin == 0 else np.kron(eye, k) for k in ops]
+            rho = sum(k @ rho @ k.conj().T for k in lifted)
+    return rho
+
+
 def reference_evolution(backend, pulse, dts):
     """One pulse's open evolution as a per-slice Kraus loop, from |00><00|."""
     cfg = backend.config
@@ -55,9 +89,7 @@ def reference_evolution(backend, pulse, dts):
     props = slice_propagators(SystemModel(cfg.true_g_hz), applied, dts)[0]
     rho = np.outer(ket("00"), ket("00").conj())
     for u, dt in zip(props, dts):
-        rho = u @ rho @ u.conj().T
-        for channel in _relaxation_channels(cfg, float(dt)):
-            rho = sum(k @ rho @ k_dag for k, k_dag in channel)
+        rho = relax_kraus(u @ rho @ u.conj().T, cfg.t1_s, cfg.t2_s, float(dt))
     return rho
 
 
@@ -232,13 +264,19 @@ class TestOpenEvolution:
                 pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
                 dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
                 uniform = np.full(m_slices, pulse.slice_duration_s)
-                assert np.array_equal(
-                    backend.evolve_open(pulse), reference_evolution(backend, pulse, uniform)
-                )
-                assert np.array_equal(
-                    backend.evolve_open(pulse, slice_durations_s=dts),
-                    reference_evolution(backend, pulse, dts),
-                )
+                # the closed-form map reorders the Kraus arithmetic: 1e-12, not bits
+                for rho, durations in ((backend.evolve_open(pulse), uniform),
+                                       (backend.evolve_open(pulse, slice_durations_s=dts), dts)):
+                    expected = reference_evolution(backend, pulse, durations)
+                    assert np.max(np.abs(rho - expected)) <= 1e-12
+
+    def test_t2_in_the_validators_slack_decays_as_the_kraus_channel(self):
+        # T2 may exceed 2*T1 by 1e-12; coherence then decays at 1/(2*T1)
+        backend = ExperimentBackend(ideal_config(t1_s=(1e-6, math.inf), t2_s=(2e-6 + 1e-12, 0.1)))
+        pulse = random_pulse(5, 2e-6, 1e5, np.random.default_rng(37))
+        uniform = np.full(5, pulse.slice_duration_s)
+        rho = backend.evolve_open(pulse)
+        assert np.max(np.abs(rho - reference_evolution(backend, pulse, uniform))) <= 1e-12
 
     def test_single_pulse_equals_its_row_of_a_stack(self):
         rng = np.random.default_rng(31)
@@ -266,6 +304,41 @@ class TestOpenEvolution:
         rho = backend.evolve_open(pulse)
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-9
+
+
+RELAXATION_TIME = st.floats(1e-4, 10.0)
+
+
+@st.composite
+def relaxation_times(draw):
+    """One spin's (T1, T2): T2 <= 2 T1, either one possibly infinite."""
+    t1 = draw(RELAXATION_TIME | st.just(math.inf))
+    if draw(st.booleans()):
+        return t1, min(draw(RELAXATION_TIME | st.just(math.inf)), 2.0 * t1)
+    return t1, 2.0 * t1 * draw(st.floats(1e-3, 1.0))
+
+
+class TestRelaxationMap:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        parts=arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+        rank=st.integers(1, 4),
+        dt=st.floats(1e-7, 1.0),
+        spins=st.tuples(relaxation_times(), relaxation_times()),
+    )
+    def test_is_the_kraus_channel(self, parts, rank, dt, spins):
+        a = (parts[0] + 1j * parts[1])[:, :rank]
+        weight = np.sum(np.abs(a) ** 2)
+        assume(weight > 1e-6)
+        rho = a @ a.conj().T / weight
+        rho = (rho + rho.conj().T) / 2.0
+        t1, t2 = zip(*spins)
+        relaxed = rho.copy()
+        _relax(relaxed, _decay_factors(np.array([[dt]]), t1 + t2)[:, 0])
+        assert abs(np.trace(relaxed) - np.trace(rho)) <= 1e-12
+        assert np.array_equal(relaxed, relaxed.conj().T)
+        assert np.linalg.eigvalsh(relaxed).min() >= -1e-12
+        assert np.max(np.abs(relaxed - relax_kraus(rho, t1, t2, dt))) <= 1e-12
 
 
 class TestReadout:

@@ -11,14 +11,8 @@ import numpy as np
 import pytest
 
 from belltime import linalg
-from belltime.linalg import (
-    expectation,
-    expm_hermitian,
-    ket,
-    pauli_string,
-    singlet_state,
-    state_fidelity,
-)
+from belltime.linalg import ket, pauli_string, singlet_state
+from oracles import expectation, expm_hermitian, state_fidelity
 
 
 def random_hermitian(rng, dim=4, scale=1.0):
