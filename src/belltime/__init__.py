@@ -14,9 +14,11 @@ from .cartan import (
     DegeneracyError,
     KakFactorization,
     cartan_coordinates,
+    fidelity_ceiling,
     interaction_core,
     kak_factorize,
     minimum_time_bell,
+    minimum_time_for_fidelity,
     minimum_time_unitary,
 )
 from .dynamics import (
@@ -78,6 +80,7 @@ __all__ = [
     "cartan_coordinates",
     "distort_pulse",
     "fidelity_and_gradients",
+    "fidelity_ceiling",
     "finite_diff_gradients",
     "interaction_core",
     "kak_factorize",
@@ -86,6 +89,7 @@ __all__ = [
     "load_config",
     "lower_threshold",
     "minimum_time_bell",
+    "minimum_time_for_fidelity",
     "minimum_time_unitary",
     "model_fidelity",
     "parse_config",

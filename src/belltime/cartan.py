@@ -18,11 +18,13 @@ Under a drift Hamiltonian (pi/2) g ZZ with unlimited local controls, the
 interaction coordinates are the only time cost: each unit of |a_j| needs
 |a_j| / ((pi/2) g) seconds of coupling evolution.  That gives the
 minimum preparation time 1/(2 g) for the maximally entangled target
-(coordinates (pi/4, 0, 0)).
+(coordinates (pi/4, 0, 0)).  Shorter durations cap the singlet fidelity
+reachable from |00> at (1 + sin(pi g T))/2 (``fidelity_ceiling``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,14 +286,40 @@ def minimum_time_unitary(u: np.ndarray, g_hz: float) -> float:
     Equals (|a_x| + |a_y| + |a_z|) / ((pi/2) g): local rotations are free
     and the ZZ drift produces interaction phase at rate (pi/2) g.
     """
-    if g_hz <= 0:
-        raise ValueError(f"g_hz must be positive, got {g_hz}")
+    if not (math.isfinite(g_hz) and g_hz > 0):
+        raise ValueError(f"g_hz must be positive and finite, got {g_hz}")
     a = cartan_coordinates(u).as_array()
     return float(np.sum(np.abs(a)) / ((np.pi / 2.0) * g_hz))
 
 
 def minimum_time_bell(g_hz: float) -> float:
     """Minimum seconds to reach a maximally entangled state: 1/(2 g)."""
-    if g_hz <= 0:
-        raise ValueError(f"g_hz must be positive, got {g_hz}")
+    if not (math.isfinite(g_hz) and g_hz > 0):
+        raise ValueError(f"g_hz must be positive and finite, got {g_hz}")
     return 1.0 / (2.0 * g_hz)
+
+
+def fidelity_ceiling(g_hz: float, duration_s: float) -> float:
+    """Highest singlet fidelity reachable from |00> in ``duration_s`` seconds.
+
+    The coupling speed limit (1 + sin(pi g T))/2 for T <= 1/(2 g), and 1
+    beyond (Khaneja, Brockett & Glaser, PRA 63, 032308 (2001)).
+    """
+    t_bell = minimum_time_bell(g_hz)
+    if not duration_s >= 0:
+        raise ValueError(f"duration_s must be >= 0, got {duration_s}")
+    if duration_s >= t_bell:
+        return 1.0
+    return 0.5 * (1.0 + math.sin(math.pi * g_hz * duration_s))
+
+
+def minimum_time_for_fidelity(g_hz: float, fidelity: float) -> float:
+    """Shortest duration whose ``fidelity_ceiling`` reaches ``fidelity``.
+
+    arcsin(2F - 1)/(pi g) for F in [1/2, 1]; 0 below 1/2, which local
+    rotations of |00> reach without the coupling.
+    """
+    minimum_time_bell(g_hz)
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
+    return max(0.0, math.asin(2.0 * fidelity - 1.0) / (math.pi * g_hz))

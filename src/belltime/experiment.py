@@ -20,11 +20,14 @@ Fidelity oracles:
   back onto the physical set, and returns the exact overlap with the
   target.
 
-Measured gradients probe the fidelity hundreds of times at one pulse.
-``fidelity_partial_batch`` evolves such probes PROBE_CHUNK at a time
-through the same code a single ``evolve_open`` runs (a single pulse is
-the batch of one), validates each evolved state once, and draws the
-chunk's readout noise as one vector; values, noise stream and ledger
+Measured gradients probe the fidelity hundreds of times at one pulse,
+each probe moving one slice's controls or duration.
+``fidelity_partial_batch`` evolves the pulse once and lets each probe
+join that evolution at the first slice where it differs, from the
+pulse's state before that slice; only the (probe, slice) pairs that
+differ get propagators of their own.  A single pulse runs the same loop
+with no probes.  Each evolved state is validated once and the probes'
+readout noise is drawn as one vector; values, noise stream and ledger
 are bit-identical to one ``fidelity_partial`` call per probe.
 """
 
@@ -52,12 +55,6 @@ TOMOGRAPHY_LABELS = tuple(
 
 # The three correlators of one fidelity_partial estimate, one readout each.
 PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
-
-# Probes evolved together by fidelity_partial_batch.  It bounds the working
-# set, about six arrays of chunk x M complex 4 x 4 matrices: at M = 50 one
-# gradient's 500 probes at once add ~35 MB of peak memory, chunks of 64 add
-# ~6 MB and chunks of 16 ~2 MB, with coherent gradients as fast as at 64.
-PROBE_CHUNK = 16
 
 
 def _as_duration_pair(value, name: str) -> tuple[float, float]:
@@ -178,8 +175,8 @@ def _slice_durations(pulse: PulseSequence, slice_durations_s) -> np.ndarray:
     if slice_durations_s is None:
         return np.full(pulse.n_slices, pulse.slice_duration_s)
     dts = np.asarray(slice_durations_s, dtype=float)
-    if dts.shape != (pulse.n_slices,) or np.any(dts <= 0):
-        raise ValueError("slice_durations_s must hold one positive value per slice")
+    if dts.shape != (pulse.n_slices,) or not np.all(np.isfinite(dts) & (dts > 0)):
+        raise ValueError("slice_durations_s must hold one positive finite value per slice")
     return dts
 
 
@@ -200,6 +197,7 @@ def _decay_factors(dts: np.ndarray, times_s) -> np.ndarray:
     """
     distinct, index = np.unique(dts, return_inverse=True)
     table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct.tolist()])
+    table = table.reshape(len(distinct), len(times_s))  # also when there are no durations
     return table[index.reshape(dts.shape)]
 
 
@@ -271,38 +269,80 @@ class ExperimentBackend:
         """
         dts = _slice_durations(pulse, slice_durations_s)
         rho = self._ground if rho0 is None else _one_density(rho0)
-        return self._evolve(pulse.amplitudes_hz[None], dts[None], rho)[0]
+        return self._evolve(pulse.amplitudes_hz, dts, rho)[0]
 
-    def _evolve(self, amplitudes: np.ndarray, dts: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-        """``evolve_open`` of B pulses at once: (B, M, 4) amplitudes, (B, M) durations.
+    def _applied(self, amplitudes: np.ndarray, dts: np.ndarray):
+        """Applied amplitudes and decay factors of B pulses: (B, M, 4) and (B, M) in.
 
-        Returns the (B, 4, 4) final states.  Each slice applies its
-        unitary, then ``_relax`` with that row's decay factors over the
-        slice duration.  Every operation is the one ``evolve_open`` makes
-        for that pulse alone, so each state is bit-identical to its own
-        single-pulse evolution.
+        The factors are (B, M, 4) per ``_relax``, or None on a coherent
+        apparatus, whose slices skip relaxation.
         """
         cfg = self.config
-        n_rows, m_slices = dts.shape
         if cfg.distortion_tau_s > 0.0:
             amplitudes = _low_pass(amplitudes, dts, cfg.distortion_tau_s)
         applied = amplitudes * np.asarray(cfg.amplitude_scale)
-        u = slice_propagators(self._model, applied.reshape(-1, 4), dts.reshape(-1))[0]
-        u = u.reshape(n_rows, m_slices, 4, 4).swapaxes(0, 1)  # slice-major
-        u_dag = u.conj().swapaxes(-1, -2)
-        rho = np.repeat(rho0[None], n_rows, axis=0)
-        if n_rows == 1:  # plain 4 x 4 products cost less per call than stacks of one
-            u, u_dag, rho = u[:, 0], u_dag[:, 0], rho[0]
+        if not any(math.isfinite(t) for t in cfg.t1_s + cfg.t2_s):
+            return applied, None
+        # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
+        t2 = tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
+        return applied, _decay_factors(dts, cfg.t1_s + t2)
 
-        relaxing = any(math.isfinite(t) for t in cfg.t1_s + cfg.t2_s)
-        if relaxing:  # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
-            t2 = tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
-            factors = _decay_factors(dts, cfg.t1_s + t2)
-        for m, (u_m, u_dag_m) in enumerate(zip(u, u_dag)):
-            rho = u_m @ rho @ u_dag_m
-            if relaxing:
+    def _evolve(
+        self,
+        amplitudes: np.ndarray,
+        dts: np.ndarray,
+        rho0: np.ndarray,
+        probe_amplitudes: np.ndarray | None = None,
+        probe_dts: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Final state of one pulse, and of B probes of it.
+
+        The pulse is (M, 4) amplitudes over (M,) slice durations, the
+        probes (B, M, 4) and (B, M).  Returns the pulse's 4 x 4 final
+        state and the probes' (B, 4, 4).  One slice-major loop evolves
+        the pulse; a probe joins it at the first slice where its applied
+        amplitudes or duration differ from the pulse's, starting from
+        the pulse's state before that slice, and only such differing
+        (probe, slice) pairs get propagators of their own.  Every state
+        thus meets exactly the operations its own ``evolve_open`` makes,
+        and is bit-identical to it.
+        """
+        m_slices = len(dts)
+        applied, factors = self._applied(amplitudes[None], dts[None])
+        u = slice_propagators(self._model, applied[0], dts)[0]
+        u_dag = u.conj().swapaxes(-1, -2)
+        if probe_amplitudes is None:
+            order, active = np.empty(0, dtype=int), [0] * m_slices
+        else:
+            probe_applied, probe_factors = self._applied(probe_amplitudes, probe_dts)
+            own = (probe_applied != applied).any(axis=2) | (probe_dts != dts)  # (B, M)
+            first = np.where(own.any(axis=1), own.argmax(axis=1), m_slices)
+            order = np.argsort(first, kind="stable")
+            active = np.searchsorted(first[order], np.arange(m_slices), side="right").tolist()
+
+        rho = rho0
+        stack = np.empty((0, 4, 4), dtype=np.complex128)
+        for m, n_active in enumerate(active):  # probes that differ from the pulse by slice m
+            if n_active > len(stack):
+                joining = np.broadcast_to(rho, (n_active - len(stack), 4, 4))
+                stack = np.concatenate([stack, joining])
+            rho = u[m] @ rho @ u_dag[m]
+            if factors is not None:
                 _relax(rho, factors[:, m])
-        return rho.reshape(n_rows, 4, 4)
+            if n_active:
+                rows = order[:n_active]
+                u_m = np.repeat(u[m][None], n_active, axis=0)
+                mine = own[rows, m]
+                if mine.any():
+                    u_m[mine] = slice_propagators(
+                        self._model, probe_applied[rows[mine], m], probe_dts[rows[mine], m]
+                    )[0]
+                stack = u_m @ stack @ u_m.conj().swapaxes(-1, -2)
+                if probe_factors is not None:
+                    _relax(stack, probe_factors[rows, m])
+        states = np.repeat(rho[None], len(order), axis=0)
+        states[order[: len(stack)]] = stack
+        return rho, states
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.
@@ -342,33 +382,39 @@ class ExperimentBackend:
         return float(self._partial(rho[None], [category])[0])
 
     def fidelity_partial_batch(
-        self, amplitudes_hz: np.ndarray, slice_durations_s: np.ndarray, categories
+        self,
+        pulse: PulseSequence,
+        amplitudes_hz: np.ndarray,
+        slice_durations_s: np.ndarray,
+        categories,
     ) -> np.ndarray:
-        """``fidelity_partial`` of B probes, evolved PROBE_CHUNK at a time.
+        """``fidelity_partial`` of B probes of ``pulse``, evolved together.
 
         Probe b runs the (M, 4) amplitudes ``amplitudes_hz[b]`` over the
         slice durations ``slice_durations_s[b]`` and is charged to
-        ``categories[b]``.  Values, noise draws and ledger are those of B
+        ``categories[b]``.  Each probe reuses the pulse's states and
+        propagators up to where it differs from the pulse (``_evolve``).
+        Values, noise draws and ledger are those of B
         ``fidelity_partial`` calls in order.
         """
         amps = np.asarray(amplitudes_hz, dtype=float)
         dts = np.asarray(slice_durations_s, dtype=float)
         categories = list(categories)
-        if amps.ndim != 3 or amps.shape[2] != 4 or dts.shape != amps.shape[:2]:
+        m_slices = pulse.n_slices
+        if amps.ndim != 3 or amps.shape[1:] != (m_slices, 4) or dts.shape != amps.shape[:2]:
             raise ValueError(
-                f"need (B, M, 4) amplitudes and (B, M) slice durations, "
-                f"got {amps.shape} and {dts.shape}"
+                f"need (B, {m_slices}, 4) amplitudes and (B, {m_slices}) slice durations "
+                f"for a pulse of {m_slices} slices, got {amps.shape} and {dts.shape}"
             )
         if len(categories) != len(amps):
             raise ValueError(f"need {len(amps)} ledger categories, got {len(categories)}")
-        if not np.all(np.isfinite(amps)) or np.any(dts <= 0):
-            raise ValueError("probe amplitudes must be finite and slice durations positive")
-        fidelities = np.empty(len(amps))
-        for start in range(0, len(amps), PROBE_CHUNK):
-            chunk = slice(start, start + PROBE_CHUNK)
-            rhos = self._evolve(amps[chunk], dts[chunk], self._ground)
-            fidelities[chunk] = self._partial(rhos, categories[chunk])
-        return fidelities
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes_hz must be finite")
+        if not np.all(np.isfinite(dts) & (dts > 0)):
+            raise ValueError("slice_durations_s must be positive and finite")
+        uniform = _slice_durations(pulse, None)
+        rhos = self._evolve(pulse.amplitudes_hz, uniform, self._ground, amps, dts)[1]
+        return self._partial(rhos, categories)
 
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction."""

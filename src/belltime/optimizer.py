@@ -295,10 +295,10 @@ def finite_diff_gradients(
     uniform grid is the mean of the per-slice duration derivatives, since
     stretching T by dT stretches every slice by dT/M.
 
-    All probes go to the backend as one stack, in the order of one
-    probe at a time: amplitude (m, c) at rows 2(4m + c) (+h) and
-    2(4m + c) + 1 (-h), then slice m's duration at rows 2(4M + m) (+ht)
-    and 2(4M + m) + 1 (-ht).
+    All probes go to the backend as one stack of probes of ``pulse``, in
+    the order of one probe at a time: amplitude (m, c) at rows 2(4m + c)
+    (+h) and 2(4m + c) + 1 (-h), then slice m's duration at rows
+    2(4M + m) (+ht) and 2(4M + m) + 1 (-ht).
     """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
@@ -319,7 +319,7 @@ def finite_diff_gradients(
     categories = ["gradient_control"] * (2 * n_amps) + ["gradient_time"] * (2 * m_slices)
 
     j = backend.fidelity_partial_batch(
-        probes.reshape(n_probes, m_slices, 4), durations, categories
+        pulse, probes.reshape(n_probes, m_slices, 4), durations, categories
     ).reshape(-1, 2)  # (+, -) pairs
     differences = j[:, 0] - j[:, 1]
     grad_u = (differences[:n_amps] / (2.0 * h)).reshape(amps.shape)

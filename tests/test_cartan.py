@@ -7,9 +7,11 @@ from belltime.cartan import (
     CHAMBER_TOL,
     CartanCoordinates,
     cartan_coordinates,
+    fidelity_ceiling,
     interaction_core,
     kak_factorize,
     minimum_time_bell,
+    minimum_time_for_fidelity,
     minimum_time_unitary,
 )
 from belltime.linalg import ket, pauli_string, singlet_state
@@ -207,3 +209,58 @@ class TestMinimumTimes:
         reached = np.kron(a, np.eye(2)) @ psi
         fidelity = abs(np.vdot(singlet_state(), reached)) ** 2
         assert fidelity >= 1.0 - 1e-9
+
+
+class TestCouplingSpeedLimit:
+    def test_full_fidelity_needs_the_bell_time(self):
+        for g_hz in (G_HZ, 1.01 * G_HZ, 3.0):
+            t_bell = minimum_time_bell(g_hz)
+            assert minimum_time_for_fidelity(g_hz, 1.0) == pytest.approx(t_bell, rel=1e-15)
+            assert fidelity_ceiling(g_hz, t_bell) == 1.0
+            assert fidelity_ceiling(g_hz, 2.0 * t_bell) == 1.0
+            assert fidelity_ceiling(g_hz, 0.0) == 0.5
+
+    def test_ceiling_rises_with_duration_and_time_with_fidelity(self):
+        durations = np.linspace(0.0, minimum_time_bell(G_HZ), 101)
+        ceilings = [fidelity_ceiling(G_HZ, t) for t in durations]
+        assert all(a < b for a, b in zip(ceilings, ceilings[1:]))
+        fidelities = np.linspace(0.5, 1.0, 101)
+        times = [minimum_time_for_fidelity(G_HZ, f) for f in fidelities]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert minimum_time_for_fidelity(G_HZ, 0.2) == 0.0  # local rotations reach 1/2
+
+    def test_round_trip(self):
+        for f in np.linspace(0.5, 1.0, 51):
+            assert fidelity_ceiling(G_HZ, minimum_time_for_fidelity(G_HZ, f)) == pytest.approx(
+                f, abs=1e-12
+            )
+        for t in np.linspace(0.0, minimum_time_bell(G_HZ), 51):
+            back = minimum_time_for_fidelity(G_HZ, fidelity_ceiling(G_HZ, t))
+            assert back == pytest.approx(t, abs=1e-9 * minimum_time_bell(G_HZ))
+
+    def test_ceiling_is_the_drift_evolved_schmidt_bound(self):
+        # |++> under the bare coupling; local rotations then reach
+        # (1 + 2 s1 s2)/2 of the singlet, s the Schmidt coefficients
+        drift = (np.pi / 2.0) * G_HZ * pauli_string("Z", "Z")
+        plus = (ket("00") + ket("01") + ket("10") + ket("11")) / 2.0
+        for t in np.linspace(0.0, minimum_time_bell(G_HZ), 9):
+            psi = expm_hermitian(drift, t) @ plus
+            s1, s2 = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
+            assert fidelity_ceiling(G_HZ, t) == pytest.approx(0.5 + s1 * s2, abs=1e-12)
+
+    @pytest.mark.parametrize("fidelity", [-1e-12, 1.0 + 1e-12, 2.0, float("nan"), float("inf")])
+    def test_rejects_fidelity_outside_unit_interval(self, fidelity):
+        with pytest.raises(ValueError, match="fidelity must lie in"):
+            minimum_time_for_fidelity(G_HZ, fidelity)
+
+    def test_rejects_bad_coupling_and_duration(self):
+        for g_hz in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="g_hz"):
+                minimum_time_for_fidelity(g_hz, 0.9)
+            with pytest.raises(ValueError, match="g_hz"):
+                fidelity_ceiling(g_hz, 1e-3)
+            with pytest.raises(ValueError, match="g_hz"):
+                minimum_time_unitary(CNOT, g_hz)
+        for duration in (-1e-9, float("nan")):
+            with pytest.raises(ValueError, match="duration_s"):
+                fidelity_ceiling(G_HZ, duration)

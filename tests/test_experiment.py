@@ -18,8 +18,8 @@ from belltime.dynamics import (
 )
 from belltime.dynamics import slice_propagators
 from belltime.experiment import (
+    LEDGER_CATEGORIES,
     PARTIAL_LABELS,
-    PROBE_CHUNK,
     TOMOGRAPHY_LABELS,
     ExperimentBackend,
     ExperimentConfig,
@@ -282,13 +282,30 @@ class TestOpenEvolution:
         rng = np.random.default_rng(31)
         pulse = random_pulse(20, 2.4e-3, 150.0, rng)
         amps, dts = probe_stack(pulse, rng, 70)
+        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         for config in (ideal_config(), mismatch_config()):
             backend = ExperimentBackend(config)
             ground = np.outer(ket("00"), ket("00").conj())
-            stacked = backend._evolve(amps, dts, ground)
+            rho, stacked = backend._evolve(pulse.amplitudes_hz, uniform, ground, amps, dts)
+            assert np.array_equal(rho, backend.evolve_open(pulse))
             for row in range(len(amps)):
-                alone = backend.evolve_open(pulse.with_amplitudes(amps[row]), slice_durations_s=dts[row])
+                alone = backend.evolve_open(pulse.with_amplitudes(amps[row]),
+                                            slice_durations_s=dts[row])
                 assert np.array_equal(stacked[row], alone)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_slice_durations_by_name(self, bad):
+        backend = ExperimentBackend(mismatch_config())
+        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(9))
+        dts = np.full(4, pulse.slice_duration_s)
+        dts[2] = bad
+        with pytest.raises(ValueError, match="slice_durations_s must"):
+            backend.evolve_open(pulse, slice_durations_s=dts)
+        with pytest.raises(ValueError, match="slice_durations_s must"):
+            backend.fidelity_partial(pulse, slice_durations_s=dts)
+        with pytest.raises(ValueError, match="slice_durations_s must"):
+            distort_pulse(pulse, 50e-6, dts)
+        assert backend.ledger.total_measurements == 0
 
     def test_rejects_bad_initial_state(self):
         backend = ExperimentBackend(ideal_config())
@@ -339,6 +356,60 @@ class TestRelaxationMap:
         assert np.array_equal(relaxed, relaxed.conj().T)
         assert np.linalg.eigvalsh(relaxed).min() >= -1e-12
         assert np.max(np.abs(relaxed - relax_kraus(rho, t1, t2, dt))) <= 1e-12
+
+
+@st.composite
+def probes_of_a_pulse(draw):
+    """A pulse and a stack of probes of it, plus one ledger category per probe.
+
+    Each probe moves the controls or the duration of an arbitrary set of
+    slices (slice 0 included, or none at all, by steps from far below
+    rounding to large), and some rows repeat others.
+    """
+    m_slices = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pulse = random_pulse(m_slices, draw(st.floats(1e-4, 5e-3)), 150.0, rng)
+    step = st.sampled_from([1e-13, 1e-9, 0.1, 30.0, -1e-13, -1e-9, -0.1, -30.0])
+    amps, dts = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        row_amps = pulse.amplitudes_hz.copy()
+        row_dts = np.full(m_slices, pulse.slice_duration_s)
+        for m in draw(st.sets(st.integers(0, m_slices - 1))):
+            moved = draw(st.sampled_from(["controls", "duration", "both"]))
+            if moved != "duration":
+                row_amps[m, draw(st.integers(0, 3))] += draw(step)
+            if moved != "controls":
+                row_dts[m] *= draw(st.floats(0.5, 1.5))
+        amps.append(row_amps)
+        dts.append(row_dts)
+    if amps:
+        for row in draw(st.lists(st.integers(0, len(amps) - 1), max_size=3)):
+            amps.append(amps[row])
+            dts.append(dts[row])
+    categories = draw(st.lists(st.sampled_from(LEDGER_CATEGORIES),
+                               min_size=len(amps), max_size=len(amps)))
+    return pulse, np.reshape(amps, (-1, m_slices, 4)), np.reshape(dts, (-1, m_slices)), categories
+
+
+class TestProbeEvolution:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(probes=probes_of_a_pulse(), low_pass=st.booleans(), relaxing=st.booleans(),
+           seed=st.integers(0, 1000))
+    def test_each_probe_equals_its_own_evolution(self, probes, low_pass, relaxing, seed):
+        pulse, amps, dts, categories = probes
+        overrides = dict(seed=seed, distortion_tau_s=50e-6 if low_pass else 0.0)
+        if not relaxing:
+            overrides.update(t1_s=(math.inf, math.inf), t2_s=(math.inf, math.inf))
+        batched = ExperimentBackend(mismatch_config(**overrides))
+        single = ExperimentBackend(mismatch_config(**overrides))
+        values = batched.fidelity_partial_batch(pulse, amps, dts, categories)
+        expected = [
+            single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
+            for a, d, c in zip(amps, dts, categories)
+        ]
+        assert np.array_equal(values, expected)
+        assert batched.ledger.as_dict() == single.ledger.as_dict()
+        assert batched._rng.bit_generator.state == single._rng.bit_generator.state
 
 
 class TestReadout:
@@ -466,12 +537,11 @@ class TestReadout:
     def test_batch_equals_one_call_per_probe(self):
         rng = np.random.default_rng(37)
         pulse = random_pulse(10, 2.4e-3, 150.0, rng)
-        amps, dts = probe_stack(pulse, rng, 150)  # not a whole number of chunks
+        amps, dts = probe_stack(pulse, rng, 150)
         categories = ["gradient_control", "gradient_time", "fidelity_partial"] * 50
-        assert len(amps) % PROBE_CHUNK != 0
         batched = ExperimentBackend(mismatch_config(seed=24))
         single = ExperimentBackend(mismatch_config(seed=24))
-        values = batched.fidelity_partial_batch(amps, dts, categories)
+        values = batched.fidelity_partial_batch(pulse, amps, dts, categories)
         expected = [
             single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
             for a, d, c in zip(amps, dts, categories)
@@ -482,31 +552,39 @@ class TestReadout:
 
     def test_batch_rejects_malformed_probes(self):
         backend = ExperimentBackend(ideal_config())
+        pulse = random_pulse(5, 5e-4, 50.0, np.random.default_rng(11))
         amps = np.zeros((3, 5, 4))
         dts = np.full((3, 5), 1e-4)
         with pytest.raises(ValueError, match="slice durations"):
-            backend.fidelity_partial_batch(amps, dts[:, :4], ["gradient_control"] * 3)
+            backend.fidelity_partial_batch(pulse, amps, dts[:, :4], ["gradient_control"] * 3)
+        with pytest.raises(ValueError, match="pulse of 5 slices"):
+            backend.fidelity_partial_batch(pulse, amps[:, :4], dts[:, :4], ["gradient_control"] * 3)
         with pytest.raises(ValueError, match="categories"):
-            backend.fidelity_partial_batch(amps, dts, ["gradient_control"] * 2)
-        dts[1, 2] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            backend.fidelity_partial_batch(amps, dts, ["gradient_control"] * 3)
+            backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 2)
+        amps[2, 1, 3] = math.nan
+        with pytest.raises(ValueError, match="amplitudes_hz must be finite"):
+            backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 3)
+        amps[2, 1, 3] = 0.0
+        for bad in (0.0, -1e-4, math.nan, math.inf):
+            dts[1, 2] = bad
+            with pytest.raises(ValueError, match="slice_durations_s must be positive and finite"):
+                backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 3)
         assert backend.ledger.total_measurements == 0
 
     @pytest.mark.parametrize("corruption", ["non-Hermitian", "trace"])
     def test_batch_rejects_a_bad_state(self, corruption, monkeypatch):
-        # One probe of a chunk evolves to a matrix that is not a density
-        # matrix; the batch must fail as one call for that probe would.
+        # One probe evolves to a matrix that is not a density matrix; the
+        # batch must fail as one call for that probe would.
         backend = ExperimentBackend(ideal_config(noise_sigma=1e-3))
         evolve = backend._evolve
 
-        def corrupt(amplitudes, dts, rho0):
-            rhos = evolve(amplitudes, dts, rho0)
+        def corrupt(*args):
+            rho, rhos = evolve(*args)
             if corruption == "non-Hermitian":
                 rhos[5, 0, 1] += 1e-6
             else:
                 rhos[5] *= 1.0 + 1e-6
-            return rhos
+            return rho, rhos
 
         monkeypatch.setattr(backend, "_evolve", corrupt)
         pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(10))
@@ -514,7 +592,8 @@ class TestReadout:
         dts = np.full((9, 4), pulse.slice_duration_s)
         match = r"\[5\] is not Hermitian" if corruption == "non-Hermitian" else r"\[5\] trace"
         with pytest.raises(ValueError, match=match):
-            backend.fidelity_partial_batch(amps, dts, ["gradient_control"] * 9)
+            backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 9)
+        assert backend.ledger.total_measurements == 0
 
     def test_measure_pauli_validates_its_state(self):
         backend = ExperimentBackend(ideal_config())

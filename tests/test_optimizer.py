@@ -11,11 +11,11 @@ from belltime.dynamics import (
     fidelity_and_gradients,
     model_fidelity,
     random_pulse,
+    slice_propagators,
 )
 from belltime import experiment
 from belltime.experiment import (
     LEDGER_CATEGORIES,
-    PROBE_CHUNK,
     ExperimentBackend,
     ExperimentConfig,
 )
@@ -187,20 +187,13 @@ class TestFiniteDifferenceGradients:
         assert counts["gradient_time"] == 2 * 3 * 3
         assert backend.ledger.total_measurements == 90
 
-    @pytest.mark.parametrize("chunk", [PROBE_CHUNK, 7])
     @pytest.mark.parametrize("m_slices", [1, 3, 50])
     @pytest.mark.parametrize(
         "apparatus",
         [dict(true_g_hz=G_HZ), COHERENT_MISMATCH, MISMATCH],
         ids=["ideal", "coherent-mismatch", "mismatch"],
     )
-    def test_batched_probes_equal_sequential_probes(self, apparatus, m_slices, chunk,
-                                                    monkeypatch):
-        # 10M probes, 8M of them control probes: at both chunk sizes no probe
-        # count is a whole number of chunks, and a chunk holds both kinds
-        # (at M = 50 only with chunks of 7).
-        monkeypatch.setattr(experiment, "PROBE_CHUNK", chunk)
-        assert (10 * m_slices) % chunk != 0
+    def test_batched_probes_equal_sequential_probes(self, apparatus, m_slices):
         pulse = random_pulse(m_slices, 2.4e-3, 150.0, np.random.default_rng(m_slices))
         batched = ExperimentBackend(ExperimentConfig(seed=9, **apparatus))
         sequential = ExperimentBackend(ExperimentConfig(seed=9, **apparatus))
@@ -212,6 +205,24 @@ class TestFiniteDifferenceGradients:
         assert fd.grad_duration == grad_t
         assert batched.ledger.as_dict() == sequential.ledger.as_dict()
         assert batched._rng.bit_generator.state == sequential._rng.bit_generator.state
+
+    @pytest.mark.parametrize("m_slices", [3, 50])
+    def test_probes_decompose_only_the_slices_they_change(self, m_slices, monkeypatch):
+        # Without the low-pass, a probe differs from the pulse in one slice:
+        # its controls (8M probes) or its duration (2M probes).  One gradient
+        # decomposes the pulse's M slice Hamiltonians once and one more per
+        # probe, M + 10M in all, not the 10M * M of evolving every probe whole.
+        decomposed = []
+
+        def counting(model, amplitudes_hz, dt):
+            decomposed.append(len(amplitudes_hz))
+            return slice_propagators(model, amplitudes_hz, dt)
+
+        monkeypatch.setattr(experiment, "slice_propagators", counting)
+        pulse = random_pulse(m_slices, 2.4e-3, 150.0, np.random.default_rng(m_slices))
+        backend = ExperimentBackend(ExperimentConfig(**dict(COHERENT_MISMATCH, noise_sigma=0.0)))
+        finite_diff_gradients(backend, pulse, 0.1, 1e-8)
+        assert sum(decomposed) == m_slices + 10 * m_slices
 
     def test_noise_spread_scales_with_probe_step(self):
         # std of a central-difference entry is sigma_J / (sqrt(2) h) with
