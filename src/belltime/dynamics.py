@@ -131,11 +131,13 @@ def slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, dt):
     return u, hams, w, v
 
 
-def propagate(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray) -> np.ndarray:
+def propagate(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray,
+              decomposition=None) -> np.ndarray:
     """Apply U_M ... U_1 to psi0."""
     psi = require_state(psi0)
-    u = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)[0]
-    for u_m in u:
+    if decomposition is None:
+        decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
+    for u_m in decomposition[0]:
         psi = u_m @ psi
     return psi
 
@@ -145,10 +147,15 @@ def model_fidelity(
     pulse: PulseSequence,
     psi0: np.ndarray,
     target: np.ndarray,
+    decomposition=None,
 ) -> float:
-    """|<target| U(pulse) |psi0>|^2 under the nominal model."""
+    """|<target| U(pulse) |psi0>|^2 under the nominal model.
+
+    ``decomposition``, when given, is ``slice_propagators`` of this pulse
+    (its applied amplitudes and slice duration), and is used as is.
+    """
     target = require_state(target)
-    psi_t = propagate(model, pulse, psi0)
+    psi_t = propagate(model, pulse, psi0, decomposition)
     return float(abs(np.vdot(target, psi_t)) ** 2)
 
 
@@ -157,6 +164,7 @@ def fidelity_and_gradients(
     pulse: PulseSequence,
     psi0: np.ndarray,
     target: np.ndarray,
+    decomposition=None,
 ) -> GradientBundle:
     """Exact J, dJ/du (all M x 4 amplitudes) and dJ/dT in one pass.
 
@@ -168,13 +176,17 @@ def fidelity_and_gradients(
 
     which is smooth through eigenvalue degeneracies.  The duration
     derivative stretches all slices together: dU_m/dT = (-i H_m/M) U_m.
+    ``decomposition`` is as in ``model_fidelity``; the result is the same
+    bit for bit with or without it.
     """
     psi0 = require_state(psi0)
     target = require_state(target)
     m_slices = pulse.n_slices
     dt = pulse.slice_duration_s
 
-    u, hams, w, v = slice_propagators(model, pulse.amplitudes_hz, dt)
+    if decomposition is None:
+        decomposition = slice_propagators(model, pulse.amplitudes_hz, dt)
+    u, hams, w, v = decomposition
 
     # Forward states psi_m and backward costates chi_m with
     # c = chi_m^dag U_m psi_{m-1} for every m.

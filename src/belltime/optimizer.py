@@ -46,6 +46,12 @@ tests, and a gradient source that proposes the next trial.
 * ``balanced``        - measured fidelity in every acceptance test, exact
   model gradients at zero measurement cost.
 
+A model gradient is a pure function of the pulse, so it is computed once
+per baseline pulse, from the slice decomposition that the pulse's own
+evaluation built; a rejected trial, a phase switch and a baseline
+re-measurement reuse it.  A measured gradient is re-measured every
+iteration, since its readouts and noise draws are part of the run.
+
 Each evaluation also returns the design model's prediction for the same
 controls, which the trace logs beside the oracle's value.
 
@@ -74,6 +80,7 @@ from .dynamics import (
     fidelity_and_gradients,
     model_fidelity,
     random_pulse,
+    slice_propagators,
 )
 from .experiment import (
     PARTIAL_LABELS,
@@ -369,12 +376,25 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
+    # The last model-evaluated pulse with its slice decomposition, and the
+    # last graded pulse with its bundle, both matched by identity.
+    evaluated = graded = (None, None)
+
+    def model_j(p: PulseSequence) -> float:
+        nonlocal evaluated
+        evaluated = (p, slice_propagators(model, p.amplitudes_hz, p.slice_duration_s))
+        return model_fidelity(model, p, psi0, target, evaluated[1])
+
     def model_gradients(p: PulseSequence, j_base: float):
-        return fidelity_and_gradients(model, p, psi0, target), 0
+        nonlocal graded
+        if graded[0] is not p:
+            decomposition = evaluated[1] if evaluated[0] is p else None
+            graded = (p, fidelity_and_gradients(model, p, psi0, target, decomposition))
+        return graded[1], 0
 
     if mode == "model-only":
         def model_evaluate(p: PulseSequence):
-            j = model_fidelity(model, p, psi0, target)
+            j = model_j(p)
             return j, j, 0
 
         return model_evaluate, model_gradients, lambda p: (MeasurementLedger(), 10.0, None)
@@ -387,7 +407,7 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
     def measured_evaluate(p: PulseSequence):
         before = ledger.total_measurements
         j = backend.fidelity_partial(p)
-        return j, model_fidelity(model, p, psi0, target), ledger.total_measurements - before
+        return j, model_j(p), ledger.total_measurements - before
 
     def measured_gradients(p: PulseSequence, j_base: float):
         before = ledger.total_measurements

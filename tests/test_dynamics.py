@@ -8,6 +8,9 @@ match to 1e-6 relative (1e-9 absolute floor for near-zero derivatives).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from belltime.dynamics import (
     GradientBundle,
@@ -172,7 +175,28 @@ class TestGradients:
         b = fidelity_and_gradients(MODEL, p, PSI0, TARGET)
         assert isinstance(b, GradientBundle)
         assert b.grad_amplitudes.shape == (5, 4)
-        assert b.fidelity == pytest.approx(model_fidelity(MODEL, p, PSI0, TARGET), abs=1e-14)
+        assert b.fidelity == model_fidelity(MODEL, p, PSI0, TARGET)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        amps=st.integers(1, 60).flatmap(
+            lambda m: arrays(np.float64, (m, 4), elements=st.floats(-400.0, 400.0))
+        ),
+        zero_rows=st.lists(st.integers(0, 59), max_size=10),
+        duration=st.floats(1e-4, 6e-3),
+    )
+    def test_handed_decomposition_changes_nothing(self, amps, zero_rows, duration):
+        # Zero-drive rows leave the bare, doubly degenerate ZZ Hamiltonian.
+        amps[[r for r in zero_rows if r < len(amps)]] = 0.0
+        p = PulseSequence(duration, amps)
+        decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
+        plain = fidelity_and_gradients(MODEL, p, PSI0, TARGET)
+        handed = fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition)
+        assert np.array_equal(handed.grad_amplitudes, plain.grad_amplitudes)
+        assert handed.grad_duration == plain.grad_duration
+        assert handed.fidelity == plain.fidelity
+        assert model_fidelity(MODEL, p, PSI0, TARGET) == plain.fidelity
+        assert model_fidelity(MODEL, p, PSI0, TARGET, decomposition) == plain.fidelity
 
     @pytest.mark.parametrize("m_slices", [1, 5, 50])
     def test_matches_finite_differences(self, m_slices):

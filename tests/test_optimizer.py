@@ -13,7 +13,8 @@ from belltime.dynamics import (
     random_pulse,
     slice_propagators,
 )
-from belltime import experiment
+from belltime import dynamics, experiment, optimizer
+from belltime.cartan import fidelity_ceiling
 from belltime.experiment import (
     LEDGER_CATEGORIES,
     ExperimentBackend,
@@ -266,6 +267,23 @@ class TestMeasurementAccounting:
             c: 2 * readouts.get(c, 0) for c in LEDGER_CATEGORIES
         }
 
+    def test_measured_gradients_are_remeasured_after_rejections(self, model):
+        # Only model gradients are reused at an unchanged pulse; a measured
+        # gradient is charged, and drawn from the noise stream, every time.
+        n_iter, m_slices = 20, 3
+        config = OptimizerConfig(max_iterations=n_iter, m_slices=m_slices)
+        result = run_optimization(
+            "experiment-only", model, config,
+            experiment=ideal_config(noise_sigma=1e-3, seed=0), seed=0,
+        )
+        assert any(not r.accepted for r in result.records[:-1])
+        per_iter = measurements_per_iteration("experiment-only", m_slices)
+        assert [r.measurements_this_iter for r in result.records] == [per_iter] * n_iter
+        readouts = readouts_per_iteration("experiment-only", m_slices)
+        assert result.ledger.as_dict() == {
+            c: n_iter * readouts.get(c, 0) for c in LEDGER_CATEGORIES
+        }
+
     def test_balanced_costs_three_per_iteration(self, model):
         config = OptimizerConfig(max_iterations=40)
         result = run_optimization(
@@ -298,6 +316,12 @@ class TestModelOnlyRun:
         t_final = model_run.final_pulse.duration_s
         assert model_run.final_model_fidelity >= 0.999
         assert 2.20e-3 <= t_final <= 2.40e-3
+
+    def test_model_fidelity_within_the_coupling_speed_limit(self, model_run):
+        # A rejected shrink trial is shorter than the retained t_seconds, and
+        # the ceiling rises with T, so the retained duration bounds it too.
+        for r in model_run.records:
+            assert r.j_model <= fidelity_ceiling(G_HZ, r.t_seconds) + 1e-12
 
     def test_duration_never_below_speed_limit_floor(self, model_run):
         t_min = 1.0 / (2.0 * G_HZ)
@@ -340,6 +364,21 @@ class TestModeEquivalence:
             assert a.phase == b.phase
             assert abs(a.j_oracle - b.j_oracle) < 1e-10
 
+    def test_balanced_model_fidelity_within_the_coupling_speed_limit(self, model):
+        # Starts below 1/(2g) + 0.3 ms, so the shrink takes the duration to
+        # where the ceiling is below 1.
+        config = OptimizerConfig(
+            max_iterations=400, initial_duration_s=2.6e-3, d1_init=1e3,
+            target_fidelity=0.93, threshold_floor=0.90,
+        )
+        result = run_optimization(
+            "balanced", model, config, experiment=ideal_config(noise_sigma=1e-3, seed=7),
+            seed=1,
+        )
+        assert min(r.t_seconds for r in result.records) < 1.0 / (2.0 * G_HZ)
+        for r in result.records:
+            assert r.j_model <= fidelity_ceiling(G_HZ, r.t_seconds) + 1e-12
+
     def test_balanced_records_carry_model_prediction(self, model):
         config = OptimizerConfig(max_iterations=50)
         result = run_optimization(
@@ -347,6 +386,70 @@ class TestModeEquivalence:
         )
         for rec in result.records:
             assert abs(rec.j_model - rec.j_oracle) < 1e-10
+
+
+def short_run(model, mode):
+    """120 iterations from pulse seed 1: accepted and rejected climb and shrink trials."""
+    experiment = None if mode == "model-only" else ideal_config(noise_sigma=1e-3, seed=7)
+    return run_optimization(
+        mode, model, OptimizerConfig(max_iterations=120), experiment=experiment, seed=1
+    )
+
+
+class TestModelGradientReuse:
+    @pytest.mark.parametrize("mode", ["model-only", "balanced"])
+    def test_one_gradient_per_accepted_trial(self, model, mode, monkeypatch):
+        calls = {"fidelity": 0, "gradients": 0, "decomposed": 0, "handed": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                if name == "gradients" and len(args) == 5 and args[4] is not None:
+                    calls["handed"] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(optimizer, "model_fidelity", counting("fidelity", model_fidelity))
+        monkeypatch.setattr(
+            optimizer, "fidelity_and_gradients", counting("gradients", fidelity_and_gradients)
+        )
+        decompose = counting("decomposed", slice_propagators)
+        monkeypatch.setattr(optimizer, "slice_propagators", decompose)
+        monkeypatch.setattr(dynamics, "slice_propagators", decompose)
+        result = short_run(model, mode)
+
+        trials = [r for r in result.records if r.step_size_used > 0.0]
+        assert {r.phase for r in trials} == {STEP1, STEP2}
+        assert any(r.accepted for r in trials) and any(not r.accepted for r in trials)
+        # The first baseline and each accepted trial are new pulses; a
+        # rejection, a phase switch or a re-measurement keeps the pulse and
+        # its gradient.
+        assert calls["gradients"] == 1 + sum(r.accepted for r in trials)
+        # Every graded pulse was the last one evaluated, so each gradient
+        # takes that evaluation's decomposition, and slice_propagators runs
+        # exactly once per model fidelity: once per iteration, once per
+        # restart-sizing evaluation and once for the final pulse.
+        assert calls["handed"] == calls["gradients"]
+        assert calls["decomposed"] == calls["fidelity"] >= len(result.records) + 1
+
+    @pytest.mark.parametrize("mode", ["model-only", "balanced"])
+    def test_handed_decompositions_change_nothing(self, model, mode, monkeypatch):
+        fast = short_run(model, mode)
+
+        def recompute(fn):
+            return lambda model, pulse, psi0, target, decomposition=None: fn(
+                model, pulse, psi0, target
+            )
+
+        monkeypatch.setattr(optimizer, "model_fidelity", recompute(model_fidelity))
+        monkeypatch.setattr(
+            optimizer, "fidelity_and_gradients", recompute(fidelity_and_gradients)
+        )
+        slow = short_run(model, mode)
+        assert [r.as_dict() for r in slow.records] == [r.as_dict() for r in fast.records]
+        assert slow.final_pulse.duration_s == fast.final_pulse.duration_s
+        assert np.array_equal(slow.final_pulse.amplitudes_hz, fast.final_pulse.amplitudes_hz)
+        assert slow.ledger.as_dict() == fast.ledger.as_dict()
 
 
 class TestEvents:
