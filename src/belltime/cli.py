@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,24 +64,14 @@ def _fmt_hours(hours: float) -> str:
 
 def _resolved_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    changes = {}
-    if getattr(args, "mode", None):
-        changes["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "out", None):
-        changes["output_dir"] = str(args.out)
-    if changes:
-        config = config.replace(**changes)
-    if getattr(args, "iterations", None) is not None:
-        if args.iterations < 1:
-            raise ConfigError(f"iterations: expected a positive integer, got {args.iterations}")
-        config = config.replace(
-            optimizer=dataclasses.replace(
-                config.optimizer, max_iterations=args.iterations
-            )
-        )
-    return config
+    iterations = getattr(args, "iterations", None)
+    overrides = {
+        "mode": getattr(args, "mode", None),
+        "seed": getattr(args, "seed", None),
+        "output_dir": getattr(args, "out", None),
+        "optimizer": None if iterations is None else {"max_iterations": iterations},
+    }
+    return config.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -215,7 +205,13 @@ def _cmd_tmin(args) -> int:
 def _cmd_budget(args) -> int:
     if args.iterations < 1:
         raise ConfigError(f"iterations: expected a positive integer, got {args.iterations}")
-    per_iter = measurements_per_iteration(args.mode, args.m_slices)
+    if not 0.0 < args.seconds_per_measurement < math.inf:
+        raise ConfigError(f"seconds-per-measurement: expected a positive finite number, "
+                          f"got {args.seconds_per_measurement}")
+    try:
+        per_iter = measurements_per_iteration(args.mode, args.m_slices)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     total = per_iter * args.iterations
     seconds = total * args.seconds_per_measurement
     hours = seconds / 3600.0

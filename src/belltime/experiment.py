@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"seconds_per_measurement must be positive, got {self.seconds_per_measurement}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

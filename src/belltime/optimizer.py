@@ -262,6 +262,7 @@ def _step_along(pulse: PulseSequence, step: float, direction: np.ndarray,
 def _restart_climb_step(
     model: SystemModel,
     pulse: PulseSequence,
+    j_start: float,
     grad_u: np.ndarray,
     config: OptimizerConfig,
     psi0: np.ndarray,
@@ -272,10 +273,10 @@ def _restart_climb_step(
     Starts at ``d1_init`` and grows by ``1 / backtrack_factor`` while the
     grown step along ``grad_u`` still satisfies the climb inequality
     J(u + d du) >= J(u) + alpha d sum(du * grad_u) with J the design
-    model's fidelity, for at most ``max_backtracks`` growths.  Costs
-    model evaluations only, never a measurement.
+    model's fidelity and ``j_start`` = J(u), for at most
+    ``max_backtracks`` growths.  Costs model evaluations only, never a
+    measurement.
     """
-    j_start = model_fidelity(model, pulse, psi0, target)
     step = config.d1_init
     for _ in range(config.max_backtracks):
         grown = step / config.backtrack_factor
@@ -347,6 +348,10 @@ def readouts_per_iteration(mode: str, m_slices: int) -> dict:
     estimate each: two per control amplitude (4M) and two per slice
     duration (M).
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if m_slices < 1:
+        raise ValueError(f"m_slices must be a positive integer, got {m_slices}")
     if mode == "model-only":
         return {}
     per_estimate = len(PARTIAL_LABELS)
@@ -553,8 +558,9 @@ def run_optimization(
                 event = event or EVENT_STALL_STEP1
             else:
                 if restart:
+                    # the re-measurement just evaluated the model at pulse
                     step[STEP1] = _restart_climb_step(
-                        model, pulse, grad_u, config, psi0, target
+                        model, pulse, j_model_rec, grad_u, config, psi0, target
                     )
                 trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u, config)
                 rhs = j_base + config.alpha * step[STEP1] * next_dot

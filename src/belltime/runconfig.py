@@ -18,16 +18,21 @@ A run document has up to six top-level keys::
       d1_init: 1.0e+3
       max_iterations: 2000
 
-Nested keys map one to one onto ``ExperimentConfig`` and
-``OptimizerConfig`` fields, whose defaults apply to anything omitted.
-Unknown keys are rejected by name, and every invariant violation is
-reported with its section path.
+The config dataclasses are the schema: the top level maps onto
+``RunConfig``, each section onto ``SystemModel``, ``ExperimentConfig`` or
+``OptimizerConfig``, whose annotations type every field and whose
+defaults fill anything omitted.  Every section must be a mapping; unknown
+keys are rejected by name, and every invariant violation is reported with
+its section path.  ``RunConfig.replace``, and the CLI overrides through
+it, are checked by the same builder.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,68 +44,62 @@ from .optimizer import MODES, OptimizerConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
 
-_TOP_LEVEL_KEYS = ("mode", "seed", "output_dir", "model", "experiment", "optimizer")
-_INT_FIELDS = {
-    "seed", "max_backtracks", "max_iterations", "stall_window",
-    "step1_patience", "m_slices",
-}
-_TUPLE_FIELDS = {"amplitude_scale": 4, "t1_s": 2, "t2_s": 2}
-_OPTIONAL_FIELDS = {"amplitude_cap_hz"}
-
 
 class ConfigError(ValueError):
     """A run document that cannot be parsed or validated."""
 
 
-def _as_number(value):
-    """Accept real numbers, plus numeric strings (YAML reads 1e-3 as text)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
+_field_types = functools.cache(typing.get_type_hints)  # the schema of one config class
+
+
+def _coerce(where: str, kind, value, default):
+    """Convert one document value to the annotated field type ``kind``.
+
+    Numbers may also be numeric strings, since YAML reads 1e-3 as text.
+    """
+    if typing.get_origin(kind) is typing.Union:  # Optional[X]
+        if value is None:
+            return None
+        kind = next(k for k in typing.get_args(kind) if k is not type(None))
+    if dataclasses.is_dataclass(kind):
+        if isinstance(value, kind):
+            return value
+        return _build(where, value, kind() if default is None else default)
+    if kind is int or kind is str:
+        if isinstance(value, kind) and not isinstance(value, bool):
+            return value
+        article = "an integer" if kind is int else "a string"
+        raise ConfigError(f"{where}: expected {article}, got {value!r}")
+    if typing.get_origin(kind) is tuple:
+        kinds = typing.get_args(kind)
+        if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
+            raise ConfigError(f"{where}: expected a list of {len(kinds)} numbers, got {value!r}")
+        return tuple(_coerce(where, k, v, None) for k, v in zip(kinds, value))
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return float(value)
-        except ValueError:
-            return None
-    return None
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
-def _coerce(path: str, name: str, value):
-    """Convert one scalar document value to the target field type."""
-    where = f"{path}.{name}" if path else name
-    if name in _INT_FIELDS:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        return value
-    if name in _TUPLE_FIELDS:
-        size = _TUPLE_FIELDS[name]
-        if not isinstance(value, (list, tuple)) or len(value) != size:
-            raise ConfigError(f"{where}: expected a list of {size} numbers, got {value!r}")
-        numbers = [_as_number(v) for v in value]
-        if any(v is None for v in numbers):
-            raise ConfigError(f"{where}: expected a list of {size} numbers, got {value!r}")
-        return tuple(numbers)
-    if value is None and name in _OPTIONAL_FIELDS:
-        return None
-    number = _as_number(value)
-    if number is None:
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return number
-
-
-def _build_section(path: str, section, cls):
-    """Instantiate a config dataclass from one document section."""
+def _build(path: str, section, default):
+    """``default`` with the fields one document section names replaced."""
     if section is None:
         section = {}
     if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {section!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
+        raise ConfigError(f"{path or 'top level'}: expected a mapping, got {section!r}")
+    kinds = _field_types(type(default))
+    changes = {}
     for name, value in section.items():
-        if name not in known:
-            raise ConfigError(f"unknown key {path + '.' + str(name)!r}")
-        kwargs[name] = _coerce(path, name, value)
+        where = f"{path}.{name}" if path else str(name)
+        if name not in kinds:
+            raise ConfigError(f"unknown key {where!r}")
+        changes[name] = _coerce(where, kinds[name], value, getattr(default, name))
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(default, **changes)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -121,34 +120,29 @@ class RunConfig:
             raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if self.mode != "model-only" and self.experiment is None:
             raise ConfigError(f"mode {self.mode!r} requires an experiment section")
+        if self.seed < 0:
+            raise ConfigError(f"seed: expected a non-negative integer, got {self.seed}")
 
     def replace(self, **changes) -> "RunConfig":
-        return dataclasses.replace(self, **changes)
+        """A copy with ``changes`` validated as the keys of a run document.
+
+        A section may be given as a mapping of the fields to change, which
+        are merged into the current section, or as a whole config object.
+        """
+        return _build("", changes, self)
 
     def as_document_dict(self) -> dict:
         """The resolved settings as a plain JSON-friendly mapping."""
         def scrub(value):
-            if isinstance(value, float) and not math.isfinite(value):
-                return repr(value)
+            if isinstance(value, dict):
+                return {k: scrub(v) for k, v in value.items()}
             if isinstance(value, tuple):
                 return [scrub(v) for v in value]
+            if isinstance(value, float) and not math.isfinite(value):
+                return repr(value)
             return value
 
-        doc = {
-            "mode": self.mode,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "model": {"g_hz": self.model.g_hz},
-            "experiment": None,
-            "optimizer": {
-                k: scrub(v) for k, v in dataclasses.asdict(self.optimizer).items()
-            },
-        }
-        if self.experiment is not None:
-            doc["experiment"] = {
-                k: scrub(v) for k, v in dataclasses.asdict(self.experiment).items()
-            }
-        return doc
+        return scrub(dataclasses.asdict(self))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -160,51 +154,7 @@ def parse_config(text: str) -> RunConfig:
         if mark is not None:
             raise ConfigError(f"parse error at line {mark.line + 1}: {exc}") from exc
         raise ConfigError(f"parse error: {exc}") from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"top level must be a mapping, got {type(doc).__name__}")
-    for key in doc:
-        if key not in _TOP_LEVEL_KEYS:
-            raise ConfigError(f"unknown key {str(key)!r}")
-
-    mode = doc.get("mode", "model-only")
-    if not isinstance(mode, str):
-        raise ConfigError(f"mode: expected a string, got {mode!r}")
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
-
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
-
-    model_sec = doc.get("model") or {}
-    if not isinstance(model_sec, dict):
-        raise ConfigError(f"model: expected a mapping, got {model_sec!r}")
-    for key in model_sec:
-        if key != "g_hz":
-            raise ConfigError(f"unknown key {'model.' + str(key)!r}")
-    g_hz = _coerce("model", "g_hz", model_sec.get("g_hz", 217.4))
-    try:
-        model = SystemModel(g_hz=g_hz)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    experiment = None
-    if doc.get("experiment") is not None:
-        experiment = _build_section("experiment", doc["experiment"], ExperimentConfig)
-    optimizer = _build_section("optimizer", doc.get("optimizer"), OptimizerConfig)
-
-    return RunConfig(
-        mode=mode,
-        seed=seed,
-        output_dir=output_dir,
-        model=model,
-        experiment=experiment,
-        optimizer=optimizer,
-    )
+    return _build("", doc, RunConfig())
 
 
 def load_config(path) -> RunConfig:

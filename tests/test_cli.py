@@ -1,5 +1,6 @@
 """Run documents and the command-line surface: parsing, files, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,11 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belltime
 from belltime.cli import main, measurements_per_iteration
 from belltime.dynamics import PulseSequence, read_pulse_csv, write_pulse_csv
+from belltime.experiment import ExperimentConfig
 from belltime.linalg import pauli_string
+from belltime.optimizer import MODES, OptimizerConfig, readouts_per_iteration
 from belltime.runconfig import ConfigError, RunConfig, load_config, parse_config
 
 MINIMAL = "model:\n  g_hz: 217.4\n"
@@ -140,6 +146,198 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("value", ["[]", "0", "false", "abc", "[1, 2]"])
+    def test_model_section_must_be_a_mapping(self, value):
+        with pytest.raises(ConfigError, match="^model: expected a mapping"):
+            parse_config(f"model: {value}\n")
+
+    def test_negative_seeds_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="^seed: "):
+            parse_config("seed: -1\n")
+        with pytest.raises(ConfigError, match="^experiment: seed "):
+            parse_config("experiment: {seed: -5}\n")
+        with pytest.raises(ConfigError, match="^seed: "):
+            RunConfig().replace(seed=-1)
+
+    def test_replace_validates_like_a_document(self):
+        base = parse_config(FULL)
+        changed = base.replace(seed=4, optimizer={"max_iterations": 7})
+        assert changed.seed == 4
+        assert changed.optimizer == OptimizerConfig(
+            d1_init=1e3, target_fidelity=0.93, threshold_floor=0.90, max_iterations=7
+        )
+        assert changed.experiment == base.experiment
+        assert base.replace(experiment=ExperimentConfig()).experiment == ExperimentConfig()
+        with pytest.raises(ConfigError, match="^optimizer.max_iterations: "):
+            base.replace(optimizer={"max_iterations": "many"})
+        with pytest.raises(ConfigError, match="^optimizer: max_iterations "):
+            base.replace(optimizer={"max_iterations": 0})
+        with pytest.raises(ConfigError, match="^unknown key 'optimizer.momentum'"):
+            base.replace(optimizer={"momentum": 0.9})
+        with pytest.raises(ConfigError, match="^unknown key 'gamma'"):
+            base.replace(gamma=3)
+
+    def test_readme_example_config_parses(self):
+        # The README's quick start runs `--config examples.yaml`, whose only
+        # copy is the YAML block under "A minimal config".
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(
+            r"A minimal config \(`examples\.yaml`\):\s*```yaml\n(.*?)```", readme, re.S
+        )
+        assert block is not None
+        config = parse_config(block.group(1))
+        assert config.mode == "balanced"
+        assert config.experiment is not None
+
+
+def _finite(lo=None, hi=None, **bounds):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **bounds)
+
+
+POSITIVE = _finite(0.0, exclude_min=True)
+UNIT = _finite(0.0, 1.0, exclude_min=True, exclude_max=True)
+COUNT = st.integers(1, 2**31)
+SEED = st.integers(0, 2**64)
+
+# One strategy per field, every draw valid on its own; t1_s and t2_s are
+# drawn jointly, since t2 <= 2 t1 per spin.
+MODEL_FIELDS = {"g_hz": POSITIVE}
+EXPERIMENT_FIELDS = {
+    "true_g_hz": POSITIVE,
+    "amplitude_scale": st.tuples(POSITIVE, POSITIVE, POSITIVE, POSITIVE),
+    "distortion_tau_s": _finite(0.0),
+    "noise_sigma": _finite(0.0),
+    "seconds_per_measurement": POSITIVE,
+    "seed": SEED,
+}
+OPTIMIZER_FIELDS = {
+    "alpha": UNIT,
+    "beta": _finite(0.0, 1.0, exclude_min=True),
+    "target_fidelity": UNIT,
+    "threshold_floor": _finite(0.5, 1.0, exclude_max=True),
+    "threshold_drop": _finite(0.0, 0.5, exclude_max=True),
+    "threshold_rate": POSITIVE,
+    "d1_init": _finite(1e-9, exclude_min=True),
+    "d2_init": _finite(1e-9, exclude_min=True),
+    "d_min": _finite(0.0, 1e-9, exclude_min=True),
+    "backtrack_factor": UNIT,
+    "max_backtracks": COUNT,
+    "max_iterations": COUNT,
+    "stall_window": COUNT,
+    "stall_epsilon_t_s": POSITIVE,
+    "step1_patience": COUNT,
+    "control_gradient_floor": _finite(),
+    "time_gradient_floor": _finite(),
+    "fd_step_amplitude_hz": POSITIVE,
+    "fd_step_time_s": POSITIVE,
+    "amplitude_cap_hz": st.none() | POSITIVE,
+    "m_slices": COUNT,
+    "initial_duration_s": POSITIVE,
+    "init_amplitude_hz": _finite(0.0),
+}
+SECTION_FIELDS = {
+    "model": MODEL_FIELDS,
+    "experiment": {**EXPERIMENT_FIELDS, "t1_s": None, "t2_s": None},
+    "optimizer": OPTIMIZER_FIELDS,
+}
+
+DEFAULT_SECTIONS = {
+    "model": RunConfig().model, "experiment": ExperimentConfig(), "optimizer": OptimizerConfig(),
+}
+
+
+@st.composite
+def relaxation_times(draw):
+    """Per-spin (t1_s, t2_s) pairs with 0 < t2 <= 2 t1, either may be infinite."""
+    t1, t2 = [], []
+    for _ in range(2):
+        one = draw(_finite(0.0, 1e300, exclude_min=True) | st.just(math.inf))
+        if math.isinf(one):
+            two = draw(POSITIVE | st.just(math.inf))
+        else:
+            two = draw(_finite(0.0, 2.0 * one, exclude_min=True))
+        t1.append(one)
+        t2.append(two)
+    return tuple(t1), tuple(t2)
+
+
+@st.composite
+def run_configs(draw):
+    def section(fields):
+        return {name: draw(strategy) for name, strategy in fields.items()}
+
+    experiment = None
+    if draw(st.booleans()):
+        t1_s, t2_s = draw(relaxation_times())
+        experiment = ExperimentConfig(**section(EXPERIMENT_FIELDS), t1_s=t1_s, t2_s=t2_s)
+    return RunConfig(
+        mode=draw(st.sampled_from(MODES)) if experiment else "model-only",
+        seed=draw(SEED),
+        output_dir=draw(st.none() | st.text(st.characters(codec="utf-8"), max_size=20)),
+        model=belltime.SystemModel(**section(MODEL_FIELDS)),
+        experiment=experiment,
+        optimizer=OptimizerConfig(**section(OPTIMIZER_FIELDS)),
+    )
+
+
+def _not_a_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def wrong_typed_settings(draw):
+    """(section, field, value) with a value of the wrong type for the field."""
+    section = draw(st.sampled_from(sorted(SECTION_FIELDS)))
+    field = draw(st.sampled_from(sorted(SECTION_FIELDS[section])))
+    default = getattr(DEFAULT_SECTIONS[section], field)
+    length = len(default) if isinstance(default, tuple) else 0
+    value = draw(
+        st.booleans()
+        | st.text(max_size=10).filter(_not_a_number)
+        | st.lists(st.floats(0.5, 2.0), max_size=6).filter(lambda v: len(v) != length)
+        | st.dictionaries(st.text(max_size=5), st.integers(), max_size=3)
+    )
+    return section, field, value
+
+
+class TestParseConfigProperties:
+    def test_strategies_cover_every_field(self):
+        for cls, fields in ((belltime.SystemModel, MODEL_FIELDS),
+                            (ExperimentConfig, SECTION_FIELDS["experiment"]),
+                            (OptimizerConfig, OPTIMIZER_FIELDS)):
+            assert set(fields) == {f.name for f in dataclasses.fields(cls)}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(config=run_configs())
+    def test_document_round_trip(self, config):
+        doc = config.as_document_dict()
+        json.dumps(doc, allow_nan=False)
+        assert parse_config(yaml.safe_dump(doc)) == config
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(setting=wrong_typed_settings())
+    def test_wrong_type_names_the_field(self, setting):
+        section, field, value = setting
+        where = re.escape(f"{section}.{field}: ")
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            parse_config(yaml.safe_dump({section: {field: value}}))
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            RunConfig().replace(**{section: {field: value}})
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        section=st.sampled_from(sorted(SECTION_FIELDS)),
+        value=st.booleans() | st.integers() | _finite() | st.text(max_size=10)
+        | st.lists(st.integers(), max_size=3),
+    )
+    def test_non_mapping_section_names_the_section(self, section, value):
+        with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
+            parse_config(yaml.safe_dump({section: value}))
+
 
 class TestBudgetArithmetic:
     def test_per_iteration_counts(self):
@@ -152,6 +350,23 @@ class TestBudgetArithmetic:
         out = capsys.readouterr().out
         assert "total measurements: 6000" in out
         assert "16.7 h" in out
+
+    @pytest.mark.parametrize("mode, m_slices", [("balanced", 0), ("experiment-only", -5),
+                                                ("bogus", 50)])
+    def test_per_iteration_counts_reject_invalid_inputs(self, mode, m_slices):
+        with pytest.raises(ValueError, match="m_slices" if mode in MODES else "mode"):
+            readouts_per_iteration(mode, m_slices)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--m-slices", "-5"), ("--m-slices", "0"),
+        ("--seconds-per-measurement", "nan"), ("--seconds-per-measurement", "inf"),
+        ("--seconds-per-measurement", "-10"), ("--seconds-per-measurement", "0"),
+    ])
+    def test_budget_command_rejects_invalid_inputs(self, flag, value, capsys):
+        assert main(["budget", "--mode", "experiment-only", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
 
     def test_budget_command_experiment_only(self, capsys):
         assert main(["budget", "--mode", "experiment-only", "--iterations", "2000"]) == 0
@@ -234,6 +449,20 @@ class TestOptimizeCommand:
              "--out", str(tmp_path / "x"), "--seeds", "4..1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("extra, config", [
+        (("--seed", "-1"), None),
+        (("--iterations", "0"), None),
+        ((), "mode: balanced\nexperiment: {seed: -5}\n"),
+    ])
+    def test_invalid_settings_exit_before_any_directory(self, tmp_path, capsys, extra, config):
+        argv = ["optimize", "--out", str(tmp_path / "run"), *extra]
+        if config is not None:
+            (tmp_path / "cfg.yaml").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.yaml")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "run").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

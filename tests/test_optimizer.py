@@ -399,7 +399,7 @@ def short_run(model, mode):
 class TestModelGradientReuse:
     @pytest.mark.parametrize("mode", ["model-only", "balanced"])
     def test_one_gradient_per_accepted_trial(self, model, mode, monkeypatch):
-        calls = {"fidelity": 0, "gradients": 0, "decomposed": 0, "handed": 0}
+        calls = {"fidelity": 0, "gradients": 0, "decomposed": 0, "handed": 0, "sizing": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -416,6 +416,22 @@ class TestModelGradientReuse:
         decompose = counting("decomposed", slice_propagators)
         monkeypatch.setattr(optimizer, "slice_propagators", decompose)
         monkeypatch.setattr(dynamics, "slice_propagators", decompose)
+        restart_climb_step = optimizer._restart_climb_step
+        restarts = []
+
+        def sizing(*args):
+            # The sizing evaluates each grown step until one fails the climb
+            # inequality, at most max_backtracks of them.
+            restarts.append(args)
+            step = restart_climb_step(*args)
+            config, grown, growths = args[4], args[4].d1_init, 0
+            while grown != step:
+                grown /= config.backtrack_factor
+                growths += 1
+            calls["sizing"] += min(growths + 1, config.max_backtracks)
+            return step
+
+        monkeypatch.setattr(optimizer, "_restart_climb_step", sizing)
         result = short_run(model, mode)
 
         trials = [r for r in result.records if r.step_size_used > 0.0]
@@ -428,9 +444,15 @@ class TestModelGradientReuse:
         # Every graded pulse was the last one evaluated, so each gradient
         # takes that evaluation's decomposition, and slice_propagators runs
         # exactly once per model fidelity: once per iteration, once per
-        # restart-sizing evaluation and once for the final pulse.
+        # restart-sizing trial step and once for the final pulse.  The
+        # sizing starts from the re-measurement's own model fidelity.
         assert calls["handed"] == calls["gradients"]
-        assert calls["decomposed"] == calls["fidelity"] >= len(result.records) + 1
+        assert calls["decomposed"] == calls["fidelity"]
+        assert calls["fidelity"] == len(result.records) + 1 + calls["sizing"]
+        stalls = sum(r.event == EVENT_STALL_STEP1 for r in result.records)
+        assert (calls["sizing"] > 0) == (stalls > 0)
+        for _, pulse, j_start, _, _, psi0, target in restarts:
+            assert j_start == model_fidelity(model, pulse, psi0, target)
 
     @pytest.mark.parametrize("mode", ["model-only", "balanced"])
     def test_handed_decompositions_change_nothing(self, model, mode, monkeypatch):
