@@ -184,6 +184,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_tmin(args) -> int:
+    if not 0.0 < args.g_hz < math.inf:
+        raise ConfigError(f"g-hz: expected a positive finite number, got {args.g_hz}")
     t_bell = minimum_time_bell(args.g_hz)
     print(f"T_min(Bell, g = {args.g_hz} Hz) = {_fmt_ms(t_bell)} ({t_bell!r} s)")
     if args.unitary:

@@ -258,10 +258,13 @@ def read_pulse_csv(path) -> PulseSequence:
     rows = lines[2:]
     if len(rows) != m_slices:
         raise ValueError(f"{path}: metadata says M={m_slices} but found {len(rows)} rows")
-    amps = np.empty((m_slices, 4), dtype=np.float64)
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 5 or int(parts[0]) != i:
-            raise ValueError(f"{path}: malformed row {i}: {row!r}")
-        amps[i] = [float(x) for x in parts[1:]]
-    return PulseSequence(duration, amps)
+    try:
+        amps = np.empty((m_slices, 4), dtype=np.float64)
+        for i, row in enumerate(rows):
+            parts = row.split(",")
+            if len(parts) != 5 or int(parts[0]) != i:
+                raise ValueError(f"malformed row {i}: {row!r}")
+            amps[i] = [float(x) for x in parts[1:]]
+        return PulseSequence(duration, amps)
+    except ValueError as exc:  # a value the file holds: name the file
+        raise ValueError(f"{path}: {exc}") from exc

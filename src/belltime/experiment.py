@@ -3,12 +3,15 @@
 The backend evolves density matrices under a hidden "true" model that
 deliberately differs from the design model: a miscalibrated coupling,
 per-channel amplitude scale errors, a first-order low-pass distortion of
-the programmed waveforms, and per-spin T1/T2 relaxation, applied after
-each slice's unitary as a closed-form elementwise map on the density
-matrix (amplitude damping plus dephasing).  Expectation values
-are read out through a seeded Gaussian noise stream, and every readout
-is charged to a measurement ledger so the wall-clock cost of an
-optimization run can be audited afterwards.
+the programmed waveforms, and per-spin T1/T2 relaxation after each
+slice's unitary.  Relaxation is defined once, as a closed-form
+elementwise map on the density matrix (amplitude damping plus
+dephasing, ``_relax``); being linear, it is applied as one real 16 x 16
+matrix on vec(rho) per slice, tabled from ``_relax`` once per distinct
+slice duration of an evolution.  Expectation values are read out
+through a seeded Gaussian noise stream, and every readout is charged to
+a measurement ledger so the wall-clock cost of an optimization run can
+be audited afterwards.
 
 Fidelity oracles:
 
@@ -168,8 +171,8 @@ def distort_pulse(
         raise ValueError(f"tau_s must be >= 0, got {tau_s}")
     if tau_s == 0.0:
         return pulse
-    dts = _slice_durations(pulse, slice_durations_s)
-    return pulse.with_amplitudes(_low_pass(pulse.amplitudes_hz[None], dts[None], tau_s)[0])
+    factors, index = _decay_factors(_slice_durations(pulse, slice_durations_s), (tau_s,))
+    return pulse.with_amplitudes(_low_pass(pulse.amplitudes_hz[None], factors[index[None], 0])[0])
 
 
 def _slice_durations(pulse: PulseSequence, slice_durations_s) -> np.ndarray:
@@ -190,29 +193,30 @@ def _one_density(rho) -> np.ndarray:
     return rho
 
 
-def _decay_factors(dts: np.ndarray, times_s) -> np.ndarray:
-    """exp(-dt/t) for each (B, M) duration and each time t: (B, M, len(times_s)).
+def _decay_factors(dts: np.ndarray, times_s) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-dt/t) for each distinct duration of ``dts`` and each time t.
 
-    ``math.exp`` runs once per distinct duration (``np.exp`` can round
-    differently in the last bit), so a pulse gets the same factors alone
-    as in any stack.
+    Returns the (D, len(times_s)) table over the D distinct durations and
+    the row of each duration in it, shaped like ``dts``.  ``math.exp``
+    runs once per distinct duration (``np.exp`` can round differently in
+    the last bit), so a pulse gets the same factors alone as in any stack.
     """
     distinct, index = np.unique(dts, return_inverse=True)
     table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct.tolist()])
     table = table.reshape(len(distinct), len(times_s))  # also when there are no durations
-    return table[index.reshape(dts.shape)]
+    return table, index.reshape(dts.shape)
 
 
-def _low_pass(amplitudes: np.ndarray, dts: np.ndarray, tau_s: float) -> np.ndarray:
+def _low_pass(amplitudes: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The recursion of ``distort_pulse`` over a stack of B waveforms.
 
-    ``amplitudes`` is (B, M, 4) and ``dts`` (B, M).
+    ``amplitudes`` is (B, M, 4) and ``k`` the (B, M) factors exp(-dt/tau).
     """
-    k = _decay_factors(dts, (tau_s,))
-    out = np.empty_like(amplitudes)
+    k = k[..., None]
+    out = (1.0 - k) * amplitudes  # each slice's drive, overwritten by its output
     y = np.zeros((amplitudes.shape[0], 4))
     for m in range(amplitudes.shape[1]):
-        y = (1.0 - k[:, m]) * amplitudes[:, m] + k[:, m] * y
+        y = out[:, m] + k[:, m] * y
         out[:, m] = y
     return out
 
@@ -233,6 +237,27 @@ def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
         spin_first[:, 1, :, 1] *= a
         spin_first[:, 0, :, 1] *= e
         spin_first[:, 1, :, 0] *= e
+
+
+def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
+    """``_relax`` as one real 16 x 16 matrix per row of the (D, 4) factors.
+
+    Each matrix acts on the row-major vec(rho); its column j is ``_relax``
+    applied to the j-th unit matrix, so the map stays defined once.
+    """
+    units = np.tile(np.eye(16, dtype=np.complex128), (len(factors), 1)).reshape(-1, 4, 4)
+    _relax(units, np.repeat(factors, 16, axis=0))
+    return np.ascontiguousarray(units.real.reshape(-1, 16, 16).swapaxes(1, 2))
+
+
+def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """C-contiguous ``rho`` (..., 4, 4) mapped by (..., 16, 16) relaxation matrices.
+
+    The matrices are real, so they act on the real and imaginary parts
+    of vec(rho) as the two columns of one (16, 2) real operand.
+    """
+    parts = rho.view(np.float64).reshape(rho.shape[:-2] + (16, 2))
+    return (matrices @ parts).view(np.complex128).reshape(rho.shape)
 
 
 class ExperimentBackend:
@@ -273,22 +298,6 @@ class ExperimentBackend:
         rho = self._ground if rho0 is None else _one_density(rho0)
         return self._evolve(pulse.amplitudes_hz, dts, rho)[0]
 
-    def _applied(self, amplitudes: np.ndarray, dts: np.ndarray):
-        """Applied amplitudes and decay factors of B pulses: (B, M, 4) and (B, M) in.
-
-        The factors are (B, M, 4) per ``_relax``, or None on a coherent
-        apparatus, whose slices skip relaxation.
-        """
-        cfg = self.config
-        if cfg.distortion_tau_s > 0.0:
-            amplitudes = _low_pass(amplitudes, dts, cfg.distortion_tau_s)
-        applied = amplitudes * np.asarray(cfg.amplitude_scale)
-        if not any(math.isfinite(t) for t in cfg.t1_s + cfg.t2_s):
-            return applied, None
-        # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
-        t2 = tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
-        return applied, _decay_factors(dts, cfg.t1_s + t2)
-
     def _evolve(
         self,
         amplitudes: np.ndarray,
@@ -301,26 +310,44 @@ class ExperimentBackend:
 
         The pulse is (M, 4) amplitudes over (M,) slice durations, the
         probes (B, M, 4) and (B, M).  Returns the pulse's 4 x 4 final
-        state and the probes' (B, 4, 4).  One slice-major loop evolves
+        state and the probes' (B, 4, 4).  The programmed waveforms are
+        distorted, then scaled per channel.  One slice-major loop evolves
         the pulse; a probe joins it at the first slice where its applied
         amplitudes or duration differ from the pulse's, starting from
         the pulse's state before that slice, and only such differing
-        (probe, slice) pairs get propagators of their own.  Every state
-        thus meets exactly the operations its own ``evolve_open`` makes,
-        and is bit-identical to it.
+        (probe, slice) pairs get propagators of their own.  Each slice
+        applies its unitary, then relaxation as one tabled 16 x 16
+        product on vec(rho): the table holds one ``_relax`` matrix per
+        distinct slice duration of the pulse and its probes, and a probe
+        row uses its own entry only at slices whose duration it moved.
+        Every state thus meets exactly the operations its own
+        ``evolve_open`` makes, and is bit-identical to it.
         """
         m_slices = len(dts)
-        applied, factors = self._applied(amplitudes[None], dts[None])
+        if probe_amplitudes is None:
+            probe_amplitudes, probe_dts = np.empty((0, m_slices, 4)), np.empty((0, m_slices))
+        amplitudes = np.concatenate([amplitudes[None], probe_amplitudes])  # row 0: the pulse
+        cfg = self.config
+        tau = (cfg.distortion_tau_s,) if cfg.distortion_tau_s > 0.0 else ()
+        # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
+        t1_t2 = cfg.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
+        if not any(math.isfinite(t) for t in t1_t2):
+            t1_t2 = ()  # a coherent apparatus: its slices skip relaxation
+        relaxation = None
+        if tau + t1_t2:
+            factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), tau + t1_t2)
+            if tau:
+                amplitudes = _low_pass(amplitudes, factors[index, 0])
+            if t1_t2:
+                relaxation = _relaxation_matrices(factors[:, len(tau):])
+        # in place: ``amplitudes`` is this call's own copy by now
+        applied = np.multiply(amplitudes, cfg.amplitude_scale, out=amplitudes)
         u = slice_propagators(self._model, applied[0], dts)[0]
         u_dag = u.conj().swapaxes(-1, -2)
-        if probe_amplitudes is None:
-            order, active = np.empty(0, dtype=int), [0] * m_slices
-        else:
-            probe_applied, probe_factors = self._applied(probe_amplitudes, probe_dts)
-            own = (probe_applied != applied).any(axis=2) | (probe_dts != dts)  # (B, M)
-            first = np.where(own.any(axis=1), own.argmax(axis=1), m_slices)
-            order = np.argsort(first, kind="stable")
-            active = np.searchsorted(first[order], np.arange(m_slices), side="right").tolist()
+        own = (applied[1:] != applied[0]).any(axis=2) | (probe_dts != dts)  # (B, M)
+        first = np.where(own.any(axis=1), own.argmax(axis=1), m_slices)
+        order = np.argsort(first, kind="stable")
+        active = np.searchsorted(first[order], np.arange(m_slices), side="right").tolist()
 
         rho = rho0
         stack = np.empty((0, 4, 4), dtype=np.complex128)
@@ -329,19 +356,23 @@ class ExperimentBackend:
                 joining = np.broadcast_to(rho, (n_active - len(stack), 4, 4))
                 stack = np.concatenate([stack, joining])
             rho = u[m] @ rho @ u_dag[m]
-            if factors is not None:
-                _relax(rho, factors[:, m])
+            if relaxation is not None:
+                rho = _relaxed(relaxation[index[0, m]], rho)
             if n_active:
                 rows = order[:n_active]
                 u_m = np.repeat(u[m][None], n_active, axis=0)
                 mine = own[rows, m]
                 if mine.any():
                     u_m[mine] = slice_propagators(
-                        self._model, probe_applied[rows[mine], m], probe_dts[rows[mine], m]
+                        self._model, applied[1 + rows[mine], m], probe_dts[rows[mine], m]
                     )[0]
                 stack = u_m @ stack @ u_m.conj().swapaxes(-1, -2)
-                if probe_factors is not None:
-                    _relax(stack, probe_factors[rows, m])
+                if relaxation is not None:  # the pulse's matrix, broadcast over the rows
+                    unrelaxed, stack = stack, _relaxed(relaxation[index[0, m]], stack)
+                    moved = index[1 + rows, m] != index[0, m]  # rows with a duration of their own
+                    if moved.any():
+                        theirs = relaxation[index[1 + rows[moved], m]]
+                        stack[moved] = _relaxed(theirs, unrelaxed[moved])
         states = np.repeat(rho[None], len(order), axis=0)
         states[order[: len(stack)]] = stack
         return rho, states

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import belltime
 from belltime.cli import main, measurements_per_iteration
-from belltime.dynamics import PulseSequence, read_pulse_csv, write_pulse_csv
+from belltime.dynamics import PULSE_HEADER, PulseSequence, read_pulse_csv, write_pulse_csv
 from belltime.experiment import ExperimentConfig
 from belltime.linalg import pauli_string
 from belltime.optimizer import MODES, OptimizerConfig, readouts_per_iteration
@@ -394,6 +394,13 @@ class TestTmin:
         coords = re.search(r"cartan coordinates = \(([^,]+),", out)
         assert abs(float(coords.group(1)) - math.pi / 4) < 1e-9
 
+    @pytest.mark.parametrize("g_hz", ["-5", "0", "nan", "inf"])
+    def test_bad_coupling_is_config_error(self, g_hz, capsys):
+        assert main(["tmin", "--g-hz", g_hz]) == 2
+        captured = capsys.readouterr()
+        assert "config error: g-hz: expected a positive finite number" in captured.err
+        assert captured.out == ""
+
     def test_bad_unitary_file_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "junk.npy"
         np.save(path, np.eye(3))
@@ -519,6 +526,20 @@ class TestEvaluateCommand:
         path.write_text("# T_seconds=0.001 M=3\n")
         assert main(["evaluate", "--pulse", str(path)]) == 3
         assert f"error: {path}: expected header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metadata, rows, message", [
+        ("T_seconds=nan M=1", ["0,1,2,3,4"], "duration_s must be positive and finite, got nan"),
+        ("T_seconds=0.0 M=1", ["0,1,2,3,4"], "duration_s must be positive and finite, got 0.0"),
+        ("T_seconds=0.001 M=0", [], "amplitudes_hz must have shape (M, 4) with M >= 1"),
+        ("T_seconds=0.001 M=1", ["0,inf,2,3,4"], "amplitudes_hz contains non-finite entries"),
+        ("T_seconds=0.001 M=1", ["0,1,2,x,4"], "could not convert string to float: 'x'"),
+        ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "invalid literal for int() with base 10: 'a'"),
+    ])
+    def test_bad_pulse_values_name_the_file(self, tmp_path, capsys, metadata, rows, message):
+        path = tmp_path / "pulse.csv"
+        path.write_text("\n".join([f"# {metadata}", PULSE_HEADER, *rows]) + "\n")
+        assert main(["evaluate", "--pulse", str(path)]) == 3
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 class TestExportCommand:

@@ -83,6 +83,24 @@ class TestPulseSequence:
         j1 = model_fidelity(MODEL, q, PSI0, TARGET)
         assert j0 == j1
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        amplitudes=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 60), st.just(4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -2.5e-308, 1e300, -1e300]),
+        ),
+        duration=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_csv_round_trip_keeps_every_bit(self, tmp_path_factory, amplitudes, duration):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        p = PulseSequence(duration, amplitudes)
+        write_pulse_csv(p, path)
+        q = read_pulse_csv(path)
+        assert q.duration_s.hex() == duration.hex()
+        assert np.array_equal(q.amplitudes_hz.view(np.int64), amplitudes.view(np.int64))
+
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("slice,ux1_hz\n0,1\n")

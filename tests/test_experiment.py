@@ -27,6 +27,8 @@ from belltime.experiment import (
     _decay_factors,
     _low_pass,
     _relax,
+    _relaxation_matrices,
+    _relaxed,
     distort_pulse,
     ledger_report,
 )
@@ -179,7 +181,8 @@ class TestDistortion:
         pulse = random_pulse(30, 2.4e-3, 150.0, rng)
         amps, dts = probe_stack(pulse, rng, 40)
         tau = 50e-6
-        stacked = _low_pass(amps, dts, tau)
+        factors, index = _decay_factors(dts, (tau,))
+        stacked = _low_pass(amps, factors[index, 0])
         k = math.exp(-pulse.slice_duration_s / tau)
         for row, (a, d) in enumerate(zip(amps, dts)):
             alone = distort_pulse(pulse.with_amplitudes(a), tau, d).amplitudes_hz
@@ -335,27 +338,70 @@ def relaxation_times(draw):
     return t1, 2.0 * t1 * draw(st.floats(1e-3, 1.0))
 
 
+def density_from(parts, rank):
+    """A rank-``rank`` density matrix from (2, 4, 4) real and imaginary parts."""
+    a = (parts[0] + 1j * parts[1])[:, :rank]
+    weight = np.sum(np.abs(a) ** 2)
+    assume(weight > 1e-6)
+    rho = a @ a.conj().T / weight
+    return (rho + rho.conj().T) / 2.0
+
+
+RELAXATION_CASES = dict(
+    parts=arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+    rank=st.integers(1, 4),
+    dt=st.floats(1e-7, 1.0),
+    spins=st.tuples(relaxation_times(), relaxation_times()),
+)
+
+
 class TestRelaxationMap:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        parts=arrays(np.float64, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
-        rank=st.integers(1, 4),
-        dt=st.floats(1e-7, 1.0),
-        spins=st.tuples(relaxation_times(), relaxation_times()),
-    )
+    @given(**RELAXATION_CASES)
     def test_is_the_kraus_channel(self, parts, rank, dt, spins):
-        a = (parts[0] + 1j * parts[1])[:, :rank]
-        weight = np.sum(np.abs(a) ** 2)
-        assume(weight > 1e-6)
-        rho = a @ a.conj().T / weight
-        rho = (rho + rho.conj().T) / 2.0
+        rho = density_from(parts, rank)
         t1, t2 = zip(*spins)
         relaxed = rho.copy()
-        _relax(relaxed, _decay_factors(np.array([[dt]]), t1 + t2)[:, 0])
+        _relax(relaxed, _decay_factors(np.array([dt]), t1 + t2)[0])
         assert abs(np.trace(relaxed) - np.trace(rho)) <= 1e-12
         assert np.array_equal(relaxed, relaxed.conj().T)
         assert np.linalg.eigvalsh(relaxed).min() >= -1e-12
         assert np.max(np.abs(relaxed - relax_kraus(rho, t1, t2, dt))) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(**RELAXATION_CASES)
+    def test_tabled_matrix_is_the_map(self, parts, rank, dt, spins):
+        # the emulator applies _relax as one 16 x 16 product on vec(rho)
+        rho = density_from(parts, rank)
+        t1, t2 = zip(*spins)
+        factors = _decay_factors(np.array([dt]), t1 + t2)[0]
+        mapped = _relaxed(_relaxation_matrices(factors)[0], rho)
+        relaxed = rho.copy()
+        _relax(relaxed, factors)
+        assert np.max(np.abs(mapped - relaxed)) <= 1e-14
+        assert np.max(np.abs(mapped - relax_kraus(rho, t1, t2, dt))) <= 1e-12
+        assert abs(np.trace(mapped) - np.trace(rho)) <= 1e-14
+        assert np.linalg.eigvalsh((mapped + mapped.conj().T) / 2.0).min() >= -1e-12
+
+    def test_table_holds_one_matrix_per_distinct_duration(self):
+        rng = np.random.default_rng(43)
+        dts = rng.choice([1e-5, 2e-4, 3e-3], size=(6, 9))
+        times = (0.73, 0.096, 0.0965, 0.0425)
+        factors, index = _decay_factors(dts, times)
+        table = _relaxation_matrices(factors)
+        assert table.shape == (3, 16, 16) and index.shape == dts.shape
+        rho = np.outer(ket("11"), ket("11").conj())
+        for dt, matrix in zip(np.unique(dts), table):
+            alone = _relaxation_matrices(_decay_factors(np.array([dt]), times)[0])[0]
+            assert np.array_equal(matrix, alone)
+            # |11> decays into |01> and |10>, each spin at its own T1
+            populations = np.diag(_relaxed(matrix, rho)).real
+            a1, a2 = math.exp(-dt / 0.73), math.exp(-dt / 0.096)
+            assert populations == pytest.approx(
+                [(1 - a1) * (1 - a2), (1 - a1) * a2, a1 * (1 - a2), a1 * a2], rel=1e-12
+            )
+        per_slice = _relaxation_matrices(factors[index.ravel()]).reshape(6, 9, 16, 16)
+        assert np.array_equal(table[index], per_slice)
 
 
 @st.composite
