@@ -25,13 +25,19 @@ Fidelity oracles:
 
 Measured gradients probe the fidelity hundreds of times at one pulse,
 each probe moving one slice's controls or duration.
-``fidelity_partial_batch`` evolves the pulse once and lets each probe
-join that evolution at the first slice where it differs, from the
-pulse's state before that slice; only the (probe, slice) pairs that
-differ get propagators of their own.  A single pulse runs the same loop
-with no probes.  Each evolved state is validated once and the probes'
-readout noise is drawn as one vector; values, noise stream and ledger
-are bit-identical to one ``fidelity_partial`` call per probe.
+``fidelity_partial_batch`` makes four passes per call: it evolves the
+pulse forward once, keeping its state before every slice; it
+back-propagates the three correlators through the pulse's slices once,
+by the adjoint map (the Heisenberg picture of GRAPE's backward sweep);
+it evolves each probe forward through its own window only, the slices
+where it differs from the pulse, from the pulse's state where the
+window starts; and it reads each probe out where its window ends,
+against the correlators back-propagated to that point.  Only the
+(probe, slice) pairs that differ get propagators of their own.  The
+probes' states are validated once and their readout noise is drawn as
+one vector.  Noise stream and ledger are those of one
+``fidelity_partial`` call per probe, and values agree with it to
+rounding (1e-12); single pulses keep their own bits.
 """
 
 from __future__ import annotations
@@ -305,23 +311,33 @@ class ExperimentBackend:
         rho0: np.ndarray,
         probe_amplitudes: np.ndarray | None = None,
         probe_dts: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Final state of one pulse, and of B probes of it.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Final state of one pulse, and B probes of it ready to read out.
 
         The pulse is (M, 4) amplitudes over (M,) slice durations, the
-        probes (B, M, 4) and (B, M).  Returns the pulse's 4 x 4 final
-        state and the probes' (B, 4, 4).  The programmed waveforms are
-        distorted, then scaled per channel.  One slice-major loop evolves
-        the pulse; a probe joins it at the first slice where its applied
-        amplitudes or duration differ from the pulse's, starting from
-        the pulse's state before that slice, and only such differing
-        (probe, slice) pairs get propagators of their own.  Each slice
-        applies its unitary, then relaxation as one tabled 16 x 16
-        product on vec(rho): the table holds one ``_relax`` matrix per
-        distinct slice duration of the pulse and its probes, and a probe
-        row uses its own entry only at slices whose duration it moved.
-        Every state thus meets exactly the operations its own
-        ``evolve_open`` makes, and is bit-identical to it.
+        probes (B, M, 4) and (B, M).  The programmed waveforms are
+        distorted, then scaled per channel.  Each slice applies its
+        unitary, then relaxation as one tabled 16 x 16 product on
+        vec(rho); the table holds one ``_relax`` matrix per distinct slice
+        duration of the pulse and its probes.  The pulse is evolved once,
+        keeping its state before every slice.
+
+        A probe's window runs from the first to the last slice where its
+        applied amplitudes or duration differ from the pulse's.  It is
+        evolved through its window only, from the pulse's state where the
+        window starts, and read out where the window ends against the
+        ``PARTIAL_LABELS`` observables back-propagated there through the
+        pulse's remaining slices: O -> U^dag R^T(O) U per slice, the
+        adjoint of the forward map, with ``R^T`` taken from the same
+        table.  Only the (probe, slice) pairs that differ get propagators
+        of their own, built in one call with the pulse's.
+
+        Returns the pulse's 4 x 4 final state, the probes' (B, 4, 4)
+        states where their windows end (the pulse's final state for a
+        probe that differs nowhere) and the (B, 3, 4, 4) observables
+        back-propagated to those points.  The pulse's own state meets
+        exactly the operations of ``evolve_open``; a probe's readout
+        equals its own evolution's up to reordered rounding.
         """
         m_slices = len(dts)
         if probe_amplitudes is None:
@@ -342,47 +358,63 @@ class ExperimentBackend:
                 relaxation = _relaxation_matrices(factors[:, len(tau):])
         # in place: ``amplitudes`` is this call's own copy by now
         applied = np.multiply(amplitudes, cfg.amplitude_scale, out=amplitudes)
-        u = slice_propagators(self._model, applied[0], dts)[0]
-        u_dag = u.conj().swapaxes(-1, -2)
         own = (applied[1:] != applied[0]).any(axis=2) | (probe_dts != dts)  # (B, M)
-        first = np.where(own.any(axis=1), own.argmax(axis=1), m_slices)
-        order = np.argsort(first, kind="stable")
-        active = np.searchsorted(first[order], np.arange(m_slices), side="right").tolist()
-
-        rho = rho0
-        stack = np.empty((0, 4, 4), dtype=np.complex128)
-        for m, n_active in enumerate(active):  # probes that differ from the pulse by slice m
-            if n_active > len(stack):
-                joining = np.broadcast_to(rho, (n_active - len(stack), 4, 4))
-                stack = np.concatenate([stack, joining])
+        # one decomposition: the pulse's slices, then each (probe, slice) pair that differs
+        u = slice_propagators(
+            self._model,
+            np.concatenate([applied[0], applied[1:][own]]),
+            np.concatenate([dts, probe_dts[own]]),
+        )[0]
+        u_dag = u[:m_slices].conj().swapaxes(-1, -2)
+        states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
+        states[0] = rho = rho0
+        for m in range(m_slices):
             rho = u[m] @ rho @ u_dag[m]
             if relaxation is not None:
                 rho = _relaxed(relaxation[index[0, m]], rho)
-            if n_active:
-                rows = order[:n_active]
-                u_m = np.repeat(u[m][None], n_active, axis=0)
-                mine = own[rows, m]
-                if mine.any():
-                    u_m[mine] = slice_propagators(
-                        self._model, applied[1 + rows[mine], m], probe_dts[rows[mine], m]
-                    )[0]
-                stack = u_m @ stack @ u_m.conj().swapaxes(-1, -2)
-                if relaxation is not None:  # the pulse's matrix, broadcast over the rows
-                    unrelaxed, stack = stack, _relaxed(relaxation[index[0, m]], stack)
-                    moved = index[1 + rows, m] != index[0, m]  # rows with a duration of their own
-                    if moved.any():
-                        theirs = relaxation[index[1 + rows[moved], m]]
-                        stack[moved] = _relaxed(theirs, unrelaxed[moved])
-        states = np.repeat(rho[None], len(order), axis=0)
-        states[order[: len(stack)]] = stack
-        return rho, states
+            states[m + 1] = rho
+        if not len(probe_dts):
+            return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
+
+        differs = own.any(axis=1)
+        enter = np.where(differs, own.argmax(axis=1), m_slices)
+        leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)
+        # propagator of each (probe, slice): the pulse's, or one of its own
+        which = np.tile(np.arange(m_slices), (len(own), 1))
+        which[own] = m_slices + np.arange(np.count_nonzero(own))
+        order = np.argsort(enter - leave, kind="stable")  # longest window first
+        lengths = (leave - enter)[order]
+        stack = states[enter[order]]
+        for step in range(lengths[0]):  # the probes still inside their window are a prefix
+            rows = order[: np.count_nonzero(lengths > step)]
+            at = enter[rows] + step
+            u_at = u[which[rows, at]]
+            block = u_at @ stack[: len(rows)] @ u_at.conj().swapaxes(-1, -2)
+            if relaxation is not None:
+                durations = index[1 + rows, at]  # one matrix for all, or one per row
+                uniform = (durations == durations[0]).all()
+                block = _relaxed(relaxation[durations[0] if uniform else durations], block)
+            stack[: len(rows)] = block
+        leaving = np.empty_like(stack)
+        leaving[order] = stack
+
+        observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
+        observables[m_slices] = o = self._partial_ops
+        for m in range(m_slices - 1, leave.min() - 1, -1):
+            if relaxation is not None:
+                o = _relaxed(relaxation[index[0, m]].T, o)
+            o = u_dag[m] @ o @ u[m]
+            observables[m] = o
+        return rho, leaving, observables[leave]
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.
 
-        The B*L noise samples are one draw from the stream, in the order
-        of B*L scalar readouts (state by state, observable by
-        observable); state b's L readouts are charged to categories[b].
+        ``observables`` is (L, 4, 4), the same for every state, or
+        (B, L, 4, 4), one set per state.  The B*L noise samples are one
+        draw from the stream, in the order of B*L scalar readouts (state
+        by state, observable by observable); state b's L readouts are
+        charged to categories[b].
         """
         values = np.trace(rhos[:, None] @ observables, axis1=-2, axis2=-1).real
         sigma = self.config.noise_sigma
@@ -390,12 +422,16 @@ class ExperimentBackend:
             values = values + self._rng.normal(0.0, sigma, size=values.size).reshape(values.shape)
             values = np.clip(values, -1.0 - 5.0 * sigma, 1.0 + 5.0 * sigma)
         for category in dict.fromkeys(categories):
-            self.ledger.record(category, categories.count(category) * len(observables))
+            self.ledger.record(category, categories.count(category) * values.shape[1])
         return values
 
-    def _partial(self, rhos: np.ndarray, categories) -> np.ndarray:
-        """Three-correlator fidelity estimates of B evolved states."""
-        values = self._readouts(require_density(rhos), self._partial_ops, categories)
+    def _partial(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
+        """Three-correlator fidelity estimates of B evolved states.
+
+        ``observables`` are the ``PARTIAL_LABELS`` correlators, or per
+        state their back-propagated images (``_evolve``).
+        """
+        values = self._readouts(require_density(rhos), observables, categories)
         # sum() over the columns adds in the order of a scalar sum of readouts
         return (1.0 - sum(values.T)) / 4.0
 
@@ -412,7 +448,7 @@ class ExperimentBackend:
     ) -> float:
         """Singlet-overlap estimate from 3 correlator measurements."""
         rho = self.evolve_open(pulse, slice_durations_s=slice_durations_s)
-        return float(self._partial(rho[None], [category])[0])
+        return float(self._partial(rho[None], self._partial_ops, [category])[0])
 
     def fidelity_partial_batch(
         self,
@@ -425,10 +461,12 @@ class ExperimentBackend:
 
         Probe b runs the (M, 4) amplitudes ``amplitudes_hz[b]`` over the
         slice durations ``slice_durations_s[b]`` and is charged to
-        ``categories[b]``.  Each probe reuses the pulse's states and
-        propagators up to where it differs from the pulse (``_evolve``).
-        Values, noise draws and ledger are those of B
-        ``fidelity_partial`` calls in order.
+        ``categories[b]``.  Each probe is evolved only through the slices
+        where it differs from the pulse, and read out against the
+        correlators back-propagated through the pulse's remaining slices
+        (``_evolve``).  Noise draws and ledger are those of B
+        ``fidelity_partial`` calls in order; the values are theirs up to
+        reordered rounding, within 1e-12.
         """
         amps = np.asarray(amplitudes_hz, dtype=float)
         dts = np.asarray(slice_durations_s, dtype=float)
@@ -446,8 +484,8 @@ class ExperimentBackend:
         if not np.all(np.isfinite(dts) & (dts > 0)):
             raise ValueError("slice_durations_s must be positive and finite")
         uniform = _slice_durations(pulse, None)
-        rhos = self._evolve(pulse.amplitudes_hz, uniform, self._ground, amps, dts)[1]
-        return self._partial(rhos, categories)
+        _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, self._ground, amps, dts)
+        return self._partial(rhos, observables, categories)
 
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction."""

@@ -5,7 +5,8 @@ and operators of shape (4, 4), complex128.  The basis ordering is
 |00>, |01>, |10>, |11> with spin 1 as the left tensor factor.  Functions
 that promise Hermitian / unitary / density-matrix inputs check them and
 raise ValueError, so numerical garbage fails loudly instead of
-propagating.
+propagating.  Each check is written so that a NaN deviation fails it
+(``not dev <= tol``): every comparison with NaN is False.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
 def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     h = _as_square(h, "operator")
     dev = np.max(np.abs(h - h.conj().T))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"operator is not Hermitian: max |H - H^dag| = {dev:.3e}")
     return h
 
@@ -74,7 +75,7 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = _as_square(u, "operator")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"operator is not unitary: max |U^dag U - 1| = {dev:.3e}")
     return u
 
@@ -84,7 +85,7 @@ def require_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
     if psi.ndim != 1:
         raise ValueError(f"state must be a vector, got shape {psi.shape}")
     dev = abs(np.linalg.norm(psi) - 1.0)
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"state is not normalized: |norm - 1| = {dev:.3e}")
     return psi
 
@@ -94,7 +95,10 @@ def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
 
     ``rho`` is one square matrix or a stack of them, shape (..., n, n).
     Each matrix is held to exactly the checks it would meet on its own;
-    the error names the first bad one by its stack index.
+    the error names the first bad one by its stack index.  Eigenvalues
+    are computed only for matrices that pass the Hermiticity and trace
+    checks, so a non-finite matrix fails those instead of reaching the
+    eigensolver.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -102,16 +106,18 @@ def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     stack = rho.reshape((-1,) + rho.shape[-2:])
     herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
     tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
-    lo = np.linalg.eigvalsh(stack).min(axis=-1)
-    bad = (herm_dev > tol) | (tr_dev > tol) | (lo < -tol)
+    shaped = (herm_dev <= tol) & (tr_dev <= tol)
+    lo = np.zeros(len(stack))
+    lo[shaped] = np.linalg.eigvalsh(stack[shaped]).min(axis=-1)
+    bad = ~shaped | ~(lo >= -tol)
     if bad.any():
         i = int(np.argmax(bad))
         name = "density matrix"
         if rho.ndim > 2:
             name += f" {list(map(int, np.unravel_index(i, rho.shape[:-2])))}"
-        if herm_dev[i] > tol:
+        if not herm_dev[i] <= tol:
             raise ValueError(f"{name} is not Hermitian: max |H - H^dag| = {herm_dev[i]:.3e}")
-        if tr_dev[i] > tol:
+        if not tr_dev[i] <= tol:
             raise ValueError(f"{name} trace deviates from 1 by {tr_dev[i]:.3e}")
         raise ValueError(f"{name} has negative eigenvalue {lo[i]:.3e}")
     return rho

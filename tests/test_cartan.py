@@ -1,7 +1,11 @@
 """Interaction-coordinate extraction, factorization, and minimum times."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from belltime.cartan import (
     CHAMBER_TOL,
@@ -150,6 +154,68 @@ class TestFactorization:
             kak_factorize(np.eye(4) * 1.5)
         with pytest.raises(ValueError):
             kak_factorize(np.eye(3, dtype=np.complex128))
+
+
+QUATERNION = st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+
+
+def su2_from(q):
+    """The SU(2) matrix of a quaternion (a, b, c, d), normalized."""
+    norm = math.sqrt(sum(x * x for x in q))
+    assume(norm > 1e-3)
+    a, b, c, d = (x / norm for x in q)
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+DRESSED_CORES = dict(
+    core=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+    dressing=st.tuples(*[QUATERNION] * 4),
+    phase=st.floats(-math.pi, math.pi),
+)
+
+
+def dressed(core, dressing, phase):
+    """(V1 (x) V2) exp(-i a . (XX, YY, ZZ)) (W1 (x) W2), times a global phase."""
+    v1, v2, w1, w2 = (su2_from(q) for q in dressing)
+    return np.exp(1j * phase) * np.kron(v1, v2) @ interaction_core(core) @ np.kron(w1, w2)
+
+
+class TestFactorizationProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(**DRESSED_CORES)
+    def test_round_trip_in_the_chamber(self, core, dressing, phase):
+        u = dressed(core, dressing, phase)
+        f = kak_factorize(u)
+        assert in_chamber(f.coordinates.as_array())
+        recon = f.left_local @ interaction_core(f.coordinates) @ f.right_local
+        assert phase_aligned_deviation(recon, u) <= 1e-8
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(**DRESSED_CORES)
+    def test_coordinates_ignore_local_dressing(self, core, dressing, phase):
+        bare = cartan_coordinates(interaction_core(core)).as_array()
+        assert np.allclose(cartan_coordinates(dressed(core, dressing, phase)).as_array(),
+                           bare, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(core=DRESSED_CORES["core"], dressing=DRESSED_CORES["dressing"],
+           fault=st.sampled_from(["scaled", "sheared", "shape", "non-finite"]),
+           size=st.floats(1e-6, 10.0), value=st.sampled_from([math.nan, math.inf, -math.inf]),
+           entry=st.integers(0, 15))
+    def test_rejects_what_is_not_a_4x4_unitary(self, core, dressing, fault, size, value, entry):
+        u = dressed(core, dressing, 0.0)
+        if fault == "scaled":
+            u = u * (1.0 + size)
+        elif fault == "sheared":
+            u = u + size * np.eye(4, k=1)
+        elif fault == "shape":
+            u = [su2_from(dressing[0]), np.eye(8), u[:3], u[None]][entry % 4]
+        else:
+            u = u.copy()
+            u.flat[entry] = value
+        # the validators' own errors, not LAPACK's (a ValueError subclass)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary|square"):
+            kak_factorize(u)
 
 
 class TestNearestLocalProduct:

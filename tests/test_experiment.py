@@ -95,6 +95,14 @@ def reference_evolution(backend, pulse, dts):
     return rho
 
 
+PARTIAL_OPS = np.stack([pauli_string(*labels) for labels in PARTIAL_LABELS])
+
+
+def readouts(rhos, observables=PARTIAL_OPS):
+    """Noiseless (B, 3) correlators of B states, against the plain or per-state observables."""
+    return np.trace(np.asarray(rhos)[:, None] @ observables, axis1=-2, axis2=-1).real
+
+
 def probe_stack(pulse, rng, n_rows):
     """n_rows perturbed copies of a pulse, each with one slice's duration moved."""
     amps = pulse.amplitudes_hz + rng.normal(0.0, 0.1, size=(n_rows,) + pulse.amplitudes_hz.shape)
@@ -282,19 +290,60 @@ class TestOpenEvolution:
         assert np.max(np.abs(rho - reference_evolution(backend, pulse, uniform))) <= 1e-12
 
     def test_single_pulse_equals_its_row_of_a_stack(self):
+        # the pulse keeps its bits next to probes; each probe's readout
+        # through its window and the back-propagated observables equals
+        # its own evolution's up to reordered rounding
         rng = np.random.default_rng(31)
         pulse = random_pulse(20, 2.4e-3, 150.0, rng)
         amps, dts = probe_stack(pulse, rng, 70)
+        amps[5:9] = pulse.amplitudes_hz  # probes that differ nowhere
+        dts[5:9] = pulse.slice_duration_s
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         for config in (ideal_config(), mismatch_config()):
             backend = ExperimentBackend(config)
             ground = np.outer(ket("00"), ket("00").conj())
-            rho, stacked = backend._evolve(pulse.amplitudes_hz, uniform, ground, amps, dts)
+            rho, leaving, observables = backend._evolve(
+                pulse.amplitudes_hz, uniform, ground, amps, dts
+            )
             assert np.array_equal(rho, backend.evolve_open(pulse))
-            for row in range(len(amps)):
-                alone = backend.evolve_open(pulse.with_amplitudes(amps[row]),
-                                            slice_durations_s=dts[row])
-                assert np.array_equal(stacked[row], alone)
+            assert np.array_equal(leaving[5:9], np.repeat(rho[None], 4, axis=0))
+            alone = [backend.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
+                     for a, d in zip(amps, dts)]
+            assert np.max(np.abs(readouts(leaving, observables) - readouts(alone))) <= 1e-12
+
+    @pytest.mark.parametrize("m_slices", [1, 7, 50])
+    def test_back_propagated_readouts_equal_forward_evolution(self, m_slices):
+        # Non-uniform slices under relaxation and the low-pass: every probe
+        # read out against observables back-propagated to the end of its
+        # window agrees with evolving it whole, forward, to 1e-12.
+        rng = np.random.default_rng(47 + m_slices)
+        ground = np.outer(ket("00"), ket("00").conj())
+        for config in (mismatch_config(), mismatch_config(distortion_tau_s=0.0),
+                       mismatch_config(distortion_tau_s=5e-3, t1_s=(1e-3, 2e-3),
+                                       t2_s=(1e-3, 4e-3))):
+            backend = ExperimentBackend(config)
+            for _ in range(3):
+                pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
+                pulse_dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
+                amps = np.repeat(pulse.amplitudes_hz[None], 12, axis=0)
+                dts = np.repeat(pulse_dts[None], 12, axis=0)
+                for row in range(12):  # one to three slices moved per probe
+                    moved = rng.integers(0, m_slices, size=int(rng.integers(1, 4)))
+                    amps[row, moved] += rng.normal(0.0, 20.0, size=(len(moved), 4))
+                    dts[row, moved] *= rng.uniform(0.5, 1.5, size=len(moved))
+                rho, leaving, observables = backend._evolve(
+                    pulse.amplitudes_hz, pulse_dts, ground, amps, dts
+                )
+                assert np.array_equal(
+                    rho, backend.evolve_open(pulse, slice_durations_s=pulse_dts)
+                )
+                forward = [backend.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
+                           for a, d in zip(amps, dts)]
+                assert np.max(np.abs(readouts(leaving, observables) - readouts(forward))) <= 1e-12
+                # the Kraus loop, independent of the tabled map and its transpose
+                kraus = [reference_evolution(backend, pulse.with_amplitudes(a), d)
+                         for a, d in zip(amps, dts)]
+                assert np.max(np.abs(readouts(leaving, observables) - readouts(kraus))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     def test_rejects_bad_slice_durations_by_name(self, bad):
@@ -437,6 +486,44 @@ def probes_of_a_pulse(draw):
     return pulse, np.reshape(amps, (-1, m_slices, 4)), np.reshape(dts, (-1, m_slices)), categories
 
 
+BAD_DURATION = st.sampled_from([0.0, -0.0, -1e-4, -math.inf, math.inf, math.nan])
+BAD_AMPLITUDE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def malformed_probes(draw):
+    """Probes of a pulse with exactly one kind of fault, and their categories.
+
+    The fault is a wrong amplitude or duration shape, a wrong slice count,
+    a duration that is not positive and finite, an amplitude that is not
+    finite, or a category list of the wrong length.
+    """
+    m_slices = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 4))
+    pulse = random_pulse(m_slices, 1e-3, 100.0, np.random.default_rng(draw(st.integers(0, 99))))
+    amps = np.repeat(pulse.amplitudes_hz[None], n_rows, axis=0)
+    dts = np.full((n_rows, m_slices), pulse.slice_duration_s)
+    categories = ["gradient_control"] * n_rows
+    row, m = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, m_slices - 1))
+    fault = draw(st.sampled_from(
+        ["amplitude shape", "duration shape", "slice count", "duration", "amplitude", "categories"]
+    ))
+    if fault == "amplitude shape":
+        amps = draw(st.sampled_from([amps[..., :3], amps[0], amps[None], amps[:-1]]))
+    elif fault == "duration shape":
+        dts = draw(st.sampled_from([dts[:, None], dts[0], dts[:-1], dts[:, :, None]]))
+    elif fault == "slice count":
+        amps = np.concatenate([amps, amps[:, :1]], axis=1)
+        dts = np.concatenate([dts, dts[:, :1]], axis=1)
+    elif fault == "duration":
+        dts[row, m] = draw(BAD_DURATION)
+    elif fault == "amplitude":
+        amps[row, m, draw(st.integers(0, 3))] = draw(BAD_AMPLITUDE)
+    else:
+        categories = categories + ["gradient_time"] if draw(st.booleans()) else categories[1:]
+    return pulse, amps, dts, categories
+
+
 class TestProbeEvolution:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(probes=probes_of_a_pulse(), low_pass=st.booleans(), relaxing=st.booleans(),
@@ -453,7 +540,8 @@ class TestProbeEvolution:
             single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
             for a, d, c in zip(amps, dts, categories)
         ]
-        assert np.array_equal(values, expected)
+        # back-propagated readouts reorder the arithmetic: 1e-12, not bits
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
         assert batched.ledger.as_dict() == single.ledger.as_dict()
         assert batched._rng.bit_generator.state == single._rng.bit_generator.state
 
@@ -592,7 +680,7 @@ class TestReadout:
             single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
             for a, d, c in zip(amps, dts, categories)
         ]
-        assert np.array_equal(values, expected)
+        assert np.max(np.abs(values - expected)) <= 1e-12
         assert batched.ledger.as_dict() == single.ledger.as_dict()
         assert batched._rng.bit_generator.state == single._rng.bit_generator.state
 
@@ -617,24 +705,37 @@ class TestReadout:
                 backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 3)
         assert backend.ledger.total_measurements == 0
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(probes=malformed_probes())
+    def test_batch_rejects_any_malformed_input_untouched(self, probes):
+        pulse, amps, dts, categories = probes
+        backend = ExperimentBackend(mismatch_config(seed=3))
+        before = backend._rng.bit_generator.state
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            backend.fidelity_partial_batch(pulse, amps, dts, categories)
+        assert backend.ledger.total_measurements == 0
+        assert backend._rng.bit_generator.state == before
+
     @pytest.mark.parametrize("corruption", ["non-Hermitian", "trace"])
     def test_batch_rejects_a_bad_state(self, corruption, monkeypatch):
-        # One probe evolves to a matrix that is not a density matrix; the
-        # batch must fail as one call for that probe would.
+        # One probe's state where its window ends, the state it is read
+        # out in, is not a density matrix; the batch must fail as one call
+        # for that probe would.
         backend = ExperimentBackend(ideal_config(noise_sigma=1e-3))
         evolve = backend._evolve
 
         def corrupt(*args):
-            rho, rhos = evolve(*args)
+            rho, leaving, observables = evolve(*args)
             if corruption == "non-Hermitian":
-                rhos[5, 0, 1] += 1e-6
+                leaving[5, 0, 1] += 1e-6
             else:
-                rhos[5] *= 1.0 + 1e-6
-            return rho, rhos
+                leaving[5] *= 1.0 + 1e-6
+            return rho, leaving, observables
 
         monkeypatch.setattr(backend, "_evolve", corrupt)
         pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(10))
         amps = np.repeat(pulse.amplitudes_hz[None], 9, axis=0)
+        amps[np.arange(9), np.arange(9) % 4, 0] += 1.0  # probe 5's window is slice 1
         dts = np.full((9, 4), pulse.slice_duration_s)
         match = r"\[5\] is not Hermitian" if corruption == "non-Hermitian" else r"\[5\] trace"
         with pytest.raises(ValueError, match=match):

@@ -181,3 +181,42 @@ def test_density_stack_is_as_strict_as_one_at_a_time():
         with pytest.raises(ValueError) as caught:
             linalg.require_density(stack)
         assert str(caught.value) == message.replace("density matrix", f"density matrix [{first}]")
+
+
+VALID_INPUTS = {
+    "require_hermitian": np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex),
+    "require_unitary": pauli_string("X", "Y"),
+    "require_state": singlet_state(),
+    "require_density": np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [0, 1], ids=["flat0", "flat1"])
+@pytest.mark.parametrize("validator", sorted(VALID_INPUTS))
+def test_validators_reject_non_finite_entries(validator, entry, value):
+    # every comparison with NaN is False, so a check written as dev > tol
+    # would let a NaN matrix or state through
+    check = getattr(linalg, validator)
+    good = VALID_INPUTS[validator]
+    check(good)
+    bad = good.copy()
+    bad.flat[entry] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        check(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_density_stack_names_the_non_finite_matrix(value):
+    stack = np.repeat(VALID_INPUTS["require_density"][None], 5, axis=0)
+    stack[3, 2, 2] = value
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match=r"density matrix \[3\] is not Hermitian"
+    ):
+        linalg.require_density(stack)
+    # an earlier matrix that fails its eigenvalue check is still named first
+    stack[1] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match=r"density matrix \[1\] has negative eigenvalue"
+    ):
+        linalg.require_density(stack)

@@ -202,8 +202,11 @@ class TestFiniteDifferenceGradients:
         fd = finite_diff_gradients(batched, pulse, 0.1, 1e-8)
         grad_u, grad_t = sequential_finite_diff_gradients(sequential, pulse, 0.1, 1e-8)
 
-        assert np.array_equal(fd.grad_amplitudes, grad_u)
-        assert fd.grad_duration == grad_t
+        # each probe value is within 1e-12 of its own evolution's
+        # (back-propagated readouts reorder the arithmetic), so each
+        # central difference is within 1e-12 / (2 h)
+        assert np.max(np.abs(fd.grad_amplitudes - grad_u)) <= 1e-12 / (2.0 * 0.1)
+        assert abs(fd.grad_duration - grad_t) <= 1e-12 / (2.0 * 1e-8)
         assert batched.ledger.as_dict() == sequential.ledger.as_dict()
         assert batched._rng.bit_generator.state == sequential._rng.bit_generator.state
 
