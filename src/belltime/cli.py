@@ -38,12 +38,7 @@ from .dynamics import (
 )
 from .experiment import ExperimentBackend, ledger_report
 from .linalg import ket, singlet_state
-from .optimizer import (
-    MODES,
-    measurements_per_iteration,
-    readouts_per_iteration,
-    run_optimization,
-)
+from .optimizer import MODES, readouts_per_iteration, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
 
 __all__ = ["main"]
@@ -211,9 +206,10 @@ def _cmd_budget(args) -> int:
         raise ConfigError(f"seconds-per-measurement: expected a positive finite number, "
                           f"got {args.seconds_per_measurement}")
     try:
-        per_iter = measurements_per_iteration(args.mode, args.m_slices)
+        split = readouts_per_iteration(args.mode, args.m_slices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    per_iter = sum(split.values())
     total = per_iter * args.iterations
     seconds = total * args.seconds_per_measurement
     hours = seconds / 3600.0
@@ -226,7 +222,6 @@ def _cmd_budget(args) -> int:
         f"{seconds:g} s = {_fmt_hours(hours)}"
     )
     if args.mode == "experiment-only":
-        split = readouts_per_iteration(args.mode, args.m_slices)
         print(
             f"  per-iteration split: {split['fidelity_partial']} fidelity + "
             f"{split['gradient_control']} control probes + "

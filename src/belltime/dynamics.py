@@ -84,9 +84,6 @@ class PulseSequence:
     def slice_duration_s(self) -> float:
         return self.duration_s / self.n_slices
 
-    def max_amplitude_hz(self) -> float:
-        return float(np.max(np.abs(self.amplitudes_hz)))
-
     def with_amplitudes(self, amplitudes_hz: np.ndarray) -> "PulseSequence":
         return PulseSequence(self.duration_s, amplitudes_hz)
 

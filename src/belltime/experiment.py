@@ -43,19 +43,12 @@ rounding (1e-12); single pulses keep their own bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dynamics import PulseSequence, SystemModel, slice_propagators
 from .linalg import pauli_string, require_density, require_hermitian, singlet_state
-
-LEDGER_CATEGORIES = (
-    "fidelity_partial",
-    "fidelity_full",
-    "gradient_control",
-    "gradient_time",
-)
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
 TOMOGRAPHY_LABELS = tuple(
@@ -128,7 +121,12 @@ class ExperimentConfig:
 
 @dataclass
 class MeasurementLedger:
-    """Counts of charged measurements, by purpose."""
+    """Counts of charged readouts, by purpose; its fields name the categories.
+
+    An ``ExperimentBackend`` charges every readout it takes to its own
+    ledger, and ``run_optimization`` reads a run's readouts, iteration by
+    iteration and in total, off that ledger alone.
+    """
 
     fidelity_partial: int = 0
     fidelity_full: int = 0
@@ -149,6 +147,9 @@ class MeasurementLedger:
 
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in LEDGER_CATEGORIES}
+
+
+LEDGER_CATEGORIES = tuple(f.name for f in fields(MeasurementLedger))
 
 
 def ledger_report(ledger: MeasurementLedger, seconds_per_measurement: float) -> dict:
@@ -509,6 +510,3 @@ class ExperimentBackend:
         """
         rho = self.evolve_open(pulse)
         return float(np.real(self._target.conj() @ rho @ self._target))
-
-    def ledger_report(self) -> dict:
-        return ledger_report(self.ledger, self.config.seconds_per_measurement)

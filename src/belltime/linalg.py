@@ -6,7 +6,10 @@ and operators of shape (4, 4), complex128.  The basis ordering is
 that promise Hermitian / unitary / density-matrix inputs check them and
 raise ValueError, so numerical garbage fails loudly instead of
 propagating.  Each check is written so that a NaN deviation fails it
-(``not dev <= tol``): every comparison with NaN is False.
+(``not dev <= tol``): every comparison with NaN is False.  The matrix
+checks take their deviations under ``np.errstate``, since an infinite
+entry makes them NaN (inf - inf, inf * 0), and the validator's own
+ValueError, not a numpy warning, is what reports it.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
 
 def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     h = _as_square(h, "operator")
-    dev = np.max(np.abs(h - h.conj().T))
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.max(np.abs(h - h.conj().T))
     if not dev <= tol:
         raise ValueError(f"operator is not Hermitian: max |H - H^dag| = {dev:.3e}")
     return h
@@ -74,7 +78,8 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = _as_square(u, "operator")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if not dev <= tol:
         raise ValueError(f"operator is not unitary: max |U^dag U - 1| = {dev:.3e}")
     return u
@@ -104,8 +109,9 @@ def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     stack = rho.reshape((-1,) + rho.shape[-2:])
-    herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
     shaped = (herm_dev <= tol) & (tr_dev <= tol)
     lo = np.zeros(len(stack))
     lo[shaped] = np.linalg.eigvalsh(stack[shaped]).min(axis=-1)

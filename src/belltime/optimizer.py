@@ -134,14 +134,13 @@ class OptimizerConfig:
     time_gradient_floor: float = 1e-8
     fd_step_amplitude_hz: float = 0.1
     fd_step_time_s: float = 1e-8
-    amplitude_cap_hz: Optional[float] = None
     m_slices: int = 50
     initial_duration_s: float = 5e-3
     init_amplitude_hz: float = 100.0
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -175,8 +174,6 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be positive")
         if self.init_amplitude_hz < 0:
             raise ValueError("init_amplitude_hz must be nonnegative")
-        if self.amplitude_cap_hz is not None and not self.amplitude_cap_hz > 0:
-            raise ValueError("amplitude_cap_hz must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -246,15 +243,10 @@ def lower_threshold(n: int, config: OptimizerConfig) -> float:
 
 
 def _step_along(pulse: PulseSequence, step: float, direction: np.ndarray,
-                grad_u: np.ndarray, config: OptimizerConfig) -> tuple[PulseSequence, float]:
-    """Amplitudes moved ``step`` along ``direction`` (clipped to the cap),
-    and the ``grad_dot`` of the move actually made."""
+                grad_u: np.ndarray) -> tuple[PulseSequence, float]:
+    """Amplitudes moved ``step`` along ``direction``, and the ``grad_dot``
+    of the move as rounded."""
     trial_amps = pulse.amplitudes_hz + step * direction
-    if config.amplitude_cap_hz is not None:
-        np.clip(
-            trial_amps, -config.amplitude_cap_hz, config.amplitude_cap_hz,
-            out=trial_amps,
-        )
     delta = trial_amps - pulse.amplitudes_hz
     return pulse.with_amplitudes(trial_amps), float(np.sum(delta * grad_u) / step)
 
@@ -280,7 +272,7 @@ def _restart_climb_step(
     step = config.d1_init
     for _ in range(config.max_backtracks):
         grown = step / config.backtrack_factor
-        trial, dot = _step_along(pulse, grown, grad_u, grad_u, config)
+        trial, dot = _step_along(pulse, grown, grad_u, grad_u)
         rhs = j_start + config.alpha * grown * dot
         if not model_fidelity(model, trial, psi0, target) >= rhs:
             break
@@ -362,21 +354,15 @@ def readouts_per_iteration(mode: str, m_slices: int) -> dict:
     return readouts
 
 
-def measurements_per_iteration(mode: str, m_slices: int) -> int:
-    """Oracle readouts one iteration charges, by run mode."""
-    return sum(readouts_per_iteration(mode, m_slices).values())
-
-
 def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
              experiment: Optional[ExperimentConfig], psi0: np.ndarray,
              target: np.ndarray):
-    """The oracle pair of ``mode``, as (evaluate, gradients, report).
+    """The oracles of ``mode``, as (evaluate, gradients, backend).
 
-    ``evaluate(pulse)`` returns (j_oracle, j_model, readouts charged) and
-    ``gradients(pulse, j_base)`` returns (GradientBundle, readouts
-    charged).  ``report(pulse)`` returns the run's ledger, its seconds per
-    measurement and the pulse's closing full-tomography fidelity (None
-    without an apparatus).
+    ``evaluate(pulse)`` returns (j_oracle, j_model) and
+    ``gradients(pulse, j_base)`` a ``GradientBundle``.  ``backend`` is the
+    emulated apparatus, whose ledger is charged for every readout the
+    oracles take; it is None in model-only mode, which takes none.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -390,47 +376,35 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
         evaluated = (p, slice_propagators(model, p.amplitudes_hz, p.slice_duration_s))
         return model_fidelity(model, p, psi0, target, evaluated[1])
 
-    def model_gradients(p: PulseSequence, j_base: float):
+    def model_gradients(p: PulseSequence, j_base: float) -> GradientBundle:
         nonlocal graded
         if graded[0] is not p:
             decomposition = evaluated[1] if evaluated[0] is p else None
             graded = (p, fidelity_and_gradients(model, p, psi0, target, decomposition))
-        return graded[1], 0
+        return graded[1]
 
     if mode == "model-only":
         def model_evaluate(p: PulseSequence):
             j = model_j(p)
-            return j, j, 0
+            return j, j
 
-        return model_evaluate, model_gradients, lambda p: (MeasurementLedger(), 10.0, None)
+        return model_evaluate, model_gradients, None
 
     if experiment is None:
         raise ValueError(f"{mode} mode requires an experiment configuration")
     backend = ExperimentBackend(experiment)
-    ledger = backend.ledger
 
     def measured_evaluate(p: PulseSequence):
-        before = ledger.total_measurements
-        j = backend.fidelity_partial(p)
-        return j, model_j(p), ledger.total_measurements - before
+        return backend.fidelity_partial(p), model_j(p)
 
-    def measured_gradients(p: PulseSequence, j_base: float):
-        before = ledger.total_measurements
-        bundle = finite_diff_gradients(
+    def measured_gradients(p: PulseSequence, j_base: float) -> GradientBundle:
+        return finite_diff_gradients(
             backend, p, config.fd_step_amplitude_hz, config.fd_step_time_s,
             baseline_fidelity=j_base,
         )
-        return bundle, ledger.total_measurements - before
-
-    def report(p: PulseSequence):
-        # The closing full tomography is a report-time diagnostic, not part
-        # of the optimization loop, so it runs on a detached replay of the
-        # same instrument and leaves the run ledger untouched.
-        full = ExperimentBackend(experiment).fidelity_full(p)
-        return ledger, experiment.seconds_per_measurement, full
 
     gradients = measured_gradients if mode == "experiment-only" else model_gradients
-    return measured_evaluate, gradients, report
+    return measured_evaluate, gradients, backend
 
 
 def run_optimization(
@@ -447,10 +421,17 @@ def run_optimization(
     ``seed`` fixes the initial random pulse (ignored when an explicit
     ``initial_pulse`` is given); the measurement noise stream is seeded
     by the experiment configuration itself.
+
+    The run has one ledger, the apparatus's (an empty one in model-only
+    mode), and it alone counts readouts: each record's
+    ``measurements_this_iter`` is the ledger's growth over its iteration.
+    The closing full tomography runs on a detached replay of the
+    apparatus and leaves the ledger untouched.
     """
     psi0 = ket("00")
     target = singlet_state()
-    evaluate, gradients, report = _oracles(mode, model, config, experiment, psi0, target)
+    evaluate, gradients, backend = _oracles(mode, model, config, experiment, psi0, target)
+    ledger = MeasurementLedger() if backend is None else backend.ledger
 
     if initial_pulse is None:
         rng = np.random.default_rng(seed)
@@ -484,10 +465,11 @@ def run_optimization(
         event = None
         restart = refresh  # re-measuring after a climb stall: resize the climb step
         refresh = False
+        charged = ledger.total_measurements
 
         # 1. One oracle evaluation: the pending trial, or a baseline
         #    measurement of the current point when nothing is pending.
-        j_trial, j_model_rec, n_meas = evaluate(
+        j_trial, j_model_rec = evaluate(
             pulse if pending is None else pending.trial
         )
         # A baseline iteration logs as a zero step accepted at its own value.
@@ -541,8 +523,7 @@ def run_optimization(
             enter(STEP1)
 
         # 3. Propose the next trial from the gradient at the current point.
-        bundle, g_meas = gradients(pulse, j_base)
-        n_meas += g_meas
+        bundle = gradients(pulse, j_base)
         grad_u = bundle.grad_amplitudes
         grad_t = bundle.grad_duration
 
@@ -562,7 +543,7 @@ def run_optimization(
                     step[STEP1] = _restart_climb_step(
                         model, pulse, j_model_rec, grad_u, config, psi0, target
                     )
-                trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u, config)
+                trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u)
                 rhs = j_base + config.alpha * step[STEP1] * next_dot
         else:
             du = grad_u / grad_t
@@ -575,7 +556,7 @@ def run_optimization(
                 event = event or EVENT_DEGENERATE_TIME_GRADIENT
                 enter(STEP1)
             else:
-                trial, next_dot = _step_along(pulse, step[STEP2], du, grad_u, config)
+                trial, next_dot = _step_along(pulse, step[STEP2], du, grad_u)
                 trial = trial.with_duration(new_duration)
                 rhs = config.beta * j_base
         pending = (
@@ -593,7 +574,7 @@ def run_optimization(
                 step_size_used=tried.step_size,
                 accepted=accepted,
                 backtracks=backtracks,
-                measurements_this_iter=n_meas,
+                measurements_this_iter=ledger.total_measurements - charged,
                 j_reference=tried.j_reference,
                 grad_dot=tried.grad_dot,
                 acceptance_rhs=tried.rhs,
@@ -626,7 +607,13 @@ def run_optimization(
     # never met the target return their last state.
     final_pulse = incumbent if incumbent is not None else pulse
     final_model = model_fidelity(model, final_pulse, psi0, target)
-    ledger, seconds_per_measurement, final_full = report(final_pulse)
+    if backend is None:
+        final_full, seconds_per_measurement = None, ExperimentConfig.seconds_per_measurement
+    else:
+        # a report-time diagnostic, not part of the loop: a detached
+        # replay of the same instrument, charged to no run ledger
+        final_full = ExperimentBackend(experiment).fidelity_full(final_pulse)
+        seconds_per_measurement = experiment.seconds_per_measurement
     return OptimizationResult(
         mode=mode,
         final_pulse=final_pulse,

@@ -1,6 +1,7 @@
 """Interaction-coordinate extraction, factorization, and minimum times."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,8 +215,11 @@ class TestFactorizationProperties:
             u = u.copy()
             u.flat[entry] = value
         # the validators' own errors, not LAPACK's (a ValueError subclass)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary|square"):
-            kak_factorize(u)
+        # and not a numpy warning on the way there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unitary|square"):
+                kak_factorize(u)
 
 
 class TestNearestLocalProduct:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belltime
-from belltime.cli import main, measurements_per_iteration
+from belltime.cli import main
 from belltime.dynamics import PULSE_HEADER, PulseSequence, read_pulse_csv, write_pulse_csv
 from belltime.experiment import ExperimentConfig
 from belltime.linalg import pauli_string
@@ -230,7 +230,6 @@ OPTIMIZER_FIELDS = {
     "time_gradient_floor": _finite(),
     "fd_step_amplitude_hz": POSITIVE,
     "fd_step_time_s": POSITIVE,
-    "amplitude_cap_hz": st.none() | POSITIVE,
     "m_slices": COUNT,
     "initial_duration_s": POSITIVE,
     "init_amplitude_hz": _finite(0.0),
@@ -341,9 +340,8 @@ class TestParseConfigProperties:
 
 class TestBudgetArithmetic:
     def test_per_iteration_counts(self):
-        assert measurements_per_iteration("model-only", 50) == 0
-        assert measurements_per_iteration("balanced", 50) == 3
-        assert measurements_per_iteration("experiment-only", 50) == 1503
+        for mode, total in (("model-only", 0), ("balanced", 3), ("experiment-only", 1503)):
+            assert sum(readouts_per_iteration(mode, 50).values()) == total
 
     def test_budget_command_balanced(self, capsys):
         assert main(["budget", "--mode", "balanced", "--iterations", "2000"]) == 0
@@ -357,16 +355,19 @@ class TestBudgetArithmetic:
         with pytest.raises(ValueError, match="m_slices" if mode in MODES else "mode"):
             readouts_per_iteration(mode, m_slices)
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--m-slices", "-5"), ("--m-slices", "0"),
-        ("--seconds-per-measurement", "nan"), ("--seconds-per-measurement", "inf"),
-        ("--seconds-per-measurement", "-10"), ("--seconds-per-measurement", "0"),
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m-slices", "-5", "m_slices must be a positive integer"),
+        ("--m-slices", "0", "m_slices must be a positive integer"),
+        *[("--seconds-per-measurement", value,
+           "seconds-per-measurement: expected a positive finite number")
+          for value in ("nan", "inf", "-10", "0")],
+        ("--iterations", "0", "iterations: expected a positive integer"),
     ])
-    def test_budget_command_rejects_invalid_inputs(self, flag, value, capsys):
+    def test_budget_command_rejects_invalid_inputs(self, flag, value, message, capsys):
         assert main(["budget", "--mode", "experiment-only", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: ")
+        assert captured.err.startswith(f"config error: {message}")
 
     def test_budget_command_experiment_only(self, capsys):
         assert main(["budget", "--mode", "experiment-only", "--iterations", "2000"]) == 0
@@ -385,14 +386,16 @@ class TestTmin:
         seconds = float(re.search(r"\(([\d.e+-]+) s\)", out).group(1))
         assert abs(seconds - 2.2999e-3) < 1e-7
 
-    def test_unitary_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name, save", [("cnot.npy", np.save), ("cnot.txt", np.savetxt)])
+    def test_unitary_file(self, tmp_path, capsys, name, save):
         cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-        path = tmp_path / "cnot.npy"
-        np.save(path, cnot)
+        path = tmp_path / name
+        save(path, cnot)
         assert main(["tmin", "--unitary", str(path)]) == 0
         out = capsys.readouterr().out
         coords = re.search(r"cartan coordinates = \(([^,]+),", out)
         assert abs(float(coords.group(1)) - math.pi / 4) < 1e-9
+        assert "T_min(unitary) = 2.30 ms" in out
 
     @pytest.mark.parametrize("g_hz", ["-5", "0", "nan", "inf"])
     def test_bad_coupling_is_config_error(self, g_hz, capsys):
@@ -450,12 +453,17 @@ class TestOptimizeCommand:
         for seed in range(3):
             assert (out_dir / f"seed-{seed}" / "trace.jsonl").exists()
 
-    def test_bad_seed_range_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds, message", [
+        ("4..1", "seeds: range '4..1' is empty"),
+        ("3", "seeds: expected a range like 0..4"),
+    ])
+    def test_bad_seed_range_is_config_error(self, tmp_path, capsys, seeds, message):
         code = main(
             ["optimize", "--mode", "model-only", "--iterations", "5",
-             "--out", str(tmp_path / "x"), "--seeds", "4..1"]
+             "--out", str(tmp_path / "x"), "--seeds", seeds]
         )
         assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("extra, config", [
         (("--seed", "-1"), None),

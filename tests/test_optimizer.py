@@ -30,7 +30,6 @@ from belltime.optimizer import (
     OptimizerConfig,
     finite_diff_gradients,
     lower_threshold,
-    measurements_per_iteration,
     readouts_per_iteration,
     run_optimization,
     verify_trace_invariants,
@@ -263,9 +262,9 @@ class TestMeasurementAccounting:
         result = run_optimization(
             mode, model, config, experiment=ideal_config(noise_sigma=1e-3, seed=4), seed=3
         )
-        per_iter = measurements_per_iteration(mode, m_slices)
-        assert [r.measurements_this_iter for r in result.records] == [per_iter] * 2
         readouts = readouts_per_iteration(mode, m_slices)
+        per_iter = sum(readouts.values())
+        assert [r.measurements_this_iter for r in result.records] == [per_iter] * 2
         assert result.ledger.as_dict() == {
             c: 2 * readouts.get(c, 0) for c in LEDGER_CATEGORIES
         }
@@ -280,9 +279,9 @@ class TestMeasurementAccounting:
             experiment=ideal_config(noise_sigma=1e-3, seed=0), seed=0,
         )
         assert any(not r.accepted for r in result.records[:-1])
-        per_iter = measurements_per_iteration("experiment-only", m_slices)
-        assert [r.measurements_this_iter for r in result.records] == [per_iter] * n_iter
         readouts = readouts_per_iteration("experiment-only", m_slices)
+        per_iter = sum(readouts.values())
+        assert [r.measurements_this_iter for r in result.records] == [per_iter] * n_iter
         assert result.ledger.as_dict() == {
             c: n_iter * readouts.get(c, 0) for c in LEDGER_CATEGORIES
         }
