@@ -1,17 +1,8 @@
 """Command-line workbench: optimize, evaluate, tmin, budget, export.
 
-Measurement budget arithmetic (``budget`` subcommand): balanced runs
-charge 3 readouts per iteration (one three-observable fidelity estimate),
-so 2000 iterations at 10 s per readout project to 60000 s = 16.7 h.
-Experiment-only runs also measure every gradient by central differences:
-3 + 4*M*2*3 + M*2*3 readouts per iteration (counted by
-``optimizer.readouts_per_iteration``), which is 1503 for M = 50 and
-projects to 8350 h for the same 2000 iterations.  A commonly quoted
-round figure for this protocol is about 7500 h; it corresponds to
-1350 readouts per iteration, i.e. counting one-sided duration probes
-(M*3 instead of M*2*3) and folding the fidelity estimate into the
-gradient batch.  The ledger here reports the exact two-sided count and
-keeps the discrepancy documented rather than reconciling it away.
+The ``budget`` subcommand projects a run's readouts and bench hours from
+``optimizer.readouts_per_iteration``; the README's section on the three
+modes reconciles its exact two-sided count with the often-quoted ~7500 h.
 
 Times are printed in milliseconds with 3 significant figures; files
 always store full-precision values (seconds for durations).
@@ -36,9 +27,9 @@ from .dynamics import (
     read_pulse_csv,
     write_pulse_csv,
 )
-from .experiment import ExperimentBackend, ledger_report
+from .experiment import ExperimentBackend, ExperimentConfig, ledger_report
 from .linalg import ket, singlet_state
-from .optimizer import MODES, readouts_per_iteration, run_optimization
+from .optimizer import MODES, OptimizerConfig, readouts_per_iteration, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
 
 __all__ = ["main"]
@@ -280,15 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_tmin = sub.add_parser("tmin", help="minimum entangling times")
-    p_tmin.add_argument("--g-hz", type=float, default=217.4, help="ZZ coupling in Hz")
+    p_tmin.add_argument("--g-hz", type=float, default=RunConfig().model.g_hz,
+                        help="ZZ coupling in Hz")
     p_tmin.add_argument("--unitary", help="4x4 unitary (.npy or text) to time")
     p_tmin.set_defaults(func=_cmd_tmin)
 
     p_budget = sub.add_parser("budget", help="measurement-cost projection")
     p_budget.add_argument("--mode", choices=MODES, default="balanced")
     p_budget.add_argument("--iterations", type=int, default=2000)
-    p_budget.add_argument("--m-slices", type=int, default=50)
-    p_budget.add_argument("--seconds-per-measurement", type=float, default=10.0)
+    p_budget.add_argument("--m-slices", type=int, default=OptimizerConfig.m_slices)
+    p_budget.add_argument("--seconds-per-measurement", type=float,
+                          default=ExperimentConfig.seconds_per_measurement)
     p_budget.set_defaults(func=_cmd_budget)
 
     p_export = sub.add_parser("export", help="trace JSONL to plot-ready CSV")

@@ -19,6 +19,8 @@ finite-difference cross-check lives in the test suite.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,18 +56,24 @@ class SystemModel:
 class PulseSequence:
     """A duration T in seconds plus an (M, 4) amplitude grid in Hz.
 
-    Channel order is ux1, uy1, ux2, uy2.  The array is copied and frozen
-    at construction; treat instances as immutable values.
+    Channel order is ux1, uy1, ux2, uy2.  The duration is stored as a
+    Python float, and the array is copied to float64 and frozen at
+    construction; treat instances as immutable values.  A bool, complex or
+    non-scalar duration and complex amplitudes are rejected, not cast.
     """
 
     duration_s: float
     amplitudes_hz: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(
-                f"duration_s must be positive and finite, got {self.duration_s}"
-            )
+        duration = self.duration_s
+        if isinstance(duration, bool) or not isinstance(duration, numbers.Real):
+            raise ValueError(f"duration_s must be a real number, got {duration!r}")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"duration_s must be positive and finite, got {duration}")
+        object.__setattr__(self, "duration_s", float(duration))
+        if np.iscomplexobj(self.amplitudes_hz):
+            raise ValueError("amplitudes_hz must be real, got complex entries")
         amps = np.array(self.amplitudes_hz, dtype=np.float64, copy=True)
         if amps.ndim != 2 or amps.shape[1] != 4 or amps.shape[0] < 1:
             raise ValueError(

@@ -43,6 +43,7 @@ rounding (1e-12); single pulses keep their own bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,6 +65,13 @@ def _as_duration_pair(value, name: str) -> tuple[float, float]:
     if len(pair) != 2:
         raise ValueError(f"{name} must hold one value per spin, got {value!r}")
     return pair
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integer raises a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"seconds_per_measurement must be positive, got {self.seconds_per_measurement}"
             )
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -4,14 +4,14 @@ The optimizer alternates two phases.  In the climb phase the control
 amplitudes follow the fidelity gradient at fixed duration and a trial is
 accepted on sufficient increase,
 
-    J(u + d du, T)  >=  J(u, T) + alpha d sum(du * grad_u),
+    J(u + d du, T)  >=  J(u, T) + ALPHA d sum(du * grad_u),
 
 with du = grad_u.  In the shrink phase the amplitudes and the duration
 move together along the first-order fidelity-preserving direction
 du = grad_u / grad_T, dT = -sum(du^2) (so T always decreases), and a
 trial is accepted while it retains the achieved fidelity,
 
-    J(u + d du, T + d dT)  >=  beta J(u, T).
+    J(u + d du, T + d dT)  >=  BETA J(u, T).
 
 Every iteration performs exactly one fidelity evaluation: the pending
 trial is measured, compared against the stored baseline, and a fresh
@@ -23,16 +23,16 @@ climb rejection streak exhausts the backtracking budget, the stored
 baseline is re-measured, which protects a noisy oracle from ratcheting
 its own baseline out of reach on a lucky draw, and the climb step
 restarts at a size chosen on the design model: from ``d1_init`` it
-grows by ``1 / backtrack_factor`` (doubling, by default) while the
-grown step still satisfies the climb inequality on the model, at most
-``max_backtracks`` times.  Without that sizing, a restart at ``d1_init``
-near a fidelity plateau predicts a gain far below the readout noise, so
-every later decision is a coin toss that only shrinks the step further.
-The model is free in every mode, so the restart charges no measurement.
-This keeps the run-mode cost accounting exact: model-driven
-iterations are free, measurement-driven iterations cost 3 readouts for
-the fidelity and, when gradients are also measured, 2 x 3 readouts per
-probed parameter.
+grows by ``1 / BACKTRACK_FACTOR`` (doubling) while the grown step still
+satisfies the climb inequality on the model, at most ``MAX_BACKTRACKS``
+times.  Without that sizing, a restart at ``d1_init`` near a fidelity
+plateau predicts a gain far below the readout noise, so every later
+decision is a coin toss that only shrinks the step further.  The model
+is free in every mode, so the restart charges no measurement.  This
+keeps the run-mode cost accounting exact: model-driven iterations are
+free, measurement-driven iterations cost 3 readouts for the fidelity
+and, when gradients are also measured, 2 x 3 readouts per probed
+parameter.
 
 Run modes differ only in their oracle pair, picked once when the run
 starts: a fidelity source that scores every trial for the acceptance
@@ -63,6 +63,19 @@ threshold it returns to climbing with the duration frozen.  Runs stop on
 iteration budget or once the duration has stopped moving at target
 fidelity.  ``verify_trace_invariants`` replays every logged acceptance
 inequality bit-exactly from the trace alone.
+
+The search rule is fixed: its constants are module-level, and
+``OptimizerConfig`` holds only the settings a run varies.  ``ALPHA`` and
+``BETA`` are the acceptance constants above.  ``D2_INIT`` is the first
+shrink step size and ``D_MIN`` the floor of both; a rejection scales a
+step size by ``BACKTRACK_FACTOR``, a clean acceptance by its inverse, and
+``MAX_BACKTRACKS`` consecutive rejections are a stall.
+``STEP1_PATIENCE`` climb rejections since the last acceptance count as a
+plateau.  A climb stalls when no |dJ/du| entry exceeds
+``CONTROL_GRADIENT_FLOOR``, and a shrink returns to climbing when |dJ/dT|
+does not exceed ``TIME_GRADIENT_FLOOR``.  The run stops once T has moved
+less than ``STALL_EPSILON_T_S`` over ``STALL_WINDOW`` iterations at
+target fidelity.
 """
 
 from __future__ import annotations
@@ -87,6 +100,7 @@ from .experiment import (
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
+    as_integer,
 )
 from .linalg import ket, singlet_state
 
@@ -99,39 +113,41 @@ EVENT_STALL_STEP2 = "StallInStep2"
 EVENT_DEGENERATE_TIME_GRADIENT = "DegenerateTimeGradient"
 EVENT_PLATEAU_PROMOTION = "PlateauPromotion"
 
+ALPHA = 0.01
+BETA = 0.999
+D2_INIT = 1e-6
+D_MIN = 1e-12
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
+STALL_WINDOW = 200
+STALL_EPSILON_T_S = 1e-6  # s
+STEP1_PATIENCE = 40
+CONTROL_GRADIENT_FLOOR = 1e-8  # 1/Hz
+TIME_GRADIENT_FLOOR = 1e-8  # 1/s
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the dual-objective search.
+    """The settings a run varies; the search rule's constants are module-level.
 
-    ``alpha`` and ``beta`` are the acceptance constants of the climb and
-    shrink inequalities.  ``target_fidelity`` gates the climb-to-shrink
-    switch and the stall-based termination; the scheduled lower threshold
+    ``target_fidelity`` gates the climb-to-shrink switch and the
+    stall-based termination; the scheduled lower threshold
 
         threshold_floor - threshold_drop * exp(-n / threshold_rate)
 
     sends the run back to climbing whenever a logged fidelity falls below
-    it.  ``d1_init``/``d2_init`` seed the adaptive step sizes of the two
-    phases.  Finite-difference steps apply to experiment-only gradients.
+    it.  ``d1_init`` seeds the adaptive climb step size.  Finite-difference
+    steps apply to experiment-only gradients.  ``m_slices``,
+    ``initial_duration_s`` and ``init_amplitude_hz`` shape the random
+    initial pulse.
     """
 
-    alpha: float = 0.01
-    beta: float = 0.999
     target_fidelity: float = 0.999
     threshold_floor: float = 0.999
     threshold_drop: float = 0.099
     threshold_rate: float = 300.0
     d1_init: float = 1e-3
-    d2_init: float = 1e-6
-    d_min: float = 1e-12
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
     max_iterations: int = 5000
-    stall_window: int = 200
-    stall_epsilon_t_s: float = 1e-6
-    step1_patience: int = 40
-    control_gradient_floor: float = 1e-8
-    time_gradient_floor: float = 1e-8
     fd_step_amplitude_hz: float = 0.1
     fd_step_time_s: float = 1e-8
     m_slices: int = 50
@@ -139,13 +155,14 @@ class OptimizerConfig:
     init_amplitude_hz: float = 100.0
 
     def __post_init__(self):
+        for name in ("max_iterations", "m_slices"):
+            count = as_integer(getattr(self, name), name)
+            if count < 1:
+                raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, count)
         for name, value in asdict(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if not 0.0 < self.target_fidelity < 1.0:
             raise ValueError(f"target_fidelity must lie in (0, 1), got {self.target_fidelity}")
         if not 0.0 < self.threshold_floor < 1.0:
@@ -156,20 +173,9 @@ class OptimizerConfig:
             )
         if self.threshold_rate <= 0:
             raise ValueError(f"threshold_rate must be positive, got {self.threshold_rate}")
-        if not self.d_min > 0:
-            raise ValueError(f"d_min must be positive, got {self.d_min}")
-        if not (self.d1_init > self.d_min and self.d2_init > self.d_min):
-            raise ValueError("d1_init and d2_init must exceed d_min")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
-        for name in ("max_backtracks", "max_iterations", "stall_window",
-                     "step1_patience", "m_slices"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        for name in ("stall_epsilon_t_s", "fd_step_amplitude_hz", "fd_step_time_s",
-                     "initial_duration_s"):
+        if not self.d1_init > D_MIN:
+            raise ValueError(f"d1_init must exceed D_MIN = {D_MIN}, got {self.d1_init}")
+        for name in ("fd_step_amplitude_hz", "fd_step_time_s", "initial_duration_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.init_amplitude_hz < 0:
@@ -262,18 +268,18 @@ def _restart_climb_step(
 ) -> float:
     """Climb step size after a stall, sized on the design model.
 
-    Starts at ``d1_init`` and grows by ``1 / backtrack_factor`` while the
+    Starts at ``d1_init`` and grows by ``1 / BACKTRACK_FACTOR`` while the
     grown step along ``grad_u`` still satisfies the climb inequality
-    J(u + d du) >= J(u) + alpha d sum(du * grad_u) with J the design
+    J(u + d du) >= J(u) + ALPHA d sum(du * grad_u) with J the design
     model's fidelity and ``j_start`` = J(u), for at most
-    ``max_backtracks`` growths.  Costs model evaluations only, never a
+    ``MAX_BACKTRACKS`` growths.  Costs model evaluations only, never a
     measurement.
     """
     step = config.d1_init
-    for _ in range(config.max_backtracks):
-        grown = step / config.backtrack_factor
+    for _ in range(MAX_BACKTRACKS):
+        grown = step / BACKTRACK_FACTOR
         trial, dot = _step_along(pulse, grown, grad_u, grad_u)
-        rhs = j_start + config.alpha * grown * dot
+        rhs = j_start + ALPHA * grown * dot
         if not model_fidelity(model, trial, psi0, target) >= rhs:
             break
         step = grown
@@ -443,7 +449,7 @@ def run_optimization(
 
     records: list[IterationRecord] = []
     phase = STEP1
-    step = {STEP1: config.d1_init, STEP2: config.d2_init}  # adaptive step sizes
+    step = {STEP1: config.d1_init, STEP2: D2_INIT}  # adaptive step sizes
     streak = 0   # consecutive rejections behind the current step size
     plateau = 0  # consecutive climb rejections since the last acceptance
     pending: Optional[_Proposal] = None
@@ -484,15 +490,15 @@ def run_optimization(
                 pulse = pending.trial
                 j_base = j_trial
                 if streak == 0:
-                    step[kind] = step[kind] / config.backtrack_factor
+                    step[kind] = step[kind] / BACKTRACK_FACTOR
                 streak = 0
                 plateau = 0
             else:
                 streak += 1
-                step[kind] = max(step[kind] * config.backtrack_factor, config.d_min)
+                step[kind] = max(step[kind] * BACKTRACK_FACTOR, D_MIN)
                 if kind == STEP1:
                     plateau += 1
-                if streak >= config.max_backtracks:
+                if streak >= MAX_BACKTRACKS:
                     event = EVENT_STALL_STEP1 if kind == STEP1 else EVENT_STALL_STEP2
                     streak = 0
                     if kind == STEP1:
@@ -513,11 +519,11 @@ def run_optimization(
             enter(STEP1)
         elif phase == STEP1 and j_base >= config.target_fidelity:
             enter(STEP2)
-        elif phase == STEP1 and plateau >= config.step1_patience:
+        elif phase == STEP1 and plateau >= STEP1_PATIENCE:
             event = event or EVENT_PLATEAU_PROMOTION
             enter(STEP2)
         elif (tried.kind == STEP2 and phase == STEP2 and not accepted
-              and step[STEP2] <= config.d_min):
+              and step[STEP2] <= D_MIN):
             # the shrink direction is exhausted at the smallest step;
             # climb again so the baseline can recover before retrying
             enter(STEP1)
@@ -527,7 +533,7 @@ def run_optimization(
         grad_u = bundle.grad_amplitudes
         grad_t = bundle.grad_duration
 
-        if phase == STEP2 and abs(grad_t) <= config.time_gradient_floor:
+        if phase == STEP2 and abs(grad_t) <= TIME_GRADIENT_FLOOR:
             event = event or EVENT_DEGENERATE_TIME_GRADIENT
             enter(STEP1)
 
@@ -535,7 +541,7 @@ def run_optimization(
         if refresh:
             pass  # next iteration re-measures the baseline instead
         elif phase == STEP1:
-            if float(np.max(np.abs(grad_u))) <= config.control_gradient_floor:
+            if float(np.max(np.abs(grad_u))) <= CONTROL_GRADIENT_FLOOR:
                 event = event or EVENT_STALL_STEP1
             else:
                 if restart:
@@ -544,13 +550,13 @@ def run_optimization(
                         model, pulse, j_model_rec, grad_u, config, psi0, target
                     )
                 trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u)
-                rhs = j_base + config.alpha * step[STEP1] * next_dot
+                rhs = j_base + ALPHA * step[STEP1] * next_dot
         else:
             du = grad_u / grad_t
             dt_change = -float(np.sum(du * du))
-            while (step[STEP2] > config.d_min
+            while (step[STEP2] > D_MIN
                    and pulse.duration_s + step[STEP2] * dt_change <= 0.0):
-                step[STEP2] = max(step[STEP2] * config.backtrack_factor, config.d_min)
+                step[STEP2] = max(step[STEP2] * BACKTRACK_FACTOR, D_MIN)
             new_duration = pulse.duration_s + step[STEP2] * dt_change
             if new_duration <= 0.0:
                 event = event or EVENT_DEGENERATE_TIME_GRADIENT
@@ -558,7 +564,7 @@ def run_optimization(
             else:
                 trial, next_dot = _step_along(pulse, step[STEP2], du, grad_u)
                 trial = trial.with_duration(new_duration)
-                rhs = config.beta * j_base
+                rhs = BETA * j_base
         pending = (
             None if trial is None
             else _Proposal(phase, trial, j_base, next_dot, step[phase], rhs)
@@ -592,12 +598,12 @@ def run_optimization(
         else:
             at_target_since = None
         if (
-            len(records) > config.stall_window
+            len(records) > STALL_WINDOW
             and at_target_since is not None
-            and n - at_target_since >= config.stall_window
+            and n - at_target_since >= STALL_WINDOW
         ):
-            t_then = records[-1 - config.stall_window].t_seconds
-            if t_then - pulse.duration_s < config.stall_epsilon_t_s:
+            t_then = records[-1 - STALL_WINDOW].t_seconds
+            if t_then - pulse.duration_s < STALL_EPSILON_T_S:
                 termination = "stalled"
                 break
 
@@ -631,8 +637,8 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
     """Replay a trace's acceptance inequalities and phase rules exactly.
 
     Checks, from the logged values alone: every accepted climb record
-    satisfies j_oracle >= j_reference + alpha * step * grad_dot; every
-    accepted shrink record satisfies j_oracle >= beta * j_reference (both
+    satisfies j_oracle >= j_reference + ALPHA * step * grad_dot; every
+    accepted shrink record satisfies j_oracle >= BETA * j_reference (both
     recomputed bit-exactly and cross-checked against the logged rhs);
     durations never increase, and change only at accepted shrink records;
     and any record whose measured fidelity falls below the scheduled
@@ -648,9 +654,9 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
         if record.accepted:
             n_accepted += 1
             if record.phase == STEP1:
-                rhs = record.j_reference + config.alpha * record.step_size_used * record.grad_dot
+                rhs = record.j_reference + ALPHA * record.step_size_used * record.grad_dot
             elif record.phase == STEP2:
-                rhs = config.beta * record.j_reference
+                rhs = BETA * record.j_reference
                 n_step2_accepted += 1
             else:
                 raise ValueError(f"record {record.n}: unknown phase {record.phase!r}")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belltime
+from belltime import optimizer
 from belltime.cli import main
 from belltime.dynamics import PULSE_HEADER, PulseSequence, read_pulse_csv, write_pulse_csv
 from belltime.experiment import ExperimentConfig
@@ -54,7 +55,7 @@ class TestParseConfig:
         assert config.seed == 0
         assert config.model.g_hz == 217.4
         assert config.experiment is None
-        assert config.optimizer.alpha == 0.01
+        assert config.optimizer.d1_init == 1e-3
         assert config.optimizer.max_iterations == 5000
 
     def test_empty_document_is_all_defaults(self):
@@ -96,8 +97,8 @@ class TestParseConfig:
             parse_config("seed: later\n")
         with pytest.raises(ConfigError, match="mode"):
             parse_config("mode: 7\n")
-        with pytest.raises(ConfigError, match="optimizer.alpha"):
-            parse_config("optimizer:\n  alpha: big\n")
+        with pytest.raises(ConfigError, match="optimizer.d1_init"):
+            parse_config("optimizer:\n  d1_init: big\n")
         with pytest.raises(ConfigError, match="amplitude_scale"):
             parse_config("experiment:\n  amplitude_scale: [1.0, 1.0]\n")
         with pytest.raises(ConfigError, match="max_iterations"):
@@ -211,23 +212,12 @@ EXPERIMENT_FIELDS = {
     "seed": SEED,
 }
 OPTIMIZER_FIELDS = {
-    "alpha": UNIT,
-    "beta": _finite(0.0, 1.0, exclude_min=True),
     "target_fidelity": UNIT,
     "threshold_floor": _finite(0.5, 1.0, exclude_max=True),
     "threshold_drop": _finite(0.0, 0.5, exclude_max=True),
     "threshold_rate": POSITIVE,
     "d1_init": _finite(1e-9, exclude_min=True),
-    "d2_init": _finite(1e-9, exclude_min=True),
-    "d_min": _finite(0.0, 1e-9, exclude_min=True),
-    "backtrack_factor": UNIT,
-    "max_backtracks": COUNT,
     "max_iterations": COUNT,
-    "stall_window": COUNT,
-    "stall_epsilon_t_s": POSITIVE,
-    "step1_patience": COUNT,
-    "control_gradient_floor": _finite(),
-    "time_gradient_floor": _finite(),
     "fd_step_amplitude_hz": POSITIVE,
     "fd_step_time_s": POSITIVE,
     "m_slices": COUNT,
@@ -477,6 +467,21 @@ class TestOptimizeCommand:
             argv += ["--config", str(tmp_path / "cfg.yaml")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", [
+        "alpha", "beta", "d2_init", "d_min", "backtrack_factor", "max_backtracks",
+        "stall_window", "stall_epsilon_t_s", "step1_patience",
+        "control_gradient_floor", "time_gradient_floor",
+    ])
+    def test_search_constants_are_not_settings(self, tmp_path, capsys, name):
+        # Each is a constant of the search rule, at the value it held as a field.
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({"optimizer": {name: getattr(optimizer, name.upper())}}))
+        assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: unknown key 'optimizer.{name}'\n"
         assert not (tmp_path / "run").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):

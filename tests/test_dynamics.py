@@ -8,7 +8,7 @@ match to 1e-6 relative (1e-9 absolute floor for near-zero derivatives).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -56,6 +56,57 @@ def assert_grad_close(analytic, oracle, rel=1e-6, abs_floor=1e-9):
     np.testing.assert_allclose(analytic[small], oracle[small], atol=abs_floor * 1e3)
 
 
+def _labelled(valid, *strategies):
+    """Draws of any of ``strategies``, each paired with ``valid``."""
+    return st.one_of(*strategies).map(lambda value: (value, valid))
+
+
+POSITIVE_FLOATS = st.floats(0.0, exclude_min=True, allow_infinity=False)
+# (duration, valid): real positive finite scalars of any numeric type are
+# valid; bools, complex numbers, arrays, non-numbers and values that are
+# not positive and finite are not.
+DURATIONS = _labelled(
+    True,
+    POSITIVE_FLOATS,
+    POSITIVE_FLOATS.map(np.float64),
+    st.floats(0.0, width=32, exclude_min=True, allow_infinity=False).map(np.float32),
+    st.integers(1, 2**53),
+    st.integers(1, 2**53).map(np.int64),
+) | _labelled(
+    False,
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    POSITIVE_FLOATS.map(lambda x: np.array([x])),
+    POSITIVE_FLOATS.map(np.array),
+    st.floats(max_value=0.0),
+    st.sampled_from([np.nan, np.inf, np.float64(np.nan), np.float64(np.inf)]),
+    st.integers(-2**64, 0),
+    st.text(max_size=5),
+    st.none(),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# (amplitudes, valid): finite real (M, 4) grids, of floats or integers,
+# are valid; complex grids, other shapes and non-finite entries are not.
+AMPLITUDES = _labelled(
+    True,
+    arrays(np.float64, st.tuples(st.integers(1, 20), st.just(4)), elements=FINITE),
+    arrays(np.int64, st.tuples(st.integers(1, 20), st.just(4))),
+) | _labelled(
+    False,
+    arrays(np.complex128, st.tuples(st.integers(1, 20), st.just(4)),
+           elements=st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    arrays(np.float64, st.tuples(st.integers(0, 20), st.integers(0, 8).filter(lambda k: k != 4)),
+           elements=FINITE),
+    arrays(np.float64, st.sampled_from([(0, 4), (4,), (1, 4, 1), (2, 2, 4)]), elements=FINITE),
+    arrays(np.float64, st.tuples(st.integers(1, 20), st.just(4)),
+           elements=FINITE | st.sampled_from([np.nan, np.inf, -np.inf])).filter(
+        lambda a: not np.isfinite(a).all()
+    ),
+)
+
+
 class TestPulseSequence:
     def test_validation(self):
         with pytest.raises(ValueError, match="duration"):
@@ -91,7 +142,7 @@ class TestPulseSequence:
             elements=st.floats(allow_nan=False, allow_infinity=False)
             | st.sampled_from([-0.0, 5e-324, -2.5e-308, 1e300, -1e300]),
         ),
-        duration=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        duration=POSITIVE_FLOATS | POSITIVE_FLOATS.map(np.float64),
     )
     def test_csv_round_trip_keeps_every_bit(self, tmp_path_factory, amplitudes, duration):
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
@@ -100,6 +151,24 @@ class TestPulseSequence:
         q = read_pulse_csv(path)
         assert q.duration_s.hex() == duration.hex()
         assert np.array_equal(q.amplitudes_hz.view(np.int64), amplitudes.view(np.int64))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(duration=DURATIONS, amplitudes=AMPLITUDES)
+    @example(duration=(True, False), amplitudes=(np.zeros((2, 4)), True))
+    @example(duration=(np.array([1e-3]), False), amplitudes=(np.zeros((2, 4)), True))
+    @example(duration=(np.float64(2e-3), True), amplitudes=(np.full((2, 4), 1j), False))
+    def test_input_validation(self, duration, amplitudes):
+        (d, d_valid), (a, a_valid) = duration, amplitudes
+        if not (d_valid and a_valid):
+            with pytest.raises(ValueError):
+                PulseSequence(d, a)
+            return
+        p = PulseSequence(d, a)
+        assert type(p.duration_s) is float and p.duration_s.hex() == float(d).hex()
+        assert p.amplitudes_hz.dtype == np.float64 and not p.amplitudes_hz.flags.writeable
+        assert np.array_equal(
+            p.amplitudes_hz.view(np.int64), np.asarray(a, dtype=np.float64).view(np.int64)
+        )
 
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"

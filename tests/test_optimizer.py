@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from belltime.dynamics import (
+    PulseSequence,
     SystemModel,
     fidelity_and_gradients,
     model_fidelity,
@@ -102,35 +103,41 @@ def model_run(model):
 class TestConfig:
     def test_defaults_are_valid(self):
         config = OptimizerConfig()
-        assert config.alpha == 0.01
-        assert config.beta == 0.999
         assert config.target_fidelity == 0.999
         assert config.threshold_floor == 0.999
         assert config.threshold_drop == 0.099
         assert config.threshold_rate == 300.0
-        assert config.backtrack_factor == 0.5
-        assert config.max_backtracks == 30
         assert config.max_iterations == 5000
+
+    def test_search_constants_hold_their_values(self):
+        assert (optimizer.ALPHA, optimizer.BETA) == (0.01, 0.999)
+        assert (optimizer.D2_INIT, optimizer.D_MIN) == (1e-6, 1e-12)
+        assert (optimizer.BACKTRACK_FACTOR, optimizer.MAX_BACKTRACKS) == (0.5, 30)
+        assert (optimizer.STALL_WINDOW, optimizer.STALL_EPSILON_T_S) == (200, 1e-6)
+        assert optimizer.STEP1_PATIENCE == 40
+        assert optimizer.CONTROL_GRADIENT_FLOOR == optimizer.TIME_GRADIENT_FLOOR == 1e-8
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            OptimizerConfig(beta=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(d1_init=1e-13)  # below d_min
-        with pytest.raises(ValueError):
-            OptimizerConfig(d_min=0.0)
+            OptimizerConfig(d1_init=1e-13)  # below D_MIN
         with pytest.raises(ValueError):
             OptimizerConfig(threshold_floor=1.2)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerConfig(m_slices=0)
+
+    @pytest.mark.parametrize("config_class, field", [
+        (OptimizerConfig, "max_iterations"),
+        (OptimizerConfig, "m_slices"),
+        (ExperimentConfig, "seed"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "7", None])
+    def test_count_fields_take_integers_only(self, config_class, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            config_class(**{field: value})
+        config = config_class(**{field: np.int64(7)})
+        assert getattr(config, field) == 7 and type(getattr(config, field)) is int
 
     def test_unknown_mode_rejected(self, model):
         with pytest.raises(ValueError):
@@ -423,14 +430,14 @@ class TestModelGradientReuse:
 
         def sizing(*args):
             # The sizing evaluates each grown step until one fails the climb
-            # inequality, at most max_backtracks of them.
+            # inequality, at most MAX_BACKTRACKS of them.
             restarts.append(args)
             step = restart_climb_step(*args)
-            config, grown, growths = args[4], args[4].d1_init, 0
+            grown, growths = args[4].d1_init, 0
             while grown != step:
-                grown /= config.backtrack_factor
+                grown /= optimizer.BACKTRACK_FACTOR
                 growths += 1
-            calls["sizing"] += min(growths + 1, config.max_backtracks)
+            calls["sizing"] += min(growths + 1, optimizer.MAX_BACKTRACKS)
             return step
 
         monkeypatch.setattr(optimizer, "_restart_climb_step", sizing)
@@ -478,27 +485,28 @@ class TestModelGradientReuse:
 
 class TestEvents:
     def test_vanishing_control_gradient_stalls_climb(self, model):
-        config = OptimizerConfig(max_iterations=3, control_gradient_floor=1e9)
-        result = run_optimization("model-only", model, config, seed=0)
+        # From |00>, an all-zero pulse evolves under the ZZ drift alone and
+        # sits at a stationary point of the singlet fidelity.
+        config = OptimizerConfig(max_iterations=3)
+        still = PulseSequence(config.initial_duration_s, np.zeros((config.m_slices, 4)))
+        result = run_optimization("model-only", model, config, initial_pulse=still)
         assert all(r.event == EVENT_STALL_STEP1 for r in result.records)
         assert all(r.step_size_used == 0.0 for r in result.records)
 
-    def test_degenerate_time_gradient_returns_to_climb(self, model):
+    def test_degenerate_time_gradient_returns_to_climb(self, model, monkeypatch):
+        monkeypatch.setattr(optimizer, "TIME_GRADIENT_FLOOR", 1e9)
         config = OptimizerConfig(
             max_iterations=3,
             target_fidelity=1e-6,
             threshold_floor=0.01,
             threshold_drop=0.005,
-            time_gradient_floor=1e9,
         )
         result = run_optimization("model-only", model, config, seed=0)
         assert result.records[0].event == EVENT_DEGENERATE_TIME_GRADIENT
         assert all(r.phase == STEP1 for r in result.records)
 
     def test_noisy_climb_recovers_through_baseline_refresh(self, model):
-        config = OptimizerConfig(
-            max_iterations=250, d1_init=1e3, max_backtracks=10
-        )
+        config = OptimizerConfig(max_iterations=250, d1_init=1e3)
         result = run_optimization(
             "balanced",
             model,
@@ -515,7 +523,7 @@ class TestEvents:
         assert best > 0.5, "refreshed climb failed to make progress"
 
     def test_climb_restart_is_sized_on_the_design_model(self, model):
-        config = OptimizerConfig(max_iterations=40, d1_init=1e3, max_backtracks=12)
+        config = OptimizerConfig(max_iterations=100, d1_init=1e3)
         experiment = ideal_config(noise_sigma=5e-3, seed=12)
         result = run_optimization("balanced", model, config, experiment=experiment, seed=1)
         first = next(r.n for r in result.records if r.event == EVENT_STALL_STEP1)
@@ -536,11 +544,11 @@ class TestEvents:
         def model_armijo(step):
             trial = start.with_amplitudes(start.amplitudes_hz + step * grad)
             gain = model_fidelity(model, trial, psi0, target) - bundle.fidelity
-            return gain >= config.alpha * step * float(np.sum(grad * grad))
+            return gain >= optimizer.ALPHA * step * float(np.sum(grad * grad))
 
         step = restarted.step_size_used
-        growth = 1.0 / config.backtrack_factor  # 2 at the default factor
-        largest = config.d1_init * growth ** config.max_backtracks
+        growth = 1.0 / optimizer.BACKTRACK_FACTOR
+        largest = config.d1_init * growth ** optimizer.MAX_BACKTRACKS
         assert config.d1_init <= step <= largest
         assert model_armijo(step)
         assert step == largest or not model_armijo(growth * step)
