@@ -24,6 +24,7 @@ from belltime import (
     random_pulse,
     singlet_state,
 )
+from belltime.experiment import SECONDS_PER_MEASUREMENT
 
 
 def main():
@@ -61,7 +62,7 @@ def main():
     pulse = random_pulse(50, 3e-3, 300.0, rng)
     j_here = backend.fidelity_partial(pulse)
     started = time.monotonic()
-    finite_diff_gradients(backend, pulse, 0.1, 1e-8, baseline_fidelity=j_here)
+    finite_diff_gradients(backend, pulse, 0.1, 1e-8)
     elapsed = time.monotonic() - started
     counts = backend.ledger.as_dict()
     total = backend.ledger.total_measurements
@@ -69,8 +70,8 @@ def main():
           f"({counts['gradient_control']} for controls, "
           f"{counts['gradient_time']} for duration, "
           f"{counts['fidelity_partial']} for the baseline J)")
-    print(f"  emulated at {backend.config.seconds_per_measurement:.0f} s per measurement "
-          f"that is {total * backend.config.seconds_per_measurement / 3600:.2f} h of bench time")
+    print(f"  emulated at {SECONDS_PER_MEASUREMENT:.0f} s per measurement "
+          f"that is {total * SECONDS_PER_MEASUREMENT / 3600:.2f} h of bench time")
     print(f"  (computed here in {elapsed:.2f} s; J at this pulse = {j_here:.4f})")
 
     print()

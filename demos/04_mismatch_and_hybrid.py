@@ -18,6 +18,7 @@ from belltime import (
     ExperimentConfig,
     OptimizerConfig,
     SystemModel,
+    ledger_report,
     run_optimization,
 )
 
@@ -65,7 +66,7 @@ def main():
     print(f"  {len(hybrid.records)} iterations, {accepted} accepted, "
           f"{hybrid.ledger.total_measurements} measurements charged "
           f"({hybrid.ledger.total_measurements // len(hybrid.records)} per iteration)")
-    hours = hybrid.ledger.wall_clock_s(hybrid.seconds_per_measurement) / 3600
+    hours = ledger_report(hybrid.ledger)["wall_clock_h"]
     print(f"  at 10 s per measurement that is {hours:.1f} h of bench time")
 
     print()

@@ -22,8 +22,7 @@ from belltime import (
     ledger_report,
     run_optimization,
 )
-
-SECONDS_PER_MEASUREMENT = 10.0
+from belltime.experiment import SECONDS_PER_MEASUREMENT
 
 
 def main():
@@ -36,7 +35,7 @@ def main():
         result = run_optimization(
             mode, model, OptimizerConfig(max_iterations=2), seed=0, **kwargs
         )
-        report = ledger_report(result.ledger, SECONDS_PER_MEASUREMENT)
+        report = ledger_report(result.ledger)
         per_iter = report["total_measurements"] // 2
         print(f"  {mode:<16s} {report['total_measurements']:5d} total "
               f"({per_iter} per iteration): "

@@ -4,8 +4,9 @@
 Everything the library does is reachable from the `belltime` command:
 write a config, run an optimization into an output directory, inspect
 the artifacts (trace.jsonl, summary.csv, final_pulse.csv, manifest.json),
-re-evaluate the stored pulse, and export the convergence trace.  This
-script drives that loop through the same entry point the shell uses.
+read the convergence trace as plot-ready CSV from summary.csv, and
+re-evaluate the stored pulse.  This script drives that loop through the
+same entry point the shell uses.
 """
 
 import json
@@ -65,17 +66,15 @@ def main_demo():
         print(f"  trace record 0 keys: {', '.join(sorted(first))}")
         print()
 
-        run(["evaluate", "--pulse", str(out / "final_pulse.csv"),
-             "--config", str(config)])
-
-        run(["export", "--trace", str(out / "trace.jsonl"),
-             "--out", str(root / "trace.csv")])
-        lines = (root / "trace.csv").read_text().splitlines()
-        print("== Exported trace (first 3 rows) ==")
+        lines = (out / "summary.csv").read_text().splitlines()
+        print("== Convergence trace, summary.csv (first 3 rows) ==")
         for line in lines[:4]:
             print(f"  {line}")
         print(f"  ... {len(lines) - 1} rows total")
         print()
+
+        run(["evaluate", "--pulse", str(out / "final_pulse.csv"),
+             "--config", str(config)])
 
         run(["tmin", "--g-hz", "217.4"])
         run(["budget", "--mode", "balanced", "--iterations", "300"])

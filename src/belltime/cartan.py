@@ -56,6 +56,7 @@ _PATTERN = {
 
 CHAMBER_TOL = 1e-9
 _BOUNDARY_TOL = 1e-10
+RESIDUAL_TOL = 1e-8  # max-abs reconstruction error a factorization must reach
 
 
 class DegeneracyError(ValueError):
@@ -234,13 +235,13 @@ def _random_su2(rng) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def kak_factorize(u: np.ndarray, residual_tol: float = 1e-8) -> KakFactorization:
+def kak_factorize(u: np.ndarray) -> KakFactorization:
     """Factor U as left_local . interaction_core . right_local.
 
     The factorization is exact up to a global phase with canonical
     chamber coordinates.  If the direct spectral route fails (pathological
     degeneracy), seeded random local dressings are tried; if no attempt
-    reaches residual_tol a DegeneracyError naming the best residual is
+    reaches ``RESIDUAL_TOL`` a DegeneracyError naming the best residual is
     raised.
     """
     u = require_unitary(np.asarray(u, dtype=np.complex128))
@@ -264,14 +265,14 @@ def kak_factorize(u: np.ndarray, residual_tol: float = 1e-8) -> KakFactorization
         right = right @ dress_r.conj().T
         res = _reconstruction_residual(u, left, a, right)
         best = min(best, res)
-        if res <= residual_tol:
+        if res <= RESIDUAL_TOL:
             return KakFactorization(
                 left_local=left,
                 coordinates=CartanCoordinates(*a),
                 right_local=right,
             )
     raise DegeneracyError(
-        f"no factorization reached residual {residual_tol:.1e} (best {best:.3e})"
+        f"no factorization reached residual {RESIDUAL_TOL:.1e} (best {best:.3e})"
     )
 
 

@@ -1,7 +1,8 @@
-"""Command-line workbench: optimize, evaluate, tmin, budget, export.
+"""Command-line workbench: optimize, evaluate, tmin, budget.
 
 The ``budget`` subcommand projects a run's readouts and bench hours from
-``optimizer.readouts_per_iteration``; the README's section on the three
+``optimizer.readouts_per_iteration``, priced at
+``experiment.SECONDS_PER_MEASUREMENT``; the README's section on the three
 modes reconciles its exact two-sided count with the often-quoted ~7500 h.
 
 Times are printed in milliseconds with 3 significant figures; files
@@ -27,7 +28,7 @@ from .dynamics import (
     read_pulse_csv,
     write_pulse_csv,
 )
-from .experiment import ExperimentBackend, ExperimentConfig, ledger_report
+from .experiment import SECONDS_PER_MEASUREMENT, ExperimentBackend, ledger_report
 from .linalg import ket, singlet_state
 from .optimizer import MODES, OptimizerConfig, readouts_per_iteration, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
@@ -35,7 +36,6 @@ from .runconfig import ConfigError, RunConfig, load_config
 __all__ = ["main"]
 
 SUMMARY_HEADER = ("n", "phase", "T_ms", "J_oracle", "J_model", "accepted", "measurements")
-EXPORT_HEADER = ("n", "J_tomo", "T_ms")
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -111,7 +111,7 @@ def _write_manifest(path: Path, config: RunConfig, seed: int, result) -> None:
             "model_fidelity": result.final_model_fidelity,
             "full_fidelity": result.final_full_fidelity,
         },
-        "ledger": ledger_report(result.ledger, result.seconds_per_measurement),
+        "ledger": ledger_report(result.ledger),
         "outputs": ["trace.jsonl", "summary.csv", "final_pulse.csv"],
     }
     with open(path, "w") as fh:
@@ -144,7 +144,7 @@ def _cmd_optimize(args) -> int:
         )
         if result.final_full_fidelity is not None:
             line += f", full-tomography J = {result.final_full_fidelity:.6f}"
-        report = ledger_report(result.ledger, result.seconds_per_measurement)
+        report = ledger_report(result.ledger)
         line += (
             f", {report['total_measurements']} measurements"
             f" ({_fmt_hours(report['wall_clock_h'])})"
@@ -193,23 +193,20 @@ def _cmd_tmin(args) -> int:
 def _cmd_budget(args) -> int:
     if args.iterations < 1:
         raise ConfigError(f"iterations: expected a positive integer, got {args.iterations}")
-    if not 0.0 < args.seconds_per_measurement < math.inf:
-        raise ConfigError(f"seconds-per-measurement: expected a positive finite number, "
-                          f"got {args.seconds_per_measurement}")
     try:
         split = readouts_per_iteration(args.mode, args.m_slices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     per_iter = sum(split.values())
     total = per_iter * args.iterations
-    seconds = total * args.seconds_per_measurement
+    seconds = total * SECONDS_PER_MEASUREMENT
     hours = seconds / 3600.0
     print(f"mode: {args.mode}")
     print(f"measurements per iteration: {per_iter}")
     print(f"iterations: {args.iterations}")
     print(f"total measurements: {total}")
     print(
-        f"wall clock at {args.seconds_per_measurement:g} s/measurement: "
+        f"wall clock at {SECONDS_PER_MEASUREMENT:g} s/measurement: "
         f"{seconds:g} s = {_fmt_hours(hours)}"
     )
     if args.mode == "experiment-only":
@@ -223,29 +220,6 @@ def _cmd_budget(args) -> int:
             "(one-sided duration probes, fidelity folded into the batch); "
             "the exact two-sided count above is what this ledger charges"
         )
-    return 0
-
-
-def _cmd_export(args) -> int:
-    rows = []
-    with open(args.trace) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            rows.append((rec["n"], rec["j_oracle"], rec["t_seconds"] * 1e3))
-    out = Path(args.out) if args.out else None
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(EXPORT_HEADER)
-        for n, j, t_ms in rows:
-            writer.writerow([n, repr(j), repr(t_ms)])
-    finally:
-        if out:
-            fh.close()
-            print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
@@ -280,14 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget.add_argument("--mode", choices=MODES, default="balanced")
     p_budget.add_argument("--iterations", type=int, default=2000)
     p_budget.add_argument("--m-slices", type=int, default=OptimizerConfig.m_slices)
-    p_budget.add_argument("--seconds-per-measurement", type=float,
-                          default=ExperimentConfig.seconds_per_measurement)
     p_budget.set_defaults(func=_cmd_budget)
-
-    p_export = sub.add_parser("export", help="trace JSONL to plot-ready CSV")
-    p_export.add_argument("--trace", required=True, help="trace.jsonl to convert")
-    p_export.add_argument("--out", help="output CSV (stdout when omitted)")
-    p_export.set_defaults(func=_cmd_export)
 
     return parser
 

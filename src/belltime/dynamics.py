@@ -41,6 +41,20 @@ _ZZ = pauli_string("Z", "Z")
 PULSE_HEADER = "slice,ux1_hz,uy1_hz,ux2_hz,uy2_hz"
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integer raises a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float; a bool or a non-real raises a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """Nominal model of the two-spin system: just the ZZ coupling in Hz."""
@@ -48,8 +62,10 @@ class SystemModel:
     g_hz: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.g_hz) and self.g_hz > 0):
-            raise ValueError(f"g_hz must be positive and finite, got {self.g_hz}")
+        g_hz = as_real(self.g_hz, "g_hz")
+        if not (math.isfinite(g_hz) and g_hz > 0):
+            raise ValueError(f"g_hz must be positive and finite, got {g_hz}")
+        object.__setattr__(self, "g_hz", g_hz)
 
 
 @dataclass(frozen=True)
@@ -66,12 +82,10 @@ class PulseSequence:
     amplitudes_hz: np.ndarray
 
     def __post_init__(self):
-        duration = self.duration_s
-        if isinstance(duration, bool) or not isinstance(duration, numbers.Real):
-            raise ValueError(f"duration_s must be a real number, got {duration!r}")
+        duration = as_real(self.duration_s, "duration_s")
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration_s must be positive and finite, got {duration}")
-        object.__setattr__(self, "duration_s", float(duration))
+        object.__setattr__(self, "duration_s", duration)
         if np.iscomplexobj(self.amplitudes_hz):
             raise ValueError("amplitudes_hz must be real, got complex entries")
         amps = np.array(self.amplitudes_hz, dtype=np.float64, copy=True)
@@ -101,7 +115,12 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Fidelity plus its exact derivatives for one pulse."""
+    """Fidelity plus its derivatives for one pulse.
+
+    ``fidelity_and_gradients`` fills all three exactly.  A measured bundle
+    (``optimizer.finite_diff_gradients``) holds NaN as its fidelity: its
+    probes never read out the pulse itself.
+    """
 
     fidelity: float
     grad_amplitudes: np.ndarray = field(repr=False)  # (M, 4), dJ/du in 1/Hz

@@ -43,12 +43,11 @@ rounding (1e-12); single pulses keep their own bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import PulseSequence, SystemModel, slice_propagators
+from .dynamics import PulseSequence, SystemModel, as_integer, as_real, slice_propagators
 from .linalg import pauli_string, require_density, require_hermitian, singlet_state
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
@@ -59,19 +58,16 @@ TOMOGRAPHY_LABELS = tuple(
 # The three correlators of one fidelity_partial estimate, one readout each.
 PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
 
-
-def _as_duration_pair(value, name: str) -> tuple[float, float]:
-    pair = tuple(float(v) for v in np.atleast_1d(value))
-    if len(pair) != 2:
-        raise ValueError(f"{name} must hold one value per spin, got {value!r}")
-    return pair
+# Bench time one readout costs, in seconds; ledgers are priced at it.
+SECONDS_PER_MEASUREMENT = 10.0
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an int; a bool or a non-integer raises a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _as_reals(value, name: str, count: int) -> tuple[float, ...]:
+    """The ``count`` entries of a sequence ``value`` as floats (``as_real``)."""
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(entries, (tuple, list)) or len(entries) != count:
+        raise ValueError(f"{name} must hold {count} values, got {value!r}")
+    return tuple(as_real(v, name) for v in entries)
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,8 @@ class ExperimentConfig:
 
     Relaxation times are per spin, ordered (spin 1, spin 2); use
     ``math.inf`` to disable a decay channel.  ``distortion_tau_s = 0``
-    disables waveform distortion.
+    disables waveform distortion.  Every readout costs
+    ``SECONDS_PER_MEASUREMENT`` of bench time.
     """
 
     true_g_hz: float = 217.4
@@ -89,25 +86,25 @@ class ExperimentConfig:
     t1_s: tuple[float, float] = (math.inf, math.inf)
     t2_s: tuple[float, float] = (math.inf, math.inf)
     noise_sigma: float = 0.0
-    seconds_per_measurement: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("true_g_hz", "distortion_tau_s", "noise_sigma", "seconds_per_measurement"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("true_g_hz", "distortion_tau_s", "noise_sigma"):
+            value = as_real(getattr(self, name), name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.true_g_hz > 0:
             raise ValueError(f"true_g_hz must be positive, got {self.true_g_hz}")
-        scale = tuple(float(s) for s in np.atleast_1d(self.amplitude_scale))
-        if len(scale) != 4 or not all(0.0 < s < math.inf for s in scale):
+        scale = _as_reals(self.amplitude_scale, "amplitude_scale", 4)
+        if not all(0.0 < s < math.inf for s in scale):
             raise ValueError(
                 f"amplitude_scale needs 4 finite positive entries, got {self.amplitude_scale!r}"
             )
         object.__setattr__(self, "amplitude_scale", scale)
         if self.distortion_tau_s < 0:
             raise ValueError(f"distortion_tau_s must be >= 0, got {self.distortion_tau_s}")
-        t1 = _as_duration_pair(self.t1_s, "t1_s")
-        t2 = _as_duration_pair(self.t2_s, "t2_s")
+        t1, t2 = _as_reals(self.t1_s, "t1_s", 2), _as_reals(self.t2_s, "t2_s", 2)
         for spin, (one, two) in enumerate(zip(t1, t2), start=1):
             if not (one > 0 and two > 0):
                 raise ValueError(f"relaxation times of spin {spin} must be positive")
@@ -119,10 +116,6 @@ class ExperimentConfig:
         object.__setattr__(self, "t2_s", t2)
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.seconds_per_measurement > 0:
-            raise ValueError(
-                f"seconds_per_measurement must be positive, got {self.seconds_per_measurement}"
-            )
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -151,9 +144,6 @@ class MeasurementLedger:
     def total_measurements(self) -> int:
         return sum(getattr(self, c) for c in LEDGER_CATEGORIES)
 
-    def wall_clock_s(self, seconds_per_measurement: float) -> float:
-        return self.total_measurements * seconds_per_measurement
-
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in LEDGER_CATEGORIES}
 
@@ -161,9 +151,9 @@ class MeasurementLedger:
 LEDGER_CATEGORIES = tuple(f.name for f in fields(MeasurementLedger))
 
 
-def ledger_report(ledger: MeasurementLedger, seconds_per_measurement: float) -> dict:
+def ledger_report(ledger: MeasurementLedger) -> dict:
     """Category counts plus total and wall-clock estimates (s and h)."""
-    seconds = ledger.wall_clock_s(seconds_per_measurement)
+    seconds = ledger.total_measurements * SECONDS_PER_MEASUREMENT
     report = ledger.as_dict()
     report.update(
         total_measurements=ledger.total_measurements,

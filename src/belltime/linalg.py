@@ -6,10 +6,10 @@ and operators of shape (4, 4), complex128.  The basis ordering is
 that promise Hermitian / unitary / density-matrix inputs check them and
 raise ValueError, so numerical garbage fails loudly instead of
 propagating.  Each check is written so that a NaN deviation fails it
-(``not dev <= tol``): every comparison with NaN is False.  The matrix
-checks take their deviations under ``np.errstate``, since an infinite
-entry makes them NaN (inf - inf, inf * 0), and the validator's own
-ValueError, not a numpy warning, is what reports it.
+(``not dev <= HERMITIAN_TOL`` and the like): every comparison with NaN is
+False.  The matrix checks take their deviations under ``np.errstate``,
+since an infinite entry makes them NaN (inf - inf, inf * 0), and the
+validator's own ValueError, not a numpy warning, is what reports it.
 """
 
 from __future__ import annotations
@@ -67,36 +67,36 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def require_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(h: np.ndarray) -> np.ndarray:
     h = _as_square(h, "operator")
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.max(np.abs(h - h.conj().T))
-    if not dev <= tol:
+    if not dev <= HERMITIAN_TOL:
         raise ValueError(f"operator is not Hermitian: max |H - H^dag| = {dev:.3e}")
     return h
 
 
-def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
     u = _as_square(u, "operator")
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not dev <= tol:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"operator is not unitary: max |U^dag U - 1| = {dev:.3e}")
     return u
 
 
-def require_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
+def require_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1:
         raise ValueError(f"state must be a vector, got shape {psi.shape}")
     dev = abs(np.linalg.norm(psi) - 1.0)
-    if not dev <= tol:
+    if not dev <= STATE_NORM_TOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {dev:.3e}")
     return psi
 
 
-def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Check trace one, Hermiticity and eigenvalues >= -tol.
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """Check trace one, Hermiticity and eigenvalues >= -DENSITY_TOL.
 
     ``rho`` is one square matrix or a stack of them, shape (..., n, n).
     Each matrix is held to exactly the checks it would meet on its own;
@@ -112,18 +112,18 @@ def require_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
         tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
-    shaped = (herm_dev <= tol) & (tr_dev <= tol)
+    shaped = (herm_dev <= DENSITY_TOL) & (tr_dev <= DENSITY_TOL)
     lo = np.zeros(len(stack))
     lo[shaped] = np.linalg.eigvalsh(stack[shaped]).min(axis=-1)
-    bad = ~shaped | ~(lo >= -tol)
+    bad = ~shaped | ~(lo >= -DENSITY_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         name = "density matrix"
         if rho.ndim > 2:
             name += f" {list(map(int, np.unravel_index(i, rho.shape[:-2])))}"
-        if not herm_dev[i] <= tol:
+        if not herm_dev[i] <= DENSITY_TOL:
             raise ValueError(f"{name} is not Hermitian: max |H - H^dag| = {herm_dev[i]:.3e}")
-        if not tr_dev[i] <= tol:
+        if not tr_dev[i] <= DENSITY_TOL:
             raise ValueError(f"{name} trace deviates from 1 by {tr_dev[i]:.3e}")
         raise ValueError(f"{name} has negative eigenvalue {lo[i]:.3e}")
     return rho

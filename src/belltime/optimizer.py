@@ -90,6 +90,8 @@ from .dynamics import (
     GradientBundle,
     PulseSequence,
     SystemModel,
+    as_integer,
+    as_real,
     fidelity_and_gradients,
     model_fidelity,
     random_pulse,
@@ -100,7 +102,6 @@ from .experiment import (
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
-    as_integer,
 )
 from .linalg import ket, singlet_state
 
@@ -155,14 +156,16 @@ class OptimizerConfig:
     init_amplitude_hz: float = 100.0
 
     def __post_init__(self):
-        for name in ("max_iterations", "m_slices"):
-            count = as_integer(getattr(self, name), name)
-            if count < 1:
-                raise ValueError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, count)
         for name, value in asdict(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("max_iterations", "m_slices"):
+                value = as_integer(value, name)
+                if value < 1:
+                    raise ValueError(f"{name} must be a positive integer")
+            else:
+                value = as_real(value, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not 0.0 < self.target_fidelity < 1.0:
             raise ValueError(f"target_fidelity must lie in (0, 1), got {self.target_fidelity}")
         if not 0.0 < self.threshold_floor < 1.0:
@@ -223,10 +226,8 @@ class OptimizationResult:
     records: list
     termination: str
     ledger: MeasurementLedger
-    seconds_per_measurement: float
     final_model_fidelity: float
     final_full_fidelity: Optional[float]
-    seed: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,6 @@ def finite_diff_gradients(
     pulse: PulseSequence,
     fd_step_amplitude_hz: float,
     fd_step_time_s: float,
-    baseline_fidelity: float = math.nan,
 ) -> GradientBundle:
     """Measured gradients by central differences through the 3-readout fidelity.
 
@@ -304,7 +304,8 @@ def finite_diff_gradients(
     All probes go to the backend as one stack of probes of ``pulse``, in
     the order of one probe at a time: amplitude (m, c) at rows 2(4m + c)
     (+h) and 2(4m + c) + 1 (-h), then slice m's duration at rows
-    2(4M + m) (+ht) and 2(4M + m) + 1 (-ht).
+    2(4M + m) (+ht) and 2(4M + m) + 1 (-ht).  No probe reads out ``pulse``
+    itself, so the bundle's fidelity is NaN.
     """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
@@ -333,9 +334,7 @@ def finite_diff_gradients(
     for slope in (differences[n_amps:] / (2.0 * ht)).tolist():  # summed in probe order
         slope_sum += slope
     grad_t = slope_sum / m_slices
-    return GradientBundle(
-        fidelity=baseline_fidelity, grad_amplitudes=grad_u, grad_duration=grad_t
-    )
+    return GradientBundle(fidelity=math.nan, grad_amplitudes=grad_u, grad_duration=grad_t)
 
 
 def readouts_per_iteration(mode: str, m_slices: int) -> dict:
@@ -365,10 +364,10 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
              target: np.ndarray):
     """The oracles of ``mode``, as (evaluate, gradients, backend).
 
-    ``evaluate(pulse)`` returns (j_oracle, j_model) and
-    ``gradients(pulse, j_base)`` a ``GradientBundle``.  ``backend`` is the
-    emulated apparatus, whose ledger is charged for every readout the
-    oracles take; it is None in model-only mode, which takes none.
+    ``evaluate(pulse)`` returns (j_oracle, j_model) and ``gradients(pulse)``
+    a ``GradientBundle``.  ``backend`` is the emulated apparatus, whose
+    ledger is charged for every readout the oracles take; it is None in
+    model-only mode, which takes none.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -382,7 +381,7 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
         evaluated = (p, slice_propagators(model, p.amplitudes_hz, p.slice_duration_s))
         return model_fidelity(model, p, psi0, target, evaluated[1])
 
-    def model_gradients(p: PulseSequence, j_base: float) -> GradientBundle:
+    def model_gradients(p: PulseSequence) -> GradientBundle:
         nonlocal graded
         if graded[0] is not p:
             decomposition = evaluated[1] if evaluated[0] is p else None
@@ -403,10 +402,9 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
     def measured_evaluate(p: PulseSequence):
         return backend.fidelity_partial(p), model_j(p)
 
-    def measured_gradients(p: PulseSequence, j_base: float) -> GradientBundle:
+    def measured_gradients(p: PulseSequence) -> GradientBundle:
         return finite_diff_gradients(
-            backend, p, config.fd_step_amplitude_hz, config.fd_step_time_s,
-            baseline_fidelity=j_base,
+            backend, p, config.fd_step_amplitude_hz, config.fd_step_time_s
         )
 
     gradients = measured_gradients if mode == "experiment-only" else model_gradients
@@ -529,7 +527,7 @@ def run_optimization(
             enter(STEP1)
 
         # 3. Propose the next trial from the gradient at the current point.
-        bundle = gradients(pulse, j_base)
+        bundle = gradients(pulse)
         grad_u = bundle.grad_amplitudes
         grad_t = bundle.grad_duration
 
@@ -612,24 +610,19 @@ def run_optimization(
     # to it rather than reporting the half-recovered endpoint.  Runs that
     # never met the target return their last state.
     final_pulse = incumbent if incumbent is not None else pulse
-    final_model = model_fidelity(model, final_pulse, psi0, target)
-    if backend is None:
-        final_full, seconds_per_measurement = None, ExperimentConfig.seconds_per_measurement
-    else:
-        # a report-time diagnostic, not part of the loop: a detached
-        # replay of the same instrument, charged to no run ledger
-        final_full = ExperimentBackend(experiment).fidelity_full(final_pulse)
-        seconds_per_measurement = experiment.seconds_per_measurement
+    # a report-time diagnostic, not part of the loop: a detached replay
+    # of the same instrument, charged to no run ledger
+    final_full = (
+        None if backend is None else ExperimentBackend(experiment).fidelity_full(final_pulse)
+    )
     return OptimizationResult(
         mode=mode,
         final_pulse=final_pulse,
         records=records,
         termination=termination,
         ledger=ledger,
-        seconds_per_measurement=seconds_per_measurement,
-        final_model_fidelity=final_model,
+        final_model_fidelity=model_fidelity(model, final_pulse, psi0, target),
         final_full_fidelity=final_full,
-        seed=None if initial_pulse is not None else seed,
     )
 
 

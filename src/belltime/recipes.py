@@ -20,6 +20,8 @@ import numpy as np
 
 from .dynamics import PulseSequence
 
+DRIVE_HZ = 2500.0  # amplitude of every rotation
+
 
 def _rasterize(segments, duration_s: float, m_slices: int) -> np.ndarray:
     """Area-preserving sampling of piecewise-constant channel segments.
@@ -37,29 +39,28 @@ def _rasterize(segments, duration_s: float, m_slices: int) -> np.ndarray:
     return grid
 
 
-def bell_recipe_pulse(
-    g_hz: float, m_slices: int = 50, drive_hz: float = 2500.0
-) -> PulseSequence:
+def bell_recipe_pulse(g_hz: float, m_slices: int = 50) -> PulseSequence:
     """Analytic singlet-preparation pulse on the uniform M-slice grid.
 
     Channel order is (ux1, uy1, ux2, uy2); all rotations are driven at
-    +drive_hz, so a pi/2 rotation lasts 1/(4 drive) seconds.
+    +DRIVE_HZ, so a pi/2 rotation lasts 1/(4 DRIVE_HZ) seconds.
     """
-    quarter = 1.0 / (4.0 * drive_hz)  # pi/2 rotation
-    half = 1.0 / (2.0 * drive_hz)  # pi rotation
+    quarter = 1.0 / (4.0 * DRIVE_HZ)  # pi/2 rotation
+    half = 1.0 / (2.0 * DRIVE_HZ)  # pi rotation
     head = quarter
     tail = quarter + half
     free = 1.0 / (2.0 * g_hz) - (head + tail) / 2.0
     if free <= 0:
-        raise ValueError("drive too weak: local segments exceed the coupling window")
+        raise ValueError(f"g_hz = {g_hz} is too strong: at DRIVE_HZ the local segments "
+                         "exceed the coupling window")
     total = head + free + tail
 
     t1 = head + free  # start of the closing local block
     segments = [
-        (0.0, head, 0, drive_hz),  # x pi/2, spin 1
-        (0.0, head, 2, drive_hz),  # x pi/2, spin 2
-        (t1, t1 + quarter, 1, drive_hz),  # y pi/2, spin 1
-        (t1 + quarter, t1 + quarter + half, 0, drive_hz),  # x pi, spin 1
-        (t1, t1 + half, 3, drive_hz),  # y pi, spin 2 (overlaps spin 1 block)
+        (0.0, head, 0, DRIVE_HZ),  # x pi/2, spin 1
+        (0.0, head, 2, DRIVE_HZ),  # x pi/2, spin 2
+        (t1, t1 + quarter, 1, DRIVE_HZ),  # y pi/2, spin 1
+        (t1 + quarter, t1 + quarter + half, 0, DRIVE_HZ),  # x pi, spin 1
+        (t1, t1 + half, 3, DRIVE_HZ),  # y pi, spin 2 (overlaps spin 1 block)
     ]
     return PulseSequence(total, _rasterize(segments, total, m_slices))

@@ -38,7 +38,7 @@ from typing import Optional
 
 import yaml
 
-from .dynamics import SystemModel
+from .dynamics import SystemModel, as_integer
 from .experiment import ExperimentConfig
 from .optimizer import MODES, OptimizerConfig
 
@@ -120,6 +120,7 @@ class RunConfig:
             raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if self.mode != "model-only" and self.experiment is None:
             raise ConfigError(f"mode {self.mode!r} requires an experiment section")
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ConfigError(f"seed: expected a non-negative integer, got {self.seed}")
 

@@ -1,5 +1,6 @@
 """Run documents and the command-line surface: parsing, files, exit codes."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -121,7 +122,6 @@ class TestParseConfig:
         ("experiment", "amplitude_scale", "[1.0, .nan, 1.0, 1.0]"),
         ("experiment", "amplitude_scale", "[1.0, 1.0, .inf, 1.0]"),
         ("experiment", "true_g_hz", ".inf"),
-        ("experiment", "seconds_per_measurement", ".inf"),
         ("optimizer", "threshold_rate", ".nan"),
         ("optimizer", "init_amplitude_hz", ".nan"),
         ("optimizer", "initial_duration_s", ".inf"),
@@ -208,7 +208,6 @@ EXPERIMENT_FIELDS = {
     "amplitude_scale": st.tuples(POSITIVE, POSITIVE, POSITIVE, POSITIVE),
     "distortion_tau_s": _finite(0.0),
     "noise_sigma": _finite(0.0),
-    "seconds_per_measurement": POSITIVE,
     "seed": SEED,
 }
 OPTIMIZER_FIELDS = {
@@ -348,9 +347,6 @@ class TestBudgetArithmetic:
     @pytest.mark.parametrize("flag, value, message", [
         ("--m-slices", "-5", "m_slices must be a positive integer"),
         ("--m-slices", "0", "m_slices must be a positive integer"),
-        *[("--seconds-per-measurement", value,
-           "seconds-per-measurement: expected a positive finite number")
-          for value in ("nan", "inf", "-10", "0")],
         ("--iterations", "0", "iterations: expected a positive integer"),
     ])
     def test_budget_command_rejects_invalid_inputs(self, flag, value, message, capsys):
@@ -358,6 +354,15 @@ class TestBudgetArithmetic:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {message}")
+
+    def test_readout_price_is_not_a_flag(self, capsys):
+        # every readout costs experiment.SECONDS_PER_MEASUREMENT
+        with pytest.raises(SystemExit) as exited:
+            main(["budget", "--seconds-per-measurement", "5"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seconds-per-measurement 5" in captured.err
 
     def test_budget_command_experiment_only(self, capsys):
         assert main(["budget", "--mode", "experiment-only", "--iterations", "2000"]) == 0
@@ -484,6 +489,40 @@ class TestOptimizeCommand:
         assert captured.err == f"config error: unknown key 'optimizer.{name}'\n"
         assert not (tmp_path / "run").exists()
 
+    def test_readout_price_is_not_a_setting(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("mode: balanced\nexperiment:\n  seconds_per_measurement: 10.0\n")
+        assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: unknown key 'experiment.seconds_per_measurement'\n"
+        )
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode, iterations", [
+        ("model-only", 40), ("balanced", 40), ("experiment-only", 3),
+    ])
+    def test_summary_reproduces_the_trace(self, tmp_path, capsys, mode, iterations):
+        # summary.csv is the plot-ready view of trace.jsonl, value for value
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"mode: {mode}\nexperiment: {{noise_sigma: 1.0e-3, seed: 100}}\n")
+        out_dir = tmp_path / "run"
+        assert main(["optimize", "--config", str(config), "--out", str(out_dir),
+                     "--iterations", str(iterations)]) == 0
+        with open(out_dir / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        records = [json.loads(line)
+                   for line in (out_dir / "trace.jsonl").read_text().splitlines()]
+        assert rows[0] == ["n", "phase", "T_ms", "J_oracle", "J_model", "accepted",
+                           "measurements"]
+        assert rows[1:] == [
+            [str(r["n"]), r["phase"], repr(r["t_seconds"] * 1e3), repr(r["j_oracle"]),
+             repr(r["j_model"]), str(int(r["accepted"])), str(r["measurements_this_iter"])]
+            for r in records
+        ]
+        assert len(records) == iterations
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("gamma: 3\n")
@@ -555,26 +594,13 @@ class TestEvaluateCommand:
         assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
-class TestExportCommand:
-    def test_plot_columns(self, tmp_path, capsys):
-        out_dir = tmp_path / "run"
-        main(
-            ["optimize", "--mode", "model-only", "--seed", "0",
-             "--iterations", "12", "--out", str(out_dir)]
-        )
-        capsys.readouterr()
-        fig = tmp_path / "fig.csv"
-        assert main(
-            ["export", "--trace", str(out_dir / "trace.jsonl"), "--out", str(fig)]
-        ) == 0
-        lines = fig.read_text().splitlines()
-        assert lines[0] == "n,J_tomo,T_ms"
-        assert len(lines) == 13
-        n, j, t_ms = lines[1].split(",")
-        assert n == "0" and 0.0 <= float(j) <= 1.0 and float(t_ms) == 5.0
-
-    def test_missing_trace_is_runtime_error(self, capsys):
-        assert main(["export", "--trace", "absent.jsonl"]) == 3
+class TestRemovedCommands:
+    def test_export_is_gone(self, capsys):
+        # summary.csv, written beside every trace, holds the plot columns
+        with pytest.raises(SystemExit) as exited:
+            main(["export", "--trace", "trace.jsonl"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'export'" in capsys.readouterr().err
 
 
 class TestPackaging:

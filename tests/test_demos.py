@@ -1,7 +1,8 @@
 """Smoke test: the quick demos run to completion as scripts.
 
 03 and 04 are left out: they repeat the criterion runs of
-tests/test_acceptance.py and take several seconds each.
+tests/test_acceptance.py and take several seconds each.  The CI workflow
+runs them as a step of their own.
 """
 
 import os

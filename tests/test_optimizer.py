@@ -18,8 +18,10 @@ from belltime import dynamics, experiment, optimizer
 from belltime.cartan import fidelity_ceiling
 from belltime.experiment import (
     LEDGER_CATEGORIES,
+    SECONDS_PER_MEASUREMENT,
     ExperimentBackend,
     ExperimentConfig,
+    ledger_report,
 )
 from belltime.linalg import ket, singlet_state
 from belltime.optimizer import (
@@ -35,6 +37,7 @@ from belltime.optimizer import (
     run_optimization,
     verify_trace_invariants,
 )
+from belltime.runconfig import RunConfig
 
 G_HZ = 217.4
 
@@ -131,6 +134,7 @@ class TestConfig:
         (OptimizerConfig, "max_iterations"),
         (OptimizerConfig, "m_slices"),
         (ExperimentConfig, "seed"),
+        (RunConfig, "seed"),
     ])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "7", None])
     def test_count_fields_take_integers_only(self, config_class, field, value):
@@ -138,6 +142,24 @@ class TestConfig:
             config_class(**{field: value})
         config = config_class(**{field: np.int64(7)})
         assert getattr(config, field) == 7 and type(getattr(config, field)) is int
+
+    @pytest.mark.parametrize("config_class, field, settings", [
+        *[(OptimizerConfig, f.name, lambda v, name=f.name: {name: v})
+          for f in dataclasses.fields(OptimizerConfig)
+          if f.name not in ("max_iterations", "m_slices")],
+        *[(ExperimentConfig, name, lambda v, name=name: {name: v})
+          for name in ("true_g_hz", "distortion_tau_s", "noise_sigma")],
+        (ExperimentConfig, "amplitude_scale", lambda v: {"amplitude_scale": (1.0, 1.0, v, 1.0)}),
+        (ExperimentConfig, "t1_s", lambda v: {"t1_s": (v, math.inf), "t2_s": (v, math.inf)}),
+        (ExperimentConfig, "t2_s", lambda v: {"t2_s": (math.inf, v)}),
+        (SystemModel, "g_hz", lambda v: {"g_hz": v}),
+    ])
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", 0.5j, None])
+    def test_real_fields_take_real_numbers_only(self, config_class, field, settings, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            config_class(**settings(value))
+        stored = getattr(config_class(**settings(np.float32(0.5))), field)
+        assert all(type(v) is float for v in (stored if isinstance(stored, tuple) else [stored]))
 
     def test_unknown_mode_rejected(self, model):
         with pytest.raises(ValueError):
@@ -184,6 +206,7 @@ class TestFiniteDifferenceGradients:
             abs(exact.grad_duration), 1e-8
         )
         assert rel_t <= 1e-5
+        assert math.isnan(fd.fidelity)  # no probe reads out the pulse itself
 
     def test_probe_ledger_split(self):
         backend = ExperimentBackend(ideal_config())
@@ -307,9 +330,9 @@ class TestMeasurementAccounting:
         result = run_optimization(
             "balanced", model, config, experiment=ideal_config(seed=8), seed=0
         )
-        report = result.ledger.as_dict()
-        assert sum(report.values()) == 30
-        assert result.seconds_per_measurement == 10.0
+        report = ledger_report(result.ledger)
+        assert report["total_measurements"] == 30
+        assert report["wall_clock_s"] == 30 * SECONDS_PER_MEASUREMENT == 300.0
 
 
 class TestModelOnlyRun:
@@ -641,4 +664,3 @@ class TestResultShape:
             "model-only", model, config, initial_pulse=pulse
         )
         assert result.records[0].t_seconds == pulse.duration_s
-        assert result.seed is None
