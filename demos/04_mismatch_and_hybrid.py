@@ -21,6 +21,7 @@ from belltime import (
     ledger_report,
     run_optimization,
 )
+from belltime.experiment import SECONDS_PER_MEASUREMENT
 
 MISMATCH = dict(
     true_g_hz=1.01 * 217.4,
@@ -67,7 +68,8 @@ def main():
           f"{hybrid.ledger.total_measurements} measurements charged "
           f"({hybrid.ledger.total_measurements // len(hybrid.records)} per iteration)")
     hours = ledger_report(hybrid.ledger)["wall_clock_h"]
-    print(f"  at 10 s per measurement that is {hours:.1f} h of bench time")
+    print(f"  at {SECONDS_PER_MEASUREMENT:g} s per measurement that is {hours:.1f} h "
+          "of bench time")
 
     print()
     print("== Why the measured J sits near 0.93 ==")

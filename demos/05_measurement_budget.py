@@ -10,9 +10,10 @@ the three run modes pay wildly different prices per iteration:
                           2 x M duration probes, 3 readouts each, plus
                           the 3-readout baseline, at M = 50)
 
-At 10 seconds per measurement the difference is a weekend versus a
-year.  This script first shows the live ledger producing those numbers,
-then does the wall-clock arithmetic.
+At the bench price of one readout, ``SECONDS_PER_MEASUREMENT`` in
+``belltime.experiment``, the difference is a weekend versus a year.  This
+script first shows the live ledger producing those numbers, then does the
+wall-clock arithmetic at that price.
 """
 
 from belltime import (
@@ -45,7 +46,8 @@ def main():
               f"tomography {report['fidelity_full']}")
 
     print()
-    print("== Projected to a 2000-iteration run ==")
+    print(f"== Projected to a 2000-iteration run at {SECONDS_PER_MEASUREMENT:g} s "
+          "per measurement ==")
     for mode, per_iter in (("model-only", 0), ("balanced", 3), ("experiment-only", 1503)):
         total = per_iter * 2000
         hours = total * SECONDS_PER_MEASUREMENT / 3600

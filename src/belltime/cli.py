@@ -1,9 +1,9 @@
 """Command-line workbench: optimize, evaluate, tmin, budget.
 
 The ``budget`` subcommand projects a run's readouts and bench hours from
-``optimizer.readouts_per_iteration``, priced at
-``experiment.SECONDS_PER_MEASUREMENT``; the README's section on the three
-modes reconciles its exact two-sided count with the often-quoted ~7500 h.
+``optimizer.readouts_per_iteration``, priced by ``experiment.ledger_report``
+like a run's ledger; the README's section on the three modes reconciles
+its exact two-sided count with the often-quoted ~7500 h.
 
 Times are printed in milliseconds with 3 significant figures; files
 always store full-precision values (seconds for durations).
@@ -28,7 +28,12 @@ from .dynamics import (
     read_pulse_csv,
     write_pulse_csv,
 )
-from .experiment import SECONDS_PER_MEASUREMENT, ExperimentBackend, ledger_report
+from .experiment import (
+    SECONDS_PER_MEASUREMENT,
+    ExperimentBackend,
+    MeasurementLedger,
+    ledger_report,
+)
 from .linalg import ket, singlet_state
 from .optimizer import MODES, OptimizerConfig, readouts_per_iteration, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
@@ -162,9 +167,9 @@ def _cmd_evaluate(args) -> int:
     print(f"model J = {j_model!r}")
     if config.experiment is not None:
         backend = ExperimentBackend(config.experiment)
-        j_tomo = backend.fidelity_partial(pulse)
+        j_partial = backend.fidelity_partial(pulse)
         j_full = backend.fidelity_full(pulse)
-        print(f"measured J_tomo = {j_tomo!r}")
+        print(f"J from <XX>, <YY>, <ZZ> = {j_partial!r}")
         print(f"full-tomography J = {j_full!r}")
     return 0
 
@@ -197,17 +202,16 @@ def _cmd_budget(args) -> int:
         split = readouts_per_iteration(args.mode, args.m_slices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    per_iter = sum(split.values())
-    total = per_iter * args.iterations
-    seconds = total * SECONDS_PER_MEASUREMENT
-    hours = seconds / 3600.0
+    report = ledger_report(
+        MeasurementLedger(**{c: n * args.iterations for c, n in split.items()})
+    )
     print(f"mode: {args.mode}")
-    print(f"measurements per iteration: {per_iter}")
+    print(f"measurements per iteration: {sum(split.values())}")
     print(f"iterations: {args.iterations}")
-    print(f"total measurements: {total}")
+    print(f"total measurements: {report['total_measurements']}")
     print(
         f"wall clock at {SECONDS_PER_MEASUREMENT:g} s/measurement: "
-        f"{seconds:g} s = {_fmt_hours(hours)}"
+        f"{report['wall_clock_s']:g} s = {_fmt_hours(report['wall_clock_h'])}"
     )
     if args.mode == "experiment-only":
         print(

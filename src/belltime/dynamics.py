@@ -37,6 +37,12 @@ _CONTROL_OPS = np.stack(
     ]
 )
 _ZZ = pauli_string("Z", "Z")
+# Each row j of pi * E_c holds one nonzero entry: its column and its value,
+# both (C, 4).  The amplitude gradient multiplies by these alone.
+_CONTROL_COLUMNS = np.argmax(_CONTROL_OPS != 0, axis=2)
+_CONTROL_VALUES = np.pi * np.take_along_axis(
+    _CONTROL_OPS, _CONTROL_COLUMNS[:, :, None], axis=2
+)[:, :, 0]
 
 PULSE_HEADER = "slice,ux1_hz,uy1_hz,ux2_hz,uy2_hz"
 
@@ -202,6 +208,17 @@ def fidelity_and_gradients(
     derivative stretches all slices together: dU_m/dT = (-i H_m/M) U_m.
     ``decomposition`` is as in ``model_fidelity``; the result is the same
     bit for bit with or without it.
+
+    The per-slice contractions hold the slice axis last and contiguous, so
+    ``einsum`` runs one long inner loop over slices while each output
+    element still adds the same products in the same order as the
+    slice-first form (``tests/oracles.py``); the result is the same bit
+    for bit.  Each row of pi * E_c has one nonzero entry
+    (``_CONTROL_COLUMNS``, ``_CONTROL_VALUES``): the other three products
+    of a row are exact signed zeros that never change a partial sum, so
+    V^dag E V is summed over that entry alone.  ``grad_amplitudes`` is
+    C-ordered: the optimizer's step and step-size sums add in memory
+    order, so an F-ordered array of equal values would move their bits.
     """
     psi0 = require_state(psi0)
     target = require_state(target)
@@ -217,11 +234,12 @@ def fidelity_and_gradients(
     fwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
     fwd[0] = psi0
     for m in range(m_slices):
-        fwd[m + 1] = u[m] @ fwd[m]
+        np.matmul(u[m], fwd[m], out=fwd[m + 1])
+    u_dag = u.conj().transpose(0, 2, 1)
     bwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
     bwd[m_slices] = target
     for m in range(m_slices, 0, -1):
-        bwd[m - 1] = u[m - 1].conj().T @ bwd[m]
+        np.matmul(u_dag[m - 1], bwd[m], out=bwd[m - 1])
 
     c = np.vdot(target, fwd[-1])
     fidelity = float(abs(c) ** 2)
@@ -231,12 +249,17 @@ def fidelity_and_gradients(
     mean = w[:, :, None] + w[:, None, :]
     gamma = (-1j * dt) * np.exp(-0.5j * dt * mean) * np.sinc(dt * diff / (2.0 * np.pi))
 
-    # E_c in each slice eigenbasis for all channels: (M, C, 4, 4).
-    e_eig = np.einsum("mji,cjk,mkl->mcil", v.conj(), np.pi * _CONTROL_OPS, v)
-    du = np.einsum("mij,mcjl,mkl->mcik", v, e_eig * gamma[:, None, :, :], v.conj())
+    # Slice axis last: vt[k, l, m] = v[m, k, l], and likewise for gamma.
+    vt = np.ascontiguousarray(v.transpose(1, 2, 0))
+    vct = vt.conj()
+    gamma_t = np.ascontiguousarray(gamma.transpose(1, 2, 0))
+
+    # E_c in each slice eigenbasis for all channels: (C, 4, 4, M).
+    e_eig = np.einsum("jim,cj,cjlm->cilm", vct, _CONTROL_VALUES, vt[_CONTROL_COLUMNS])
+    du = np.einsum("ijm,cjlm,klm->cikm", vt, e_eig * gamma_t, vct)
 
     # dc/du[m, c] = chi_m^dag dU_mc psi_{m-1}.
-    dc_amp = np.einsum("mi,mcij,mj->mc", bwd[1:].conj(), du, fwd[:-1])
+    dc_amp = np.einsum("im,cijm,jm->mc", bwd[1:].conj().T, du, fwd[:-1].T, order="C")
     grad_amp = 2.0 * np.real(np.conj(c) * dc_amp)
 
     # dc/dT = sum_m chi_m^dag (-i H_m / M) psi_m.

@@ -2,13 +2,21 @@
 
 Each is an independent route to a quantity the package computes another
 way: a matrix exponential by eigendecomposition, pure-state overlaps,
-expectation values, and the best tensor-product approximation of a
-two-spin operator.  They validate their inputs with the package's own
-checks, so garbage fails loudly here too.
+expectation values, the best tensor-product approximation of a two-spin
+operator, and the exact model gradient in its slice-first form.  They
+validate their inputs with the package's own checks, so garbage fails
+loudly here too.
 """
 
 import numpy as np
 
+from belltime.dynamics import (
+    _CONTROL_OPS,
+    GradientBundle,
+    PulseSequence,
+    SystemModel,
+    slice_propagators,
+)
 from belltime.linalg import require_density, require_hermitian, require_state
 
 
@@ -50,3 +58,69 @@ def nearest_local_product(u: np.ndarray):
     a = (uu[:, 0] * np.sqrt(ss[0])).reshape(2, 2)
     b = (vv[0, :] * np.sqrt(ss[0])).reshape(2, 2)
     return a, b, float(np.max(np.abs(np.kron(a, b) - u)))
+
+
+def reference_fidelity_and_gradients(
+    model: SystemModel,
+    pulse: PulseSequence,
+    psi0: np.ndarray,
+    target: np.ndarray,
+    decomposition=None,
+) -> GradientBundle:
+    """``fidelity_and_gradients`` with the slice axis first and dense E_c.
+
+    The package's routine must equal this one bit for bit.
+
+    J = |c|^2 with c = <target| U_M ... U_1 |psi0>.  For the amplitude
+    derivatives, the Fréchet derivative of each slice exponential in the
+    eigenbasis of H_m is (V^dag E V) o Gamma with
+
+        Gamma_kl = -i dt exp(-i dt (w_k + w_l)/2) sinc(dt (w_k - w_l)/2),
+
+    which is smooth through eigenvalue degeneracies.  The duration
+    derivative stretches all slices together: dU_m/dT = (-i H_m/M) U_m.
+    ``decomposition`` is as in ``model_fidelity``; the result is the same
+    bit for bit with or without it.
+    """
+    psi0 = require_state(psi0)
+    target = require_state(target)
+    m_slices = pulse.n_slices
+    dt = pulse.slice_duration_s
+
+    if decomposition is None:
+        decomposition = slice_propagators(model, pulse.amplitudes_hz, dt)
+    u, hams, w, v = decomposition
+
+    # Forward states psi_m and backward costates chi_m with
+    # c = chi_m^dag U_m psi_{m-1} for every m.
+    fwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
+    fwd[0] = psi0
+    for m in range(m_slices):
+        fwd[m + 1] = u[m] @ fwd[m]
+    bwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
+    bwd[m_slices] = target
+    for m in range(m_slices, 0, -1):
+        bwd[m - 1] = u[m - 1].conj().T @ bwd[m]
+
+    c = np.vdot(target, fwd[-1])
+    fidelity = float(abs(c) ** 2)
+
+    # Divided-difference kernel Gamma per slice, shape (M, 4, 4).
+    diff = w[:, :, None] - w[:, None, :]
+    mean = w[:, :, None] + w[:, None, :]
+    gamma = (-1j * dt) * np.exp(-0.5j * dt * mean) * np.sinc(dt * diff / (2.0 * np.pi))
+
+    # E_c in each slice eigenbasis for all channels: (M, C, 4, 4).
+    e_eig = np.einsum("mji,cjk,mkl->mcil", v.conj(), np.pi * _CONTROL_OPS, v)
+    du = np.einsum("mij,mcjl,mkl->mcik", v, e_eig * gamma[:, None, :, :], v.conj())
+
+    # dc/du[m, c] = chi_m^dag dU_mc psi_{m-1}.
+    dc_amp = np.einsum("mi,mcij,mj->mc", bwd[1:].conj(), du, fwd[:-1])
+    grad_amp = 2.0 * np.real(np.conj(c) * dc_amp)
+
+    # dc/dT = sum_m chi_m^dag (-i H_m / M) psi_m.
+    hpsi = np.einsum("mij,mj->mi", hams, fwd[1:])
+    dc_t = np.sum(np.einsum("mi,mi->m", bwd[1:].conj(), (-1j / m_slices) * hpsi))
+    grad_t = float(2.0 * np.real(np.conj(c) * dc_t))
+
+    return GradientBundle(fidelity, grad_amp, grad_t)

@@ -568,7 +568,7 @@ class TestEvaluateCommand:
         write_pulse_csv(pulse, path)
         assert main(["evaluate", "--pulse", str(path), "--config", str(config)]) == 0
         out = capsys.readouterr().out
-        assert "measured J_tomo" in out and "full-tomography J" in out
+        assert "J from <XX>, <YY>, <ZZ> = " in out and "full-tomography J" in out
 
     def test_missing_pulse_is_runtime_error(self, capsys):
         assert main(["evaluate", "--pulse", "nowhere.csv"]) == 3

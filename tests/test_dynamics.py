@@ -26,11 +26,18 @@ from belltime.dynamics import (
 )
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
-from oracles import expm_hermitian
+from oracles import expm_hermitian, reference_fidelity_and_gradients
 
 MODEL = SystemModel(g_hz=217.4)
 PSI0 = ket("00")
 TARGET = singlet_state()
+# (psi0, target) pairs: the Bell problem, a drift eigenstate onto itself,
+# and a pair the drift alone never connects.
+STATE_PAIRS = [
+    (ket("00"), singlet_state()),
+    (singlet_state(), singlet_state()),
+    (ket("01"), ket("10")),
+]
 
 
 def fd_gradients(model, pulse, psi0, target, h_amp=1e-6, h_time=1e-9):
@@ -284,6 +291,37 @@ class TestGradients:
         assert handed.fidelity == plain.fidelity
         assert model_fidelity(MODEL, p, PSI0, TARGET) == plain.fidelity
         assert model_fidelity(MODEL, p, PSI0, TARGET, decomposition) == plain.fidelity
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        amps=st.integers(1, 80).flatmap(
+            lambda m: arrays(np.float64, (m, 4), elements=st.floats(-3e3, 3e3))
+        ),
+        zero_rows=st.lists(st.integers(0, 79), max_size=20),
+        duration=st.floats(1e-9, 6e-3),
+        pair=st.sampled_from(range(len(STATE_PAIRS))),
+    )
+    @example(
+        amps=np.array([[1e6, -1e6, 0.0, 3e3], [0.0, 0.0, 0.0, 0.0], [-1e6, 2.5, 1e6, -1e6]]),
+        zero_rows=[], duration=2.3e-3, pair=0,
+    )
+    @example(amps=np.zeros((7, 4)), zero_rows=[], duration=1e-9, pair=2)
+    def test_equals_slice_first_reference_bit_for_bit(self, amps, zero_rows, duration, pair):
+        # Integer views tell -0.0 from +0.0; zero-drive rows leave the
+        # bare, doubly degenerate ZZ Hamiltonian.
+        amps[[r for r in zero_rows if r < len(amps)]] = 0.0
+        p = PulseSequence(duration, amps)
+        psi0, target = STATE_PAIRS[pair]
+        fast = fidelity_and_gradients(MODEL, p, psi0, target)
+        reference = reference_fidelity_and_gradients(MODEL, p, psi0, target)
+
+        def bits(x):
+            return np.array(x, dtype=np.float64).view(np.int64)
+
+        assert fast.grad_amplitudes.flags.c_contiguous
+        assert np.array_equal(bits(fast.grad_amplitudes), bits(reference.grad_amplitudes))
+        assert bits(fast.grad_duration) == bits(reference.grad_duration)
+        assert bits(fast.fidelity) == bits(reference.fidelity)
 
     @pytest.mark.parametrize("m_slices", [1, 5, 50])
     def test_matches_finite_differences(self, m_slices):
