@@ -18,24 +18,27 @@ wall-clock arithmetic at that price.
 
 from belltime import (
     ExperimentConfig,
+    MeasurementLedger,
     OptimizerConfig,
     SystemModel,
     ledger_report,
     run_optimization,
 )
 from belltime.experiment import SECONDS_PER_MEASUREMENT
+from belltime.optimizer import readouts_per_iteration
+
+MODES_BY_COST = ("model-only", "balanced", "experiment-only")
 
 
 def main():
     model = SystemModel(g_hz=217.4)
     experiment = ExperimentConfig(true_g_hz=217.4, seed=3)
+    config = OptimizerConfig(max_iterations=2)
 
     print("== Live ledgers (2 iterations each) ==")
-    for mode in ("model-only", "balanced", "experiment-only"):
+    for mode in MODES_BY_COST:
         kwargs = {} if mode == "model-only" else {"experiment": experiment}
-        result = run_optimization(
-            mode, model, OptimizerConfig(max_iterations=2), seed=0, **kwargs
-        )
+        result = run_optimization(mode, model, config, seed=0, **kwargs)
         report = ledger_report(result.ledger)
         per_iter = report["total_measurements"] // 2
         print(f"  {mode:<16s} {report['total_measurements']:5d} total "
@@ -45,12 +48,16 @@ def main():
               f"duration probes {report['gradient_time']}, "
               f"tomography {report['fidelity_full']}")
 
+    iterations = 2000
     print()
-    print(f"== Projected to a 2000-iteration run at {SECONDS_PER_MEASUREMENT:g} s "
+    print(f"== Projected to a {iterations}-iteration run at {SECONDS_PER_MEASUREMENT:g} s "
           "per measurement ==")
-    for mode, per_iter in (("model-only", 0), ("balanced", 3), ("experiment-only", 1503)):
-        total = per_iter * 2000
-        hours = total * SECONDS_PER_MEASUREMENT / 3600
+    for mode in MODES_BY_COST:
+        split = readouts_per_iteration(mode, config.m_slices)
+        report = ledger_report(
+            MeasurementLedger(**{c: n * iterations for c, n in split.items()})
+        )
+        total, hours = report["total_measurements"], report["wall_clock_h"]
         if hours >= 1000:
             clock = f"{hours:7.0f} h  (~{hours / 24 / 365:.1f} years)"
         elif hours > 0:

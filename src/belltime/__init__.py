@@ -27,7 +27,6 @@ from .dynamics import (
     SystemModel,
     fidelity_and_gradients,
     model_fidelity,
-    propagate,
     random_pulse,
     read_pulse_csv,
     slice_propagators,
@@ -37,7 +36,6 @@ from .experiment import (
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
-    distort_pulse,
     ledger_report,
 )
 from .linalg import (
@@ -78,7 +76,6 @@ __all__ = [
     "SystemModel",
     "bell_recipe_pulse",
     "cartan_coordinates",
-    "distort_pulse",
     "fidelity_and_gradients",
     "fidelity_ceiling",
     "finite_diff_gradients",
@@ -94,7 +91,6 @@ __all__ = [
     "model_fidelity",
     "parse_config",
     "pauli_string",
-    "propagate",
     "random_pulse",
     "read_pulse_csv",
     "run_optimization",

@@ -161,17 +161,6 @@ def slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, dt):
     return u, hams, w, v
 
 
-def propagate(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray,
-              decomposition=None) -> np.ndarray:
-    """Apply U_M ... U_1 to psi0."""
-    psi = require_state(psi0)
-    if decomposition is None:
-        decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
-    for u_m in decomposition[0]:
-        psi = u_m @ psi
-    return psi
-
-
 def model_fidelity(
     model: SystemModel,
     pulse: PulseSequence,
@@ -179,14 +168,18 @@ def model_fidelity(
     target: np.ndarray,
     decomposition=None,
 ) -> float:
-    """|<target| U(pulse) |psi0>|^2 under the nominal model.
+    """|<target| U_M ... U_1 |psi0>|^2 under the nominal model.
 
     ``decomposition``, when given, is ``slice_propagators`` of this pulse
     (its applied amplitudes and slice duration), and is used as is.
     """
     target = require_state(target)
-    psi_t = propagate(model, pulse, psi0, decomposition)
-    return float(abs(np.vdot(target, psi_t)) ** 2)
+    psi = require_state(psi0)
+    if decomposition is None:
+        decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
+    for u_m in decomposition[0]:
+        psi = u_m @ psi
+    return float(abs(np.vdot(target, psi)) ** 2)
 
 
 def fidelity_and_gradients(

@@ -163,24 +163,6 @@ def ledger_report(ledger: MeasurementLedger) -> dict:
     return report
 
 
-def distort_pulse(
-    pulse: PulseSequence, tau_s: float, slice_durations_s=None
-) -> PulseSequence:
-    """First-order low-pass distortion of the programmed waveform.
-
-    Per channel, y[m] = (1 - k_m) u[m] + k_m y[m-1] with
-    k_m = exp(-dt_m/tau) and y[-1] = 0, where dt_m is the slice duration
-    (the uniform T/M unless ``slice_durations_s`` gives one per slice);
-    tau_s = 0 returns the input unchanged.
-    """
-    if tau_s < 0:
-        raise ValueError(f"tau_s must be >= 0, got {tau_s}")
-    if tau_s == 0.0:
-        return pulse
-    factors, index = _decay_factors(_slice_durations(pulse, slice_durations_s), (tau_s,))
-    return pulse.with_amplitudes(_low_pass(pulse.amplitudes_hz[None], factors[index[None], 0])[0])
-
-
 def _slice_durations(pulse: PulseSequence, slice_durations_s) -> np.ndarray:
     """The pulse's (M,) slice durations: uniform T/M unless given."""
     if slice_durations_s is None:
@@ -214,9 +196,11 @@ def _decay_factors(dts: np.ndarray, times_s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _low_pass(amplitudes: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The recursion of ``distort_pulse`` over a stack of B waveforms.
+    """First-order low-pass distortion of a stack of B programmed waveforms.
 
-    ``amplitudes`` is (B, M, 4) and ``k`` the (B, M) factors exp(-dt/tau).
+    ``amplitudes`` is (B, M, 4) and ``k`` the (B, M) factors
+    k_m = exp(-dt_m/tau), dt_m the duration of slice m.  Per waveform and
+    channel, y[m] = (1 - k_m) u[m] + k_m y[m-1] with y[-1] = 0.
     """
     k = k[..., None]
     out = (1.0 - k) * amplitudes  # each slice's drive, overwritten by its output
@@ -288,21 +272,16 @@ class ExperimentBackend:
         self._ground = np.zeros((4, 4), dtype=np.complex128)
         self._ground[0, 0] = 1.0
 
-    def evolve_open(
-        self,
-        pulse: PulseSequence,
-        rho0: np.ndarray | None = None,
-        slice_durations_s=None,
-    ) -> np.ndarray:
-        """Density matrix after running the pulse on the true model.
+    def evolve_open(self, pulse: PulseSequence, slice_durations_s=None) -> np.ndarray:
+        """Density matrix after running the pulse on the true model from |00><00|.
 
         The programmed waveform is distorted, then scaled per channel;
         each slice applies its unitary followed by per-spin relaxation
-        over the slice duration.  rho0 defaults to |00><00|.
+        over the slice duration (the uniform T/M unless
+        ``slice_durations_s`` gives one per slice).
         """
         dts = _slice_durations(pulse, slice_durations_s)
-        rho = self._ground if rho0 is None else _one_density(rho0)
-        return self._evolve(pulse.amplitudes_hz, dts, rho)[0]
+        return self._evolve(pulse.amplitudes_hz, dts, self._ground)[0]
 
     def _evolve(
         self,

@@ -1,11 +1,11 @@
 """Reference routines that only the tests use.
 
 Each is an independent route to a quantity the package computes another
-way: a matrix exponential by eigendecomposition, pure-state overlaps,
-expectation values, the best tensor-product approximation of a two-spin
-operator, and the exact model gradient in its slice-first form.  They
-validate their inputs with the package's own checks, so garbage fails
-loudly here too.
+way: a matrix exponential by eigendecomposition, the model's state
+evolved one slice at a time, pure-state overlaps, expectation values, the
+best tensor-product approximation of a two-spin operator, and the exact
+model gradient in its slice-first form.  They validate their inputs with
+the package's own checks, so garbage fails loudly here too.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from belltime.dynamics import (
     SystemModel,
     slice_propagators,
 )
-from belltime.linalg import require_density, require_hermitian, require_state
+from belltime.linalg import pauli_string, require_density, require_hermitian, require_state
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -29,6 +29,22 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def reference_state(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray) -> np.ndarray:
+    """U_M ... U_1 psi0, each slice Hamiltonian built and exponentiated on its own.
+
+    H_m = (pi/2) g Z(x)Z + pi [ux1 X(x)I + uy1 Y(x)I + ux2 I(x)X + uy2 I(x)Y]
+    from ``pauli_string``, and U_m = exp(-i H_m T/M) by ``expm_hermitian``;
+    nothing of ``slice_propagators`` is shared.
+    """
+    drift = (np.pi / 2.0) * model.g_hz * pauli_string("Z", "Z")
+    controls = [pauli_string(a, b) for a, b in ("XI", "YI", "IX", "IY")]
+    psi = require_state(psi0)
+    for row in pulse.amplitudes_hz:
+        h = drift + np.pi * sum(u * op for u, op in zip(row, controls))
+        psi = expm_hermitian(h, pulse.slice_duration_s) @ psi
+    return psi
 
 
 def state_fidelity(psi: np.ndarray, phi: np.ndarray) -> float:

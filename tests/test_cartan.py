@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from belltime.cartan import (
     CHAMBER_TOL,
@@ -19,8 +20,9 @@ from belltime.cartan import (
     minimum_time_for_fidelity,
     minimum_time_unitary,
 )
+from belltime.dynamics import PulseSequence, SystemModel, model_fidelity
 from belltime.linalg import ket, pauli_string, singlet_state
-from oracles import expm_hermitian, nearest_local_product
+from oracles import expm_hermitian, nearest_local_product, reference_state
 
 G_HZ = 217.4
 
@@ -317,6 +319,29 @@ class TestCouplingSpeedLimit:
             psi = expm_hermitian(drift, t) @ plus
             s1, s2 = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
             assert fidelity_ceiling(G_HZ, t) == pytest.approx(0.5 + s1 * s2, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        amps=st.integers(1, 60).flatmap(
+            lambda m: arrays(np.float64, (m, 4), elements=st.floats(-1e4, 1e4))
+        ),
+        g_hz=st.sampled_from([G_HZ, 1.01 * G_HZ, 3.0]),
+        fraction=st.floats(1e-6, 1.0),
+    )
+    def test_no_pulse_beats_the_ceiling(self, amps, g_hz, fraction):
+        # Local controls of any strength cannot entangle faster than the
+        # coupling allows.  Random pulses land far below the bound on the
+        # singlet itself, so each is scored against the maximally entangled
+        # state nearest its own final state, U V^T / sqrt(2) for the SVD
+        # U S V^T of that state's 2 x 2 matrix: the singlet after the best
+        # closing local rotation, whose overlap (s1 + s2)^2 / 2 bounds the
+        # singlet's.
+        duration = fraction * minimum_time_bell(g_hz)
+        model, pulse = SystemModel(g_hz), PulseSequence(duration, amps)
+        u, _, vh = np.linalg.svd(reference_state(model, pulse, ket("00")).reshape(2, 2))
+        nearest = (u @ vh).reshape(4) / np.sqrt(2.0)
+        j = model_fidelity(model, pulse, ket("00"), nearest)
+        assert j <= fidelity_ceiling(g_hz, duration) + 1e-12
 
     @pytest.mark.parametrize("fidelity", [-1e-12, 1.0 + 1e-12, 2.0, float("nan"), float("inf")])
     def test_rejects_fidelity_outside_unit_interval(self, fidelity):

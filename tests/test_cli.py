@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -617,3 +618,16 @@ class TestPackaging:
             env={**os.environ, "PYTHONPATH": path},
         ).stdout
         assert out.strip() == "[]"
+
+    def test_all_is_the_public_surface(self):
+        # a deletion that leaves a stale __all__ entry or import fails here,
+        # not at a user's star import
+        star = {}
+        exec("from belltime import *", star)
+        public = {
+            name for name, value in vars(belltime).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert len(set(belltime.__all__)) == len(belltime.__all__)
+        assert set(belltime.__all__) == public
+        assert set(star) - {"__builtins__"} == public

@@ -1,9 +1,12 @@
 """Dynamics checks: propagation identities and exact-gradient correctness.
 
 The gradient oracle is an independent route: central finite differences
-of the fidelity computed through propagate(), with steps h = 1e-6 Hz for
-amplitudes and h = 1e-9 s for the duration.  Analytic gradients must
+of the fidelity computed through model_fidelity(), with steps h = 1e-6 Hz
+for amplitudes and h = 1e-9 s for the duration.  Analytic gradients must
 match to 1e-6 relative (1e-9 absolute floor for near-zero derivatives).
+model_fidelity() itself is checked against ``reference_state``
+(tests/oracles.py), which builds and exponentiates each slice Hamiltonian
+on its own.
 """
 
 import numpy as np
@@ -18,7 +21,6 @@ from belltime.dynamics import (
     SystemModel,
     fidelity_and_gradients,
     model_fidelity,
-    propagate,
     random_pulse,
     read_pulse_csv,
     slice_propagators,
@@ -26,7 +28,7 @@ from belltime.dynamics import (
 )
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
-from oracles import expm_hermitian, reference_fidelity_and_gradients
+from oracles import expm_hermitian, reference_fidelity_and_gradients, reference_state
 
 MODEL = SystemModel(g_hz=217.4)
 PSI0 = ket("00")
@@ -207,30 +209,30 @@ class TestSliceHamiltonian:
         np.testing.assert_allclose(u[1], expm_hermitian(expected, 7e-4), atol=1e-12)
 
 
-class TestPropagate:
+class TestModelFidelity:
     def test_zero_pulse_leaves_basis_state(self):
         p = PulseSequence(5e-3, np.zeros((50, 4)))
-        psi = propagate(MODEL, p, PSI0)
         # |00> is a drift eigenstate: only a phase accrues.
-        assert abs(abs(np.vdot(PSI0, psi)) - 1.0) < 1e-12
+        assert abs(model_fidelity(MODEL, p, PSI0, PSI0) - 1.0) < 1e-12
 
     def test_norm_preserved(self):
+        # The overlaps with a complete basis add up to the norm.
         rng = np.random.default_rng(7)
         p = random_pulse(50, 5e-3, 100.0, rng)
-        psi = propagate(MODEL, p, PSI0)
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        total = sum(model_fidelity(MODEL, p, PSI0, ket(b)) for b in ("00", "01", "10", "11"))
+        assert abs(total - 1.0) < 1e-12
 
     def test_split_composition(self):
-        # Propagating the first half then the second half equals one pass.
+        # The second half run from the first half's state equals one pass.
         rng = np.random.default_rng(8)
         amps = rng.uniform(-100, 100, size=(10, 4))
         p = PulseSequence(2e-3, amps)
-        full = propagate(MODEL, p, PSI0)
-        first = PulseSequence(1e-3, amps[:5])
+        mid = reference_state(MODEL, PulseSequence(1e-3, amps[:5]), PSI0)
         second = PulseSequence(1e-3, amps[5:])
-        mid = propagate(MODEL, first, PSI0)
-        two_step = propagate(MODEL, second, mid / np.linalg.norm(mid))
-        np.testing.assert_allclose(two_step, full, atol=1e-10)
+        for target in (TARGET, ket("00"), ket("01"), ket("11")):
+            assert model_fidelity(MODEL, second, mid, target) == pytest.approx(
+                model_fidelity(MODEL, p, PSI0, target), abs=1e-10
+            )
 
     def test_slice_duplication_invariance(self):
         # Repeating every slice twice at the same total T changes nothing.
@@ -238,9 +240,24 @@ class TestPropagate:
         amps = rng.uniform(-100, 100, size=(8, 4))
         p1 = PulseSequence(1.5e-3, amps)
         p2 = PulseSequence(1.5e-3, np.repeat(amps, 2, axis=0))
-        np.testing.assert_allclose(
-            propagate(MODEL, p1, PSI0), propagate(MODEL, p2, PSI0), atol=1e-12
-        )
+        for target in (TARGET, ket("00"), ket("01"), ket("11")):
+            assert model_fidelity(MODEL, p1, PSI0, target) == pytest.approx(
+                model_fidelity(MODEL, p2, PSI0, target), abs=1e-12
+            )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        amps=st.integers(1, 60).flatmap(
+            lambda m: arrays(np.float64, (m, 4), elements=st.floats(-3e3, 3e3))
+        ),
+        duration=st.floats(1e-6, 6e-3),
+        pair=st.sampled_from(range(len(STATE_PAIRS))),
+    )
+    def test_matches_per_slice_reference(self, amps, duration, pair):
+        p = PulseSequence(duration, amps)
+        psi0, target = STATE_PAIRS[pair]
+        expected = abs(np.vdot(target, reference_state(MODEL, p, psi0))) ** 2
+        assert abs(model_fidelity(MODEL, p, psi0, target) - expected) <= 1e-12
 
     def test_analytic_singlet_recipe(self):
         # Hand-built preparation sequence must hit the target at M = 50.

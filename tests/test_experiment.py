@@ -13,10 +13,9 @@ from belltime.dynamics import (
     PulseSequence,
     SystemModel,
     model_fidelity,
-    propagate,
     random_pulse,
+    slice_propagators,
 )
-from belltime.dynamics import slice_propagators
 from belltime.experiment import (
     LEDGER_CATEGORIES,
     PARTIAL_LABELS,
@@ -29,17 +28,23 @@ from belltime.experiment import (
     _relax,
     _relaxation_matrices,
     _relaxed,
-    distort_pulse,
     ledger_report,
 )
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
+from oracles import reference_state
 
 G_HZ = 217.4
 
 
 def ideal_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(true_g_hz=G_HZ, **overrides)
+
+
+def low_pass(amplitudes, tau_s, dts):
+    """The emulator's low-pass filter of one (M, 4) waveform over (M,) slice durations."""
+    factors, index = _decay_factors(dts, (tau_s,))
+    return _low_pass(amplitudes[None], factors[index[None], 0])[0]
 
 
 def reference_distortion(amplitudes, tau_s, dts):
@@ -73,6 +78,15 @@ def relaxation_kraus(t1_s: float, t2_s: float, dt: float):
     return ops
 
 
+def relax_tabled(config, rho, dts):
+    """rho after the emulator's tabled T1/T2 map of each slice, with no unitary."""
+    factors, index = _decay_factors(dts, config.t1_s + config.t2_s)
+    matrices = _relaxation_matrices(factors)
+    for row in index:
+        rho = _relaxed(matrices[row], rho)
+    return rho
+
+
 def relax_kraus(rho, t1_s, t2_s, dt):
     """Both spins' relaxation over dt applied as two-spin Kraus channels."""
     eye = np.eye(2, dtype=np.complex128)
@@ -86,8 +100,10 @@ def relax_kraus(rho, t1_s, t2_s, dt):
 def reference_evolution(backend, pulse, dts):
     """One pulse's open evolution as a per-slice Kraus loop, from |00><00|."""
     cfg = backend.config
-    distorted = distort_pulse(pulse, cfg.distortion_tau_s, dts)
-    applied = distorted.amplitudes_hz * np.asarray(cfg.amplitude_scale)
+    distorted = pulse.amplitudes_hz
+    if cfg.distortion_tau_s > 0.0:
+        distorted = reference_distortion(distorted, cfg.distortion_tau_s, dts)
+    applied = distorted * np.asarray(cfg.amplitude_scale)
     props = slice_propagators(SystemModel(cfg.true_g_hz), applied, dts)[0]
     rho = np.outer(ket("00"), ket("00").conj())
     for u, dt in zip(props, dts):
@@ -128,21 +144,16 @@ def mismatch_config(**overrides) -> ExperimentConfig:
 
 
 class TestDistortion:
-    def test_zero_tau_is_identity(self):
-        pulse = random_pulse(20, 3e-3, 100.0, np.random.default_rng(1))
-        assert distort_pulse(pulse, 0.0) is pulse
-
     def test_first_slice_attenuation_closed_form(self):
         amps = np.full((30, 4), 80.0)
-        pulse = PulseSequence(duration_s=3e-3, amplitudes_hz=amps)
         tau = 50e-6
-        out = distort_pulse(pulse, tau)
-        dt = pulse.slice_duration_s
+        dt = 3e-3 / 30
+        out = low_pass(amps, tau, np.full(30, dt))
         expected_first = (1.0 - math.exp(-dt / tau)) * 80.0
-        assert np.allclose(out.amplitudes_hz[0], expected_first, atol=1e-9)
+        assert np.allclose(out[0], expected_first, atol=1e-9)
         # approach to the constant is monotone and exponential (check the
         # first slices only; later deviations underflow to exactly zero)
-        deviation = 80.0 - out.amplitudes_hz[:, 0]
+        deviation = 80.0 - out[:, 0]
         assert np.all(np.diff(deviation[:10]) < 0)
         assert np.allclose(
             deviation, 80.0 * np.exp(-dt * np.arange(1, 31) / tau), atol=1e-9
@@ -150,15 +161,16 @@ class TestDistortion:
 
     def test_huge_tau_suppresses_everything(self):
         pulse = random_pulse(25, 2e-3, 150.0, np.random.default_rng(2))
-        out = distort_pulse(pulse, 1e3)
-        assert np.max(np.abs(out.amplitudes_hz)) < 1e-3
+        out = low_pass(pulse.amplitudes_hz, 1e3, np.full(25, pulse.slice_duration_s))
+        assert np.max(np.abs(out)) < 1e-3
 
     def test_per_slice_durations_match_uniform_path(self):
+        # tabled factors of equal durations are the one scalar factor
         pulse = random_pulse(15, 2e-3, 90.0, np.random.default_rng(3))
-        uniform = np.full(15, pulse.slice_duration_s)
-        a = distort_pulse(pulse, 30e-6)
-        b = distort_pulse(pulse, 30e-6, slice_durations_s=uniform)
-        assert np.array_equal(a.amplitudes_hz, b.amplitudes_hz)
+        k = np.full((1, 15), math.exp(-pulse.slice_duration_s / 30e-6))
+        a = _low_pass(pulse.amplitudes_hz[None], k)[0]
+        b = low_pass(pulse.amplitudes_hz, 30e-6, np.full(15, pulse.slice_duration_s))
+        assert np.array_equal(a, b)
 
     def test_recursion_matches_lfilter_bit_for_bit(self):
         # scipy's IIR filter is the oracle of the per-slice recursion.
@@ -171,7 +183,8 @@ class TestDistortion:
             tau = 10.0 ** rng.uniform(-6.0, -2.0)
             k = math.exp(-pulse.slice_duration_s / tau)
             expected = lfilter([1.0 - k], [1.0, -k], pulse.amplitudes_hz, axis=0)
-            assert np.array_equal(distort_pulse(pulse, tau).amplitudes_hz, expected)
+            uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
+            assert np.array_equal(low_pass(pulse.amplitudes_hz, tau, uniform), expected)
 
     def test_recursion_matches_per_slice_reference(self):
         rng = np.random.default_rng(19)
@@ -180,7 +193,7 @@ class TestDistortion:
             tau = 10.0 ** rng.uniform(-6.0, -2.0)
             dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=pulse.n_slices)
             expected = reference_distortion(pulse.amplitudes_hz, tau, dts)
-            assert np.array_equal(distort_pulse(pulse, tau, dts).amplitudes_hz, expected)
+            assert np.array_equal(low_pass(pulse.amplitudes_hz, tau, dts), expected)
 
     def test_stacked_recursion_matches_per_pulse(self):
         # uniform rows and rows with one slice's duration moved, in one stack
@@ -193,17 +206,9 @@ class TestDistortion:
         stacked = _low_pass(amps, factors[index, 0])
         k = math.exp(-pulse.slice_duration_s / tau)
         for row, (a, d) in enumerate(zip(amps, dts)):
-            alone = distort_pulse(pulse.with_amplitudes(a), tau, d).amplitudes_hz
-            assert np.array_equal(stacked[row], alone)
+            assert np.array_equal(stacked[row], low_pass(a, tau, d))
             if np.all(d == pulse.slice_duration_s):
                 assert np.array_equal(stacked[row], lfilter([1.0 - k], [1.0, -k], a, axis=0))
-
-    def test_rejects_bad_inputs(self):
-        pulse = random_pulse(5, 1e-3, 10.0, np.random.default_rng(4))
-        with pytest.raises(ValueError):
-            distort_pulse(pulse, -1.0)
-        with pytest.raises(ValueError):
-            distort_pulse(pulse, 1e-5, slice_durations_s=np.ones(3) * 1e-4)
 
 
 class TestConfigValidation:
@@ -234,25 +239,22 @@ class TestOpenEvolution:
         for _ in range(5):
             pulse = random_pulse(20, rng.uniform(1e-3, 5e-3), 120.0, rng)
             rho = backend.evolve_open(pulse)
-            psi = propagate(model, pulse, ket("00"))
+            psi = reference_state(model, pulse, ket("00"))
             assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-10
 
     def test_amplitude_damping_fixed_point(self):
+        # 6 s of free evolution from |11><11|; the ZZ drift leaves diagonal states alone
         config = ideal_config(t1_s=(0.730, 0.096), t2_s=(0.0965, 0.0425))
-        backend = ExperimentBackend(config)
-        pulse = PulseSequence(duration_s=6.0, amplitudes_hz=np.zeros((200, 4)))
-        rho0 = np.outer(ket("11"), ket("11").conj())
-        rho = backend.evolve_open(pulse, rho0=rho0)
+        rho = relax_tabled(config, np.outer(ket("11"), ket("11").conj()), np.full(200, 0.03))
         assert abs(rho[0, 0].real - 1.0) < 1e-3
         assert abs(np.trace(rho).real - 1.0) < 1e-10
 
     def test_spin1_coherence_decays_at_t2(self):
         t2c = 0.0965
         config = ideal_config(t1_s=(0.730, 0.096), t2_s=(t2c, 0.0425))
-        backend = ExperimentBackend(config)
-        pulse = PulseSequence(duration_s=t2c, amplitudes_hz=np.zeros((100, 4)))
         plus_zero = (ket("00") + ket("10")) / np.sqrt(2.0)
-        rho = backend.evolve_open(pulse, rho0=np.outer(plus_zero, plus_zero.conj()))
+        # over T2 of free evolution; the ZZ drift only turns the phase of rho[0, 2]
+        rho = relax_tabled(config, np.outer(plus_zero, plus_zero.conj()), np.full(100, t2c / 100))
         assert abs(abs(rho[0, 2]) - 0.5 * math.exp(-1.0)) < 1e-6
 
     def test_per_slice_durations_match_uniform(self):
@@ -353,17 +355,7 @@ class TestOpenEvolution:
             backend.evolve_open(pulse, slice_durations_s=dts)
         with pytest.raises(ValueError, match="slice_durations_s must"):
             backend.fidelity_partial(pulse, slice_durations_s=dts)
-        with pytest.raises(ValueError, match="slice_durations_s must"):
-            distort_pulse(pulse, 50e-6, dts)
         assert backend.ledger.total_measurements == 0
-
-    def test_rejects_bad_initial_state(self):
-        backend = ExperimentBackend(ideal_config())
-        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(9))
-        with pytest.raises(ValueError, match="trace"):
-            backend.evolve_open(pulse, rho0=np.eye(4))
-        with pytest.raises(ValueError, match="4 x 4"):
-            backend.evolve_open(pulse, rho0=np.stack([np.diag([1.0, 0, 0, 0])] * 2))
 
     def test_output_is_physical_under_mismatch(self):
         backend = ExperimentBackend(mismatch_config())
@@ -747,6 +739,10 @@ class TestReadout:
         lopsided = np.diag([1.5, -0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="negative eigenvalue"):
             backend.measure_pauli(lopsided, ("Z", "Z"), "fidelity_partial")
+        with pytest.raises(ValueError, match="4 x 4"):
+            backend.measure_pauli(
+                np.stack([np.diag([1.0, 0, 0, 0])] * 2), ("Z", "Z"), "fidelity_partial"
+            )
         assert backend.ledger.total_measurements == 0
 
     def test_full_reconstruction_stays_physical_under_noise(self):
