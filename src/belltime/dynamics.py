@@ -178,7 +178,7 @@ def model_fidelity(
     if decomposition is None:
         decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
     for u_m in decomposition[0]:
-        psi = u_m @ psi
+        psi = u_m.dot(psi)
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
@@ -202,16 +202,19 @@ def fidelity_and_gradients(
     ``decomposition`` is as in ``model_fidelity``; the result is the same
     bit for bit with or without it.
 
-    The per-slice contractions hold the slice axis last and contiguous, so
-    ``einsum`` runs one long inner loop over slices while each output
-    element still adds the same products in the same order as the
-    slice-first form (``tests/oracles.py``); the result is the same bit
-    for bit.  Each row of pi * E_c has one nonzero entry
-    (``_CONTROL_COLUMNS``, ``_CONTROL_VALUES``): the other three products
-    of a row are exact signed zeros that never change a partial sum, so
-    V^dag E V is summed over that entry alone.  ``grad_amplitudes`` is
-    C-ordered: the optimizer's step and step-size sums add in memory
-    order, so an F-ordered array of equal values would move their bits.
+    The forward and backward sweeps apply each slice with 2-D
+    ``ndarray.dot``, the BLAS call ``@`` makes on 2-D operands, so they
+    keep the bits of the oracle's ``@`` loops.  The per-slice
+    contractions hold the slice axis last and contiguous, so ``einsum``
+    runs one long inner loop over slices while each output element still
+    adds the same products in the same order as the slice-first form
+    (``tests/oracles.py``); the result is the same bit for bit.  Each row
+    of pi * E_c has one nonzero entry (``_CONTROL_COLUMNS``,
+    ``_CONTROL_VALUES``): the other three products of a row are exact
+    signed zeros that never change a partial sum, so V^dag E V is summed
+    over that entry alone.  ``grad_amplitudes`` is C-ordered: the
+    optimizer's step and step-size sums add in memory order, so an
+    F-ordered array of equal values would move their bits.
     """
     psi0 = require_state(psi0)
     target = require_state(target)
@@ -227,12 +230,12 @@ def fidelity_and_gradients(
     fwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
     fwd[0] = psi0
     for m in range(m_slices):
-        np.matmul(u[m], fwd[m], out=fwd[m + 1])
+        fwd[m + 1] = u[m].dot(fwd[m])
     u_dag = u.conj().transpose(0, 2, 1)
     bwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
     bwd[m_slices] = target
     for m in range(m_slices, 0, -1):
-        np.matmul(u_dag[m - 1], bwd[m], out=bwd[m - 1])
+        bwd[m - 1] = u_dag[m - 1].dot(bwd[m])
 
     c = np.vdot(target, fwd[-1])
     fidelity = float(abs(c) ** 2)

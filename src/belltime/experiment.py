@@ -244,7 +244,9 @@ def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """C-contiguous ``rho`` (..., 4, 4) mapped by (..., 16, 16) relaxation matrices.
 
     The matrices are real, so they act on the real and imaginary parts
-    of vec(rho) as the two columns of one (16, 2) real operand.
+    of vec(rho) as the two columns of one (16, 2) real operand.  The
+    probes and the back-propagated observables use it on stacks; the
+    pulse's own slice loop makes the same product with 2-D ``dot``.
     """
     parts = rho.view(np.float64).reshape(rho.shape[:-2] + (16, 2))
     return (matrices @ parts).view(np.complex128).reshape(rho.shape)
@@ -299,7 +301,11 @@ class ExperimentBackend:
         unitary, then relaxation as one tabled 16 x 16 product on
         vec(rho); the table holds one ``_relax`` matrix per distinct slice
         duration of the pulse and its probes.  The pulse is evolved once,
-        keeping its state before every slice.
+        keeping its state before every slice (stacked only when there are
+        probes to start from them).  Its loop makes each product with
+        2-D ``ndarray.dot``, which calls the same BLAS kernel as ``@`` on
+        2-D operands without the gufunc dispatch, so the bits are those of
+        the ``@`` loop (``tests/oracles.py``).
 
         A probe's window runs from the first to the last slice where its
         applied amplitudes or duration differ from the pulse's.  It is
@@ -345,16 +351,19 @@ class ExperimentBackend:
             np.concatenate([dts, probe_dts[own]]),
         )[0]
         u_dag = u[:m_slices].conj().swapaxes(-1, -2)
-        states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
-        states[0] = rho = rho0
-        for m in range(m_slices):
-            rho = u[m] @ rho @ u_dag[m]
-            if relaxation is not None:
-                rho = _relaxed(relaxation[index[0, m]], rho)
-            states[m + 1] = rho
+        pulse_relaxation = relaxation[index[0]] if relaxation is not None else [None] * m_slices
+        rho = rho0
+        states = [rho]
+        for u_m, u_dag_m, r_m in zip(u, u_dag, pulse_relaxation):
+            rho = u_m.dot(rho).dot(u_dag_m)
+            if r_m is not None:  # the real map on vec(rho)'s real and imaginary parts
+                parts = rho.view(np.float64).reshape(16, 2)
+                rho = r_m.dot(parts).view(np.complex128).reshape(4, 4)
+            states.append(rho)
         if not len(probe_dts):
             return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
 
+        states = np.stack(states)
         differs = own.any(axis=1)
         enter = np.where(differs, own.argmax(axis=1), m_slices)
         leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)

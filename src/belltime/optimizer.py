@@ -216,7 +216,8 @@ class IterationRecord:
     event: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so a shallow copy equals ``asdict`` without its deep copy
+        return dict(vars(self))
 
 
 @dataclass

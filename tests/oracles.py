@@ -6,7 +6,15 @@ evolved one slice at a time, pure-state overlaps, expectation values, the
 best tensor-product approximation of a two-spin operator, and the exact
 model gradient in its slice-first form.  They validate their inputs with
 the package's own checks, so garbage fails loudly here too.
+
+The slow-path oracles (``reference_fidelity_and_gradients``,
+``reference_model_fidelity``, ``reference_pulse_evolution``) share the
+package's set-up and differ from it only in how they loop over slices:
+one stacked ``@`` product, or ``np.matmul``, per step.  The package's
+routines must equal them bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +25,7 @@ from belltime.dynamics import (
     SystemModel,
     slice_propagators,
 )
+from belltime.experiment import _decay_factors, _low_pass, _relaxation_matrices, _relaxed
 from belltime.linalg import pauli_string, require_density, require_hermitian, require_state
 
 
@@ -45,6 +54,58 @@ def reference_state(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray) 
         h = drift + np.pi * sum(u * op for u, op in zip(row, controls))
         psi = expm_hermitian(h, pulse.slice_duration_s) @ psi
     return psi
+
+
+def reference_model_fidelity(
+    model: SystemModel,
+    pulse: PulseSequence,
+    psi0: np.ndarray,
+    target: np.ndarray,
+    decomposition=None,
+) -> float:
+    """``model_fidelity`` with each slice applied as ``u_m @ psi``.
+
+    The package's routine must equal this one bit for bit.
+    """
+    target = require_state(target)
+    psi = require_state(psi0)
+    if decomposition is None:
+        decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
+    for u_m in decomposition[0]:
+        psi = u_m @ psi
+    return float(abs(np.vdot(target, psi)) ** 2)
+
+
+def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
+    """``backend.evolve_open(pulse, dts)`` as a per-slice ``@`` loop.
+
+    The waveform, propagators and relaxation table are built as the
+    emulator builds them; each slice then applies ``u @ rho @ u^dag`` and
+    the tabled relaxation through ``_relaxed``.  The package's routine
+    must equal this one bit for bit.
+    """
+    cfg = backend.config
+    tau = (cfg.distortion_tau_s,) if cfg.distortion_tau_s > 0.0 else ()
+    t1_t2 = cfg.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
+    if not any(math.isfinite(t) for t in t1_t2):
+        t1_t2 = ()
+    amplitudes = pulse.amplitudes_hz[None]
+    relaxation = None
+    if tau + t1_t2:
+        factors, index = _decay_factors(dts[None], tau + t1_t2)
+        if tau:
+            amplitudes = _low_pass(amplitudes, factors[index, 0])
+        if t1_t2:
+            relaxation = _relaxation_matrices(factors[:, len(tau):])
+    applied = amplitudes[0] * np.asarray(cfg.amplitude_scale)
+    u = slice_propagators(SystemModel(cfg.true_g_hz), applied, dts)[0]
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    rho[0, 0] = 1.0
+    for m in range(len(dts)):
+        rho = u[m] @ rho @ u[m].conj().T
+        if relaxation is not None:
+            rho = _relaxed(relaxation[index[0, m]], rho)
+    return rho
 
 
 def state_fidelity(psi: np.ndarray, phi: np.ndarray) -> float:

@@ -28,7 +28,12 @@ from belltime.dynamics import (
 )
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
-from oracles import expm_hermitian, reference_fidelity_and_gradients, reference_state
+from oracles import (
+    expm_hermitian,
+    reference_fidelity_and_gradients,
+    reference_model_fidelity,
+    reference_state,
+)
 
 MODEL = SystemModel(g_hz=217.4)
 PSI0 = ket("00")
@@ -258,6 +263,24 @@ class TestModelFidelity:
         psi0, target = STATE_PAIRS[pair]
         expected = abs(np.vdot(target, reference_state(MODEL, p, psi0))) ** 2
         assert abs(model_fidelity(MODEL, p, psi0, target) - expected) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        amps=st.integers(1, 60).flatmap(
+            lambda m: arrays(np.float64, (m, 4), elements=st.floats(-3e3, 3e3))
+        ),
+        duration=st.floats(1e-9, 6e-3),
+        pair=st.sampled_from(range(len(STATE_PAIRS))),
+        handed=st.booleans(),
+    )
+    def test_equals_matmul_loop_bit_for_bit(self, amps, duration, pair, handed):
+        p = PulseSequence(duration, amps)
+        psi0, target = STATE_PAIRS[pair]
+        decomposition = (
+            slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s) if handed else None
+        )
+        fast = model_fidelity(MODEL, p, psi0, target, decomposition)
+        assert fast.hex() == reference_model_fidelity(MODEL, p, psi0, target).hex()
 
     def test_analytic_singlet_recipe(self):
         # Hand-built preparation sequence must hit the target at M = 50.

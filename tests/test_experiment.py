@@ -32,7 +32,7 @@ from belltime.experiment import (
 )
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
-from oracles import reference_state
+from oracles import reference_pulse_evolution, reference_state
 
 G_HZ = 217.4
 
@@ -231,6 +231,16 @@ class TestConfigValidation:
             ExperimentConfig(distortion_tau_s=-1e-6)
 
 
+NO_RELAXATION = dict(t1_s=(math.inf, math.inf), t2_s=(math.inf, math.inf))
+# the four emulator paths: with or without the low-pass, with or without relaxation
+APPARATUS = {
+    "coherent": dict(distortion_tau_s=0.0, **NO_RELAXATION),
+    "filter only": NO_RELAXATION,
+    "relaxation only": dict(distortion_tau_s=0.0),
+    "lossy": {},
+}
+
+
 class TestOpenEvolution:
     def test_reduces_to_unitary_when_ideal(self):
         backend = ExperimentBackend(ideal_config())
@@ -280,6 +290,22 @@ class TestOpenEvolution:
                                        (backend.evolve_open(pulse, slice_durations_s=dts), dts)):
                     expected = reference_evolution(backend, pulse, durations)
                     assert np.max(np.abs(rho - expected)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(apparatus=st.sampled_from(sorted(APPARATUS)), m_slices=st.integers(1, 60),
+           duration=st.floats(1e-4, 6e-3), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_matmul_loop_bit_for_bit(self, apparatus, m_slices, duration, uniform, seed):
+        backend = ExperimentBackend(mismatch_config(**APPARATUS[apparatus]))
+        rng = np.random.default_rng(seed)
+        pulse = random_pulse(m_slices, duration, 150.0, rng)
+        if uniform:
+            dts = np.full(m_slices, pulse.slice_duration_s)
+            rho = backend.evolve_open(pulse)
+        else:
+            dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
+            rho = backend.evolve_open(pulse, slice_durations_s=dts)
+        expected = reference_pulse_evolution(backend, pulse, dts)
+        assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
 
     def test_t2_in_the_validators_slack_decays_as_the_kraus_channel(self):
         # T2 may exceed 2*T1 by 1e-12; coherence then decays at 1/(2*T1)
@@ -522,7 +548,7 @@ class TestProbeEvolution:
         pulse, amps, dts, categories = probes
         overrides = dict(seed=seed, distortion_tau_s=50e-6 if low_pass else 0.0)
         if not relaxing:
-            overrides.update(t1_s=(math.inf, math.inf), t2_s=(math.inf, math.inf))
+            overrides.update(NO_RELAXATION)
         batched = ExperimentBackend(mismatch_config(**overrides))
         single = ExperimentBackend(mismatch_config(**overrides))
         values = batched.fidelity_partial_batch(pulse, amps, dts, categories)

@@ -649,6 +649,18 @@ class TestResultShape:
             "acceptance_rhs", "threshold", "event",
         }
 
+    @pytest.mark.parametrize("event", [None, EVENT_STALL_STEP1])
+    def test_record_dict_equals_asdict_and_is_a_copy(self, model_run, event):
+        rec = dataclasses.replace(model_run.records[1], event=event)
+        d = rec.as_dict()
+        assert d == dataclasses.asdict(rec)
+        assert list(d) == [f.name for f in dataclasses.fields(rec)]
+        d["t_seconds"] = -1.0
+        d["event"] = "tampered"
+        del d["n"]
+        assert rec.as_dict() == dataclasses.asdict(rec)
+        assert (rec.n, rec.event) == (1, event)
+
     def test_final_full_fidelity_only_with_backend(self, model, model_run):
         assert model_run.final_full_fidelity is None
         config = OptimizerConfig(max_iterations=5)
