@@ -151,10 +151,15 @@ def slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, dt):
     the slice duration, a scalar or one value per slice.  Returns
     (U, H, w, v): propagators and Hamiltonians (rad/s), each (M, 4, 4),
     and the eigenvalues w (M, 4) and eigenvectors v (M, 4, 4) of H_m.
+
+    The control terms are one (M, 4) @ (4, 16) product.  Every entry of
+    E_c is 0, +-1 or +-i, so each real and imaginary part of a sum holds
+    one exact product and exact zeros, and adding the drift leaves the
+    bits of the ``einsum`` form (``tests/oracles.py``).
     """
     drift = (np.pi / 2.0) * model.g_hz * _ZZ
-    ctrl = np.pi * np.einsum("mc,cij->mij", amplitudes_hz, _CONTROL_OPS)
-    hams = drift[None, :, :] + ctrl
+    ctrl = np.pi * (amplitudes_hz @ _CONTROL_OPS.reshape(4, 16))
+    hams = drift[None, :, :] + ctrl.reshape(-1, 4, 4)
     w, v = np.linalg.eigh(hams)
     phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
     u = np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
@@ -167,19 +172,36 @@ def model_fidelity(
     psi0: np.ndarray,
     target: np.ndarray,
     decomposition=None,
+    states=None,
 ) -> float:
     """|<target| U_M ... U_1 |psi0>|^2 under the nominal model.
 
     ``decomposition``, when given, is ``slice_propagators`` of this pulse
     (its applied amplitudes and slice duration), and is used as is.
+    ``states``, when given, is an (M + 1, 4) complex array that receives
+    the forward states psi_0 = psi0, psi_m = U_m psi_{m-1}, which
+    ``fidelity_and_gradients`` of the same pulse can take.
     """
     target = require_state(target)
-    psi = require_state(psi0)
+    psi0 = require_state(psi0)
     if decomposition is None:
         decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
-    for u_m in decomposition[0]:
-        psi = u_m.dot(psi)
-    return float(abs(np.vdot(target, psi)) ** 2)
+    if states is None:
+        states = np.empty((pulse.n_slices + 1, 4), dtype=np.complex128)
+    _sweep(decomposition[0], psi0, states)
+    return float(abs(np.vdot(target, states[-1])) ** 2)
+
+
+def _sweep(u: np.ndarray, start: np.ndarray, states: np.ndarray) -> None:
+    """states[0] = start and states[m + 1] = u[m] states[m], in place.
+
+    Each product is a 2-D ``ndarray.dot`` into its row of ``states``: the
+    BLAS call ``@`` makes on 2-D operands, without the gufunc dispatch or
+    a new array, so the bits are those of the ``@`` loop.
+    """
+    states[0] = psi = start
+    for u_m, after in zip(u, states[1:]):
+        psi = u_m.dot(psi, after)
 
 
 def fidelity_and_gradients(
@@ -188,6 +210,7 @@ def fidelity_and_gradients(
     psi0: np.ndarray,
     target: np.ndarray,
     decomposition=None,
+    states=None,
 ) -> GradientBundle:
     """Exact J, dJ/du (all M x 4 amplitudes) and dJ/dT in one pass.
 
@@ -199,12 +222,13 @@ def fidelity_and_gradients(
 
     which is smooth through eigenvalue degeneracies.  The duration
     derivative stretches all slices together: dU_m/dT = (-i H_m/M) U_m.
-    ``decomposition`` is as in ``model_fidelity``; the result is the same
-    bit for bit with or without it.
+    ``decomposition`` and ``states`` are as in ``model_fidelity``: the
+    forward states filled there from this decomposition and ``psi0``.
+    The result is the same bit for bit with or without either.
 
     The forward and backward sweeps apply each slice with 2-D
-    ``ndarray.dot``, the BLAS call ``@`` makes on 2-D operands, so they
-    keep the bits of the oracle's ``@`` loops.  The per-slice
+    ``ndarray.dot`` into a preallocated row (``_sweep``), so they keep
+    the bits of the oracle's ``@`` loops.  The per-slice
     contractions hold the slice axis last and contiguous, so ``einsum``
     runs one long inner loop over slices while each output element still
     adds the same products in the same order as the slice-first form
@@ -226,16 +250,13 @@ def fidelity_and_gradients(
     u, hams, w, v = decomposition
 
     # Forward states psi_m and backward costates chi_m with
-    # c = chi_m^dag U_m psi_{m-1} for every m.
-    fwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
-    fwd[0] = psi0
-    for m in range(m_slices):
-        fwd[m + 1] = u[m].dot(fwd[m])
-    u_dag = u.conj().transpose(0, 2, 1)
+    # c = chi_m^dag U_m psi_{m-1} for every m; bwd is swept from its end.
+    if states is None:
+        states = np.empty((m_slices + 1, 4), dtype=np.complex128)
+        _sweep(u, psi0, states)
+    fwd = states
     bwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
-    bwd[m_slices] = target
-    for m in range(m_slices, 0, -1):
-        bwd[m - 1] = u_dag[m - 1].dot(bwd[m])
+    _sweep(u[::-1].conj().transpose(0, 2, 1), target, bwd[::-1])
 
     c = np.vdot(target, fwd[-1])
     fidelity = float(abs(c) ** 2)

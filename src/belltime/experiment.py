@@ -201,14 +201,25 @@ def _low_pass(amplitudes: np.ndarray, k: np.ndarray) -> np.ndarray:
     ``amplitudes`` is (B, M, 4) and ``k`` the (B, M) factors
     k_m = exp(-dt_m/tau), dt_m the duration of slice m.  Per waveform and
     channel, y[m] = (1 - k_m) u[m] + k_m y[m-1] with y[-1] = 0.
+
+    The recursion runs slice-major, on rows of 4B values with y[-1] as
+    the first row, with two in-place ufunc calls per slice.  Each output
+    takes the same two products and one sum as the formula, so a waveform
+    has the same bits alone as in any stack.  Returns a (B, M, 4) view.
     """
-    k = k[..., None]
-    out = (1.0 - k) * amplitudes  # each slice's drive, overwritten by its output
-    y = np.zeros((amplitudes.shape[0], 4))
-    for m in range(amplitudes.shape[1]):
-        y = out[:, m] + k[:, m] * y
-        out[:, m] = y
-    return out
+    n_rows, m_slices = k.shape
+    factors = np.empty((m_slices, n_rows, 4))
+    factors[...] = k.T[:, :, None]
+    out = np.empty((m_slices + 1, n_rows, 4))
+    out[0] = 0.0
+    drive = np.subtract(1.0, factors, out=out[1:])
+    np.multiply(drive, amplitudes.transpose(1, 0, 2), out=drive)
+    rows = out.reshape(m_slices + 1, -1)
+    carried = np.empty(4 * n_rows)
+    for k_m, before, row in zip(factors.reshape(m_slices, -1), rows, rows[1:]):
+        np.multiply(k_m, before, carried)
+        np.add(row, carried, row)  # row: slice m's drive, then its output
+    return drive.transpose(1, 0, 2)
 
 
 def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
@@ -233,11 +244,13 @@ def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
     """``_relax`` as one real 16 x 16 matrix per row of the (D, 4) factors.
 
     Each matrix acts on the row-major vec(rho); its column j is ``_relax``
-    applied to the j-th unit matrix, so the map stays defined once.
+    applied to the j-th unit matrix, so the map stays defined once.  The
+    map is real, so it runs on real unit matrices: their entries meet the
+    same products and sums as the real parts of complex ones.
     """
-    units = np.tile(np.eye(16, dtype=np.complex128), (len(factors), 1)).reshape(-1, 4, 4)
+    units = np.tile(np.eye(16), (len(factors), 1)).reshape(-1, 4, 4)
     _relax(units, np.repeat(factors, 16, axis=0))
-    return np.ascontiguousarray(units.real.reshape(-1, 16, 16).swapaxes(1, 2))
+    return np.ascontiguousarray(units.reshape(-1, 16, 16).swapaxes(1, 2))
 
 
 def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -301,11 +314,17 @@ class ExperimentBackend:
         unitary, then relaxation as one tabled 16 x 16 product on
         vec(rho); the table holds one ``_relax`` matrix per distinct slice
         duration of the pulse and its probes.  The pulse is evolved once,
-        keeping its state before every slice (stacked only when there are
-        probes to start from them).  Its loop makes each product with
-        2-D ``ndarray.dot``, which calls the same BLAS kernel as ``@`` on
-        2-D operands without the gufunc dispatch, so the bits are those of
-        the ``@`` loop (``tests/oracles.py``).
+        into one (M + 1, 4, 4) array of its state before every slice,
+        whether or not there are probes to start from them.  Its loop makes
+        each product with 2-D ``ndarray.dot``, which calls the same BLAS
+        kernel as ``@`` on 2-D operands without the gufunc dispatch, and
+        writes the last product of a slice straight into the next state
+        (the relaxation's through that state's (16, 2) real view), so the
+        bits are those of the ``@`` loop (``tests/oracles.py``).
+
+        Probes are found by comparing applied amplitudes on flat
+        (B + 1, 4M) rows: a slice's four flags are one 4-byte word, nonzero
+        where any channel differs.
 
         A probe's window runs from the first to the last slice where its
         applied amplitudes or duration differ from the pulse's.  It is
@@ -341,9 +360,13 @@ class ExperimentBackend:
                 amplitudes = _low_pass(amplitudes, factors[index, 0])
             if t1_t2:
                 relaxation = _relaxation_matrices(factors[:, len(tau):])
-        # in place: ``amplitudes`` is this call's own copy by now
-        applied = np.multiply(amplitudes, cfg.amplitude_scale, out=amplitudes)
-        own = (applied[1:] != applied[0]).any(axis=2) | (probe_dts != dts)  # (B, M)
+        # flat (B + 1, 4M) rows, in place: a view of this call's own copy,
+        # or a copy of the low-pass's slice-major output
+        flat = amplitudes.reshape(len(amplitudes), -1)
+        np.multiply(flat, np.tile(cfg.amplitude_scale, m_slices), out=flat)
+        applied = flat.reshape(-1, m_slices, 4)
+        # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
+        own = (flat[1:] != flat[0]).view(np.uint32).astype(bool) | (probe_dts != dts)  # (B, M)
         # one decomposition: the pulse's slices, then each (probe, slice) pair that differs
         u = slice_propagators(
             self._model,
@@ -351,19 +374,25 @@ class ExperimentBackend:
             np.concatenate([dts, probe_dts[own]]),
         )[0]
         u_dag = u[:m_slices].conj().swapaxes(-1, -2)
-        pulse_relaxation = relaxation[index[0]] if relaxation is not None else [None] * m_slices
-        rho = rho0
-        states = [rho]
-        for u_m, u_dag_m, r_m in zip(u, u_dag, pulse_relaxation):
-            rho = u_m.dot(rho).dot(u_dag_m)
-            if r_m is not None:  # the real map on vec(rho)'s real and imaginary parts
-                parts = rho.view(np.float64).reshape(16, 2)
-                rho = r_m.dot(parts).view(np.complex128).reshape(4, 4)
-            states.append(rho)
+        states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
+        states[0] = rho = rho0
+        if relaxation is None:
+            for u_m, u_dag_m, after in zip(u, u_dag, states[1:]):
+                rho = u_m.dot(rho).dot(u_dag_m, after)
+        else:  # the real map acts on (16, 2) views of vec(rho)'s real and imaginary parts
+            rotated = np.empty((4, 4), dtype=np.complex128)
+            rotated_parts = rotated.view(np.float64).reshape(16, 2)
+            after_parts = states[1:].view(np.float64).reshape(m_slices, 16, 2)
+            for u_m, u_dag_m, r_m, after, parts in zip(
+                u, u_dag, relaxation[index[0]], states[1:], after_parts
+            ):
+                u_m.dot(rho).dot(u_dag_m, rotated)
+                r_m.dot(rotated_parts, parts)
+                rho = after
+        rho = states[m_slices]
         if not len(probe_dts):
             return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
 
-        states = np.stack(states)
         differs = own.any(axis=1)
         enter = np.where(differs, own.argmax(axis=1), m_slices)
         leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)

@@ -373,20 +373,25 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
-    # The last model-evaluated pulse with its slice decomposition, and the
-    # last graded pulse with its bundle, both matched by identity.
-    evaluated = graded = (None, None)
+    # The last model-evaluated pulse with its slice decomposition and
+    # forward states, and the last graded pulse with its bundle, both
+    # matched by identity.
+    evaluated = (None, None, None)
+    graded = (None, None)
 
     def model_j(p: PulseSequence) -> float:
         nonlocal evaluated
-        evaluated = (p, slice_propagators(model, p.amplitudes_hz, p.slice_duration_s))
-        return model_fidelity(model, p, psi0, target, evaluated[1])
+        decomposition = slice_propagators(model, p.amplitudes_hz, p.slice_duration_s)
+        states = np.empty((p.n_slices + 1, 4), dtype=np.complex128)
+        j = model_fidelity(model, p, psi0, target, decomposition, states)
+        evaluated = (p, decomposition, states)
+        return j
 
     def model_gradients(p: PulseSequence) -> GradientBundle:
         nonlocal graded
         if graded[0] is not p:
-            decomposition = evaluated[1] if evaluated[0] is p else None
-            graded = (p, fidelity_and_gradients(model, p, psi0, target, decomposition))
+            handed = evaluated[1:] if evaluated[0] is p else (None, None)
+            graded = (p, fidelity_and_gradients(model, p, psi0, target, *handed))
         return graded[1]
 
     if mode == "model-only":

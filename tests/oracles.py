@@ -10,8 +10,12 @@ the package's own checks, so garbage fails loudly here too.
 The slow-path oracles (``reference_fidelity_and_gradients``,
 ``reference_model_fidelity``, ``reference_pulse_evolution``) share the
 package's set-up and differ from it only in how they loop over slices:
-one stacked ``@`` product, or ``np.matmul``, per step.  The package's
-routines must equal them bit for bit.
+one stacked ``@`` product, or ``np.matmul``, per step.  The forms the
+package's set-up replaced (``reference_slice_propagators``, the
+``einsum`` build of the slice Hamiltonians, and
+``reference_relaxation_matrices``, the relaxation map on complex unit
+matrices) are kept beside them.  The package's routines must equal all
+of these bit for bit.
 """
 
 import math
@@ -20,12 +24,19 @@ import numpy as np
 
 from belltime.dynamics import (
     _CONTROL_OPS,
+    _ZZ,
     GradientBundle,
     PulseSequence,
     SystemModel,
     slice_propagators,
 )
-from belltime.experiment import _decay_factors, _low_pass, _relaxation_matrices, _relaxed
+from belltime.experiment import (
+    _decay_factors,
+    _low_pass,
+    _relax,
+    _relaxation_matrices,
+    _relaxed,
+)
 from belltime.linalg import pauli_string, require_density, require_hermitian, require_state
 
 
@@ -54,6 +65,31 @@ def reference_state(model: SystemModel, pulse: PulseSequence, psi0: np.ndarray) 
         h = drift + np.pi * sum(u * op for u, op in zip(row, controls))
         psi = expm_hermitian(h, pulse.slice_duration_s) @ psi
     return psi
+
+
+def reference_slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, dt):
+    """``slice_propagators`` with the control terms summed by ``einsum``.
+
+    The package's routine must equal this one bit for bit.
+    """
+    drift = (np.pi / 2.0) * model.g_hz * _ZZ
+    ctrl = np.pi * np.einsum("mc,cij->mij", amplitudes_hz, _CONTROL_OPS)
+    hams = drift[None, :, :] + ctrl
+    w, v = np.linalg.eigh(hams)
+    phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
+    u = np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
+    return u, hams, w, v
+
+
+def reference_relaxation_matrices(factors: np.ndarray) -> np.ndarray:
+    """``_relaxation_matrices`` with ``_relax`` applied to complex unit matrices.
+
+    The real parts of the mapped units are the columns.  The package's
+    routine must equal this one bit for bit.
+    """
+    units = np.tile(np.eye(16, dtype=np.complex128), (len(factors), 1)).reshape(-1, 4, 4)
+    _relax(units, np.repeat(factors, 16, axis=0))
+    return np.ascontiguousarray(units.real.reshape(-1, 16, 16).swapaxes(1, 2))
 
 
 def reference_model_fidelity(

@@ -32,6 +32,7 @@ from oracles import (
     expm_hermitian,
     reference_fidelity_and_gradients,
     reference_model_fidelity,
+    reference_slice_propagators,
     reference_state,
 )
 
@@ -197,6 +198,28 @@ class TestPulseSequence:
             read_pulse_csv(path)
 
 
+def bits(x):
+    """The int64 words of a float or complex value or array: they tell -0.0 from +0.0."""
+    return np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.int64)
+
+
+@st.composite
+def control_stacks(draw):
+    """(M, 4) amplitudes, 1 <= M <= 600, and a slice duration, scalar or per slice.
+
+    A drawn share of the amplitudes are exact zeros of either sign.
+    """
+    m_slices = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e2, 3e3, 1e6]))
+    amps = rng.normal(0.0, scale, size=(m_slices, 4))
+    zeros = rng.random((m_slices, 4)) < draw(st.floats(0.0, 1.0))
+    amps[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+    if draw(st.booleans()):
+        return amps, draw(st.floats(1e-9, 1e-3))
+    return amps, rng.uniform(1e-9, 1e-3, size=m_slices)
+
+
 class TestSliceHamiltonian:
     def test_zero_controls_is_pure_drift(self):
         drift = (np.pi / 2) * 217.4 * pauli_string("Z", "Z")
@@ -212,6 +235,21 @@ class TestSliceHamiltonian:
         u, h, _, _ = slice_propagators(MODEL, amps, dts)
         np.testing.assert_allclose(h[1], expected)
         np.testing.assert_allclose(u[1], expm_hermitian(expected, 7e-4), atol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(stack=control_stacks(), g_hz=st.floats(1.0, 1e3))
+    @example(stack=(np.zeros((3, 4)), 2.5e-4), g_hz=217.4)
+    @example(stack=(np.full((2, 4), -0.0), np.array([1e-4, 3e-4])), g_hz=217.4)
+    @example(stack=(np.array([[-0.0, 5.0, 0.0, -7.5]]), 1e-9), g_hz=217.4)
+    def test_equals_einsum_build_bit_for_bit(self, stack, g_hz):
+        # (U, H, w, v) keep the bits of the einsum build, signed zeros included
+        amps, dt = stack
+        model = SystemModel(g_hz)
+        fast = slice_propagators(model, amps, dt)
+        reference = reference_slice_propagators(model, amps, dt)
+        for got, expected in zip(fast, reference):
+            assert got.shape == expected.shape
+            assert np.array_equal(bits(got), bits(expected))
 
 
 class TestModelFidelity:
@@ -321,16 +359,25 @@ class TestGradients:
     )
     def test_handed_decomposition_changes_nothing(self, amps, zero_rows, duration):
         # Zero-drive rows leave the bare, doubly degenerate ZZ Hamiltonian.
+        # The forward states are those model_fidelity filled, as the
+        # optimizer's memo hands them on.
         amps[[r for r in zero_rows if r < len(amps)]] = 0.0
         p = PulseSequence(duration, amps)
         decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
+        states = np.empty((p.n_slices + 1, 4), dtype=np.complex128)
+        evaluated = model_fidelity(MODEL, p, PSI0, TARGET, decomposition, states)
         plain = fidelity_and_gradients(MODEL, p, PSI0, TARGET)
-        handed = fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition)
-        assert np.array_equal(handed.grad_amplitudes, plain.grad_amplitudes)
-        assert handed.grad_duration == plain.grad_duration
-        assert handed.fidelity == plain.fidelity
-        assert model_fidelity(MODEL, p, PSI0, TARGET) == plain.fidelity
-        assert model_fidelity(MODEL, p, PSI0, TARGET, decomposition) == plain.fidelity
+        for handed in (
+            fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition),
+            fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition, states),
+        ):
+            assert np.array_equal(bits(handed.grad_amplitudes), bits(plain.grad_amplitudes))
+            assert bits(handed.grad_duration) == bits(plain.grad_duration)
+            assert bits(handed.fidelity) == bits(plain.fidelity)
+        assert bits(model_fidelity(MODEL, p, PSI0, TARGET)) == bits(plain.fidelity)
+        assert bits(model_fidelity(MODEL, p, PSI0, TARGET, decomposition)) == bits(plain.fidelity)
+        assert bits(evaluated) == bits(plain.fidelity)
+        assert np.array_equal(states[0], PSI0)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -354,10 +401,6 @@ class TestGradients:
         psi0, target = STATE_PAIRS[pair]
         fast = fidelity_and_gradients(MODEL, p, psi0, target)
         reference = reference_fidelity_and_gradients(MODEL, p, psi0, target)
-
-        def bits(x):
-            return np.array(x, dtype=np.float64).view(np.int64)
-
         assert fast.grad_amplitudes.flags.c_contiguous
         assert np.array_equal(bits(fast.grad_amplitudes), bits(reference.grad_amplitudes))
         assert bits(fast.grad_duration) == bits(reference.grad_duration)

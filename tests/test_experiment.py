@@ -32,7 +32,11 @@ from belltime.experiment import (
 )
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
-from oracles import reference_pulse_evolution, reference_state
+from oracles import (
+    reference_pulse_evolution,
+    reference_relaxation_matrices,
+    reference_state,
+)
 
 G_HZ = 217.4
 
@@ -45,6 +49,11 @@ def low_pass(amplitudes, tau_s, dts):
     """The emulator's low-pass filter of one (M, 4) waveform over (M,) slice durations."""
     factors, index = _decay_factors(dts, (tau_s,))
     return _low_pass(amplitudes[None], factors[index[None], 0])[0]
+
+
+def bits(x):
+    """The int64 words of a float array: they tell -0.0 from +0.0."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
 def reference_distortion(amplitudes, tau_s, dts):
@@ -195,20 +204,33 @@ class TestDistortion:
             expected = reference_distortion(pulse.amplitudes_hz, tau, dts)
             assert np.array_equal(low_pass(pulse.amplitudes_hz, tau, dts), expected)
 
-    def test_stacked_recursion_matches_per_pulse(self):
+    @pytest.mark.parametrize("m_slices, n_rows", [(30, 40), (50, 501)])
+    def test_stacked_recursion_matches_per_pulse(self, m_slices, n_rows):
         # uniform rows and rows with one slice's duration moved, in one stack
         from scipy.signal import lfilter
         rng = np.random.default_rng(23)
-        pulse = random_pulse(30, 2.4e-3, 150.0, rng)
-        amps, dts = probe_stack(pulse, rng, 40)
+        pulse = random_pulse(m_slices, 2.4e-3, 150.0, rng)
+        amps, dts = probe_stack(pulse, rng, n_rows)
         tau = 50e-6
         factors, index = _decay_factors(dts, (tau,))
         stacked = _low_pass(amps, factors[index, 0])
         k = math.exp(-pulse.slice_duration_s / tau)
         for row, (a, d) in enumerate(zip(amps, dts)):
-            assert np.array_equal(stacked[row], low_pass(a, tau, d))
+            assert np.array_equal(bits(stacked[row]), bits(low_pass(a, tau, d)))
+            assert np.array_equal(bits(stacked[row]), bits(reference_distortion(a, tau, d)))
             if np.all(d == pulse.slice_duration_s):
                 assert np.array_equal(stacked[row], lfilter([1.0 - k], [1.0, -k], a, axis=0))
+
+    def test_signed_zero_drive_starts_from_positive_zero(self):
+        # y[0] = (1 - k) u[0] + k y[-1] with y[-1] = +0.0: a -0.0 drive gives +0.0
+        amps = np.array([[-0.0, 0.0, -0.0, 12.5], [-0.0, 3.0, 0.0, -0.0], [1.0, -0.0, -0.0, 0.0]])
+        dts = np.array([1e-4, 3e-5, 1e-4])
+        distorted = low_pass(amps, 50e-6, dts)
+        assert np.all(bits(distorted[0, :3]) == bits(0.0)) and bits(distorted[1, 0]) == bits(0.0)
+        stack = np.stack([amps, -amps, np.full_like(amps, -0.0)])
+        factors, index = _decay_factors(np.tile(dts, (3, 1)), (50e-6,))
+        for row, a in zip(_low_pass(stack, factors[index, 0]), stack):
+            assert np.array_equal(bits(row), bits(reference_distortion(a, 50e-6, dts)))
 
 
 class TestConfigValidation:
@@ -467,6 +489,16 @@ class TestRelaxationMap:
             )
         per_slice = _relaxation_matrices(factors[index.ravel()]).reshape(6, 9, 16, 16)
         assert np.array_equal(table[index], per_slice)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dts=st.lists(st.floats(1e-9, 1.0), min_size=0, max_size=12), spins=RELAXATION_CASES["spins"])
+    def test_real_units_equal_complex_units_bit_for_bit(self, dts, spins):
+        # the map runs on real unit matrices; on complex ones its real parts are the same
+        t1, t2 = zip(*spins)
+        factors = _decay_factors(np.array(dts), t1 + t2)[0]
+        table = _relaxation_matrices(factors)
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        assert np.array_equal(bits(table), bits(reference_relaxation_matrices(factors)))
 
 
 @st.composite

@@ -436,7 +436,8 @@ class TestModelGradientReuse:
         def counting(name, fn):
             def counted(*args):
                 calls[name] += 1
-                if name == "gradients" and len(args) == 5 and args[4] is not None:
+                # handed: the evaluation's decomposition and forward states
+                if name == "gradients" and len(args) == 6 and all(a is not None for a in args[4:]):
                     calls["handed"] += 1
                 return fn(*args)
             return counted
@@ -474,10 +475,11 @@ class TestModelGradientReuse:
         # its gradient.
         assert calls["gradients"] == 1 + sum(r.accepted for r in trials)
         # Every graded pulse was the last one evaluated, so each gradient
-        # takes that evaluation's decomposition, and slice_propagators runs
-        # exactly once per model fidelity: once per iteration, once per
-        # restart-sizing trial step and once for the final pulse.  The
-        # sizing starts from the re-measurement's own model fidelity.
+        # takes that evaluation's decomposition and forward states, and
+        # slice_propagators runs exactly once per model fidelity: once per
+        # iteration, once per restart-sizing trial step and once for the
+        # final pulse.  The sizing starts from the re-measurement's own
+        # model fidelity.
         assert calls["handed"] == calls["gradients"]
         assert calls["decomposed"] == calls["fidelity"]
         assert calls["fidelity"] == len(result.records) + 1 + calls["sizing"]
@@ -491,7 +493,7 @@ class TestModelGradientReuse:
         fast = short_run(model, mode)
 
         def recompute(fn):
-            return lambda model, pulse, psi0, target, decomposition=None: fn(
+            return lambda model, pulse, psi0, target, decomposition=None, states=None: fn(
                 model, pulse, psi0, target
             )
 
