@@ -161,9 +161,17 @@ def slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, dt):
     ctrl = np.pi * (amplitudes_hz @ _CONTROL_OPS.reshape(4, 16))
     hams = drift[None, :, :] + ctrl.reshape(-1, 4, 4)
     w, v = np.linalg.eigh(hams)
+    return eigen_propagators(w, v, dt), hams, w, v
+
+
+def eigen_propagators(w: np.ndarray, v: np.ndarray, dt) -> np.ndarray:
+    """exp(-i H_m dt_m) = V e^{-i W dt} V^dag from eigenvalues w (M, 4) and vectors v (M, 4, 4).
+
+    ``dt`` is a scalar or one value per row.  This is the last step of
+    ``slice_propagators``: given its (w, v), it returns its U bit for bit.
+    """
     phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
-    u = np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
-    return u, hams, w, v
+    return np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
 
 
 def model_fidelity(
@@ -184,6 +192,11 @@ def model_fidelity(
     """
     target = require_state(target)
     psi0 = require_state(psi0)
+    return _model_fidelity(model, pulse, psi0, target, decomposition, states)
+
+
+def _model_fidelity(model, pulse, psi0, target, decomposition=None, states=None) -> float:
+    """``model_fidelity`` of checked complex states, for callers that checked them once."""
     if decomposition is None:
         decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
     if states is None:
@@ -242,6 +255,13 @@ def fidelity_and_gradients(
     """
     psi0 = require_state(psi0)
     target = require_state(target)
+    return _fidelity_and_gradients(model, pulse, psi0, target, decomposition, states)
+
+
+def _fidelity_and_gradients(
+    model, pulse, psi0, target, decomposition=None, states=None
+) -> GradientBundle:
+    """``fidelity_and_gradients`` of checked complex states, for callers that checked them once."""
     m_slices = pulse.n_slices
     dt = pulse.slice_duration_s
 

@@ -33,11 +33,15 @@ it evolves each probe forward through its own window only, the slices
 where it differs from the pulse, from the pulse's state where the
 window starts; and it reads each probe out where its window ends,
 against the correlators back-propagated to that point.  Only the
-(probe, slice) pairs that differ get propagators of their own.  The
-probes' states are validated once and their readout noise is drawn as
-one vector.  Noise stream and ledger are those of one
-``fidelity_partial`` call per probe, and values agree with it to
-rounding (1e-12); single pulses keep their own bits.
+(probe, slice) pairs that differ get propagators of their own, and a
+pair whose duration alone differs takes the pulse's eigensystem.  The
+backend keeps its last pulse evolution (propagators, eigensystems and
+states), so the probes of a pulse just measured, or a repeated
+measurement of it, do not evolve it again.  The probes' states are
+validated once, by a Cholesky screen (``require_density``), and their
+readout noise is drawn as one vector.  Noise stream and ledger are
+those of one ``fidelity_partial`` call per probe, and values agree with
+it to rounding (1e-12); single pulses keep their own bits.
 """
 
 from __future__ import annotations
@@ -47,7 +51,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import PulseSequence, SystemModel, as_integer, as_real, slice_propagators
+from .dynamics import (
+    PulseSequence,
+    SystemModel,
+    as_integer,
+    as_real,
+    eigen_propagators,
+    slice_propagators,
+)
 from .linalg import pauli_string, require_density, require_hermitian, singlet_state
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
@@ -173,6 +184,13 @@ def _slice_durations(pulse: PulseSequence, slice_durations_s) -> np.ndarray:
     return dts
 
 
+def _check_categories(categories) -> None:
+    """Raise on the first name in ``categories`` that is not a ledger category."""
+    if not set(categories).issubset(LEDGER_CATEGORIES):
+        unknown = next(c for c in categories if c not in LEDGER_CATEGORIES)
+        raise ValueError(f"unknown ledger category {unknown!r}")
+
+
 def _one_density(rho) -> np.ndarray:
     """``rho`` checked as one 4 x 4 density matrix."""
     rho = require_density(rho)
@@ -189,7 +207,11 @@ def _decay_factors(dts: np.ndarray, times_s) -> tuple[np.ndarray, np.ndarray]:
     runs once per distinct duration (``np.exp`` can round differently in
     the last bit), so a pulse gets the same factors alone as in any stack.
     """
-    distinct, index = np.unique(dts, return_inverse=True)
+    flat = dts.ravel()
+    if flat.size and (flat == flat[0]).all():  # one duration, as on a uniform pulse: no sort
+        distinct, index = flat[:1], np.zeros(dts.shape, dtype=np.intp)
+    else:
+        distinct, index = np.unique(dts, return_inverse=True)
     table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct.tolist()])
     table = table.reshape(len(distinct), len(times_s))  # also when there are no durations
     return table, index.reshape(dts.shape)
@@ -240,6 +262,10 @@ def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
         spin_first[:, 1, :, 0] *= e
 
 
+# The 16 real unit matrices, in the row-major order of vec(rho).
+_UNITS = np.eye(16).reshape(16, 4, 4)
+
+
 def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
     """``_relax`` as one real 16 x 16 matrix per row of the (D, 4) factors.
 
@@ -248,7 +274,7 @@ def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
     map is real, so it runs on real unit matrices: their entries meet the
     same products and sums as the real parts of complex ones.
     """
-    units = np.tile(np.eye(16), (len(factors), 1)).reshape(-1, 4, 4)
+    units = np.tile(_UNITS, (len(factors), 1, 1))
     _relax(units, np.repeat(factors, 16, axis=0))
     return np.ascontiguousarray(units.reshape(-1, 16, 16).swapaxes(1, 2))
 
@@ -286,6 +312,13 @@ class ExperimentBackend:
         self._tomography_ops = np.stack(list(self._pauli.values()))
         self._ground = np.zeros((4, 4), dtype=np.complex128)
         self._ground[0, 0] = 1.0
+        self._scale = np.array(config.amplitude_scale)
+        self._tau = (config.distortion_tau_s,) if config.distortion_tau_s > 0.0 else ()
+        # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
+        t1_t2 = config.t1_s + tuple(min(t2, 2.0 * t1) for t1, t2 in zip(config.t1_s, config.t2_s))
+        # a coherent apparatus has none, and its slices skip relaxation
+        self._t1_t2 = t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
+        self._kept = None  # (key, evolution) of the last pulse (_pulse_evolution)
 
     def evolve_open(self, pulse: PulseSequence, slice_durations_s=None) -> np.ndarray:
         """Density matrix after running the pulse on the true model from |00><00|.
@@ -296,109 +329,152 @@ class ExperimentBackend:
         ``slice_durations_s`` gives one per slice).
         """
         dts = _slice_durations(pulse, slice_durations_s)
-        return self._evolve(pulse.amplitudes_hz, dts, self._ground)[0]
+        return self._evolve(pulse.amplitudes_hz, dts)[0]
 
-    def _evolve(
-        self,
-        amplitudes: np.ndarray,
-        dts: np.ndarray,
-        rho0: np.ndarray,
-        probe_amplitudes: np.ndarray | None = None,
-        probe_dts: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Final state of one pulse, and B probes of it ready to read out.
+    def _pulse_evolution(self, amplitudes: np.ndarray, dts: np.ndarray):
+        """One pulse's evolution from |00><00|, kept until the next pulse.
 
-        The pulse is (M, 4) amplitudes over (M,) slice durations, the
-        probes (B, M, 4) and (B, M).  The programmed waveforms are
-        distorted, then scaled per channel.  Each slice applies its
-        unitary, then relaxation as one tabled 16 x 16 product on
-        vec(rho); the table holds one ``_relax`` matrix per distinct slice
-        duration of the pulse and its probes.  The pulse is evolved once,
-        into one (M + 1, 4, 4) array of its state before every slice,
-        whether or not there are probes to start from them.  Its loop makes
-        each product with 2-D ``ndarray.dot``, which calls the same BLAS
-        kernel as ``@`` on 2-D operands without the gufunc dispatch, and
-        writes the last product of a slice straight into the next state
-        (the relaxation's through that state's (16, 2) real view), so the
-        bits are those of the ``@`` loop (``tests/oracles.py``).
+        The pulse is (M, 4) programmed amplitudes over (M,) slice
+        durations.  Returns (u, u_dag, w, v, states): the M slice
+        propagators and their adjoints, the eigensystems (w, v) of the
+        slice Hamiltonians, and the (M + 1, 4, 4) states before every
+        slice.  The waveform is distorted, then scaled per channel.  Each
+        slice applies its unitary, then relaxation as one tabled 16 x 16
+        product on vec(rho); the table holds one ``_relax`` matrix per
+        distinct slice duration.  The loop makes each product with 2-D
+        ``ndarray.dot``, which calls the same BLAS kernel as ``@`` on 2-D
+        operands without the gufunc dispatch, and writes the last product
+        of a slice straight into the next state (the relaxation's through
+        that state's (16, 2) real view), so the bits are those of the
+        ``@`` loop (``tests/oracles.py``).
 
-        Probes are found by comparing applied amplitudes on flat
-        (B + 1, 4M) rows: a slice's four flags are one 4-byte word, nonzero
-        where any channel differs.
-
-        A probe's window runs from the first to the last slice where its
-        applied amplitudes or duration differ from the pulse's.  It is
-        evolved through its window only, from the pulse's state where the
-        window starts, and read out where the window ends against the
-        ``PARTIAL_LABELS`` observables back-propagated there through the
-        pulse's remaining slices: O -> U^dag R^T(O) U per slice, the
-        adjoint of the forward map, with ``R^T`` taken from the same
-        table.  Only the (probe, slice) pairs that differ get propagators
-        of their own, built in one call with the pulse's.
-
-        Returns the pulse's 4 x 4 final state, the probes' (B, 4, 4)
-        states where their windows end (the pulse's final state for a
-        probe that differs nowhere) and the (B, 3, 4, 4) observables
-        back-propagated to those points.  The pulse's own state meets
-        exactly the operations of ``evolve_open``; a probe's readout
-        equals its own evolution's up to reordered rounding.
+        The evolution is noiseless, so the last one is kept, keyed by the
+        bytes of the amplitudes and durations: a pulse measured and then
+        probed, or measured twice in a row, is evolved once.  Callers
+        copy what they hand out of it.
         """
-        m_slices = len(dts)
-        if probe_amplitudes is None:
-            probe_amplitudes, probe_dts = np.empty((0, m_slices, 4)), np.empty((0, m_slices))
-        amplitudes = np.concatenate([amplitudes[None], probe_amplitudes])  # row 0: the pulse
-        cfg = self.config
-        tau = (cfg.distortion_tau_s,) if cfg.distortion_tau_s > 0.0 else ()
-        # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
-        t1_t2 = cfg.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
-        if not any(math.isfinite(t) for t in t1_t2):
-            t1_t2 = ()  # a coherent apparatus: its slices skip relaxation
-        relaxation = None
-        if tau + t1_t2:
-            factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), tau + t1_t2)
-            if tau:
-                amplitudes = _low_pass(amplitudes, factors[index, 0])
-            if t1_t2:
-                relaxation = _relaxation_matrices(factors[:, len(tau):])
-        # flat (B + 1, 4M) rows, in place: a view of this call's own copy,
-        # or a copy of the low-pass's slice-major output
-        flat = amplitudes.reshape(len(amplitudes), -1)
-        np.multiply(flat, np.tile(cfg.amplitude_scale, m_slices), out=flat)
-        applied = flat.reshape(-1, m_slices, 4)
-        # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
-        own = (flat[1:] != flat[0]).view(np.uint32).astype(bool) | (probe_dts != dts)  # (B, M)
-        # one decomposition: the pulse's slices, then each (probe, slice) pair that differs
-        u = slice_propagators(
-            self._model,
-            np.concatenate([applied[0], applied[1:][own]]),
-            np.concatenate([dts, probe_dts[own]]),
-        )[0]
-        u_dag = u[:m_slices].conj().swapaxes(-1, -2)
-        states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
-        states[0] = rho = rho0
+        key = (amplitudes.tobytes(), dts.tobytes())
+        if self._kept is not None and self._kept[0] == key:
+            return self._kept[1]
+        applied, relaxation = amplitudes, None
+        if self._tau + self._t1_t2:
+            factors, index = _decay_factors(dts, self._tau + self._t1_t2)
+            if self._tau:
+                applied = _low_pass(amplitudes[None], factors[index[None], 0])[0]
+            if self._t1_t2:
+                relaxation = _relaxation_matrices(factors[:, len(self._tau):])[index]
+        u, _, w, v = slice_propagators(self._model, applied * self._scale, dts)
+        u_dag = u.conj().swapaxes(-1, -2)
+        states = np.empty((len(dts) + 1, 4, 4), dtype=np.complex128)
+        states[0] = rho = self._ground
         if relaxation is None:
             for u_m, u_dag_m, after in zip(u, u_dag, states[1:]):
                 rho = u_m.dot(rho).dot(u_dag_m, after)
         else:  # the real map acts on (16, 2) views of vec(rho)'s real and imaginary parts
             rotated = np.empty((4, 4), dtype=np.complex128)
             rotated_parts = rotated.view(np.float64).reshape(16, 2)
-            after_parts = states[1:].view(np.float64).reshape(m_slices, 16, 2)
+            after_parts = states[1:].view(np.float64).reshape(len(dts), 16, 2)
             for u_m, u_dag_m, r_m, after, parts in zip(
-                u, u_dag, relaxation[index[0]], states[1:], after_parts
+                u, u_dag, relaxation, states[1:], after_parts
             ):
                 u_m.dot(rho).dot(u_dag_m, rotated)
                 r_m.dot(rotated_parts, parts)
                 rho = after
-        rho = states[m_slices]
-        if not len(probe_dts):
+        evolution = (u, u_dag, w, v, states)
+        self._kept = (key, evolution)
+        return evolution
+
+    def _evolve(
+        self,
+        amplitudes: np.ndarray,
+        dts: np.ndarray,
+        probe_amplitudes: np.ndarray | None = None,
+        probe_dts: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Final state of one pulse, and B probes of it ready to read out.
+
+        The pulse is (M, 4) amplitudes over (M,) slice durations, evolved
+        by ``_pulse_evolution``; the probes are (B, M, 4) and (B, M).
+
+        A probe's window runs from the first to the last slice where its
+        applied (distorted and scaled) amplitudes or its duration differ
+        from the pulse's.  It is evolved through its window only, from
+        the pulse's state where the window starts, and read out where the
+        window ends against the ``PARTIAL_LABELS`` observables
+        back-propagated there through the pulse's remaining slices:
+        O -> U^dag R^T(O) U per slice, the adjoint of the forward map, with
+        ``R^T`` taken from a table over the pulse's and the probes'
+        durations.  Only the (probe, slice) pairs that differ get
+        propagators of their own.  A pair whose applied amplitudes differ
+        is decomposed anew, all such pairs in one call.  A pair whose
+        duration alone differs has the pulse's slice Hamiltonian, so its
+        propagator is built from the pulse's eigensystem at its own
+        duration, the same bits as decomposing it again.
+
+        Under the low-pass a change carries on into later slices, so the
+        applied waveforms of pulse and probes are filtered as one stack
+        and compared on flat (B + 1, 4M) rows, a slice's four flags read
+        as one 4-byte word.  Without it, an applied amplitude can differ
+        only where the programmed one does: those pairs alone are scaled,
+        and kept where the scaled values still differ.
+
+        Returns copies: the pulse's 4 x 4 final state, the probes'
+        (B, 4, 4) states where their windows end (the pulse's final state
+        for a probe that differs nowhere) and the (B, 3, 4, 4) observables
+        back-propagated to those points.  The pulse's own state meets
+        exactly the operations of ``evolve_open``; a probe's readout
+        equals its own evolution's up to reordered rounding.
+        """
+        u, u_dag, w, v, states = self._pulse_evolution(amplitudes, dts)
+        rho = states[-1].copy()
+        if probe_dts is None or not len(probe_dts):
             return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
+
+        m_slices, n_probes = len(dts), len(probe_dts)
+        relaxation = None
+        if self._tau + self._t1_t2:
+            factors, index = _decay_factors(  # row 0: the pulse
+                np.concatenate([dts[None], probe_dts]), self._tau + self._t1_t2
+            )
+            if self._t1_t2:
+                relaxation = _relaxation_matrices(factors[:, len(self._tau):])
+        if self._tau:
+            programmed = np.concatenate([amplitudes[None], probe_amplitudes])
+            # flat (B + 1, 4M) rows, in place: a copy of the low-pass's slice-major output
+            flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes + 1, -1)
+            np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
+            # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
+            moved = (flat[1:] != flat[0]).view(np.uint32).astype(bool)  # (B, M)
+            moved_applied = flat[1:].reshape(n_probes, m_slices, 4)[moved]
+        else:
+            flags = probe_amplitudes.reshape(n_probes, -1) != amplitudes.reshape(-1)
+            moved = flags.view(np.uint32).astype(bool)
+            moved_applied = probe_amplitudes[moved] * self._scale
+            # the scale can round a programmed difference away
+            still = (moved_applied != (amplitudes * self._scale)[moved.nonzero()[1]]).any(axis=1)
+            moved[moved] = still
+            moved_applied = moved_applied[still]
+        own = moved | (probe_dts != dts)  # (B, M)
+        # propagators: the pulse's, then the pairs decomposed anew, then the
+        # pairs whose duration alone differs
+        decomposed, own_dts = moved[own], probe_dts[own]
+        timed = ~decomposed
+        timed_slices = own.nonzero()[1][timed]
+        u = np.concatenate([
+            u,
+            slice_propagators(self._model, moved_applied, own_dts[decomposed])[0],
+            eigen_propagators(w[timed_slices], v[timed_slices], own_dts[timed]),
+        ])
+        row = np.empty(len(own_dts), dtype=np.intp)
+        row[decomposed] = np.arange(len(moved_applied))
+        row[timed] = len(moved_applied) + np.arange(len(timed_slices))
 
         differs = own.any(axis=1)
         enter = np.where(differs, own.argmax(axis=1), m_slices)
         leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)
         # propagator of each (probe, slice): the pulse's, or one of its own
-        which = np.tile(np.arange(m_slices), (len(own), 1))
-        which[own] = m_slices + np.arange(np.count_nonzero(own))
+        which = np.tile(np.arange(m_slices), (n_probes, 1))
+        which[own] = m_slices + row
         order = np.argsort(enter - leave, kind="stable")  # longest window first
         lengths = (leave - enter)[order]
         stack = states[enter[order]]
@@ -455,6 +531,7 @@ class ExperimentBackend:
     def measure_pauli(self, rho: np.ndarray, labels, category: str) -> float:
         """One noisy expectation value of a Pauli string, charged to the ledger."""
         observable = self._pauli[tuple(labels)][None]
+        _check_categories([category])
         return float(self._readouts(_one_density(rho)[None], observable, [category])[0, 0])
 
     def fidelity_partial(
@@ -464,6 +541,7 @@ class ExperimentBackend:
         slice_durations_s=None,
     ) -> float:
         """Singlet-overlap estimate from 3 correlator measurements."""
+        _check_categories([category])
         rho = self.evolve_open(pulse, slice_durations_s=slice_durations_s)
         return float(self._partial(rho[None], self._partial_ops, [category])[0])
 
@@ -496,12 +574,13 @@ class ExperimentBackend:
             )
         if len(categories) != len(amps):
             raise ValueError(f"need {len(amps)} ledger categories, got {len(categories)}")
+        _check_categories(categories)
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes_hz must be finite")
         if not np.all(np.isfinite(dts) & (dts > 0)):
             raise ValueError("slice_durations_s must be positive and finite")
         uniform = _slice_durations(pulse, None)
-        _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, self._ground, amps, dts)
+        _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, amps, dts)
         return self._partial(rhos, observables, categories)
 
     def fidelity_full(self, pulse: PulseSequence) -> float:

@@ -86,24 +86,28 @@ from typing import Optional
 
 import numpy as np
 
+# A run checks its two states once, in ``_oracles``, so its model oracles
+# are the unchecked cores of ``model_fidelity`` and
+# ``fidelity_and_gradients``.  They keep those names here, where this
+# module's callers look them up and tests and perfbench/tracing.py wrap them.
 from .dynamics import (
     GradientBundle,
     PulseSequence,
     SystemModel,
     as_integer,
     as_real,
-    fidelity_and_gradients,
-    model_fidelity,
     random_pulse,
     slice_propagators,
 )
+from .dynamics import _fidelity_and_gradients as fidelity_and_gradients
+from .dynamics import _model_fidelity as model_fidelity
 from .experiment import (
     PARTIAL_LABELS,
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
 )
-from .linalg import ket, singlet_state
+from .linalg import ket, require_state, singlet_state
 
 MODES = ("model-only", "experiment-only", "balanced")
 STEP1 = "step1"
@@ -275,7 +279,8 @@ def _restart_climb_step(
     J(u + d du) >= J(u) + ALPHA d sum(du * grad_u) with J the design
     model's fidelity and ``j_start`` = J(u), for at most
     ``MAX_BACKTRACKS`` growths.  Costs model evaluations only, never a
-    measurement.
+    measurement.  ``psi0`` and ``target`` are the run's states, which
+    ``_oracles`` checked.
     """
     step = config.d1_init
     for _ in range(MAX_BACKTRACKS):
@@ -372,6 +377,7 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    psi0, target = require_state(psi0), require_state(target)  # once per run
 
     # The last model-evaluated pulse with its slice decomposition and
     # forward states, and the last graded pulse with its bundle, both

@@ -14,8 +14,11 @@ one stacked ``@`` product, or ``np.matmul``, per step.  The forms the
 package's set-up replaced (``reference_slice_propagators``, the
 ``einsum`` build of the slice Hamiltonians, and
 ``reference_relaxation_matrices``, the relaxation map on complex unit
-matrices) are kept beside them.  The package's routines must equal all
-of these bit for bit.
+matrices) are kept beside them, and so are the probe path that
+decomposes every slice a probe changes (``reference_probe_evolution``)
+and the density check by eigenvalues alone (``reference_require_density``).
+The package's routines must equal all of these bit for bit, and the
+density check must accept, reject and word its errors as its oracle does.
 """
 
 import math
@@ -37,7 +40,13 @@ from belltime.experiment import (
     _relaxation_matrices,
     _relaxed,
 )
-from belltime.linalg import pauli_string, require_density, require_hermitian, require_state
+from belltime.linalg import (
+    DENSITY_TOL,
+    pauli_string,
+    require_density,
+    require_hermitian,
+    require_state,
+)
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -141,6 +150,112 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
         rho = u[m] @ rho @ u[m].conj().T
         if relaxation is not None:
             rho = _relaxed(relaxation[index[0, m]], rho)
+    return rho
+
+
+def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_dts):
+    """``backend._evolve`` with probes, every changed slice decomposed, nothing kept.
+
+    The pulse's waveform and the probes' are distorted and scaled as one
+    (B + 1, 4M) stack and compared there; the pulse's slices and every
+    (probe, slice) pair that differs are decomposed in one
+    ``slice_propagators`` call, a pair whose duration alone differs
+    included.  The pulse is evolved anew on each call.  Windows,
+    back-propagated observables and the returned triple are as
+    ``_evolve`` documents them.  The package's routine must equal this
+    one bit for bit.
+    """
+    cfg = backend.config
+    m_slices = len(dts)
+    tau = (cfg.distortion_tau_s,) if cfg.distortion_tau_s > 0.0 else ()
+    t1_t2 = cfg.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
+    if not any(math.isfinite(t) for t in t1_t2):
+        t1_t2 = ()
+    amplitudes = np.concatenate([amplitudes[None], probe_amplitudes])  # row 0: the pulse
+    relaxation = None
+    if tau + t1_t2:
+        factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), tau + t1_t2)
+        if tau:
+            amplitudes = _low_pass(amplitudes, factors[index, 0])
+        if t1_t2:
+            relaxation = _relaxation_matrices(factors[:, len(tau):])
+    flat = amplitudes.reshape(len(amplitudes), -1)
+    np.multiply(flat, np.tile(cfg.amplitude_scale, m_slices), out=flat)
+    applied = flat.reshape(-1, m_slices, 4)
+    own = (applied[1:] != applied[0]).any(axis=2) | (probe_dts != dts)  # (B, M)
+    u = slice_propagators(
+        SystemModel(cfg.true_g_hz),
+        np.concatenate([applied[0], applied[1:][own]]),
+        np.concatenate([dts, probe_dts[own]]),
+    )[0]
+    u_dag = u[:m_slices].conj().swapaxes(-1, -2)
+    states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
+    states[0] = np.diag([1.0, 0.0, 0.0, 0.0])
+    for m in range(m_slices):
+        rho = u[m] @ states[m] @ u_dag[m]
+        states[m + 1] = rho if relaxation is None else _relaxed(relaxation[index[0, m]], rho)
+    rho = states[m_slices].copy()
+    if not len(probe_dts):
+        return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
+
+    differs = own.any(axis=1)
+    enter = np.where(differs, own.argmax(axis=1), m_slices)
+    leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)
+    which = np.tile(np.arange(m_slices), (len(own), 1))
+    which[own] = m_slices + np.arange(np.count_nonzero(own))
+    order = np.argsort(enter - leave, kind="stable")
+    lengths = (leave - enter)[order]
+    stack = states[enter[order]]
+    for step in range(lengths[0]):
+        rows = order[: np.count_nonzero(lengths > step)]
+        at = enter[rows] + step
+        u_at = u[which[rows, at]]
+        block = u_at @ stack[: len(rows)] @ u_at.conj().swapaxes(-1, -2)
+        if relaxation is not None:
+            durations = index[1 + rows, at]
+            uniform = (durations == durations[0]).all()
+            block = _relaxed(relaxation[durations[0] if uniform else durations], block)
+        stack[: len(rows)] = block
+    leaving = np.empty_like(stack)
+    leaving[order] = stack
+
+    observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
+    observables[m_slices] = o = np.stack([pauli_string(a, a) for a in "XYZ"])
+    for m in range(m_slices - 1, leave.min() - 1, -1):
+        if relaxation is not None:
+            o = _relaxed(relaxation[index[0, m]].T, o)
+        o = u_dag[m] @ o @ u[m]
+        observables[m] = o
+    return rho, leaving, observables[leave]
+
+
+def reference_require_density(rho: np.ndarray) -> np.ndarray:
+    """``require_density`` deciding every matrix by ``eigvalsh``, unscreened.
+
+    The package's check must accept and reject exactly as this one does,
+    with the same message.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
+    shaped = (herm_dev <= DENSITY_TOL) & (tr_dev <= DENSITY_TOL)
+    lo = np.zeros(len(stack))
+    lo[shaped] = np.linalg.eigvalsh(stack[shaped]).min(axis=-1)
+    bad = ~shaped | ~(lo >= -DENSITY_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = "density matrix"
+        if rho.ndim > 2:
+            name += f" {list(map(int, np.unravel_index(i, rho.shape[:-2])))}"
+        if not herm_dev[i] <= DENSITY_TOL:
+            raise ValueError(f"{name} is not Hermitian: max |H - H^dag| = {herm_dev[i]:.3e}")
+        if not tr_dev[i] <= DENSITY_TOL:
+            raise ValueError(f"{name} trace deviates from 1 by {tr_dev[i]:.3e}")
+        raise ValueError(f"{name} has negative eigenvalue {lo[i]:.3e}")
     return rho
 
 

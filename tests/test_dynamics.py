@@ -253,6 +253,17 @@ class TestSliceHamiltonian:
 
 
 class TestModelFidelity:
+    @pytest.mark.parametrize("oracle", [model_fidelity, fidelity_and_gradients])
+    def test_public_oracles_reject_bad_states(self, oracle):
+        # run_optimization checks its states once; the public functions check every call
+        p = random_pulse(3, 1e-3, 100.0, np.random.default_rng(9))
+        decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
+        states = np.empty((4, 4), dtype=np.complex128)
+        for psi0, target in ((2.0 * PSI0, TARGET), (PSI0, TARGET * (1 + 1e-6)), (PSI0, np.eye(4))):
+            for handed in ((), (decomposition, states)):
+                with pytest.raises(ValueError, match="state"):
+                    oracle(MODEL, p, psi0, target, *handed)
+
     def test_zero_pulse_leaves_basis_state(self):
         p = PulseSequence(5e-3, np.zeros((50, 4)))
         # |00> is a drift eigenstate: only a phase accrues.

@@ -33,6 +33,7 @@ from belltime.experiment import (
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
+    reference_probe_evolution,
     reference_pulse_evolution,
     reference_relaxation_matrices,
     reference_state,
@@ -348,14 +349,12 @@ class TestOpenEvolution:
         dts[5:9] = pulse.slice_duration_s
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         for config in (ideal_config(), mismatch_config()):
-            backend = ExperimentBackend(config)
-            ground = np.outer(ket("00"), ket("00").conj())
-            rho, leaving, observables = backend._evolve(
-                pulse.amplitudes_hz, uniform, ground, amps, dts
-            )
-            assert np.array_equal(rho, backend.evolve_open(pulse))
+            # a second, fresh backend: the first keeps the pulse's evolution
+            backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
+            rho, leaving, observables = backend._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+            assert np.array_equal(rho, fresh.evolve_open(pulse))
             assert np.array_equal(leaving[5:9], np.repeat(rho[None], 4, axis=0))
-            alone = [backend.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
+            alone = [fresh.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
                      for a, d in zip(amps, dts)]
             assert np.max(np.abs(readouts(leaving, observables) - readouts(alone))) <= 1e-12
 
@@ -365,11 +364,11 @@ class TestOpenEvolution:
         # read out against observables back-propagated to the end of its
         # window agrees with evolving it whole, forward, to 1e-12.
         rng = np.random.default_rng(47 + m_slices)
-        ground = np.outer(ket("00"), ket("00").conj())
         for config in (mismatch_config(), mismatch_config(distortion_tau_s=0.0),
                        mismatch_config(distortion_tau_s=5e-3, t1_s=(1e-3, 2e-3),
                                        t2_s=(1e-3, 4e-3))):
-            backend = ExperimentBackend(config)
+            # a second, fresh backend: the first keeps the pulse's evolution
+            backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
             for _ in range(3):
                 pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
                 pulse_dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
@@ -380,18 +379,37 @@ class TestOpenEvolution:
                     amps[row, moved] += rng.normal(0.0, 20.0, size=(len(moved), 4))
                     dts[row, moved] *= rng.uniform(0.5, 1.5, size=len(moved))
                 rho, leaving, observables = backend._evolve(
-                    pulse.amplitudes_hz, pulse_dts, ground, amps, dts
+                    pulse.amplitudes_hz, pulse_dts, amps, dts
                 )
                 assert np.array_equal(
-                    rho, backend.evolve_open(pulse, slice_durations_s=pulse_dts)
+                    rho, fresh.evolve_open(pulse, slice_durations_s=pulse_dts)
                 )
-                forward = [backend.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
+                forward = [fresh.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
                            for a, d in zip(amps, dts)]
                 assert np.max(np.abs(readouts(leaving, observables) - readouts(forward))) <= 1e-12
                 # the Kraus loop, independent of the tabled map and its transpose
                 kraus = [reference_evolution(backend, pulse.with_amplitudes(a), d)
                          for a, d in zip(amps, dts)]
                 assert np.max(np.abs(readouts(leaving, observables) - readouts(kraus))) <= 1e-12
+
+    def test_a_kept_evolution_is_handed_out_as_copies(self):
+        # a repeated pulse reuses its evolution; what a caller did to an
+        # earlier result must not reach the later ones
+        backend = ExperimentBackend(mismatch_config(noise_sigma=0.0))
+        pulse = random_pulse(6, 1e-3, 100.0, np.random.default_rng(41))
+        first = backend.evolve_open(pulse)
+        expected = first.copy()
+        first[:] = 0.0
+        again = backend.evolve_open(pulse)
+        assert np.array_equal(again, expected)
+        amps, dts = probe_stack(pulse, np.random.default_rng(42), 5)
+        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
+        rho, leaving, observables = backend._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+        for handed in (rho, leaving, observables):
+            handed[...] = 0.0
+        assert np.array_equal(backend.evolve_open(pulse), expected)
+        fresh = ExperimentBackend(backend.config)
+        assert backend.fidelity_partial(pulse) == fresh.fidelity_partial(pulse)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     def test_rejects_bad_slice_durations_by_name(self, bad):
@@ -506,13 +524,17 @@ def probes_of_a_pulse(draw):
     """A pulse and a stack of probes of it, plus one ledger category per probe.
 
     Each probe moves the controls or the duration of an arbitrary set of
-    slices (slice 0 included, or none at all, by steps from far below
-    rounding to large), and some rows repeat others.
+    slices (slice 0 included, or none at all, by steps from one ulp, which
+    the channel scale can round away, through far below rounding to
+    large), and some rows repeat others.
     """
     m_slices = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pulse = random_pulse(m_slices, draw(st.floats(1e-4, 5e-3)), 150.0, rng)
-    step = st.sampled_from([1e-13, 1e-9, 0.1, 30.0, -1e-13, -1e-9, -0.1, -30.0])
+    # an infinite step stands for one ulp toward it
+    step = st.sampled_from(
+        [1e-13, 1e-9, 0.1, 30.0, -1e-13, -1e-9, -0.1, -30.0, math.inf, -math.inf]
+    )
     amps, dts = [], []
     for _ in range(draw(st.integers(0, 5))):
         row_amps = pulse.amplitudes_hz.copy()
@@ -520,7 +542,11 @@ def probes_of_a_pulse(draw):
         for m in draw(st.sets(st.integers(0, m_slices - 1))):
             moved = draw(st.sampled_from(["controls", "duration", "both"]))
             if moved != "duration":
-                row_amps[m, draw(st.integers(0, 3))] += draw(step)
+                c, by = draw(st.integers(0, 3)), draw(step)
+                if math.isinf(by):
+                    row_amps[m, c] = np.nextafter(row_amps[m, c], by)
+                else:
+                    row_amps[m, c] += by
             if moved != "controls":
                 row_dts[m] *= draw(st.floats(0.5, 1.5))
         amps.append(row_amps)
@@ -544,7 +570,8 @@ def malformed_probes(draw):
 
     The fault is a wrong amplitude or duration shape, a wrong slice count,
     a duration that is not positive and finite, an amplitude that is not
-    finite, or a category list of the wrong length.
+    finite, a category list of the wrong length, or a name in it that is
+    not a ledger category.
     """
     m_slices = draw(st.integers(1, 5))
     n_rows = draw(st.integers(1, 4))
@@ -554,7 +581,8 @@ def malformed_probes(draw):
     categories = ["gradient_control"] * n_rows
     row, m = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, m_slices - 1))
     fault = draw(st.sampled_from(
-        ["amplitude shape", "duration shape", "slice count", "duration", "amplitude", "categories"]
+        ["amplitude shape", "duration shape", "slice count", "duration", "amplitude", "categories",
+         "unknown category"]
     ))
     if fault == "amplitude shape":
         amps = draw(st.sampled_from([amps[..., :3], amps[0], amps[None], amps[:-1]]))
@@ -567,6 +595,8 @@ def malformed_probes(draw):
         dts[row, m] = draw(BAD_DURATION)
     elif fault == "amplitude":
         amps[row, m, draw(st.integers(0, 3))] = draw(BAD_AMPLITUDE)
+    elif fault == "unknown category":
+        categories[row] = draw(st.sampled_from(["bogus", "calibration", "Gradient_control"]))
     else:
         categories = categories + ["gradient_time"] if draw(st.booleans()) else categories[1:]
     return pulse, amps, dts, categories
@@ -592,6 +622,67 @@ class TestProbeEvolution:
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
         assert batched.ledger.as_dict() == single.ledger.as_dict()
         assert batched._rng.bit_generator.state == single._rng.bit_generator.state
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(probes=probes_of_a_pulse(), apparatus=st.sampled_from(sorted(APPARATUS)),
+           earlier=st.sampled_from(["none", "same", "equal", "different"]),
+           seed=st.integers(0, 1000))
+    def test_probes_equal_the_dense_path_bit_for_bit(self, probes, apparatus, earlier, seed):
+        # After no readout, or one of the same pulse, an equal pulse or a
+        # different one, the probes' states and observables have the bits
+        # of the path that decomposes every changed slice and keeps
+        # nothing, run on a fresh backend; readouts, ledger and noise
+        # stream follow.
+        pulse, amps, dts, categories = probes
+        config = mismatch_config(seed=seed, **APPARATUS[apparatus])
+        backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
+        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
+        expected = reference_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
+        if earlier != "none":
+            before = {
+                "same": pulse,
+                "equal": PulseSequence(pulse.duration_s, pulse.amplitudes_hz.copy()),
+                "different": random_pulse(1 + seed % 4, 1e-3, 150.0, np.random.default_rng(seed)),
+            }[earlier]
+            assert backend.fidelity_partial(before) == fresh.fidelity_partial(before)
+        evolved = backend._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+        for got, want in zip(evolved, expected):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        values = backend.fidelity_partial_batch(pulse, amps, dts, categories)
+        assert np.array_equal(bits(values), bits(fresh._partial(*expected[1:], categories)))
+        assert backend.ledger.as_dict() == fresh.ledger.as_dict()
+        assert backend._rng.bit_generator.state == fresh._rng.bit_generator.state
+
+
+    def test_a_difference_the_scale_rounds_away_is_no_difference(self):
+        # One ulp on a channel scaled by 0.98 sometimes rounds to the
+        # pulse's applied amplitude; such a probe differs nowhere, as on
+        # the dense path, which compares the scaled waveforms.
+        config = mismatch_config(distortion_tau_s=0.0, **NO_RELAXATION)
+        rng = np.random.default_rng(53)
+        rounded_away = 0
+        for _ in range(60):
+            m_slices = int(rng.integers(1, 8))
+            pulse = random_pulse(m_slices, 2e-3, 150.0, rng)
+            amps = np.repeat(pulse.amplitudes_hz[None], 8, axis=0)
+            dts = np.full((8, m_slices), pulse.slice_duration_s)
+            rows, slices = np.arange(8), rng.integers(0, m_slices, size=8)
+            channels = rng.choice([0, 2], size=8)  # the 0.98 channels
+            amps[rows, slices, channels] = np.nextafter(
+                amps[rows, slices, channels], rng.choice([-np.inf, np.inf], size=8)
+            )
+            scale = np.asarray(config.amplitude_scale)
+            rounded = (amps * scale == pulse.amplitudes_hz * scale).all(axis=(1, 2))
+            rounded_away += np.count_nonzero(rounded)
+            evolved = ExperimentBackend(config)._evolve(pulse.amplitudes_hz, dts[0], amps, dts)
+            expected = reference_probe_evolution(
+                ExperimentBackend(config), pulse.amplitudes_hz, dts[0], amps, dts
+            )
+            for got, want in zip(evolved, expected):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert rounded_away > 0
 
 
 class TestReadout:
@@ -761,6 +852,17 @@ class TestReadout:
         before = backend._rng.bit_generator.state
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             backend.fidelity_partial_batch(pulse, amps, dts, categories)
+        assert backend.ledger.total_measurements == 0
+        assert backend._rng.bit_generator.state == before
+
+    def test_single_readouts_reject_an_unknown_category_untouched(self):
+        backend = ExperimentBackend(mismatch_config(seed=3))
+        before = backend._rng.bit_generator.state
+        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(12))
+        with pytest.raises(ValueError, match="unknown ledger category 'bogus'"):
+            backend.fidelity_partial(pulse, category="bogus")
+        with pytest.raises(ValueError, match="unknown ledger category 'bogus'"):
+            backend.measure_pauli(backend.evolve_open(pulse), ("Z", "Z"), "bogus")
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
 

@@ -11,11 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belltime import linalg
 from belltime.cartan import kak_factorize
 from belltime.linalg import ket, pauli_string, singlet_state
-from oracles import expectation, expm_hermitian, state_fidelity
+from oracles import expectation, expm_hermitian, reference_require_density, state_fidelity
 
 
 def random_hermitian(rng, dim=4, scale=1.0):
@@ -237,3 +239,56 @@ def test_density_stack_names_the_non_finite_matrix(value):
         stack[1] = np.diag([1.5, -0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"density matrix \[1\] has negative eigenvalue"):
             linalg.require_density(stack)
+
+
+# Smallest eigenvalues at and around the screen's shift and the tolerance.
+LAMBDA_MIN = [-2.0, -1.0, -0.75, -0.5, -0.25, 0.0]
+
+
+@st.composite
+def density_stacks(draw):
+    """1-600 states, pure or mixed, with up to five rows made non-finite or
+    given a smallest eigenvalue of LAMBDA_MIN * DENSITY_TOL."""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    raw[:, :, 1:] *= rng.integers(0, 2, size=(n, 1, 1))  # about half the rows pure
+    stack = raw @ raw.conj().swapaxes(-1, -2)
+    stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+    for _ in range(draw(st.integers(0, 5))):
+        row = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["nan", "inf", "-inf", "spectrum"]))
+        if kind == "spectrum":
+            low = draw(st.sampled_from(LAMBDA_MIN)) * linalg.DENSITY_TOL
+            rest = rng.dirichlet(np.ones(3)) * (1.0 - low)
+            w = np.concatenate([[low], rest])
+            if draw(st.booleans()):  # in a random eigenbasis, or diagonal
+                v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+                stack[row] = (v * w) @ v.conj().T
+            else:
+                stack[row] = np.diag(w)
+        else:
+            i, j = rng.integers(0, 4, size=2)
+            stack[row, i, j] = stack[row, j, i] = float(kind)
+    return stack
+
+
+def outcome(check, stack):
+    """The error message of ``check(stack)``, or None when it passes."""
+    try:
+        check(stack)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stack=density_stacks())
+def test_screened_density_check_decides_as_eigenvalues_alone(stack):
+    # the Cholesky screen only skips eigvalsh on stacks it passes whole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = outcome(reference_require_density, stack)
+        assert outcome(linalg.require_density, stack) == expected
+        alone = outcome(reference_require_density, stack[0])
+        assert outcome(linalg.require_density, stack[0]) == alone
