@@ -24,17 +24,23 @@ Fidelity oracles:
   target.
 
 Measured gradients probe the fidelity hundreds of times at one pulse,
-each probe moving one slice's controls or duration.
-``fidelity_partial_batch`` makes four passes per call: it evolves the
-pulse forward once, keeping its state before every slice; it
-back-propagates the three correlators through the pulse's slices once,
-by the adjoint map (the Heisenberg picture of GRAPE's backward sweep);
-it evolves each probe forward through its own window only, the slices
-where it differs from the pulse, from the pulse's state where the
-window starts; and it reads each probe out where its window ends,
-against the correlators back-propagated to that point.  Only the
+each probe setting one entry of the pulse's (M, 5) table [ux1, uy1,
+ux2, uy2, slice duration]: a probe is a (slice, column, value) triple,
+and a batch three arrays of them.  ``fidelity_partial_batch`` checks
+them all before it evolves, draws or charges anything, then makes four
+passes per call: it evolves the pulse forward once, keeping its state
+before every slice; it back-propagates the three correlators through
+the pulse's slices once, by the adjoint map (the Heisenberg picture of
+GRAPE's backward sweep); it evolves each probe forward through its own
+window only, the slices where it differs from the pulse, from the
+pulse's state where the window starts; and it reads each probe out
+where its window ends, against the correlators back-propagated to that
+point.  Only the
 (probe, slice) pairs that differ get propagators of their own, and a
-pair whose duration alone differs takes the pulse's eigensystem.  The
+pair whose duration alone differs takes the pulse's eigensystem.
+Without the low-pass a probe's window is its own slice, read off its
+entry, and all changed probes advance in one stacked product; under it
+the probes are expanded into programmed waveforms for the filter.  The
 backend keeps its last pulse evolution (propagators, eigensystems and
 states), so the probes of a pulse just measured, or a repeated
 measurement of it, do not evolve it again.  The probes' states are
@@ -71,6 +77,10 @@ PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
 
 # Bench time one readout costs, in seconds; ledgers are priced at it.
 SECONDS_PER_MEASUREMENT = 10.0
+
+# A probe's column in a pulse's (M, 5) table [ux1, uy1, ux2, uy2, slice duration]
+# that holds the slice duration (fidelity_partial_batch).
+DURATION_COLUMN = 4
 
 
 def _as_reals(value, name: str, count: int) -> tuple[float, ...]:
@@ -149,7 +159,10 @@ class MeasurementLedger:
     def record(self, category: str, count: int) -> None:
         if category not in LEDGER_CATEGORIES:
             raise ValueError(f"unknown ledger category {category!r}")
-        setattr(self, category, getattr(self, category) + int(count))
+        count = as_integer(count, "count")
+        if count < 0:
+            raise ValueError(f"a ledger count must be >= 0, got {count}")
+        setattr(self, category, getattr(self, category) + count)
 
     @property
     def total_measurements(self) -> int:
@@ -189,6 +202,20 @@ def _check_categories(categories) -> None:
     if not set(categories).issubset(LEDGER_CATEGORIES):
         unknown = next(c for c in categories if c not in LEDGER_CATEGORIES)
         raise ValueError(f"unknown ledger category {unknown!r}")
+
+
+def _probe_indices(value, name: str, bound: int) -> np.ndarray:
+    """``value`` checked as a 1-D array of integers in [0, ``bound``)."""
+    index = np.asarray(value)
+    if index.size == 0:  # an empty list reads as floats
+        index = index.astype(np.intp)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(
+            f"{name} must be a 1-D array of integers, got {index.dtype} of shape {index.shape}"
+        )
+    if index.size and not (index.min() >= 0 and index.max() < bound):
+        raise ValueError(f"{name} must lie in [0, {bound}), got {index.min()} to {index.max()}")
+    return index
 
 
 def _one_density(rho) -> np.ndarray:
@@ -291,6 +318,20 @@ def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (matrices @ parts).view(np.complex128).reshape(rho.shape)
 
 
+def _advance(u: np.ndarray, rho: np.ndarray, table, durations) -> np.ndarray:
+    """A stack of (B, 4, 4) states through one slice each: U rho U^dag, then relaxation.
+
+    ``table`` holds relaxation matrices (None: no relaxation) and
+    ``durations`` each state's row in it; one matrix serves the whole
+    stack when every state takes the same.
+    """
+    block = u @ rho @ u.conj().swapaxes(-1, -2)
+    if table is None or not len(block):
+        return block
+    uniform = (durations == durations[0]).all()
+    return _relaxed(table[durations[0] if uniform else durations], block)
+
+
 class ExperimentBackend:
     """Sequential driver of one emulated experiment.
 
@@ -335,10 +376,12 @@ class ExperimentBackend:
         """One pulse's evolution from |00><00|, kept until the next pulse.
 
         The pulse is (M, 4) programmed amplitudes over (M,) slice
-        durations.  Returns (u, u_dag, w, v, states): the M slice
-        propagators and their adjoints, the eigensystems (w, v) of the
-        slice Hamiltonians, and the (M + 1, 4, 4) states before every
-        slice.  The waveform is distorted, then scaled per channel.  Each
+        durations.  Returns (u, u_dag, w, v, relaxation, states): the M
+        slice propagators and their adjoints, the eigensystems (w, v) of
+        the slice Hamiltonians, the slices' (M, 16, 16) relaxation
+        matrices (None without T1/T2), and the (M + 1, 4, 4) states
+        before every slice.  The waveform is distorted, then scaled per
+        channel.  Each
         slice applies its unitary, then relaxation as one tabled 16 x 16
         product on vec(rho); the table holds one ``_relax`` matrix per
         distinct slice duration.  The loop makes each product with 2-D
@@ -380,7 +423,7 @@ class ExperimentBackend:
                 u_m.dot(rho).dot(u_dag_m, rotated)
                 r_m.dot(rotated_parts, parts)
                 rho = after
-        evolution = (u, u_dag, w, v, states)
+        evolution = (u, u_dag, w, v, relaxation, states)
         self._kept = (key, evolution)
         return evolution
 
@@ -388,13 +431,16 @@ class ExperimentBackend:
         self,
         amplitudes: np.ndarray,
         dts: np.ndarray,
-        probe_amplitudes: np.ndarray | None = None,
-        probe_dts: np.ndarray | None = None,
+        slices: np.ndarray | None = None,
+        columns: np.ndarray | None = None,
+        values: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Final state of one pulse, and B probes of it ready to read out.
+        """Final state of one pulse, and B single-entry probes of it ready to read out.
 
         The pulse is (M, 4) amplitudes over (M,) slice durations, evolved
-        by ``_pulse_evolution``; the probes are (B, M, 4) and (B, M).
+        by ``_pulse_evolution``.  Probe b sets the entry (slices[b],
+        columns[b]) of the pulse's (M, 5) table [ux1, uy1, ux2, uy2,
+        slice duration] to values[b] (``fidelity_partial_batch``).
 
         A probe's window runs from the first to the last slice where its
         applied (distorted and scaled) amplitudes or its duration differ
@@ -402,21 +448,22 @@ class ExperimentBackend:
         the pulse's state where the window starts, and read out where the
         window ends against the ``PARTIAL_LABELS`` observables
         back-propagated there through the pulse's remaining slices:
-        O -> U^dag R^T(O) U per slice, the adjoint of the forward map, with
-        ``R^T`` taken from a table over the pulse's and the probes'
-        durations.  Only the (probe, slice) pairs that differ get
-        propagators of their own.  A pair whose applied amplitudes differ
-        is decomposed anew, all such pairs in one call.  A pair whose
-        duration alone differs has the pulse's slice Hamiltonian, so its
-        propagator is built from the pulse's eigensystem at its own
-        duration, the same bits as decomposing it again.
+        O -> U^dag R^T(O) U per slice, the adjoint of the forward map.
+        Only the (probe, slice) pairs that differ get propagators of
+        their own.  A pair whose applied amplitudes differ is decomposed
+        anew, all such pairs in one call.  A pair whose duration alone
+        differs has the pulse's slice Hamiltonian, so its propagator is
+        built from the pulse's eigensystem at its own duration, the same
+        bits as decomposing it again.  A window's slices are relaxed at
+        the probe's own durations.
 
-        Under the low-pass a change carries on into later slices, so the
-        applied waveforms of pulse and probes are filtered as one stack
-        and compared on flat (B + 1, 4M) rows, a slice's four flags read
-        as one 4-byte word.  Without it, an applied amplitude can differ
-        only where the programmed one does: those pairs alone are scaled,
-        and kept where the scaled values still differ.
+        Without the low-pass an applied amplitude differs only where the
+        programmed one does, so the entries alone give the windows
+        (``_one_slice_windows``): a probe's window is its own slice, or
+        none where the channel scale rounds its change away.  Under the
+        low-pass a change carries on into later slices, so the probes are
+        expanded into programmed waveforms and filtered with the pulse's
+        as one stack (``_filtered_windows``).
 
         Returns copies: the pulse's 4 x 4 final state, the probes'
         (B, 4, 4) states where their windows end (the pulse's final state
@@ -425,35 +472,88 @@ class ExperimentBackend:
         exactly the operations of ``evolve_open``; a probe's readout
         equals its own evolution's up to reordered rounding.
         """
-        u, u_dag, w, v, states = self._pulse_evolution(amplitudes, dts)
+        u, u_dag, w, v, relaxation, states = self._pulse_evolution(amplitudes, dts)
         rho = states[-1].copy()
-        if probe_dts is None or not len(probe_dts):
+        if slices is None or not len(slices):
             return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
 
-        m_slices, n_probes = len(dts), len(probe_dts)
-        relaxation = None
-        if self._tau + self._t1_t2:
-            factors, index = _decay_factors(  # row 0: the pulse
-                np.concatenate([dts[None], probe_dts]), self._tau + self._t1_t2
-            )
-            if self._t1_t2:
-                relaxation = _relaxation_matrices(factors[:, len(self._tau):])
-        if self._tau:
-            programmed = np.concatenate([amplitudes[None], probe_amplitudes])
-            # flat (B + 1, 4M) rows, in place: a copy of the low-pass's slice-major output
-            flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes + 1, -1)
-            np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
-            # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
-            moved = (flat[1:] != flat[0]).view(np.uint32).astype(bool)  # (B, M)
-            moved_applied = flat[1:].reshape(n_probes, m_slices, 4)[moved]
-        else:
-            flags = probe_amplitudes.reshape(n_probes, -1) != amplitudes.reshape(-1)
-            moved = flags.view(np.uint32).astype(bool)
-            moved_applied = probe_amplitudes[moved] * self._scale
-            # the scale can round a programmed difference away
-            still = (moved_applied != (amplitudes * self._scale)[moved.nonzero()[1]]).any(axis=1)
-            moved[moved] = still
-            moved_applied = moved_applied[still]
+        windows = self._filtered_windows if self._tau else self._one_slice_windows
+        leaving, leave = windows(amplitudes, dts, u, w, v, states, slices, columns, values)
+        m_slices = len(dts)
+        observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
+        observables[m_slices] = o = self._partial_ops
+        for m in range(m_slices - 1, leave.min() - 1, -1):
+            if relaxation is not None:
+                o = _relaxed(relaxation[m].T, o)
+            o = u_dag[m] @ o @ u[m]
+            observables[m] = o
+        return rho, leaving, observables[leave]
+
+    def _one_slice_windows(self, amplitudes, dts, u, w, v, states, slices, columns, values):
+        """The probes' states where their windows end, and those ends, without the low-pass.
+
+        Arguments are those of ``_evolve`` and the pulse's evolution.  A
+        probe changes at most its own slice, so every changed probe
+        advances in one stacked product from the pulse's state before
+        that slice.  Returns the (B, 4, 4) states and the (B,) ends, M
+        for a probe that differs nowhere.
+        """
+        timed = columns == DURATION_COLUMN
+        # an amplitude probe's row is scaled; the scale can round its change away
+        moved = np.flatnonzero(~timed)
+        entry = np.arange(len(moved)), columns[moved]
+        scaled = values[moved] * self._scale[entry[1]]
+        applied = amplitudes[slices[moved]] * self._scale
+        still = scaled != applied[entry]
+        applied[entry] = scaled
+        moved, applied = moved[still], applied[still]
+        # a duration probe keeps the pulse's Hamiltonian, and takes its eigensystem
+        retimed = np.flatnonzero(timed)
+        retimed = retimed[values[retimed] != dts[slices[retimed]]]
+        at = slices[retimed]
+
+        changed = np.concatenate([moved, retimed])
+        own_dts = np.concatenate([dts[slices[moved]], values[retimed]])
+        u_own = np.concatenate([
+            slice_propagators(self._model, applied, own_dts[: len(moved)])[0],
+            eigen_propagators(w[at], v[at], values[retimed]),
+        ])
+        table = durations = None
+        if self._t1_t2:
+            factors, durations = _decay_factors(own_dts, self._t1_t2)
+            table = _relaxation_matrices(factors)
+        leaving = np.repeat(states[-1:], len(slices), axis=0)
+        leaving[changed] = _advance(u_own, states[slices[changed]], table, durations)
+        leave = np.full(len(slices), len(dts))
+        leave[changed] = slices[changed] + 1
+        return leaving, leave
+
+    def _filtered_windows(self, amplitudes, dts, u, w, v, states, slices, columns, values):
+        """``_one_slice_windows`` under the low-pass, where a window can span many slices.
+
+        The probes are expanded into (B, M, 4) programmed waveforms and
+        (B, M) durations, filtered with the pulse's as one stack and
+        compared on flat (B + 1, 4M) rows, a slice's four flags read as
+        one 4-byte word.  The windows advance slice by slice, longest
+        first, the probes still inside theirs being a prefix.
+        """
+        n_probes, m_slices = len(slices), len(dts)
+        rows = np.arange(n_probes)
+        timed = columns == DURATION_COLUMN
+        programmed = np.repeat(amplitudes[None], n_probes + 1, axis=0)  # row 0: the pulse
+        programmed[1 + rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
+        probe_dts = np.repeat(dts[None], n_probes, axis=0)
+        probe_dts[rows[timed], slices[timed]] = values[timed]
+        factors, index = _decay_factors(
+            np.concatenate([dts[None], probe_dts]), self._tau + self._t1_t2
+        )
+        table = _relaxation_matrices(factors[:, 1:]) if self._t1_t2 else None  # 0: tau
+        # flat (B + 1, 4M) rows, in place: a copy of the low-pass's slice-major output
+        flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes + 1, -1)
+        np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
+        # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
+        moved = (flat[1:] != flat[0]).view(np.uint32).astype(bool)  # (B, M)
+        moved_applied = flat[1:].reshape(n_probes, m_slices, 4)[moved]
         own = moved | (probe_dts != dts)  # (B, M)
         # propagators: the pulse's, then the pairs decomposed anew, then the
         # pairs whose duration alone differs
@@ -479,26 +579,15 @@ class ExperimentBackend:
         lengths = (leave - enter)[order]
         stack = states[enter[order]]
         for step in range(lengths[0]):  # the probes still inside their window are a prefix
-            rows = order[: np.count_nonzero(lengths > step)]
-            at = enter[rows] + step
-            u_at = u[which[rows, at]]
-            block = u_at @ stack[: len(rows)] @ u_at.conj().swapaxes(-1, -2)
-            if relaxation is not None:
-                durations = index[1 + rows, at]  # one matrix for all, or one per row
-                uniform = (durations == durations[0]).all()
-                block = _relaxed(relaxation[durations[0] if uniform else durations], block)
-            stack[: len(rows)] = block
+            inside = order[: np.count_nonzero(lengths > step)]
+            at = enter[inside] + step
+            durations = None if table is None else index[1 + inside, at]
+            stack[: len(inside)] = _advance(
+                u[which[inside, at]], stack[: len(inside)], table, durations
+            )
         leaving = np.empty_like(stack)
         leaving[order] = stack
-
-        observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
-        observables[m_slices] = o = self._partial_ops
-        for m in range(m_slices - 1, leave.min() - 1, -1):
-            if relaxation is not None:
-                o = _relaxed(relaxation[index[0, m]].T, o)
-            o = u_dag[m] @ o @ u[m]
-            observables[m] = o
-        return rho, leaving, observables[leave]
+        return leaving, leave
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.
@@ -548,39 +637,48 @@ class ExperimentBackend:
     def fidelity_partial_batch(
         self,
         pulse: PulseSequence,
-        amplitudes_hz: np.ndarray,
-        slice_durations_s: np.ndarray,
+        slices,
+        columns,
+        values,
         categories,
     ) -> np.ndarray:
-        """``fidelity_partial`` of B probes of ``pulse``, evolved together.
+        """``fidelity_partial`` of B single-entry probes of ``pulse``, evolved together.
 
-        Probe b runs the (M, 4) amplitudes ``amplitudes_hz[b]`` over the
-        slice durations ``slice_durations_s[b]`` and is charged to
-        ``categories[b]``.  Each probe is evolved only through the slices
-        where it differs from the pulse, and read out against the
-        correlators back-propagated through the pulse's remaining slices
+        Probe b is ``pulse`` with one entry of its (M, 5) table
+        [ux1, uy1, ux2, uy2, slice duration] set: entry (slices[b],
+        columns[b]) becomes values[b].  Columns 0-3 are programmed
+        amplitudes in Hz, column ``DURATION_COLUMN`` the slice's duration
+        in s (T/M on the pulse); probe b is charged to categories[b].
+        Each probe is evolved only through the slices where it differs
+        from the pulse, and read out against the correlators
+        back-propagated through the pulse's remaining slices
         (``_evolve``).  Noise draws and ledger are those of B
         ``fidelity_partial`` calls in order; the values are theirs up to
-        reordered rounding, within 1e-12.
+        reordered rounding, within 1e-12.  Every argument is checked
+        before anything is evolved, drawn or charged: indices in range,
+        values finite, durations positive, one known category per probe.
         """
-        amps = np.asarray(amplitudes_hz, dtype=float)
-        dts = np.asarray(slice_durations_s, dtype=float)
+        slices = _probe_indices(slices, "slices", pulse.n_slices)
+        columns = _probe_indices(columns, "columns", DURATION_COLUMN + 1)
+        values = np.asarray(values)
         categories = list(categories)
-        m_slices = pulse.n_slices
-        if amps.ndim != 3 or amps.shape[1:] != (m_slices, 4) or dts.shape != amps.shape[:2]:
+        if values.ndim != 1 or not len(slices) == len(columns) == len(values):
             raise ValueError(
-                f"need (B, {m_slices}, 4) amplitudes and (B, {m_slices}) slice durations "
-                f"for a pulse of {m_slices} slices, got {amps.shape} and {dts.shape}"
+                f"need one slice, column and value per probe, got shapes "
+                f"{slices.shape}, {columns.shape} and {values.shape}"
             )
-        if len(categories) != len(amps):
-            raise ValueError(f"need {len(amps)} ledger categories, got {len(categories)}")
+        if len(categories) != len(values):
+            raise ValueError(f"need {len(values)} ledger categories, got {len(categories)}")
         _check_categories(categories)
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes_hz must be finite")
-        if not np.all(np.isfinite(dts) & (dts > 0)):
-            raise ValueError("slice_durations_s must be positive and finite")
+        if values.size and values.dtype.kind not in "iuf":
+            raise ValueError(f"probe values must be real numbers, got {values.dtype}")
+        values = values.astype(float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("probe values must be finite")
+        if not np.all(values[columns == DURATION_COLUMN] > 0):
+            raise ValueError("a probe's slice duration must be positive")
         uniform = _slice_durations(pulse, None)
-        _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+        _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, slices, columns, values)
         return self._partial(rhos, observables, categories)
 
     def fidelity_full(self, pulse: PulseSequence) -> float:

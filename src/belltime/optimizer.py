@@ -102,6 +102,7 @@ from .dynamics import (
 from .dynamics import _fidelity_and_gradients as fidelity_and_gradients
 from .dynamics import _model_fidelity as model_fidelity
 from .experiment import (
+    DURATION_COLUMN,
     PARTIAL_LABELS,
     ExperimentBackend,
     ExperimentConfig,
@@ -307,11 +308,13 @@ def finite_diff_gradients(
     uniform grid is the mean of the per-slice duration derivatives, since
     stretching T by dT stretches every slice by dT/M.
 
-    All probes go to the backend as one stack of probes of ``pulse``, in
-    the order of one probe at a time: amplitude (m, c) at rows 2(4m + c)
-    (+h) and 2(4m + c) + 1 (-h), then slice m's duration at rows
-    2(4M + m) (+ht) and 2(4M + m) + 1 (-ht).  No probe reads out ``pulse``
-    itself, so the bundle's fidelity is NaN.
+    All probes go to the backend as one batch of single-entry probes of
+    ``pulse``, in the order of one probe at a time: amplitude (m, c) at
+    rows 2(4m + c) (+h) and 2(4m + c) + 1 (-h), then slice m's duration
+    at rows 2(4M + m) (+ht) and 2(4M + m) + 1 (-ht).  No probe reads out
+    ``pulse`` itself, so the bundle's fidelity is NaN.  A duration step
+    that would leave a slice no positive duration is rejected before
+    any probe is charged.
     """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
@@ -319,22 +322,27 @@ def finite_diff_gradients(
     h = fd_step_amplitude_hz
     ht = fd_step_time_s
     base = pulse.slice_duration_s
+    if not base - ht > 0.0:
+        raise ValueError(
+            f"fd_step_time_s = {ht!r} s must be shorter than the slice duration "
+            f"T/M = {base!r} s, or a duration probe leaves its slice no time"
+        )
 
-    n_probes = 2 * n_amps + 2 * m_slices
-    probes = np.repeat(amps.reshape(1, n_amps), n_probes, axis=0)
-    index = np.arange(n_amps)
-    probes[2 * index, index] += h
-    probes[2 * index + 1, index] = probes[2 * index, index] - 2.0 * h
-    durations = np.full((n_probes, m_slices), base)
-    index = np.arange(m_slices)
-    durations[2 * n_amps + 2 * index, index] = base + ht
-    durations[2 * n_amps + 2 * index + 1, index] = base - ht
+    # entry k of the pulse, amplitude (m, c) at k = 4m + c and slice m's
+    # duration at k = 4M + m, is probed by rows 2k (+) and 2k + 1 (-)
+    entry = np.arange(n_amps + m_slices)
+    slices = np.repeat(np.where(entry < n_amps, entry // 4, entry - n_amps), 2)
+    columns = np.repeat(np.where(entry < n_amps, entry % 4, DURATION_COLUMN), 2)
+    values = np.empty(2 * (n_amps + m_slices))
+    plus = amps.reshape(-1) + h
+    values[0 : 2 * n_amps : 2] = plus
+    values[1 : 2 * n_amps : 2] = plus - 2.0 * h
+    values[2 * n_amps :: 2] = base + ht
+    values[2 * n_amps + 1 :: 2] = base - ht
     categories = ["gradient_control"] * (2 * n_amps) + ["gradient_time"] * (2 * m_slices)
 
-    j = backend.fidelity_partial_batch(
-        pulse, probes.reshape(n_probes, m_slices, 4), durations, categories
-    ).reshape(-1, 2)  # (+, -) pairs
-    differences = j[:, 0] - j[:, 1]
+    j = backend.fidelity_partial_batch(pulse, slices, columns, values, categories)
+    differences = j[0::2] - j[1::2]  # (+, -) pairs
     grad_u = (differences[:n_amps] / (2.0 * h)).reshape(amps.shape)
     slope_sum = 0.0
     for slope in (differences[n_amps:] / (2.0 * ht)).tolist():  # summed in probe order

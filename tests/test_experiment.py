@@ -17,6 +17,7 @@ from belltime.dynamics import (
     slice_propagators,
 )
 from belltime.experiment import (
+    DURATION_COLUMN,
     LEDGER_CATEGORIES,
     PARTIAL_LABELS,
     TOMOGRAPHY_LABELS,
@@ -137,6 +138,36 @@ def probe_stack(pulse, rng, n_rows):
     dts[np.arange(n_rows), moved] *= rng.choice([0.999, 1.001], size=n_rows)
     dts[::3] = pulse.slice_duration_s  # every third row keeps the uniform grid
     return amps, dts
+
+
+def entry_probes(pulse, rng, n_rows):
+    """n_rows single-entry probes of a pulse, as (slices, columns, values).
+
+    Each sets one programmed amplitude, moved by about 0.1 Hz, or one
+    slice duration, moved by 0.1%.
+    """
+    slices = rng.integers(0, pulse.n_slices, size=n_rows)
+    columns = rng.integers(0, DURATION_COLUMN + 1, size=n_rows)
+    timed = columns == DURATION_COLUMN
+    amplitudes = pulse.amplitudes_hz[slices, np.minimum(columns, 3)]
+    values = np.where(
+        timed,
+        pulse.slice_duration_s * rng.choice([0.999, 1.001], size=n_rows),
+        amplitudes + rng.normal(0.0, 0.1, size=n_rows),
+    )
+    return slices, columns, values
+
+
+def expand(amplitudes, dts, slices, columns, values):
+    """Single-entry probes of a pulse as dense (B, M, 4) amplitudes and (B, M) durations."""
+    amps = np.repeat(amplitudes[None], len(slices), axis=0)
+    probe_dts = np.repeat(np.asarray(dts)[None], len(slices), axis=0)
+    for row, (m, c, value) in enumerate(zip(slices, columns, values)):
+        if c == DURATION_COLUMN:
+            probe_dts[row, m] = value
+        else:
+            amps[row, m, c] = value
+    return amps, probe_dts
 
 
 def mismatch_config(**overrides) -> ExperimentConfig:
@@ -344,14 +375,19 @@ class TestOpenEvolution:
         # its own evolution's up to reordered rounding
         rng = np.random.default_rng(31)
         pulse = random_pulse(20, 2.4e-3, 150.0, rng)
-        amps, dts = probe_stack(pulse, rng, 70)
-        amps[5:9] = pulse.amplitudes_hz  # probes that differ nowhere
-        dts[5:9] = pulse.slice_duration_s
+        slices, columns, values = entry_probes(pulse, rng, 70)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
-        for config in (ideal_config(), mismatch_config()):
+        # probes that differ nowhere: an amplitude and a duration set to the pulse's own
+        columns[5:9] = [0, DURATION_COLUMN, 3, DURATION_COLUMN]
+        values[5:9] = [pulse.amplitudes_hz[slices[5], 0], pulse.slice_duration_s,
+                       pulse.amplitudes_hz[slices[7], 3], pulse.slice_duration_s]
+        amps, dts = expand(pulse.amplitudes_hz, uniform, slices, columns, values)
+        for config in (ideal_config(), mismatch_config(), mismatch_config(distortion_tau_s=0.0)):
             # a second, fresh backend: the first keeps the pulse's evolution
             backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
-            rho, leaving, observables = backend._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+            rho, leaving, observables = backend._evolve(
+                pulse.amplitudes_hz, uniform, slices, columns, values
+            )
             assert np.array_equal(rho, fresh.evolve_open(pulse))
             assert np.array_equal(leaving[5:9], np.repeat(rho[None], 4, axis=0))
             alone = [fresh.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
@@ -372,14 +408,17 @@ class TestOpenEvolution:
             for _ in range(3):
                 pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
                 pulse_dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
-                amps = np.repeat(pulse.amplitudes_hz[None], 12, axis=0)
-                dts = np.repeat(pulse_dts[None], 12, axis=0)
-                for row in range(12):  # one to three slices moved per probe
-                    moved = rng.integers(0, m_slices, size=int(rng.integers(1, 4)))
-                    amps[row, moved] += rng.normal(0.0, 20.0, size=(len(moved), 4))
-                    dts[row, moved] *= rng.uniform(0.5, 1.5, size=len(moved))
+                slices = rng.integers(0, m_slices, size=12)
+                columns = rng.integers(0, DURATION_COLUMN + 1, size=12)
+                values = np.where(  # large steps of an amplitude or a duration
+                    columns == DURATION_COLUMN,
+                    pulse_dts[slices] * rng.uniform(0.5, 1.5, size=12),
+                    pulse.amplitudes_hz[slices, np.minimum(columns, 3)]
+                    + rng.normal(0.0, 20.0, size=12),
+                )
+                amps, dts = expand(pulse.amplitudes_hz, pulse_dts, slices, columns, values)
                 rho, leaving, observables = backend._evolve(
-                    pulse.amplitudes_hz, pulse_dts, amps, dts
+                    pulse.amplitudes_hz, pulse_dts, slices, columns, values
                 )
                 assert np.array_equal(
                     rho, fresh.evolve_open(pulse, slice_durations_s=pulse_dts)
@@ -402,9 +441,9 @@ class TestOpenEvolution:
         first[:] = 0.0
         again = backend.evolve_open(pulse)
         assert np.array_equal(again, expected)
-        amps, dts = probe_stack(pulse, np.random.default_rng(42), 5)
+        probes = entry_probes(pulse, np.random.default_rng(42), 5)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
-        rho, leaving, observables = backend._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+        rho, leaving, observables = backend._evolve(pulse.amplitudes_hz, uniform, *probes)
         for handed in (rho, leaving, observables):
             handed[...] = 0.0
         assert np.array_equal(backend.evolve_open(pulse), expected)
@@ -521,43 +560,40 @@ class TestRelaxationMap:
 
 @st.composite
 def probes_of_a_pulse(draw):
-    """A pulse and a stack of probes of it, plus one ledger category per probe.
+    """A pulse and single-entry probes of it, plus one ledger category per probe.
 
-    Each probe moves the controls or the duration of an arbitrary set of
-    slices (slice 0 included, or none at all, by steps from one ulp, which
-    the channel scale can round away, through far below rounding to
-    large), and some rows repeat others.
+    Probes are (slices, columns, values).  Each sets one amplitude, by a
+    step from one ulp, which the channel scale can round away, through
+    far below rounding to large, or one slice duration, or sets an entry
+    to the pulse's own value; any slice and channel, slice 0 included,
+    and some rows repeat others.
     """
     m_slices = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pulse = random_pulse(m_slices, draw(st.floats(1e-4, 5e-3)), 150.0, rng)
     # an infinite step stands for one ulp toward it
     step = st.sampled_from(
-        [1e-13, 1e-9, 0.1, 30.0, -1e-13, -1e-9, -0.1, -30.0, math.inf, -math.inf]
+        [1e-13, 1e-9, 0.1, 30.0, -1e-13, -1e-9, -0.1, -30.0, math.inf, -math.inf, 0.0]
     )
-    amps, dts = [], []
-    for _ in range(draw(st.integers(0, 5))):
-        row_amps = pulse.amplitudes_hz.copy()
-        row_dts = np.full(m_slices, pulse.slice_duration_s)
-        for m in draw(st.sets(st.integers(0, m_slices - 1))):
-            moved = draw(st.sampled_from(["controls", "duration", "both"]))
-            if moved != "duration":
-                c, by = draw(st.integers(0, 3)), draw(step)
-                if math.isinf(by):
-                    row_amps[m, c] = np.nextafter(row_amps[m, c], by)
-                else:
-                    row_amps[m, c] += by
-            if moved != "controls":
-                row_dts[m] *= draw(st.floats(0.5, 1.5))
-        amps.append(row_amps)
-        dts.append(row_dts)
-    if amps:
-        for row in draw(st.lists(st.integers(0, len(amps) - 1), max_size=3)):
-            amps.append(amps[row])
-            dts.append(dts[row])
+    slices, columns, values = [], [], []
+    for _ in range(draw(st.integers(0, 12))):
+        m, c = draw(st.integers(0, m_slices - 1)), draw(st.integers(0, DURATION_COLUMN))
+        if c == DURATION_COLUMN:
+            value = pulse.slice_duration_s * draw(st.sampled_from([1.0, 0.5, 1.5, 1 + 1e-12]))
+        else:
+            value, by = pulse.amplitudes_hz[m, c], draw(step)
+            value = np.nextafter(value, by) if math.isinf(by) else value + by
+        slices.append(m)
+        columns.append(c)
+        values.append(float(value))
+    if slices:
+        for row in draw(st.lists(st.integers(0, len(slices) - 1), max_size=3)):
+            for entries in (slices, columns, values):
+                entries.append(entries[row])
     categories = draw(st.lists(st.sampled_from(LEDGER_CATEGORIES),
-                               min_size=len(amps), max_size=len(amps)))
-    return pulse, np.reshape(amps, (-1, m_slices, 4)), np.reshape(dts, (-1, m_slices)), categories
+                               min_size=len(slices), max_size=len(slices)))
+    probes = np.array(slices, dtype=np.intp), np.array(columns, dtype=np.intp), np.array(values)
+    return pulse, probes, categories
 
 
 BAD_DURATION = st.sampled_from([0.0, -0.0, -1e-4, -math.inf, math.inf, math.nan])
@@ -566,40 +602,60 @@ BAD_AMPLITUDE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @st.composite
 def malformed_probes(draw):
-    """Probes of a pulse with exactly one kind of fault, and their categories.
+    """Single-entry probes of a pulse with exactly one kind of fault, and their categories.
 
-    The fault is a wrong amplitude or duration shape, a wrong slice count,
-    a duration that is not positive and finite, an amplitude that is not
-    finite, a category list of the wrong length, or a name in it that is
-    not a ledger category.
+    The fault is a slice or column index out of range, an index array
+    that does not hold integers, arrays that are not 1-D or of unequal
+    length, a value that is not a finite real, a duration that is not
+    positive and finite, a category list of the wrong length, or a name
+    in it that is not a ledger category.
     """
     m_slices = draw(st.integers(1, 5))
     n_rows = draw(st.integers(1, 4))
     pulse = random_pulse(m_slices, 1e-3, 100.0, np.random.default_rng(draw(st.integers(0, 99))))
-    amps = np.repeat(pulse.amplitudes_hz[None], n_rows, axis=0)
-    dts = np.full((n_rows, m_slices), pulse.slice_duration_s)
+    slices = np.array([draw(st.integers(0, m_slices - 1)) for _ in range(n_rows)])
+    columns = np.array([draw(st.integers(0, DURATION_COLUMN - 1)) for _ in range(n_rows)])
+    values = pulse.amplitudes_hz[slices, columns] + 1.0
     categories = ["gradient_control"] * n_rows
-    row, m = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, m_slices - 1))
+    row = draw(st.integers(0, n_rows - 1))
     fault = draw(st.sampled_from(
-        ["amplitude shape", "duration shape", "slice count", "duration", "amplitude", "categories",
-         "unknown category"]
+        ["slice index", "column index", "not integers", "shape", "length", "value", "duration",
+         "value type", "categories", "unknown category"]
     ))
-    if fault == "amplitude shape":
-        amps = draw(st.sampled_from([amps[..., :3], amps[0], amps[None], amps[:-1]]))
-    elif fault == "duration shape":
-        dts = draw(st.sampled_from([dts[:, None], dts[0], dts[:-1], dts[:, :, None]]))
-    elif fault == "slice count":
-        amps = np.concatenate([amps, amps[:, :1]], axis=1)
-        dts = np.concatenate([dts, dts[:, :1]], axis=1)
+    if fault == "slice index":
+        slices[row] = draw(st.sampled_from([m_slices, m_slices + 7, -1, -m_slices]))
+    elif fault == "column index":
+        columns[row] = draw(st.sampled_from([DURATION_COLUMN + 1, 9, -1, -5]))
+    elif fault == "not integers":
+        bad = draw(st.sampled_from([np.float64, np.complex128, np.bool_, str]))
+        if draw(st.booleans()):
+            slices = slices.astype(bad)
+        else:
+            columns = columns.astype(bad)
+    elif fault == "shape":
+        which = draw(st.sampled_from(["slices", "columns", "values"]))
+        arrays = dict(slices=slices, columns=columns, values=values)
+        arrays[which] = draw(st.sampled_from([arrays[which][None], arrays[which][:, None],
+                                              arrays[which][0]]))
+        slices, columns, values = arrays["slices"], arrays["columns"], arrays["values"]
+    elif fault == "length":
+        which = draw(st.sampled_from(["slices", "columns", "values"]))
+        arrays = dict(slices=slices, columns=columns, values=values)
+        arrays[which] = draw(st.sampled_from([arrays[which][:-1],
+                                              np.concatenate([arrays[which], arrays[which][:1]])]))
+        slices, columns, values = arrays["slices"], arrays["columns"], arrays["values"]
+    elif fault == "value":
+        values[row] = draw(BAD_AMPLITUDE)
     elif fault == "duration":
-        dts[row, m] = draw(BAD_DURATION)
-    elif fault == "amplitude":
-        amps[row, m, draw(st.integers(0, 3))] = draw(BAD_AMPLITUDE)
+        columns[row] = DURATION_COLUMN
+        values[row] = draw(BAD_DURATION)
+    elif fault == "value type":
+        values = draw(st.sampled_from([values.astype(np.complex128), values.astype(str)]))
     elif fault == "unknown category":
         categories[row] = draw(st.sampled_from(["bogus", "calibration", "Gradient_control"]))
     else:
         categories = categories + ["gradient_time"] if draw(st.booleans()) else categories[1:]
-    return pulse, amps, dts, categories
+    return pulse, (slices, columns, values), categories
 
 
 class TestProbeEvolution:
@@ -607,13 +663,15 @@ class TestProbeEvolution:
     @given(probes=probes_of_a_pulse(), low_pass=st.booleans(), relaxing=st.booleans(),
            seed=st.integers(0, 1000))
     def test_each_probe_equals_its_own_evolution(self, probes, low_pass, relaxing, seed):
-        pulse, amps, dts, categories = probes
+        pulse, entries, categories = probes
         overrides = dict(seed=seed, distortion_tau_s=50e-6 if low_pass else 0.0)
         if not relaxing:
             overrides.update(NO_RELAXATION)
         batched = ExperimentBackend(mismatch_config(**overrides))
         single = ExperimentBackend(mismatch_config(**overrides))
-        values = batched.fidelity_partial_batch(pulse, amps, dts, categories)
+        values = batched.fidelity_partial_batch(pulse, *entries, categories)
+        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
+        amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         expected = [
             single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
             for a, d, c in zip(amps, dts, categories)
@@ -631,13 +689,14 @@ class TestProbeEvolution:
     def test_probes_equal_the_dense_path_bit_for_bit(self, probes, apparatus, earlier, seed):
         # After no readout, or one of the same pulse, an equal pulse or a
         # different one, the probes' states and observables have the bits
-        # of the path that decomposes every changed slice and keeps
-        # nothing, run on a fresh backend; readouts, ledger and noise
-        # stream follow.
-        pulse, amps, dts, categories = probes
+        # of the path that expands them into dense stacks, decomposes
+        # every changed slice and keeps nothing, run on a fresh backend;
+        # readouts, ledger and noise stream follow.
+        pulse, entries, categories = probes
         config = mismatch_config(seed=seed, **APPARATUS[apparatus])
         backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
+        amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         expected = reference_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
         if earlier != "none":
             before = {
@@ -646,11 +705,11 @@ class TestProbeEvolution:
                 "different": random_pulse(1 + seed % 4, 1e-3, 150.0, np.random.default_rng(seed)),
             }[earlier]
             assert backend.fidelity_partial(before) == fresh.fidelity_partial(before)
-        evolved = backend._evolve(pulse.amplitudes_hz, uniform, amps, dts)
+        evolved = backend._evolve(pulse.amplitudes_hz, uniform, *entries)
         for got, want in zip(evolved, expected):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        values = backend.fidelity_partial_batch(pulse, amps, dts, categories)
+        values = backend.fidelity_partial_batch(pulse, *entries, categories)
         assert np.array_equal(bits(values), bits(fresh._partial(*expected[1:], categories)))
         assert backend.ledger.as_dict() == fresh.ledger.as_dict()
         assert backend._rng.bit_generator.state == fresh._rng.bit_generator.state
@@ -661,24 +720,24 @@ class TestProbeEvolution:
         # pulse's applied amplitude; such a probe differs nowhere, as on
         # the dense path, which compares the scaled waveforms.
         config = mismatch_config(distortion_tau_s=0.0, **NO_RELAXATION)
+        scale = np.asarray(config.amplitude_scale)
         rng = np.random.default_rng(53)
         rounded_away = 0
         for _ in range(60):
             m_slices = int(rng.integers(1, 8))
             pulse = random_pulse(m_slices, 2e-3, 150.0, rng)
-            amps = np.repeat(pulse.amplitudes_hz[None], 8, axis=0)
-            dts = np.full((8, m_slices), pulse.slice_duration_s)
-            rows, slices = np.arange(8), rng.integers(0, m_slices, size=8)
-            channels = rng.choice([0, 2], size=8)  # the 0.98 channels
-            amps[rows, slices, channels] = np.nextafter(
-                amps[rows, slices, channels], rng.choice([-np.inf, np.inf], size=8)
+            slices = rng.integers(0, m_slices, size=8)
+            columns = rng.choice([0, 2], size=8)  # the 0.98 channels
+            programmed = pulse.amplitudes_hz[slices, columns]
+            values = np.nextafter(programmed, rng.choice([-np.inf, np.inf], size=8))
+            rounded_away += np.count_nonzero(values * scale[columns] == programmed * scale[columns])
+            dts = np.full(m_slices, pulse.slice_duration_s)
+            evolved = ExperimentBackend(config)._evolve(
+                pulse.amplitudes_hz, dts, slices, columns, values
             )
-            scale = np.asarray(config.amplitude_scale)
-            rounded = (amps * scale == pulse.amplitudes_hz * scale).all(axis=(1, 2))
-            rounded_away += np.count_nonzero(rounded)
-            evolved = ExperimentBackend(config)._evolve(pulse.amplitudes_hz, dts[0], amps, dts)
             expected = reference_probe_evolution(
-                ExperimentBackend(config), pulse.amplitudes_hz, dts[0], amps, dts
+                ExperimentBackend(config), pulse.amplitudes_hz, dts,
+                *expand(pulse.amplitudes_hz, dts, slices, columns, values),
             )
             for got, want in zip(evolved, expected):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -810,11 +869,12 @@ class TestReadout:
     def test_batch_equals_one_call_per_probe(self):
         rng = np.random.default_rng(37)
         pulse = random_pulse(10, 2.4e-3, 150.0, rng)
-        amps, dts = probe_stack(pulse, rng, 150)
+        probes = entry_probes(pulse, rng, 150)
+        amps, dts = expand(pulse.amplitudes_hz, np.full(10, pulse.slice_duration_s), *probes)
         categories = ["gradient_control", "gradient_time", "fidelity_partial"] * 50
         batched = ExperimentBackend(mismatch_config(seed=24))
         single = ExperimentBackend(mismatch_config(seed=24))
-        values = batched.fidelity_partial_batch(pulse, amps, dts, categories)
+        values = batched.fidelity_partial_batch(pulse, *probes, categories)
         expected = [
             single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
             for a, d, c in zip(amps, dts, categories)
@@ -826,32 +886,53 @@ class TestReadout:
     def test_batch_rejects_malformed_probes(self):
         backend = ExperimentBackend(ideal_config())
         pulse = random_pulse(5, 5e-4, 50.0, np.random.default_rng(11))
-        amps = np.zeros((3, 5, 4))
-        dts = np.full((3, 5), 1e-4)
-        with pytest.raises(ValueError, match="slice durations"):
-            backend.fidelity_partial_batch(pulse, amps, dts[:, :4], ["gradient_control"] * 3)
-        with pytest.raises(ValueError, match="pulse of 5 slices"):
-            backend.fidelity_partial_batch(pulse, amps[:, :4], dts[:, :4], ["gradient_control"] * 3)
-        with pytest.raises(ValueError, match="categories"):
-            backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 2)
-        amps[2, 1, 3] = math.nan
-        with pytest.raises(ValueError, match="amplitudes_hz must be finite"):
-            backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 3)
-        amps[2, 1, 3] = 0.0
-        for bad in (0.0, -1e-4, math.nan, math.inf):
-            dts[1, 2] = bad
-            with pytest.raises(ValueError, match="slice_durations_s must be positive and finite"):
-                backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 3)
+        slices, columns = np.array([0, 4, 2]), np.array([1, 3, DURATION_COLUMN])
+        values = np.array([1.0, 2.0, 1e-4])
+        categories = ["gradient_control"] * 3
+
+        def rejects(match, *probes, categories=categories):
+            with pytest.raises(ValueError, match=match):
+                backend.fidelity_partial_batch(pulse, *probes, categories)
+
+        rejects(r"slices must lie in \[0, 5\), got 0 to 5", [0, 5, 2], columns, values)
+        rejects(r"slices must lie in \[0, 5\), got -1 to 4", [0, 4, -1], columns, values)
+        rejects(r"columns must lie in \[0, 5\)", slices, [1, 5, 4], values)
+        rejects("slices must be a 1-D array of integers, got float64", [0.0, 4.0, 2.0],
+                columns, values)
+        rejects("columns must be a 1-D array of integers", slices, columns[None], values)
+        rejects("one slice, column and value per probe", slices, columns, values[:2])
+        rejects("need 3 ledger categories, got 2", slices, columns, values,
+                categories=categories[:2])
+        rejects("unknown ledger category 'bogus'", slices, columns, values,
+                categories=["gradient_control", "bogus", "gradient_time"])
+        rejects("probe values must be real numbers", slices, columns, values.astype(complex))
+        rejects("probe values must be finite", slices, columns, [1.0, math.nan, 1e-4])
+        for bad in (0.0, -0.0, -1e-4):
+            rejects("slice duration must be positive", slices, columns, [1.0, 2.0, bad])
         assert backend.ledger.total_measurements == 0
+
+    def test_an_empty_batch_reads_nothing(self):
+        backend = ExperimentBackend(mismatch_config())
+        pulse = random_pulse(3, 5e-4, 50.0, np.random.default_rng(13))
+        before = backend._rng.bit_generator.state
+        values = backend.fidelity_partial_batch(pulse, [], [], [], [])
+        assert values.shape == (0,)
+        assert backend.ledger.total_measurements == 0
+        assert backend._rng.bit_generator.state == before
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(probes=malformed_probes())
     def test_batch_rejects_any_malformed_input_untouched(self, probes):
-        pulse, amps, dts, categories = probes
+        pulse, entries, categories = probes
         backend = ExperimentBackend(mismatch_config(seed=3))
         before = backend._rng.bit_generator.state
+
+        def no_evolution(*args):
+            raise AssertionError("a malformed batch reached the evolution")
+
+        backend._evolve = no_evolution  # this backend only
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            backend.fidelity_partial_batch(pulse, amps, dts, categories)
+            backend.fidelity_partial_batch(pulse, *entries, categories)
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
 
@@ -884,12 +965,11 @@ class TestReadout:
 
         monkeypatch.setattr(backend, "_evolve", corrupt)
         pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(10))
-        amps = np.repeat(pulse.amplitudes_hz[None], 9, axis=0)
-        amps[np.arange(9), np.arange(9) % 4, 0] += 1.0  # probe 5's window is slice 1
-        dts = np.full((9, 4), pulse.slice_duration_s)
+        slices, columns = np.arange(9) % 4, np.zeros(9, dtype=int)  # probe 5's window is slice 1
+        values = pulse.amplitudes_hz[slices, 0] + 1.0
         match = r"\[5\] is not Hermitian" if corruption == "non-Hermitian" else r"\[5\] trace"
         with pytest.raises(ValueError, match=match):
-            backend.fidelity_partial_batch(pulse, amps, dts, ["gradient_control"] * 9)
+            backend.fidelity_partial_batch(pulse, slices, columns, values, ["gradient_control"] * 9)
         assert backend.ledger.total_measurements == 0
 
     def test_measure_pauli_validates_its_state(self):
@@ -941,3 +1021,17 @@ class TestLedger:
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):
             MeasurementLedger().record("calibration", 1)
+
+    @pytest.mark.parametrize("count", [-3, -1, 2.0, 1.5, True, "3", None])
+    def test_rejects_a_count_that_is_not_a_non_negative_integer(self, count):
+        ledger = MeasurementLedger()
+        ledger.record("fidelity_partial", 2)
+        with pytest.raises(ValueError, match="count"):
+            ledger.record("fidelity_partial", count)
+        assert ledger.as_dict() == {c: 2 * (c == "fidelity_partial") for c in LEDGER_CATEGORIES}
+
+    def test_counts_numpy_integers_and_zero(self):
+        ledger = MeasurementLedger()
+        ledger.record("gradient_time", np.int64(6))
+        ledger.record("gradient_time", 0)
+        assert ledger.gradient_time == 6 and type(ledger.gradient_time) is int

@@ -265,6 +265,26 @@ class TestFiniteDifferenceGradients:
         finite_diff_gradients(backend, pulse, 0.1, 1e-8)
         assert sum(decomposed) == 8 * m_slices
 
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, math.inf, math.nan])
+    def test_a_duration_step_past_the_slice_is_named_before_any_charge(self, fraction):
+        # base - ht would leave a duration probe's slice no time: the
+        # error names the setting and the slice duration, and no probe
+        # is evolved, drawn or charged
+        backend = ExperimentBackend(ideal_config(noise_sigma=1e-3, seed=6))
+        pulse = random_pulse(4, 2e-3, 80.0, np.random.default_rng(8))
+        before = backend._rng.bit_generator.state
+        step = pulse.slice_duration_s * fraction
+        with pytest.raises(ValueError, match=r"fd_step_time_s = .* slice duration T/M = 0\.0005 s"):
+            finite_diff_gradients(backend, pulse, 0.1, step)
+        assert backend.ledger.total_measurements == 0
+        assert backend._rng.bit_generator.state == before
+
+    def test_an_experiment_only_run_names_a_too_long_duration_step(self, model):
+        config = OptimizerConfig(m_slices=4, initial_duration_s=2e-3, fd_step_time_s=5e-4,
+                                 max_iterations=2)
+        with pytest.raises(ValueError, match="fd_step_time_s"):
+            run_optimization("experiment-only", model, config, experiment=ideal_config(), seed=1)
+
     def test_noise_spread_scales_with_probe_step(self):
         # std of a central-difference entry is sigma_J / (sqrt(2) h) with
         # sigma_J = (sqrt(3)/4) sigma for the three-observable estimate
