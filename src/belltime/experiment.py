@@ -35,15 +35,16 @@ GRAPE's backward sweep); it evolves each probe forward through its own
 window only, the slices where it differs from the pulse, from the
 pulse's state where the window starts; and it reads each probe out
 where its window ends, against the correlators back-propagated to that
-point.  Only the
-(probe, slice) pairs that differ get propagators of their own, and a
-pair whose duration alone differs takes the pulse's eigensystem.
-Without the low-pass a probe's window is its own slice, read off its
-entry, and all changed probes advance in one stacked product; under it
-the probes are expanded into programmed waveforms for the filter.  The
-backend keeps its last pulse evolution (propagators, eigensystems and
-states), so the probes of a pulse just measured, or a repeated
-measurement of it, do not evolve it again.  The probes' states are
+point.  A window is a run of (probe, slice) pairs, found by one of two
+decoders: without the low-pass a probe's window is its own slice, read
+off its entry; under it the probes are expanded into programmed
+waveforms for the filter, and a window runs on until the change rounds
+away.  One loop then advances every window, longest first.  A pair
+whose applied amplitudes differ is decomposed anew, and any other pair
+takes the pulse's eigensystem at its own duration.  The backend keeps
+its last pulse evolution (propagators, eigensystems and states), so the
+probes of a pulse just measured, or a repeated measurement of it, do
+not evolve it again.  The probes' states are
 validated once, by a Cholesky screen (``require_density``), and their
 readout noise is drawn as one vector.  Noise stream and ledger are
 those of one ``fidelity_partial`` call per probe, and values agree with
@@ -185,16 +186,6 @@ def ledger_report(ledger: MeasurementLedger) -> dict:
         wall_clock_h=seconds / 3600.0,
     )
     return report
-
-
-def _slice_durations(pulse: PulseSequence, slice_durations_s) -> np.ndarray:
-    """The pulse's (M,) slice durations: uniform T/M unless given."""
-    if slice_durations_s is None:
-        return np.full(pulse.n_slices, pulse.slice_duration_s)
-    dts = np.asarray(slice_durations_s, dtype=float)
-    if dts.shape != (pulse.n_slices,) or not np.all(np.isfinite(dts) & (dts > 0)):
-        raise ValueError("slice_durations_s must hold one positive finite value per slice")
-    return dts
 
 
 def _check_categories(categories) -> None:
@@ -361,15 +352,14 @@ class ExperimentBackend:
         self._t1_t2 = t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
         self._kept = None  # (key, evolution) of the last pulse (_pulse_evolution)
 
-    def evolve_open(self, pulse: PulseSequence, slice_durations_s=None) -> np.ndarray:
+    def evolve_open(self, pulse: PulseSequence) -> np.ndarray:
         """Density matrix after running the pulse on the true model from |00><00|.
 
         The programmed waveform is distorted, then scaled per channel;
         each slice applies its unitary followed by per-spin relaxation
-        over the slice duration (the uniform T/M unless
-        ``slice_durations_s`` gives one per slice).
+        over the slice duration T/M.
         """
-        dts = _slice_durations(pulse, slice_durations_s)
+        dts = np.full(pulse.n_slices, pulse.slice_duration_s)
         return self._evolve(pulse.amplitudes_hz, dts)[0]
 
     def _pulse_evolution(self, amplitudes: np.ndarray, dts: np.ndarray):
@@ -444,26 +434,26 @@ class ExperimentBackend:
 
         A probe's window runs from the first to the last slice where its
         applied (distorted and scaled) amplitudes or its duration differ
-        from the pulse's.  It is evolved through its window only, from
-        the pulse's state where the window starts, and read out where the
-        window ends against the ``PARTIAL_LABELS`` observables
-        back-propagated there through the pulse's remaining slices:
-        O -> U^dag R^T(O) U per slice, the adjoint of the forward map.
-        Only the (probe, slice) pairs that differ get propagators of
-        their own.  A pair whose applied amplitudes differ is decomposed
-        anew, all such pairs in one call.  A pair whose duration alone
-        differs has the pulse's slice Hamiltonian, so its propagator is
-        built from the pulse's eigensystem at its own duration, the same
-        bits as decomposing it again.  A window's slices are relaxed at
-        the probe's own durations.
+        from the pulse's; each of its slices is a (probe, slice) pair.
+        It is evolved through its window only, from the pulse's state
+        where the window starts, and read out where the window ends
+        against the ``PARTIAL_LABELS`` observables back-propagated there
+        through the pulse's remaining slices: O -> U^dag R^T(O) U per
+        slice, the adjoint of the forward map.
 
-        Without the low-pass an applied amplitude differs only where the
-        programmed one does, so the entries alone give the windows
-        (``_one_slice_windows``): a probe's window is its own slice, or
-        none where the channel scale rounds its change away.  Under the
-        low-pass a change carries on into later slices, so the probes are
-        expanded into programmed waveforms and filtered with the pulse's
-        as one stack (``_filtered_windows``).
+        One of two decoders lists the pairs.  Without the low-pass an
+        applied amplitude differs only where the programmed one does, so
+        the entries alone give them (``_one_slice_pairs``): a probe's
+        window is its own slice, or none where the channel scale rounds
+        its change away.  Under the low-pass a change carries on into
+        later slices (``_filtered_pairs``).  One loop then serves both.
+        A pair whose applied amplitudes differ is decomposed anew, all
+        such pairs in one call; any other pair has the pulse's slice
+        Hamiltonian, so its propagator is built from the pulse's
+        eigensystem at the pair's duration, the same bits as decomposing
+        it again.  Pairs are relaxed at their own durations, and the
+        windows advance longest first, the probes still inside theirs
+        being a prefix; one-slice windows advance in one stacked product.
 
         Returns copies: the pulse's 4 x 4 final state, the probes'
         (B, 4, 4) states where their windows end (the pulse's final state
@@ -477,65 +467,73 @@ class ExperimentBackend:
         if slices is None or not len(slices):
             return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
 
-        windows = self._filtered_windows if self._tau else self._one_slice_windows
-        leaving, leave = windows(amplitudes, dts, u, w, v, states, slices, columns, values)
-        m_slices = len(dts)
-        observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
-        observables[m_slices] = o = self._partial_ops
-        for m in range(m_slices - 1, leave.min() - 1, -1):
+        pairs = self._filtered_pairs if self._tau else self._one_slice_pairs
+        probe, at, durations, decomposed, applied = pairs(amplitudes, dts, slices, columns, values)
+        u_own = np.empty((len(probe), 4, 4), dtype=np.complex128)
+        u_own[decomposed] = slice_propagators(self._model, applied, durations[decomposed])[0]
+        kept = ~decomposed
+        u_own[kept] = eigen_propagators(w[at[kept]], v[at[kept]], durations[kept])
+        table = index = None
+        if self._t1_t2:
+            factors, index = _decay_factors(durations, self._t1_t2)
+            table = _relaxation_matrices(factors)
+        # each probe's window: its first pair and its length (0: it differs nowhere)
+        lengths = np.bincount(probe, minlength=len(slices))
+        first = np.cumsum(lengths) - lengths
+        windows = np.argsort(-lengths, kind="stable")[: np.count_nonzero(lengths)]  # longest first
+        first, lengths = first[windows], lengths[windows]
+        stack = states[at[first]]
+        for step in range(lengths.max(initial=0)):  # the probes still inside are a prefix
+            inside = np.count_nonzero(lengths > step)
+            pair = first[:inside] + step
+            stack[:inside] = _advance(
+                u_own[pair], stack[:inside], table, None if index is None else index[pair]
+            )
+        leaving = np.repeat(states[-1:], len(slices), axis=0)
+        leaving[windows] = stack
+        leave = np.full(len(slices), len(dts))
+        leave[windows] = at[first] + lengths
+
+        observables = np.empty((len(dts) + 1, 3, 4, 4), dtype=np.complex128)
+        observables[len(dts)] = o = self._partial_ops
+        for m in range(len(dts) - 1, leave.min() - 1, -1):
             if relaxation is not None:
                 o = _relaxed(relaxation[m].T, o)
             o = u_dag[m] @ o @ u[m]
             observables[m] = o
         return rho, leaving, observables[leave]
 
-    def _one_slice_windows(self, amplitudes, dts, u, w, v, states, slices, columns, values):
-        """The probes' states where their windows end, and those ends, without the low-pass.
+    def _one_slice_pairs(self, amplitudes, dts, slices, columns, values):
+        """The (probe, slice) pairs of ``_evolve`` without the low-pass, from the entries alone.
 
-        Arguments are those of ``_evolve`` and the pulse's evolution.  A
-        probe changes at most its own slice, so every changed probe
-        advances in one stacked product from the pulse's state before
-        that slice.  Returns the (B, 4, 4) states and the (B,) ends, M
-        for a probe that differs nowhere.
+        Arguments are those of ``_evolve``.  A probe changes at most its
+        own slice: an amplitude probe its applied row, unless the channel
+        scale rounds the change away, and a duration probe its duration.
+        Returns, per pair in probe order: the probe, the slice, the
+        duration and whether it is decomposed anew; then the (D, 4)
+        applied rows of the D pairs that are.
         """
         timed = columns == DURATION_COLUMN
-        # an amplitude probe's row is scaled; the scale can round its change away
         moved = np.flatnonzero(~timed)
         entry = np.arange(len(moved)), columns[moved]
         scaled = values[moved] * self._scale[entry[1]]
         applied = amplitudes[slices[moved]] * self._scale
         still = scaled != applied[entry]
         applied[entry] = scaled
-        moved, applied = moved[still], applied[still]
-        # a duration probe keeps the pulse's Hamiltonian, and takes its eigensystem
-        retimed = np.flatnonzero(timed)
-        retimed = retimed[values[retimed] != dts[slices[retimed]]]
-        at = slices[retimed]
+        changed = timed & (values != dts[slices])
+        changed[moved[still]] = True
+        probe = np.flatnonzero(changed)
+        at, timed = slices[probe], timed[probe]
+        return probe, at, np.where(timed, values[probe], dts[at]), ~timed, applied[still]
 
-        changed = np.concatenate([moved, retimed])
-        own_dts = np.concatenate([dts[slices[moved]], values[retimed]])
-        u_own = np.concatenate([
-            slice_propagators(self._model, applied, own_dts[: len(moved)])[0],
-            eigen_propagators(w[at], v[at], values[retimed]),
-        ])
-        table = durations = None
-        if self._t1_t2:
-            factors, durations = _decay_factors(own_dts, self._t1_t2)
-            table = _relaxation_matrices(factors)
-        leaving = np.repeat(states[-1:], len(slices), axis=0)
-        leaving[changed] = _advance(u_own, states[slices[changed]], table, durations)
-        leave = np.full(len(slices), len(dts))
-        leave[changed] = slices[changed] + 1
-        return leaving, leave
-
-    def _filtered_windows(self, amplitudes, dts, u, w, v, states, slices, columns, values):
-        """``_one_slice_windows`` under the low-pass, where a window can span many slices.
+    def _filtered_pairs(self, amplitudes, dts, slices, columns, values):
+        """``_one_slice_pairs`` under the low-pass, where a window can span many slices.
 
         The probes are expanded into (B, M, 4) programmed waveforms and
         (B, M) durations, filtered with the pulse's as one stack and
         compared on flat (B + 1, 4M) rows, a slice's four flags read as
-        one 4-byte word.  The windows advance slice by slice, longest
-        first, the probes still inside theirs being a prefix.
+        one 4-byte word.  Every slice from the first to the last that
+        differs is a pair, in probe-major order.
         """
         n_probes, m_slices = len(slices), len(dts)
         rows = np.arange(n_probes)
@@ -544,50 +542,19 @@ class ExperimentBackend:
         programmed[1 + rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
         probe_dts = np.repeat(dts[None], n_probes, axis=0)
         probe_dts[rows[timed], slices[timed]] = values[timed]
-        factors, index = _decay_factors(
-            np.concatenate([dts[None], probe_dts]), self._tau + self._t1_t2
-        )
-        table = _relaxation_matrices(factors[:, 1:]) if self._t1_t2 else None  # 0: tau
+        factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), self._tau)
         # flat (B + 1, 4M) rows, in place: a copy of the low-pass's slice-major output
         flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes + 1, -1)
         np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
         # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
         moved = (flat[1:] != flat[0]).view(np.uint32).astype(bool)  # (B, M)
-        moved_applied = flat[1:].reshape(n_probes, m_slices, 4)[moved]
-        own = moved | (probe_dts != dts)  # (B, M)
-        # propagators: the pulse's, then the pairs decomposed anew, then the
-        # pairs whose duration alone differs
-        decomposed, own_dts = moved[own], probe_dts[own]
-        timed = ~decomposed
-        timed_slices = own.nonzero()[1][timed]
-        u = np.concatenate([
-            u,
-            slice_propagators(self._model, moved_applied, own_dts[decomposed])[0],
-            eigen_propagators(w[timed_slices], v[timed_slices], own_dts[timed]),
-        ])
-        row = np.empty(len(own_dts), dtype=np.intp)
-        row[decomposed] = np.arange(len(moved_applied))
-        row[timed] = len(moved_applied) + np.arange(len(timed_slices))
-
-        differs = own.any(axis=1)
-        enter = np.where(differs, own.argmax(axis=1), m_slices)
-        leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)
-        # propagator of each (probe, slice): the pulse's, or one of its own
-        which = np.tile(np.arange(m_slices), (n_probes, 1))
-        which[own] = m_slices + row
-        order = np.argsort(enter - leave, kind="stable")  # longest window first
-        lengths = (leave - enter)[order]
-        stack = states[enter[order]]
-        for step in range(lengths[0]):  # the probes still inside their window are a prefix
-            inside = order[: np.count_nonzero(lengths > step)]
-            at = enter[inside] + step
-            durations = None if table is None else index[1 + inside, at]
-            stack[: len(inside)] = _advance(
-                u[which[inside, at]], stack[: len(inside)], table, durations
-            )
-        leaving = np.empty_like(stack)
-        leaving[order] = stack
-        return leaving, leave
+        own = moved | (probe_dts != dts)
+        # from the first slice that differs through the last
+        window = np.logical_or.accumulate(own, axis=1)
+        window &= np.logical_or.accumulate(own[:, ::-1], axis=1)[:, ::-1]
+        probe, at = window.nonzero()
+        applied = flat[1:].reshape(n_probes, m_slices, 4)[moved]
+        return probe, at, probe_dts[window], moved[window], applied
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.
@@ -623,15 +590,10 @@ class ExperimentBackend:
         _check_categories([category])
         return float(self._readouts(_one_density(rho)[None], observable, [category])[0, 0])
 
-    def fidelity_partial(
-        self,
-        pulse: PulseSequence,
-        category: str = "fidelity_partial",
-        slice_durations_s=None,
-    ) -> float:
+    def fidelity_partial(self, pulse: PulseSequence, category: str = "fidelity_partial") -> float:
         """Singlet-overlap estimate from 3 correlator measurements."""
         _check_categories([category])
-        rho = self.evolve_open(pulse, slice_durations_s=slice_durations_s)
+        rho = self.evolve_open(pulse)
         return float(self._partial(rho[None], self._partial_ops, [category])[0])
 
     def fidelity_partial_batch(
@@ -677,7 +639,7 @@ class ExperimentBackend:
             raise ValueError("probe values must be finite")
         if not np.all(values[columns == DURATION_COLUMN] > 0):
             raise ValueError("a probe's slice duration must be positive")
-        uniform = _slice_durations(pulse, None)
+        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, slices, columns, values)
         return self._partial(rhos, observables, categories)
 

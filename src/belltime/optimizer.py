@@ -312,9 +312,9 @@ def finite_diff_gradients(
     ``pulse``, in the order of one probe at a time: amplitude (m, c) at
     rows 2(4m + c) (+h) and 2(4m + c) + 1 (-h), then slice m's duration
     at rows 2(4M + m) (+ht) and 2(4M + m) + 1 (-ht).  No probe reads out
-    ``pulse`` itself, so the bundle's fidelity is NaN.  A duration step
-    that would leave a slice no positive duration is rejected before
-    any probe is charged.
+    ``pulse`` itself, so the bundle's fidelity is NaN.  A step that is
+    not positive and finite, or a duration step that would leave a slice
+    no positive duration, is rejected before any probe is charged.
     """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
@@ -322,10 +322,12 @@ def finite_diff_gradients(
     h = fd_step_amplitude_hz
     ht = fd_step_time_s
     base = pulse.slice_duration_s
-    if not base - ht > 0.0:
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"fd_step_amplitude_hz must be positive and finite, got {h!r}")
+    if not 0.0 < ht < base:  # a duration probe's slice needs time
         raise ValueError(
-            f"fd_step_time_s = {ht!r} s must be shorter than the slice duration "
-            f"T/M = {base!r} s, or a duration probe leaves its slice no time"
+            f"fd_step_time_s = {ht!r} s must be positive and shorter than the slice "
+            f"duration T/M = {base!r} s"
         )
 
     # entry k of the pulse, amplitude (m, c) at k = 4m + c and slice m's

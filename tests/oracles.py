@@ -19,6 +19,10 @@ decomposes every slice a probe changes (``reference_probe_evolution``)
 and the density check by eigenvalues alone (``reference_require_density``).
 The package's routines must equal all of these bit for bit, and the
 density check must accept, reject and word its errors as its oracle does.
+
+``evolve_at`` and ``partial_at`` run a pulse over slice durations of the
+test's choosing through the backend's own ``_evolve``: the package
+takes non-uniform durations only as probes.
 """
 
 import math
@@ -121,8 +125,33 @@ def reference_model_fidelity(
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
+def evolve_at(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
+    """``backend.evolve_open(pulse)`` with the (M,) slice durations ``dts``, not T/M each."""
+    return backend._evolve(pulse.amplitudes_hz, np.asarray(dts, dtype=float))[0]
+
+
+def partial_at(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
+    """``backend.fidelity_partial(pulse, category)`` with the slice durations ``dts``.
+
+    Its noise draws and ledger charge are those of ``fidelity_partial``.
+    """
+    rho = evolve_at(backend, pulse, dts)
+    return float(backend._partial(rho[None], backend._partial_ops, [category])[0])
+
+
+def decay_times(config) -> tuple[tuple, tuple]:
+    """(tau, t1_t2) of an emulator config, each empty where it has none.
+
+    tau holds the low-pass time constant; t1_t2 the two T1 and the two
+    T2 times, T2 capped at 2 T1 as the emulator caps it.
+    """
+    tau = (config.distortion_tau_s,) if config.distortion_tau_s > 0.0 else ()
+    t1_t2 = config.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(config.t1_s, config.t2_s))
+    return tau, t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
+
+
 def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
-    """``backend.evolve_open(pulse, dts)`` as a per-slice ``@`` loop.
+    """``evolve_at(backend, pulse, dts)`` as a per-slice ``@`` loop.
 
     The waveform, propagators and relaxation table are built as the
     emulator builds them; each slice then applies ``u @ rho @ u^dag`` and
@@ -130,10 +159,7 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
     must equal this one bit for bit.
     """
     cfg = backend.config
-    tau = (cfg.distortion_tau_s,) if cfg.distortion_tau_s > 0.0 else ()
-    t1_t2 = cfg.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
-    if not any(math.isfinite(t) for t in t1_t2):
-        t1_t2 = ()
+    tau, t1_t2 = decay_times(cfg)
     amplitudes = pulse.amplitudes_hz[None]
     relaxation = None
     if tau + t1_t2:
@@ -167,10 +193,7 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
     """
     cfg = backend.config
     m_slices = len(dts)
-    tau = (cfg.distortion_tau_s,) if cfg.distortion_tau_s > 0.0 else ()
-    t1_t2 = cfg.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(cfg.t1_s, cfg.t2_s))
-    if not any(math.isfinite(t) for t in t1_t2):
-        t1_t2 = ()
+    tau, t1_t2 = decay_times(cfg)
     amplitudes = np.concatenate([amplitudes[None], probe_amplitudes])  # row 0: the pulse
     relaxation = None
     if tau + t1_t2:

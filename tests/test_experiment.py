@@ -34,6 +34,8 @@ from belltime.experiment import (
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
+    evolve_at,
+    partial_at,
     reference_probe_evolution,
     reference_pulse_evolution,
     reference_relaxation_matrices,
@@ -321,14 +323,6 @@ class TestOpenEvolution:
         rho = relax_tabled(config, np.outer(plus_zero, plus_zero.conj()), np.full(100, t2c / 100))
         assert abs(abs(rho[0, 2]) - 0.5 * math.exp(-1.0)) < 1e-6
 
-    def test_per_slice_durations_match_uniform(self):
-        backend = ExperimentBackend(mismatch_config(noise_sigma=0.0))
-        pulse = random_pulse(12, 2.5e-3, 100.0, np.random.default_rng(6))
-        uniform = np.full(12, pulse.slice_duration_s)
-        a = backend.evolve_open(pulse)
-        b = backend.evolve_open(pulse, slice_durations_s=uniform)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
     def test_matches_per_slice_reference(self, noise_sigma):
         rng = np.random.default_rng(29)
@@ -341,7 +335,7 @@ class TestOpenEvolution:
                 uniform = np.full(m_slices, pulse.slice_duration_s)
                 # the closed-form map reorders the Kraus arithmetic: 1e-12, not bits
                 for rho, durations in ((backend.evolve_open(pulse), uniform),
-                                       (backend.evolve_open(pulse, slice_durations_s=dts), dts)):
+                                       (evolve_at(backend, pulse, dts), dts)):
                     expected = reference_evolution(backend, pulse, durations)
                     assert np.max(np.abs(rho - expected)) <= 1e-12
 
@@ -357,7 +351,7 @@ class TestOpenEvolution:
             rho = backend.evolve_open(pulse)
         else:
             dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
-            rho = backend.evolve_open(pulse, slice_durations_s=dts)
+            rho = evolve_at(backend, pulse, dts)
         expected = reference_pulse_evolution(backend, pulse, dts)
         assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
 
@@ -390,8 +384,7 @@ class TestOpenEvolution:
             )
             assert np.array_equal(rho, fresh.evolve_open(pulse))
             assert np.array_equal(leaving[5:9], np.repeat(rho[None], 4, axis=0))
-            alone = [fresh.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
-                     for a, d in zip(amps, dts)]
+            alone = [evolve_at(fresh, pulse.with_amplitudes(a), d) for a, d in zip(amps, dts)]
             assert np.max(np.abs(readouts(leaving, observables) - readouts(alone))) <= 1e-12
 
     @pytest.mark.parametrize("m_slices", [1, 7, 50])
@@ -420,11 +413,8 @@ class TestOpenEvolution:
                 rho, leaving, observables = backend._evolve(
                     pulse.amplitudes_hz, pulse_dts, slices, columns, values
                 )
-                assert np.array_equal(
-                    rho, fresh.evolve_open(pulse, slice_durations_s=pulse_dts)
-                )
-                forward = [fresh.evolve_open(pulse.with_amplitudes(a), slice_durations_s=d)
-                           for a, d in zip(amps, dts)]
+                assert np.array_equal(rho, evolve_at(fresh, pulse, pulse_dts))
+                forward = [evolve_at(fresh, pulse.with_amplitudes(a), d) for a, d in zip(amps, dts)]
                 assert np.max(np.abs(readouts(leaving, observables) - readouts(forward))) <= 1e-12
                 # the Kraus loop, independent of the tabled map and its transpose
                 kraus = [reference_evolution(backend, pulse.with_amplitudes(a), d)
@@ -449,18 +439,6 @@ class TestOpenEvolution:
         assert np.array_equal(backend.evolve_open(pulse), expected)
         fresh = ExperimentBackend(backend.config)
         assert backend.fidelity_partial(pulse) == fresh.fidelity_partial(pulse)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
-    def test_rejects_bad_slice_durations_by_name(self, bad):
-        backend = ExperimentBackend(mismatch_config())
-        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(9))
-        dts = np.full(4, pulse.slice_duration_s)
-        dts[2] = bad
-        with pytest.raises(ValueError, match="slice_durations_s must"):
-            backend.evolve_open(pulse, slice_durations_s=dts)
-        with pytest.raises(ValueError, match="slice_durations_s must"):
-            backend.fidelity_partial(pulse, slice_durations_s=dts)
-        assert backend.ledger.total_measurements == 0
 
     def test_output_is_physical_under_mismatch(self):
         backend = ExperimentBackend(mismatch_config())
@@ -673,7 +651,7 @@ class TestProbeEvolution:
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         expected = [
-            single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
+            partial_at(single, pulse.with_amplitudes(a), d, c)
             for a, d, c in zip(amps, dts, categories)
         ]
         # back-propagated readouts reorder the arithmetic: 1e-12, not bits
@@ -876,7 +854,7 @@ class TestReadout:
         single = ExperimentBackend(mismatch_config(seed=24))
         values = batched.fidelity_partial_batch(pulse, *probes, categories)
         expected = [
-            single.fidelity_partial(pulse.with_amplitudes(a), category=c, slice_durations_s=d)
+            partial_at(single, pulse.with_amplitudes(a), d, c)
             for a, d, c in zip(amps, dts, categories)
         ]
         assert np.max(np.abs(values - expected)) <= 1e-12

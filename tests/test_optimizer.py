@@ -38,6 +38,7 @@ from belltime.optimizer import (
     verify_trace_invariants,
 )
 from belltime.runconfig import RunConfig
+from oracles import partial_at
 
 G_HZ = 217.4
 
@@ -81,13 +82,9 @@ def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_st
     for m in range(m_slices):
         durations = np.full(m_slices, base)
         durations[m] = base + ht
-        j_plus = backend.fidelity_partial(
-            pulse, category="gradient_time", slice_durations_s=durations
-        )
+        j_plus = partial_at(backend, pulse, durations, "gradient_time")
         durations[m] = base - ht
-        j_minus = backend.fidelity_partial(
-            pulse, category="gradient_time", slice_durations_s=durations
-        )
+        j_minus = partial_at(backend, pulse, durations, "gradient_time")
         slope_sum += (j_plus - j_minus) / (2.0 * ht)
     return grad_u, slope_sum / m_slices
 
@@ -276,6 +273,25 @@ class TestFiniteDifferenceGradients:
         step = pulse.slice_duration_s * fraction
         with pytest.raises(ValueError, match=r"fd_step_time_s = .* slice duration T/M = 0\.0005 s"):
             finite_diff_gradients(backend, pulse, 0.1, step)
+        assert backend.ledger.total_measurements == 0
+        assert backend._rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("name, h, ht", [
+        ("fd_step_amplitude_hz", 0.0, 1e-8),
+        ("fd_step_amplitude_hz", -0.1, 1e-8),
+        ("fd_step_amplitude_hz", math.nan, 1e-8),
+        ("fd_step_amplitude_hz", math.inf, 1e-8),
+        ("fd_step_time_s", 0.1, 0.0),
+        ("fd_step_time_s", 0.1, -1e-8),
+    ])
+    def test_a_step_that_is_not_positive_is_named_before_any_charge(self, name, h, ht):
+        # h = 0 would charge every probe and divide by zero; so would ht = 0.
+        # An infinite h would be refused by the batch, without naming the setting.
+        backend = ExperimentBackend(ideal_config(noise_sigma=1e-3, seed=6))
+        pulse = random_pulse(4, 2e-3, 80.0, np.random.default_rng(8))
+        before = backend._rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"{name}\b.* must be positive"):
+            finite_diff_gradients(backend, pulse, h, ht)
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
 
