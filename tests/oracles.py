@@ -127,7 +127,7 @@ def reference_model_fidelity(
 
 def evolve_at(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
     """``backend.evolve_open(pulse)`` with the (M,) slice durations ``dts``, not T/M each."""
-    return backend._evolve(pulse.amplitudes_hz, np.asarray(dts, dtype=float))[0]
+    return backend._evolve(pulse.amplitudes_hz, dts)[0]
 
 
 def partial_at(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
