@@ -39,14 +39,20 @@ point.  A window is a run of (probe, slice) pairs, found by one of two
 decoders: without the low-pass a probe's window is its own slice, read
 off its entry; under it the probes are expanded into programmed
 waveforms for the filter, and a window runs on until the change rounds
-away.  One loop then advances every window, longest first.  A pair
-whose applied amplitudes differ is decomposed anew, and any other pair
-takes the pulse's eigensystem at its own duration.  The backend keeps
-its last pulse evolution (propagators, eigensystems and states), so the
+away.  One loop then advances every window, longest first, over pairs
+laid out step-major, so each step's pairs are one contiguous run.
+
+No slice is decomposed.  The pulse's slices and all of a batch's pairs
+are exponentiated in closed form, each set in one
+``closed_form_propagators`` call: elementwise ``sqrt``, ``sin`` and
+``cos`` of the two-spin ZZ Hamiltonian's invariants (derived in
+``dynamics``), within about 1e-15 of ``scipy.linalg.expm``, and the same
+bits for a slice alone as in any stack.  The backend keeps its last
+pulse evolution (propagators, applied amplitudes and states), so the
 probes of a pulse just measured, or a repeated measurement of it, do
-not evolve it again.  The probes' states are
-validated once, by a Cholesky screen (``require_density``), and their
-readout noise is drawn as one vector.  Noise stream and ledger are
+not evolve it again.  The probes' states are validated once, by a
+Cholesky screen (``require_density``), and their readout noise is
+drawn as one vector.  Noise stream and ledger are
 those of one ``fidelity_partial`` call per probe, and values agree with
 it to rounding (1e-12); single pulses keep their own bits.
 """
@@ -63,8 +69,7 @@ from .dynamics import (
     SystemModel,
     as_integer,
     as_real,
-    eigen_propagators,
-    slice_propagators,
+    closed_form_propagators,
 )
 from .linalg import pauli_string, require_density, require_hermitian, singlet_state
 
@@ -366,20 +371,22 @@ class ExperimentBackend:
         """One pulse's evolution from |00><00|, kept until the next pulse.
 
         The pulse is (M, 4) programmed amplitudes over (M,) slice
-        durations.  Returns (u, u_dag, w, v, relaxation, states): the M
-        slice propagators and their adjoints, the eigensystems (w, v) of
-        the slice Hamiltonians, the slices' (M, 16, 16) relaxation
-        matrices (None without T1/T2), and the (M + 1, 4, 4) states
-        before every slice.  The waveform is distorted, then scaled per
-        channel.  Each
-        slice applies its unitary, then relaxation as one tabled 16 x 16
-        product on vec(rho); the table holds one ``_relax`` matrix per
-        distinct slice duration.  The loop makes each product with 2-D
-        ``ndarray.dot``, which calls the same BLAS kernel as ``@`` on 2-D
-        operands without the gufunc dispatch, and writes the last product
-        of a slice straight into the next state (the relaxation's through
-        that state's (16, 2) real view), so the bits are those of the
-        ``@`` loop (``tests/oracles.py``).
+        durations.  Returns (u, u_dag, applied, relaxation, states): the
+        M slice propagators and their adjoints, the (M, 4) applied
+        amplitudes they were built from, the slices' (M, 16, 16)
+        relaxation matrices (None without T1/T2), and the (M + 1, 4, 4)
+        states before every slice.  The waveform is distorted, then
+        scaled per channel, and the propagators are exponentiated in
+        closed form (``closed_form_propagators``), with no
+        eigendecomposition.  Each slice applies its unitary, then
+        relaxation as one tabled 16 x 16 product on vec(rho); the table
+        holds one ``_relax`` matrix per distinct slice duration.  The
+        loop makes each product with 2-D ``ndarray.dot``, which calls the
+        same BLAS kernel as ``@`` on 2-D operands without the gufunc
+        dispatch, and writes the last product of a slice straight into
+        the next state (the relaxation's through that state's (16, 2)
+        real view), so the bits are those of the ``@`` loop
+        (``tests/oracles.py``).
 
         The evolution is noiseless, so the last one is kept, keyed by the
         bytes of the amplitudes and durations: a pulse measured and then
@@ -396,7 +403,8 @@ class ExperimentBackend:
                 applied = _low_pass(amplitudes[None], factors[index[None], 0])[0]
             if self._t1_t2:
                 relaxation = _relaxation_matrices(factors[:, len(self._tau):])[index]
-        u, _, w, v = slice_propagators(self._model, applied * self._scale, dts)
+        applied = applied * self._scale
+        u = closed_form_propagators(self._model, applied, dts)
         u_dag = u.conj().swapaxes(-1, -2)
         states = np.empty((len(dts) + 1, 4, 4), dtype=np.complex128)
         states[0] = rho = self._ground
@@ -413,7 +421,7 @@ class ExperimentBackend:
                 u_m.dot(rho).dot(u_dag_m, rotated)
                 r_m.dot(rotated_parts, parts)
                 rho = after
-        evolution = (u, u_dag, w, v, relaxation, states)
+        evolution = (u, u_dag, applied, relaxation, states)
         self._kept = (key, evolution)
         return evolution
 
@@ -447,13 +455,16 @@ class ExperimentBackend:
         window is its own slice, or none where the channel scale rounds
         its change away.  Under the low-pass a change carries on into
         later slices (``_filtered_pairs``).  One loop then serves both.
-        A pair whose applied amplitudes differ is decomposed anew, all
-        such pairs in one call; any other pair has the pulse's slice
-        Hamiltonian, so its propagator is built from the pulse's
-        eigensystem at the pair's duration, the same bits as decomposing
-        it again.  Pairs are relaxed at their own durations, and the
-        windows advance longest first, the probes still inside theirs
-        being a prefix; one-slice windows advance in one stacked product.
+        Every pair's propagator is exponentiated in closed form from its
+        own applied amplitudes and duration, all pairs in one
+        ``closed_form_propagators`` call, with no eigendecomposition; a
+        row has the same bits alone as in any stack, so a pair that
+        equals the pulse's slice gets the pulse's propagator.  The pairs
+        are laid out step-major: the windows advance longest first, the
+        probes still inside theirs being a prefix, and each step's pairs
+        are one contiguous run of the propagators and of their rows in
+        the relaxation table, at their own durations; one-slice windows
+        advance in one stacked product.
 
         Returns copies: the pulse's 4 x 4 final state, the probes'
         (B, 4, 4) states where their windows end (the pulse's final state
@@ -462,32 +473,41 @@ class ExperimentBackend:
         exactly the operations of ``evolve_open``; a probe's readout
         equals its own evolution's up to reordered rounding.
         """
-        u, u_dag, w, v, relaxation, states = self._pulse_evolution(amplitudes, dts)
+        u, u_dag, applied, relaxation, states = self._pulse_evolution(amplitudes, dts)
         rho = states[-1].copy()
         if slices is None or not len(slices):
             return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
 
-        pairs = self._filtered_pairs if self._tau else self._one_slice_pairs
-        probe, at, durations, decomposed, applied = pairs(amplitudes, dts, slices, columns, values)
-        u_own = np.empty((len(probe), 4, 4), dtype=np.complex128)
-        u_own[decomposed] = slice_propagators(self._model, applied, durations[decomposed])[0]
-        kept = ~decomposed
-        u_own[kept] = eigen_propagators(w[at[kept]], v[at[kept]], durations[kept])
-        table = index = None
-        if self._t1_t2:
-            factors, index = _decay_factors(durations, self._t1_t2)
-            table = _relaxation_matrices(factors)
+        if self._tau:
+            pairs = self._filtered_pairs(amplitudes, dts, slices, columns, values)
+        else:
+            pairs = self._one_slice_pairs(applied, dts, slices, columns, values)
+        probe, at, durations, pair_applied = pairs
         # each probe's window: its first pair and its length (0: it differs nowhere)
         lengths = np.bincount(probe, minlength=len(slices))
         first = np.cumsum(lengths) - lengths
         windows = np.argsort(-lengths, kind="stable")[: np.count_nonzero(lengths)]  # longest first
+        # step-major: step s holds, at start[s], the s-th pair of each of the first
+        # inside[s] windows, in window order
+        rank = np.empty(len(slices), dtype=np.intp)
+        rank[windows] = np.arange(len(windows))
+        step = np.arange(len(probe)) - first[probe]
+        inside = np.bincount(step)
+        start = np.cumsum(inside) - inside
+        order = np.empty(len(probe), dtype=np.intp)
+        order[start[step] + rank[probe]] = np.arange(len(probe))
+        durations = durations[order]
+        u_pairs = closed_form_propagators(self._model, pair_applied[order], durations)
+        table = index = None
+        if self._t1_t2:
+            factors, index = _decay_factors(durations, self._t1_t2)
+            table = _relaxation_matrices(factors)
         first, lengths = first[windows], lengths[windows]
         stack = states[at[first]]
-        for step in range(lengths.max(initial=0)):  # the probes still inside are a prefix
-            inside = np.count_nonzero(lengths > step)
-            pair = first[:inside] + step
-            stack[:inside] = _advance(
-                u_own[pair], stack[:inside], table, None if index is None else index[pair]
+        for lo, count in zip(start.tolist(), inside.tolist()):
+            pair = slice(lo, lo + count)
+            stack[:count] = _advance(
+                u_pairs[pair], stack[:count], table, None if index is None else index[pair]
             )
         leaving = np.repeat(states[-1:], len(slices), axis=0)
         leaving[windows] = stack
@@ -503,33 +523,33 @@ class ExperimentBackend:
             observables[m] = o
         return rho, leaving, observables[leave]
 
-    def _one_slice_pairs(self, amplitudes, dts, slices, columns, values):
+    def _one_slice_pairs(self, applied, dts, slices, columns, values):
         """The (probe, slice) pairs of ``_evolve`` without the low-pass, from the entries alone.
 
-        Arguments are those of ``_evolve``.  A probe changes at most its
+        ``applied`` holds the pulse's (M, 4) applied amplitudes; the other
+        arguments are those of ``_evolve``.  A probe changes at most its
         own slice: an amplitude probe its applied row, unless the channel
         scale rounds the change away, and a duration probe its duration.
         Returns, per pair in probe order: the probe, the slice, the
-        duration and whether it is decomposed anew; then the (D, 4)
-        applied rows of the D pairs that are.
+        duration and the (4,) applied amplitudes.
         """
         timed = columns == DURATION_COLUMN
         moved = np.flatnonzero(~timed)
-        entry = np.arange(len(moved)), columns[moved]
+        entry = moved, columns[moved]
         scaled = values[moved] * self._scale[entry[1]]
-        applied = amplitudes[slices[moved]] * self._scale
+        applied = applied[slices]
         still = scaled != applied[entry]
         applied[entry] = scaled
         changed = timed & (values != dts[slices])
         changed[moved[still]] = True
         probe = np.flatnonzero(changed)
-        at, timed = slices[probe], timed[probe]
-        return probe, at, np.where(timed, values[probe], dts[at]), ~timed, applied[still]
+        at = slices[probe]
+        return probe, at, np.where(timed[probe], values[probe], dts[at]), applied[probe]
 
     def _filtered_pairs(self, amplitudes, dts, slices, columns, values):
         """``_one_slice_pairs`` under the low-pass, where a window can span many slices.
 
-        The probes are expanded into (B, M, 4) programmed waveforms and
+        Arguments are those of ``_evolve``.  The probes are expanded into (B, M, 4) programmed waveforms and
         (B, M) durations, filtered with the pulse's as one stack and
         compared on flat (B + 1, 4M) rows, a slice's four flags read as
         one 4-byte word.  Every slice from the first to the last that
@@ -553,8 +573,7 @@ class ExperimentBackend:
         window = np.logical_or.accumulate(own, axis=1)
         window &= np.logical_or.accumulate(own[:, ::-1], axis=1)[:, ::-1]
         probe, at = window.nonzero()
-        applied = flat[1:].reshape(n_probes, m_slices, 4)[moved]
-        return probe, at, probe_dts[window], moved[window], applied
+        return probe, at, probe_dts[window], flat[1:].reshape(n_probes, m_slices, 4)[window]
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.

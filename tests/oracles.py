@@ -10,13 +10,14 @@ the package's own checks, so garbage fails loudly here too.
 The slow-path oracles (``reference_fidelity_and_gradients``,
 ``reference_model_fidelity``, ``reference_pulse_evolution``) share the
 package's set-up and differ from it only in how they loop over slices:
-one stacked ``@`` product, or ``np.matmul``, per step.  The forms the
-package's set-up replaced (``reference_slice_propagators``, the
-``einsum`` build of the slice Hamiltonians, and
-``reference_relaxation_matrices``, the relaxation map on complex unit
-matrices) are kept beside them, and so are the probe path that
-decomposes every slice a probe changes (``reference_probe_evolution``)
-and the density check by eigenvalues alone (``reference_require_density``).
+one stacked ``@`` product, or ``np.matmul``, per step; the emulator's
+oracles take their propagators from ``closed_form_propagators``, as the
+emulator does.  The forms the package's set-up replaced
+(``reference_slice_propagators``, the ``einsum`` build of the slice
+Hamiltonians, and ``reference_relaxation_matrices``, the relaxation map
+on complex unit matrices) are kept beside them, and so are the probe
+path over dense probe stacks (``reference_probe_evolution``) and the
+density check by eigenvalues alone (``reference_require_density``).
 The package's routines must equal all of these bit for bit, and the
 density check must accept, reject and word its errors as its oracle does.
 
@@ -35,6 +36,7 @@ from belltime.dynamics import (
     GradientBundle,
     PulseSequence,
     SystemModel,
+    closed_form_propagators,
     slice_propagators,
 )
 from belltime.experiment import (
@@ -169,7 +171,7 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
         if t1_t2:
             relaxation = _relaxation_matrices(factors[:, len(tau):])
     applied = amplitudes[0] * np.asarray(cfg.amplitude_scale)
-    u = slice_propagators(SystemModel(cfg.true_g_hz), applied, dts)[0]
+    u = closed_form_propagators(SystemModel(cfg.true_g_hz), applied, dts)
     rho = np.zeros((4, 4), dtype=np.complex128)
     rho[0, 0] = 1.0
     for m in range(len(dts)):
@@ -180,13 +182,17 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
 
 
 def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_dts):
-    """``backend._evolve`` with probes, every changed slice decomposed, nothing kept.
+    """``backend._evolve`` with probes, as dense stacks, nothing kept.
 
     The pulse's waveform and the probes' are distorted and scaled as one
-    (B + 1, 4M) stack and compared there; the pulse's slices and every
-    (probe, slice) pair that differs are decomposed in one
-    ``slice_propagators`` call, a pair whose duration alone differs
-    included.  The pulse is evolved anew on each call.  Windows,
+    (B + 1, 4M) stack and compared there; the propagators of the pulse's
+    slices and of every (probe, slice) pair that differs, a pair whose
+    duration alone differs included, come from one
+    ``closed_form_propagators`` call, and a slice of a window that does
+    not differ takes the pulse's.  The windows advance step by step,
+    each step gathering its propagators through a (B, M) table of rows,
+    not from the package's step-major layout.  The pulse is evolved anew
+    on each call.  Windows,
     back-propagated observables and the returned triple are as
     ``_evolve`` documents them.  The package's routine must equal this
     one bit for bit.
@@ -206,11 +212,11 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
     np.multiply(flat, np.tile(cfg.amplitude_scale, m_slices), out=flat)
     applied = flat.reshape(-1, m_slices, 4)
     own = (applied[1:] != applied[0]).any(axis=2) | (probe_dts != dts)  # (B, M)
-    u = slice_propagators(
+    u = closed_form_propagators(
         SystemModel(cfg.true_g_hz),
         np.concatenate([applied[0], applied[1:][own]]),
         np.concatenate([dts, probe_dts[own]]),
-    )[0]
+    )
     u_dag = u[:m_slices].conj().swapaxes(-1, -2)
     states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
     states[0] = np.diag([1.0, 0.0, 0.0, 0.0])

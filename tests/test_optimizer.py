@@ -9,10 +9,12 @@ import pytest
 from belltime.dynamics import (
     PulseSequence,
     SystemModel,
+    closed_form_propagators,
     fidelity_and_gradients,
     model_fidelity,
     random_pulse,
     slice_propagators,
+    write_pulse_csv,
 )
 from belltime import dynamics, experiment, optimizer
 from belltime.cartan import fidelity_ceiling
@@ -237,30 +239,33 @@ class TestFiniteDifferenceGradients:
         assert batched._rng.bit_generator.state == sequential._rng.bit_generator.state
 
     @pytest.mark.parametrize("m_slices", [3, 50])
-    def test_probes_decompose_only_the_slices_they_change(self, m_slices, monkeypatch):
+    def test_probes_exponentiate_only_the_slices_they_change(self, m_slices, monkeypatch):
         # Without the low-pass, a probe differs from the pulse in one slice:
-        # its controls (8M probes) or its duration (2M probes).  A duration
-        # probe's slice has the pulse's Hamiltonian, whose eigensystem it
-        # takes.  One gradient on a fresh backend decomposes the pulse's M
-        # slice Hamiltonians and one per control probe, M + 8M in all, not
-        # the 10M * M of evolving every probe whole; after a readout of the
-        # same pulse, whose evolution the backend keeps, 8M.
-        decomposed = []
+        # its controls (8M probes) or its duration (2M probes).  One
+        # gradient on a fresh backend exponentiates the pulse's M slices
+        # and one slice per probe, M + 10M rows in all, not the 10M * M of
+        # evolving every probe whole; after a readout of the same pulse,
+        # whose evolution the backend keeps, 10M.  No slice is decomposed.
+        rows = []
 
-        def counting(model, amplitudes_hz, dt):
-            decomposed.append(len(amplitudes_hz))
-            return slice_propagators(model, amplitudes_hz, dt)
+        def counting(model, applied_hz, dt):
+            rows.append(len(applied_hz))
+            return closed_form_propagators(model, applied_hz, dt)
 
-        monkeypatch.setattr(experiment, "slice_propagators", counting)
+        def decomposing(*args):
+            raise AssertionError("the emulator decomposed a slice Hamiltonian")
+
+        monkeypatch.setattr(experiment, "closed_form_propagators", counting)
+        monkeypatch.setattr(np.linalg, "eigh", decomposing)
         pulse = random_pulse(m_slices, 2.4e-3, 150.0, np.random.default_rng(m_slices))
         backend = ExperimentBackend(ExperimentConfig(**dict(COHERENT_MISMATCH, noise_sigma=0.0)))
         finite_diff_gradients(backend, pulse, 0.1, 1e-8)
-        assert sum(decomposed) == m_slices + 8 * m_slices
+        assert sum(rows) == m_slices + 10 * m_slices
         backend = ExperimentBackend(backend.config)
         backend.fidelity_partial(pulse)
-        decomposed.clear()
+        rows.clear()
         finite_diff_gradients(backend, pulse, 0.1, 1e-8)
-        assert sum(decomposed) == 8 * m_slices
+        assert rows == [10 * m_slices]
 
     @pytest.mark.parametrize("fraction", [1.0, 1.5, math.inf, math.nan])
     def test_a_duration_step_past_the_slice_is_named_before_any_charge(self, fraction):
@@ -470,6 +475,32 @@ def short_run(model, mode):
     return run_optimization(
         mode, model, OptimizerConfig(max_iterations=120), experiment=experiment, seed=1
     )
+
+
+class TestClosedFormDecisions:
+    def test_a_balanced_run_decides_as_with_decomposed_propagators(self, model, tmp_path,
+                                                                   monkeypatch):
+        # The emulator's closed-form propagators move its fidelities by
+        # rounding only: a balanced run on the coherent mismatch makes
+        # the decisions, ledger and final pulse it makes with the
+        # eigendecomposed ones, and its fidelities agree to 1e-12.
+        config = OptimizerConfig(max_iterations=150)
+        apparatus = ExperimentConfig(seed=100, **COHERENT_MISMATCH)
+        runs = [run_optimization("balanced", model, config, experiment=apparatus, seed=3)]
+        monkeypatch.setattr(experiment, "closed_form_propagators",
+                            lambda model, applied_hz, dt: slice_propagators(model, applied_hz, dt)[0])
+        runs.append(run_optimization("balanced", model, config, experiment=apparatus, seed=3))
+        shipped, decomposed = runs
+        assert len(shipped.records) == len(decomposed.records) == 150
+        for a, b in zip(shipped.records, decomposed.records):
+            assert (a.accepted, a.phase, a.event, a.measurements_this_iter) == (
+                b.accepted, b.phase, b.event, b.measurements_this_iter)
+            assert abs(a.j_oracle - b.j_oracle) <= 1e-12
+        assert {r.accepted for r in shipped.records} == {True, False}
+        assert shipped.ledger.as_dict() == decomposed.ledger.as_dict()
+        for name, run in zip(("shipped", "decomposed"), runs):
+            write_pulse_csv(run.final_pulse, tmp_path / f"{name}.csv")
+        assert (tmp_path / "shipped.csv").read_bytes() == (tmp_path / "decomposed.csv").read_bytes()
 
 
 class TestModelGradientReuse:
