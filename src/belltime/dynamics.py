@@ -75,6 +75,11 @@ _CONTROL_VALUES = np.pi * np.take_along_axis(
 
 PULSE_HEADER = "slice,ux1_hz,uy1_hz,ux2_hz,uy2_hz"
 
+# The largest turn t lambda+ (rad) of a slice in closed_form_propagators.  Its U
+# drifts from unitary as eps |H| dt, measured 1.8e-12 at 1e4 rad: 50 such slices
+# stay within require_density's 1e-10.  The acceptance runs turn <= ~0.2 rad.
+MAX_SLICE_TURN_RAD = 1e4
+
 
 def as_integer(value, name: str) -> int:
     """``value`` as an int; a bool or a non-integer raises a ValueError naming ``name``."""
@@ -213,19 +218,28 @@ def closed_form_propagators(model: SystemModel, applied_hz: np.ndarray, dt) -> n
     bits alone as in any stack.  The sines and cosines take separately
     rounded angles, so the error grows as eps |H_m| dt_m: unitary to
     4e-16 at 1 rad, 2e-14 at 100 rad and 2e-12 at 1e4 rad, where the
-    eigendecomposition stays unitary.  The emulator's slices turn
-    through well under one radian.
+    eigendecomposition stays unitary.  A slice that turns through more
+    than ``MAX_SLICE_TURN_RAD``, or through an angle that overflows,
+    raises a ValueError before any product that could overflow; the
+    emulator's slices turn through well under one radian.
     """
     a = (np.pi / 2.0) * model.g_hz
-    x1, y1, x2, y2 = np.pi * np.asarray(applied_hz, dtype=np.float64).T
-    p, q = np.hypot(x1, y1), np.hypot(x2, y2)
-    lam_plus, lam_minus = np.hypot(a, p + q), np.hypot(a, p - q)
+    t = np.reshape(dt, (-1,))
+    with np.errstate(over="ignore"):  # an angle that overflows is rejected below
+        x1, y1, x2, y2 = np.pi * np.asarray(applied_hz, dtype=np.float64).T
+        p, q = np.hypot(x1, y1), np.hypot(x2, y2)
+        lam_plus = np.hypot(a, p + q)
+        turn = t * lam_plus
+    if not np.all(turn <= MAX_SLICE_TURN_RAD):  # NaN fails too
+        raise ValueError(
+            f"a slice turns {np.max(turn):.3g} rad, past MAX_SLICE_TURN_RAD = {MAX_SLICE_TURN_RAD:g}"
+        )
+    lam_minus = np.hypot(a, p - q)
     mu = 0.5 * (lam_plus + lam_minus)
     delta = p * q / mu
-    t = np.reshape(dt, (-1,))
     cos_mu, sin_mu = np.cos(t * mu), np.sin(t * mu)
     sin_delta = t * np.sinc(t * delta / np.pi)  # sin(t delta)/delta, t at delta = 0
-    s_plus = np.sin(t * lam_plus) / lam_plus
+    s_plus = np.sin(turn) / lam_plus
     s_minus = np.sin(t * lam_minus) / lam_minus
     c0 = cos_mu * np.cos(t * delta)
     c1 = -sin_mu * sin_delta / mu
@@ -250,28 +264,23 @@ def closed_form_propagators(model: SystemModel, applied_hz: np.ndarray, dt) -> n
 
 
 def model_fidelity(
-    model: SystemModel,
-    pulse: PulseSequence,
-    psi0: np.ndarray,
-    target: np.ndarray,
-    decomposition=None,
-    states=None,
+    model: SystemModel, pulse: PulseSequence, psi0: np.ndarray, target: np.ndarray
 ) -> float:
-    """|<target| U_M ... U_1 |psi0>|^2 under the nominal model.
+    """|<target| U_M ... U_1 |psi0>|^2 under the nominal model."""
+    target = require_state(target)
+    psi0 = require_state(psi0)
+    return _model_fidelity(model, pulse, psi0, target)
+
+
+def _model_fidelity(model, pulse, psi0, target, decomposition=None, states=None) -> float:
+    """``model_fidelity`` of checked complex states, for callers that checked them once.
 
     ``decomposition``, when given, is ``slice_propagators`` of this pulse
     (its applied amplitudes and slice duration), and is used as is.
     ``states``, when given, is an (M + 1, 4) complex array that receives
     the forward states psi_0 = psi0, psi_m = U_m psi_{m-1}, which
-    ``fidelity_and_gradients`` of the same pulse can take.
+    ``_fidelity_and_gradients`` of the same pulse can take.
     """
-    target = require_state(target)
-    psi0 = require_state(psi0)
-    return _model_fidelity(model, pulse, psi0, target, decomposition, states)
-
-
-def _model_fidelity(model, pulse, psi0, target, decomposition=None, states=None) -> float:
-    """``model_fidelity`` of checked complex states, for callers that checked them once."""
     if decomposition is None:
         decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
     if states is None:
@@ -293,12 +302,7 @@ def _sweep(u: np.ndarray, start: np.ndarray, states: np.ndarray) -> None:
 
 
 def fidelity_and_gradients(
-    model: SystemModel,
-    pulse: PulseSequence,
-    psi0: np.ndarray,
-    target: np.ndarray,
-    decomposition=None,
-    states=None,
+    model: SystemModel, pulse: PulseSequence, psi0: np.ndarray, target: np.ndarray
 ) -> GradientBundle:
     """Exact J, dJ/du (all M x 4 amplitudes) and dJ/dT in one pass.
 
@@ -310,9 +314,6 @@ def fidelity_and_gradients(
 
     which is smooth through eigenvalue degeneracies.  The duration
     derivative stretches all slices together: dU_m/dT = (-i H_m/M) U_m.
-    ``decomposition`` and ``states`` are as in ``model_fidelity``: the
-    forward states filled there from this decomposition and ``psi0``.
-    The result is the same bit for bit with or without either.
 
     The forward and backward sweeps apply each slice with 2-D
     ``ndarray.dot`` into a preallocated row (``_sweep``), so they keep
@@ -330,13 +331,18 @@ def fidelity_and_gradients(
     """
     psi0 = require_state(psi0)
     target = require_state(target)
-    return _fidelity_and_gradients(model, pulse, psi0, target, decomposition, states)
+    return _fidelity_and_gradients(model, pulse, psi0, target)
 
 
 def _fidelity_and_gradients(
     model, pulse, psi0, target, decomposition=None, states=None
 ) -> GradientBundle:
-    """``fidelity_and_gradients`` of checked complex states, for callers that checked them once."""
+    """``fidelity_and_gradients`` of checked complex states, for callers that checked them once.
+
+    ``decomposition`` and ``states`` are as in ``_model_fidelity``: the
+    forward states filled there from this decomposition and ``psi0``.
+    The result is the same bit for bit with or without either.
+    """
     m_slices = pulse.n_slices
     dt = pulse.slice_duration_s
 

@@ -7,11 +7,12 @@ the programmed waveforms, and per-spin T1/T2 relaxation after each
 slice's unitary.  Relaxation is defined once, as a closed-form
 elementwise map on the density matrix (amplitude damping plus
 dephasing, ``_relax``); being linear, it is applied as one real 16 x 16
-matrix on vec(rho) per slice, tabled from ``_relax`` once per distinct
-slice duration of an evolution.  Expectation values are read out
-through a seeded Gaussian noise stream, and every readout is charged to
-a measurement ledger so the wall-clock cost of an optimization run can
-be audited afterwards.
+matrix on vec(rho) per slice.  A pulse's slices share one duration T/M
+and so one matrix; only a probe moves a slice's duration, and a batch
+of probes tables one matrix per distinct duration.  Expectation values
+are read out through a seeded Gaussian noise stream, and every readout
+is charged to a measurement ledger so the wall-clock cost of an
+optimization run can be audited afterwards.
 
 Fidelity oracles:
 
@@ -48,13 +49,13 @@ are exponentiated in closed form, each set in one
 ``cos`` of the two-spin ZZ Hamiltonian's invariants (derived in
 ``dynamics``), within about 1e-15 of ``scipy.linalg.expm``, and the same
 bits for a slice alone as in any stack.  The backend keeps its last
-pulse evolution (propagators, applied amplitudes and states), so the
-probes of a pulse just measured, or a repeated measurement of it, do
-not evolve it again.  The probes' states are validated once, by a
-Cholesky screen (``require_density``), and their readout noise is
-drawn as one vector.  Noise stream and ledger are
-those of one ``fidelity_partial`` call per probe, and values agree with
-it to rounding (1e-12); single pulses keep their own bits.
+pulse evolution (propagators, applied amplitudes, relaxation matrix and
+states), so the probes of a pulse just measured, or a repeated
+measurement of it, do not evolve it again.  The probes' states are
+validated once, by a Cholesky screen (``require_density``), and their
+readout noise is drawn as one vector.  Noise stream and ledger are those
+of one ``fidelity_partial`` call per probe, and values agree with it to
+rounding (1e-12); single pulses keep their own bits.
 """
 
 from __future__ import annotations
@@ -223,18 +224,14 @@ def _one_density(rho) -> np.ndarray:
 
 
 def _decay_factors(dts: np.ndarray, times_s) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-dt/t) for each distinct duration of ``dts`` and each time t.
+    """exp(-dt/t) for each distinct duration of a batch's ``dts`` and each time t.
 
     Returns the (D, len(times_s)) table over the D distinct durations and
     the row of each duration in it, shaped like ``dts``.  ``math.exp``
-    runs once per distinct duration (``np.exp`` can round differently in
-    the last bit), so a pulse gets the same factors alone as in any stack.
+    runs once per duration (``np.exp`` can round differently in the last
+    bit), as for the pulse's own, so a slice has the same factors there.
     """
-    flat = dts.ravel()
-    if flat.size and (flat == flat[0]).all():  # one duration, as on a uniform pulse: no sort
-        distinct, index = flat[:1], np.zeros(dts.shape, dtype=np.intp)
-    else:
-        distinct, index = np.unique(dts, return_inverse=True)
+    distinct, index = np.unique(dts, return_inverse=True)
     table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct.tolist()])
     table = table.reshape(len(distinct), len(times_s))  # also when there are no durations
     return table, index.reshape(dts.shape)
@@ -364,49 +361,46 @@ class ExperimentBackend:
         each slice applies its unitary followed by per-spin relaxation
         over the slice duration T/M.
         """
-        dts = np.full(pulse.n_slices, pulse.slice_duration_s)
-        return self._evolve(pulse.amplitudes_hz, dts)[0]
+        states = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)[-1]
+        return states[-1].copy()
 
-    def _pulse_evolution(self, amplitudes: np.ndarray, dts: np.ndarray):
+    def _pulse_evolution(self, amplitudes: np.ndarray, dt: float):
         """One pulse's evolution from |00><00|, kept until the next pulse.
 
-        The pulse is (M, 4) programmed amplitudes over (M,) slice
-        durations.  Returns (u, u_dag, applied, relaxation, states): the
-        M slice propagators and their adjoints, the (M, 4) applied
-        amplitudes they were built from, the slices' (M, 16, 16)
-        relaxation matrices (None without T1/T2), and the (M + 1, 4, 4)
-        states before every slice.  The waveform is distorted, then
-        scaled per channel, and the propagators are exponentiated in
-        closed form (``closed_form_propagators``), with no
-        eigendecomposition.  Each slice applies its unitary, then
-        relaxation as one tabled 16 x 16 product on vec(rho); the table
-        holds one ``_relax`` matrix per distinct slice duration.  The
-        loop makes each product with 2-D ``ndarray.dot``, which calls the
-        same BLAS kernel as ``@`` on 2-D operands without the gufunc
-        dispatch, and writes the last product of a slice straight into
-        the next state (the relaxation's through that state's (16, 2)
-        real view), so the bits are those of the ``@`` loop
-        (``tests/oracles.py``).
+        The pulse is (M, 4) programmed amplitudes over slices of duration
+        ``dt``.  Returns (u, u_dag, applied, relaxation, states): the M
+        slice propagators and their adjoints, the (M, 4) applied
+        amplitudes they were built from, the ``_relax`` map over ``dt`` as
+        one 16 x 16 matrix (None without T1/T2), and the (M + 1, 4, 4)
+        states before every slice.  The waveform is low-passed with one
+        factor k = exp(-dt/tau), then scaled per channel, and the
+        propagators are exponentiated in closed form
+        (``closed_form_propagators``), with no eigendecomposition.  Each
+        slice applies its unitary, then that matrix.  The loop makes each
+        product with 2-D ``ndarray.dot``, which calls the same BLAS kernel
+        as ``@`` on 2-D operands without the gufunc dispatch, and writes
+        the last product of a slice straight into the next state (the
+        relaxation's through that state's (16, 2) real view), so the bits
+        are those of the ``@`` loop (``tests/oracles.py``).
 
         The evolution is noiseless, so the last one is kept, keyed by the
-        bytes of the amplitudes and durations: a pulse measured and then
+        bytes of the amplitudes and by ``dt``: a pulse measured and then
         probed, or measured twice in a row, is evolved once.  Callers
         copy what they hand out of it.
         """
-        key = (amplitudes.tobytes(), dts.tobytes())
+        key = (amplitudes.tobytes(), dt)
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
+        factors = [math.exp(-dt / t) for t in self._tau + self._t1_t2]
         applied, relaxation = amplitudes, None
-        if self._tau + self._t1_t2:
-            factors, index = _decay_factors(dts, self._tau + self._t1_t2)
-            if self._tau:
-                applied = _low_pass(amplitudes[None], factors[index[None], 0])[0]
-            if self._t1_t2:
-                relaxation = _relaxation_matrices(factors[:, len(self._tau):])[index]
+        if self._tau:
+            applied = _low_pass(amplitudes[None], np.full((1, len(amplitudes)), factors[0]))[0]
+        if self._t1_t2:
+            relaxation = _relaxation_matrices(np.array([factors[len(self._tau):]]))[0]
         applied = applied * self._scale
-        u = closed_form_propagators(self._model, applied, dts)
+        u = closed_form_propagators(self._model, applied, dt)
         u_dag = u.conj().swapaxes(-1, -2)
-        states = np.empty((len(dts) + 1, 4, 4), dtype=np.complex128)
+        states = np.empty((len(amplitudes) + 1, 4, 4), dtype=np.complex128)
         states[0] = rho = self._ground
         if relaxation is None:
             for u_m, u_dag_m, after in zip(u, u_dag, states[1:]):
@@ -414,31 +408,22 @@ class ExperimentBackend:
         else:  # the real map acts on (16, 2) views of vec(rho)'s real and imaginary parts
             rotated = np.empty((4, 4), dtype=np.complex128)
             rotated_parts = rotated.view(np.float64).reshape(16, 2)
-            after_parts = states[1:].view(np.float64).reshape(len(dts), 16, 2)
-            for u_m, u_dag_m, r_m, after, parts in zip(
-                u, u_dag, relaxation, states[1:], after_parts
-            ):
+            after_parts = states[1:].view(np.float64).reshape(len(amplitudes), 16, 2)
+            for u_m, u_dag_m, after, parts in zip(u, u_dag, states[1:], after_parts):
                 u_m.dot(rho).dot(u_dag_m, rotated)
-                r_m.dot(rotated_parts, parts)
+                relaxation.dot(rotated_parts, parts)
                 rho = after
         evolution = (u, u_dag, applied, relaxation, states)
         self._kept = (key, evolution)
         return evolution
 
-    def _evolve(
-        self,
-        amplitudes: np.ndarray,
-        dts: np.ndarray,
-        slices: np.ndarray | None = None,
-        columns: np.ndarray | None = None,
-        values: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Final state of one pulse, and B single-entry probes of it ready to read out.
+    def _evolve(self, amplitudes: np.ndarray, dt: float, slices, columns, values):
+        """B single-entry probes of one pulse, ready to read out.
 
-        The pulse is (M, 4) amplitudes over (M,) slice durations, evolved
-        by ``_pulse_evolution``.  Probe b sets the entry (slices[b],
-        columns[b]) of the pulse's (M, 5) table [ux1, uy1, ux2, uy2,
-        slice duration] to values[b] (``fidelity_partial_batch``).
+        The pulse is (M, 4) amplitudes over slices of duration ``dt``,
+        evolved by ``_pulse_evolution``.  Probe b sets the entry
+        (slices[b], columns[b]) of the pulse's (M, 5) table [ux1, uy1,
+        ux2, uy2, slice duration] to values[b] (``fidelity_partial_batch``).
 
         A probe's window runs from the first to the last slice where its
         applied (distorted and scaled) amplitudes or its duration differ
@@ -463,25 +448,23 @@ class ExperimentBackend:
         are laid out step-major: the windows advance longest first, the
         probes still inside theirs being a prefix, and each step's pairs
         are one contiguous run of the propagators and of their rows in
-        the relaxation table, at their own durations; one-slice windows
-        advance in one stacked product.
+        the relaxation table, one matrix per distinct duration;
+        one-slice windows advance in one stacked product.
 
-        Returns copies: the pulse's 4 x 4 final state, the probes'
-        (B, 4, 4) states where their windows end (the pulse's final state
-        for a probe that differs nowhere) and the (B, 3, 4, 4) observables
-        back-propagated to those points.  The pulse's own state meets
-        exactly the operations of ``evolve_open``; a probe's readout
-        equals its own evolution's up to reordered rounding.
+        Returns copies: the probes' (B, 4, 4) states where their windows
+        end (the pulse's final state for a probe that differs nowhere)
+        and the (B, 3, 4, 4) observables back-propagated to those points;
+        a probe's readout equals its own evolution's up to reordered
+        rounding.  With no probes, nothing is evolved.
         """
-        u, u_dag, applied, relaxation, states = self._pulse_evolution(amplitudes, dts)
-        rho = states[-1].copy()
-        if slices is None or not len(slices):
-            return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
-
+        if not len(slices):
+            return np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
+        u, u_dag, applied, relaxation, states = self._pulse_evolution(amplitudes, dt)
+        m_slices = len(amplitudes)
         if self._tau:
-            pairs = self._filtered_pairs(amplitudes, dts, slices, columns, values)
+            pairs = self._filtered_pairs(amplitudes, dt, slices, columns, values)
         else:
-            pairs = self._one_slice_pairs(applied, dts, slices, columns, values)
+            pairs = self._one_slice_pairs(applied, dt, slices, columns, values)
         probe, at, durations, pair_applied = pairs
         # each probe's window: its first pair and its length (0: it differs nowhere)
         lengths = np.bincount(probe, minlength=len(slices))
@@ -511,19 +494,19 @@ class ExperimentBackend:
             )
         leaving = np.repeat(states[-1:], len(slices), axis=0)
         leaving[windows] = stack
-        leave = np.full(len(slices), len(dts))
+        leave = np.full(len(slices), m_slices)
         leave[windows] = at[first] + lengths
 
-        observables = np.empty((len(dts) + 1, 3, 4, 4), dtype=np.complex128)
-        observables[len(dts)] = o = self._partial_ops
-        for m in range(len(dts) - 1, leave.min() - 1, -1):
+        observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
+        observables[m_slices] = o = self._partial_ops
+        for m in range(m_slices - 1, leave.min() - 1, -1):
             if relaxation is not None:
-                o = _relaxed(relaxation[m].T, o)
+                o = _relaxed(relaxation.T, o)
             o = u_dag[m] @ o @ u[m]
             observables[m] = o
-        return rho, leaving, observables[leave]
+        return leaving, observables[leave]
 
-    def _one_slice_pairs(self, applied, dts, slices, columns, values):
+    def _one_slice_pairs(self, applied, dt, slices, columns, values):
         """The (probe, slice) pairs of ``_evolve`` without the low-pass, from the entries alone.
 
         ``applied`` holds the pulse's (M, 4) applied amplitudes; the other
@@ -540,40 +523,40 @@ class ExperimentBackend:
         applied = applied[slices]
         still = scaled != applied[entry]
         applied[entry] = scaled
-        changed = timed & (values != dts[slices])
+        changed = timed & (values != dt)
         changed[moved[still]] = True
         probe = np.flatnonzero(changed)
-        at = slices[probe]
-        return probe, at, np.where(timed[probe], values[probe], dts[at]), applied[probe]
+        return probe, slices[probe], np.where(timed[probe], values[probe], dt), applied[probe]
 
-    def _filtered_pairs(self, amplitudes, dts, slices, columns, values):
+    def _filtered_pairs(self, amplitudes, dt, slices, columns, values):
         """``_one_slice_pairs`` under the low-pass, where a window can span many slices.
 
-        Arguments are those of ``_evolve``.  The probes are expanded into (B, M, 4) programmed waveforms and
-        (B, M) durations, filtered with the pulse's as one stack and
-        compared on flat (B + 1, 4M) rows, a slice's four flags read as
-        one 4-byte word.  Every slice from the first to the last that
-        differs is a pair, in probe-major order.
+        Arguments are those of ``_evolve``.  The probes are expanded into
+        (B, M, 4) programmed waveforms and (B, M) durations, filtered
+        with the pulse's as one stack and compared on flat (B + 1, 4M)
+        rows, a slice's four flags read as one 4-byte word.  Every slice
+        from the first to the last that differs is a pair, in
+        probe-major order.
         """
-        n_probes, m_slices = len(slices), len(dts)
-        rows = np.arange(n_probes)
+        n_probes, m_slices = len(slices), len(amplitudes)
+        rows = 1 + np.arange(n_probes)  # row 0: the pulse
         timed = columns == DURATION_COLUMN
-        programmed = np.repeat(amplitudes[None], n_probes + 1, axis=0)  # row 0: the pulse
-        programmed[1 + rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
-        probe_dts = np.repeat(dts[None], n_probes, axis=0)
-        probe_dts[rows[timed], slices[timed]] = values[timed]
-        factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), self._tau)
+        programmed = np.repeat(amplitudes[None], n_probes + 1, axis=0)
+        programmed[rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
+        dts = np.full((n_probes + 1, m_slices), dt)
+        dts[rows[timed], slices[timed]] = values[timed]
+        factors, index = _decay_factors(dts, self._tau)
         # flat (B + 1, 4M) rows, in place: a copy of the low-pass's slice-major output
         flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes + 1, -1)
         np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
         # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
         moved = (flat[1:] != flat[0]).view(np.uint32).astype(bool)  # (B, M)
-        own = moved | (probe_dts != dts)
+        own = moved | (dts[1:] != dt)
         # from the first slice that differs through the last
         window = np.logical_or.accumulate(own, axis=1)
         window &= np.logical_or.accumulate(own[:, ::-1], axis=1)[:, ::-1]
         probe, at = window.nonzero()
-        return probe, at, probe_dts[window], flat[1:].reshape(n_probes, m_slices, 4)[window]
+        return probe, at, dts[1:][window], flat[1:].reshape(n_probes, m_slices, 4)[window]
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.
@@ -658,9 +641,8 @@ class ExperimentBackend:
             raise ValueError("probe values must be finite")
         if not np.all(values[columns == DURATION_COLUMN] > 0):
             raise ValueError("a probe's slice duration must be positive")
-        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
-        _, rhos, observables = self._evolve(pulse.amplitudes_hz, uniform, slices, columns, values)
-        return self._partial(rhos, observables, categories)
+        evolved = self._evolve(pulse.amplitudes_hz, pulse.slice_duration_s, slices, columns, values)
+        return self._partial(*evolved, categories)
 
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction."""

@@ -21,9 +21,12 @@ density check by eigenvalues alone (``reference_require_density``).
 The package's routines must equal all of these bit for bit, and the
 density check must accept, reject and word its errors as its oracle does.
 
-``evolve_at`` and ``partial_at`` run a pulse over slice durations of the
-test's choosing through the backend's own ``_evolve``: the package
-takes non-uniform durations only as probes.
+The emulator runs a pulse on one slice duration T/M and moves a
+slice's duration only in a probe.  ``reference_pulse_evolution`` takes
+slice durations of the test's choosing, and ``reference_partial`` reads
+its state out through the backend's noise stream and ledger, so each
+probe can be checked against its own whole evolution without the
+backend's pulse loop.
 """
 
 import math
@@ -127,20 +130,6 @@ def reference_model_fidelity(
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
-def evolve_at(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
-    """``backend.evolve_open(pulse)`` with the (M,) slice durations ``dts``, not T/M each."""
-    return backend._evolve(pulse.amplitudes_hz, dts)[0]
-
-
-def partial_at(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
-    """``backend.fidelity_partial(pulse, category)`` with the slice durations ``dts``.
-
-    Its noise draws and ledger charge are those of ``fidelity_partial``.
-    """
-    rho = evolve_at(backend, pulse, dts)
-    return float(backend._partial(rho[None], backend._partial_ops, [category])[0])
-
-
 def decay_times(config) -> tuple[tuple, tuple]:
     """(tau, t1_t2) of an emulator config, each empty where it has none.
 
@@ -153,12 +142,13 @@ def decay_times(config) -> tuple[tuple, tuple]:
 
 
 def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
-    """``evolve_at(backend, pulse, dts)`` as a per-slice ``@`` loop.
+    """``backend.evolve_open(pulse)`` over the (M,) slice durations ``dts``, slice by slice.
 
     The waveform, propagators and relaxation table are built as the
     emulator builds them; each slice then applies ``u @ rho @ u^dag`` and
-    the tabled relaxation through ``_relaxed``.  The package's routine
-    must equal this one bit for bit.
+    the tabled relaxation through ``_relaxed``, one ``@`` product at a
+    time.  On durations T/M each, ``evolve_open`` must equal this one
+    bit for bit.
     """
     cfg = backend.config
     tau, t1_t2 = decay_times(cfg)
@@ -181,8 +171,19 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
     return rho
 
 
+def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
+    """``backend.fidelity_partial(pulse, category)`` over the (M,) slice durations ``dts``.
+
+    The state is ``reference_pulse_evolution``'s, read out through the
+    backend's ``_partial``, so the noise draws and ledger charge are
+    those of ``fidelity_partial``.
+    """
+    rho = reference_pulse_evolution(backend, pulse, dts)
+    return float(backend._partial(rho[None], backend._partial_ops, [category])[0])
+
+
 def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_dts):
-    """``backend._evolve`` with probes, as dense stacks, nothing kept.
+    """``backend.evolve_open`` and ``backend._evolve`` of probes as dense stacks, nothing kept.
 
     The pulse's waveform and the probes' are distorted and scaled as one
     (B + 1, 4M) stack and compared there; the propagators of the pulse's
@@ -192,10 +193,10 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
     not differ takes the pulse's.  The windows advance step by step,
     each step gathering its propagators through a (B, M) table of rows,
     not from the package's step-major layout.  The pulse is evolved anew
-    on each call.  Windows,
-    back-propagated observables and the returned triple are as
-    ``_evolve`` documents them.  The package's routine must equal this
-    one bit for bit.
+    on each call.  Returns the pulse's final state, then the probes'
+    states and observables; windows, back-propagated observables and
+    the pair are as ``_evolve`` documents them.  The package's routines
+    must equal this one bit for bit.
     """
     cfg = backend.config
     m_slices = len(dts)

@@ -11,14 +11,17 @@ on its own.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from belltime.dynamics import (
+    MAX_SLICE_TURN_RAD,
     GradientBundle,
     PulseSequence,
     SystemModel,
+    _fidelity_and_gradients,
+    _model_fidelity,
     closed_form_propagators,
     fidelity_and_gradients,
     model_fidelity,
@@ -221,6 +224,12 @@ def control_stacks(draw):
     return amps, rng.uniform(1e-9, 1e-3, size=m_slices)
 
 
+def turns(g_hz, amps, dts):
+    """Each slice's turn t lambda+ (rad), computed as ``closed_form_propagators`` computes it."""
+    x1, y1, x2, y2 = np.pi * amps.T
+    return dts * np.hypot((np.pi / 2.0) * g_hz, np.hypot(x1, y1) + np.hypot(x2, y2))
+
+
 class TestSliceHamiltonian:
     def test_zero_controls_is_pure_drift(self):
         drift = (np.pi / 2) * 217.4 * pauli_string("Z", "Z")
@@ -309,13 +318,33 @@ class TestClosedFormPropagators:
         # the emulator's duration probes and single pulses rely on this
         amps, dt = stack
         model = SystemModel(g_hz)
-        u = closed_form_propagators(model, amps, dt)
         dts = np.broadcast_to(dt, len(amps))
+        past = turns(g_hz, amps, dts) > MAX_SLICE_TURN_RAD
+        if past.any():  # a stack that holds a slice past the limit raises; the rest stay
+            with pytest.raises(ValueError, match="MAX_SLICE_TURN_RAD"):
+                closed_form_propagators(model, amps, dt)
+            assume(not past.all())
+            amps, dts = amps[~past], dts[~past]
+            dt = dts
+        u = closed_form_propagators(model, amps, dt)
         for m in sorted({0, len(amps) // 2, len(amps) - 1}):
             alone = closed_form_propagators(model, amps[m : m + 1].copy(), float(dts[m]))
             assert np.array_equal(bits(alone[0]), bits(u[m]))
         reversed_rows = closed_form_propagators(model, amps[::-1], dts[::-1])
         assert np.array_equal(bits(reversed_rows[::-1]), bits(u))
+
+    def test_rejects_a_turn_past_its_limit_before_any_overflow(self):
+        # A slice may turn through MAX_SLICE_TURN_RAD = t lambda+ and no
+        # further; past it, up to turns that overflow, it raises first.
+        model = SystemModel(217.4)
+        amps = np.array([[1e3, 0.0, 0.0, 0.0]])
+        lam_plus = turns(217.4, amps, 1.0)[0]
+        with np.errstate(all="raise"):
+            closed_form_propagators(model, amps, MAX_SLICE_TURN_RAD / lam_plus * (1 - 1e-12))
+            for amps, dt in ((amps, MAX_SLICE_TURN_RAD / lam_plus * (1 + 1e-12)),
+                             (np.full((2, 4), 1e200), 1e-4), (np.full((1, 4), 1.7e308), 1e-4)):
+                with pytest.raises(ValueError, match="MAX_SLICE_TURN_RAD"):
+                    closed_form_propagators(model, amps, dt)
 
 
 class TestModelFidelity:
@@ -323,12 +352,9 @@ class TestModelFidelity:
     def test_public_oracles_reject_bad_states(self, oracle):
         # run_optimization checks its states once; the public functions check every call
         p = random_pulse(3, 1e-3, 100.0, np.random.default_rng(9))
-        decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
-        states = np.empty((4, 4), dtype=np.complex128)
         for psi0, target in ((2.0 * PSI0, TARGET), (PSI0, TARGET * (1 + 1e-6)), (PSI0, np.eye(4))):
-            for handed in ((), (decomposition, states)):
-                with pytest.raises(ValueError, match="state"):
-                    oracle(MODEL, p, psi0, target, *handed)
+            with pytest.raises(ValueError, match="state"):
+                oracle(MODEL, p, psi0, target)
 
     def test_zero_pulse_leaves_basis_state(self):
         p = PulseSequence(5e-3, np.zeros((50, 4)))
@@ -391,10 +417,11 @@ class TestModelFidelity:
     def test_equals_matmul_loop_bit_for_bit(self, amps, duration, pair, handed):
         p = PulseSequence(duration, amps)
         psi0, target = STATE_PAIRS[pair]
-        decomposition = (
-            slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s) if handed else None
-        )
-        fast = model_fidelity(MODEL, p, psi0, target, decomposition)
+        if handed:  # the optimizer's core, with the decomposition it builds
+            decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
+            fast = _model_fidelity(MODEL, p, psi0, target, decomposition)
+        else:
+            fast = model_fidelity(MODEL, p, psi0, target)
         assert fast.hex() == reference_model_fidelity(MODEL, p, psi0, target).hex()
 
     def test_analytic_singlet_recipe(self):
@@ -436,23 +463,23 @@ class TestGradients:
     )
     def test_handed_decomposition_changes_nothing(self, amps, zero_rows, duration):
         # Zero-drive rows leave the bare, doubly degenerate ZZ Hamiltonian.
-        # The forward states are those model_fidelity filled, as the
-        # optimizer's memo hands them on.
+        # The optimizer's cores take the decomposition and the forward
+        # states that _model_fidelity filled, as its memo hands them on.
         amps[[r for r in zero_rows if r < len(amps)]] = 0.0
         p = PulseSequence(duration, amps)
         decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
         states = np.empty((p.n_slices + 1, 4), dtype=np.complex128)
-        evaluated = model_fidelity(MODEL, p, PSI0, TARGET, decomposition, states)
+        evaluated = _model_fidelity(MODEL, p, PSI0, TARGET, decomposition, states)
         plain = fidelity_and_gradients(MODEL, p, PSI0, TARGET)
         for handed in (
-            fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition),
-            fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition, states),
+            _fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition),
+            _fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition, states),
         ):
             assert np.array_equal(bits(handed.grad_amplitudes), bits(plain.grad_amplitudes))
             assert bits(handed.grad_duration) == bits(plain.grad_duration)
             assert bits(handed.fidelity) == bits(plain.fidelity)
         assert bits(model_fidelity(MODEL, p, PSI0, TARGET)) == bits(plain.fidelity)
-        assert bits(model_fidelity(MODEL, p, PSI0, TARGET, decomposition)) == bits(plain.fidelity)
+        assert bits(_model_fidelity(MODEL, p, PSI0, TARGET, decomposition)) == bits(plain.fidelity)
         assert bits(evaluated) == bits(plain.fidelity)
         assert np.array_equal(states[0], PSI0)
 

@@ -34,8 +34,7 @@ from belltime.experiment import (
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
-    evolve_at,
-    partial_at,
+    reference_partial,
     reference_probe_evolution,
     reference_pulse_evolution,
     reference_relaxation_matrices,
@@ -331,28 +330,20 @@ class TestOpenEvolution:
             backend = ExperimentBackend(dataclasses.replace(config, noise_sigma=noise_sigma))
             for m_slices in (1, 7, 50):
                 pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
-                dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
                 uniform = np.full(m_slices, pulse.slice_duration_s)
                 # the closed-form map reorders the Kraus arithmetic: 1e-12, not bits
-                for rho, durations in ((backend.evolve_open(pulse), uniform),
-                                       (evolve_at(backend, pulse, dts), dts)):
-                    expected = reference_evolution(backend, pulse, durations)
-                    assert np.max(np.abs(rho - expected)) <= 1e-12
+                expected = reference_evolution(backend, pulse, uniform)
+                assert np.max(np.abs(backend.evolve_open(pulse) - expected)) <= 1e-12
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(apparatus=st.sampled_from(sorted(APPARATUS)), m_slices=st.integers(1, 60),
-           duration=st.floats(1e-4, 6e-3), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_equals_matmul_loop_bit_for_bit(self, apparatus, m_slices, duration, uniform, seed):
+           duration=st.floats(1e-4, 6e-3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_matmul_loop_bit_for_bit(self, apparatus, m_slices, duration, seed):
         backend = ExperimentBackend(mismatch_config(**APPARATUS[apparatus]))
-        rng = np.random.default_rng(seed)
-        pulse = random_pulse(m_slices, duration, 150.0, rng)
-        if uniform:
-            dts = np.full(m_slices, pulse.slice_duration_s)
-            rho = backend.evolve_open(pulse)
-        else:
-            dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
-            rho = evolve_at(backend, pulse, dts)
-        expected = reference_pulse_evolution(backend, pulse, dts)
+        pulse = random_pulse(m_slices, duration, 150.0, np.random.default_rng(seed))
+        rho = backend.evolve_open(pulse)
+        uniform = np.full(m_slices, pulse.slice_duration_s)
+        expected = reference_pulse_evolution(backend, pulse, uniform)
         assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
 
     def test_t2_in_the_validators_slack_decays_as_the_kraus_channel(self):
@@ -379,19 +370,22 @@ class TestOpenEvolution:
         for config in (ideal_config(), mismatch_config(), mismatch_config(distortion_tau_s=0.0)):
             # a second, fresh backend: the first keeps the pulse's evolution
             backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
-            rho, leaving, observables = backend._evolve(
-                pulse.amplitudes_hz, uniform, slices, columns, values
+            leaving, observables = backend._evolve(
+                pulse.amplitudes_hz, pulse.slice_duration_s, slices, columns, values
             )
+            rho = backend.evolve_open(pulse)
             assert np.array_equal(rho, fresh.evolve_open(pulse))
             assert np.array_equal(leaving[5:9], np.repeat(rho[None], 4, axis=0))
-            alone = [evolve_at(fresh, pulse.with_amplitudes(a), d) for a, d in zip(amps, dts)]
+            alone = [reference_pulse_evolution(fresh, pulse.with_amplitudes(a), d)
+                     for a, d in zip(amps, dts)]
             assert np.max(np.abs(readouts(leaving, observables) - readouts(alone))) <= 1e-12
 
     @pytest.mark.parametrize("m_slices", [1, 7, 50])
     def test_back_propagated_readouts_equal_forward_evolution(self, m_slices):
-        # Non-uniform slices under relaxation and the low-pass: every probe
-        # read out against observables back-propagated to the end of its
-        # window agrees with evolving it whole, forward, to 1e-12.
+        # Large steps of an amplitude or a slice duration under relaxation
+        # and the low-pass: every probe read out against observables
+        # back-propagated to the end of its window agrees with evolving it
+        # whole, forward, to 1e-12.
         rng = np.random.default_rng(47 + m_slices)
         for config in (mismatch_config(), mismatch_config(distortion_tau_s=0.0),
                        mismatch_config(distortion_tau_s=5e-3, t1_s=(1e-3, 2e-3),
@@ -400,21 +394,21 @@ class TestOpenEvolution:
             backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
             for _ in range(3):
                 pulse = random_pulse(m_slices, rng.uniform(1e-3, 5e-3), 150.0, rng)
-                pulse_dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=m_slices)
+                dt = pulse.slice_duration_s
                 slices = rng.integers(0, m_slices, size=12)
                 columns = rng.integers(0, DURATION_COLUMN + 1, size=12)
                 values = np.where(  # large steps of an amplitude or a duration
                     columns == DURATION_COLUMN,
-                    pulse_dts[slices] * rng.uniform(0.5, 1.5, size=12),
+                    dt * rng.uniform(0.5, 1.5, size=12),
                     pulse.amplitudes_hz[slices, np.minimum(columns, 3)]
                     + rng.normal(0.0, 20.0, size=12),
                 )
-                amps, dts = expand(pulse.amplitudes_hz, pulse_dts, slices, columns, values)
-                rho, leaving, observables = backend._evolve(
-                    pulse.amplitudes_hz, pulse_dts, slices, columns, values
-                )
-                assert np.array_equal(rho, evolve_at(fresh, pulse, pulse_dts))
-                forward = [evolve_at(fresh, pulse.with_amplitudes(a), d) for a, d in zip(amps, dts)]
+                probes = slices, columns, values
+                amps, dts = expand(pulse.amplitudes_hz, np.full(m_slices, dt), *probes)
+                leaving, observables = backend._evolve(pulse.amplitudes_hz, dt, *probes)
+                assert np.array_equal(backend.evolve_open(pulse), fresh.evolve_open(pulse))
+                forward = [reference_pulse_evolution(fresh, pulse.with_amplitudes(a), d)
+                           for a, d in zip(amps, dts)]
                 assert np.max(np.abs(readouts(leaving, observables) - readouts(forward))) <= 1e-12
                 # the Kraus loop, independent of the tabled map and its transpose
                 kraus = [reference_evolution(backend, pulse.with_amplitudes(a), d)
@@ -432,13 +426,33 @@ class TestOpenEvolution:
         again = backend.evolve_open(pulse)
         assert np.array_equal(again, expected)
         probes = entry_probes(pulse, np.random.default_rng(42), 5)
-        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
-        rho, leaving, observables = backend._evolve(pulse.amplitudes_hz, uniform, *probes)
-        for handed in (rho, leaving, observables):
+        leaving, observables = backend._evolve(pulse.amplitudes_hz, pulse.slice_duration_s, *probes)
+        for handed in (leaving, observables):
             handed[...] = 0.0
         assert np.array_equal(backend.evolve_open(pulse), expected)
         fresh = ExperimentBackend(backend.config)
         assert backend.fidelity_partial(pulse) == fresh.fidelity_partial(pulse)
+
+    @pytest.mark.parametrize("apparatus", sorted(APPARATUS))
+    def test_a_kept_evolution_is_keyed_by_its_slice_duration(self, apparatus):
+        # the same amplitudes over another duration are another pulse: its
+        # state and its probes' are a fresh backend's, bit for bit
+        config = mismatch_config(**APPARATUS[apparatus])
+        rng = np.random.default_rng(61)
+        pulse = random_pulse(6, 1e-3, 100.0, rng)
+        longer = pulse.with_duration(1.5e-3)
+        probes = entry_probes(longer, rng, 7)
+        backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
+        first = backend.evolve_open(pulse)
+        second = backend.evolve_open(longer)
+        assert not np.array_equal(second, first)
+        assert np.array_equal(second.view(np.int64), fresh.evolve_open(longer).view(np.int64))
+        backend.evolve_open(pulse)
+        dt = longer.slice_duration_s
+        evolved = backend._evolve(longer.amplitudes_hz, dt, *probes)
+        expected = ExperimentBackend(config)._evolve(longer.amplitudes_hz, dt, *probes)
+        for got, want in zip(evolved, expected):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_output_is_physical_under_mismatch(self):
         backend = ExperimentBackend(mismatch_config())
@@ -651,7 +665,7 @@ class TestProbeEvolution:
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         expected = [
-            partial_at(single, pulse.with_amplitudes(a), d, c)
+            reference_partial(single, pulse.with_amplitudes(a), d, c)
             for a, d, c in zip(amps, dts, categories)
         ]
         # back-propagated readouts reorder the arithmetic: 1e-12, not bits
@@ -683,7 +697,8 @@ class TestProbeEvolution:
                 "different": random_pulse(1 + seed % 4, 1e-3, 150.0, np.random.default_rng(seed)),
             }[earlier]
             assert backend.fidelity_partial(before) == fresh.fidelity_partial(before)
-        evolved = backend._evolve(pulse.amplitudes_hz, uniform, *entries)
+        probed = backend._evolve(pulse.amplitudes_hz, pulse.slice_duration_s, *entries)
+        evolved = (backend.evolve_open(pulse), *probed)
         for got, want in zip(evolved, expected):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -711,9 +726,9 @@ class TestProbeEvolution:
             rounded_away += np.count_nonzero(values * scale[columns] == programmed * scale[columns])
             dts = np.full(m_slices, pulse.slice_duration_s)
             evolved = ExperimentBackend(config)._evolve(
-                pulse.amplitudes_hz, dts, slices, columns, values
+                pulse.amplitudes_hz, pulse.slice_duration_s, slices, columns, values
             )
-            expected = reference_probe_evolution(
+            _, *expected = reference_probe_evolution(
                 ExperimentBackend(config), pulse.amplitudes_hz, dts,
                 *expand(pulse.amplitudes_hz, dts, slices, columns, values),
             )
@@ -854,7 +869,7 @@ class TestReadout:
         single = ExperimentBackend(mismatch_config(seed=24))
         values = batched.fidelity_partial_batch(pulse, *probes, categories)
         expected = [
-            partial_at(single, pulse.with_amplitudes(a), d, c)
+            reference_partial(single, pulse.with_amplitudes(a), d, c)
             for a, d, c in zip(amps, dts, categories)
         ]
         assert np.max(np.abs(values - expected)) <= 1e-12
@@ -934,12 +949,12 @@ class TestReadout:
         evolve = backend._evolve
 
         def corrupt(*args):
-            rho, leaving, observables = evolve(*args)
+            leaving, observables = evolve(*args)
             if corruption == "non-Hermitian":
                 leaving[5, 0, 1] += 1e-6
             else:
                 leaving[5] *= 1.0 + 1e-6
-            return rho, leaving, observables
+            return leaving, observables
 
         monkeypatch.setattr(backend, "_evolve", corrupt)
         pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(10))
@@ -949,6 +964,25 @@ class TestReadout:
         with pytest.raises(ValueError, match=match):
             backend.fidelity_partial_batch(pulse, slices, columns, values, ["gradient_control"] * 9)
         assert backend.ledger.total_measurements == 0
+
+    @pytest.mark.parametrize("apparatus", sorted(APPARATUS))
+    @pytest.mark.parametrize("amplitude_hz", [1e10, 1e200])
+    def test_a_slice_past_the_closed_forms_limit_is_rejected_untouched(
+        self, apparatus, amplitude_hz
+    ):
+        # At 1e10 Hz the closed form drifts past the density check's
+        # tolerance; at 1e200 Hz its products would overflow.  Both raise
+        # the named limit before anything overflows, is drawn or charged.
+        pulse = random_pulse(50, 5e-3, amplitude_hz, np.random.default_rng(59))
+        backend = ExperimentBackend(mismatch_config(**APPARATUS[apparatus]))
+        before = backend._rng.bit_generator.state
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="MAX_SLICE_TURN_RAD"):
+                backend.fidelity_partial(pulse)
+            with pytest.raises(ValueError, match="MAX_SLICE_TURN_RAD"):
+                backend.fidelity_partial_batch(pulse, [3], [0], [1.0], ["gradient_control"])
+        assert backend.ledger.total_measurements == 0
+        assert backend._rng.bit_generator.state == before
 
     def test_measure_pauli_validates_its_state(self):
         backend = ExperimentBackend(ideal_config())

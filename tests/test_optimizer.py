@@ -40,7 +40,7 @@ from belltime.optimizer import (
     verify_trace_invariants,
 )
 from belltime.runconfig import RunConfig
-from oracles import partial_at
+from oracles import reference_partial
 
 G_HZ = 217.4
 
@@ -60,7 +60,13 @@ MISMATCH = dict(
 
 
 def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_step_time_s):
-    """Reference for finite_diff_gradients: one fidelity_partial call per probe."""
+    """Reference for finite_diff_gradients: one readout per probe.
+
+    An amplitude probe is one ``fidelity_partial`` call; a duration probe,
+    which the backend takes only in a batch, is evolved by
+    ``reference_pulse_evolution`` and read out through the same noise
+    stream and ledger (``reference_partial``).
+    """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
     grad_u = np.zeros_like(amps)
@@ -84,9 +90,9 @@ def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_st
     for m in range(m_slices):
         durations = np.full(m_slices, base)
         durations[m] = base + ht
-        j_plus = partial_at(backend, pulse, durations, "gradient_time")
+        j_plus = reference_partial(backend, pulse, durations, "gradient_time")
         durations[m] = base - ht
-        j_minus = partial_at(backend, pulse, durations, "gradient_time")
+        j_minus = reference_partial(backend, pulse, durations, "gradient_time")
         slope_sum += (j_plus - j_minus) / (2.0 * ht)
     return grad_u, slope_sum / m_slices
 
@@ -517,9 +523,13 @@ class TestModelGradientReuse:
                 return fn(*args)
             return counted
 
-        monkeypatch.setattr(optimizer, "model_fidelity", counting("fidelity", model_fidelity))
+        # the run's oracles are the unchecked cores, which take those two
         monkeypatch.setattr(
-            optimizer, "fidelity_and_gradients", counting("gradients", fidelity_and_gradients)
+            optimizer, "model_fidelity", counting("fidelity", dynamics._model_fidelity)
+        )
+        monkeypatch.setattr(
+            optimizer, "fidelity_and_gradients",
+            counting("gradients", dynamics._fidelity_and_gradients),
         )
         decompose = counting("decomposed", slice_propagators)
         monkeypatch.setattr(optimizer, "slice_propagators", decompose)
