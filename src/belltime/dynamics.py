@@ -269,24 +269,21 @@ def model_fidelity(
     """|<target| U_M ... U_1 |psi0>|^2 under the nominal model."""
     target = require_state(target)
     psi0 = require_state(psi0)
-    return _model_fidelity(model, pulse, psi0, target)
+    return _model_fidelity(model, pulse, psi0, target)[0]
 
 
-def _model_fidelity(model, pulse, psi0, target, decomposition=None, states=None) -> float:
+def _model_fidelity(model, pulse, psi0, target):
     """``model_fidelity`` of checked complex states, for callers that checked them once.
 
-    ``decomposition``, when given, is ``slice_propagators`` of this pulse
-    (its applied amplitudes and slice duration), and is used as is.
-    ``states``, when given, is an (M + 1, 4) complex array that receives
-    the forward states psi_0 = psi0, psi_m = U_m psi_{m-1}, which
-    ``_fidelity_and_gradients`` of the same pulse can take.
+    Returns (J, sweep).  The sweep is what the pulse's gradient needs of
+    this evaluation: its ``slice_propagators`` decomposition (U, H, w, v)
+    and the (M + 1, 4) forward states psi_0 = psi0, psi_m = U_m psi_{m-1}.
+    ``_fidelity_and_gradients`` of the same pulse and states takes it.
     """
-    if decomposition is None:
-        decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
-    if states is None:
-        states = np.empty((pulse.n_slices + 1, 4), dtype=np.complex128)
+    decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
+    states = np.empty((pulse.n_slices + 1, 4), dtype=np.complex128)
     _sweep(decomposition[0], psi0, states)
-    return float(abs(np.vdot(target, states[-1])) ** 2)
+    return float(abs(np.vdot(target, states[-1])) ** 2), (decomposition, states)
 
 
 def _sweep(u: np.ndarray, start: np.ndarray, states: np.ndarray) -> None:
@@ -334,28 +331,21 @@ def fidelity_and_gradients(
     return _fidelity_and_gradients(model, pulse, psi0, target)
 
 
-def _fidelity_and_gradients(
-    model, pulse, psi0, target, decomposition=None, states=None
-) -> GradientBundle:
+def _fidelity_and_gradients(model, pulse, psi0, target, sweep=None) -> GradientBundle:
     """``fidelity_and_gradients`` of checked complex states, for callers that checked them once.
 
-    ``decomposition`` and ``states`` are as in ``_model_fidelity``: the
-    forward states filled there from this decomposition and ``psi0``.
-    The result is the same bit for bit with or without either.
+    ``sweep`` is the second value of ``_model_fidelity`` of this pulse
+    and these states; it is built here when not given.  The result is
+    the same bit for bit either way.
     """
     m_slices = pulse.n_slices
     dt = pulse.slice_duration_s
-
-    if decomposition is None:
-        decomposition = slice_propagators(model, pulse.amplitudes_hz, dt)
-    u, hams, w, v = decomposition
+    if sweep is None:
+        sweep = _model_fidelity(model, pulse, psi0, target)[1]
+    (u, hams, w, v), fwd = sweep
 
     # Forward states psi_m and backward costates chi_m with
     # c = chi_m^dag U_m psi_{m-1} for every m; bwd is swept from its end.
-    if states is None:
-        states = np.empty((m_slices + 1, 4), dtype=np.complex128)
-        _sweep(u, psi0, states)
-    fwd = states
     bwd = np.empty((m_slices + 1, 4), dtype=np.complex128)
     _sweep(u[::-1].conj().transpose(0, 2, 1), target, bwd[::-1])
 

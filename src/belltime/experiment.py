@@ -316,10 +316,11 @@ def _advance(u: np.ndarray, rho: np.ndarray, table, durations) -> np.ndarray:
 
     ``table`` holds relaxation matrices (None: no relaxation) and
     ``durations`` each state's row in it; one matrix serves the whole
-    stack when every state takes the same.
+    stack when every state takes the same.  The stack is never empty:
+    ``_evolve``'s step s holds every window longer than s.
     """
     block = u @ rho @ u.conj().swapaxes(-1, -2)
-    if table is None or not len(block):
+    if table is None:
         return block
     uniform = (durations == durations[0]).all()
     return _relaxed(table[durations[0] if uniform else durations], block)
@@ -439,7 +440,9 @@ class ExperimentBackend:
         the entries alone give them (``_one_slice_pairs``): a probe's
         window is its own slice, or none where the channel scale rounds
         its change away.  Under the low-pass a change carries on into
-        later slices (``_filtered_pairs``).  One loop then serves both.
+        later slices (``_filtered_pairs``), and each probe's filtered
+        waveform is compared with the pulse's kept applied amplitudes.
+        Both decoders take the same arguments, and one loop serves both.
         Every pair's propagator is exponentiated in closed form from its
         own applied amplitudes and duration, all pairs in one
         ``closed_form_propagators`` call, with no eigendecomposition; a
@@ -461,11 +464,8 @@ class ExperimentBackend:
             return np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
         u, u_dag, applied, relaxation, states = self._pulse_evolution(amplitudes, dt)
         m_slices = len(amplitudes)
-        if self._tau:
-            pairs = self._filtered_pairs(amplitudes, dt, slices, columns, values)
-        else:
-            pairs = self._one_slice_pairs(applied, dt, slices, columns, values)
-        probe, at, durations, pair_applied = pairs
+        decode = self._filtered_pairs if self._tau else self._one_slice_pairs
+        probe, at, durations, pair_amps = decode(amplitudes, applied, dt, slices, columns, values)
         # each probe's window: its first pair and its length (0: it differs nowhere)
         lengths = np.bincount(probe, minlength=len(slices))
         first = np.cumsum(lengths) - lengths
@@ -480,7 +480,7 @@ class ExperimentBackend:
         order = np.empty(len(probe), dtype=np.intp)
         order[start[step] + rank[probe]] = np.arange(len(probe))
         durations = durations[order]
-        u_pairs = closed_form_propagators(self._model, pair_applied[order], durations)
+        u_pairs = closed_form_propagators(self._model, pair_amps[order], durations)
         table = index = None
         if self._t1_t2:
             factors, index = _decay_factors(durations, self._t1_t2)
@@ -506,11 +506,12 @@ class ExperimentBackend:
             observables[m] = o
         return leaving, observables[leave]
 
-    def _one_slice_pairs(self, applied, dt, slices, columns, values):
+    def _one_slice_pairs(self, amplitudes, applied, dt, slices, columns, values):
         """The (probe, slice) pairs of ``_evolve`` without the low-pass, from the entries alone.
 
-        ``applied`` holds the pulse's (M, 4) applied amplitudes; the other
-        arguments are those of ``_evolve``.  A probe changes at most its
+        ``applied`` holds the pulse's (M, 4) applied amplitudes, kept by
+        ``_pulse_evolution``; the other arguments are those of ``_evolve``,
+        and ``amplitudes`` goes unused.  A probe changes at most its
         own slice: an amplitude probe its applied row, unless the channel
         scale rounds the change away, and a duration probe its duration.
         Returns, per pair in probe order: the probe, the slice, the
@@ -528,35 +529,36 @@ class ExperimentBackend:
         probe = np.flatnonzero(changed)
         return probe, slices[probe], np.where(timed[probe], values[probe], dt), applied[probe]
 
-    def _filtered_pairs(self, amplitudes, dt, slices, columns, values):
+    def _filtered_pairs(self, amplitudes, applied, dt, slices, columns, values):
         """``_one_slice_pairs`` under the low-pass, where a window can span many slices.
 
-        Arguments are those of ``_evolve``.  The probes are expanded into
-        (B, M, 4) programmed waveforms and (B, M) durations, filtered
-        with the pulse's as one stack and compared on flat (B + 1, 4M)
-        rows, a slice's four flags read as one 4-byte word.  Every slice
-        from the first to the last that differs is a pair, in
-        probe-major order.
+        Arguments are those of ``_one_slice_pairs``.  The probes are
+        expanded into (B, M, 4) programmed waveforms and (B, M) durations,
+        filtered as one stack and compared on flat (B, 4M) rows with the
+        kept ``applied``, a slice's four flags read as one 4-byte word.  A
+        waveform's filter has the same bits alone as in any stack, so a
+        slice that a probe leaves alone compares equal.  Every slice from
+        the first to the last that differs is a pair, in probe-major order.
         """
         n_probes, m_slices = len(slices), len(amplitudes)
-        rows = 1 + np.arange(n_probes)  # row 0: the pulse
+        rows = np.arange(n_probes)
         timed = columns == DURATION_COLUMN
-        programmed = np.repeat(amplitudes[None], n_probes + 1, axis=0)
+        programmed = np.repeat(amplitudes[None], n_probes, axis=0)
         programmed[rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
-        dts = np.full((n_probes + 1, m_slices), dt)
+        dts = np.full((n_probes, m_slices), dt)
         dts[rows[timed], slices[timed]] = values[timed]
         factors, index = _decay_factors(dts, self._tau)
-        # flat (B + 1, 4M) rows, in place: a copy of the low-pass's slice-major output
-        flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes + 1, -1)
+        # flat (B, 4M) rows, in place: a copy of the low-pass's slice-major output
+        flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes, -1)
         np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
         # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
-        moved = (flat[1:] != flat[0]).view(np.uint32).astype(bool)  # (B, M)
-        own = moved | (dts[1:] != dt)
+        moved = (flat != applied.reshape(-1)).view(np.uint32).astype(bool)  # (B, M)
+        own = moved | (dts != dt)
         # from the first slice that differs through the last
         window = np.logical_or.accumulate(own, axis=1)
         window &= np.logical_or.accumulate(own[:, ::-1], axis=1)[:, ::-1]
         probe, at = window.nonzero()
-        return probe, at, dts[1:][window], flat[1:].reshape(n_probes, m_slices, 4)[window]
+        return probe, at, dts[window], flat.reshape(n_probes, m_slices, 4)[window]
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
         """Noisy expectations (B, L) of L observables in B checked states.

@@ -47,10 +47,11 @@ tests, and a gradient source that proposes the next trial.
   model gradients at zero measurement cost.
 
 A model gradient is a pure function of the pulse, so it is computed once
-per baseline pulse, from the slice decomposition that the pulse's own
-evaluation built; a rejected trial, a phase switch and a baseline
-re-measurement reuse it.  A measured gradient is re-measured every
-iteration, since its readouts and noise draws are part of the run.
+per baseline pulse, from the sweep (slice decomposition and forward
+states) that the model built when it evaluated that pulse; a rejected
+trial, a phase switch and a baseline re-measurement reuse it.  A
+measured gradient is re-measured every iteration, since its readouts and
+noise draws are part of the run.
 
 Each evaluation also returns the design model's prediction for the same
 controls, which the trace logs beside the oracle's value.
@@ -88,7 +89,8 @@ import numpy as np
 
 # A run checks its two states once, in ``_oracles``, so its model oracles
 # are the unchecked cores of ``model_fidelity`` and
-# ``fidelity_and_gradients``.  They keep those names here, where this
+# ``fidelity_and_gradients``: the first returns (J, sweep), and the second
+# takes that sweep back.  They keep the public names here, where this
 # module's callers look them up and tests and perfbench/tracing.py wrap them.
 from .dynamics import (
     GradientBundle,
@@ -97,7 +99,6 @@ from .dynamics import (
     as_integer,
     as_real,
     random_pulse,
-    slice_propagators,
 )
 from .dynamics import _fidelity_and_gradients as fidelity_and_gradients
 from .dynamics import _model_fidelity as model_fidelity
@@ -288,7 +289,7 @@ def _restart_climb_step(
         grown = step / BACKTRACK_FACTOR
         trial, dot = _step_along(pulse, grown, grad_u, grad_u)
         rhs = j_start + ALPHA * grown * dot
-        if not model_fidelity(model, trial, psi0, target) >= rhs:
+        if not model_fidelity(model, trial, psi0, target)[0] >= rhs:
             break
         step = grown
     return step
@@ -389,25 +390,22 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     psi0, target = require_state(psi0), require_state(target)  # once per run
 
-    # The last model-evaluated pulse with its slice decomposition and
-    # forward states, and the last graded pulse with its bundle, both
-    # matched by identity.
-    evaluated = (None, None, None)
+    # The last model-evaluated pulse with its sweep, and the last graded
+    # pulse with its bundle, both matched by identity.
+    evaluated = (None, None)
     graded = (None, None)
 
     def model_j(p: PulseSequence) -> float:
         nonlocal evaluated
-        decomposition = slice_propagators(model, p.amplitudes_hz, p.slice_duration_s)
-        states = np.empty((p.n_slices + 1, 4), dtype=np.complex128)
-        j = model_fidelity(model, p, psi0, target, decomposition, states)
-        evaluated = (p, decomposition, states)
+        j, sweep = model_fidelity(model, p, psi0, target)
+        evaluated = (p, sweep)
         return j
 
     def model_gradients(p: PulseSequence) -> GradientBundle:
         nonlocal graded
         if graded[0] is not p:
-            handed = evaluated[1:] if evaluated[0] is p else (None, None)
-            graded = (p, fidelity_and_gradients(model, p, psi0, target, *handed))
+            sweep = evaluated[1] if evaluated[0] is p else None
+            graded = (p, fidelity_and_gradients(model, p, psi0, target, sweep))
         return graded[1]
 
     if mode == "model-only":
@@ -617,11 +615,7 @@ def run_optimization(
                 at_target_since = n
         else:
             at_target_since = None
-        if (
-            len(records) > STALL_WINDOW
-            and at_target_since is not None
-            and n - at_target_since >= STALL_WINDOW
-        ):
+        if at_target_since is not None and n - at_target_since >= STALL_WINDOW:
             t_then = records[-1 - STALL_WINDOW].t_seconds
             if t_then - pulse.duration_s < STALL_EPSILON_T_S:
                 termination = "stalled"
@@ -643,7 +637,7 @@ def run_optimization(
         records=records,
         termination=termination,
         ledger=ledger,
-        final_model_fidelity=model_fidelity(model, final_pulse, psi0, target),
+        final_model_fidelity=model_fidelity(model, final_pulse, psi0, target)[0],
         final_full_fidelity=final_full,
     )
 

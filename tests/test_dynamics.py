@@ -417,9 +417,8 @@ class TestModelFidelity:
     def test_equals_matmul_loop_bit_for_bit(self, amps, duration, pair, handed):
         p = PulseSequence(duration, amps)
         psi0, target = STATE_PAIRS[pair]
-        if handed:  # the optimizer's core, with the decomposition it builds
-            decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
-            fast = _model_fidelity(MODEL, p, psi0, target, decomposition)
+        if handed:  # the optimizer's core, which hands its sweep on
+            fast = _model_fidelity(MODEL, p, psi0, target)[0]
         else:
             fast = model_fidelity(MODEL, p, psi0, target)
         assert fast.hex() == reference_model_fidelity(MODEL, p, psi0, target).hex()
@@ -463,24 +462,26 @@ class TestGradients:
     )
     def test_handed_decomposition_changes_nothing(self, amps, zero_rows, duration):
         # Zero-drive rows leave the bare, doubly degenerate ZZ Hamiltonian.
-        # The optimizer's cores take the decomposition and the forward
-        # states that _model_fidelity filled, as its memo hands them on.
+        # The optimizer's gradient core takes the sweep (decomposition and
+        # forward states) that _model_fidelity built, as its memo hands it on.
         amps[[r for r in zero_rows if r < len(amps)]] = 0.0
         p = PulseSequence(duration, amps)
-        decomposition = slice_propagators(MODEL, p.amplitudes_hz, p.slice_duration_s)
-        states = np.empty((p.n_slices + 1, 4), dtype=np.complex128)
-        evaluated = _model_fidelity(MODEL, p, PSI0, TARGET, decomposition, states)
+        evaluated, sweep = _model_fidelity(MODEL, p, PSI0, TARGET)
+        decomposition, states = sweep
         plain = fidelity_and_gradients(MODEL, p, PSI0, TARGET)
         for handed in (
-            _fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition),
-            _fidelity_and_gradients(MODEL, p, PSI0, TARGET, decomposition, states),
+            _fidelity_and_gradients(MODEL, p, PSI0, TARGET),
+            _fidelity_and_gradients(MODEL, p, PSI0, TARGET, sweep),
         ):
             assert np.array_equal(bits(handed.grad_amplitudes), bits(plain.grad_amplitudes))
             assert bits(handed.grad_duration) == bits(plain.grad_duration)
             assert bits(handed.fidelity) == bits(plain.fidelity)
         assert bits(model_fidelity(MODEL, p, PSI0, TARGET)) == bits(plain.fidelity)
-        assert bits(_model_fidelity(MODEL, p, PSI0, TARGET, decomposition)) == bits(plain.fidelity)
         assert bits(evaluated) == bits(plain.fidelity)
+        # the sweep holds the pulse's own decomposition, as recomputed
+        for kept, fresh in zip(decomposition, slice_propagators(
+                MODEL, p.amplitudes_hz, p.slice_duration_s)):
+            assert np.array_equal(bits(kept), bits(fresh))
         assert np.array_equal(states[0], PSI0)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -517,13 +517,13 @@ class TestModelGradientReuse:
         def counting(name, fn):
             def counted(*args):
                 calls[name] += 1
-                # handed: the evaluation's decomposition and forward states
-                if name == "gradients" and len(args) == 6 and all(a is not None for a in args[4:]):
+                # handed: the sweep of the pulse's own model evaluation
+                if name == "gradients" and len(args) == 5 and args[4] is not None:
                     calls["handed"] += 1
                 return fn(*args)
             return counted
 
-        # the run's oracles are the unchecked cores, which take those two
+        # the run's oracles are the unchecked cores, which pass that sweep on
         monkeypatch.setattr(
             optimizer, "model_fidelity", counting("fidelity", dynamics._model_fidelity)
         )
@@ -531,9 +531,9 @@ class TestModelGradientReuse:
             optimizer, "fidelity_and_gradients",
             counting("gradients", dynamics._fidelity_and_gradients),
         )
-        decompose = counting("decomposed", slice_propagators)
-        monkeypatch.setattr(optimizer, "slice_propagators", decompose)
-        monkeypatch.setattr(dynamics, "slice_propagators", decompose)
+        monkeypatch.setattr(
+            dynamics, "slice_propagators", counting("decomposed", slice_propagators)
+        )
         restart_climb_step = optimizer._restart_climb_step
         restarts = []
 
@@ -560,8 +560,8 @@ class TestModelGradientReuse:
         # its gradient.
         assert calls["gradients"] == 1 + sum(r.accepted for r in trials)
         # Every graded pulse was the last one evaluated, so each gradient
-        # takes that evaluation's decomposition and forward states, and
-        # slice_propagators runs exactly once per model fidelity: once per
+        # takes that evaluation's sweep (decomposition and forward states),
+        # and slice_propagators runs exactly once per model fidelity: once per
         # iteration, once per restart-sizing trial step and once for the
         # final pulse.  The sizing starts from the re-measurement's own
         # model fidelity.
@@ -577,20 +577,54 @@ class TestModelGradientReuse:
     def test_handed_decompositions_change_nothing(self, model, mode, monkeypatch):
         fast = short_run(model, mode)
 
-        def recompute(fn):
-            return lambda model, pulse, psi0, target, decomposition=None, states=None: fn(
-                model, pulse, psi0, target
-            )
-
-        monkeypatch.setattr(optimizer, "model_fidelity", recompute(model_fidelity))
+        # the public functions hand no sweep on and take none, so every
+        # gradient builds its own
         monkeypatch.setattr(
-            optimizer, "fidelity_and_gradients", recompute(fidelity_and_gradients)
+            optimizer, "model_fidelity",
+            lambda model, pulse, psi0, target: (model_fidelity(model, pulse, psi0, target), None),
+        )
+        monkeypatch.setattr(
+            optimizer, "fidelity_and_gradients",
+            lambda model, pulse, psi0, target, sweep=None: fidelity_and_gradients(
+                model, pulse, psi0, target
+            ),
         )
         slow = short_run(model, mode)
         assert [r.as_dict() for r in slow.records] == [r.as_dict() for r in fast.records]
         assert slow.final_pulse.duration_s == fast.final_pulse.duration_s
         assert np.array_equal(slow.final_pulse.amplitudes_hz, fast.final_pulse.amplitudes_hz)
         assert slow.ledger.as_dict() == fast.ledger.as_dict()
+
+    @pytest.mark.parametrize("mode", ["model-only", "balanced"])
+    def test_the_optimizer_decomposes_nothing_itself(self, model, mode, monkeypatch):
+        # Every eigendecomposition of the design model runs inside one of
+        # the model's two calls, so a traced run charges it to the model.
+        depth, model_calls, outside = [0], [0], []
+
+        def inside(fn):
+            def wrapped(*args):
+                model_calls[0] += fn is dynamics._model_fidelity
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        def decompose(*args):
+            outside.append(depth[0] == 0)
+            return slice_propagators(*args)
+
+        monkeypatch.setattr(optimizer, "model_fidelity", inside(dynamics._model_fidelity))
+        monkeypatch.setattr(
+            optimizer, "fidelity_and_gradients", inside(dynamics._fidelity_and_gradients)
+        )
+        monkeypatch.setattr(dynamics, "slice_propagators", decompose)
+        result = short_run(model, mode)
+        assert not hasattr(optimizer, "slice_propagators")
+        assert not any(outside)
+        # one decomposition per model fidelity, none of them the optimizer's own
+        assert len(outside) == model_calls[0] > len(result.records)
 
 
 class TestEvents:
