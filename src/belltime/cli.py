@@ -67,7 +67,7 @@ def _resolved_config(args) -> RunConfig:
 
 def _parse_seed_range(text: str) -> list[int]:
     first, sep, last = text.partition("..")
-    if not sep or not first.isdigit() or not last.isdigit():
+    if not sep or not all(end.isascii() and end.isdigit() for end in (first, last)):
         raise ConfigError(f"seeds: expected a range like 0..4, got {text!r}")
     a, b = int(first), int(last)
     if b < a:

@@ -55,7 +55,14 @@ measurement of it, do not evolve it again.  The probes' states are
 validated once, by a Cholesky screen (``require_density``), and their
 readout noise is drawn as one vector.  Noise stream and ledger are those
 of one ``fidelity_partial`` call per probe, and values agree with it to
-rounding (1e-12); single pulses keep their own bits.
+rounding (1e-12); a single pulse's evolution keeps its own bits.
+
+Every readout, of a single pulse or of a probe, alone or in a batch,
+goes through one kernel (``_expectations``): tr(rho O) as the real
+Frobenius contraction of the two matrices' 32 real and imaginary parts,
+exact for Hermitian O.  A readout takes the same operations in the same
+order wherever it sits, so a state has the same bits alone as in any
+stack, and an observable alone as in any set.
 """
 
 from __future__ import annotations
@@ -326,6 +333,35 @@ def _advance(u: np.ndarray, rho: np.ndarray, table, durations) -> np.ndarray:
     return _relaxed(table[durations[0] if uniform else durations], block)
 
 
+def _real_parts(a: np.ndarray) -> np.ndarray:
+    """A stack of 4 x 4 complex matrices as rows of their 32 real and imaginary parts.
+
+    The parts interleave, (Re a_00, Im a_00, Re a_01, ...), in one
+    contiguous row per matrix; a stack that is not C-contiguous (a
+    transposed state, say) is copied first.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape[:-2] + (32,))
+
+
+def _expectations(rhos: np.ndarray, observables: np.ndarray) -> np.ndarray:
+    """tr(rho O) of L observables in each of B states, as a (B, L) real array.
+
+    ``rhos`` is (B, 4, 4); ``observables`` is (L, 4, 4), the same for
+    every state, or (B, L, 4, 4), one set per state.  For Hermitian O,
+    tr(rho O) = sum_ij (Re rho_ij Re O_ij + Im rho_ij Im O_ij) exactly,
+    so a readout is one elementwise product of the two matrices' real
+    parts (``_real_parts``) and one ``np.add.reduce`` over its 32
+    contiguous values.  Every Pauli string passes ``require_hermitian``,
+    and a back-propagated image U^dag R^T(O) U is Hermitian to rounding.
+    Each readout takes the same operations in the same order wherever it
+    sits, so a state has the same bits alone as in any stack, and an
+    observable alone as in any set (``reference_readouts`` in
+    ``tests/oracles.py`` keeps the trace of the stacked product).
+    """
+    return np.add.reduce(_real_parts(rhos)[:, None] * _real_parts(observables), axis=-1)
+
+
 class ExperimentBackend:
     """Sequential driver of one emulated experiment.
 
@@ -561,15 +597,18 @@ class ExperimentBackend:
         return probe, at, dts[window], flat.reshape(n_probes, m_slices, 4)[window]
 
     def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
-        """Noisy expectations (B, L) of L observables in B checked states.
+        """Noisy expectations (B, L) of L Hermitian observables in B checked states.
 
         ``observables`` is (L, 4, 4), the same for every state, or
-        (B, L, 4, 4), one set per state.  The B*L noise samples are one
-        draw from the stream, in the order of B*L scalar readouts (state
-        by state, observable by observable); state b's L readouts are
-        charged to categories[b].
+        (B, L, 4, 4), one set per state.  The noiseless values come from
+        ``_expectations``, which needs Hermitian observables and gives a
+        state the same bits alone as in any stack, and an observable alone
+        as in any set.  The B*L noise samples are one draw from the
+        stream, in the order of B*L scalar readouts (state by state,
+        observable by observable); state b's L readouts are charged to
+        categories[b].
         """
-        values = np.trace(rhos[:, None] @ observables, axis1=-2, axis2=-1).real
+        values = _expectations(rhos, observables)
         sigma = self.config.noise_sigma
         if sigma > 0.0:
             values = values + self._rng.normal(0.0, sigma, size=values.size).reshape(values.shape)

@@ -20,6 +20,9 @@ path over dense probe stacks (``reference_probe_evolution``) and the
 density check by eigenvalues alone (``reference_require_density``).
 The package's routines must equal all of these bit for bit, and the
 density check must accept, reject and word its errors as its oracle does.
+The readouts' trace of the stacked product (``reference_readouts``) is
+the one oracle that the package meets to rounding only: its kernel is a
+real contraction in another order.
 
 The emulator runs a pulse on one slice duration T/M and moves a
 slice's duration only in a probe.  ``reference_pulse_evolution`` takes
@@ -115,7 +118,6 @@ def reference_model_fidelity(
     pulse: PulseSequence,
     psi0: np.ndarray,
     target: np.ndarray,
-    decomposition=None,
 ) -> float:
     """``model_fidelity`` with each slice applied as ``u_m @ psi``.
 
@@ -123,9 +125,7 @@ def reference_model_fidelity(
     """
     target = require_state(target)
     psi = require_state(psi0)
-    if decomposition is None:
-        decomposition = slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)
-    for u_m in decomposition[0]:
+    for u_m in slice_propagators(model, pulse.amplitudes_hz, pulse.slice_duration_s)[0]:
         psi = u_m @ psi
     return float(abs(np.vdot(target, psi)) ** 2)
 
@@ -259,6 +259,17 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
     return rho, leaving, observables[leave]
 
 
+def reference_readouts(rhos: np.ndarray, observables: np.ndarray) -> np.ndarray:
+    """``_expectations`` as the real part of the trace of each stacked product rho O.
+
+    ``rhos`` is (B, 4, 4) and ``observables`` (L, 4, 4) or (B, L, 4, 4),
+    as there.  It builds every 4 x 4 product to keep its diagonal.  The
+    package's kernel sums the same terms in another order, so it must
+    agree with this one to rounding, not bit for bit.
+    """
+    return np.trace(rhos[:, None] @ observables, axis1=-2, axis2=-1).real
+
+
 def reference_require_density(rho: np.ndarray) -> np.ndarray:
     """``require_density`` deciding every matrix by ``eigvalsh``, unscreened.
 
@@ -323,7 +334,6 @@ def reference_fidelity_and_gradients(
     pulse: PulseSequence,
     psi0: np.ndarray,
     target: np.ndarray,
-    decomposition=None,
 ) -> GradientBundle:
     """``fidelity_and_gradients`` with the slice axis first and dense E_c.
 
@@ -337,17 +347,13 @@ def reference_fidelity_and_gradients(
 
     which is smooth through eigenvalue degeneracies.  The duration
     derivative stretches all slices together: dU_m/dT = (-i H_m/M) U_m.
-    ``decomposition`` is as in ``model_fidelity``; the result is the same
-    bit for bit with or without it.
     """
     psi0 = require_state(psi0)
     target = require_state(target)
     m_slices = pulse.n_slices
     dt = pulse.slice_duration_s
 
-    if decomposition is None:
-        decomposition = slice_propagators(model, pulse.amplitudes_hz, dt)
-    u, hams, w, v = decomposition
+    u, hams, w, v = slice_propagators(model, pulse.amplitudes_hz, dt)
 
     # Forward states psi_m and backward costates chi_m with
     # c = chi_m^dag U_m psi_{m-1} for every m.

@@ -452,6 +452,11 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("seeds, message", [
         ("4..1", "seeds: range '4..1' is empty"),
         ("3", "seeds: expected a range like 0..4"),
+        ("0..x", "seeds: expected a range like 0..4"),
+        # digits outside ASCII: a superscript two, which int() rejects, and an
+        # Arabic-Indic three, which int() would read as 3
+        ("\u00b2..3", "seeds: expected a range like 0..4"),
+        ("0..\u0663", "seeds: expected a range like 0..4"),
     ])
     def test_bad_seed_range_is_config_error(self, tmp_path, capsys, seeds, message):
         code = main(
