@@ -394,14 +394,26 @@ def write_pulse_csv(pulse: PulseSequence, path) -> None:
 
 
 def read_pulse_csv(path) -> PulseSequence:
-    """Read a pulse written by write_pulse_csv."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read a pulse written by write_pulse_csv.
+
+    Every error the file's contents cause is a ValueError that names the
+    file: bytes that are not UTF-8, a metadata key given twice, a bad
+    header, row or value.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# T_seconds=... M=...' metadata line")
-    meta = dict(
-        item.split("=", 1) for item in lines[0].lstrip("#").split() if "=" in item
-    )
+    meta = {}
+    for item in lines[0].lstrip("#").split():
+        if "=" in item:
+            key, value = item.split("=", 1)
+            if key in meta:
+                raise ValueError(f"{path}: metadata key {key!r} is repeated in {lines[0]!r}")
+            meta[key] = value
     try:
         duration = float(meta["T_seconds"])
         m_slices = int(meta["M"])

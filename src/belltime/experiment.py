@@ -1,6 +1,6 @@
 """Emulated laboratory for closed-loop pulse optimization.
 
-The backend evolves density matrices under a hidden "true" model that
+The backend evolves the two spins under a hidden "true" model that
 deliberately differs from the design model: a miscalibrated coupling,
 per-channel amplitude scale errors, a first-order low-pass distortion of
 the programmed waveforms, and per-spin T1/T2 relaxation after each
@@ -12,7 +12,9 @@ and so one matrix; only a probe moves a slice's duration, and a batch
 of probes tables one matrix per distinct duration.  Expectation values
 are read out through a seeded Gaussian noise stream, and every readout
 is charged to a measurement ledger so the wall-clock cost of an
-optimization run can be audited afterwards.
+optimization run can be audited afterwards.  A lab with no finite T1
+or T2 prepares only pure states, and carries them as kets; a lossy lab
+carries density matrices.
 
 Fidelity oracles:
 
@@ -29,19 +31,24 @@ each probe setting one entry of the pulse's (M, 5) table [ux1, uy1,
 ux2, uy2, slice duration]: a probe is a (slice, column, value) triple,
 and a batch three arrays of them.  ``fidelity_partial_batch`` checks
 them all before it evolves, draws or charges anything, then makes four
-passes per call: it evolves the pulse forward once, keeping its state
-before every slice; it back-propagates the three correlators through
-the pulse's slices once, by the adjoint map (the Heisenberg picture of
-GRAPE's backward sweep); it evolves each probe forward through its own
+passes per call.  It evolves the pulse forward once, keeping its state
+before every slice, and evolves each probe forward through its own
 window only, the slices where it differs from the pulse, from the
-pulse's state where the window starts; and it reads each probe out
-where its window ends, against the correlators back-propagated to that
-point.  A window is a run of (probe, slice) pairs, found by one of two
-decoders: without the low-pass a probe's window is its own slice, read
-off its entry; under it the probes are expanded into programmed
-waveforms for the filter, and a window runs on until the change rounds
-away.  One loop then advances every window, longest first, over pairs
-laid out step-major, so each step's pairs are one contiguous run.
+pulse's state where the window starts.  A relaxation-free lab then
+builds the backward products W_m = U_{M-1} ... U_m of the pulse's
+slices once, completes each probe's ket to the pulse's end with the
+one at its window's end, and reads it out against the three plain
+correlators, as closed-system GRAPE carries state vectors.  A lossy lab
+back-propagates the three correlators through the pulse's slices once,
+by the adjoint map (the Heisenberg picture of GRAPE's backward sweep),
+and reads each probe's density out where its window ends, against the
+correlators back-propagated to that point.  A window is a run of
+(probe, slice) pairs, found by one of two decoders: without the
+low-pass a probe's window is its own slice, read off its entry; under
+it the probes are expanded into programmed waveforms for the filter,
+and a window runs on until the change rounds away.  One loop then
+advances every window, longest first, over pairs laid out step-major,
+so each step's pairs are one contiguous run.
 
 No slice is decomposed.  The pulse's slices and all of a batch's pairs
 are exponentiated in closed form, each set in one
@@ -50,12 +57,13 @@ are exponentiated in closed form, each set in one
 ``dynamics``), within about 1e-15 of ``scipy.linalg.expm``, and the same
 bits for a slice alone as in any stack.  The backend keeps its last
 pulse evolution (propagators, applied amplitudes, relaxation matrix and
-states), so the probes of a pulse just measured, or a repeated
-measurement of it, do not evolve it again.  The probes' states are
-validated once, by a Cholesky screen (``require_density``), and their
-readout noise is drawn as one vector.  Noise stream and ledger are those
-of one ``fidelity_partial`` call per probe, and values agree with it to
-rounding (1e-12); a single pulse's evolution keeps its own bits.
+kets or densities), so the probes of a pulse just measured, or a
+repeated measurement of it, do not evolve it again.  The probes' states
+are validated once, as densities, by a Cholesky screen
+(``require_density``), and their readout noise is drawn as one vector.
+Noise stream and ledger are those of one ``fidelity_partial`` call per
+probe, and values agree with it to rounding (1e-12); a single pulse's
+evolution keeps its own bits.
 
 Every readout, of a single pulse or of a probe, alone or in a batch,
 goes through one kernel (``_expectations``): tr(rho O) as the real
@@ -75,11 +83,12 @@ import numpy as np
 from .dynamics import (
     PulseSequence,
     SystemModel,
+    _sweep,
     as_integer,
     as_real,
     closed_form_propagators,
 )
-from .linalg import pauli_string, require_density, require_hermitian, singlet_state
+from .linalg import ket, pauli_string, require_density, require_hermitian, singlet_state
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
 TOMOGRAPHY_LABELS = tuple(
@@ -318,19 +327,31 @@ def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (matrices @ parts).view(np.complex128).reshape(rho.shape)
 
 
-def _advance(u: np.ndarray, rho: np.ndarray, table, durations) -> np.ndarray:
-    """A stack of (B, 4, 4) states through one slice each: U rho U^dag, then relaxation.
+def _advance(u: np.ndarray, states: np.ndarray, table, durations) -> np.ndarray:
+    """A stack of B states through one slice each.
 
-    ``table`` holds relaxation matrices (None: no relaxation) and
+    Without relaxation (``table`` None) the states are (B, 4) kets, and
+    each takes U psi as a stacked ``matmul``, which gives a ket the same
+    bits alone as in any stack.  Otherwise they are (B, 4, 4) densities:
+    U rho U^dag, then relaxation, ``table`` holding its matrices and
     ``durations`` each state's row in it; one matrix serves the whole
     stack when every state takes the same.  The stack is never empty:
     ``_evolve``'s step s holds every window longer than s.
     """
-    block = u @ rho @ u.conj().swapaxes(-1, -2)
     if table is None:
-        return block
+        return (u @ states[:, :, None])[:, :, 0]
+    block = u @ states @ u.conj().swapaxes(-1, -2)
     uniform = (durations == durations[0]).all()
     return _relaxed(table[durations[0] if uniform else durations], block)
+
+
+def _density(kets: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each ket of a (..., 4) stack, as (..., 4, 4).
+
+    An elementwise product, so a ket has the same bits alone as in any
+    stack.
+    """
+    return kets[..., :, None] * kets[..., None, :].conj()
 
 
 def _real_parts(a: np.ndarray) -> np.ndarray:
@@ -381,8 +402,7 @@ class ExperimentBackend:
         }
         self._partial_ops = np.stack([self._pauli[labels] for labels in PARTIAL_LABELS])
         self._tomography_ops = np.stack(list(self._pauli.values()))
-        self._ground = np.zeros((4, 4), dtype=np.complex128)
-        self._ground[0, 0] = 1.0
+        self._ground = ket("00")
         self._scale = np.array(config.amplitude_scale)
         self._tau = (config.distortion_tau_s,) if config.distortion_tau_s > 0.0 else ()
         # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
@@ -396,29 +416,35 @@ class ExperimentBackend:
 
         The programmed waveform is distorted, then scaled per channel;
         each slice applies its unitary followed by per-spin relaxation
-        over the slice duration T/M.
+        over the slice duration T/M.  A relaxation-free lab carries the
+        pure state as a ket and returns its |psi><psi|.
         """
-        states = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)[-1]
-        return states[-1].copy()
+        *_, relaxation, states = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)
+        return _density(states[-1]) if relaxation is None else states[-1].copy()
 
     def _pulse_evolution(self, amplitudes: np.ndarray, dt: float):
         """One pulse's evolution from |00><00|, kept until the next pulse.
 
         The pulse is (M, 4) programmed amplitudes over slices of duration
         ``dt``.  Returns (u, u_dag, applied, relaxation, states): the M
-        slice propagators and their adjoints, the (M, 4) applied
-        amplitudes they were built from, the ``_relax`` map over ``dt`` as
-        one 16 x 16 matrix (None without T1/T2), and the (M + 1, 4, 4)
+        slice propagators and, under relaxation, their adjoints, the
+        (M, 4) applied amplitudes they were built from, the ``_relax`` map
+        over ``dt`` as one 16 x 16 matrix (None without T1/T2), and the
         states before every slice.  The waveform is low-passed with one
         factor k = exp(-dt/tau), then scaled per channel, and the
         propagators are exponentiated in closed form
-        (``closed_form_propagators``), with no eigendecomposition.  Each
-        slice applies its unitary, then that matrix.  The loop makes each
-        product with 2-D ``ndarray.dot``, which calls the same BLAS kernel
-        as ``@`` on 2-D operands without the gufunc dispatch, and writes
-        the last product of a slice straight into the next state (the
-        relaxation's through that state's (16, 2) real view), so the bits
-        are those of the ``@`` loop (``tests/oracles.py``).
+        (``closed_form_propagators``), with no eigendecomposition.
+
+        Without T1/T2 every state is pure: ``u_dag`` is None and the
+        states are the (M + 1, 4) kets psi_{m+1} = U_m psi_m, swept by
+        the design model's ``_sweep``.  Under relaxation they are the
+        (M + 1, 4, 4) densities: each slice applies its unitary, then the
+        relaxation matrix.  Both loops make each product with 2-D
+        ``ndarray.dot``, which calls the same BLAS kernel as ``@`` on 2-D
+        operands without the gufunc dispatch, and write the last product
+        of a slice straight into the next state (the relaxation's through
+        that state's (16, 2) real view), so the bits are those of the
+        ``@`` loop (``tests/oracles.py``).
 
         The evolution is noiseless, so the last one is kept, keyed by the
         bytes of the amplitudes and by ``dt``: a pulse measured and then
@@ -429,20 +455,20 @@ class ExperimentBackend:
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
         factors = [math.exp(-dt / t) for t in self._tau + self._t1_t2]
-        applied, relaxation = amplitudes, None
+        applied = amplitudes
         if self._tau:
             applied = _low_pass(amplitudes[None], np.full((1, len(amplitudes)), factors[0]))[0]
-        if self._t1_t2:
-            relaxation = _relaxation_matrices(np.array([factors[len(self._tau):]]))[0]
         applied = applied * self._scale
         u = closed_form_propagators(self._model, applied, dt)
-        u_dag = u.conj().swapaxes(-1, -2)
-        states = np.empty((len(amplitudes) + 1, 4, 4), dtype=np.complex128)
-        states[0] = rho = self._ground
-        if relaxation is None:
-            for u_m, u_dag_m, after in zip(u, u_dag, states[1:]):
-                rho = u_m.dot(rho).dot(u_dag_m, after)
+        if not self._t1_t2:
+            states = np.empty((len(amplitudes) + 1, 4), dtype=np.complex128)
+            _sweep(u, self._ground, states)
+            evolution = (u, None, applied, None, states)
         else:  # the real map acts on (16, 2) views of vec(rho)'s real and imaginary parts
+            relaxation = _relaxation_matrices(np.array([factors[len(self._tau):]]))[0]
+            u_dag = u.conj().swapaxes(-1, -2)
+            states = np.empty((len(amplitudes) + 1, 4, 4), dtype=np.complex128)
+            states[0] = rho = _density(self._ground)
             rotated = np.empty((4, 4), dtype=np.complex128)
             rotated_parts = rotated.view(np.float64).reshape(16, 2)
             after_parts = states[1:].view(np.float64).reshape(len(amplitudes), 16, 2)
@@ -450,7 +476,7 @@ class ExperimentBackend:
                 u_m.dot(rho).dot(u_dag_m, rotated)
                 relaxation.dot(rotated_parts, parts)
                 rho = after
-        evolution = (u, u_dag, applied, relaxation, states)
+            evolution = (u, u_dag, applied, relaxation, states)
         self._kept = (key, evolution)
         return evolution
 
@@ -466,10 +492,15 @@ class ExperimentBackend:
         applied (distorted and scaled) amplitudes or its duration differ
         from the pulse's; each of its slices is a (probe, slice) pair.
         It is evolved through its window only, from the pulse's state
-        where the window starts, and read out where the window ends
-        against the ``PARTIAL_LABELS`` observables back-propagated there
-        through the pulse's remaining slices: O -> U^dag R^T(O) U per
-        slice, the adjoint of the forward map.
+        where the window starts (``_advance``).  A relaxation-free lab
+        then completes each probe's ket to the pulse's end with the
+        backward product W_m = U_{M-1} ... U_m at its window's end, one
+        4 x 4 ``dot`` per slice to build and one stacked ``matmul`` to
+        apply, and reads its |psi><psi| against the plain
+        ``PARTIAL_LABELS`` observables.  A lossy lab reads each probe's
+        density where its window ends, against those observables
+        back-propagated there through the pulse's remaining slices:
+        O -> U^dag R^T(O) U per slice, the adjoint of the forward map.
 
         One of two decoders lists the pairs.  Without the low-pass an
         applied amplitude differs only where the programmed one does, so
@@ -490,11 +521,12 @@ class ExperimentBackend:
         the relaxation table, one matrix per distinct duration;
         one-slice windows advance in one stacked product.
 
-        Returns copies: the probes' (B, 4, 4) states where their windows
-        end (the pulse's final state for a probe that differs nowhere)
-        and the (B, 3, 4, 4) observables back-propagated to those points;
-        a probe's readout equals its own evolution's up to reordered
-        rounding.  With no probes, nothing is evolved.
+        Returns copies: the probes' (B, 4, 4) states to read out (the
+        pulse's final state for a probe that differs nowhere) and their
+        observables, (3, 4, 4) for every probe of a relaxation-free lab
+        and (B, 3, 4, 4) back-propagated ones for a lossy lab.  A probe's
+        readout equals its own evolution's up to reordered rounding.
+        With no probes, nothing is evolved.
         """
         if not len(slices):
             return np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
@@ -529,15 +561,26 @@ class ExperimentBackend:
                 u_pairs[pair], stack[:count], table, None if index is None else index[pair]
             )
         leaving = np.repeat(states[-1:], len(slices), axis=0)
-        leaving[windows] = stack
         leave = np.full(len(slices), m_slices)
         leave[windows] = at[first] + lengths
 
+        if relaxation is None:
+            # W_m = U_{M-1} ... U_m completes a ket from slice m to the pulse's end
+            backward = np.empty((m_slices, 4, 4), dtype=np.complex128)
+            w = backward[m_slices - 1] = u[m_slices - 1]
+            for m in range(m_slices - 2, leave.min() - 1, -1):
+                w = w.dot(u[m], backward[m])
+            ends = leave[windows]
+            early = ends < m_slices
+            stack[early] = (backward[ends[early]] @ stack[early][:, :, None])[:, :, 0]
+            leaving[windows] = stack
+            return _density(leaving), self._partial_ops.copy()
+
+        leaving[windows] = stack
         observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
         observables[m_slices] = o = self._partial_ops
         for m in range(m_slices - 1, leave.min() - 1, -1):
-            if relaxation is not None:
-                o = _relaxed(relaxation.T, o)
+            o = _relaxed(relaxation.T, o)
             o = u_dag[m] @ o @ u[m]
             observables[m] = o
         return leaving, observables[leave]
@@ -655,9 +698,10 @@ class ExperimentBackend:
         amplitudes in Hz, column ``DURATION_COLUMN`` the slice's duration
         in s (T/M on the pulse); probe b is charged to categories[b].
         Each probe is evolved only through the slices where it differs
-        from the pulse, and read out against the correlators
-        back-propagated through the pulse's remaining slices
-        (``_evolve``).  Noise draws and ledger are those of B
+        from the pulse, then completed to the pulse's end as a ket
+        without T1/T2, or read out against the correlators
+        back-propagated through the pulse's remaining slices under
+        them (``_evolve``).  Noise draws and ledger are those of B
         ``fidelity_partial`` calls in order; the values are theirs up to
         reordered rounding, within 1e-12.  Every argument is checked
         before anything is evolved, drawn or charged: indices in range,

@@ -364,6 +364,7 @@ def readouts_per_iteration(mode: str, m_slices: int) -> dict:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    m_slices = as_integer(m_slices, "m_slices")
     if m_slices < 1:
         raise ValueError(f"m_slices must be a positive integer, got {m_slices}")
     if mode == "model-only":

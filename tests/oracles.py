@@ -24,6 +24,12 @@ The readouts' trace of the stacked product (``reference_readouts``) is
 the one oracle that the package meets to rounding only: its kernel is a
 real contraction in another order.
 
+A lab with no finite T1 or T2 carries kets, not densities, and
+completes its probes to the pulse's end rather than back-propagating
+the correlators.  Its bit-for-bit oracles are the ket forms
+(``reference_ket_evolution``, ``reference_ket_probe_evolution``); the
+density loops run on it too and agree with it to rounding.
+
 The emulator runs a pulse on one slice duration T/M and moves a
 slice's duration only in a probe.  ``reference_pulse_evolution`` takes
 slice durations of the test's choosing, and ``reference_partial`` reads
@@ -54,6 +60,7 @@ from belltime.experiment import (
 )
 from belltime.linalg import (
     DENSITY_TOL,
+    ket,
     pauli_string,
     require_density,
     require_hermitian,
@@ -141,19 +148,17 @@ def decay_times(config) -> tuple[tuple, tuple]:
     return tau, t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
 
 
-def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
-    """``backend.evolve_open(pulse)`` over the (M,) slice durations ``dts``, slice by slice.
+def _reference_slices(backend, pulse: PulseSequence, dts: np.ndarray):
+    """(u, relaxation, index) of ``pulse`` over the (M,) slice durations ``dts``.
 
     The waveform, propagators and relaxation table are built as the
-    emulator builds them; each slice then applies ``u @ rho @ u^dag`` and
-    the tabled relaxation through ``_relaxed``, one ``@`` product at a
-    time.  On durations T/M each, ``evolve_open`` must equal this one
-    bit for bit.
+    emulator builds them: the (M, 4, 4) propagators, the table (None
+    without T1/T2) and the (1, M) row of each slice in it.
     """
     cfg = backend.config
     tau, t1_t2 = decay_times(cfg)
     amplitudes = pulse.amplitudes_hz[None]
-    relaxation = None
+    relaxation = index = None
     if tau + t1_t2:
         factors, index = _decay_factors(dts[None], tau + t1_t2)
         if tau:
@@ -161,7 +166,19 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
         if t1_t2:
             relaxation = _relaxation_matrices(factors[:, len(tau):])
     applied = amplitudes[0] * np.asarray(cfg.amplitude_scale)
-    u = closed_form_propagators(SystemModel(cfg.true_g_hz), applied, dts)
+    return closed_form_propagators(SystemModel(cfg.true_g_hz), applied, dts), relaxation, index
+
+
+def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
+    """``backend.evolve_open(pulse)`` over the (M,) slice durations ``dts``, slice by slice.
+
+    The density loop: each slice applies ``u @ rho @ u^dag`` and the
+    tabled relaxation through ``_relaxed``, one ``@`` product at a time,
+    on any apparatus.  On durations T/M each, ``evolve_open`` of a lossy
+    lab must equal this one bit for bit, and that of a relaxation-free
+    lab, which carries kets (``reference_ket_evolution``), to rounding.
+    """
+    u, relaxation, index = _reference_slices(backend, pulse, dts)
     rho = np.zeros((4, 4), dtype=np.complex128)
     rho[0, 0] = 1.0
     for m in range(len(dts)):
@@ -169,6 +186,22 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
         if relaxation is not None:
             rho = _relaxed(relaxation[index[0, m]], rho)
     return rho
+
+
+def reference_ket_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
+    """``reference_pulse_evolution`` of a relaxation-free lab, on kets.
+
+    Each slice applies ``u @ psi`` from |00>, and the state returned is
+    ``np.outer(psi, psi^*)``.  On durations T/M each, ``evolve_open`` of
+    a relaxation-free lab must equal this one bit for bit.
+    """
+    u, relaxation, _ = _reference_slices(backend, pulse, dts)
+    if relaxation is not None:
+        raise ValueError("a lab with T1 or T2 carries densities, not kets")
+    psi = ket("00")
+    for u_m in u:
+        psi = u_m @ psi
+    return np.outer(psi, psi.conj())
 
 
 def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
@@ -182,27 +215,26 @@ def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: 
     return float(backend._partial(rho[None], backend._partial_ops, [category])[0])
 
 
-def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_dts):
-    """``backend.evolve_open`` and ``backend._evolve`` of probes as dense stacks, nothing kept.
+def _reference_probe_pairs(backend, amplitudes, dts, probe_amplitudes, probe_dts):
+    """The set-up of the probe oracles: propagators, relaxation and windows.
 
     The pulse's waveform and the probes' are distorted and scaled as one
     (B + 1, 4M) stack and compared there; the propagators of the pulse's
     slices and of every (probe, slice) pair that differs, a pair whose
     duration alone differs included, come from one
-    ``closed_form_propagators`` call, and a slice of a window that does
-    not differ takes the pulse's.  The windows advance step by step,
-    each step gathering its propagators through a (B, M) table of rows,
-    not from the package's step-major layout.  The pulse is evolved anew
-    on each call.  Returns the pulse's final state, then the probes'
-    states and observables; windows, back-propagated observables and
-    the pair are as ``_evolve`` documents them.  The package's routines
-    must equal this one bit for bit.
+    ``closed_form_propagators`` call.  Returns (u, relaxation, index,
+    enter, leave, which): the propagators, the pulse's M first; the
+    relaxation table (None without T1/T2) and the (B + 1, M) row of
+    each slice in it, row 0 the pulse's; each probe's window
+    [enter, leave), (M, M) where it differs nowhere; and the (B, M) row
+    of u that each probe's slice takes, the pulse's where it does not
+    differ.
     """
     cfg = backend.config
     m_slices = len(dts)
     tau, t1_t2 = decay_times(cfg)
     amplitudes = np.concatenate([amplitudes[None], probe_amplitudes])  # row 0: the pulse
-    relaxation = None
+    relaxation = index = None
     if tau + t1_t2:
         factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), tau + t1_t2)
         if tau:
@@ -218,6 +250,33 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
         np.concatenate([applied[0], applied[1:][own]]),
         np.concatenate([dts, probe_dts[own]]),
     )
+    differs = own.any(axis=1)
+    enter = np.where(differs, own.argmax(axis=1), m_slices)
+    leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)
+    which = np.tile(np.arange(m_slices), (len(own), 1))
+    which[own] = m_slices + np.arange(np.count_nonzero(own))
+    return u, relaxation, index, enter, leave, which
+
+
+def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_dts):
+    """``backend.evolve_open`` and ``backend._evolve`` of probes as dense stacks, nothing kept.
+
+    The density path on any apparatus, set up by
+    ``_reference_probe_pairs``; a slice of a window that does not
+    differ takes the pulse's propagator.  The windows advance step by
+    step, each step gathering its propagators through a (B, M) table of
+    rows, not from the package's step-major layout.  The pulse is
+    evolved anew on each call.  Returns the pulse's final state, then
+    the probes' states where their windows end and the observables
+    back-propagated there, as ``_evolve`` documents them for a lossy
+    lab.  The package's routines must equal this one bit for bit on a
+    lossy lab, and agree with it to rounding on a relaxation-free one
+    (``reference_ket_probe_evolution``).
+    """
+    m_slices = len(dts)
+    u, relaxation, index, enter, leave, which = _reference_probe_pairs(
+        backend, amplitudes, dts, probe_amplitudes, probe_dts
+    )
     u_dag = u[:m_slices].conj().swapaxes(-1, -2)
     states = np.empty((m_slices + 1, 4, 4), dtype=np.complex128)
     states[0] = np.diag([1.0, 0.0, 0.0, 0.0])
@@ -228,11 +287,6 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
     if not len(probe_dts):
         return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
 
-    differs = own.any(axis=1)
-    enter = np.where(differs, own.argmax(axis=1), m_slices)
-    leave = np.where(differs, m_slices - own[:, ::-1].argmax(axis=1), m_slices)
-    which = np.tile(np.arange(m_slices), (len(own), 1))
-    which[own] = m_slices + np.arange(np.count_nonzero(own))
     order = np.argsort(enter - leave, kind="stable")
     lengths = (leave - enter)[order]
     stack = states[enter[order]]
@@ -257,6 +311,54 @@ def reference_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_
         o = u_dag[m] @ o @ u[m]
         observables[m] = o
     return rho, leaving, observables[leave]
+
+
+def reference_ket_probe_evolution(backend, amplitudes, dts, probe_amplitudes, probe_dts):
+    """``reference_probe_evolution`` of a relaxation-free lab, on kets.
+
+    Set up by ``_reference_probe_pairs``, the pulse's ket takes
+    ``u @ psi`` per slice from |00>, and each probe's ket advances
+    through its window as a stacked ``u @ psi[..., None]``, gathered
+    step by step as there.  A window that ends before the pulse does is
+    completed by the backward product W_m = W_{m+1} @ U_m, with
+    W_{M-1} = U_{M-1}, at its end.  Returns the pulse's final state,
+    the probes' states as ``np.outer(psi, psi^*)`` and the plain
+    correlators XX, YY and ZZ, (3, 4, 4), as ``_evolve`` documents them
+    for a relaxation-free lab (with no probes, nothing is evolved).  The package's routines must equal this
+    one bit for bit.
+    """
+    m_slices = len(dts)
+    u, relaxation, _, enter, leave, which = _reference_probe_pairs(
+        backend, amplitudes, dts, probe_amplitudes, probe_dts
+    )
+    if relaxation is not None:
+        raise ValueError("a lab with T1 or T2 carries densities, not kets")
+    kets = np.empty((m_slices + 1, 4), dtype=np.complex128)
+    kets[0] = ket("00")
+    for m in range(m_slices):
+        kets[m + 1] = u[m] @ kets[m]
+    rho = np.outer(kets[m_slices], kets[m_slices].conj())
+    if not len(probe_dts):
+        return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
+
+    order = np.argsort(enter - leave, kind="stable")
+    lengths = (leave - enter)[order]
+    stack = kets[enter[order]]
+    for step in range(lengths[0]):
+        rows = order[: np.count_nonzero(lengths > step)]
+        at = enter[rows] + step
+        stack[: len(rows)] = (u[which[rows, at]] @ stack[: len(rows), :, None])[:, :, 0]
+    leaving = np.empty_like(stack)
+    leaving[order] = stack
+
+    backward = np.empty((m_slices, 4, 4), dtype=np.complex128)
+    backward[m_slices - 1] = u[m_slices - 1]
+    for m in range(m_slices - 2, -1, -1):
+        backward[m] = backward[m + 1] @ u[m]
+    early = leave < m_slices
+    leaving[early] = (backward[leave[early]] @ leaving[early, :, None])[:, :, 0]
+    observables = np.stack([pauli_string(a, a) for a in "XYZ"])
+    return rho, np.stack([np.outer(psi, psi.conj()) for psi in leaving]), observables
 
 
 def reference_readouts(rhos: np.ndarray, observables: np.ndarray) -> np.ndarray:

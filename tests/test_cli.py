@@ -340,7 +340,8 @@ class TestBudgetArithmetic:
         assert "16.7 h" in out
 
     @pytest.mark.parametrize("mode, m_slices", [("balanced", 0), ("experiment-only", -5),
-                                                ("bogus", 50)])
+                                                ("bogus", 50), ("experiment-only", 2.5),
+                                                ("balanced", True)])
     def test_per_iteration_counts_reject_invalid_inputs(self, mode, m_slices):
         with pytest.raises(ValueError, match="m_slices" if mode in MODES else "mode"):
             readouts_per_iteration(mode, m_slices)
@@ -592,12 +593,20 @@ class TestEvaluateCommand:
         ("T_seconds=0.001 M=1", ["0,inf,2,3,4"], "amplitudes_hz contains non-finite entries"),
         ("T_seconds=0.001 M=1", ["0,1,2,x,4"], "could not convert string to float: 'x'"),
         ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "invalid literal for int() with base 10: 'a'"),
+        ("T_seconds=1e-3 T_seconds=2e-3 M=1", ["0,1,2,3,4"], "metadata key 'T_seconds' is repeated"),
+        ("T_seconds=0.001 M=1 M=1", ["0,1,2,3,4"], "metadata key 'M' is repeated"),
     ])
     def test_bad_pulse_values_name_the_file(self, tmp_path, capsys, metadata, rows, message):
         path = tmp_path / "pulse.csv"
         path.write_text("\n".join([f"# {metadata}", PULSE_HEADER, *rows]) + "\n")
         assert main(["evaluate", "--pulse", str(path)]) == 3
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_pulse_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "pulse.csv"
+        path.write_bytes(f"# T_seconds=0.001 M=1\n{PULSE_HEADER}\n0,1,2,3,4\n".encode() + b"\xff\n")
+        assert main(["evaluate", "--pulse", str(path)]) == 3
+        assert f"error: {path}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
 
 class TestRemovedCommands:

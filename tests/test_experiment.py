@@ -35,6 +35,9 @@ from belltime.experiment import (
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
+    decay_times,
+    reference_ket_evolution,
+    reference_ket_probe_evolution,
     reference_partial,
     reference_probe_evolution,
     reference_pulse_evolution,
@@ -341,11 +344,17 @@ class TestOpenEvolution:
     @given(apparatus=st.sampled_from(sorted(APPARATUS)), m_slices=st.integers(1, 60),
            duration=st.floats(1e-4, 6e-3), seed=st.integers(0, 2**32 - 1))
     def test_equals_matmul_loop_bit_for_bit(self, apparatus, m_slices, duration, seed):
+        # a lossy lab has the density loop's bits; a relaxation-free lab
+        # has the ket loop's, and the density loop's state within 1e-14
         backend = ExperimentBackend(mismatch_config(**APPARATUS[apparatus]))
         pulse = random_pulse(m_slices, duration, 150.0, np.random.default_rng(seed))
         rho = backend.evolve_open(pulse)
         uniform = np.full(m_slices, pulse.slice_duration_s)
-        expected = reference_pulse_evolution(backend, pulse, uniform)
+        dense = reference_pulse_evolution(backend, pulse, uniform)
+        expected = dense
+        if not decay_times(backend.config)[1]:
+            expected = reference_ket_evolution(backend, pulse, uniform)
+            assert np.max(np.abs(rho - dense)) <= 1e-14
         assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
 
     def test_t2_in_the_validators_slack_decays_as_the_kraus_channel(self):
@@ -358,8 +367,8 @@ class TestOpenEvolution:
 
     def test_single_pulse_equals_its_row_of_a_stack(self):
         # the pulse keeps its bits next to probes; each probe's readout
-        # through its window and the back-propagated observables equals
-        # its own evolution's up to reordered rounding
+        # through its window, then its completed ket or the back-propagated
+        # observables, equals its own evolution's up to reordered rounding
         rng = np.random.default_rng(31)
         pulse = random_pulse(20, 2.4e-3, 150.0, rng)
         slices, columns, values = entry_probes(pulse, rng, 70)
@@ -670,7 +679,8 @@ class TestProbeEvolution:
             reference_partial(single, pulse.with_amplitudes(a), d, c)
             for a, d, c in zip(amps, dts, categories)
         ]
-        # back-propagated readouts reorder the arithmetic: 1e-12, not bits
+        # completed kets and back-propagated readouts reorder the arithmetic:
+        # 1e-12, not bits
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
         assert batched.ledger.as_dict() == single.ledger.as_dict()
         assert batched._rng.bit_generator.state == single._rng.bit_generator.state
@@ -684,14 +694,23 @@ class TestProbeEvolution:
         # After no readout, or one of the same pulse, an equal pulse or a
         # different one, the probes' states and observables have the bits
         # of the path that expands them into dense stacks, decomposes
-        # every changed slice and keeps nothing, run on a fresh backend;
-        # readouts, ledger and noise stream follow.
+        # every changed slice and keeps nothing, run on a fresh backend:
+        # on kets for a relaxation-free lab, whose readouts agree with the
+        # density path's within 1e-12; readouts, ledger and noise stream
+        # follow.
         pulse, entries, categories = probes
         config = mismatch_config(seed=seed, **APPARATUS[apparatus])
         backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
-        expected = reference_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
+        dense = reference_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
+        expected = dense
+        if not decay_times(config)[1]:
+            expected = reference_ket_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
+            assert np.max(np.abs(expected[0] - dense[0])) <= 1e-14
+            if len(dts):
+                gap = readouts(expected[1], expected[2]) - readouts(dense[1], dense[2])
+                assert np.max(np.abs(gap)) <= 1e-12
         if earlier != "none":
             before = {
                 "same": pulse,
@@ -709,6 +728,40 @@ class TestProbeEvolution:
         assert backend.ledger.as_dict() == fresh.ledger.as_dict()
         assert backend._rng.bit_generator.state == fresh._rng.bit_generator.state
 
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(probes=probes_of_a_pulse(), low_pass=st.booleans(), seed=st.integers(0, 1000))
+    def test_ket_probes_keep_their_bits_in_any_stack(self, probes, low_pass, seed):
+        # A relaxation-free lab completes each probe's ket to the pulse's
+        # end: its state and readout have the same bits alone as in any
+        # stack and in any batch order, and its readout agrees with the
+        # density loop's within 1e-12, through the noise stream and ledger
+        # of one fidelity_partial call per probe.
+        pulse, entries, categories = probes
+        config = mismatch_config(seed=seed, distortion_tau_s=50e-6 if low_pass else 0.0,
+                                 **NO_RELAXATION)
+        backend, single = ExperimentBackend(config), ExperimentBackend(config)
+        args = pulse.amplitudes_hz, pulse.slice_duration_s
+        states, observables = backend._evolve(*args, *entries)
+        values = _expectations(states, observables)
+        order = np.random.default_rng(seed).permutation(len(categories))
+        shuffled, _ = backend._evolve(*args, *(entry[order] for entry in entries))
+        assert np.array_equal(shuffled.view(np.int64), states[order].view(np.int64))
+        assert np.array_equal(bits(_expectations(shuffled, observables)), bits(values[order]))
+        for b in range(len(categories)):
+            alone, plain = backend._evolve(*args, *(entry[b : b + 1] for entry in entries))
+            assert np.array_equal(alone[0].view(np.int64), states[b].view(np.int64))
+            assert np.array_equal(bits(_expectations(alone, plain)[0]), bits(values[b]))
+        estimates = backend.fidelity_partial_batch(pulse, *entries, categories)
+        uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
+        amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
+        expected = [
+            reference_partial(single, pulse.with_amplitudes(a), d, c)
+            for a, d, c in zip(amps, dts, categories)
+        ]
+        np.testing.assert_allclose(estimates, expected, rtol=0.0, atol=1e-12)
+        assert backend.ledger.as_dict() == single.ledger.as_dict()
+        assert backend._rng.bit_generator.state == single._rng.bit_generator.state
 
     def test_a_difference_the_scale_rounds_away_is_no_difference(self):
         # One ulp on a channel scaled by 0.98 sometimes rounds to the
@@ -730,12 +783,12 @@ class TestProbeEvolution:
             evolved = ExperimentBackend(config)._evolve(
                 pulse.amplitudes_hz, pulse.slice_duration_s, slices, columns, values
             )
-            _, *expected = reference_probe_evolution(
-                ExperimentBackend(config), pulse.amplitudes_hz, dts,
-                *expand(pulse.amplitudes_hz, dts, slices, columns, values),
-            )
+            stacks = (pulse.amplitudes_hz, dts, *expand(pulse.amplitudes_hz, dts, slices, columns, values))
+            _, *expected = reference_ket_probe_evolution(ExperimentBackend(config), *stacks)
             for got, want in zip(evolved, expected):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            _, *density_path = reference_probe_evolution(ExperimentBackend(config), *stacks)
+            assert np.max(np.abs(readouts(*evolved) - readouts(*density_path))) <= 1e-12
         assert rounded_away > 0
 
 
@@ -1015,9 +1068,9 @@ class TestReadout:
 
     @pytest.mark.parametrize("corruption", ["non-Hermitian", "trace"])
     def test_batch_rejects_a_bad_state(self, corruption, monkeypatch):
-        # One probe's state where its window ends, the state it is read
-        # out in, is not a density matrix; the batch must fail as one call
-        # for that probe would.
+        # One probe's state as read out, here its ket completed to the
+        # pulse's end, is not a density matrix; the batch must fail as one
+        # call for that probe would.
         backend = ExperimentBackend(ideal_config(noise_sigma=1e-3))
         evolve = backend._evolve
 
