@@ -397,8 +397,9 @@ def read_pulse_csv(path) -> PulseSequence:
     """Read a pulse written by write_pulse_csv.
 
     Every error the file's contents cause is a ValueError that names the
-    file: bytes that are not UTF-8, a metadata key given twice, a bad
-    header, row or value.
+    file: bytes that are not UTF-8, a metadata item that is not
+    key=value, a key other than T_seconds and M or one given twice, a
+    bad header, row or value.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -409,11 +410,14 @@ def read_pulse_csv(path) -> PulseSequence:
         raise ValueError(f"{path}: missing '# T_seconds=... M=...' metadata line")
     meta = {}
     for item in lines[0].lstrip("#").split():
-        if "=" in item:
-            key, value = item.split("=", 1)
-            if key in meta:
-                raise ValueError(f"{path}: metadata key {key!r} is repeated in {lines[0]!r}")
-            meta[key] = value
+        key, is_pair, value = item.partition("=")
+        if not is_pair:
+            raise ValueError(f"{path}: metadata item {item!r} is not key=value in {lines[0]!r}")
+        if key not in ("T_seconds", "M"):
+            raise ValueError(f"{path}: unknown metadata key {key!r} in {lines[0]!r}")
+        if key in meta:
+            raise ValueError(f"{path}: metadata key {key!r} is repeated in {lines[0]!r}")
+        meta[key] = value
     try:
         duration = float(meta["T_seconds"])
         m_slices = int(meta["M"])

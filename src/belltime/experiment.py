@@ -59,18 +59,22 @@ bits for a slice alone as in any stack.  The backend keeps its last
 pulse evolution (propagators, applied amplitudes, relaxation matrix and
 kets or densities), so the probes of a pulse just measured, or a
 repeated measurement of it, do not evolve it again.  The probes' states
-are validated once, as densities, by a Cholesky screen
-(``require_density``), and their readout noise is drawn as one vector.
-Noise stream and ledger are those of one ``fidelity_partial`` call per
-probe, and values agree with it to rounding (1e-12); a single pulse's
-evolution keeps its own bits.
+are validated once, as densities: a lossy lab's by ``require_density``'s
+Cholesky screen, and a relaxation-free lab's, the |psi><psi| of its
+kets, by their trace alone, which decides as the full check would
+(``_pure_densities`` says why).  Their readout noise is drawn as one
+vector.  Noise stream and ledger are those of one ``fidelity_partial``
+call per probe, and values agree with it to rounding (1e-12); a single
+pulse's evolution keeps its own bits.
 
 Every readout, of a single pulse or of a probe, alone or in a batch,
 goes through one kernel (``_expectations``): tr(rho O) as the real
 Frobenius contraction of the two matrices' 32 real and imaginary parts,
-exact for Hermitian O.  A readout takes the same operations in the same
-order wherever it sits, so a state has the same bits alone as in any
-stack, and an observable alone as in any set.
+exact for Hermitian O.  A readout takes the same operations in the
+same order wherever it sits, so a state has the same bits alone as in
+any stack, and an observable alone as in any set.  The Pauli strings
+read against are built once, at import, as read-only constants that
+every backend shares.
 """
 
 from __future__ import annotations
@@ -88,7 +92,15 @@ from .dynamics import (
     as_real,
     closed_form_propagators,
 )
-from .linalg import ket, pauli_string, require_density, require_hermitian, singlet_state
+from .linalg import (
+    DENSITY_TOL,
+    ket,
+    pauli_string,
+    require_density,
+    require_hermitian,
+    singlet_state,
+    trace_deviations,
+)
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
 TOMOGRAPHY_LABELS = tuple(
@@ -97,6 +109,21 @@ TOMOGRAPHY_LABELS = tuple(
 
 # The three correlators of one fidelity_partial estimate, one readout each.
 PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, no longer writeable: a module constant that every backend shares."""
+    a.flags.writeable = False
+    return a
+
+
+# Every Pauli string the lab reads out, built once: by label, and stacked in
+# the order of PARTIAL_LABELS and of TOMOGRAPHY_LABELS.
+_PAULI = {
+    labels: _read_only(require_hermitian(pauli_string(*labels))) for labels in TOMOGRAPHY_LABELS
+}
+_PARTIAL_OPS = _read_only(np.stack([_PAULI[labels] for labels in PARTIAL_LABELS]))
+_TOMOGRAPHY_OPS = _read_only(np.stack(list(_PAULI.values())))
 
 # Bench time one readout costs, in seconds; ledgers are priced at it.
 SECONDS_PER_MEASUREMENT = 10.0
@@ -354,6 +381,28 @@ def _density(kets: np.ndarray) -> np.ndarray:
     return kets[..., :, None] * kets[..., None, :].conj()
 
 
+def _pure_densities(rhos: np.ndarray) -> np.ndarray:
+    """``require_density`` of a (B, 4, 4) stack of ``_density``'s |psi><psi|, by its trace.
+
+    A relaxation-free lab reads out only such states, and of
+    ``require_density``'s three tests only the trace test can fail them.
+    The diagonal of |psi><psi| holds |a_i|^2 = (Re a_i)^2 + (Im a_i)^2,
+    so a trace within DENSITY_TOL of one bounds every part of psi by
+    about one; a NaN or infinite part, or a larger one, fails it.  Past
+    it, every entry a_i a_j^* is finite and rounded by a few eps at most:
+    rho is Hermitian to a few eps, and its eigenvalues lie within a few
+    eps of the exact projector's 0 and |psi|^2, so the Cholesky screen of
+    rho + (DENSITY_TOL/2) 1 clears it, with DENSITY_TOL/2 to spare.  The
+    stack is therefore tested by its trace alone, computed as
+    ``require_density`` computes it (``trace_deviations``).  On any
+    failure the stack goes to ``require_density``, which fails it too and
+    names the first bad matrix with the message it gives unscreened.
+    """
+    if (trace_deviations(rhos) <= DENSITY_TOL).all():
+        return rhos
+    return require_density(rhos)
+
+
 def _real_parts(a: np.ndarray) -> np.ndarray:
     """A stack of 4 x 4 complex matrices as rows of their 32 real and imaginary parts.
 
@@ -396,12 +445,6 @@ class ExperimentBackend:
         self._rng = np.random.default_rng(config.seed)
         self._model = SystemModel(g_hz=config.true_g_hz)
         self._target = singlet_state()
-        self._pauli = {
-            labels: require_hermitian(pauli_string(*labels))
-            for labels in TOMOGRAPHY_LABELS
-        }
-        self._partial_ops = np.stack([self._pauli[labels] for labels in PARTIAL_LABELS])
-        self._tomography_ops = np.stack(list(self._pauli.values()))
         self._ground = ket("00")
         self._scale = np.array(config.amplitude_scale)
         self._tau = (config.distortion_tau_s,) if config.distortion_tau_s > 0.0 else ()
@@ -524,9 +567,12 @@ class ExperimentBackend:
         Returns copies: the probes' (B, 4, 4) states to read out (the
         pulse's final state for a probe that differs nowhere) and their
         observables, (3, 4, 4) for every probe of a relaxation-free lab
-        and (B, 3, 4, 4) back-propagated ones for a lossy lab.  A probe's
-        readout equals its own evolution's up to reordered rounding.
-        With no probes, nothing is evolved.
+        and (B, 3, 4, 4) back-propagated ones for a lossy lab.  A
+        relaxation-free lab's states are the |psi><psi| of its completed
+        kets, so ``_partial`` checks them by their trace alone
+        (``_pure_densities``).  A probe's readout equals its own
+        evolution's up to reordered rounding.  With no probes, nothing
+        is evolved.
         """
         if not len(slices):
             return np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
@@ -574,11 +620,11 @@ class ExperimentBackend:
             early = ends < m_slices
             stack[early] = (backward[ends[early]] @ stack[early][:, :, None])[:, :, 0]
             leaving[windows] = stack
-            return _density(leaving), self._partial_ops.copy()
+            return _density(leaving), _PARTIAL_OPS.copy()
 
         leaving[windows] = stack
         observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
-        observables[m_slices] = o = self._partial_ops
+        observables[m_slices] = o = _PARTIAL_OPS
         for m in range(m_slices - 1, leave.min() - 1, -1):
             o = _relaxed(relaxation.T, o)
             o = u_dag[m] @ o @ u[m]
@@ -664,15 +710,20 @@ class ExperimentBackend:
         """Three-correlator fidelity estimates of B evolved states.
 
         ``observables`` are the ``PARTIAL_LABELS`` correlators, or per
-        state their back-propagated images (``_evolve``).
+        state their back-propagated images (``_evolve``).  The states are
+        checked as densities before anything is drawn or charged: a
+        relaxation-free lab's, the |psi><psi| of its kets, by their trace
+        alone (``_pure_densities``), and a lossy lab's by
+        ``require_density``.
         """
-        values = self._readouts(require_density(rhos), observables, categories)
+        check = require_density if self._t1_t2 else _pure_densities
+        values = self._readouts(check(rhos), observables, categories)
         # sum() over the columns adds in the order of a scalar sum of readouts
         return (1.0 - sum(values.T)) / 4.0
 
     def measure_pauli(self, rho: np.ndarray, labels, category: str) -> float:
         """One noisy expectation value of a Pauli string, charged to the ledger."""
-        observable = self._pauli[tuple(labels)][None]
+        observable = _PAULI[tuple(labels)][None]
         _check_categories([category])
         return float(self._readouts(_one_density(rho)[None], observable, [category])[0, 0])
 
@@ -680,7 +731,7 @@ class ExperimentBackend:
         """Singlet-overlap estimate from 3 correlator measurements."""
         _check_categories([category])
         rho = self.evolve_open(pulse)
-        return float(self._partial(rho[None], self._partial_ops, [category])[0])
+        return float(self._partial(rho[None], _PARTIAL_OPS, [category])[0])
 
     def fidelity_partial_batch(
         self,
@@ -706,6 +757,8 @@ class ExperimentBackend:
         reordered rounding, within 1e-12.  Every argument is checked
         before anything is evolved, drawn or charged: indices in range,
         values finite, durations positive, one known category per probe.
+        The evolved states are checked too, as one stack, before anything
+        is drawn or charged (``_partial``).
         """
         slices = _probe_indices(slices, "slices", pulse.n_slices)
         columns = _probe_indices(columns, "columns", DURATION_COLUMN + 1)
@@ -732,9 +785,9 @@ class ExperimentBackend:
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction."""
         rho = require_density(self.evolve_open(pulse))
-        values = self._readouts(rho[None], self._tomography_ops, ["fidelity_full"])[0]
+        values = self._readouts(rho[None], _TOMOGRAPHY_OPS, ["fidelity_full"])[0]
         estimate = np.eye(4, dtype=np.complex128)
-        for value, observable in zip(values.tolist(), self._tomography_ops):
+        for value, observable in zip(values.tolist(), _TOMOGRAPHY_OPS):
             estimate = estimate + value * observable
         estimate /= 4.0
         w, v = np.linalg.eigh(estimate)

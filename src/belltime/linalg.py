@@ -62,8 +62,8 @@ def singlet_state() -> np.ndarray:
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {a.shape}")
     return a
 
 
@@ -95,6 +95,12 @@ def require_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
+def trace_deviations(stack: np.ndarray) -> np.ndarray:
+    """|Re tr(rho) - 1| of each matrix of a (B, n, n) stack, as ``require_density`` checks it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
+
+
 def require_density(rho: np.ndarray) -> np.ndarray:
     """Check trace one, Hermiticity and eigenvalues >= -DENSITY_TOL.
 
@@ -116,12 +122,12 @@ def require_density(rho: np.ndarray) -> np.ndarray:
     would unscreened, and writes the message.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or not rho.shape[-1]:
+        raise ValueError(f"density matrix must be nonempty and square, got shape {rho.shape}")
     stack = rho.reshape((-1,) + rho.shape[-2:])
     with np.errstate(invalid="ignore", over="ignore"):
         herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))
-        tr_dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
+    tr_dev = trace_deviations(stack)
     shaped = (herm_dev <= DENSITY_TOL) & (tr_dev <= DENSITY_TOL)
     lo = np.zeros(len(stack))
     checked = stack[shaped]

@@ -52,6 +52,7 @@ from belltime.dynamics import (
     slice_propagators,
 )
 from belltime.experiment import (
+    _PARTIAL_OPS,
     _decay_factors,
     _low_pass,
     _relax,
@@ -212,7 +213,7 @@ def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: 
     those of ``fidelity_partial``.
     """
     rho = reference_pulse_evolution(backend, pulse, dts)
-    return float(backend._partial(rho[None], backend._partial_ops, [category])[0])
+    return float(backend._partial(rho[None], _PARTIAL_OPS, [category])[0])
 
 
 def _reference_probe_pairs(backend, amplitudes, dts, probe_amplitudes, probe_dts):

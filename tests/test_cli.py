@@ -595,6 +595,8 @@ class TestEvaluateCommand:
         ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "invalid literal for int() with base 10: 'a'"),
         ("T_seconds=1e-3 T_seconds=2e-3 M=1", ["0,1,2,3,4"], "metadata key 'T_seconds' is repeated"),
         ("T_seconds=0.001 M=1 M=1", ["0,1,2,3,4"], "metadata key 'M' is repeated"),
+        ("T_seconds=1e-3 M=1 Tseconds=5", ["0,1,2,3,4"], "unknown metadata key 'Tseconds'"),
+        ("T_seconds=1e-3 M=1 junk", ["0,1,2,3,4"], "metadata item 'junk' is not key=value"),
     ])
     def test_bad_pulse_values_name_the_file(self, tmp_path, capsys, metadata, rows, message):
         path = tmp_path / "pulse.csv"

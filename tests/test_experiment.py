@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from belltime.cartan import fidelity_ceiling, minimum_time_bell
 from belltime.dynamics import (
     PulseSequence,
     SystemModel,
@@ -25,14 +27,16 @@ from belltime.experiment import (
     ExperimentConfig,
     MeasurementLedger,
     _decay_factors,
+    _density,
     _expectations,
     _low_pass,
+    _pure_densities,
     _relax,
     _relaxation_matrices,
     _relaxed,
     ledger_report,
 )
-from belltime.linalg import ket, pauli_string, singlet_state
+from belltime.linalg import DENSITY_TOL, ket, pauli_string, require_density, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
     decay_times,
@@ -1066,12 +1070,17 @@ class TestReadout:
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("corruption", ["non-Hermitian", "trace"])
-    def test_batch_rejects_a_bad_state(self, corruption, monkeypatch):
-        # One probe's state as read out, here its ket completed to the
-        # pulse's end, is not a density matrix; the batch must fail as one
-        # call for that probe would.
-        backend = ExperimentBackend(ideal_config(noise_sigma=1e-3))
+    @pytest.mark.parametrize("corruption, apparatus", [
+        pytest.param("non-Hermitian", "lossy", id="non-Hermitian"),
+        pytest.param("trace", "coherent", id="trace"),
+        pytest.param("trace", "lossy", id="trace-lossy"),
+    ])
+    def test_batch_rejects_a_bad_state(self, corruption, apparatus, monkeypatch):
+        # One probe's state as read out is not a density matrix; the batch
+        # must fail as one call for that probe would.  A relaxation-free
+        # lab reads out the |psi><psi| of a completed ket, which cannot be
+        # non-Hermitian, so only a lossy lab's state is corrupted that way.
+        backend = ExperimentBackend(mismatch_config(**APPARATUS[apparatus]))
         evolve = backend._evolve
 
         def corrupt(*args):
@@ -1084,7 +1093,7 @@ class TestReadout:
 
         monkeypatch.setattr(backend, "_evolve", corrupt)
         pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(10))
-        slices, columns = np.arange(9) % 4, np.zeros(9, dtype=int)  # probe 5's window is slice 1
+        slices, columns = np.arange(9) % 4, np.zeros(9, dtype=int)  # probe 5's window starts at slice 1
         values = pulse.amplitudes_hz[slices, 0] + 1.0
         match = r"\[5\] is not Hermitian" if corruption == "non-Hermitian" else r"\[5\] trace"
         with pytest.raises(ValueError, match=match):
@@ -1127,6 +1136,141 @@ class TestReadout:
         backend = ExperimentBackend(mismatch_config(noise_sigma=5e-2, seed=13))
         value = backend.fidelity_full(bell_recipe_pulse(G_HZ))
         assert 0.0 <= value <= 1.0
+
+
+# How a row of hostile_kets is made hostile: (kind, the sizes it draws from).
+# Norms sit just inside and just outside 1 +- DENSITY_TOL, as |psi|^2 - 1 in
+# units of the tolerance; magnitudes near 1e+-150, whose squares are near the
+# ends of the float range, scale one entry or the whole ket.
+HOSTILITY = {
+    "non-finite": [np.nan, np.inf, -np.inf],
+    "zero": [0.0],
+    "norm": [-2.0, -1.000001, -0.999999, -0.5, 0.5, 0.999999, 1.000001, 2.0],
+    "entry": [1e-160, 1e-150, 1e150, 1e160],
+    "ket": [1e-160, 1e-150, 1e150, 1e160],
+}
+
+
+@st.composite
+def hostile_kets(draw):
+    """1-40 unit kets, up to five of them made hostile per ``HOSTILITY``."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kets = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    for _ in range(draw(st.integers(0, 5))):
+        row, entry = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+        kind = draw(st.sampled_from(sorted(HOSTILITY)))
+        size = draw(st.sampled_from(HOSTILITY[kind]))
+        with np.errstate(all="ignore"):  # a row made hostile twice may overflow
+            if kind == "non-finite":  # in the real or the imaginary part
+                part = kets.real if draw(st.booleans()) else kets.imag
+                part[row, entry] = size
+            elif kind == "zero":
+                kets[row] = 0.0
+            elif kind == "norm":
+                kets[row] *= math.sqrt(1.0 + size * DENSITY_TOL) / np.linalg.norm(kets[row])
+            elif kind == "entry":
+                kets[row, entry] *= size
+            else:
+                kets[row] *= size
+    return kets
+
+
+def outcome(check, stack):
+    """The error message of ``check(stack)``, or None when it passes."""
+    try:
+        check(stack)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestPureStateScreen:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kets=hostile_kets())
+    def test_trace_screen_decides_as_the_full_check(self, kets):
+        # |psi><psi| of any ket fails require_density only where its trace
+        # does: the screen raises exactly when the full check does, naming
+        # the same matrix with the same message, and passes the stack as is
+        with np.errstate(all="ignore"):  # squares past the float range
+            rhos = _density(kets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = outcome(require_density, rhos)
+            assert outcome(_pure_densities, rhos) == expected
+            if expected is None:
+                assert _pure_densities(rhos) is rhos
+
+    @pytest.mark.parametrize("apparatus", sorted(APPARATUS))
+    def test_only_a_lossy_lab_runs_the_full_check(self, apparatus, monkeypatch):
+        # a relaxation-free lab's readouts pass its states through the trace
+        # screen alone; a lossy lab's through require_density, once a call
+        config = mismatch_config(**APPARATUS[apparatus])
+        backend, plain = ExperimentBackend(config), ExperimentBackend(config)
+        calls = []
+
+        def counted(rho):
+            calls.append(len(rho))
+            return require_density(rho)
+
+        monkeypatch.setattr("belltime.experiment.require_density", counted)
+        pulse = random_pulse(6, 1e-3, 100.0, np.random.default_rng(67))
+        probes = entry_probes(pulse, np.random.default_rng(68), 9)
+        categories = ["gradient_control"] * 9
+        assert backend.fidelity_partial(pulse) == plain.fidelity_partial(pulse)
+        batch = backend.fidelity_partial_batch(pulse, *probes, categories)
+        assert np.array_equal(bits(batch), bits(plain.fidelity_partial_batch(pulse, *probes, categories)))
+        assert calls == ([1, 1, 9, 9] if config.t1_s[0] < math.inf else [])
+
+
+def compressed_recipe(g_hz: float, duration_s: float) -> PulseSequence:
+    """``bell_recipe_pulse`` run in ``duration_s``, its rotation areas kept.
+
+    Every amplitude grows as the pulse shrinks, so the local rotations
+    are the recipe's and only the coupling's window is cut short.  Such
+    pulses come within about 0.006 of the ceiling at a twentieth of the
+    Bell time, closer still at shorter durations.
+    """
+    recipe = bell_recipe_pulse(g_hz)
+    return PulseSequence(duration_s, recipe.amplitudes_hz * (recipe.duration_s / duration_s))
+
+
+class TestCouplingSpeedLimit:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        amps=st.one_of(
+            st.none(),  # a recipe, shortened
+            st.integers(1, 60).flatmap(
+                lambda m: arrays(np.float64, (m, 4), elements=st.floats(-1e4, 1e4))
+            ),
+        ),
+        fraction=st.floats(1e-3, 1.0, exclude_max=True),
+        low_pass=st.booleans(),
+    )
+    def test_no_pulse_beats_the_ceiling_in_the_model_or_the_lab(self, amps, fraction, low_pass):
+        # Local controls of any strength, filtered and miscalibrated or not,
+        # cannot entangle faster than the coupling allows: below 1/(2g) the
+        # singlet fidelity stays under (1 + sin(pi g T))/2, on the design
+        # coupling in the model and on the true one in a relaxation-free lab.
+        config = mismatch_config(distortion_tau_s=50e-6 if low_pass else 0.0, **NO_RELAXATION)
+        duration = fraction * minimum_time_bell(max(G_HZ, config.true_g_hz))
+        pulse = compressed_recipe(G_HZ, duration) if amps is None else PulseSequence(duration, amps)
+        j_model = model_fidelity(SystemModel(G_HZ), pulse, ket("00"), singlet_state())
+        assert j_model <= fidelity_ceiling(G_HZ, duration) + 1e-12
+        j_true = ExperimentBackend(config).true_fidelity(pulse)
+        assert j_true <= fidelity_ceiling(config.true_g_hz, duration) + 1e-12
+
+    def test_shortened_recipes_come_close_to_the_ceiling(self):
+        # the property above is tight: it would catch a model or lab that
+        # beat the ceiling by a few parts in a thousand
+        for fraction in (0.01, 0.05):
+            duration = fraction * minimum_time_bell(G_HZ)
+            pulse = compressed_recipe(G_HZ, duration)
+            gap = fidelity_ceiling(G_HZ, duration) - model_fidelity(
+                SystemModel(G_HZ), pulse, ket("00"), singlet_state()
+            )
+            assert 0.0 <= gap <= 0.13 * fraction
 
 
 class TestLedger:

@@ -227,6 +227,21 @@ def test_validators_reject_non_finite_entries(validator, where, value):
             check(bad)
 
 
+@pytest.mark.parametrize("validator, shape", [
+    ("require_hermitian", (0, 0)),
+    ("require_unitary", (0, 0)),
+    ("require_density", (0, 0)),
+    ("require_density", (3, 0, 0)),
+])
+def test_validators_name_an_empty_matrix(validator, shape):
+    # numpy's own errors (a reshape of size 0 into (-1, 0, 0), a maximum
+    # over no entries) must not stand in for the validator's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"nonempty.*got shape \({shape[0]}, 0"):
+            VALIDATORS[validator](np.zeros(shape, dtype=complex))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_density_stack_names_the_non_finite_matrix(value):
     stack = np.repeat(VALID_INPUTS["require_density"][None], 5, axis=0)
