@@ -39,6 +39,21 @@ so nothing cancels, and p = 0, q = 0 and p = q need no branch
 row is computed on its own, so a slice has the same bits alone as in
 any stack.
 
+The emulated apparatus adds two maps, each a function of slice
+durations, whose factors exp(-dt/t) come from ``_decay_factors``, one
+``math.exp`` per distinct duration and time.  ``_low_pass`` distorts a
+stack of programmed waveforms by the first-order recursion
+
+    y[m] = (1 - k_m) u[m] + k_m y[m-1],  y[-1] = 0,  k_m = exp(-dt_m/tau).
+
+``_relax`` is the T1/T2 relaxation of both spins over one slice in
+closed form, amplitude damping plus dephasing elementwise on rho: per
+spin s, a_s = exp(-dt/T1_s) of the |1> population stays and the rest
+decays to |0>, and the coherences shrink by e_s = exp(-dt/T2_s).  The
+map is linear and real, so ``_relaxation_table`` tables it as one real
+16 x 16 matrix on vec(rho) per distinct duration, each column the map of
+one unit matrix, and ``_relaxed`` applies the table to stacks.
+
 Fidelity gradients here are exact, not first order in the slice length:
 each slice exponential is differentiated through its eigendecomposition
 (divided-difference / Daleckii-Krein form), and the duration derivative
@@ -261,6 +276,115 @@ def closed_form_propagators(model: SystemModel, applied_hz: np.ndarray, dt) -> n
         pc + qe, qc - pe, k1y, -k1x, k2y, -k2x, c0, -d,
     ]
     return np.ascontiguousarray(np.array(parts).T).view(np.complex128).reshape(-1, 4, 4)
+
+
+def _decay_factors(durations, times_s) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-dt/t) for each distinct slice duration dt of ``durations`` and each time t.
+
+    ``durations`` is one duration, as a pulse's slices share, or an array
+    of them, as a batch of probes has.  Returns the (D, len(times_s))
+    table over the D distinct durations and the row of each duration in
+    it: 0 for one duration, else an array shaped like ``durations``.
+    ``math.exp`` runs once per duration (``np.exp`` can round differently
+    in the last bit), so a slice has the same factors alone as in any
+    batch.  One duration skips ``np.unique``, which costs more than the
+    rest of the table.
+    """
+    if np.ndim(durations) == 0:
+        distinct, index = [durations], 0
+    else:
+        distinct, index = np.unique(durations, return_inverse=True)
+        distinct, index = distinct.tolist(), index.reshape(np.shape(durations))
+    table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct])
+    return table.reshape(len(distinct), len(times_s)), index  # (0, T) with no durations
+
+
+def _low_pass(programmed: np.ndarray, durations, tau_s: float) -> np.ndarray:
+    """First-order low-pass distortion of a stack of B programmed waveforms.
+
+    ``programmed`` is (B, M, 4) and ``durations`` the (B, M) slice
+    durations dt_m, or one duration for every slice.  With the factors
+    k_m = exp(-dt_m/tau_s) of ``_decay_factors``, per waveform and channel
+    y[m] = (1 - k_m) u[m] + k_m y[m-1] with y[-1] = 0.
+
+    The recursion runs slice-major, on rows of 4B values with y[-1] as
+    the first row, with two in-place ufunc calls per slice.  Each output
+    takes the same two products and one sum as the formula, so a waveform
+    has the same bits alone as in any stack.  Returns a (B, M, 4) view.
+    """
+    table, index = _decay_factors(durations, (tau_s,))
+    n_rows, m_slices, _ = programmed.shape
+    factors = np.empty((m_slices, n_rows, 4))
+    factors[...] = table[index, 0].T[..., None]  # (M, B, 1), or one factor
+    out = np.empty((m_slices + 1, n_rows, 4))
+    out[0] = 0.0
+    drive = np.subtract(1.0, factors, out=out[1:])
+    np.multiply(drive, programmed.transpose(1, 0, 2), out=drive)
+    rows = out.reshape(m_slices + 1, -1)
+    carried = np.empty(4 * n_rows)
+    for k_m, before, row in zip(factors.reshape(m_slices, -1), rows, rows[1:]):
+        np.multiply(k_m, before, carried)
+        np.add(row, carried, row)  # row: slice m's drive, then its output
+    return drive.transpose(1, 0, 2)
+
+
+def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
+    """T1/T2 relaxation of both spins over one slice, in place, per row.
+
+    ``rho`` is (B, 4, 4) or one 4 x 4 state, ``factors`` (B, 4): per row
+    a_1, a_2, e_1, e_2 with a_s = exp(-dt/T1_s) and e_s = exp(-dt/T2_s).
+    This is amplitude damping plus dephasing (Nielsen & Chuang, section
+    8.3) in closed form: per spin, 1 - a_s of the |1> population decays
+    to |0>, and the coherences between |0> and |1> shrink by e_s.
+    """
+    r = rho.reshape(-1, 2, 2, 2, 2)  # (row, ket spin 1, ket spin 2, bra spin 1, bra spin 2)
+    for spin, spin_first in enumerate((r, r.transpose(0, 2, 1, 4, 3))):
+        a, e = factors[:, spin, None, None], factors[:, 2 + spin, None, None]
+        spin_first[:, 0, :, 0] += (1.0 - a) * spin_first[:, 1, :, 1]
+        spin_first[:, 1, :, 1] *= a
+        spin_first[:, 0, :, 1] *= e
+        spin_first[:, 1, :, 0] *= e
+
+
+# The 16 real unit matrices, in the row-major order of vec(rho).
+_UNITS = np.eye(16).reshape(16, 4, 4)
+
+
+def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
+    """``_relax`` as one real 16 x 16 matrix per row of the (D, 4) factors.
+
+    Each matrix acts on the row-major vec(rho); its column j is ``_relax``
+    applied to the j-th unit matrix, so the map stays defined once.  The
+    map is real, so it runs on real unit matrices: their entries meet the
+    same products and sums as the real parts of complex ones.
+    """
+    units = np.tile(_UNITS, (len(factors), 1, 1))
+    _relax(units, np.repeat(factors, 16, axis=0))
+    return np.ascontiguousarray(units.reshape(-1, 16, 16).swapaxes(1, 2))
+
+
+def _relaxation_table(durations, t1_t2) -> tuple[np.ndarray, np.ndarray]:
+    """The T1/T2 map over each distinct slice duration, one 16 x 16 matrix each.
+
+    ``durations`` is one duration or an array of them, and ``t1_t2`` the
+    times (T1 of spin 1 and 2, then T2 of spin 1 and 2).  Returns the
+    (D, 16, 16) ``_relaxation_matrices`` of ``_decay_factors``'s table
+    and the row of each duration in it, as ``_decay_factors`` gives it.
+    """
+    factors, index = _decay_factors(durations, t1_t2)
+    return _relaxation_matrices(factors), index
+
+
+def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """C-contiguous ``rho`` (..., 4, 4) mapped by (..., 16, 16) relaxation matrices.
+
+    The matrices are real, so they act on the real and imaginary parts
+    of vec(rho) as the two columns of one (16, 2) real operand.  The
+    emulator's probes and back-propagated observables use it on stacks;
+    its pulse loop makes the same product with 2-D ``dot``.
+    """
+    parts = rho.view(np.float64).reshape(rho.shape[:-2] + (16, 2))
+    return (matrices @ parts).view(np.complex128).reshape(rho.shape)
 
 
 def model_fidelity(

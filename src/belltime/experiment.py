@@ -4,17 +4,17 @@ The backend evolves the two spins under a hidden "true" model that
 deliberately differs from the design model: a miscalibrated coupling,
 per-channel amplitude scale errors, a first-order low-pass distortion of
 the programmed waveforms, and per-spin T1/T2 relaxation after each
-slice's unitary.  Relaxation is defined once, as a closed-form
-elementwise map on the density matrix (amplitude damping plus
-dephasing, ``_relax``); being linear, it is applied as one real 16 x 16
-matrix on vec(rho) per slice.  A pulse's slices share one duration T/M
-and so one matrix; only a probe moves a slice's duration, and a batch
-of probes tables one matrix per distinct duration.  Expectation values
-are read out through a seeded Gaussian noise stream, and every readout
-is charged to a measurement ledger so the wall-clock cost of an
-optimization run can be audited afterwards.  A lab with no finite T1
-or T2 prepares only pure states, and carries them as kets; a lossy lab
-carries density matrices.
+slice's unitary.  That physics lives in ``dynamics``: the low-pass
+(``_low_pass``) and the relaxation table (``_relaxation_table``), each
+keyed by slice durations.  A pulse's slices share one duration T/M and
+so one relaxation matrix; only a probe moves a slice's duration, and a
+batch of probes tables one matrix per distinct duration.  This module
+holds the lab: its noise, its ledger, its probes and its readouts.
+Expectation values are read out through a seeded Gaussian noise
+stream, and every readout is charged to a measurement ledger so the
+wall-clock cost of an optimization run can be audited afterwards.  A
+lab with no finite T1 or T2 prepares only pure states, and carries them
+as kets; a lossy lab carries density matrices.
 
 Fidelity oracles:
 
@@ -87,6 +87,9 @@ import numpy as np
 from .dynamics import (
     PulseSequence,
     SystemModel,
+    _low_pass,
+    _relaxation_table,
+    _relaxed,
     _sweep,
     as_integer,
     as_real,
@@ -266,94 +269,6 @@ def _one_density(rho) -> np.ndarray:
     return rho
 
 
-def _decay_factors(dts: np.ndarray, times_s) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-dt/t) for each distinct duration of a batch's ``dts`` and each time t.
-
-    Returns the (D, len(times_s)) table over the D distinct durations and
-    the row of each duration in it, shaped like ``dts``.  ``math.exp``
-    runs once per duration (``np.exp`` can round differently in the last
-    bit), as for the pulse's own, so a slice has the same factors there.
-    """
-    distinct, index = np.unique(dts, return_inverse=True)
-    table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct.tolist()])
-    table = table.reshape(len(distinct), len(times_s))  # also when there are no durations
-    return table, index.reshape(dts.shape)
-
-
-def _low_pass(amplitudes: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """First-order low-pass distortion of a stack of B programmed waveforms.
-
-    ``amplitudes`` is (B, M, 4) and ``k`` the (B, M) factors
-    k_m = exp(-dt_m/tau), dt_m the duration of slice m.  Per waveform and
-    channel, y[m] = (1 - k_m) u[m] + k_m y[m-1] with y[-1] = 0.
-
-    The recursion runs slice-major, on rows of 4B values with y[-1] as
-    the first row, with two in-place ufunc calls per slice.  Each output
-    takes the same two products and one sum as the formula, so a waveform
-    has the same bits alone as in any stack.  Returns a (B, M, 4) view.
-    """
-    n_rows, m_slices = k.shape
-    factors = np.empty((m_slices, n_rows, 4))
-    factors[...] = k.T[:, :, None]
-    out = np.empty((m_slices + 1, n_rows, 4))
-    out[0] = 0.0
-    drive = np.subtract(1.0, factors, out=out[1:])
-    np.multiply(drive, amplitudes.transpose(1, 0, 2), out=drive)
-    rows = out.reshape(m_slices + 1, -1)
-    carried = np.empty(4 * n_rows)
-    for k_m, before, row in zip(factors.reshape(m_slices, -1), rows, rows[1:]):
-        np.multiply(k_m, before, carried)
-        np.add(row, carried, row)  # row: slice m's drive, then its output
-    return drive.transpose(1, 0, 2)
-
-
-def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
-    """T1/T2 relaxation of both spins over one slice, in place, per row.
-
-    ``rho`` is (B, 4, 4) or one 4 x 4 state, ``factors`` (B, 4): per row
-    a_1, a_2, e_1, e_2 with a_s = exp(-dt/T1_s) and e_s = exp(-dt/T2_s).
-    This is amplitude damping plus dephasing (Nielsen & Chuang, section
-    8.3) in closed form: per spin, 1 - a_s of the |1> population decays
-    to |0>, and the coherences between |0> and |1> shrink by e_s.
-    """
-    r = rho.reshape(-1, 2, 2, 2, 2)  # (row, ket spin 1, ket spin 2, bra spin 1, bra spin 2)
-    for spin, spin_first in enumerate((r, r.transpose(0, 2, 1, 4, 3))):
-        a, e = factors[:, spin, None, None], factors[:, 2 + spin, None, None]
-        spin_first[:, 0, :, 0] += (1.0 - a) * spin_first[:, 1, :, 1]
-        spin_first[:, 1, :, 1] *= a
-        spin_first[:, 0, :, 1] *= e
-        spin_first[:, 1, :, 0] *= e
-
-
-# The 16 real unit matrices, in the row-major order of vec(rho).
-_UNITS = np.eye(16).reshape(16, 4, 4)
-
-
-def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
-    """``_relax`` as one real 16 x 16 matrix per row of the (D, 4) factors.
-
-    Each matrix acts on the row-major vec(rho); its column j is ``_relax``
-    applied to the j-th unit matrix, so the map stays defined once.  The
-    map is real, so it runs on real unit matrices: their entries meet the
-    same products and sums as the real parts of complex ones.
-    """
-    units = np.tile(_UNITS, (len(factors), 1, 1))
-    _relax(units, np.repeat(factors, 16, axis=0))
-    return np.ascontiguousarray(units.reshape(-1, 16, 16).swapaxes(1, 2))
-
-
-def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """C-contiguous ``rho`` (..., 4, 4) mapped by (..., 16, 16) relaxation matrices.
-
-    The matrices are real, so they act on the real and imaginary parts
-    of vec(rho) as the two columns of one (16, 2) real operand.  The
-    probes and the back-propagated observables use it on stacks; the
-    pulse's own slice loop makes the same product with 2-D ``dot``.
-    """
-    parts = rho.view(np.float64).reshape(rho.shape[:-2] + (16, 2))
-    return (matrices @ parts).view(np.complex128).reshape(rho.shape)
-
-
 def _advance(u: np.ndarray, states: np.ndarray, table, durations) -> np.ndarray:
     """A stack of B states through one slice each.
 
@@ -447,7 +362,7 @@ class ExperimentBackend:
         self._target = singlet_state()
         self._ground = ket("00")
         self._scale = np.array(config.amplitude_scale)
-        self._tau = (config.distortion_tau_s,) if config.distortion_tau_s > 0.0 else ()
+        self._tau = config.distortion_tau_s  # 0: no low-pass
         # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
         t1_t2 = config.t1_s + tuple(min(t2, 2.0 * t1) for t1, t2 in zip(config.t1_s, config.t2_s))
         # a coherent apparatus has none, and its slices skip relaxation
@@ -471,11 +386,11 @@ class ExperimentBackend:
         The pulse is (M, 4) programmed amplitudes over slices of duration
         ``dt``.  Returns (u, u_dag, applied, relaxation, states): the M
         slice propagators and, under relaxation, their adjoints, the
-        (M, 4) applied amplitudes they were built from, the ``_relax`` map
-        over ``dt`` as one 16 x 16 matrix (None without T1/T2), and the
-        states before every slice.  The waveform is low-passed with one
-        factor k = exp(-dt/tau), then scaled per channel, and the
-        propagators are exponentiated in closed form
+        (M, 4) applied amplitudes they were built from, the relaxation
+        over ``dt`` as one 16 x 16 matrix (``_relaxation_table``; None
+        without T1/T2), and the states before every slice.  The waveform
+        is low-passed over ``dt`` (``_low_pass``), then scaled per
+        channel, and the propagators are exponentiated in closed form
         (``closed_form_propagators``), with no eigendecomposition.
 
         Without T1/T2 every state is pure: ``u_dag`` is None and the
@@ -497,10 +412,9 @@ class ExperimentBackend:
         key = (amplitudes.tobytes(), dt)
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
-        factors = [math.exp(-dt / t) for t in self._tau + self._t1_t2]
         applied = amplitudes
         if self._tau:
-            applied = _low_pass(amplitudes[None], np.full((1, len(amplitudes)), factors[0]))[0]
+            applied = _low_pass(amplitudes[None], dt, self._tau)[0]
         applied = applied * self._scale
         u = closed_form_propagators(self._model, applied, dt)
         if not self._t1_t2:
@@ -508,7 +422,7 @@ class ExperimentBackend:
             _sweep(u, self._ground, states)
             evolution = (u, None, applied, None, states)
         else:  # the real map acts on (16, 2) views of vec(rho)'s real and imaginary parts
-            relaxation = _relaxation_matrices(np.array([factors[len(self._tau):]]))[0]
+            (relaxation,), _ = _relaxation_table(dt, self._t1_t2)
             u_dag = u.conj().swapaxes(-1, -2)
             states = np.empty((len(amplitudes) + 1, 4, 4), dtype=np.complex128)
             states[0] = rho = _density(self._ground)
@@ -595,10 +509,7 @@ class ExperimentBackend:
         order[start[step] + rank[probe]] = np.arange(len(probe))
         durations = durations[order]
         u_pairs = closed_form_propagators(self._model, pair_amps[order], durations)
-        table = index = None
-        if self._t1_t2:
-            factors, index = _decay_factors(durations, self._t1_t2)
-            table = _relaxation_matrices(factors)
+        table, index = _relaxation_table(durations, self._t1_t2) if self._t1_t2 else (None, None)
         first, lengths = first[windows], lengths[windows]
         stack = states[at[first]]
         for lo, count in zip(start.tolist(), inside.tolist()):
@@ -672,9 +583,8 @@ class ExperimentBackend:
         programmed[rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
         dts = np.full((n_probes, m_slices), dt)
         dts[rows[timed], slices[timed]] = values[timed]
-        factors, index = _decay_factors(dts, self._tau)
         # flat (B, 4M) rows, in place: a copy of the low-pass's slice-major output
-        flat = _low_pass(programmed, factors[index, 0]).reshape(n_probes, -1)
+        flat = _low_pass(programmed, dts, self._tau).reshape(n_probes, -1)
         np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
         # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
         moved = (flat != applied.reshape(-1)).view(np.uint32).astype(bool)  # (B, M)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import PulseSequence
+from .dynamics import PulseSequence, SystemModel, as_integer
 
 DRIVE_HZ = 2500.0  # amplitude of every rotation
 
@@ -43,8 +43,13 @@ def bell_recipe_pulse(g_hz: float, m_slices: int = 50) -> PulseSequence:
     """Analytic singlet-preparation pulse on the uniform M-slice grid.
 
     Channel order is (ux1, uy1, ux2, uy2); all rotations are driven at
-    +DRIVE_HZ, so a pi/2 rotation lasts 1/(4 DRIVE_HZ) seconds.
+    +DRIVE_HZ, so a pi/2 rotation lasts 1/(4 DRIVE_HZ) seconds.  The
+    coupling is checked as ``SystemModel`` checks it, positive and
+    finite, and ``m_slices`` must be a positive integer.
     """
+    g_hz = SystemModel(g_hz).g_hz
+    if as_integer(m_slices, "m_slices") < 1:
+        raise ValueError(f"m_slices must be positive, got {m_slices}")
     quarter = 1.0 / (4.0 * DRIVE_HZ)  # pi/2 rotation
     half = 1.0 / (2.0 * DRIVE_HZ)  # pi rotation
     head = quarter

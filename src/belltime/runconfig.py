@@ -22,9 +22,9 @@ The config dataclasses are the schema: the top level maps onto
 ``RunConfig``, each section onto ``SystemModel``, ``ExperimentConfig`` or
 ``OptimizerConfig``, whose annotations type every field and whose
 defaults fill anything omitted.  Every section must be a mapping; unknown
-keys are rejected by name, and every invariant violation is reported with
-its section path.  ``RunConfig.replace``, and the CLI overrides through
-it, are checked by the same builder.
+keys and keys given twice are rejected by name, and every invariant
+violation is reported with its section path.  ``RunConfig.replace``, and
+the CLI overrides through it, are checked by the same builder.
 """
 
 from __future__ import annotations
@@ -146,10 +146,35 @@ class RunConfig:
         return scrub(dataclasses.asdict(self))
 
 
+class _RunDocumentLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key given twice in one mapping.
+
+    PyYAML keeps a repeated key's last value, so a document that says
+    ``mode`` twice, or holds two ``optimizer`` sections, would run on the
+    last one without a word.  The composed document's mappings are
+    checked, breadth first, before anything is constructed, and the
+    first repeated key is named by its path and line.
+    """
+
+    def construct_document(self, node):
+        mappings, seen = [(node, "")], set()
+        for mapping, path in mappings:  # the list grows as it is walked
+            if not isinstance(mapping, yaml.MappingNode) or id(mapping) in seen:
+                continue  # an alias can lead back to a mapping already checked
+            seen.add(id(mapping))
+            keys = [key.value for key, _ in mapping.value]
+            for i, (key, value) in enumerate(mapping.value):
+                where = f"{path}.{key.value}" if path else str(key.value)
+                if key.value in keys[:i]:
+                    raise ConfigError(f"repeated key {where!r} at line {key.start_mark.line + 1}")
+                mappings.append((value, where))
+        return super().construct_document(node)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate one YAML run document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_RunDocumentLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -159,10 +184,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and parse a run document from disk."""
+    """Read and parse a run document from disk, as UTF-8."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -48,17 +48,14 @@ from belltime.dynamics import (
     GradientBundle,
     PulseSequence,
     SystemModel,
+    _low_pass,
+    _relax,
+    _relaxation_table,
+    _relaxed,
     closed_form_propagators,
     slice_propagators,
 )
-from belltime.experiment import (
-    _PARTIAL_OPS,
-    _decay_factors,
-    _low_pass,
-    _relax,
-    _relaxation_matrices,
-    _relaxed,
-)
+from belltime.experiment import _PARTIAL_OPS
 from belltime.linalg import (
     DENSITY_TOL,
     ket,
@@ -138,15 +135,13 @@ def reference_model_fidelity(
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
-def decay_times(config) -> tuple[tuple, tuple]:
-    """(tau, t1_t2) of an emulator config, each empty where it has none.
+def lab_relaxation_times(config) -> tuple:
+    """The two T1 and the two T2 times of an emulator config, empty where none is finite.
 
-    tau holds the low-pass time constant; t1_t2 the two T1 and the two
-    T2 times, T2 capped at 2 T1 as the emulator caps it.
+    T2 is capped at 2 T1 as the emulator caps it.
     """
-    tau = (config.distortion_tau_s,) if config.distortion_tau_s > 0.0 else ()
     t1_t2 = config.t1_s + tuple(min(two, 2.0 * one) for one, two in zip(config.t1_s, config.t2_s))
-    return tau, t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
+    return t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
 
 
 def _reference_slices(backend, pulse: PulseSequence, dts: np.ndarray):
@@ -157,15 +152,11 @@ def _reference_slices(backend, pulse: PulseSequence, dts: np.ndarray):
     without T1/T2) and the (1, M) row of each slice in it.
     """
     cfg = backend.config
-    tau, t1_t2 = decay_times(cfg)
+    t1_t2 = lab_relaxation_times(cfg)
     amplitudes = pulse.amplitudes_hz[None]
-    relaxation = index = None
-    if tau + t1_t2:
-        factors, index = _decay_factors(dts[None], tau + t1_t2)
-        if tau:
-            amplitudes = _low_pass(amplitudes, factors[index, 0])
-        if t1_t2:
-            relaxation = _relaxation_matrices(factors[:, len(tau):])
+    if cfg.distortion_tau_s > 0.0:
+        amplitudes = _low_pass(amplitudes, dts[None], cfg.distortion_tau_s)
+    relaxation, index = _relaxation_table(dts[None], t1_t2) if t1_t2 else (None, None)
     applied = amplitudes[0] * np.asarray(cfg.amplitude_scale)
     return closed_form_propagators(SystemModel(cfg.true_g_hz), applied, dts), relaxation, index
 
@@ -233,15 +224,12 @@ def _reference_probe_pairs(backend, amplitudes, dts, probe_amplitudes, probe_dts
     """
     cfg = backend.config
     m_slices = len(dts)
-    tau, t1_t2 = decay_times(cfg)
+    t1_t2 = lab_relaxation_times(cfg)
     amplitudes = np.concatenate([amplitudes[None], probe_amplitudes])  # row 0: the pulse
-    relaxation = index = None
-    if tau + t1_t2:
-        factors, index = _decay_factors(np.concatenate([dts[None], probe_dts]), tau + t1_t2)
-        if tau:
-            amplitudes = _low_pass(amplitudes, factors[index, 0])
-        if t1_t2:
-            relaxation = _relaxation_matrices(factors[:, len(tau):])
+    durations = np.concatenate([dts[None], probe_dts])
+    if cfg.distortion_tau_s > 0.0:
+        amplitudes = _low_pass(amplitudes, durations, cfg.distortion_tau_s)
+    relaxation, index = _relaxation_table(durations, t1_t2) if t1_t2 else (None, None)
     flat = amplitudes.reshape(len(amplitudes), -1)
     np.multiply(flat, np.tile(cfg.amplitude_scale, m_slices), out=flat)
     applied = flat.reshape(-1, m_slices, 4)

@@ -148,6 +148,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.yaml")
 
+    def test_config_bytes_that_are_not_utf8_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_bytes(b"mode: model-only\nseed: 1\n# \xff\n")
+        with pytest.raises(ConfigError, match="^cannot read config .*'utf-8' codec can't decode"):
+            load_config(path)
+        assert main(["optimize", "--config", str(path)]) == 2
+        assert f"error: cannot read config {path}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mode: balanced\nmode: model-only\n", "repeated key 'mode' at line 2"),
+            (
+                "optimizer:\n  max_iterations: 5\n  d1_init: 2.0\n  max_iterations: 7\n",
+                "repeated key 'optimizer.max_iterations' at line 4",
+            ),
+            (
+                "optimizer: {max_iterations: 5}\nseed: 1\noptimizer: {d1_init: 2.0}\n",
+                "repeated key 'optimizer' at line 3",
+            ),
+        ],
+        ids=["top level", "inside a section", "a section"],
+    )
+    def test_repeated_keys_are_rejected_by_path_and_line(self, tmp_path, capsys, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        assert main(["optimize", "--config", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["[]", "0", "false", "abc", "[1, 2]"])
     def test_model_section_must_be_a_mapping(self, value):
         with pytest.raises(ConfigError, match="^model: expected a mapping"):

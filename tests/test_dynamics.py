@@ -9,6 +9,9 @@ model_fidelity() itself is checked against ``reference_state``
 on its own.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -428,6 +431,25 @@ class TestModelFidelity:
         pulse = bell_recipe_pulse(217.4, m_slices=50)
         j = model_fidelity(MODEL, pulse, PSI0, TARGET)
         assert j >= 0.99
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (dict(g_hz=0.0), "g_hz must be positive and finite, got 0.0"),
+            (dict(g_hz=-5.0), "g_hz must be positive and finite, got -5.0"),
+            (dict(g_hz=math.nan), "g_hz must be positive and finite, got nan"),
+            (dict(g_hz=math.inf), "g_hz must be positive and finite, got inf"),
+            (dict(g_hz="217.4"), "g_hz must be a real number"),
+            (dict(g_hz=217.4, m_slices=0), "m_slices must be positive, got 0"),
+            (dict(g_hz=217.4, m_slices=-3), "m_slices must be positive, got -3"),
+            (dict(g_hz=217.4, m_slices=2.5), "m_slices must be an integer, got 2.5"),
+            (dict(g_hz=217.4, m_slices=True), "m_slices must be an integer, got True"),
+        ],
+        ids=["g 0", "g -5", "g nan", "g inf", "g text", "M 0", "M -3", "M 2.5", "M True"],
+    )
+    def test_recipe_rejects_bad_arguments_by_name(self, arguments, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            bell_recipe_pulse(**arguments)
 
     def test_closed_form_diagonal_evolution(self):
         # M = 1, zero controls, |++> input: J against the hand calculation.

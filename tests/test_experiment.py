@@ -14,6 +14,12 @@ from belltime.cartan import fidelity_ceiling, minimum_time_bell
 from belltime.dynamics import (
     PulseSequence,
     SystemModel,
+    _decay_factors,
+    _low_pass,
+    _relax,
+    _relaxation_matrices,
+    _relaxation_table,
+    _relaxed,
     model_fidelity,
     random_pulse,
     slice_propagators,
@@ -26,20 +32,15 @@ from belltime.experiment import (
     ExperimentBackend,
     ExperimentConfig,
     MeasurementLedger,
-    _decay_factors,
     _density,
     _expectations,
-    _low_pass,
     _pure_densities,
-    _relax,
-    _relaxation_matrices,
-    _relaxed,
     ledger_report,
 )
 from belltime.linalg import DENSITY_TOL, ket, pauli_string, require_density, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
-    decay_times,
+    lab_relaxation_times,
     reference_ket_evolution,
     reference_ket_probe_evolution,
     reference_partial,
@@ -55,12 +56,6 @@ G_HZ = 217.4
 
 def ideal_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(true_g_hz=G_HZ, **overrides)
-
-
-def low_pass(amplitudes, tau_s, dts):
-    """The emulator's low-pass filter of one (M, 4) waveform over (M,) slice durations."""
-    factors, index = _decay_factors(dts, (tau_s,))
-    return _low_pass(amplitudes[None], factors[index[None], 0])[0]
 
 
 def bits(x):
@@ -97,15 +92,6 @@ def relaxation_kraus(t1_s: float, t2_s: float, dt: float):
         z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
         ops.append([math.sqrt(1.0 - q) * eye, math.sqrt(q) * z])
     return ops
-
-
-def relax_tabled(config, rho, dts):
-    """rho after the emulator's tabled T1/T2 map of each slice, with no unitary."""
-    factors, index = _decay_factors(dts, config.t1_s + config.t2_s)
-    matrices = _relaxation_matrices(factors)
-    for row in index:
-        rho = _relaxed(matrices[row], rho)
-    return rho
 
 
 def relax_kraus(rho, t1_s, t2_s, dt):
@@ -199,7 +185,7 @@ class TestDistortion:
         amps = np.full((30, 4), 80.0)
         tau = 50e-6
         dt = 3e-3 / 30
-        out = low_pass(amps, tau, np.full(30, dt))
+        out = _low_pass(amps[None], np.full((1, 30), dt), tau)[0]
         expected_first = (1.0 - math.exp(-dt / tau)) * 80.0
         assert np.allclose(out[0], expected_first, atol=1e-9)
         # approach to the constant is monotone and exponential (check the
@@ -212,16 +198,8 @@ class TestDistortion:
 
     def test_huge_tau_suppresses_everything(self):
         pulse = random_pulse(25, 2e-3, 150.0, np.random.default_rng(2))
-        out = low_pass(pulse.amplitudes_hz, 1e3, np.full(25, pulse.slice_duration_s))
+        out = _low_pass(pulse.amplitudes_hz[None], pulse.slice_duration_s, 1e3)[0]
         assert np.max(np.abs(out)) < 1e-3
-
-    def test_per_slice_durations_match_uniform_path(self):
-        # tabled factors of equal durations are the one scalar factor
-        pulse = random_pulse(15, 2e-3, 90.0, np.random.default_rng(3))
-        k = np.full((1, 15), math.exp(-pulse.slice_duration_s / 30e-6))
-        a = _low_pass(pulse.amplitudes_hz[None], k)[0]
-        b = low_pass(pulse.amplitudes_hz, 30e-6, np.full(15, pulse.slice_duration_s))
-        assert np.array_equal(a, b)
 
     def test_recursion_matches_lfilter_bit_for_bit(self):
         # scipy's IIR filter is the oracle of the per-slice recursion.
@@ -234,8 +212,9 @@ class TestDistortion:
             tau = 10.0 ** rng.uniform(-6.0, -2.0)
             k = math.exp(-pulse.slice_duration_s / tau)
             expected = lfilter([1.0 - k], [1.0, -k], pulse.amplitudes_hz, axis=0)
-            uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
-            assert np.array_equal(low_pass(pulse.amplitudes_hz, tau, uniform), expected)
+            uniform = np.full((1, pulse.n_slices), pulse.slice_duration_s)
+            distorted = _low_pass(pulse.amplitudes_hz[None], uniform, tau)[0]
+            assert np.array_equal(bits(distorted), bits(expected))
 
     def test_recursion_matches_per_slice_reference(self):
         rng = np.random.default_rng(19)
@@ -244,7 +223,7 @@ class TestDistortion:
             tau = 10.0 ** rng.uniform(-6.0, -2.0)
             dts = pulse.slice_duration_s * rng.uniform(0.5, 1.5, size=pulse.n_slices)
             expected = reference_distortion(pulse.amplitudes_hz, tau, dts)
-            assert np.array_equal(low_pass(pulse.amplitudes_hz, tau, dts), expected)
+            assert np.array_equal(_low_pass(pulse.amplitudes_hz[None], dts[None], tau)[0], expected)
 
     @pytest.mark.parametrize("m_slices, n_rows", [(30, 40), (50, 501)])
     def test_stacked_recursion_matches_per_pulse(self, m_slices, n_rows):
@@ -254,11 +233,10 @@ class TestDistortion:
         pulse = random_pulse(m_slices, 2.4e-3, 150.0, rng)
         amps, dts = probe_stack(pulse, rng, n_rows)
         tau = 50e-6
-        factors, index = _decay_factors(dts, (tau,))
-        stacked = _low_pass(amps, factors[index, 0])
+        stacked = _low_pass(amps, dts, tau)
         k = math.exp(-pulse.slice_duration_s / tau)
         for row, (a, d) in enumerate(zip(amps, dts)):
-            assert np.array_equal(bits(stacked[row]), bits(low_pass(a, tau, d)))
+            assert np.array_equal(bits(stacked[row]), bits(_low_pass(a[None], d[None], tau)[0]))
             assert np.array_equal(bits(stacked[row]), bits(reference_distortion(a, tau, d)))
             if np.all(d == pulse.slice_duration_s):
                 assert np.array_equal(stacked[row], lfilter([1.0 - k], [1.0, -k], a, axis=0))
@@ -267,11 +245,10 @@ class TestDistortion:
         # y[0] = (1 - k) u[0] + k y[-1] with y[-1] = +0.0: a -0.0 drive gives +0.0
         amps = np.array([[-0.0, 0.0, -0.0, 12.5], [-0.0, 3.0, 0.0, -0.0], [1.0, -0.0, -0.0, 0.0]])
         dts = np.array([1e-4, 3e-5, 1e-4])
-        distorted = low_pass(amps, 50e-6, dts)
+        distorted = _low_pass(amps[None], dts[None], 50e-6)[0]
         assert np.all(bits(distorted[0, :3]) == bits(0.0)) and bits(distorted[1, 0]) == bits(0.0)
         stack = np.stack([amps, -amps, np.full_like(amps, -0.0)])
-        factors, index = _decay_factors(np.tile(dts, (3, 1)), (50e-6,))
-        for row, a in zip(_low_pass(stack, factors[index, 0]), stack):
+        for row, a in zip(_low_pass(stack, np.tile(dts, (3, 1)), 50e-6), stack):
             assert np.array_equal(bits(row), bits(reference_distortion(a, 50e-6, dts)))
 
 
@@ -318,17 +295,21 @@ class TestOpenEvolution:
 
     def test_amplitude_damping_fixed_point(self):
         # 6 s of free evolution from |11><11|; the ZZ drift leaves diagonal states alone
-        config = ideal_config(t1_s=(0.730, 0.096), t2_s=(0.0965, 0.0425))
-        rho = relax_tabled(config, np.outer(ket("11"), ket("11").conj()), np.full(200, 0.03))
+        table, index = _relaxation_table(np.full(200, 0.03), (0.730, 0.096, 0.0965, 0.0425))
+        rho = np.outer(ket("11"), ket("11").conj())
+        for row in index:
+            rho = _relaxed(table[row], rho)
         assert abs(rho[0, 0].real - 1.0) < 1e-3
         assert abs(np.trace(rho).real - 1.0) < 1e-10
 
     def test_spin1_coherence_decays_at_t2(self):
         t2c = 0.0965
-        config = ideal_config(t1_s=(0.730, 0.096), t2_s=(t2c, 0.0425))
+        table, index = _relaxation_table(np.full(100, t2c / 100), (0.730, 0.096, t2c, 0.0425))
         plus_zero = (ket("00") + ket("10")) / np.sqrt(2.0)
         # over T2 of free evolution; the ZZ drift only turns the phase of rho[0, 2]
-        rho = relax_tabled(config, np.outer(plus_zero, plus_zero.conj()), np.full(100, t2c / 100))
+        rho = np.outer(plus_zero, plus_zero.conj())
+        for row in index:
+            rho = _relaxed(table[row], rho)
         assert abs(abs(rho[0, 2]) - 0.5 * math.exp(-1.0)) < 1e-6
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 1e-3])
@@ -356,7 +337,7 @@ class TestOpenEvolution:
         uniform = np.full(m_slices, pulse.slice_duration_s)
         dense = reference_pulse_evolution(backend, pulse, uniform)
         expected = dense
-        if not decay_times(backend.config)[1]:
+        if not lab_relaxation_times(backend.config):
             expected = reference_ket_evolution(backend, pulse, uniform)
             assert np.max(np.abs(rho - dense)) <= 1e-14
         assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
@@ -526,7 +507,7 @@ class TestRelaxationMap:
         rho = density_from(parts, rank)
         t1, t2 = zip(*spins)
         factors = _decay_factors(np.array([dt]), t1 + t2)[0]
-        mapped = _relaxed(_relaxation_matrices(factors)[0], rho)
+        mapped = _relaxed(_relaxation_table(dt, t1 + t2)[0][0], rho)
         relaxed = rho.copy()
         _relax(relaxed, factors)
         assert np.max(np.abs(mapped - relaxed)) <= 1e-14
@@ -538,12 +519,11 @@ class TestRelaxationMap:
         rng = np.random.default_rng(43)
         dts = rng.choice([1e-5, 2e-4, 3e-3], size=(6, 9))
         times = (0.73, 0.096, 0.0965, 0.0425)
-        factors, index = _decay_factors(dts, times)
-        table = _relaxation_matrices(factors)
+        table, index = _relaxation_table(dts, times)
         assert table.shape == (3, 16, 16) and index.shape == dts.shape
         rho = np.outer(ket("11"), ket("11").conj())
         for dt, matrix in zip(np.unique(dts), table):
-            alone = _relaxation_matrices(_decay_factors(np.array([dt]), times)[0])[0]
+            (alone,), _ = _relaxation_table(dt, times)
             assert np.array_equal(matrix, alone)
             # |11> decays into |01> and |10>, each spin at its own T1
             populations = np.diag(_relaxed(matrix, rho)).real
@@ -551,8 +531,8 @@ class TestRelaxationMap:
             assert populations == pytest.approx(
                 [(1 - a1) * (1 - a2), (1 - a1) * a2, a1 * (1 - a2), a1 * a2], rel=1e-12
             )
-        per_slice = _relaxation_matrices(factors[index.ravel()]).reshape(6, 9, 16, 16)
-        assert np.array_equal(table[index], per_slice)
+        per_slice = np.stack([_relaxation_table(dt, times)[0][0] for dt in dts.ravel()])
+        assert np.array_equal(table[index], per_slice.reshape(6, 9, 16, 16))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(dts=st.lists(st.floats(1e-9, 1.0), min_size=0, max_size=12), spins=RELAXATION_CASES["spins"])
@@ -560,7 +540,7 @@ class TestRelaxationMap:
         # the map runs on real unit matrices; on complex ones its real parts are the same
         t1, t2 = zip(*spins)
         factors = _decay_factors(np.array(dts), t1 + t2)[0]
-        table = _relaxation_matrices(factors)
+        table = _relaxation_table(np.array(dts), t1 + t2)[0]
         assert table.dtype == np.float64 and table.flags.c_contiguous
         assert np.array_equal(bits(table), bits(reference_relaxation_matrices(factors)))
 
@@ -709,7 +689,7 @@ class TestProbeEvolution:
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         dense = reference_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
         expected = dense
-        if not decay_times(config)[1]:
+        if not lab_relaxation_times(config):
             expected = reference_ket_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
             assert np.max(np.abs(expected[0] - dense[0])) <= 1e-14
             if len(dts):
