@@ -237,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run one optimization (or a seed sweep)")
     p_opt.add_argument("--config", help="YAML run document")
     p_opt.add_argument("--mode", choices=MODES, help="override the run mode")
-    p_opt.add_argument("--seed", type=int, help="override the run seed")
+    seeding = p_opt.add_mutually_exclusive_group()
+    seeding.add_argument("--seed", type=int, help="override the run seed")
     p_opt.add_argument("--out", help="output directory")
     p_opt.add_argument("--iterations", type=int, help="override max_iterations")
-    p_opt.add_argument("--seeds", help="inclusive seed sweep, e.g. 0..4")
+    seeding.add_argument("--seeds", help="inclusive seed sweep, e.g. 0..4")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_eval = sub.add_parser("evaluate", help="score a stored pulse")

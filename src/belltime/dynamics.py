@@ -288,13 +288,25 @@ def _decay_factors(durations, times_s) -> tuple[np.ndarray, np.ndarray]:
     ``math.exp`` runs once per duration (``np.exp`` can round differently
     in the last bit), so a slice has the same factors alone as in any
     batch.  One duration skips ``np.unique``, which costs more than the
-    rest of the table.
+    rest of the table.  An array is tabled as ``np.unique`` tables it,
+    sorted, but only the entries that differ from its first are sorted:
+    almost every duration of a probe batch is the pulse's T/M, and the
+    first is put in its place among the others.
     """
     if np.ndim(durations) == 0:
         distinct, index = [durations], 0
+    elif not np.size(durations):
+        distinct, index = [], np.zeros(np.shape(durations), dtype=np.intp)
     else:
-        distinct, index = np.unique(durations, return_inverse=True)
-        distinct, index = distinct.tolist(), index.reshape(np.shape(durations))
+        flat = np.ravel(durations)
+        moved = flat != flat[0]
+        others, inverse = np.unique(flat[moved], return_inverse=True)
+        at = int(np.searchsorted(others, flat[0]))
+        index = np.full(flat.shape, at)
+        index[moved] = inverse + (inverse >= at)
+        others = others.tolist()
+        distinct = others[:at] + [float(flat[0])] + others[at:]
+        index = index.reshape(np.shape(durations))
     table = np.array([[math.exp(-dt / t) for t in times_s] for dt in distinct])
     return table.reshape(len(distinct), len(times_s)), index  # (0, T) with no durations
 

@@ -37,8 +37,9 @@ window only, the slices where it differs from the pulse, from the
 pulse's state where the window starts.  A relaxation-free lab then
 builds the backward products W_m = U_{M-1} ... U_m of the pulse's
 slices once, completes each probe's ket to the pulse's end with the
-one at its window's end, and reads it out against the three plain
-correlators, as closed-system GRAPE carries state vectors.  A lossy lab
+one at its window's end, and reads the three plain correlators
+straight from the completed ket, as closed-system GRAPE carries state
+vectors end to end.  A lossy lab
 back-propagates the three correlators through the pulse's slices once,
 by the adjoint map (the Heisenberg picture of GRAPE's backward sweep),
 and reads each probe's density out where its window ends, against the
@@ -59,22 +60,28 @@ bits for a slice alone as in any stack.  The backend keeps its last
 pulse evolution (propagators, applied amplitudes, relaxation matrix and
 kets or densities), so the probes of a pulse just measured, or a
 repeated measurement of it, do not evolve it again.  The probes' states
-are validated once, as densities: a lossy lab's by ``require_density``'s
-Cholesky screen, and a relaxation-free lab's, the |psi><psi| of its
-kets, by their trace alone, which decides as the full check would
-(``_pure_densities`` says why).  Their readout noise is drawn as one
-vector.  Noise stream and ledger are those of one ``fidelity_partial``
-call per probe, and values agree with it to rounding (1e-12); a single
-pulse's evolution keeps its own bits.
+are validated once, as one stack: a lossy lab's densities by
+``require_density``'s Cholesky screen, and a relaxation-free lab's kets
+by the trace of their |psi><psi| alone, which decides as the full check
+would (``_ket_correlators`` says why).  Their readout noise is drawn as
+one vector.  Noise stream and ledger are those of one
+``fidelity_partial`` call per probe, and values agree with it to
+rounding (1e-12); a single pulse's evolution keeps its own bits.
 
-Every readout, of a single pulse or of a probe, alone or in a batch,
-goes through one kernel (``_expectations``): tr(rho O) as the real
-Frobenius contraction of the two matrices' 32 real and imaginary parts,
-exact for Hermitian O.  A readout takes the same operations in the
-same order wherever it sits, so a state has the same bits alone as in
-any stack, and an observable alone as in any set.  The Pauli strings
-read against are built once, at import, as read-only constants that
-every backend shares.
+A readout has one of two kernels, each taking the same operations in
+the same order wherever the state sits, so a state has the same bits
+alone as in any stack.  A relaxation-free lab reads the three
+correlators of ``fidelity_partial``, of a pulse or of a probe, straight
+from its kets' real and imaginary parts (``_ket_correlators``), with no
+|psi><psi| built.  Every other readout, of a lossy lab's density or in
+``fidelity_full`` and ``measure_pauli``, goes through
+``_expectations``: tr(rho O) as the real Frobenius contraction of the
+two matrices' 32 real and imaginary parts, exact for Hermitian O, which
+gives an observable the same bits alone as in any set.  Both kernels
+feed one noise step (``_measured``): one draw in the order of scalar
+readouts, the clip and the ledger charge.  The Pauli strings read
+against are built once, at import, as read-only constants that every
+backend shares.
 """
 
 from __future__ import annotations
@@ -102,7 +109,6 @@ from .linalg import (
     require_density,
     require_hermitian,
     singlet_state,
-    trace_deviations,
 )
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
@@ -296,26 +302,53 @@ def _density(kets: np.ndarray) -> np.ndarray:
     return kets[..., :, None] * kets[..., None, :].conj()
 
 
-def _pure_densities(rhos: np.ndarray) -> np.ndarray:
-    """``require_density`` of a (B, 4, 4) stack of ``_density``'s |psi><psi|, by its trace.
+def _ket_correlators(kets: np.ndarray) -> np.ndarray:
+    """<XX>, <YY> and <ZZ> of each ket of a (B, 4) stack, as a (B, 3) real array, screened.
 
-    A relaxation-free lab reads out only such states, and of
-    ``require_density``'s three tests only the trace test can fail them.
-    The diagonal of |psi><psi| holds |a_i|^2 = (Re a_i)^2 + (Im a_i)^2,
-    so a trace within DENSITY_TOL of one bounds every part of psi by
-    about one; a NaN or infinite part, or a larger one, fails it.  Past
-    it, every entry a_i a_j^* is finite and rounded by a few eps at most:
-    rho is Hermitian to a few eps, and its eigenvalues lie within a few
-    eps of the exact projector's 0 and |psi|^2, so the Cholesky screen of
-    rho + (DENSITY_TOL/2) 1 clears it, with DENSITY_TOL/2 to spare.  The
-    stack is therefore tested by its trace alone, computed as
-    ``require_density`` computes it (``trace_deviations``).  On any
-    failure the stack goes to ``require_density``, which fails it too and
-    names the first bad matrix with the message it gives unscreened.
+    A relaxation-free lab reads out only kets, and of the three tests
+    that ``require_density`` would run on their |psi><psi| only the
+    trace test can fail one.  The trace holds |a_i|^2 = (Re a_i)^2 +
+    (Im a_i)^2, so a trace within DENSITY_TOL of one bounds every part
+    of psi by about one; a NaN or infinite part, or a larger one, fails
+    it.  Past it, every entry a_i a_j^* of |psi><psi| is finite and
+    rounded by a few eps at most: it is Hermitian to a few eps, and its
+    eigenvalues lie within a few eps of the exact projector's 0 and
+    |psi|^2, so the Cholesky screen of |psi><psi| + (DENSITY_TOL/2) 1
+    clears it, with DENSITY_TOL/2 to spare.  The kets are therefore
+    tested by their trace alone, computed as ``trace_deviations``
+    computes it on ``_density(kets)``: the complex products a_i a_i^*
+    of its diagonal, added as one complex reduction of four, which
+    gives its bits.  A stack that fails goes to
+    ``require_density(_density(kets))``, which fails it too and names
+    the first bad state with the message it gives unscreened.
+
+    With a_i = x_i + i y_i over |00>, |01>, |10>, |11>, p = x_0 x_3 +
+    y_0 y_3 = Re a_0^* a_3 and q = x_1 x_2 + y_1 y_2 = Re a_1^* a_2,
+
+        <XX> = 2 (q + p),  <YY> = 2 (q - p),
+        <ZZ> = (|a_0|^2 + |a_3|^2) - (|a_1|^2 + |a_2|^2),
+
+    in real float64 arithmetic, elementwise over the rows, so a ket has
+    the same bits alone as in any stack.  They agree with
+    ``_expectations`` of ``_density(kets)`` against the three
+    correlators to a few eps.
     """
-    if (trace_deviations(rhos) <= DENSITY_TOL).all():
-        return rhos
-    return require_density(rhos)
+    kets = np.ascontiguousarray(kets, dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite ket fails the trace
+        traces = np.add.reduce(kets * kets.conj(), axis=-1).real
+        if not (np.abs(traces - 1.0) <= DENSITY_TOL).all():
+            require_density(_density(kets))
+    parts = kets.view(np.float64).reshape(len(kets), 4, 2)  # (Re a_i, Im a_i) per row
+    squares = parts * parts
+    weights = squares[..., 0] + squares[..., 1]  # |a_i|^2
+    crossed = parts[:, :2] * parts[:, 3:1:-1]  # a_0 with a_3, a_1 with a_2
+    p, q = (crossed[..., 0] + crossed[..., 1]).T
+    values = np.empty((len(kets), 3))
+    np.add(q, p, out=values[:, 0])
+    np.subtract(q, p, out=values[:, 1])
+    values[:, :2] *= 2.0
+    np.subtract(weights[:, 0] + weights[:, 3], weights[:, 1] + weights[:, 2], out=values[:, 2])
+    return values
 
 
 def _real_parts(a: np.ndarray) -> np.ndarray:
@@ -453,9 +486,9 @@ class ExperimentBackend:
         then completes each probe's ket to the pulse's end with the
         backward product W_m = U_{M-1} ... U_m at its window's end, one
         4 x 4 ``dot`` per slice to build and one stacked ``matmul`` to
-        apply, and reads its |psi><psi| against the plain
-        ``PARTIAL_LABELS`` observables.  A lossy lab reads each probe's
-        density where its window ends, against those observables
+        apply; ``_partial`` reads the completed kets against the plain
+        ``PARTIAL_LABELS`` correlators.  A lossy lab reads each probe's
+        density where its window ends, against those correlators
         back-propagated there through the pulse's remaining slices:
         O -> U^dag R^T(O) U per slice, the adjoint of the forward map.
 
@@ -478,17 +511,18 @@ class ExperimentBackend:
         the relaxation table, one matrix per distinct duration;
         one-slice windows advance in one stacked product.
 
-        Returns copies: the probes' (B, 4, 4) states to read out (the
-        pulse's final state for a probe that differs nowhere) and their
-        observables, (3, 4, 4) for every probe of a relaxation-free lab
-        and (B, 3, 4, 4) back-propagated ones for a lossy lab.  A
-        relaxation-free lab's states are the |psi><psi| of its completed
-        kets, so ``_partial`` checks them by their trace alone
-        (``_pure_densities``).  A probe's readout equals its own
-        evolution's up to reordered rounding.  With no probes, nothing
-        is evolved.
+        Returns copies: the probes' states to read out (the pulse's final
+        state for a probe that differs nowhere) and their observables.
+        A relaxation-free lab's are the (B, 4) completed kets and None,
+        for ``_partial`` reads a ket straight from its parts
+        (``_ket_correlators``); a lossy lab's are the (B, 4, 4) densities
+        and their (B, 3, 4, 4) back-propagated correlators.  A probe's
+        readout equals its own evolution's up to reordered rounding.
+        With no probes, nothing is evolved.
         """
         if not len(slices):
+            if not self._t1_t2:
+                return np.empty((0, 4), dtype=np.complex128), None
             return np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
         u, u_dag, applied, relaxation, states = self._pulse_evolution(amplitudes, dt)
         m_slices = len(amplitudes)
@@ -531,7 +565,7 @@ class ExperimentBackend:
             early = ends < m_slices
             stack[early] = (backward[ends[early]] @ stack[early][:, :, None])[:, :, 0]
             leaving[windows] = stack
-            return _density(leaving), _PARTIAL_OPS.copy()
+            return leaving, None
 
         leaving[windows] = stack
         observables = np.empty((m_slices + 1, 3, 4, 4), dtype=np.complex128)
@@ -595,19 +629,15 @@ class ExperimentBackend:
         probe, at = window.nonzero()
         return probe, at, dts[window], flat.reshape(n_probes, m_slices, 4)[window]
 
-    def _readouts(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
-        """Noisy expectations (B, L) of L Hermitian observables in B checked states.
+    def _measured(self, values: np.ndarray, categories) -> np.ndarray:
+        """Noisy readouts of the (B, L) noiseless values of L observables in B states.
 
-        ``observables`` is (L, 4, 4), the same for every state, or
-        (B, L, 4, 4), one set per state.  The noiseless values come from
-        ``_expectations``, which needs Hermitian observables and gives a
-        state the same bits alone as in any stack, and an observable alone
-        as in any set.  The B*L noise samples are one draw from the
-        stream, in the order of B*L scalar readouts (state by state,
-        observable by observable); state b's L readouts are charged to
-        categories[b].
+        Every readout, of a ket or of a density, takes this one step.
+        The B*L noise samples are one draw from the stream, in the order
+        of B*L scalar readouts (state by state, observable by
+        observable), and each readout is clipped to 5 sigma past [-1, 1];
+        state b's L readouts are charged to categories[b].
         """
-        values = _expectations(rhos, observables)
         sigma = self.config.noise_sigma
         if sigma > 0.0:
             values = values + self._rng.normal(0.0, sigma, size=values.size).reshape(values.shape)
@@ -616,18 +646,23 @@ class ExperimentBackend:
             self.ledger.record(category, categories.count(category) * values.shape[1])
         return values
 
-    def _partial(self, rhos: np.ndarray, observables: np.ndarray, categories) -> np.ndarray:
+    def _partial(self, states: np.ndarray, observables, categories) -> np.ndarray:
         """Three-correlator fidelity estimates of B evolved states.
 
-        ``observables`` are the ``PARTIAL_LABELS`` correlators, or per
-        state their back-propagated images (``_evolve``).  The states are
-        checked as densities before anything is drawn or charged: a
-        relaxation-free lab's, the |psi><psi| of its kets, by their trace
-        alone (``_pure_densities``), and a lossy lab's by
-        ``require_density``.
+        A relaxation-free lab's states are (B, 4) kets, with
+        ``observables`` None: they are screened by their trace and read
+        against the ``PARTIAL_LABELS`` correlators straight from their
+        real and imaginary parts (``_ket_correlators``).  A lossy lab's
+        are (B, 4, 4) densities, checked by ``require_density`` and read
+        against ``observables`` by ``_expectations``: the correlators,
+        or per state their back-propagated images (``_evolve``).  Either
+        check runs before anything is drawn or charged (``_measured``).
         """
-        check = require_density if self._t1_t2 else _pure_densities
-        values = self._readouts(check(rhos), observables, categories)
+        if observables is None:
+            values = _ket_correlators(states)
+        else:
+            values = _expectations(require_density(states), observables)
+        values = self._measured(values, categories)
         # sum() over the columns adds in the order of a scalar sum of readouts
         return (1.0 - sum(values.T)) / 4.0
 
@@ -635,13 +670,21 @@ class ExperimentBackend:
         """One noisy expectation value of a Pauli string, charged to the ledger."""
         observable = _PAULI[tuple(labels)][None]
         _check_categories([category])
-        return float(self._readouts(_one_density(rho)[None], observable, [category])[0, 0])
+        value = _expectations(_one_density(rho)[None], observable)
+        return float(self._measured(value, [category])[0, 0])
 
     def fidelity_partial(self, pulse: PulseSequence, category: str = "fidelity_partial") -> float:
-        """Singlet-overlap estimate from 3 correlator measurements."""
+        """Singlet-overlap estimate from 3 correlator measurements.
+
+        A relaxation-free lab reads the final ket of the pulse's kept
+        evolution (``_pulse_evolution``); a lossy lab reads its density
+        (``evolve_open``).
+        """
         _check_categories([category])
-        rho = self.evolve_open(pulse)
-        return float(self._partial(rho[None], _PARTIAL_OPS, [category])[0])
+        if self._t1_t2:
+            return float(self._partial(self.evolve_open(pulse)[None], _PARTIAL_OPS, [category])[0])
+        kets = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)[-1]
+        return float(self._partial(kets[-1:], None, [category])[0])
 
     def fidelity_partial_batch(
         self,
@@ -660,9 +703,9 @@ class ExperimentBackend:
         in s (T/M on the pulse); probe b is charged to categories[b].
         Each probe is evolved only through the slices where it differs
         from the pulse, then completed to the pulse's end as a ket
-        without T1/T2, or read out against the correlators
-        back-propagated through the pulse's remaining slices under
-        them (``_evolve``).  Noise draws and ledger are those of B
+        without T1/T2 and read straight from its parts, or under them
+        read out against the correlators back-propagated through the
+        pulse's remaining slices (``_evolve``).  Noise draws and ledger are those of B
         ``fidelity_partial`` calls in order; the values are theirs up to
         reordered rounding, within 1e-12.  Every argument is checked
         before anything is evolved, drawn or charged: indices in range,
@@ -695,7 +738,7 @@ class ExperimentBackend:
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction."""
         rho = require_density(self.evolve_open(pulse))
-        values = self._readouts(rho[None], _TOMOGRAPHY_OPS, ["fidelity_full"])[0]
+        values = self._measured(_expectations(rho[None], _TOMOGRAPHY_OPS), ["fidelity_full"])[0]
         estimate = np.eye(4, dtype=np.complex128)
         for value, observable in zip(values.tolist(), _TOMOGRAPHY_OPS):
             estimate = estimate + value * observable

@@ -24,11 +24,13 @@ The readouts' trace of the stacked product (``reference_readouts``) is
 the one oracle that the package meets to rounding only: its kernel is a
 real contraction in another order.
 
-A lab with no finite T1 or T2 carries kets, not densities, and
-completes its probes to the pulse's end rather than back-propagating
-the correlators.  Its bit-for-bit oracles are the ket forms
-(``reference_ket_evolution``, ``reference_ket_probe_evolution``); the
-density loops run on it too and agree with it to rounding.
+A lab with no finite T1 or T2 carries kets, not densities, completes
+its probes to the pulse's end rather than back-propagating the
+correlators, and reads the correlators straight from its kets.  Its
+bit-for-bit oracles are the ket forms (``reference_ket_evolution``,
+``reference_ket_probe_evolution``), which hand back kets, and
+``reference_partial`` reads such a lab's ket as ``fidelity_partial``
+does; the density loops run on it too and agree with it to rounding.
 
 The emulator runs a pulse on one slice duration T/M and moves a
 slice's duration only in a probe.  ``reference_pulse_evolution`` takes
@@ -181,11 +183,11 @@ def reference_pulse_evolution(backend, pulse: PulseSequence, dts: np.ndarray) ->
 
 
 def reference_ket_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> np.ndarray:
-    """``reference_pulse_evolution`` of a relaxation-free lab, on kets.
+    """``reference_pulse_evolution`` of a relaxation-free lab, on kets: the final ket.
 
-    Each slice applies ``u @ psi`` from |00>, and the state returned is
-    ``np.outer(psi, psi^*)``.  On durations T/M each, ``evolve_open`` of
-    a relaxation-free lab must equal this one bit for bit.
+    Each slice applies ``u @ psi`` from |00>.  On durations T/M each, the
+    ``evolve_open`` of a relaxation-free lab must equal
+    ``np.outer(psi, psi^*)`` of this ket bit for bit.
     """
     u, relaxation, _ = _reference_slices(backend, pulse, dts)
     if relaxation is not None:
@@ -193,16 +195,21 @@ def reference_ket_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> n
     psi = ket("00")
     for u_m in u:
         psi = u_m @ psi
-    return np.outer(psi, psi.conj())
+    return psi
 
 
 def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
     """``backend.fidelity_partial(pulse, category)`` over the (M,) slice durations ``dts``.
 
-    The state is ``reference_pulse_evolution``'s, read out through the
-    backend's ``_partial``, so the noise draws and ledger charge are
-    those of ``fidelity_partial``.
+    A lossy lab's state is ``reference_pulse_evolution``'s density and a
+    relaxation-free lab's ``reference_ket_evolution``'s ket, each read
+    out through the backend's ``_partial`` as ``fidelity_partial`` reads
+    it, so the noise draws and ledger charge are those of
+    ``fidelity_partial``.
     """
+    if not lab_relaxation_times(backend.config):
+        psi = reference_ket_evolution(backend, pulse, dts)
+        return float(backend._partial(psi[None], None, [category])[0])
     rho = reference_pulse_evolution(backend, pulse, dts)
     return float(backend._partial(rho[None], _PARTIAL_OPS, [category])[0])
 
@@ -310,11 +317,12 @@ def reference_ket_probe_evolution(backend, amplitudes, dts, probe_amplitudes, pr
     through its window as a stacked ``u @ psi[..., None]``, gathered
     step by step as there.  A window that ends before the pulse does is
     completed by the backward product W_m = W_{m+1} @ U_m, with
-    W_{M-1} = U_{M-1}, at its end.  Returns the pulse's final state,
-    the probes' states as ``np.outer(psi, psi^*)`` and the plain
-    correlators XX, YY and ZZ, (3, 4, 4), as ``_evolve`` documents them
-    for a relaxation-free lab (with no probes, nothing is evolved).  The package's routines must equal this
-    one bit for bit.
+    W_{M-1} = U_{M-1}, at its end.  Returns the pulse's final ket and
+    the probes' (B, 4) completed kets, as ``_evolve`` documents them for
+    a relaxation-free lab (with no probes, nothing is evolved).  The
+    package's routines must equal this one bit for bit: ``evolve_open``
+    the ``np.outer(psi, psi^*)`` of the pulse's ket, and ``_evolve`` the
+    probes' kets.
     """
     m_slices = len(dts)
     u, relaxation, _, enter, leave, which = _reference_probe_pairs(
@@ -326,9 +334,8 @@ def reference_ket_probe_evolution(backend, amplitudes, dts, probe_amplitudes, pr
     kets[0] = ket("00")
     for m in range(m_slices):
         kets[m + 1] = u[m] @ kets[m]
-    rho = np.outer(kets[m_slices], kets[m_slices].conj())
     if not len(probe_dts):
-        return rho, np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
+        return kets[m_slices], np.empty((0, 4), dtype=np.complex128)
 
     order = np.argsort(enter - leave, kind="stable")
     lengths = (leave - enter)[order]
@@ -346,8 +353,7 @@ def reference_ket_probe_evolution(backend, amplitudes, dts, probe_amplitudes, pr
         backward[m] = backward[m + 1] @ u[m]
     early = leave < m_slices
     leaving[early] = (backward[leave[early]] @ leaving[early, :, None])[:, :, 0]
-    observables = np.stack([pauli_string(a, a) for a in "XYZ"])
-    return rho, np.stack([np.outer(psi, psi.conj()) for psi in leaving]), observables
+    return kets[m_slices], leaving
 
 
 def reference_readouts(rhos: np.ndarray, observables: np.ndarray) -> np.ndarray:

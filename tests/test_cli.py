@@ -439,13 +439,13 @@ class TestTmin:
 
 
 class TestOptimizeCommand:
-    def run_once(self, tmp_path, name, extra=()):
+    def run_once(self, tmp_path, name, extra=(), seeding=("--seed", "1")):
         out_dir = tmp_path / name
         code = main(
             [
                 "optimize",
                 "--mode", "model-only",
-                "--seed", "1",
+                *seeding,
                 "--iterations", "30",
                 "--out", str(out_dir),
                 *extra,
@@ -477,9 +477,22 @@ class TestOptimizeCommand:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_seed_sweep_makes_subdirectories(self, tmp_path, capsys):
-        out_dir = self.run_once(tmp_path, "sweep", extra=("--seeds", "0..2"))
+        out_dir = self.run_once(tmp_path, "sweep", seeding=("--seeds", "0..2"))
         for seed in range(3):
             assert (out_dir / f"seed-{seed}" / "trace.jsonl").exists()
+
+    def test_one_seed_and_a_sweep_are_exclusive(self, tmp_path, capsys):
+        # a --seed beside a --seeds sweep would be dropped; argparse refuses
+        # the pair, naming both, before anything runs
+        out_dir = tmp_path / "both"
+        with pytest.raises(SystemExit) as exited:
+            main(["optimize", "--mode", "model-only", "--iterations", "5", "--out", str(out_dir),
+                  "--seed", "7", "--seeds", "0..2"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seeds: not allowed with argument --seed" in captured.err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("seeds, message", [
         ("4..1", "seeds: range '4..1' is empty"),

@@ -34,7 +34,7 @@ from belltime.experiment import (
     MeasurementLedger,
     _density,
     _expectations,
-    _pure_densities,
+    _ket_correlators,
     ledger_report,
 )
 from belltime.linalg import DENSITY_TOL, ket, pauli_string, require_density, singlet_state
@@ -61,6 +61,13 @@ def ideal_config(**overrides) -> ExperimentConfig:
 def bits(x):
     """The int64 words of a float array: they tell -0.0 from +0.0."""
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def same_bits(got, want) -> bool:
+    """Whether two arrays, real or complex, hold the same words in the same shape, or both are None."""
+    if got is None or want is None:
+        return got is want
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def reference_distortion(amplitudes, tau_s, dts):
@@ -120,10 +127,23 @@ def reference_evolution(backend, pulse, dts):
 
 PARTIAL_OPS = np.stack([pauli_string(*labels) for labels in PARTIAL_LABELS])
 
+# The ket readout against the density kernel on the same ket's |psi><psi|:
+# both round a unit ket's correlators within a few eps of the exact value.
+# That is about 3x the worst measured, 1.5 eps over a million random unit
+# kets, some with an entry near or at zero.
+KET_READOUT_TOL = 4.0 * np.finfo(float).eps
+
 
 def readouts(rhos, observables=PARTIAL_OPS):
     """Noiseless (B, 3) correlators of B states, against the plain or per-state observables."""
     return reference_readouts(np.asarray(rhos), observables)
+
+
+def probe_readouts(states, observables):
+    """``readouts`` of ``_evolve``'s probes: kets, with observables None, or densities."""
+    if observables is None:
+        return readouts(np.einsum("bi,bj->bij", states, states.conj()))
+    return readouts(states, observables)
 
 
 def probe_stack(pulse, rng, n_rows):
@@ -338,7 +358,8 @@ class TestOpenEvolution:
         dense = reference_pulse_evolution(backend, pulse, uniform)
         expected = dense
         if not lab_relaxation_times(backend.config):
-            expected = reference_ket_evolution(backend, pulse, uniform)
+            psi = reference_ket_evolution(backend, pulse, uniform)
+            expected = np.outer(psi, psi.conj())
             assert np.max(np.abs(rho - dense)) <= 1e-14
         assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
 
@@ -371,10 +392,15 @@ class TestOpenEvolution:
             )
             rho = backend.evolve_open(pulse)
             assert np.array_equal(rho, fresh.evolve_open(pulse))
-            assert np.array_equal(leaving[5:9], np.repeat(rho[None], 4, axis=0))
+            final = rho
+            if observables is None:  # a relaxation-free lab's completed kets
+                final = reference_ket_evolution(fresh, pulse, uniform)
+                assert same_bits(rho, np.outer(final, final.conj()))
+            assert same_bits(leaving[5:9], np.repeat(final[None], 4, axis=0))
             alone = [reference_pulse_evolution(fresh, pulse.with_amplitudes(a), d)
                      for a, d in zip(amps, dts)]
-            assert np.max(np.abs(readouts(leaving, observables) - readouts(alone))) <= 1e-12
+            gap = probe_readouts(leaving, observables) - readouts(alone)
+            assert np.max(np.abs(gap)) <= 1e-12
 
     @pytest.mark.parametrize("m_slices", [1, 7, 50])
     def test_back_propagated_readouts_equal_forward_evolution(self, m_slices):
@@ -448,7 +474,7 @@ class TestOpenEvolution:
         evolved = backend._evolve(longer.amplitudes_hz, dt, *probes)
         expected = ExperimentBackend(config)._evolve(longer.amplitudes_hz, dt, *probes)
         for got, want in zip(evolved, expected):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert same_bits(got, want)
 
     def test_output_is_physical_under_mismatch(self):
         backend = ExperimentBackend(mismatch_config())
@@ -679,9 +705,9 @@ class TestProbeEvolution:
         # different one, the probes' states and observables have the bits
         # of the path that expands them into dense stacks, decomposes
         # every changed slice and keeps nothing, run on a fresh backend:
-        # on kets for a relaxation-free lab, whose readouts agree with the
-        # density path's within 1e-12; readouts, ledger and noise stream
-        # follow.
+        # on kets for a relaxation-free lab, which hands its probes out as
+        # completed kets, and whose readouts agree with the density path's
+        # within 1e-12; readouts, ledger and noise stream follow.
         pulse, entries, categories = probes
         config = mismatch_config(seed=seed, **APPARATUS[apparatus])
         backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
@@ -690,10 +716,11 @@ class TestProbeEvolution:
         dense = reference_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
         expected = dense
         if not lab_relaxation_times(config):
-            expected = reference_ket_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
+            psi, kets = reference_ket_probe_evolution(fresh, pulse.amplitudes_hz, uniform, amps, dts)
+            expected = np.outer(psi, psi.conj()), kets, None
             assert np.max(np.abs(expected[0] - dense[0])) <= 1e-14
             if len(dts):
-                gap = readouts(expected[1], expected[2]) - readouts(dense[1], dense[2])
+                gap = probe_readouts(kets, None) - readouts(dense[1], dense[2])
                 assert np.max(np.abs(gap)) <= 1e-12
         if earlier != "none":
             before = {
@@ -705,8 +732,7 @@ class TestProbeEvolution:
         probed = backend._evolve(pulse.amplitudes_hz, pulse.slice_duration_s, *entries)
         evolved = (backend.evolve_open(pulse), *probed)
         for got, want in zip(evolved, expected):
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert same_bits(got, want)
         values = backend.fidelity_partial_batch(pulse, *entries, categories)
         assert np.array_equal(bits(values), bits(fresh._partial(*expected[1:], categories)))
         assert backend.ledger.as_dict() == fresh.ledger.as_dict()
@@ -717,7 +743,7 @@ class TestProbeEvolution:
     @given(probes=probes_of_a_pulse(), low_pass=st.booleans(), seed=st.integers(0, 1000))
     def test_ket_probes_keep_their_bits_in_any_stack(self, probes, low_pass, seed):
         # A relaxation-free lab completes each probe's ket to the pulse's
-        # end: its state and readout have the same bits alone as in any
+        # end: its ket and readout have the same bits alone as in any
         # stack and in any batch order, and its readout agrees with the
         # density loop's within 1e-12, through the noise stream and ledger
         # of one fidelity_partial call per probe.
@@ -726,16 +752,17 @@ class TestProbeEvolution:
                                  **NO_RELAXATION)
         backend, single = ExperimentBackend(config), ExperimentBackend(config)
         args = pulse.amplitudes_hz, pulse.slice_duration_s
-        states, observables = backend._evolve(*args, *entries)
-        values = _expectations(states, observables)
+        kets, observables = backend._evolve(*args, *entries)
+        assert kets.shape == (len(categories), 4) and observables is None
+        values = _ket_correlators(kets)
         order = np.random.default_rng(seed).permutation(len(categories))
         shuffled, _ = backend._evolve(*args, *(entry[order] for entry in entries))
-        assert np.array_equal(shuffled.view(np.int64), states[order].view(np.int64))
-        assert np.array_equal(bits(_expectations(shuffled, observables)), bits(values[order]))
+        assert same_bits(shuffled, kets[order])
+        assert np.array_equal(bits(_ket_correlators(shuffled)), bits(values[order]))
         for b in range(len(categories)):
-            alone, plain = backend._evolve(*args, *(entry[b : b + 1] for entry in entries))
-            assert np.array_equal(alone[0].view(np.int64), states[b].view(np.int64))
-            assert np.array_equal(bits(_expectations(alone, plain)[0]), bits(values[b]))
+            alone, _ = backend._evolve(*args, *(entry[b : b + 1] for entry in entries))
+            assert same_bits(alone[0], kets[b])
+            assert np.array_equal(bits(_ket_correlators(alone)[0]), bits(values[b]))
         estimates = backend.fidelity_partial_batch(pulse, *entries, categories)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
@@ -768,11 +795,10 @@ class TestProbeEvolution:
                 pulse.amplitudes_hz, pulse.slice_duration_s, slices, columns, values
             )
             stacks = (pulse.amplitudes_hz, dts, *expand(pulse.amplitudes_hz, dts, slices, columns, values))
-            _, *expected = reference_ket_probe_evolution(ExperimentBackend(config), *stacks)
-            for got, want in zip(evolved, expected):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            _, kets = reference_ket_probe_evolution(ExperimentBackend(config), *stacks)
+            assert same_bits(evolved[0], kets) and evolved[1] is None
             _, *density_path = reference_probe_evolution(ExperimentBackend(config), *stacks)
-            assert np.max(np.abs(readouts(*evolved) - readouts(*density_path))) <= 1e-12
+            assert np.max(np.abs(probe_readouts(*evolved) - readouts(*density_path))) <= 1e-12
         assert rounded_away > 0
 
 
@@ -803,6 +829,24 @@ def readout_stacks(draw):
     rhos = a @ a.conj().swapaxes(-1, -2)
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
     return rhos, observables.reshape(shape + (4, 4))
+
+
+@st.composite
+def unit_kets(draw):
+    """1-40 unit kets; in some, one entry is zero or near it, or one part is zero."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kets = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    for _ in range(draw(st.integers(0, 4))):
+        row, entry = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+        size = draw(st.sampled_from([0.0, 1e-300, 1e-8]))
+        if draw(st.booleans()):
+            kets[row, entry] *= size
+        else:
+            kets[row] = kets[row].real if draw(st.booleans()) else 1j * kets[row].imag
+    norms = np.linalg.norm(kets, axis=1)
+    assume(np.all(norms > 1e-150))  # a row zeroed, or too small to square, has no direction
+    return kets / norms[:, None]
 
 
 class TestReadout:
@@ -847,6 +891,27 @@ class TestReadout:
         assert backend.measure_pauli(flipped[0], ("X", "Y"), "fidelity_full") == (
             backend.measure_pauli(flipped[0].copy(), ("X", "Y"), "fidelity_full")
         )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kets=unit_kets(), picks=st.lists(st.integers(0, 39), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ket_readouts_are_stack_invariant_and_the_density_readouts(self, kets, picks, seed):
+        # a ket's three correlators have the same bits alone as in any
+        # stack and in any order, and agree with the density kernel's
+        # readouts of its |psi><psi| to a few eps
+        values = _ket_correlators(kets)
+        assert values.shape == (len(kets), 3)
+        for b in range(len(kets)):
+            assert np.array_equal(bits(_ket_correlators(kets[b : b + 1])[0]), bits(values[b]))
+        rows = [b % len(kets) for b in picks]
+        assert np.array_equal(bits(_ket_correlators(kets[rows])), bits(values[rows]))
+        order = np.random.default_rng(seed).permutation(len(kets))
+        assert np.array_equal(bits(_ket_correlators(kets[order])), bits(values[order]))
+        # a stack that is not contiguous reads as its copy
+        strided = np.repeat(kets, 2, axis=0)[::2]
+        assert np.array_equal(bits(_ket_correlators(strided)), bits(values))
+        dense = _expectations(_density(kets), PARTIAL_OPS)
+        assert np.max(np.abs(values - dense)) <= KET_READOUT_TOL
 
     def test_noiseless_zero_pulse_partial_fidelity(self):
         backend = ExperimentBackend(ideal_config())
@@ -1171,16 +1236,34 @@ class TestPureStateScreen:
     @given(kets=hostile_kets())
     def test_trace_screen_decides_as_the_full_check(self, kets):
         # |psi><psi| of any ket fails require_density only where its trace
-        # does: the screen raises exactly when the full check does, naming
-        # the same matrix with the same message, and passes the stack as is
+        # does: the ket screen raises exactly when the full check of the
+        # kets' densities does, naming the same state with the same
+        # message, and otherwise reads the kets out as those densities
         with np.errstate(all="ignore"):  # squares past the float range
             rhos = _density(kets)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             expected = outcome(require_density, rhos)
-            assert outcome(_pure_densities, rhos) == expected
+            assert outcome(_ket_correlators, kets) == expected
             if expected is None:
-                assert _pure_densities(rhos) is rhos
+                gap = _ket_correlators(kets) - _expectations(rhos, PARTIAL_OPS)
+                assert np.max(np.abs(gap)) <= KET_READOUT_TOL
+
+    def test_trace_screen_decides_at_the_tolerance_as_the_full_check(self):
+        # Kets whose |psi|^2 sits a few ulps from 1 +- DENSITY_TOL, where
+        # the order and fusing of the trace's roundings decide: the screen
+        # must take the full check's bits to decide each ket as it does.
+        rng = np.random.default_rng(71)
+        n = 4000
+        kets = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        offsets = rng.choice([-1.0, 1.0], size=n) * DENSITY_TOL
+        offsets += rng.integers(-8, 9, size=n) * np.finfo(float).eps
+        kets *= np.sqrt(1.0 + offsets)[:, None]
+        rhos = _density(kets)
+        expected = [outcome(require_density, rhos[b : b + 1]) for b in range(n)]
+        assert [outcome(_ket_correlators, kets[b : b + 1]) for b in range(n)] == expected
+        assert 0 < expected.count(None) < n
 
     @pytest.mark.parametrize("apparatus", sorted(APPARATUS))
     def test_only_a_lossy_lab_runs_the_full_check(self, apparatus, monkeypatch):
