@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import as_positive, as_real
 from .linalg import pauli_string, require_unitary
 
 _XX = pauli_string("X", "X")
@@ -287,17 +288,14 @@ def minimum_time_unitary(u: np.ndarray, g_hz: float) -> float:
     Equals (|a_x| + |a_y| + |a_z|) / ((pi/2) g): local rotations are free
     and the ZZ drift produces interaction phase at rate (pi/2) g.
     """
-    if not (math.isfinite(g_hz) and g_hz > 0):
-        raise ValueError(f"g_hz must be positive and finite, got {g_hz}")
+    g_hz = as_positive(g_hz, "g_hz")
     a = cartan_coordinates(u).as_array()
     return float(np.sum(np.abs(a)) / ((np.pi / 2.0) * g_hz))
 
 
 def minimum_time_bell(g_hz: float) -> float:
     """Minimum seconds to reach a maximally entangled state: 1/(2 g)."""
-    if not (math.isfinite(g_hz) and g_hz > 0):
-        raise ValueError(f"g_hz must be positive and finite, got {g_hz}")
-    return 1.0 / (2.0 * g_hz)
+    return 1.0 / (2.0 * as_positive(g_hz, "g_hz"))
 
 
 def fidelity_ceiling(g_hz: float, duration_s: float) -> float:
@@ -306,10 +304,10 @@ def fidelity_ceiling(g_hz: float, duration_s: float) -> float:
     The coupling speed limit (1 + sin(pi g T))/2 for T <= 1/(2 g), and 1
     beyond (Khaneja, Brockett & Glaser, PRA 63, 032308 (2001)).
     """
-    t_bell = minimum_time_bell(g_hz)
+    g_hz, duration_s = as_positive(g_hz, "g_hz"), as_real(duration_s, "duration_s")
     if not duration_s >= 0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s}")
-    if duration_s >= t_bell:
+    if duration_s >= minimum_time_bell(g_hz):
         return 1.0
     return 0.5 * (1.0 + math.sin(math.pi * g_hz * duration_s))
 
@@ -320,7 +318,7 @@ def minimum_time_for_fidelity(g_hz: float, fidelity: float) -> float:
     arcsin(2F - 1)/(pi g) for F in [1/2, 1]; 0 below 1/2, which local
     rotations of |00> reach without the coupling.
     """
-    minimum_time_bell(g_hz)
+    g_hz, fidelity = as_positive(g_hz, "g_hz"), as_real(fidelity, "fidelity")
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
     return max(0.0, math.asin(2.0 * fidelity - 1.0) / (math.pi * g_hz))

@@ -46,13 +46,21 @@ stack of programmed waveforms by the first-order recursion
 
     y[m] = (1 - k_m) u[m] + k_m y[m-1],  y[-1] = 0,  k_m = exp(-dt_m/tau).
 
-``_relax`` is the T1/T2 relaxation of both spins over one slice in
-closed form, amplitude damping plus dephasing elementwise on rho: per
-spin s, a_s = exp(-dt/T1_s) of the |1> population stays and the rest
-decays to |0>, and the coherences shrink by e_s = exp(-dt/T2_s).  The
-map is linear and real, so ``_relaxation_table`` tables it as one real
-16 x 16 matrix on vec(rho) per distinct duration, each column the map of
-one unit matrix, and ``_relaxed`` applies the table to stacks.
+The T1/T2 relaxation of both spins over one slice is amplitude damping
+plus dephasing in closed form: per spin s, a_s = exp(-dt/T1_s) of the
+|1> population stays and the rest decays to |0>, and the coherences
+shrink by e_s = exp(-dt/T2_s).  The map is linear and real, and each
+spin acts on its own (ket, bra) pair, so ``_relaxation_table`` tables it
+as one real 16 x 16 matrix on vec(rho) per distinct duration, the
+elementwise product of the two spins' maps (``_relaxation_matrices``),
+and ``_relaxed`` applies the table to stacks.
+
+``SystemModel`` describes the apparatus, the design model's and the
+emulated lab's alike: the coupling (checked by ``as_positive``, which
+``cartan``, ``recipes`` and ``ExperimentConfig`` call too), the channel
+scales, the low-pass time constant and the relaxation times.  The
+propagation and gradients here know the coupling alone, and the lab
+applies the rest.
 
 Fidelity gradients here are exact, not first order in the slice length:
 each slice exponential is differentiated through its eigendecomposition
@@ -65,7 +73,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -110,17 +118,90 @@ def as_real(value, name: str) -> float:
     return float(value)
 
 
+def as_positive(value, name: str) -> float:
+    """``value`` as a positive, finite float (``as_real``); else a ValueError naming ``name``."""
+    value = as_real(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def as_nonnegative(value, name: str) -> float:
+    """``value`` as a finite float >= 0 (``as_real``); else a ValueError naming ``name``."""
+    value = as_real(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _as_positives(value, name: str, count: int, finite: bool = False) -> tuple[float, ...]:
+    """The ``count`` entries of a sequence ``value`` as positive floats, finite if ``finite``.
+
+    Each entry is taken by ``as_real``; a ValueError names ``name``.
+    """
+    entries = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(entries, (tuple, list)) or len(entries) != count:
+        raise ValueError(f"{name} must hold {count} values, got {value!r}")
+    reals = tuple(as_real(v, name) for v in entries)
+    if not all(v > 0 and (v < math.inf or not finite) for v in reals):
+        raise ValueError(f"{name} needs {count} {'finite ' * finite}positive entries, got {reals}")
+    return reals
+
+
 @dataclass(frozen=True)
 class SystemModel:
-    """Nominal model of the two-spin system: just the ZZ coupling in Hz."""
+    """The two-spin apparatus: the design model's, or the emulated lab's hidden one.
+
+    ``g_hz`` is the ZZ coupling.  The other fields say how the apparatus
+    departs from the ideal, and default to it: ``amplitude_scale``
+    multiplies the channels (ux1, uy1, ux2, uy2), ``distortion_tau_s`` is
+    the time constant of the waveforms' low-pass (0: none), and ``t1_s``
+    and ``t2_s`` are the relaxation times of spin 1 and spin 2
+    (``math.inf``: none), with T2 <= 2 T1 + 1e-12 per spin.  Each field
+    is checked here alone.  ``relaxation_times`` is derived from them:
+    T1 of spin 1 and 2, then T2 capped at 2 T1, as ``_relaxation_table``
+    takes them, or () when none is finite and the apparatus skips
+    relaxation.  ``ExperimentConfig`` builds its hidden
+    apparatus as one, and the lab reads all of it.  The design model's
+    propagation and gradients know only g: ``model_fidelity``,
+    ``fidelity_and_gradients`` and a run refuse a model whose other
+    fields leave their defaults (``require_ideal``).
+    """
 
     g_hz: float
+    amplitude_scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
+    distortion_tau_s: float = 0.0
+    t1_s: tuple[float, float] = (math.inf, math.inf)
+    t2_s: tuple[float, float] = (math.inf, math.inf)
 
     def __post_init__(self):
-        g_hz = as_real(self.g_hz, "g_hz")
-        if not (math.isfinite(g_hz) and g_hz > 0):
-            raise ValueError(f"g_hz must be positive and finite, got {g_hz}")
-        object.__setattr__(self, "g_hz", g_hz)
+        scale = _as_positives(self.amplitude_scale, "amplitude_scale", 4, finite=True)
+        tau = as_nonnegative(self.distortion_tau_s, "distortion_tau_s")
+        t1, t2 = _as_positives(self.t1_s, "t1_s", 2), _as_positives(self.t2_s, "t2_s", 2)
+        for spin, (one, two) in enumerate(zip(t1, t2), start=1):
+            if two > 2.0 * one + 1e-12:
+                raise ValueError(f"t2_s of spin {spin} is {two}, past 2 t1_s = {2 * one}")
+        for f, value in zip(fields(self), (as_positive(self.g_hz, "g_hz"), scale, tau, t1, t2)):
+            object.__setattr__(self, f.name, value)
+        # derived, not a field: T2 may pass 2 T1 by the 1e-12 above, and the cap keeps a channel
+        times = t1 + tuple(min(two, 2.0 * one) for one, two in zip(t1, t2))
+        object.__setattr__(self, "relaxation_times", times if min(times) < math.inf else ())
+
+
+def require_ideal(model: SystemModel, error: type = ValueError) -> SystemModel:
+    """``model``, unless a field other than g leaves its ideal default: ``error`` names it.
+
+    The design model propagates and differentiates the coupling alone,
+    so it refuses a scale, low-pass or relaxation time it would ignore.
+    The message names the field as a run document's ``model`` section
+    does, ``model.distortion_tau_s`` say.
+    """
+    for f in fields(SystemModel)[1:]:
+        if (value := getattr(model, f.name)) != f.default:
+            raise error(f"model.{f.name}: the design model takes only {f.default!r}, got {value!r}")
+    return model
 
 
 @dataclass(frozen=True)
@@ -137,10 +218,7 @@ class PulseSequence:
     amplitudes_hz: np.ndarray
 
     def __post_init__(self):
-        duration = as_real(self.duration_s, "duration_s")
-        if not (math.isfinite(duration) and duration > 0):
-            raise ValueError(f"duration_s must be positive and finite, got {duration}")
-        object.__setattr__(self, "duration_s", duration)
+        object.__setattr__(self, "duration_s", as_positive(self.duration_s, "duration_s"))
         if np.iscomplexobj(self.amplitudes_hz):
             raise ValueError("amplitudes_hz must be real, got complex entries")
         amps = np.array(self.amplitudes_hz, dtype=np.float64, copy=True)
@@ -340,39 +418,30 @@ def _low_pass(programmed: np.ndarray, durations, tau_s: float) -> np.ndarray:
     return drive.transpose(1, 0, 2)
 
 
-def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
-    """T1/T2 relaxation of both spins over one slice, in place, per row.
-
-    ``rho`` is (B, 4, 4) or one 4 x 4 state, ``factors`` (B, 4): per row
-    a_1, a_2, e_1, e_2 with a_s = exp(-dt/T1_s) and e_s = exp(-dt/T2_s).
-    This is amplitude damping plus dephasing (Nielsen & Chuang, section
-    8.3) in closed form: per spin, 1 - a_s of the |1> population decays
-    to |0>, and the coherences between |0> and |1> shrink by e_s.
-    """
-    r = rho.reshape(-1, 2, 2, 2, 2)  # (row, ket spin 1, ket spin 2, bra spin 1, bra spin 2)
-    for spin, spin_first in enumerate((r, r.transpose(0, 2, 1, 4, 3))):
-        a, e = factors[:, spin, None, None], factors[:, 2 + spin, None, None]
-        spin_first[:, 0, :, 0] += (1.0 - a) * spin_first[:, 1, :, 1]
-        spin_first[:, 1, :, 1] *= a
-        spin_first[:, 0, :, 1] *= e
-        spin_first[:, 1, :, 0] *= e
-
-
-# The 16 real unit matrices, in the row-major order of vec(rho).
-_UNITS = np.eye(16).reshape(16, 4, 4)
-
-
 def _relaxation_matrices(factors: np.ndarray) -> np.ndarray:
-    """``_relax`` as one real 16 x 16 matrix per row of the (D, 4) factors.
+    """The T1/T2 map of both spins over one slice, one real 16 x 16 matrix per row of ``factors``.
 
-    Each matrix acts on the row-major vec(rho); its column j is ``_relax``
-    applied to the j-th unit matrix, so the map stays defined once.  The
-    map is real, so it runs on real unit matrices: their entries meet the
-    same products and sums as the real parts of complex ones.
+    ``factors`` is (D, 4): per row a_1, a_2, e_1, e_2 with a_s =
+    exp(-dt/T1_s) and e_s = exp(-dt/T2_s).  The map is amplitude damping
+    plus dephasing (Nielsen & Chuang, section 8.3) in closed form: per
+    spin, 1 - a_s of the |1> population decays to |0>, and the
+    coherences between |0> and |1> shrink by e_s.  On one spin's (ket,
+    bra) pair, in the order 00, 01, 10, 11, that is the 4 x 4 map
+
+        [[1, 0, 0, 1 - a_s], [0, e_s, 0, 0], [0, 0, e_s, 0], [0, 0, 0, a_s]].
+
+    A matrix acts on the row-major vec(rho), indexed (ket spin 1, ket
+    spin 2, bra spin 1, bra spin 2), and is the elementwise product of
+    the two spins' maps, each spread over the other spin's indices.
+    Every entry is one product of two factors.
     """
-    units = np.tile(_UNITS, (len(factors), 1, 1))
-    _relax(units, np.repeat(factors, 16, axis=0))
-    return np.ascontiguousarray(units.reshape(-1, 16, 16).swapaxes(1, 2))
+    a, e = factors[:, :2, None], factors[:, 2:, None]
+    spins = np.zeros((len(factors), 2, 16))  # (row, spin, the 4 x 4 map row-major)
+    spins[..., [0, 3, 5, 10, 15]] = np.concatenate([np.ones_like(a), 1.0 - a, e, e, a], axis=-1)
+    # (row, ket out, bra out, ket in, bra in) per spin
+    one, two = np.moveaxis(spins.reshape(-1, 2, 2, 2, 2, 2), 1, 0)
+    pairs = one[:, :, None, :, None, :, None, :, None] * two[:, None, :, None, :, None, :, None, :]
+    return pairs.reshape(-1, 16, 16)
 
 
 def _relaxation_table(durations, t1_t2) -> tuple[np.ndarray, np.ndarray]:
@@ -402,10 +471,10 @@ def _relaxed(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def model_fidelity(
     model: SystemModel, pulse: PulseSequence, psi0: np.ndarray, target: np.ndarray
 ) -> float:
-    """|<target| U_M ... U_1 |psi0>|^2 under the nominal model."""
+    """|<target| U_M ... U_1 |psi0>|^2 under the ideal nominal model (``require_ideal``)."""
     target = require_state(target)
     psi0 = require_state(psi0)
-    return _model_fidelity(model, pulse, psi0, target)[0]
+    return _model_fidelity(require_ideal(model), pulse, psi0, target)[0]
 
 
 def _model_fidelity(model, pulse, psi0, target):
@@ -460,11 +529,12 @@ def fidelity_and_gradients(
     signed zeros that never change a partial sum, so V^dag E V is summed
     over that entry alone.  ``grad_amplitudes`` is C-ordered: the
     optimizer's step and step-size sums add in memory order, so an
-    F-ordered array of equal values would move their bits.
+    F-ordered array of equal values would move their bits.  The model
+    must be ideal but for g (``require_ideal``).
     """
     psi0 = require_state(psi0)
     target = require_state(target)
-    return _fidelity_and_gradients(model, pulse, psi0, target)
+    return _fidelity_and_gradients(require_ideal(model), pulse, psi0, target)
 
 
 def _fidelity_and_gradients(model, pulse, psi0, target, sweep=None) -> GradientBundle:

@@ -4,12 +4,15 @@ The backend evolves the two spins under a hidden "true" model that
 deliberately differs from the design model: a miscalibrated coupling,
 per-channel amplitude scale errors, a first-order low-pass distortion of
 the programmed waveforms, and per-spin T1/T2 relaxation after each
-slice's unitary.  That physics lives in ``dynamics``: the low-pass
-(``_low_pass``) and the relaxation table (``_relaxation_table``), each
-keyed by slice durations.  A pulse's slices share one duration T/M and
-so one relaxation matrix; only a probe moves a slice's duration, and a
-batch of probes tables one matrix per distinct duration.  This module
-holds the lab: its noise, its ledger, its probes and its readouts.
+slice's unitary.  The hidden model is a ``SystemModel``, the design
+model's type, built once by ``ExperimentConfig`` (``apparatus``), and
+the backend reads every physical parameter from it.  That physics lives
+in ``dynamics``: the low-pass (``_low_pass``) and the relaxation table
+(``_relaxation_table``), each keyed by slice durations.  A pulse's
+slices share one duration T/M and so one relaxation matrix; only a
+probe moves a slice's duration, and a batch of probes tables one matrix
+per distinct duration.  This module holds the lab: its noise, its
+ledger, its probes and its readouts.
 Expectation values are read out through a seeded Gaussian noise
 stream, and every readout is charged to a measurement ledger so the
 wall-clock cost of an optimization run can be audited afterwards.  A
@@ -99,7 +102,8 @@ from .dynamics import (
     _relaxed,
     _sweep,
     as_integer,
-    as_real,
+    as_nonnegative,
+    as_positive,
     closed_form_propagators,
 )
 from .linalg import (
@@ -142,21 +146,18 @@ SECONDS_PER_MEASUREMENT = 10.0
 DURATION_COLUMN = 4
 
 
-def _as_reals(value, name: str, count: int) -> tuple[float, ...]:
-    """The ``count`` entries of a sequence ``value`` as floats (``as_real``)."""
-    entries = value.tolist() if isinstance(value, np.ndarray) else value
-    if not isinstance(entries, (tuple, list)) or len(entries) != count:
-        raise ValueError(f"{name} must hold {count} values, got {value!r}")
-    return tuple(as_real(v, name) for v in entries)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Hidden true model plus readout characteristics of the emulated lab.
+    """The run document's ``experiment`` section: the emulated lab's apparatus and readouts.
 
-    Relaxation times are per spin, ordered (spin 1, spin 2); use
-    ``math.inf`` to disable a decay channel.  ``distortion_tau_s = 0``
-    disables waveform distortion.  Every readout costs
+    Its first five fields describe the hidden apparatus, which
+    ``__post_init__`` builds once as ``apparatus``, a ``SystemModel``
+    that checks them: g is ``true_g_hz``, and ``amplitude_scale``,
+    ``distortion_tau_s``, ``t1_s`` and ``t2_s`` keep their names (see
+    ``SystemModel``).  ``apparatus`` is derived, not a field, so the
+    section's keys are the seven below, and ``ExperimentBackend`` reads
+    the physics from it alone.  ``noise_sigma`` is the readout noise and
+    ``seed`` seeds its stream.  Every readout costs
     ``SECONDS_PER_MEASUREMENT`` of bench time.
     """
 
@@ -169,33 +170,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("true_g_hz", "distortion_tau_s", "noise_sigma"):
-            value = as_real(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if not self.true_g_hz > 0:
-            raise ValueError(f"true_g_hz must be positive, got {self.true_g_hz}")
-        scale = _as_reals(self.amplitude_scale, "amplitude_scale", 4)
-        if not all(0.0 < s < math.inf for s in scale):
-            raise ValueError(
-                f"amplitude_scale needs 4 finite positive entries, got {self.amplitude_scale!r}"
-            )
-        object.__setattr__(self, "amplitude_scale", scale)
-        if self.distortion_tau_s < 0:
-            raise ValueError(f"distortion_tau_s must be >= 0, got {self.distortion_tau_s}")
-        t1, t2 = _as_reals(self.t1_s, "t1_s", 2), _as_reals(self.t2_s, "t2_s", 2)
-        for spin, (one, two) in enumerate(zip(t1, t2), start=1):
-            if not (one > 0 and two > 0):
-                raise ValueError(f"relaxation times of spin {spin} must be positive")
-            if two > 2.0 * one + 1e-12:
-                raise ValueError(
-                    f"spin {spin} has t2 = {two} > 2*t1 = {2 * one}, not a valid channel"
-                )
-        object.__setattr__(self, "t1_s", t1)
-        object.__setattr__(self, "t2_s", t2)
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        apparatus = SystemModel(as_positive(self.true_g_hz, "true_g_hz"), self.amplitude_scale,
+                                self.distortion_tau_s, self.t1_s, self.t2_s)
+        for mine, its in zip(fields(self), fields(apparatus)):  # the first five, as checked
+            object.__setattr__(self, mine.name, getattr(apparatus, its.name))
+        object.__setattr__(self, "apparatus", apparatus)
+        object.__setattr__(self, "noise_sigma", as_nonnegative(self.noise_sigma, "noise_sigma"))
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -391,15 +371,9 @@ class ExperimentBackend:
         self.config = config
         self.ledger = MeasurementLedger()
         self._rng = np.random.default_rng(config.seed)
-        self._model = SystemModel(g_hz=config.true_g_hz)
+        self._apparatus = config.apparatus  # the physics: g, scales, low-pass, T1/T2
         self._target = singlet_state()
         self._ground = ket("00")
-        self._scale = np.array(config.amplitude_scale)
-        self._tau = config.distortion_tau_s  # 0: no low-pass
-        # T2 may pass 2*T1 by the validator's 1e-12; decay stays a channel
-        t1_t2 = config.t1_s + tuple(min(t2, 2.0 * t1) for t1, t2 in zip(config.t1_s, config.t2_s))
-        # a coherent apparatus has none, and its slices skip relaxation
-        self._t1_t2 = t1_t2 if any(math.isfinite(t) for t in t1_t2) else ()
         self._kept = None  # (key, evolution) of the last pulse (_pulse_evolution)
 
     def evolve_open(self, pulse: PulseSequence) -> np.ndarray:
@@ -445,17 +419,17 @@ class ExperimentBackend:
         key = (amplitudes.tobytes(), dt)
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
-        applied = amplitudes
-        if self._tau:
-            applied = _low_pass(amplitudes[None], dt, self._tau)[0]
-        applied = applied * self._scale
-        u = closed_form_propagators(self._model, applied, dt)
-        if not self._t1_t2:
+        apparatus, applied = self._apparatus, amplitudes
+        if apparatus.distortion_tau_s:
+            applied = _low_pass(amplitudes[None], dt, apparatus.distortion_tau_s)[0]
+        applied = applied * apparatus.amplitude_scale
+        u = closed_form_propagators(apparatus, applied, dt)
+        if not apparatus.relaxation_times:
             states = np.empty((len(amplitudes) + 1, 4), dtype=np.complex128)
             _sweep(u, self._ground, states)
             evolution = (u, None, applied, None, states)
         else:  # the real map acts on (16, 2) views of vec(rho)'s real and imaginary parts
-            (relaxation,), _ = _relaxation_table(dt, self._t1_t2)
+            (relaxation,), _ = _relaxation_table(dt, apparatus.relaxation_times)
             u_dag = u.conj().swapaxes(-1, -2)
             states = np.empty((len(amplitudes) + 1, 4, 4), dtype=np.complex128)
             states[0] = rho = _density(self._ground)
@@ -520,13 +494,14 @@ class ExperimentBackend:
         readout equals its own evolution's up to reordered rounding.
         With no probes, nothing is evolved.
         """
+        t1_t2 = self._apparatus.relaxation_times
         if not len(slices):
-            if not self._t1_t2:
+            if not t1_t2:
                 return np.empty((0, 4), dtype=np.complex128), None
             return np.empty((0, 4, 4), dtype=np.complex128), np.empty((0, 3, 4, 4))
         u, u_dag, applied, relaxation, states = self._pulse_evolution(amplitudes, dt)
         m_slices = len(amplitudes)
-        decode = self._filtered_pairs if self._tau else self._one_slice_pairs
+        decode = self._filtered_pairs if self._apparatus.distortion_tau_s else self._one_slice_pairs
         probe, at, durations, pair_amps = decode(amplitudes, applied, dt, slices, columns, values)
         # each probe's window: its first pair and its length (0: it differs nowhere)
         lengths = np.bincount(probe, minlength=len(slices))
@@ -542,8 +517,8 @@ class ExperimentBackend:
         order = np.empty(len(probe), dtype=np.intp)
         order[start[step] + rank[probe]] = np.arange(len(probe))
         durations = durations[order]
-        u_pairs = closed_form_propagators(self._model, pair_amps[order], durations)
-        table, index = _relaxation_table(durations, self._t1_t2) if self._t1_t2 else (None, None)
+        u_pairs = closed_form_propagators(self._apparatus, pair_amps[order], durations)
+        table, index = _relaxation_table(durations, t1_t2) if t1_t2 else (None, None)
         first, lengths = first[windows], lengths[windows]
         stack = states[at[first]]
         for lo, count in zip(start.tolist(), inside.tolist()):
@@ -590,7 +565,7 @@ class ExperimentBackend:
         timed = columns == DURATION_COLUMN
         moved = np.flatnonzero(~timed)
         entry = moved, columns[moved]
-        scaled = values[moved] * self._scale[entry[1]]
+        scaled = values[moved] * np.array(self._apparatus.amplitude_scale)[entry[1]]
         applied = applied[slices]
         still = scaled != applied[entry]
         applied[entry] = scaled
@@ -618,8 +593,8 @@ class ExperimentBackend:
         dts = np.full((n_probes, m_slices), dt)
         dts[rows[timed], slices[timed]] = values[timed]
         # flat (B, 4M) rows, in place: a copy of the low-pass's slice-major output
-        flat = _low_pass(programmed, dts, self._tau).reshape(n_probes, -1)
-        np.multiply(flat, np.tile(self._scale, m_slices), out=flat)
+        flat = _low_pass(programmed, dts, self._apparatus.distortion_tau_s).reshape(n_probes, -1)
+        np.multiply(flat, np.tile(self._apparatus.amplitude_scale, m_slices), out=flat)
         # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
         moved = (flat != applied.reshape(-1)).view(np.uint32).astype(bool)  # (B, M)
         own = moved | (dts != dt)
@@ -681,7 +656,7 @@ class ExperimentBackend:
         (``evolve_open``).
         """
         _check_categories([category])
-        if self._t1_t2:
+        if self._apparatus.relaxation_times:
             return float(self._partial(self.evolve_open(pulse)[None], _PARTIAL_OPS, [category])[0])
         kets = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)[-1]
         return float(self._partial(kets[-1:], None, [category])[0])

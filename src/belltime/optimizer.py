@@ -87,8 +87,8 @@ from typing import Optional
 
 import numpy as np
 
-# A run checks its two states once, in ``_oracles``, so its model oracles
-# are the unchecked cores of ``model_fidelity`` and
+# A run checks its model and its two states once, in ``_oracles``, so its
+# model oracles are the unchecked cores of ``model_fidelity`` and
 # ``fidelity_and_gradients``: the first returns (J, sweep), and the second
 # takes that sweep back.  They keep the public names here, where this
 # module's callers look them up and tests and perfbench/tracing.py wrap them.
@@ -99,6 +99,7 @@ from .dynamics import (
     as_integer,
     as_real,
     random_pulse,
+    require_ideal,
 )
 from .dynamics import _fidelity_and_gradients as fidelity_and_gradients
 from .dynamics import _model_fidelity as model_fidelity
@@ -385,11 +386,12 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
     ``evaluate(pulse)`` returns (j_oracle, j_model) and ``gradients(pulse)``
     a ``GradientBundle``.  ``backend`` is the emulated apparatus, whose
     ledger is charged for every readout the oracles take; it is None in
-    model-only mode, which takes none.
+    model-only mode, which takes none.  The design model must be ideal
+    but for g (``require_ideal``).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    psi0, target = require_state(psi0), require_state(target)  # once per run
+    model, psi0, target = require_ideal(model), require_state(psi0), require_state(target)
 
     # The last model-evaluated pulse with its sweep, and the last graded
     # pulse with its bundle, both matched by identity.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import PulseSequence, SystemModel, as_integer
+from .dynamics import PulseSequence, as_positive, as_integer
 
 DRIVE_HZ = 2500.0  # amplitude of every rotation
 
@@ -44,10 +44,10 @@ def bell_recipe_pulse(g_hz: float, m_slices: int = 50) -> PulseSequence:
 
     Channel order is (ux1, uy1, ux2, uy2); all rotations are driven at
     +DRIVE_HZ, so a pi/2 rotation lasts 1/(4 DRIVE_HZ) seconds.  The
-    coupling is checked as ``SystemModel`` checks it, positive and
-    finite, and ``m_slices`` must be a positive integer.
+    coupling is checked by ``as_positive``, as ``SystemModel`` checks
+    it, and ``m_slices`` must be a positive integer.
     """
-    g_hz = SystemModel(g_hz).g_hz
+    g_hz = as_positive(g_hz, "g_hz")
     if as_integer(m_slices, "m_slices") < 1:
         raise ValueError(f"m_slices must be positive, got {m_slices}")
     quarter = 1.0 / (4.0 * DRIVE_HZ)  # pi/2 rotation

@@ -21,7 +21,11 @@ A run document has up to six top-level keys::
 The config dataclasses are the schema: the top level maps onto
 ``RunConfig``, each section onto ``SystemModel``, ``ExperimentConfig`` or
 ``OptimizerConfig``, whose annotations type every field and whose
-defaults fill anything omitted.  Every section must be a mapping; unknown
+defaults fill anything omitted.  The ``model`` section is the design
+model, which knows only the coupling: its other ``SystemModel`` fields
+are accepted at their ideal defaults alone, so a resolved document reads
+back, and any other value is rejected by its path
+(``model.distortion_tau_s``, say).  Every section must be a mapping; unknown
 keys and keys given twice are rejected by name, and every invariant
 violation is reported with its section path.  ``RunConfig.replace``, and
 the CLI overrides through it, are checked by the same builder.
@@ -38,7 +42,7 @@ from typing import Optional
 
 import yaml
 
-from .dynamics import SystemModel, as_integer
+from .dynamics import SystemModel, as_integer, require_ideal
 from .experiment import ExperimentConfig
 from .optimizer import MODES, OptimizerConfig
 
@@ -123,6 +127,7 @@ class RunConfig:
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ConfigError(f"seed: expected a non-negative integer, got {self.seed}")
+        require_ideal(self.model, ConfigError)
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with ``changes`` validated as the keys of a run document.

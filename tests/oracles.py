@@ -15,7 +15,8 @@ oracles take their propagators from ``closed_form_propagators``, as the
 emulator does.  The forms the package's set-up replaced
 (``reference_slice_propagators``, the ``einsum`` build of the slice
 Hamiltonians, and ``reference_relaxation_matrices``, the relaxation map
-on complex unit matrices) are kept beside them, and so are the probe
+``_relax`` applied in place to complex unit matrices, where the package
+multiplies the two spins' maps) are kept beside them, and so are the probe
 path over dense probe stacks (``reference_probe_evolution``) and the
 density check by eigenvalues alone (``reference_require_density``).
 The package's routines must equal all of these bit for bit, and the
@@ -32,6 +33,11 @@ bit-for-bit oracles are the ket forms (``reference_ket_evolution``,
 ``reference_partial`` reads such a lab's ket as ``fidelity_partial``
 does; the density loops run on it too and agree with it to rounding.
 
+The Bell problem's two symmetries, a common rotation of both spins'
+(x, y) drives and the exchange of the spins, act on pulses and on an
+apparatus through ``rotated_controls``, ``swapped_channels`` and
+``swapped_spins``.
+
 The emulator runs a pulse on one slice duration T/M and moves a
 slice's duration only in a probe.  ``reference_pulse_evolution`` takes
 slice durations of the test's choosing, and ``reference_partial`` reads
@@ -40,6 +46,7 @@ probe can be checked against its own whole evolution without the
 backend's pulse loop.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,7 +58,6 @@ from belltime.dynamics import (
     PulseSequence,
     SystemModel,
     _low_pass,
-    _relax,
     _relaxation_table,
     _relaxed,
     closed_form_propagators,
@@ -107,6 +113,25 @@ def reference_slice_propagators(model: SystemModel, amplitudes_hz: np.ndarray, d
     phases = np.exp(-1j * w * np.reshape(dt, (-1, 1)))
     u = np.einsum("mij,mj,mkj->mik", v, phases, v.conj())
     return u, hams, w, v
+
+
+def _relax(rho: np.ndarray, factors: np.ndarray) -> None:
+    """T1/T2 relaxation of both spins over one slice, in place, per row.
+
+    ``rho`` is (B, 4, 4) or one 4 x 4 state, ``factors`` (B, 4): per row
+    a_1, a_2, e_1, e_2 with a_s = exp(-dt/T1_s) and e_s = exp(-dt/T2_s).
+    This is amplitude damping plus dephasing (Nielsen & Chuang, section
+    8.3) in closed form on rho itself, one spin after the other: per
+    spin, 1 - a_s of the |1> population decays to |0>, and the
+    coherences between |0> and |1> shrink by e_s.
+    """
+    r = rho.reshape(-1, 2, 2, 2, 2)  # (row, ket spin 1, ket spin 2, bra spin 1, bra spin 2)
+    for spin, spin_first in enumerate((r, r.transpose(0, 2, 1, 4, 3))):
+        a, e = factors[:, spin, None, None], factors[:, 2 + spin, None, None]
+        spin_first[:, 0, :, 0] += (1.0 - a) * spin_first[:, 1, :, 1]
+        spin_first[:, 1, :, 1] *= a
+        spin_first[:, 0, :, 1] *= e
+        spin_first[:, 1, :, 0] *= e
 
 
 def reference_relaxation_matrices(factors: np.ndarray) -> np.ndarray:
@@ -395,6 +420,40 @@ def reference_require_density(rho: np.ndarray) -> np.ndarray:
             raise ValueError(f"{name} trace deviates from 1 by {tr_dev[i]:.3e}")
         raise ValueError(f"{name} has negative eigenvalue {lo[i]:.3e}")
     return rho
+
+
+def rotated_controls(amplitudes: np.ndarray, phi: float) -> np.ndarray:
+    """(M, 4) amplitudes with both spins' (x, y) drives turned by ``phi`` together.
+
+    Rz(phi) (x) Rz(phi) commutes with Z(x)Z, fixes |00> up to a phase and
+    leaves the singlet alone, so the Bell problem's fidelity keeps its
+    value on any apparatus whose x and y scales are equal per spin.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    x, y = amplitudes[:, 0::2], amplitudes[:, 1::2]
+    turned = np.empty_like(amplitudes)
+    turned[:, 0::2] = c * x - s * y
+    turned[:, 1::2] = s * x + c * y
+    return turned
+
+
+def swapped_channels(amplitudes: np.ndarray) -> np.ndarray:
+    """(M, 4) amplitudes with spin 1's (x, y) drives and spin 2's exchanged.
+
+    SWAP commutes with Z(x)Z, fixes |00> and flips the singlet's sign, so
+    the Bell problem's fidelity keeps its value when the apparatus's
+    spins are exchanged too (``swapped_spins``).
+    """
+    return amplitudes[:, [2, 3, 0, 1]]
+
+
+def swapped_spins(apparatus):
+    """A ``SystemModel`` or ``ExperimentConfig`` with its two spins' scales, T1 and T2 exchanged."""
+    scale = apparatus.amplitude_scale
+    return dataclasses.replace(
+        apparatus, amplitude_scale=scale[2:] + scale[:2],
+        t1_s=apparatus.t1_s[::-1], t2_s=apparatus.t2_s[::-1],
+    )
 
 
 def state_fidelity(psi: np.ndarray, phi: np.ndarray) -> float:

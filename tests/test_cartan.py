@@ -359,3 +359,18 @@ class TestCouplingSpeedLimit:
         for duration in (-1e-9, float("nan")):
             with pytest.raises(ValueError, match="duration_s"):
                 fidelity_ceiling(G_HZ, duration)
+
+    @pytest.mark.parametrize("function, args, name", [
+        (minimum_time_bell, (True,), "g_hz"),
+        (minimum_time_bell, ("217.4",), "g_hz"),
+        (minimum_time_unitary, (CNOT, True), "g_hz"),
+        (minimum_time_for_fidelity, ("217.4", 0.9), "g_hz"),
+        (fidelity_ceiling, (True, 1e-3), "g_hz"),
+        (fidelity_ceiling, (G_HZ, True), "duration_s"),
+        (fidelity_ceiling, (G_HZ, "1e-3"), "duration_s"),
+        (minimum_time_for_fidelity, (G_HZ, True), "fidelity"),
+    ])
+    def test_bools_and_strings_are_not_numbers(self, function, args, name):
+        # the coupling takes SystemModel's one check, the others as_real
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            function(*args)

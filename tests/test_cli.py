@@ -138,6 +138,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="experiment section"):
             parse_config(MINIMAL).replace(mode="experiment-only")
 
+    @pytest.mark.parametrize("key, settings", [
+        ("amplitude_scale", {"amplitude_scale": [0.98, 1.0, 0.98, 1.0]}),
+        ("distortion_tau_s", {"distortion_tau_s": 50.0e-6}),
+        ("t1_s", {"t1_s": [0.730, 0.096], "t2_s": [0.0965, 0.0425]}),
+        ("t2_s", {"t2_s": [0.05, 0.07]}),
+    ])
+    def test_model_section_takes_the_ideal_apparatus_only(self, key, settings):
+        # the design model knows only g; the lab's physics belongs under experiment
+        where = re.escape(f"model.{key}: ")
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            parse_config(yaml.safe_dump({"model": {"g_hz": 217.4, **settings}}))
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            RunConfig().replace(model=settings)
+        value = settings[key]
+        apparatus = parse_config(yaml.safe_dump({"experiment": settings})).experiment.apparatus
+        assert getattr(apparatus, key) == (tuple(value) if isinstance(value, list) else value)
+
+    def test_model_section_reads_back_its_ideal_apparatus(self):
+        ideal = "model:\n  g_hz: 200.0\n  amplitude_scale: [1, 1, 1, 1]\n  distortion_tau_s: 0\n" \
+                "  t1_s: [.inf, .inf]\n  t2_s: [.inf, .inf]\n"
+        assert parse_config(ideal) == parse_config("model:\n  g_hz: 200.0\n")
+
     def test_document_dict_is_json_friendly(self):
         doc = parse_config(MINIMAL + "experiment: {}\n").as_document_dict()
         text = json.dumps(doc)
@@ -233,8 +255,12 @@ COUNT = st.integers(1, 2**31)
 SEED = st.integers(0, 2**64)
 
 # One strategy per field, every draw valid on its own; t1_s and t2_s are
-# drawn jointly, since t2 <= 2 t1 per spin.
-MODEL_FIELDS = {"g_hz": POSITIVE}
+# drawn jointly, since t2 <= 2 t1 per spin.  The design model takes only
+# the ideal apparatus beside its coupling, so those fields draw their defaults.
+MODEL_FIELDS = {
+    "g_hz": POSITIVE,
+    **{f.name: st.just(f.default) for f in dataclasses.fields(belltime.SystemModel)[1:]},
+}
 EXPERIMENT_FIELDS = {
     "true_g_hz": POSITIVE,
     "amplitude_scale": st.tuples(POSITIVE, POSITIVE, POSITIVE, POSITIVE),
@@ -357,6 +383,60 @@ class TestParseConfigProperties:
     def test_non_mapping_section_names_the_section(self, section, value):
         with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
             parse_config(yaml.safe_dump({section: value}))
+
+
+@st.composite
+def bad_apparatus_settings(draw):
+    """(field, settings, numeric): apparatus settings that the check refuses, naming ``field``.
+
+    Each draw spoils one field: a scale or a relaxation time that is not
+    positive, a NaN, an infinite scale, a negative or non-finite
+    low-pass time constant, T2 past 2 T1 + 1e-12, or an entry of the
+    wrong type or count.  ``settings`` are keyword arguments that
+    ``SystemModel`` and ``ExperimentConfig`` share; ``numeric`` says
+    whether a run document holds them as numbers of the right count.
+    """
+    field = draw(st.sampled_from(["amplitude_scale", "distortion_tau_s", "t1_s", "t2_s"]))
+    wrong_type = st.booleans() | st.text(max_size=4) | st.none()
+    if field == "distortion_tau_s":
+        value = draw(st.floats(max_value=0.0, exclude_max=True)
+                     | st.sampled_from([math.nan, math.inf]) | wrong_type)
+        return field, {field: value}, type(value) is float
+    count = 4 if field == "amplitude_scale" else 2
+    entries = draw(st.lists(_finite(1e-3, 1e3), min_size=count, max_size=count))
+    kinds = ["count", "entry", "bound"] if field == "t2_s" else ["count", "entry"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "count":
+        return field, {field: (1.0,) * draw(st.integers(0, 6).filter(lambda n: n != count))}, False
+    if kind == "bound":  # T2 past 2 T1 on one spin
+        spin, t2 = draw(st.integers(0, 1)), list(entries)
+        t2[spin] = 2.0 * entries[spin] * (1.0 + draw(st.floats(1e-9, 1.0))) + 2e-12
+        return field, {"t1_s": tuple(entries), "t2_s": tuple(t2)}, True
+    spoiled = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf][: 2 if count == 4 else 1])
+    value = draw(spoiled | wrong_type)
+    entries[draw(st.integers(0, count - 1))] = value
+    return field, {field: tuple(entries)}, type(value) is float
+
+
+class TestApparatusChecks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(setting=bad_apparatus_settings())
+    def test_one_check_names_the_field_everywhere(self, setting):
+        # SystemModel checks the apparatus of the design model, of the lab and of both sections
+        field, settings, numeric = setting
+        with pytest.raises(ValueError) as model:
+            belltime.SystemModel(217.4, **settings)
+        message = str(model.value)
+        assert message.startswith(f"{field} ")
+        with pytest.raises(ValueError) as lab:
+            ExperimentConfig(**settings)
+        assert str(lab.value) == message
+        if numeric:
+            doc = {k: list(v) if isinstance(v, tuple) else v for k, v in settings.items()}
+            for section in ("experiment", "model"):
+                with pytest.raises(ConfigError) as parsed:
+                    parse_config(yaml.safe_dump({section: doc}))
+                assert str(parsed.value) == f"{section}: {message}"
 
 
 class TestBudgetArithmetic:

@@ -176,6 +176,41 @@ class TestConfig:
                 run_optimization(mode, model, OptimizerConfig())
 
 
+# One departure from the ideal apparatus per field of SystemModel beside g,
+# each valid on its own: the lab runs on all four, the design model on none.
+NON_IDEAL = {
+    "amplitude_scale": dict(amplitude_scale=(0.98, 1.0, 0.98, 1.0)),
+    "distortion_tau_s": dict(distortion_tau_s=50e-6),
+    "t1_s": dict(t1_s=(0.730, 0.096), t2_s=(0.0965, 0.0425)),
+    "t2_s": dict(t2_s=(0.05, 0.07)),
+}
+
+
+class TestIdealDesignModel:
+    @pytest.mark.parametrize("field", sorted(NON_IDEAL))
+    @pytest.mark.parametrize("entry", ["model_fidelity", "fidelity_and_gradients", *MODES])
+    def test_design_path_refuses_the_apparatus_by_name(self, field, entry):
+        apparatus = SystemModel(G_HZ, **NON_IDEAL[field])
+        pulse = random_pulse(5, 2e-3, 100.0, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=f"^model\\.{field}: the design model takes only "):
+            if entry in MODES:
+                run_optimization(entry, apparatus, OptimizerConfig(max_iterations=2),
+                                 ideal_config(**NON_IDEAL[field]), initial_pulse=pulse)
+            else:
+                getattr(dynamics, entry)(apparatus, pulse, ket("00"), singlet_state())
+        # the emulated lab runs on the same apparatus
+        lab = ideal_config(**NON_IDEAL[field])
+        assert lab.apparatus == SystemModel(G_HZ, **NON_IDEAL[field])
+        assert 0.0 <= ExperimentBackend(lab).true_fidelity(pulse) <= 1.0
+
+    def test_a_run_checks_its_model_once(self, monkeypatch, model):
+        calls = []
+        monkeypatch.setattr(optimizer, "require_ideal", lambda m: calls.append(m) or m)
+        config = OptimizerConfig(max_iterations=20)
+        run_optimization("balanced", model, config, ExperimentConfig(**MISMATCH), seed=4)
+        assert calls == [model]
+
+
 class TestLowerThreshold:
     def test_tabulated_values(self):
         config = OptimizerConfig()
