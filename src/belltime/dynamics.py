@@ -190,17 +190,17 @@ class SystemModel:
         object.__setattr__(self, "relaxation_times", times if min(times) < math.inf else ())
 
 
-def require_ideal(model: SystemModel, error: type = ValueError) -> SystemModel:
-    """``model``, unless a field other than g leaves its ideal default: ``error`` names it.
+def require_ideal(model: SystemModel) -> SystemModel:
+    """``model``, unless a field other than g leaves its ideal default: a ValueError names it.
 
     The design model propagates and differentiates the coupling alone,
     so it refuses a scale, low-pass or relaxation time it would ignore.
-    The message names the field as a run document's ``model`` section
-    does, ``model.distortion_tau_s`` say.
+    The message names the field under ``model``, ``model.distortion_tau_s``
+    say; a run document's ``model`` section names g alone.
     """
     for f in fields(SystemModel)[1:]:
         if (value := getattr(model, f.name)) != f.default:
-            raise error(f"model.{f.name}: the design model takes only {f.default!r}, got {value!r}")
+            raise ValueError(f"model.{f.name}: the design model takes only {f.default!r}, got {value!r}")
     return model
 
 

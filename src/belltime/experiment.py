@@ -172,8 +172,9 @@ class ExperimentConfig:
     def __post_init__(self):
         apparatus = SystemModel(as_positive(self.true_g_hz, "true_g_hz"), self.amplitude_scale,
                                 self.distortion_tau_s, self.t1_s, self.t2_s)
-        for mine, its in zip(fields(self), fields(apparatus)):  # the first five, as checked
-            object.__setattr__(self, mine.name, getattr(apparatus, its.name))
+        object.__setattr__(self, "true_g_hz", apparatus.g_hz)
+        for f in fields(apparatus)[1:]:  # the other four, as checked
+            object.__setattr__(self, f.name, getattr(apparatus, f.name))
         object.__setattr__(self, "apparatus", apparatus)
         object.__setattr__(self, "noise_sigma", as_nonnegative(self.noise_sigma, "noise_sigma"))
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))

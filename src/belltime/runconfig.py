@@ -22,10 +22,10 @@ The config dataclasses are the schema: the top level maps onto
 ``RunConfig``, each section onto ``SystemModel``, ``ExperimentConfig`` or
 ``OptimizerConfig``, whose annotations type every field and whose
 defaults fill anything omitted.  The ``model`` section is the design
-model, which knows only the coupling: its other ``SystemModel`` fields
-are accepted at their ideal defaults alone, so a resolved document reads
-back, and any other value is rejected by its path
-(``model.distortion_tau_s``, say).  Every section must be a mapping; unknown
+model, which knows only the coupling, so its one key is ``g_hz``: the
+other ``SystemModel`` fields keep their ideal defaults, and a section
+that names one is rejected by its path (``model.distortion_tau_s``, say)
+as an unknown key.  Every section must be a mapping; unknown
 keys and keys given twice are rejected by name, and every invariant
 violation is reported with its section path.  ``RunConfig.replace``, and
 the CLI overrides through it, are checked by the same builder.
@@ -42,7 +42,7 @@ from typing import Optional
 
 import yaml
 
-from .dynamics import SystemModel, as_integer, require_ideal
+from .dynamics import SystemModel, as_integer
 from .experiment import ExperimentConfig
 from .optimizer import MODES, OptimizerConfig
 
@@ -53,7 +53,14 @@ class ConfigError(ValueError):
     """A run document that cannot be parsed or validated."""
 
 
-_field_types = functools.cache(typing.get_type_hints)  # the schema of one config class
+@functools.cache
+def _field_types(cls) -> dict:
+    """The schema of one config class: its document keys and their types.
+
+    The design model takes the ideal apparatus alone (``require_ideal``),
+    so the ``model`` section's one key is its coupling.
+    """
+    return {"g_hz": float} if cls is SystemModel else typing.get_type_hints(cls)
 
 
 def _coerce(where: str, kind, value, default):
@@ -127,7 +134,6 @@ class RunConfig:
         object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ConfigError(f"seed: expected a non-negative integer, got {self.seed}")
-        require_ideal(self.model, ConfigError)
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with ``changes`` validated as the keys of a run document.
@@ -138,7 +144,11 @@ class RunConfig:
         return _build("", changes, self)
 
     def as_document_dict(self) -> dict:
-        """The resolved settings as a plain JSON-friendly mapping."""
+        """The resolved settings as a plain JSON-friendly mapping.
+
+        The model is written as its coupling, its section's one key; a
+        run refuses a model that is not ideal but for g (``require_ideal``).
+        """
         def scrub(value):
             if isinstance(value, dict):
                 return {k: scrub(v) for k, v in value.items()}
@@ -148,7 +158,7 @@ class RunConfig:
                 return repr(value)
             return value
 
-        return scrub(dataclasses.asdict(self))
+        return scrub({**dataclasses.asdict(self), "model": {"g_hz": self.model.g_hz}})
 
 
 class _RunDocumentLoader(yaml.SafeLoader):

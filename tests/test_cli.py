@@ -146,19 +146,17 @@ class TestParseConfig:
     ])
     def test_model_section_takes_the_ideal_apparatus_only(self, key, settings):
         # the design model knows only g; the lab's physics belongs under experiment
-        where = re.escape(f"model.{key}: ")
-        with pytest.raises(ConfigError, match=f"^{where}"):
-            parse_config(yaml.safe_dump({"model": {"g_hz": 217.4, **settings}}))
-        with pytest.raises(ConfigError, match=f"^{where}"):
-            RunConfig().replace(model=settings)
+        unknown = re.escape(f"unknown key 'model.{key}'")
+        ideal = {name: getattr(belltime.SystemModel(217.4), name) for name in settings}
+        for section in (settings, ideal):
+            with pytest.raises(ConfigError, match=f"^{unknown}$"):
+                parse_config(yaml.safe_dump({"model": {"g_hz": 217.4, **section}}))
+            with pytest.raises(ConfigError, match=f"^{unknown}$"):
+                RunConfig().replace(model=section)
         value = settings[key]
         apparatus = parse_config(yaml.safe_dump({"experiment": settings})).experiment.apparatus
         assert getattr(apparatus, key) == (tuple(value) if isinstance(value, list) else value)
-
-    def test_model_section_reads_back_its_ideal_apparatus(self):
-        ideal = "model:\n  g_hz: 200.0\n  amplitude_scale: [1, 1, 1, 1]\n  distortion_tau_s: 0\n" \
-                "  t1_s: [.inf, .inf]\n  t2_s: [.inf, .inf]\n"
-        assert parse_config(ideal) == parse_config("model:\n  g_hz: 200.0\n")
+        assert RunConfig().as_document_dict()["model"] == {"g_hz": 217.4}
 
     def test_document_dict_is_json_friendly(self):
         doc = parse_config(MINIMAL + "experiment: {}\n").as_document_dict()
@@ -254,13 +252,9 @@ UNIT = _finite(0.0, 1.0, exclude_min=True, exclude_max=True)
 COUNT = st.integers(1, 2**31)
 SEED = st.integers(0, 2**64)
 
-# One strategy per field, every draw valid on its own; t1_s and t2_s are
-# drawn jointly, since t2 <= 2 t1 per spin.  The design model takes only
-# the ideal apparatus beside its coupling, so those fields draw their defaults.
-MODEL_FIELDS = {
-    "g_hz": POSITIVE,
-    **{f.name: st.just(f.default) for f in dataclasses.fields(belltime.SystemModel)[1:]},
-}
+# One strategy per document key, every draw valid on its own; t1_s and
+# t2_s are drawn jointly, since t2 <= 2 t1 per spin.
+MODEL_FIELDS = {"g_hz": POSITIVE}
 EXPERIMENT_FIELDS = {
     "true_g_hz": POSITIVE,
     "amplitude_scale": st.tuples(POSITIVE, POSITIVE, POSITIVE, POSITIVE),
@@ -352,8 +346,9 @@ def wrong_typed_settings(draw):
 
 class TestParseConfigProperties:
     def test_strategies_cover_every_field(self):
-        for cls, fields in ((belltime.SystemModel, MODEL_FIELDS),
-                            (ExperimentConfig, SECTION_FIELDS["experiment"]),
+        # the model section names g alone; the lab's physics is the experiment section's
+        assert set(MODEL_FIELDS) == {"g_hz"}
+        for cls, fields in ((ExperimentConfig, SECTION_FIELDS["experiment"]),
                             (OptimizerConfig, OPTIMIZER_FIELDS)):
             assert set(fields) == {f.name for f in dataclasses.fields(cls)}
 
@@ -422,7 +417,7 @@ class TestApparatusChecks:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(setting=bad_apparatus_settings())
     def test_one_check_names_the_field_everywhere(self, setting):
-        # SystemModel checks the apparatus of the design model, of the lab and of both sections
+        # one check for the design model, the lab and the experiment section
         field, settings, numeric = setting
         with pytest.raises(ValueError) as model:
             belltime.SystemModel(217.4, **settings)
@@ -433,10 +428,9 @@ class TestApparatusChecks:
         assert str(lab.value) == message
         if numeric:
             doc = {k: list(v) if isinstance(v, tuple) else v for k, v in settings.items()}
-            for section in ("experiment", "model"):
-                with pytest.raises(ConfigError) as parsed:
-                    parse_config(yaml.safe_dump({section: doc}))
-                assert str(parsed.value) == f"{section}: {message}"
+            with pytest.raises(ConfigError) as parsed:
+                parse_config(yaml.safe_dump({"experiment": doc}))
+            assert str(parsed.value) == f"experiment: {message}"
 
 
 class TestBudgetArithmetic:
