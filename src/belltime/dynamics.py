@@ -10,63 +10,26 @@ angular frequency units is
 
 and the slice propagator is exp(-i H_m T/M).
 
-Two routines build the propagators.  ``slice_propagators`` decomposes
-each H_m (LAPACK ``eigh``) and returns the eigensystems with U: the
-model's exact gradients need them.  ``closed_form_propagators`` returns
-U alone, from elementwise square roots (``hypot``), ``sin`` and
-``cos``: it serves the emulated lab, which needs no eigensystem.  It
-rests on the structure of H = a Z(x)Z + A(x)I + I(x)B, with a = pi g/2,
-A = pi (ux1 X + uy1 Y) and B = pi (ux2 X + uy2 Y), so A^2 = p^2 and
-B^2 = q^2 (Khaneja, Brockett & Glaser, PRA 63, 032308 (2001)).  Z(x)Z
-anticommutes with A(x)I and I(x)B, so H^2 = a^2 + p^2 + q^2 + 2R with
-R = A(x)B, which commutes with H and has the eigenvalues +-pq.  Hence
+Which function owns what:
 
-    U = exp(-i H t) = C(H^2) - i H S(H^2),  C(x) = cos(t sqrt x),
-                                           S(x) = sin(t sqrt x)/sqrt x,
-
-each function of H^2 being f0 + f1 R with f0 = (f+ + f-)/2 and
-f1 = (f+ - f-)/(2pq), f+- its values at lambda+-^2 = a^2 + (p +- q)^2.
-With mu = (lambda+ + lambda-)/2 and delta = pq/mu = (lambda+ - lambda-)/2,
-C0 = cos(t mu) cos(t delta) and S0 = (S+ + S-)/2, where
-S+- = sin(t lambda+-)/lambda+-; the divided differences are written in
-product form:
-
-    C1 = -sin(t mu) sin(t delta) / (delta mu),
-    S1 = (cos(t mu) sin(t delta)/delta - S-) / (mu lambda+),
-
-so nothing cancels, and p = 0, q = 0 and p = q need no branch
-(lambda+- >= a > 0, and sin(t delta)/delta is t sinc(t delta/pi)).  Each
-row is computed on its own, so a slice has the same bits alone as in
-any stack.
-
-The emulated apparatus adds two maps, each a function of slice
-durations, whose factors exp(-dt/t) come from ``_decay_factors``, one
-``math.exp`` per distinct duration and time.  ``_low_pass`` distorts a
-stack of programmed waveforms by the first-order recursion
-
-    y[m] = (1 - k_m) u[m] + k_m y[m-1],  y[-1] = 0,  k_m = exp(-dt_m/tau).
-
-The T1/T2 relaxation of both spins over one slice is amplitude damping
-plus dephasing in closed form: per spin s, a_s = exp(-dt/T1_s) of the
-|1> population stays and the rest decays to |0>, and the coherences
-shrink by e_s = exp(-dt/T2_s).  The map is linear and real, and each
-spin acts on its own (ket, bra) pair, so ``_relaxation_table`` tables it
-as one real 16 x 16 matrix on vec(rho) per distinct duration, the
-elementwise product of the two spins' maps (``_relaxation_matrices``),
-and ``_relaxed`` applies the table to stacks.
-
-``SystemModel`` describes the apparatus, the design model's and the
-emulated lab's alike: the coupling (checked by ``as_positive``, which
-``cartan``, ``recipes`` and ``ExperimentConfig`` call too), the channel
-scales, the low-pass time constant and the relaxation times.  The
-propagation and gradients here know the coupling alone, and the lab
-applies the rest.
-
-Fidelity gradients here are exact, not first order in the slice length:
-each slice exponential is differentiated through its eigendecomposition
-(divided-difference / Daleckii-Krein form), and the duration derivative
-uses the uniform-stretch convention dU_m/dT = (-i H_m / M) U_m.  A central
-finite-difference cross-check lives in the test suite.
+* ``SystemModel`` describes the apparatus, the design model's and the
+  emulated lab's alike, and checks each of its parameters;
+  ``require_ideal`` holds the design path to the coupling alone.  The
+  value checks (``as_positive`` and its kin) serve ``cartan``,
+  ``recipes`` and ``experiment`` too.
+* ``slice_propagators`` builds the model's propagators through each
+  H_m's eigensystem (LAPACK ``eigh``), which the exact gradients need.
+* ``closed_form_propagators`` builds the emulated lab's, which need no
+  eigensystem, in closed form, and derives that form.
+* The apparatus's two maps are functions of slice durations, with their
+  factors exp(-dt/t) from ``_decay_factors``: ``_low_pass`` distorts
+  programmed waveforms, and ``_relaxation_matrices`` is the T1/T2 map
+  of one slice, which ``_relaxation_table`` tables per distinct
+  duration and ``_relaxed`` applies to stacks.
+* ``model_fidelity`` and ``fidelity_and_gradients`` evaluate a pulse on
+  the design model, the second with exact gradients (the test suite
+  cross-checks them by central differences).
+* ``write_pulse_csv`` and ``read_pulse_csv`` store a pulse bit-exactly.
 """
 
 from __future__ import annotations
@@ -298,23 +261,47 @@ def closed_form_propagators(model: SystemModel, applied_hz: np.ndarray, dt) -> n
 
     ``applied_hz`` is the (M, 4) grid of applied amplitudes and ``dt``
     the slice duration, a scalar or one value per slice; returns the
-    (M, 4, 4) propagators of ``slice_propagators``, to rounding.  The
-    module docstring derives U = C0 + C1 R - i H (S0 + S1 R); expanded
-    over the Pauli strings, with x1 = pi ux1 and so on, k1 = S0 + q^2 S1
-    and k2 = S0 + p^2 S1,
+    (M, 4, 4) propagators of ``slice_propagators``, to rounding.
+
+    The form rests on the structure of H = a Z(x)Z + A(x)I + I(x)B, with
+    a = pi g/2, A = pi (ux1 X + uy1 Y) and B = pi (ux2 X + uy2 Y), so
+    A^2 = p^2 and B^2 = q^2 (Khaneja, Brockett & Glaser, PRA 63, 032308
+    (2001)).  Z(x)Z anticommutes with A(x)I and I(x)B, so H^2 = a^2 +
+    p^2 + q^2 + 2R with R = A(x)B, which commutes with H and has the
+    eigenvalues +-pq.  Hence
+
+        U = exp(-i H t) = C(H^2) - i H S(H^2),  C(x) = cos(t sqrt x),
+                                               S(x) = sin(t sqrt x)/sqrt x,
+
+    each function of H^2 being f0 + f1 R with f0 = (f+ + f-)/2 and
+    f1 = (f+ - f-)/(2pq), f+- its values at lambda+-^2 = a^2 + (p +- q)^2.
+    With mu = (lambda+ + lambda-)/2 and delta = pq/mu = (lambda+ -
+    lambda-)/2, C0 = cos(t mu) cos(t delta) and S0 = (S+ + S-)/2, where
+    S+- = sin(t lambda+-)/lambda+-; the divided differences are written
+    in product form:
+
+        C1 = -sin(t mu) sin(t delta) / (delta mu),
+        S1 = (cos(t mu) sin(t delta)/delta - S-) / (mu lambda+),
+
+    so nothing cancels, and p = 0, q = 0 and p = q need no branch
+    (lambda+- >= a > 0, and sin(t delta)/delta is t sinc(t delta/pi)).
+    Expanded over the Pauli strings, U = C0 + C1 R - i H (S0 + S1 R) is,
+    with x1 = pi ux1 and so on, k1 = S0 + q^2 S1 and k2 = S0 + p^2 S1,
 
         U = C0 II - i a S0 ZZ - i k1 (x1 XI + y1 YI) - i k2 (x2 IX + y2 IY)
             + C1 A(x)B - i a S1 (ZA)(x)(ZB),
 
     one term per entry class (which spins flip).  Only real elementwise
-    arithmetic runs, each row on its own values, so a row has the same
-    bits alone as in any stack.  The sines and cosines take separately
-    rounded angles, so the error grows as eps |H_m| dt_m: unitary to
-    4e-16 at 1 rad, 2e-14 at 100 rad and 2e-12 at 1e4 rad, where the
-    eigendecomposition stays unitary.  A slice that turns through more
-    than ``MAX_SLICE_TURN_RAD``, or through an angle that overflows,
-    raises a ValueError before any product that could overflow; the
-    emulator's slices turn through well under one radian.
+    arithmetic runs (``hypot``, ``sin`` and ``cos``, no LAPACK call),
+    each row on its own values, so a row has the same bits alone as in
+    any stack; it agrees with ``scipy.linalg.expm`` to about 1e-15.  The
+    sines and cosines take separately rounded angles, so the error grows
+    as eps |H_m| dt_m: unitary to 4e-16 at 1 rad, 2e-14 at 100 rad and
+    2e-12 at 1e4 rad, where the eigendecomposition stays unitary.  A
+    slice that turns through more than ``MAX_SLICE_TURN_RAD``, or through
+    an angle that overflows, raises a ValueError before any product that
+    could overflow; the emulator's slices turn through well under one
+    radian.
     """
     a = (np.pi / 2.0) * model.g_hz
     t = np.reshape(dt, (-1,))
@@ -508,9 +495,11 @@ def fidelity_and_gradients(
 ) -> GradientBundle:
     """Exact J, dJ/du (all M x 4 amplitudes) and dJ/dT in one pass.
 
-    J = |c|^2 with c = <target| U_M ... U_1 |psi0>.  For the amplitude
+    J = |c|^2 with c = <target| U_M ... U_1 |psi0>.  The derivatives are
+    exact, not first order in the slice length.  For the amplitude
     derivatives, the Fréchet derivative of each slice exponential in the
-    eigenbasis of H_m is (V^dag E V) o Gamma with
+    eigenbasis of H_m (the divided-difference, or Daleckii-Krein, form)
+    is (V^dag E V) o Gamma with
 
         Gamma_kl = -i dt exp(-i dt (w_k + w_l)/2) sinc(dt (w_k - w_l)/2),
 

@@ -1,90 +1,35 @@
 """Emulated laboratory for closed-loop pulse optimization.
 
-The backend evolves the two spins under a hidden "true" model that
-deliberately differs from the design model: a miscalibrated coupling,
-per-channel amplitude scale errors, a first-order low-pass distortion of
-the programmed waveforms, and per-spin T1/T2 relaxation after each
-slice's unitary.  The hidden model is a ``SystemModel``, the design
-model's type, built once by ``ExperimentConfig`` (``apparatus``), and
-the backend reads every physical parameter from it.  That physics lives
-in ``dynamics``: the low-pass (``_low_pass``) and the relaxation table
-(``_relaxation_table``), each keyed by slice durations.  A pulse's
-slices share one duration T/M and so one relaxation matrix; only a
-probe moves a slice's duration, and a batch of probes tables one matrix
-per distinct duration.  This module holds the lab: its noise, its
-ledger, its probes and its readouts.
-Expectation values are read out through a seeded Gaussian noise
-stream, and every readout is charged to a measurement ledger so the
-wall-clock cost of an optimization run can be audited afterwards.  A
-lab with no finite T1 or T2 prepares only pure states, and carries them
-as kets; a lossy lab carries density matrices.
+The backend runs pulses on a hidden "true" apparatus that deliberately
+differs from the design model: a miscalibrated coupling, per-channel
+amplitude scale errors, a first-order low-pass distortion of the
+programmed waveforms, and per-spin T1/T2 relaxation after each slice's
+unitary.  Every readout is drawn through a seeded Gaussian noise stream
+and charged to a measurement ledger, so the bench time of a run can be
+audited afterwards.  A lab with no finite T1 or T2 prepares only pure
+states and carries them as kets; a lossy lab carries density matrices.
 
-Fidelity oracles:
+Which function owns what:
 
-* ``fidelity_partial`` estimates the overlap with the singlet target from
-  the three correlators XX, YY, ZZ via (1 - <XX> - <YY> - <ZZ>)/4, at a
-  cost of 3 measurements.
-* ``fidelity_full`` reconstructs the full density matrix from all 15
-  nontrivial two-spin Pauli expectations (15 measurements), projects it
-  back onto the physical set, and returns the exact overlap with the
-  target.
-
-Measured gradients probe the fidelity hundreds of times at one pulse,
-each probe setting one entry of the pulse's (M, 5) table [ux1, uy1,
-ux2, uy2, slice duration]: a probe is a (slice, column, value) triple,
-and a batch three arrays of them.  ``fidelity_partial_batch`` checks
-them all before it evolves, draws or charges anything, then makes four
-passes per call.  It evolves the pulse forward once, keeping its state
-before every slice, and evolves each probe forward through its own
-window only, the slices where it differs from the pulse, from the
-pulse's state where the window starts.  A relaxation-free lab then
-builds the backward products W_m = U_{M-1} ... U_m of the pulse's
-slices once, completes each probe's ket to the pulse's end with the
-one at its window's end, and reads the three plain correlators
-straight from the completed ket, as closed-system GRAPE carries state
-vectors end to end.  A lossy lab
-back-propagates the three correlators through the pulse's slices once,
-by the adjoint map (the Heisenberg picture of GRAPE's backward sweep),
-and reads each probe's density out where its window ends, against the
-correlators back-propagated to that point.  A window is a run of
-(probe, slice) pairs, found by one of two decoders: without the
-low-pass a probe's window is its own slice, read off its entry; under
-it the probes are expanded into programmed waveforms for the filter,
-and a window runs on until the change rounds away.  One loop then
-advances every window, longest first, over pairs laid out step-major,
-so each step's pairs are one contiguous run.
-
-No slice is decomposed.  The pulse's slices and all of a batch's pairs
-are exponentiated in closed form, each set in one
-``closed_form_propagators`` call: elementwise ``sqrt``, ``sin`` and
-``cos`` of the two-spin ZZ Hamiltonian's invariants (derived in
-``dynamics``), within about 1e-15 of ``scipy.linalg.expm``, and the same
-bits for a slice alone as in any stack.  The backend keeps its last
-pulse evolution (propagators, applied amplitudes, relaxation matrix and
-kets or densities), so the probes of a pulse just measured, or a
-repeated measurement of it, do not evolve it again.  The probes' states
-are validated once, as one stack: a lossy lab's densities by
-``require_density``'s Cholesky screen, and a relaxation-free lab's kets
-by the trace of their |psi><psi| alone, which decides as the full check
-would (``_ket_correlators`` says why).  Their readout noise is drawn as
-one vector.  Noise stream and ledger are those of one
-``fidelity_partial`` call per probe, and values agree with it to
-rounding (1e-12); a single pulse's evolution keeps its own bits.
-
-A readout has one of two kernels, each taking the same operations in
-the same order wherever the state sits, so a state has the same bits
-alone as in any stack.  A relaxation-free lab reads the three
-correlators of ``fidelity_partial``, of a pulse or of a probe, straight
-from its kets' real and imaginary parts (``_ket_correlators``), with no
-|psi><psi| built.  Every other readout, of a lossy lab's density or in
-``fidelity_full`` and ``measure_pauli``, goes through
-``_expectations``: tr(rho O) as the real Frobenius contraction of the
-two matrices' 32 real and imaginary parts, exact for Hermitian O, which
-gives an observable the same bits alone as in any set.  Both kernels
-feed one noise step (``_measured``): one draw in the order of scalar
-readouts, the clip and the ledger charge.  The Pauli strings read
-against are built once, at import, as read-only constants that every
-backend shares.
+* ``ExperimentConfig`` builds the hidden apparatus once, as a
+  ``SystemModel``.  Its physics lives in ``dynamics``: the propagators
+  (``closed_form_propagators``), the low-pass (``_low_pass``) and the
+  relaxation map (``_relaxation_matrices``).
+* ``MeasurementLedger`` counts the readouts, and ``ledger_report``
+  prices them at ``SECONDS_PER_MEASUREMENT``.
+* ``ExperimentBackend._pulse_evolution`` evolves one pulse and keeps the
+  evolution for the next call.
+* ``ExperimentBackend._evolve`` owns the probe path: it evolves a batch
+  of single-entry probes of one pulse and readies them for readout.  The
+  decoders ``_one_slice_pairs`` and ``_filtered_pairs`` list its
+  windows, and ``_advance`` moves its states through one slice.
+* A readout has one of two kernels: ``_ket_correlators`` reads a
+  relaxation-free lab's kets, and ``_expectations`` every density.
+  ``_measured`` adds the noise and charges the ledger for both.
+* The oracles: ``fidelity_partial`` (3 readouts),
+  ``fidelity_partial_batch`` (3 a probe), ``fidelity_full`` (15),
+  ``measure_pauli`` (1) and ``true_fidelity`` (free, and simulator
+  only).
 """
 
 from __future__ import annotations
@@ -461,11 +406,16 @@ class ExperimentBackend:
         then completes each probe's ket to the pulse's end with the
         backward product W_m = U_{M-1} ... U_m at its window's end, one
         4 x 4 ``dot`` per slice to build and one stacked ``matmul`` to
-        apply; ``_partial`` reads the completed kets against the plain
+        apply, as closed-system GRAPE carries state vectors end to end;
+        ``_partial`` reads the completed kets against the plain
         ``PARTIAL_LABELS`` correlators.  A lossy lab reads each probe's
         density where its window ends, against those correlators
         back-propagated there through the pulse's remaining slices:
-        O -> U^dag R^T(O) U per slice, the adjoint of the forward map.
+        O -> U^dag R^T(O) U per slice, the adjoint of the forward map
+        (the Heisenberg picture of GRAPE's backward sweep, Khaneja et
+        al., J. Magn. Reson. 172, 296 (2005)).  So a call makes four
+        passes: the pulse forward once (kept), the probes through their
+        windows, the backward products or images once, and the readouts.
 
         One of two decoders lists the pairs.  Without the low-pass an
         applied amplitude differs only where the programmed one does, so
@@ -475,25 +425,24 @@ class ExperimentBackend:
         later slices (``_filtered_pairs``), and each probe's filtered
         waveform is compared with the pulse's kept applied amplitudes.
         Both decoders take the same arguments, and one loop serves both.
-        Every pair's propagator is exponentiated in closed form from its
-        own applied amplitudes and duration, all pairs in one
-        ``closed_form_propagators`` call, with no eigendecomposition; a
-        row has the same bits alone as in any stack, so a pair that
-        equals the pulse's slice gets the pulse's propagator.  The pairs
-        are laid out step-major: the windows advance longest first, the
-        probes still inside theirs being a prefix, and each step's pairs
-        are one contiguous run of the propagators and of their rows in
-        the relaxation table, one matrix per distinct duration;
+        Every pair's propagator comes from its own applied amplitudes
+        and duration, all pairs in one ``closed_form_propagators`` call;
+        a row has the same bits alone as in any stack there, so a pair
+        that equals the pulse's slice gets the pulse's propagator.  The
+        pairs are laid out step-major: the windows advance longest first,
+        the probes still inside theirs being a prefix, and each step's
+        pairs are one contiguous run of the propagators and of their rows
+        in the relaxation table, one matrix per distinct duration;
         one-slice windows advance in one stacked product.
 
         Returns copies: the probes' states to read out (the pulse's final
         state for a probe that differs nowhere) and their observables.
         A relaxation-free lab's are the (B, 4) completed kets and None,
-        for ``_partial`` reads a ket straight from its parts
-        (``_ket_correlators``); a lossy lab's are the (B, 4, 4) densities
-        and their (B, 3, 4, 4) back-propagated correlators.  A probe's
-        readout equals its own evolution's up to reordered rounding.
-        With no probes, nothing is evolved.
+        for ``_partial`` reads kets with ``_ket_correlators``; a lossy
+        lab's are the (B, 4, 4) densities and their (B, 3, 4, 4)
+        back-propagated correlators.  A probe's readout equals its own
+        evolution's up to reordered rounding.  With no probes, nothing is
+        evolved.
         """
         t1_t2 = self._apparatus.relaxation_times
         if not len(slices):
@@ -626,13 +575,12 @@ class ExperimentBackend:
         """Three-correlator fidelity estimates of B evolved states.
 
         A relaxation-free lab's states are (B, 4) kets, with
-        ``observables`` None: they are screened by their trace and read
-        against the ``PARTIAL_LABELS`` correlators straight from their
-        real and imaginary parts (``_ket_correlators``).  A lossy lab's
-        are (B, 4, 4) densities, checked by ``require_density`` and read
-        against ``observables`` by ``_expectations``: the correlators,
-        or per state their back-propagated images (``_evolve``).  Either
-        check runs before anything is drawn or charged (``_measured``).
+        ``observables`` None, screened and read by ``_ket_correlators``.
+        A lossy lab's are (B, 4, 4) densities, checked by
+        ``require_density`` and read against ``observables`` by
+        ``_expectations``: the correlators, or per state their
+        back-propagated images (``_evolve``).  Either check runs before
+        anything is drawn or charged (``_measured``).
         """
         if observables is None:
             values = _ket_correlators(states)
@@ -652,7 +600,9 @@ class ExperimentBackend:
     def fidelity_partial(self, pulse: PulseSequence, category: str = "fidelity_partial") -> float:
         """Singlet-overlap estimate from 3 correlator measurements.
 
-        A relaxation-free lab reads the final ket of the pulse's kept
+        The singlet's projector is (II - XX - YY - ZZ)/4, so the estimate
+        is (1 - <XX> - <YY> - <ZZ>)/4 of the three noisy readouts.  A
+        relaxation-free lab reads the final ket of the pulse's kept
         evolution (``_pulse_evolution``); a lossy lab reads its density
         (``evolve_open``).
         """
@@ -677,17 +627,13 @@ class ExperimentBackend:
         columns[b]) becomes values[b].  Columns 0-3 are programmed
         amplitudes in Hz, column ``DURATION_COLUMN`` the slice's duration
         in s (T/M on the pulse); probe b is charged to categories[b].
-        Each probe is evolved only through the slices where it differs
-        from the pulse, then completed to the pulse's end as a ket
-        without T1/T2 and read straight from its parts, or under them
-        read out against the correlators back-propagated through the
-        pulse's remaining slices (``_evolve``).  Noise draws and ledger are those of B
-        ``fidelity_partial`` calls in order; the values are theirs up to
-        reordered rounding, within 1e-12.  Every argument is checked
-        before anything is evolved, drawn or charged: indices in range,
-        values finite, durations positive, one known category per probe.
-        The evolved states are checked too, as one stack, before anything
-        is drawn or charged (``_partial``).
+        The probes are evolved together (``_evolve``).  Noise draws and
+        ledger are those of B ``fidelity_partial`` calls in order; the
+        values are theirs up to reordered rounding, within 1e-12.  Every
+        argument is checked before anything is evolved, drawn or charged:
+        indices in range, values finite, durations positive, one known
+        category per probe.  The evolved states are checked too, as one
+        stack, before anything is drawn or charged (``_partial``).
         """
         slices = _probe_indices(slices, "slices", pulse.n_slices)
         columns = _probe_indices(columns, "columns", DURATION_COLUMN + 1)
@@ -712,7 +658,13 @@ class ExperimentBackend:
         return self._partial(*evolved, categories)
 
     def fidelity_full(self, pulse: PulseSequence) -> float:
-        """Target overlap from full 15-observable state reconstruction."""
+        """Target overlap from full 15-observable state reconstruction.
+
+        The 15 noisy Pauli expectations rebuild the density matrix, which
+        is projected back onto the physical set (eigenvalues clipped at
+        zero and renormalized) before its exact overlap with the target
+        is taken.
+        """
         rho = require_density(self.evolve_open(pulse))
         values = self._measured(_expectations(rho[None], _TOMOGRAPHY_OPS), ["fidelity_full"])[0]
         estimate = np.eye(4, dtype=np.complex128)

@@ -22,17 +22,10 @@ consecutive rejections) acceptance grows the step size back.  When a
 climb rejection streak exhausts the backtracking budget, the stored
 baseline is re-measured, which protects a noisy oracle from ratcheting
 its own baseline out of reach on a lucky draw, and the climb step
-restarts at a size chosen on the design model: from ``d1_init`` it
-grows by ``1 / BACKTRACK_FACTOR`` (doubling) while the grown step still
-satisfies the climb inequality on the model, at most ``MAX_BACKTRACKS``
-times.  Without that sizing, a restart at ``d1_init`` near a fidelity
-plateau predicts a gain far below the readout noise, so every later
-decision is a coin toss that only shrinks the step further.  The model
-is free in every mode, so the restart charges no measurement.  This
-keeps the run-mode cost accounting exact: model-driven iterations are
-free, measurement-driven iterations cost 3 readouts for the fidelity
-and, when gradients are also measured, 2 x 3 readouts per probed
-parameter.
+restarts at the size ``_restart_climb_step`` chooses.  The cost
+accounting of a run mode is exact: model-driven iterations are free,
+measurement-driven iterations cost 3 readouts for the fidelity and,
+when gradients are also measured, 2 x 3 readouts per probed parameter.
 
 Run modes differ only in their oracle pair, picked once when the run
 starts: a fidelity source that scores every trial for the acceptance
@@ -281,9 +274,13 @@ def _restart_climb_step(
     grown step along ``grad_u`` still satisfies the climb inequality
     J(u + d du) >= J(u) + ALPHA d sum(du * grad_u) with J the design
     model's fidelity and ``j_start`` = J(u), for at most
-    ``MAX_BACKTRACKS`` growths.  Costs model evaluations only, never a
-    measurement.  ``psi0`` and ``target`` are the run's states, which
-    ``_oracles`` checked.
+    ``MAX_BACKTRACKS`` growths (each one doubles the step).  Restarting
+    at ``d1_init`` itself is too timid near a fidelity plateau: there
+    the predicted gain d sum(du * grad_u) falls far below the readout
+    noise, every later decision is a coin toss, and each rejection
+    shrinks the step again.  The model is free in every mode, so this
+    costs model evaluations only, never a measurement.  ``psi0`` and
+    ``target`` are the run's states, which ``_oracles`` checked.
     """
     step = config.d1_init
     for _ in range(MAX_BACKTRACKS):
@@ -523,10 +520,9 @@ def run_optimization(
                     event = EVENT_STALL_STEP1 if kind == STEP1 else EVENT_STALL_STEP2
                     streak = 0
                     if kind == STEP1:
-                        # A noisy oracle can inflate the stored baseline on a
-                        # lucky draw and starve the climb; re-measure the
-                        # current point next iteration, then restart the
-                        # step size on the design model.
+                        # re-measure the current point next iteration (the
+                        # module docstring says why), then restart the step
+                        # size (_restart_climb_step)
                         step[STEP1] = config.d1_init
                         refresh = True
 
