@@ -34,7 +34,7 @@ from .experiment import (
     MeasurementLedger,
     ledger_report,
 )
-from .linalg import ket, singlet_state
+from .linalg import BELL_TASK
 from .optimizer import MODES, OptimizerConfig, readouts_per_iteration, run_optimization
 from .runconfig import ConfigError, RunConfig, load_config
 
@@ -162,7 +162,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_evaluate(args) -> int:
     config = _resolved_config(args)
     pulse = read_pulse_csv(args.pulse)
-    j_model = model_fidelity(config.model, pulse, ket("00"), singlet_state())
+    j_model = model_fidelity(config.model, pulse, *BELL_TASK)
     print(f"pulse: {pulse.n_slices} slices, T = {_fmt_ms(pulse.duration_s)}")
     print(f"model J = {j_model!r}")
     if config.experiment is not None:

@@ -13,17 +13,20 @@ and the slice propagator is exp(-i H_m T/M).
 Which function owns what:
 
 * ``SystemModel`` describes the apparatus, the design model's and the
-  emulated lab's alike, and checks each of its parameters;
-  ``require_ideal`` holds the design path to the coupling alone.  The
-  value checks (``as_positive`` and its kin) serve ``cartan``,
-  ``recipes`` and ``experiment`` too.
+  emulated lab's alike, and checks each of its parameters; its
+  ``applied_waveforms`` is the apparatus's waveform map.
+  ``DESIGN_FIELDS`` names the fields the design model knows, and
+  ``require_ideal`` holds the design path to them.  The value checks
+  (``as_positive`` and its kin) serve ``cartan``, ``recipes`` and
+  ``experiment`` too.
 * ``slice_propagators`` builds the model's propagators through each
   H_m's eigensystem (LAPACK ``eigh``), which the exact gradients need.
 * ``closed_form_propagators`` builds the emulated lab's, which need no
   eigensystem, in closed form, and derives that form.
 * The apparatus's two maps are functions of slice durations, with their
   factors exp(-dt/t) from ``_decay_factors``: ``_low_pass`` distorts
-  programmed waveforms, and ``_relaxation_matrices`` is the T1/T2 map
+  programmed waveforms (for ``applied_waveforms``), and
+  ``_relaxation_matrices`` is the T1/T2 map
   of one slice, which ``_relaxation_table`` tables per distinct
   duration and ``_relaxed`` applies to stacks.
 * ``model_fidelity`` and ``fidelity_and_gradients`` evaluate a pulse on
@@ -128,9 +131,9 @@ class SystemModel:
     takes them, or () when none is finite and the apparatus skips
     relaxation.  ``ExperimentConfig`` builds its hidden
     apparatus as one, and the lab reads all of it.  The design model's
-    propagation and gradients know only g: ``model_fidelity``,
-    ``fidelity_and_gradients`` and a run refuse a model whose other
-    fields leave their defaults (``require_ideal``).
+    propagation and gradients know only the ``DESIGN_FIELDS``:
+    ``model_fidelity``, ``fidelity_and_gradients`` and a run refuse a
+    model whose other fields leave their defaults (``require_ideal``).
     """
 
     g_hz: float
@@ -152,17 +155,37 @@ class SystemModel:
         times = t1 + tuple(min(two, 2.0 * one) for one, two in zip(t1, t2))
         object.__setattr__(self, "relaxation_times", times if min(times) < math.inf else ())
 
+    def applied_waveforms(self, programmed: np.ndarray, durations) -> np.ndarray:
+        """The apparatus's waveform map: B programmed waveforms as the spins receive them.
+
+        ``programmed`` is (B, M, 4) and ``durations`` the (B, M) slice
+        durations, or one duration for every slice.  Each waveform is
+        low-passed (``_low_pass``; not at ``distortion_tau_s`` 0), then
+        each channel is multiplied by its ``amplitude_scale``.  Returns a
+        new C-ordered (B, M, 4) array.  The scale is one product per
+        entry, so a waveform has the same bits alone as in any stack.
+        """
+        if self.distortion_tau_s:
+            programmed = _low_pass(programmed, durations, self.distortion_tau_s)
+        return np.multiply(programmed, self.amplitude_scale, order="C")
+
+
+# The SystemModel fields the design model knows.  Its propagation and
+# gradients read them, a run document's ``model`` section holds them as its
+# keys, and ``require_ideal`` refuses a model whose other fields leave their
+# defaults.  Teaching the model a field of the apparatus adds it here.
+DESIGN_FIELDS = ("g_hz",)
+
 
 def require_ideal(model: SystemModel) -> SystemModel:
-    """``model``, unless a field other than g leaves its ideal default: a ValueError names it.
+    """``model``, unless a field outside ``DESIGN_FIELDS`` leaves its default: a ValueError names it.
 
-    The design model propagates and differentiates the coupling alone,
-    so it refuses a scale, low-pass or relaxation time it would ignore.
-    The message names the field under ``model``, ``model.distortion_tau_s``
-    say; a run document's ``model`` section names g alone.
+    The design model refuses a scale, low-pass or relaxation time it
+    would ignore.  The message names the field under ``model``,
+    ``model.distortion_tau_s`` say.
     """
-    for f in fields(SystemModel)[1:]:
-        if (value := getattr(model, f.name)) != f.default:
+    for f in fields(SystemModel):
+        if f.name not in DESIGN_FIELDS and (value := getattr(model, f.name)) != f.default:
             raise ValueError(f"model.{f.name}: the design model takes only {f.default!r}, got {value!r}")
     return model
 
@@ -519,7 +542,7 @@ def fidelity_and_gradients(
     over that entry alone.  ``grad_amplitudes`` is C-ordered: the
     optimizer's step and step-size sums add in memory order, so an
     F-ordered array of equal values would move their bits.  The model
-    must be ideal but for g (``require_ideal``).
+    must be ideal outside ``DESIGN_FIELDS`` (``require_ideal``).
     """
     psi0 = require_state(psi0)
     target = require_state(target)

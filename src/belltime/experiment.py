@@ -13,8 +13,10 @@ Which function owns what:
 
 * ``ExperimentConfig`` builds the hidden apparatus once, as a
   ``SystemModel``.  Its physics lives in ``dynamics``: the propagators
-  (``closed_form_propagators``), the low-pass (``_low_pass``) and the
-  relaxation map (``_relaxation_matrices``).
+  (``closed_form_propagators``), the waveform map (low-pass, then
+  channel scale: ``SystemModel.applied_waveforms``) and the relaxation
+  map (``_relaxation_matrices``).  The task, |00> to the singlet, is
+  ``linalg.BELL_TASK``.
 * ``MeasurementLedger`` counts the readouts, and ``ledger_report``
   prices them at ``SECONDS_PER_MEASUREMENT``.
 * ``ExperimentBackend._pulse_evolution`` evolves one pulse and keeps the
@@ -42,7 +44,6 @@ import numpy as np
 from .dynamics import (
     PulseSequence,
     SystemModel,
-    _low_pass,
     _relaxation_table,
     _relaxed,
     _sweep,
@@ -52,12 +53,12 @@ from .dynamics import (
     closed_form_propagators,
 )
 from .linalg import (
+    BELL_TASK,
     DENSITY_TOL,
-    ket,
+    _read_only,
     pauli_string,
     require_density,
     require_hermitian,
-    singlet_state,
 )
 
 # All 15 nontrivial two-spin Pauli labels, in a fixed readout order.
@@ -67,12 +68,6 @@ TOMOGRAPHY_LABELS = tuple(
 
 # The three correlators of one fidelity_partial estimate, one readout each.
 PARTIAL_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, no longer writeable: a module constant that every backend shares."""
-    a.flags.writeable = False
-    return a
 
 
 # Every Pauli string the lab reads out, built once: by label, and stacked in
@@ -318,8 +313,7 @@ class ExperimentBackend:
         self.ledger = MeasurementLedger()
         self._rng = np.random.default_rng(config.seed)
         self._apparatus = config.apparatus  # the physics: g, scales, low-pass, T1/T2
-        self._target = singlet_state()
-        self._ground = ket("00")
+        self._ground, self._target = BELL_TASK
         self._kept = None  # (key, evolution) of the last pulse (_pulse_evolution)
 
     def evolve_open(self, pulse: PulseSequence) -> np.ndarray:
@@ -342,8 +336,8 @@ class ExperimentBackend:
         (M, 4) applied amplitudes they were built from, the relaxation
         over ``dt`` as one 16 x 16 matrix (``_relaxation_table``; None
         without T1/T2), and the states before every slice.  The waveform
-        is low-passed over ``dt`` (``_low_pass``), then scaled per
-        channel, and the propagators are exponentiated in closed form
+        is mapped over ``dt`` (``SystemModel.applied_waveforms``), and the
+        propagators are exponentiated in closed form
         (``closed_form_propagators``), with no eigendecomposition.
 
         Without T1/T2 every state is pure: ``u_dag`` is None and the
@@ -365,10 +359,8 @@ class ExperimentBackend:
         key = (amplitudes.tobytes(), dt)
         if self._kept is not None and self._kept[0] == key:
             return self._kept[1]
-        apparatus, applied = self._apparatus, amplitudes
-        if apparatus.distortion_tau_s:
-            applied = _low_pass(amplitudes[None], dt, apparatus.distortion_tau_s)[0]
-        applied = applied * apparatus.amplitude_scale
+        apparatus = self._apparatus
+        applied = apparatus.applied_waveforms(amplitudes[None], dt)[0]
         u = closed_form_propagators(apparatus, applied, dt)
         if not apparatus.relaxation_times:
             states = np.empty((len(amplitudes) + 1, 4), dtype=np.complex128)
@@ -509,6 +501,9 @@ class ExperimentBackend:
         and ``amplitudes`` goes unused.  A probe changes at most its
         own slice: an amplitude probe its applied row, unless the channel
         scale rounds the change away, and a duration probe its duration.
+        The scale is ``SystemModel.applied_waveforms``'s map without the
+        low-pass, taken entry by entry on the probed values alone, which
+        gives the same bits as mapping the probes' whole rows.
         Returns, per pair in probe order: the probe, the slice, the
         duration and the (4,) applied amplitudes.
         """
@@ -529,7 +524,8 @@ class ExperimentBackend:
 
         Arguments are those of ``_one_slice_pairs``.  The probes are
         expanded into (B, M, 4) programmed waveforms and (B, M) durations,
-        filtered as one stack and compared on flat (B, 4M) rows with the
+        mapped as one stack (``SystemModel.applied_waveforms``) and
+        compared on flat (B, 4M) rows with the
         kept ``applied``, a slice's four flags read as one 4-byte word.  A
         waveform's filter has the same bits alone as in any stack, so a
         slice that a probe leaves alone compares equal.  Every slice from
@@ -542,9 +538,7 @@ class ExperimentBackend:
         programmed[rows[~timed], slices[~timed], columns[~timed]] = values[~timed]
         dts = np.full((n_probes, m_slices), dt)
         dts[rows[timed], slices[timed]] = values[timed]
-        # flat (B, 4M) rows, in place: a copy of the low-pass's slice-major output
-        flat = _low_pass(programmed, dts, self._apparatus.distortion_tau_s).reshape(n_probes, -1)
-        np.multiply(flat, np.tile(self._apparatus.amplitude_scale, m_slices), out=flat)
+        flat = self._apparatus.applied_waveforms(programmed, dts).reshape(n_probes, -1)
         # each slice's 4 channel flags, as one 4-byte word: nonzero where any differs
         moved = (flat != applied.reshape(-1)).view(np.uint32).astype(bool)  # (B, M)
         own = moved | (dts != dt)

@@ -60,6 +60,17 @@ def singlet_state() -> np.ndarray:
     return (ket("10") - ket("01")) / np.sqrt(2.0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, no longer writeable: a module constant that every caller shares."""
+    a.flags.writeable = False
+    return a
+
+
+# The Bell task, (start, target): from |00> to the singlet.  The design
+# model, the emulated lab and the CLI all read this one pair.
+BELL_TASK = (_read_only(ket("00")), _read_only(singlet_state()))
+
+
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:

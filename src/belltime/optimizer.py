@@ -80,11 +80,12 @@ from typing import Optional
 
 import numpy as np
 
-# A run checks its model and its two states once, in ``_oracles``, so its
-# model oracles are the unchecked cores of ``model_fidelity`` and
-# ``fidelity_and_gradients``: the first returns (J, sweep), and the second
-# takes that sweep back.  They keep the public names here, where this
-# module's callers look them up and tests and perfbench/tracing.py wrap them.
+# A run checks its model once, in ``_oracles``, and takes its two states from
+# ``linalg.BELL_TASK``, so its model oracles are the unchecked cores of
+# ``model_fidelity`` and ``fidelity_and_gradients``: the first returns (J,
+# sweep), and the second takes that sweep back.  They keep the public names
+# here, where this module's callers look them up and tests and
+# perfbench/tracing.py wrap them.
 from .dynamics import (
     GradientBundle,
     PulseSequence,
@@ -103,7 +104,7 @@ from .experiment import (
     ExperimentConfig,
     MeasurementLedger,
 )
-from .linalg import ket, require_state, singlet_state
+from .linalg import BELL_TASK
 
 MODES = ("model-only", "experiment-only", "balanced")
 STEP1 = "step1"
@@ -265,8 +266,6 @@ def _restart_climb_step(
     j_start: float,
     grad_u: np.ndarray,
     config: OptimizerConfig,
-    psi0: np.ndarray,
-    target: np.ndarray,
 ) -> float:
     """Climb step size after a stall, sized on the design model.
 
@@ -279,15 +278,14 @@ def _restart_climb_step(
     the predicted gain d sum(du * grad_u) falls far below the readout
     noise, every later decision is a coin toss, and each rejection
     shrinks the step again.  The model is free in every mode, so this
-    costs model evaluations only, never a measurement.  ``psi0`` and
-    ``target`` are the run's states, which ``_oracles`` checked.
+    costs model evaluations only, never a measurement.
     """
     step = config.d1_init
     for _ in range(MAX_BACKTRACKS):
         grown = step / BACKTRACK_FACTOR
         trial, dot = _step_along(pulse, grown, grad_u, grad_u)
         rhs = j_start + ALPHA * grown * dot
-        if not model_fidelity(model, trial, psi0, target)[0] >= rhs:
+        if not model_fidelity(model, trial, *BELL_TASK)[0] >= rhs:
             break
         step = grown
     return step
@@ -376,19 +374,19 @@ def readouts_per_iteration(mode: str, m_slices: int) -> dict:
 
 
 def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
-             experiment: Optional[ExperimentConfig], psi0: np.ndarray,
-             target: np.ndarray):
+             experiment: Optional[ExperimentConfig]):
     """The oracles of ``mode``, as (evaluate, gradients, backend).
 
     ``evaluate(pulse)`` returns (j_oracle, j_model) and ``gradients(pulse)``
-    a ``GradientBundle``.  ``backend`` is the emulated apparatus, whose
-    ledger is charged for every readout the oracles take; it is None in
-    model-only mode, which takes none.  The design model must be ideal
-    but for g (``require_ideal``).
+    a ``GradientBundle``, both on ``linalg.BELL_TASK``.  ``backend`` is
+    the emulated apparatus, whose ledger is charged for every readout the
+    oracles take; it is None in model-only mode, which takes none.  The
+    design model must be ideal outside ``dynamics.DESIGN_FIELDS``
+    (``require_ideal``).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    model, psi0, target = require_ideal(model), require_state(psi0), require_state(target)
+    model = require_ideal(model)
 
     # The last model-evaluated pulse with its sweep, and the last graded
     # pulse with its bundle, both matched by identity.
@@ -397,7 +395,7 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
 
     def model_j(p: PulseSequence) -> float:
         nonlocal evaluated
-        j, sweep = model_fidelity(model, p, psi0, target)
+        j, sweep = model_fidelity(model, p, *BELL_TASK)
         evaluated = (p, sweep)
         return j
 
@@ -405,7 +403,7 @@ def _oracles(mode: str, model: SystemModel, config: OptimizerConfig,
         nonlocal graded
         if graded[0] is not p:
             sweep = evaluated[1] if evaluated[0] is p else None
-            graded = (p, fidelity_and_gradients(model, p, psi0, target, sweep))
+            graded = (p, fidelity_and_gradients(model, p, *BELL_TASK, sweep))
         return graded[1]
 
     if mode == "model-only":
@@ -452,9 +450,7 @@ def run_optimization(
     The closing full tomography runs on a detached replay of the
     apparatus and leaves the ledger untouched.
     """
-    psi0 = ket("00")
-    target = singlet_state()
-    evaluate, gradients, backend = _oracles(mode, model, config, experiment, psi0, target)
+    evaluate, gradients, backend = _oracles(mode, model, config, experiment)
     ledger = MeasurementLedger() if backend is None else backend.ledger
 
     if initial_pulse is None:
@@ -563,9 +559,7 @@ def run_optimization(
             else:
                 if restart:
                     # the re-measurement just evaluated the model at pulse
-                    step[STEP1] = _restart_climb_step(
-                        model, pulse, j_model_rec, grad_u, config, psi0, target
-                    )
+                    step[STEP1] = _restart_climb_step(model, pulse, j_model_rec, grad_u, config)
                 trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u)
                 rhs = j_base + ALPHA * step[STEP1] * next_dot
         else:
@@ -636,7 +630,7 @@ def run_optimization(
         records=records,
         termination=termination,
         ledger=ledger,
-        final_model_fidelity=model_fidelity(model, final_pulse, psi0, target)[0],
+        final_model_fidelity=model_fidelity(model, final_pulse, *BELL_TASK)[0],
         final_full_fidelity=final_full,
     )
 
@@ -650,7 +644,9 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
     recomputed bit-exactly and cross-checked against the logged rhs);
     durations never increase, and change only at accepted shrink records;
     and any record whose measured fidelity falls below the scheduled
-    threshold is followed by a climb record at identical duration.
+    threshold is followed by a climb record at identical duration.  Every
+    record, accepted or rejected, must be of phase step1 or step2: a
+    trace is read back from disk, so its phases are outside input.
     Raises ValueError naming the first offending record; returns summary
     counts otherwise.
     """
@@ -659,15 +655,15 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
     n_subthreshold = 0
     previous = None
     for record in records:
+        if record.phase not in (STEP1, STEP2):
+            raise ValueError(f"record {record.n}: unknown phase {record.phase!r}")
         if record.accepted:
             n_accepted += 1
             if record.phase == STEP1:
                 rhs = record.j_reference + ALPHA * record.step_size_used * record.grad_dot
-            elif record.phase == STEP2:
+            else:
                 rhs = BETA * record.j_reference
                 n_step2_accepted += 1
-            else:
-                raise ValueError(f"record {record.n}: unknown phase {record.phase!r}")
             if record.step_size_used > 0.0 and rhs != record.acceptance_rhs:
                 raise ValueError(
                     f"record {record.n}: logged acceptance_rhs {record.acceptance_rhs!r} "

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import PulseSequence, as_positive, as_integer
+from .cartan import minimum_time_bell
+from .dynamics import PulseSequence, as_integer
 
 DRIVE_HZ = 2500.0  # amplitude of every rotation
 
@@ -44,17 +45,18 @@ def bell_recipe_pulse(g_hz: float, m_slices: int = 50) -> PulseSequence:
 
     Channel order is (ux1, uy1, ux2, uy2); all rotations are driven at
     +DRIVE_HZ, so a pi/2 rotation lasts 1/(4 DRIVE_HZ) seconds.  The
-    coupling is checked by ``as_positive``, as ``SystemModel`` checks
-    it, and ``m_slices`` must be a positive integer.
+    free ZZ window is the coupling's Bell time (``minimum_time_bell``,
+    which checks the coupling as ``SystemModel`` checks it) less half the
+    local segments' time, and ``m_slices`` must be a positive integer.
     """
-    g_hz = as_positive(g_hz, "g_hz")
+    t_bell = minimum_time_bell(g_hz)
     if as_integer(m_slices, "m_slices") < 1:
         raise ValueError(f"m_slices must be positive, got {m_slices}")
     quarter = 1.0 / (4.0 * DRIVE_HZ)  # pi/2 rotation
     half = 1.0 / (2.0 * DRIVE_HZ)  # pi rotation
     head = quarter
     tail = quarter + half
-    free = 1.0 / (2.0 * g_hz) - (head + tail) / 2.0
+    free = t_bell - (head + tail) / 2.0
     if free <= 0:
         raise ValueError(f"g_hz = {g_hz} is too strong: at DRIVE_HZ the local segments "
                          "exceed the coupling window")

@@ -22,8 +22,8 @@ The config dataclasses are the schema: the top level maps onto
 ``RunConfig``, each section onto ``SystemModel``, ``ExperimentConfig`` or
 ``OptimizerConfig``, whose annotations type every field and whose
 defaults fill anything omitted.  The ``model`` section is the design
-model, which knows only the coupling, so its one key is ``g_hz``: the
-other ``SystemModel`` fields keep their ideal defaults, and a section
+model, so its keys are the fields it knows, ``dynamics.DESIGN_FIELDS``:
+the other ``SystemModel`` fields keep their ideal defaults, and a section
 that names one is rejected by its path (``model.distortion_tau_s``, say)
 as an unknown key.  Every section must be a mapping; unknown
 keys and keys given twice are rejected by name, and every invariant
@@ -42,7 +42,7 @@ from typing import Optional
 
 import yaml
 
-from .dynamics import SystemModel, as_integer
+from .dynamics import DESIGN_FIELDS, SystemModel, as_integer
 from .experiment import ExperimentConfig
 from .optimizer import MODES, OptimizerConfig
 
@@ -57,10 +57,10 @@ class ConfigError(ValueError):
 def _field_types(cls) -> dict:
     """The schema of one config class: its document keys and their types.
 
-    The design model takes the ideal apparatus alone (``require_ideal``),
-    so the ``model`` section's one key is its coupling.
+    The ``model`` section's keys are the fields the design model knows.
     """
-    return {"g_hz": float} if cls is SystemModel else typing.get_type_hints(cls)
+    kinds = typing.get_type_hints(cls)
+    return {name: kinds[name] for name in DESIGN_FIELDS} if cls is SystemModel else kinds
 
 
 def _coerce(where: str, kind, value, default):
@@ -146,8 +146,8 @@ class RunConfig:
     def as_document_dict(self) -> dict:
         """The resolved settings as a plain JSON-friendly mapping.
 
-        The model is written as its coupling, its section's one key; a
-        run refuses a model that is not ideal but for g (``require_ideal``).
+        The model is written as its section's keys; a run refuses a model
+        whose other fields leave their defaults (``require_ideal``).
         """
         def scrub(value):
             if isinstance(value, dict):
@@ -158,7 +158,8 @@ class RunConfig:
                 return repr(value)
             return value
 
-        return scrub({**dataclasses.asdict(self), "model": {"g_hz": self.model.g_hz}})
+        model = {name: getattr(self.model, name) for name in DESIGN_FIELDS}
+        return scrub({**dataclasses.asdict(self), "model": model})
 
 
 class _RunDocumentLoader(yaml.SafeLoader):

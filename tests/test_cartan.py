@@ -9,9 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from belltime import cartan
 from belltime.cartan import (
     CHAMBER_TOL,
+    RESIDUAL_TOL,
     CartanCoordinates,
+    DegeneracyError,
     cartan_coordinates,
     fidelity_ceiling,
     interaction_core,
@@ -181,6 +184,90 @@ def dressed(core, dressing, phase):
     """(V1 (x) V2) exp(-i a . (XX, YY, ZZ)) (W1 (x) W2), times a global phase."""
     v1, v2, w1, w2 = (su2_from(q) for q in dressing)
     return np.exp(1j * phase) * np.kron(v1, v2) @ interaction_core(core) @ np.kron(w1, w2)
+
+
+class TestFactorizationFallback:
+    """``kak_factorize``'s fallback: the later mu of the joint eigenbasis, then dressed retries.
+
+    No generic input reaches it: Haar-random unitaries and locally dressed
+    cores at the chamber's edges all factor on the first mu of the first
+    attempt.  So these tests make the direct route fail on purpose.
+    """
+
+    def rebuilt(self, u, expected):
+        f = kak_factorize(u)
+        recon = f.left_local @ interaction_core(f.coordinates) @ f.right_local
+        assert phase_aligned_deviation(recon, u) <= RESIDUAL_TOL
+        assert np.allclose(f.coordinates.as_array(), expected, atol=1e-9)
+
+    def test_a_dressed_attempt_rebuilds_u(self, monkeypatch):
+        u = random_unitary(np.random.default_rng(59))
+        expected = cartan_coordinates(u).as_array()
+        raw, attempts = cartan._raw_factorization, []
+
+        def undressed_fails(v):
+            attempts.append(v)
+            if len(attempts) == 1:
+                raise DegeneracyError("forced on the undressed attempt")
+            return raw(v)
+
+        monkeypatch.setattr(cartan, "_raw_factorization", undressed_fails)
+        self.rebuilt(u, expected)
+        assert len(attempts) == 2
+        assert np.array_equal(attempts[0], u) and not np.allclose(attempts[1], u)
+
+    @pytest.mark.parametrize("failing", [1, 2, 3], ids=["second mu", "third mu", "dressed"])
+    def test_the_later_mus_rebuild_u(self, monkeypatch, failing):
+        # the joint eigenbasis's first ``failing`` real forms get the identity
+        # as their eigenbasis, which does not diagonalize a generic form;
+        # after three, the undressed attempt fails and a dressed one follows
+        u = random_unitary(np.random.default_rng(61))
+        expected = cartan_coordinates(u).as_array()
+        eigh, forms = np.linalg.eigh, []
+
+        def first_bases_fail(a):
+            w, v = eigh(a)
+            if np.isrealobj(a):  # interaction_core's Hamiltonians are complex
+                forms.append(a)
+                if len(forms) <= failing:
+                    v = np.eye(len(a))
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", first_bases_fail)
+        self.rebuilt(u, expected)
+        assert len(forms) == failing + 1
+
+    def test_no_attempt_left_raises(self, monkeypatch):
+        attempts = []
+
+        def always_fails(v):
+            attempts.append(v)
+            raise DegeneracyError("forced on every attempt")
+
+        monkeypatch.setattr(cartan, "_raw_factorization", always_fails)
+        with pytest.raises(DegeneracyError, match=r"^no factorization reached residual 1\.0e-08 \(best inf\)$"):
+            kak_factorize(random_unitary(np.random.default_rng(67)))
+        assert len(attempts) == 4
+
+    def test_no_close_attempt_names_the_best_residual(self, monkeypatch):
+        raw, residual, residuals = cartan._raw_factorization, cartan._reconstruction_residual, []
+
+        def off_core(v):
+            a, left, right = raw(v)
+            return a + 1e-3, left, right  # every attempt misses U
+
+        def recorded(*args):
+            residuals.append(residual(*args))
+            return residuals[-1]
+
+        monkeypatch.setattr(cartan, "_raw_factorization", off_core)
+        monkeypatch.setattr(cartan, "_reconstruction_residual", recorded)
+        with pytest.raises(DegeneracyError) as caught:
+            kak_factorize(random_unitary(np.random.default_rng(71)))
+        assert len(residuals) == 4 and min(residuals) > RESIDUAL_TOL
+        assert str(caught.value) == (
+            f"no factorization reached residual {RESIDUAL_TOL:.1e} (best {min(residuals):.3e})"
+        )
 
 
 class TestFactorizationProperties:

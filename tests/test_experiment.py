@@ -1374,6 +1374,47 @@ class TestLabSymmetries:
         turned = lab.true_fidelity(pulse.with_amplitudes(rotated_controls(amps, phi)))
         assert abs(turned - lab.true_fidelity(pulse)) <= 2e-14
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        apparatus=st.sampled_from(sorted(APPARATUS)),
+        amps=st.integers(1, 30).flatmap(
+            lambda m: arrays(np.float64, (m, 4), elements=st.floats(-2000.0, 2000.0))
+        ),
+        duration=st.floats(1e-3, 5e-3),
+        scales=st.tuples(*[st.floats(0.9, 1.1)] * 4),
+        data=st.data(),
+    )
+    def test_rotation_and_swap_move_the_probes(self, apparatus, amps, duration, scales, data):
+        # The moved probes of the moved pulse read the original probes' values.
+        # The swap exchanges the spins' channels; a quarter turn, (x, y) ->
+        # (-y, x) per spin, maps a single-entry probe to a single-entry probe:
+        # x set to v becomes y set to v, and y set to v becomes x set to -v.
+        m_slices = len(amps)
+        probe = st.tuples(st.integers(0, m_slices - 1), st.integers(0, DURATION_COLUMN),
+                          st.floats(-2000.0, 2000.0))
+        slices, columns, values = map(np.array, zip(*data.draw(st.lists(probe, min_size=1, max_size=20))))
+        timed = columns == DURATION_COLUMN
+        values[timed] = duration / m_slices * (1.0 + values[timed] / 4000.0)  # within 0.5-1.5 T/M
+        categories = ["gradient_control"] * len(values)
+        pulse = PulseSequence(duration, amps)
+        config = mismatch_config(amplitude_scale=scales, noise_sigma=0.0, **APPARATUS[apparatus])
+
+        def probed(lab_config, amplitudes, moved_columns, moved_values):
+            return ExperimentBackend(lab_config).fidelity_partial_batch(
+                pulse.with_amplitudes(amplitudes), slices, moved_columns, moved_values, categories
+            )
+
+        j = probed(config, amps, columns, values)
+        swap = np.array([2, 3, 0, 1, DURATION_COLUMN])
+        swapped = probed(swapped_spins(config), swapped_channels(amps), swap[columns], values)
+        assert np.max(np.abs(swapped - j)) <= 2e-14
+        x_equals_y = dataclasses.replace(config, amplitude_scale=(scales[0], scales[0], scales[2], scales[2]))
+        quarter = np.empty_like(amps)
+        quarter[:, 0::2], quarter[:, 1::2] = -amps[:, 1::2], amps[:, 0::2]
+        turn, sign = np.array([1, 0, 3, 2, DURATION_COLUMN]), np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        turned = probed(x_equals_y, quarter, turn[columns], sign[columns] * values)
+        assert np.max(np.abs(turned - probed(x_equals_y, amps, columns, values))) <= 2e-14
+
 
 class TestLedger:
     def test_costs_per_oracle(self):

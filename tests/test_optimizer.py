@@ -1,12 +1,14 @@
 """Dual-objective optimizer: phase machine, acceptance tests, cost accounting."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from belltime.dynamics import (
+    DESIGN_FIELDS,
     PulseSequence,
     SystemModel,
     closed_form_propagators,
@@ -39,7 +41,7 @@ from belltime.optimizer import (
     run_optimization,
     verify_trace_invariants,
 )
-from belltime.runconfig import RunConfig
+from belltime.runconfig import RunConfig, _field_types, parse_config
 from oracles import reference_partial
 
 G_HZ = 217.4
@@ -202,6 +204,23 @@ class TestIdealDesignModel:
         lab = ideal_config(**NON_IDEAL[field])
         assert lab.apparatus == SystemModel(G_HZ, **NON_IDEAL[field])
         assert 0.0 <= ExperimentBackend(lab).true_fidelity(pulse) <= 1.0
+
+    def test_the_design_fields_are_one_tuple(self):
+        # require_ideal, the model section's schema and the manifest writer
+        # all read DESIGN_FIELDS: a field taught to one of them alone fails here
+        moved = {"g_hz": dict(g_hz=2.0 * G_HZ), **NON_IDEAL}
+        accepted = []
+        for f in dataclasses.fields(SystemModel):
+            try:
+                dynamics.require_ideal(SystemModel(**{"g_hz": G_HZ, **moved[f.name]}))
+            except ValueError:
+                continue
+            accepted.append(f.name)
+        assert tuple(accepted) == DESIGN_FIELDS
+        assert tuple(_field_types(SystemModel)) == DESIGN_FIELDS
+        document = RunConfig().as_document_dict()["model"]
+        assert tuple(document) == DESIGN_FIELDS
+        assert parse_config(json.dumps({"model": document})).model == RunConfig().model
 
     def test_a_run_checks_its_model_once(self, monkeypatch, model):
         calls = []
@@ -605,8 +624,8 @@ class TestModelGradientReuse:
         assert calls["fidelity"] == len(result.records) + 1 + calls["sizing"]
         stalls = sum(r.event == EVENT_STALL_STEP1 for r in result.records)
         assert (calls["sizing"] > 0) == (stalls > 0)
-        for _, pulse, j_start, _, _, psi0, target in restarts:
-            assert j_start == model_fidelity(model, pulse, psi0, target)
+        for _, pulse, j_start, _, _ in restarts:
+            assert j_start == model_fidelity(model, pulse, ket("00"), singlet_state())
 
     @pytest.mark.parametrize("mode", ["model-only", "balanced"])
     def test_handed_decompositions_change_nothing(self, model, mode, monkeypatch):
@@ -776,6 +795,16 @@ class TestTraceAudit:
             **{**victim.as_dict(), "j_oracle": victim.acceptance_rhs - 1e-6}
         )
         with pytest.raises(ValueError):
+            verify_trace_invariants(records, OptimizerConfig())
+
+    @pytest.mark.parametrize("phase", ["bogus", "step3"])
+    @pytest.mark.parametrize("accepted", [False, True], ids=["rejected", "accepted"])
+    def test_a_record_of_an_unknown_phase_is_caught(self, model_run, accepted, phase):
+        # a trace is read back from disk: a rejected record's phase is input too
+        records = list(model_run.records)
+        victim = next(r for r in records if r.accepted is accepted and r.step_size_used > 0)
+        records[records.index(victim)] = type(victim)(**{**victim.as_dict(), "phase": phase})
+        with pytest.raises(ValueError, match=f"^record {victim.n}: unknown phase '{phase}'$"):
             verify_trace_invariants(records, OptimizerConfig())
 
     def test_tampered_duration_increase_is_caught(self, model_run):
