@@ -243,13 +243,14 @@ def kak_factorize(u: np.ndarray) -> KakFactorization:
     chamber coordinates.  If the direct spectral route fails (pathological
     degeneracy), seeded random local dressings are tried; if no attempt
     reaches ``RESIDUAL_TOL`` a DegeneracyError naming the best residual is
-    raised.
+    raised, naming and chained to the last attempt's own DegeneracyError
+    when one was raised.
     """
     u = require_unitary(np.asarray(u, dtype=np.complex128))
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 unitary, got shape {u.shape}")
 
-    best = np.inf
+    best, failure = np.inf, None
     for attempt in range(4):
         if attempt == 0:
             dress_l = dress_r = np.eye(4, dtype=np.complex128)
@@ -259,7 +260,8 @@ def kak_factorize(u: np.ndarray) -> KakFactorization:
             dress_r = np.kron(_random_su2(rng), _random_su2(rng))
         try:
             a, left, right = _raw_factorization(dress_l @ u @ dress_r)
-        except DegeneracyError:
+        except DegeneracyError as exc:
+            failure = exc
             continue
         a, left, right = _canonicalize(a, left, right)
         left = dress_l.conj().T @ left
@@ -272,9 +274,9 @@ def kak_factorize(u: np.ndarray) -> KakFactorization:
                 coordinates=CartanCoordinates(*a),
                 right_local=right,
             )
-    raise DegeneracyError(
-        f"no factorization reached residual {RESIDUAL_TOL:.1e} (best {best:.3e})"
-    )
+    cause = "" if failure is None else f"; last attempt: {failure}"
+    raise DegeneracyError(f"no factorization reached residual {RESIDUAL_TOL:.1e} "
+                          f"(best {best:.3e}){cause}") from failure
 
 
 def cartan_coordinates(u: np.ndarray) -> CartanCoordinates:

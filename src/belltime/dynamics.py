@@ -120,23 +120,25 @@ def _as_positives(value, name: str, count: int, finite: bool = False) -> tuple[f
 class SystemModel:
     """The two-spin apparatus: the design model's, or the emulated lab's hidden one.
 
-    ``g_hz`` is the ZZ coupling.  The other fields say how the apparatus
-    departs from the ideal, and default to it: ``amplitude_scale``
-    multiplies the channels (ux1, uy1, ux2, uy2), ``distortion_tau_s`` is
-    the time constant of the waveforms' low-pass (0: none), and ``t1_s``
-    and ``t2_s`` are the relaxation times of spin 1 and spin 2
-    (``math.inf``: none), with T2 <= 2 T1 + 1e-12 per spin.  Each field
-    is checked here alone.  ``relaxation_times`` is derived from them:
-    T1 of spin 1 and 2, then T2 capped at 2 T1, as ``_relaxation_table``
-    takes them, or () when none is finite and the apparatus skips
-    relaxation.  ``ExperimentConfig`` builds its hidden
-    apparatus as one, and the lab reads all of it.  The design model's
-    propagation and gradients know only the ``DESIGN_FIELDS``:
-    ``model_fidelity``, ``fidelity_and_gradients`` and a run refuse a
-    model whose other fields leave their defaults (``require_ideal``).
+    ``g_hz`` is the ZZ coupling, 217.4 Hz by default.  The other fields
+    say how the apparatus departs from the ideal, and default to it:
+    ``amplitude_scale`` multiplies the channels (ux1, uy1, ux2, uy2),
+    ``distortion_tau_s`` is the time constant of the waveforms' low-pass
+    (0: none), and ``t1_s`` and ``t2_s`` are the relaxation times of
+    spin 1 and spin 2 (``math.inf``: none), with T2 <= 2 T1 + 1e-12 per
+    spin.  Each field is checked here alone.  ``relaxation_times`` is
+    derived from them: T1 of spin 1 and 2, then T2 capped at 2 T1, as
+    ``_relaxation_table`` takes them, or () when none is finite and the
+    apparatus skips relaxation.  ``ExperimentConfig`` builds its hidden
+    apparatus as one, and the lab reads all of it.  ``SystemModel()`` is
+    the default of both: of a run's design model and of the lab's
+    apparatus.  The design model's propagation and gradients know only
+    the ``DESIGN_FIELDS``: ``model_fidelity``, ``fidelity_and_gradients``
+    and a run refuse a model whose other fields leave their defaults
+    (``require_ideal``).
     """
 
-    g_hz: float
+    g_hz: float = 217.4
     amplitude_scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     distortion_tau_s: float = 0.0
     t1_s: tuple[float, float] = (math.inf, math.inf)

@@ -36,7 +36,6 @@ Which function owns what:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,6 +84,9 @@ SECONDS_PER_MEASUREMENT = 10.0
 # that holds the slice duration (fidelity_partial_batch).
 DURATION_COLUMN = 4
 
+# The ideal apparatus, whose fields are ExperimentConfig's defaults.
+_IDEAL = SystemModel()
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -93,19 +95,19 @@ class ExperimentConfig:
     Its first five fields describe the hidden apparatus, which
     ``__post_init__`` builds once as ``apparatus``, a ``SystemModel``
     that checks them: g is ``true_g_hz``, and ``amplitude_scale``,
-    ``distortion_tau_s``, ``t1_s`` and ``t2_s`` keep their names (see
-    ``SystemModel``).  ``apparatus`` is derived, not a field, so the
-    section's keys are the seven below, and ``ExperimentBackend`` reads
-    the physics from it alone.  ``noise_sigma`` is the readout noise and
-    ``seed`` seeds its stream.  Every readout costs
-    ``SECONDS_PER_MEASUREMENT`` of bench time.
+    ``distortion_tau_s``, ``t1_s`` and ``t2_s`` keep their names.  Each
+    defaults to ``SystemModel()``'s value.  ``apparatus`` is derived,
+    not a field, so the section's keys are the seven below, and
+    ``ExperimentBackend`` reads the physics from it alone.
+    ``noise_sigma`` is the readout noise and ``seed`` seeds its stream.
+    Every readout costs ``SECONDS_PER_MEASUREMENT`` of bench time.
     """
 
-    true_g_hz: float = 217.4
-    amplitude_scale: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    distortion_tau_s: float = 0.0
-    t1_s: tuple[float, float] = (math.inf, math.inf)
-    t2_s: tuple[float, float] = (math.inf, math.inf)
+    true_g_hz: float = _IDEAL.g_hz
+    amplitude_scale: tuple[float, float, float, float] = _IDEAL.amplitude_scale
+    distortion_tau_s: float = _IDEAL.distortion_tau_s
+    t1_s: tuple[float, float] = _IDEAL.t1_s
+    t2_s: tuple[float, float] = _IDEAL.t2_s
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -188,14 +190,6 @@ def _probe_indices(value, name: str, bound: int) -> np.ndarray:
     return index
 
 
-def _one_density(rho) -> np.ndarray:
-    """``rho`` checked as one 4 x 4 density matrix."""
-    rho = require_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"need one 4 x 4 density matrix, got shape {rho.shape}")
-    return rho
-
-
 def _advance(u: np.ndarray, states: np.ndarray, table, durations) -> np.ndarray:
     """A stack of B states through one slice each.
 
@@ -234,14 +228,13 @@ def _ket_correlators(kets: np.ndarray) -> np.ndarray:
     it.  Past it, every entry a_i a_j^* of |psi><psi| is finite and
     rounded by a few eps at most: it is Hermitian to a few eps, and its
     eigenvalues lie within a few eps of the exact projector's 0 and
-    |psi|^2, so the Cholesky screen of |psi><psi| + (DENSITY_TOL/2) 1
-    clears it, with DENSITY_TOL/2 to spare.  The kets are therefore
-    tested by their trace alone, computed as ``trace_deviations``
-    computes it on ``_density(kets)``: the complex products a_i a_i^*
-    of its diagonal, added as one complex reduction of four, which
-    gives its bits.  A stack that fails goes to
+    |psi|^2 (Weyl's inequality), so ``eigvalsh`` finds none below
+    -DENSITY_TOL.  The kets are therefore tested by their trace alone,
+    computed as ``trace_deviations`` computes it on ``_density(kets)``:
+    the complex products a_i a_i^* of its diagonal, added as one complex
+    reduction of four, which gives its bits.  A stack that fails goes to
     ``require_density(_density(kets))``, which fails it too and names
-    the first bad state with the message it gives unscreened.
+    the first bad state.
 
     With a_i = x_i + i y_i over |00>, |01>, |10>, |11>, p = x_0 x_3 +
     y_0 y_3 = Re a_0^* a_3 and q = x_1 x_2 + y_1 y_2 = Re a_1^* a_2,
@@ -588,7 +581,10 @@ class ExperimentBackend:
         """One noisy expectation value of a Pauli string, charged to the ledger."""
         observable = _PAULI[tuple(labels)][None]
         _check_categories([category])
-        value = _expectations(_one_density(rho)[None], observable)
+        rho = require_density(rho)
+        if rho.shape != (4, 4):
+            raise ValueError(f"need one 4 x 4 density matrix, got shape {rho.shape}")
+        value = _expectations(rho[None], observable)
         return float(self._measured(value, [category])[0, 0])
 
     def fidelity_partial(self, pulse: PulseSequence, category: str = "fidelity_partial") -> float:

@@ -117,20 +117,10 @@ def require_density(rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is one square matrix or a stack of them, shape (..., n, n).
     Each matrix is held to exactly the checks it would meet on its own;
-    the error names the first bad one by its stack index.  Eigenvalues
-    are looked at only for matrices that pass the Hermiticity and trace
-    checks, so a non-finite matrix fails those instead of reaching a
-    factorization.
-
-    The eigenvalue check is screened: one batched Cholesky factorization
-    of rho + (DENSITY_TOL/2) 1 clears the whole stack when it succeeds.
-    Cholesky is backward stable (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 10): a cleared matrix has
-    lambda_min >= -DENSITY_TOL/2 - O(eps ||rho||), and with its trace
-    within DENSITY_TOL of one that bounds ||rho|| by about one.  So
-    ``eigvalsh`` would pass it too; both read the lower triangle.  When
-    the screen fails anywhere, ``eigvalsh`` decides every matrix as it
-    would unscreened, and writes the message.
+    the error names the first bad one by its stack index.  Eigenvalues,
+    by ``eigvalsh``, are looked at only for matrices that pass the
+    Hermiticity and trace checks, so a non-finite matrix fails those
+    instead of reaching the eigensolver.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or not rho.shape[-1]:
@@ -141,11 +131,7 @@ def require_density(rho: np.ndarray) -> np.ndarray:
     tr_dev = trace_deviations(stack)
     shaped = (herm_dev <= DENSITY_TOL) & (tr_dev <= DENSITY_TOL)
     lo = np.zeros(len(stack))
-    checked = stack[shaped]
-    try:
-        np.linalg.cholesky(checked + (DENSITY_TOL / 2.0) * np.eye(rho.shape[-1]))
-    except np.linalg.LinAlgError:
-        lo[shaped] = np.linalg.eigvalsh(checked).min(axis=-1)
+    lo[shaped] = np.linalg.eigvalsh(stack[shaped]).min(axis=-1)
     bad = ~shaped | ~(lo >= -DENSITY_TOL)
     if bad.any():
         i = int(np.argmax(bad))

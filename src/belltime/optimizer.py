@@ -260,6 +260,16 @@ def _step_along(pulse: PulseSequence, step: float, direction: np.ndarray,
     return pulse.with_amplitudes(trial_amps), float(np.sum(delta * grad_u) / step)
 
 
+def _acceptance_bound(kind: str, j_reference: float, step: float, grad_dot: float) -> float:
+    """The fidelity a trial of phase ``kind`` must reach to be accepted.
+
+    J_ref + ALPHA d grad_dot for a climb, BETA J_ref for a shrink (the
+    module docstring's two inequalities).  The loop, the stall restart
+    and the trace audit all take the bound from here.
+    """
+    return j_reference + ALPHA * step * grad_dot if kind == STEP1 else BETA * j_reference
+
+
 def _restart_climb_step(
     model: SystemModel,
     pulse: PulseSequence,
@@ -284,7 +294,7 @@ def _restart_climb_step(
     for _ in range(MAX_BACKTRACKS):
         grown = step / BACKTRACK_FACTOR
         trial, dot = _step_along(pulse, grown, grad_u, grad_u)
-        rhs = j_start + ALPHA * grown * dot
+        rhs = _acceptance_bound(STEP1, j_start, grown, dot)
         if not model_fidelity(model, trial, *BELL_TASK)[0] >= rhs:
             break
         step = grown
@@ -561,7 +571,6 @@ def run_optimization(
                     # the re-measurement just evaluated the model at pulse
                     step[STEP1] = _restart_climb_step(model, pulse, j_model_rec, grad_u, config)
                 trial, next_dot = _step_along(pulse, step[STEP1], grad_u, grad_u)
-                rhs = j_base + ALPHA * step[STEP1] * next_dot
         else:
             du = grad_u / grad_t
             dt_change = -float(np.sum(du * du))
@@ -575,11 +584,10 @@ def run_optimization(
             else:
                 trial, next_dot = _step_along(pulse, step[STEP2], du, grad_u)
                 trial = trial.with_duration(new_duration)
-                rhs = BETA * j_base
-        pending = (
-            None if trial is None
-            else _Proposal(phase, trial, j_base, next_dot, step[phase], rhs)
-        )
+        pending = None
+        if trial is not None:
+            rhs = _acceptance_bound(phase, j_base, step[phase], next_dot)
+            pending = _Proposal(phase, trial, j_base, next_dot, step[phase], rhs)
 
         records.append(
             IterationRecord(
@@ -641,7 +649,8 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
     Checks, from the logged values alone: every accepted climb record
     satisfies j_oracle >= j_reference + ALPHA * step * grad_dot; every
     accepted shrink record satisfies j_oracle >= BETA * j_reference (both
-    recomputed bit-exactly and cross-checked against the logged rhs);
+    recomputed bit-exactly by ``_acceptance_bound``, the loop's own
+    bound, and cross-checked against the logged rhs);
     durations never increase, and change only at accepted shrink records;
     and any record whose measured fidelity falls below the scheduled
     threshold is followed by a climb record at identical duration.  Every
@@ -659,11 +668,9 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
             raise ValueError(f"record {record.n}: unknown phase {record.phase!r}")
         if record.accepted:
             n_accepted += 1
-            if record.phase == STEP1:
-                rhs = record.j_reference + ALPHA * record.step_size_used * record.grad_dot
-            else:
-                rhs = BETA * record.j_reference
-                n_step2_accepted += 1
+            n_step2_accepted += record.phase == STEP2
+            rhs = _acceptance_bound(record.phase, record.j_reference, record.step_size_used,
+                                    record.grad_dot)
             if record.step_size_used > 0.0 and rhs != record.acceptance_rhs:
                 raise ValueError(
                     f"record {record.n}: logged acceptance_rhs {record.acceptance_rhs!r} "

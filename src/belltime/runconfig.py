@@ -122,7 +122,7 @@ class RunConfig:
     mode: str = "model-only"
     seed: int = 0
     output_dir: Optional[str] = None
-    model: SystemModel = dataclasses.field(default_factory=lambda: SystemModel(217.4))
+    model: SystemModel = dataclasses.field(default_factory=SystemModel)
     experiment: Optional[ExperimentConfig] = None
     optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
 
@@ -170,7 +170,20 @@ class _RunDocumentLoader(yaml.SafeLoader):
     last one without a word.  The composed document's mappings are
     checked, breadth first, before anything is constructed, and the
     first repeated key is named by its path and line.
+
+    PyYAML's own constructors raise a bare ValueError, LookupError or
+    AttributeError on a scalar that its tag does not fit (``!!float x``,
+    ``!!bool maybe``, ``2001-13-45`` read as a date).  Each becomes the
+    YAMLError that every other malformed document raises, marked at the
+    scalar, so ``parse_config`` names its line.
     """
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError) as exc:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"cannot read {node.value!r} as {node.tag}", node.start_mark) from exc
 
     def construct_document(self, node):
         mappings, seen = [(node, "")], set()

@@ -393,14 +393,14 @@ def reference_readouts(rhos: np.ndarray, observables: np.ndarray) -> np.ndarray:
 
 
 def reference_require_density(rho: np.ndarray) -> np.ndarray:
-    """``require_density`` deciding every matrix by ``eigvalsh``, unscreened.
+    """``require_density`` written out on its own, every matrix decided by ``eigvalsh``.
 
     The package's check must accept and reject exactly as this one does,
     with the same message.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or not rho.shape[-1]:
+        raise ValueError(f"density matrix must be nonempty and square, got shape {rho.shape}")
     stack = rho.reshape((-1,) + rho.shape[-2:])
     with np.errstate(invalid="ignore", over="ignore"):
         herm_dev = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(-2, -1))

@@ -245,9 +245,14 @@ class TestFactorizationFallback:
             raise DegeneracyError("forced on every attempt")
 
         monkeypatch.setattr(cartan, "_raw_factorization", always_fails)
-        with pytest.raises(DegeneracyError, match=r"^no factorization reached residual 1\.0e-08 \(best inf\)$"):
+        with pytest.raises(DegeneracyError) as caught:
             kak_factorize(random_unitary(np.random.default_rng(67)))
         assert len(attempts) == 4
+        assert str(caught.value) == (
+            "no factorization reached residual 1.0e-08 (best inf); "
+            "last attempt: forced on every attempt"
+        )
+        assert str(caught.value.__cause__) == "forced on every attempt"
 
     def test_no_close_attempt_names_the_best_residual(self, monkeypatch):
         raw, residual, residuals = cartan._raw_factorization, cartan._reconstruction_residual, []
@@ -268,6 +273,7 @@ class TestFactorizationFallback:
         assert str(caught.value) == (
             f"no factorization reached residual {RESIDUAL_TOL:.1e} (best {min(residuals):.3e})"
         )
+        assert caught.value.__cause__ is None
 
 
 class TestFactorizationProperties:

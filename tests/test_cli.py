@@ -24,7 +24,7 @@ from belltime.dynamics import PULSE_HEADER, PulseSequence, read_pulse_csv, write
 from belltime.experiment import ExperimentConfig
 from belltime.linalg import pauli_string
 from belltime.optimizer import MODES, OptimizerConfig, readouts_per_iteration
-from belltime.runconfig import ConfigError, RunConfig, load_config, parse_config
+from belltime.runconfig import ConfigError, RunConfig, _field_types, load_config, parse_config
 
 MINIMAL = "model:\n  g_hz: 217.4\n"
 
@@ -158,6 +158,10 @@ class TestParseConfig:
         assert getattr(apparatus, key) == (tuple(value) if isinstance(value, list) else value)
         assert RunConfig().as_document_dict()["model"] == {"g_hz": 217.4}
 
+    def test_the_ideal_apparatus_is_one_default(self):
+        # the lab's hidden apparatus and the design model start from SystemModel's defaults
+        assert ExperimentConfig().apparatus == RunConfig().model == belltime.SystemModel()
+
     def test_document_dict_is_json_friendly(self):
         doc = parse_config(MINIMAL + "experiment: {}\n").as_document_dict()
         text = json.dumps(doc)
@@ -198,6 +202,19 @@ class TestParseConfig:
         path.write_text(text)
         assert main(["optimize", "--config", str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line, scalar, tag", [
+        ("!!float x\n", 1, "x", "float"),
+        ("seed: !!int\n", 1, "", "int"),
+        ("mode: !!bool maybe\n", 1, "maybe", "bool"),
+        ("seed: 2001-13-45\n", 1, "2001-13-45", "timestamp"),
+        ("optimizer:\n  d1_init: [1, !!float x]\n", 2, "x", "float"),
+    ])
+    def test_a_scalar_its_tag_does_not_fit_is_named(self, text, line, scalar, tag):
+        # PyYAML's own constructors raise a bare ValueError, KeyError, ... here
+        message = f"parse error at line {line}: cannot read {scalar!r} as tag:yaml.org,2002:{tag}\n"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(text)
 
     @pytest.mark.parametrize("value", ["[]", "0", "false", "abc", "[1, 2]"])
     def test_model_section_must_be_a_mapping(self, value):
@@ -344,6 +361,66 @@ def wrong_typed_settings(draw):
     return section, field, value
 
 
+SECTION_CLASSES = {
+    "model": belltime.SystemModel, "experiment": ExperimentConfig, "optimizer": OptimizerConfig,
+}
+DOCUMENT_KEYS = sorted({*_field_types(RunConfig), *(
+    key for cls in SECTION_CLASSES.values() for key in _field_types(cls)
+)})
+
+# Values a hostile run document puts under any key: YAML's scalars, NaN and
+# the infinities, the modes, and short lists and mappings of them.
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(MODES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Pieces that arbitrary document text is strung from: the real keys, block
+# and flow syntax, anchors, aliases, merge keys, tags (an unsafe one too),
+# directives, and the scalars YAML reads as numbers, dates or null.
+YAML_PIECES = st.sampled_from([
+    *(f"{key}: " for key in DOCUMENT_KEYS), "\n", "  ", "- ", ": ", "[", "]", "{", "}", ", ",
+    "&a ", "*a", "<<: ", "? ", "|\n", ">\n", "---\n", "...\n", "%YAML 1.1\n", "'", '"', "#",
+    "!!python/object/apply:os.getcwd []", "!!binary ", "!!str ", "!!float ", "!!set ",
+    ".nan", ".inf", "-.inf", "1e-3", "1.0e+3", "0x1f", "0o17", "2001-12-14", "~", "yes", "12", "-3",
+])
+
+
+@st.composite
+def hostile_documents(draw):
+    """Run documents over the real keys, with a stray key now and then.
+
+    A top-level key holds a hostile value, or a valid one where the
+    suite has a strategy for it; a section is that, or half the time a
+    mapping of its own keys built the same way.
+    """
+    def mapping(keys, valid):
+        names = draw(st.lists(st.sampled_from(sorted(keys)) | st.text(max_size=4),
+                              unique=True, max_size=4))
+        values = {name: draw(ANY_VALUE | valid.get(name, ANY_VALUE)) for name in names}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+    doc = mapping(_field_types(RunConfig), {"mode": st.sampled_from(MODES), "seed": SEED})
+    for section, cls in SECTION_CLASSES.items():
+        if section in doc and draw(st.booleans()):
+            valid = {k: v for k, v in SECTION_FIELDS[section].items() if v is not None}
+            doc[section] = mapping(_field_types(cls), valid)
+    return doc
+
+
+def parsed_or_refused(text):
+    """``parse_config(text)``, or None when it raises a ConfigError."""
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return None
+    assert isinstance(config, RunConfig)
+    return config
+
+
 class TestParseConfigProperties:
     def test_strategies_cover_every_field(self):
         # the model section names g alone; the lab's physics is the experiment section's
@@ -378,6 +455,17 @@ class TestParseConfigProperties:
     def test_non_mapping_section_names_the_section(self, section, value):
         with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
             parse_config(yaml.safe_dump({section: value}))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(text=st.text(max_size=200)
+           | st.lists(YAML_PIECES | st.text(max_size=3), max_size=40).map("".join))
+    def test_arbitrary_text_is_parsed_or_refused_by_config_error(self, text):
+        parsed_or_refused(text)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(doc=hostile_documents())
+    def test_hostile_documents_are_parsed_or_refused_by_config_error(self, doc):
+        parsed_or_refused(yaml.safe_dump(doc))
 
 
 @st.composite

@@ -21,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from belltime.dynamics import (
     MAX_SLICE_TURN_RAD,
     GradientBundle,
+    PULSE_HEADER,
     PulseSequence,
     SystemModel,
     _fidelity_and_gradients,
@@ -130,6 +131,51 @@ AMPLITUDES = _labelled(
     ),
 )
 
+# What a near-miss pulse file puts where a number belongs: floats of every
+# kind (NaN and the infinities too), small integers, overflow and words.
+NUMBER_TEXTS = (
+    st.floats().map(repr)
+    | st.integers(-2, 6).map(str)
+    | st.sampled_from(["nan", "-inf", "1e999", "0x10", "1_0", "+1", "-0", " 7", "", "x"])
+)
+
+
+@st.composite
+def near_miss_pulse_files(draw):
+    """The bytes of a pulse file written like ``write_pulse_csv``'s, with some parts off.
+
+    Each part drawn into ``faults`` is spoiled: the metadata (random
+    ``key=value`` items, or the two real ones in either order with any
+    duration text), the header, the row count, the rows' indices, their
+    width (3 or 5 values) or their values (any NUMBER_TEXTS).  With no
+    fault the file is valid.  Lines end in LF or CRLF, and one file in
+    ten has a few random bytes spliced in.
+    """
+    faults = draw(st.sets(st.sampled_from(["meta", "header", "count", "index", "width", "value"])))
+    m = draw(st.integers(1, 4))
+    meta = f"# T_seconds={draw(POSITIVE_FLOATS)!r} M={m}"
+    if "meta" in faults:
+        keys = st.sampled_from(["T_seconds", "M", "m", "T", ""])
+        real = [("T_seconds", "=", draw(NUMBER_TEXTS)), ("M", "=", str(m))]
+        items = draw(st.permutations(real) | st.lists(
+            st.tuples(keys, st.sampled_from(["=", ""]), NUMBER_TEXTS), max_size=4))
+        meta = draw(st.sampled_from(["# ", "#", ""])) + " ".join(map("".join, items))
+    header = PULSE_HEADER
+    if "header" in faults:
+        header = draw(st.sampled_from(
+            [PULSE_HEADER[:-7], PULSE_HEADER.upper(), PULSE_HEADER + ",x"]))
+    rows = []
+    for i in range(m + draw(st.sampled_from([-1, 1])) if "count" in faults else m):
+        index = draw(NUMBER_TEXTS) if "index" in faults else str(i)
+        width = draw(st.sampled_from([3, 5])) if "width" in faults else 4
+        value = NUMBER_TEXTS if "value" in faults else FINITE.map(repr)
+        rows.append(",".join([index, *draw(st.lists(value, min_size=width, max_size=width))]))
+    data = draw(st.sampled_from(["\n", "\r\n"])).join([meta, header, *rows]).encode()
+    if draw(st.integers(0, 9)):
+        return data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+
 
 class TestPulseSequence:
     def test_validation(self):
@@ -205,6 +251,18 @@ class TestPulseSequence:
         path.write_text("# T_seconds=0.001 M=3\n")
         with pytest.raises(ValueError, match="truncated.csv: expected header .* end of file"):
             read_pulse_csv(path)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(data=st.binary(max_size=200) | near_miss_pulse_files())
+    def test_hostile_pulse_files_read_or_name_the_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "hostile.csv"
+        path.write_bytes(data)
+        try:
+            pulse = read_pulse_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert isinstance(pulse, PulseSequence)
 
 
 def bits(x):

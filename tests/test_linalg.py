@@ -256,7 +256,7 @@ def test_density_stack_names_the_non_finite_matrix(value):
             linalg.require_density(stack)
 
 
-# Smallest eigenvalues at and around the screen's shift and the tolerance.
+# Smallest eigenvalues at and around half the tolerance and the tolerance.
 LAMBDA_MIN = [-2.0, -1.0, -0.75, -0.5, -0.25, 0.0]
 
 
@@ -300,7 +300,7 @@ def outcome(check, stack):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(stack=density_stacks())
 def test_screened_density_check_decides_as_eigenvalues_alone(stack):
-    # the Cholesky screen only skips eigvalsh on stacks it passes whole
+    # stacked or alone, each matrix is decided as the written-out check decides it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         expected = outcome(reference_require_density, stack)

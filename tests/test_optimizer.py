@@ -807,6 +807,21 @@ class TestTraceAudit:
         with pytest.raises(ValueError, match=f"^record {victim.n}: unknown phase '{phase}'$"):
             verify_trace_invariants(records, OptimizerConfig())
 
+    def test_the_loop_the_restart_and_the_audit_share_one_bound(self, model, model_run,
+                                                                monkeypatch):
+        # a stricter bound, patched in its one home, reaches all three of its users
+        start = random_pulse(50, 5e-3, 100.0, np.random.default_rng(0))
+        bundle = fidelity_and_gradients(model, start, ket("00"), singlet_state())
+        restart = (model, start, bundle.fidelity, bundle.grad_amplitudes, OptimizerConfig())
+        step = optimizer._restart_climb_step(*restart)
+        bound = optimizer._acceptance_bound
+        monkeypatch.setattr(optimizer, "_acceptance_bound", lambda *args: bound(*args) + 1e-4)
+        assert optimizer._restart_climb_step(*restart) < step
+        short = run_optimization("model-only", model, OptimizerConfig(max_iterations=300), seed=0)
+        assert short.records != model_run.records[:300]
+        with pytest.raises(ValueError, match="^record 0: "):
+            verify_trace_invariants(model_run.records, OptimizerConfig())
+
     def test_tampered_duration_increase_is_caught(self, model_run):
         records = list(model_run.records)
         victim = records[len(records) // 2]
