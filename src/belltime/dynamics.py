@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,6 +64,12 @@ _CONTROL_VALUES = np.pi * np.take_along_axis(
 )[:, :, 0]
 
 PULSE_HEADER = "slice,ux1_hz,uy1_hz,ux2_hz,uy2_hz"
+
+# The spellings write_pulse_csv writes and read_pulse_csv alone accepts, each
+# matched against a whole field: a float's repr, an optionally signed ASCII
+# decimal with an optional exponent, and M or a slice index, ASCII digits.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_DIGITS = re.compile(r"[0-9]+")
 
 # The largest turn t lambda+ (rad) of a slice in closed_form_propagators.  Its U
 # drifts from unitary as eps |H| dt, measured 1.8e-12 at 1e4 rad: 50 such slices
@@ -613,13 +620,23 @@ def write_pulse_csv(pulse: PulseSequence, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _spelled(text: str, spelling: re.Pattern, kind):
+    """``kind(text)``, where ``spelling`` matches the whole of ``text``."""
+    if spelling.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a number as write_pulse_csv spells one")
+    return kind(text)
+
+
 def read_pulse_csv(path) -> PulseSequence:
     """Read a pulse written by write_pulse_csv.
 
     Every error the file's contents cause is a ValueError that names the
     file: bytes that are not UTF-8, a metadata item that is not
     key=value, a key other than T_seconds and M or one given twice, a
-    bad header, row or value.
+    bad header, row or value.  A number must be spelled as
+    ``write_pulse_csv`` spells it (``_DECIMAL``, ``_DIGITS``), so
+    underscores, inner spaces and non-ASCII digits, which ``float`` and
+    ``int`` would take, are refused.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -639,8 +656,8 @@ def read_pulse_csv(path) -> PulseSequence:
             raise ValueError(f"{path}: metadata key {key!r} is repeated in {lines[0]!r}")
         meta[key] = value
     try:
-        duration = float(meta["T_seconds"])
-        m_slices = int(meta["M"])
+        duration = _spelled(meta["T_seconds"], _DECIMAL, float)
+        m_slices = _spelled(meta["M"], _DIGITS, int)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: bad metadata line {lines[0]!r}") from exc
     if lines[1:2] != [PULSE_HEADER]:
@@ -653,9 +670,9 @@ def read_pulse_csv(path) -> PulseSequence:
         amps = np.empty((m_slices, 4), dtype=np.float64)
         for i, row in enumerate(rows):
             parts = row.split(",")
-            if len(parts) != 5 or int(parts[0]) != i:
+            if len(parts) != 5 or _spelled(parts[0], _DIGITS, int) != i:
                 raise ValueError(f"malformed row {i}: {row!r}")
-            amps[i] = [float(x) for x in parts[1:]]
+            amps[i] = [_spelled(x, _DECIMAL, float) for x in parts[1:]]
         return PulseSequence(duration, amps)
     except ValueError as exc:  # a value the file holds: name the file
         raise ValueError(f"{path}: {exc}") from exc

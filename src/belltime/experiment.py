@@ -29,9 +29,10 @@ Which function owns what:
   relaxation-free lab's kets, and ``_expectations`` every density.
   ``_measured`` adds the noise and charges the ledger for both.
 * The oracles: ``fidelity_partial`` (3 readouts),
-  ``fidelity_partial_batch`` (3 a probe), ``fidelity_full`` (15),
-  ``measure_pauli`` (1) and ``true_fidelity`` (free, and simulator
-  only).
+  ``fidelity_partial_batch`` (3 a probe, charged by the column it
+  moves: ``gradient_time`` for a slice duration, ``gradient_control``
+  for an amplitude), ``fidelity_full`` (15), ``measure_pauli`` (1) and
+  ``true_fidelity`` (free, and simulator only).
 """
 
 from __future__ import annotations
@@ -167,13 +168,6 @@ def ledger_report(ledger: MeasurementLedger) -> dict:
         wall_clock_h=seconds / 3600.0,
     )
     return report
-
-
-def _check_categories(categories) -> None:
-    """Raise on the first name in ``categories`` that is not a ledger category."""
-    if not set(categories).issubset(LEDGER_CATEGORIES):
-        unknown = next(c for c in categories if c not in LEDGER_CATEGORIES)
-        raise ValueError(f"unknown ledger category {unknown!r}")
 
 
 def _probe_indices(value, name: str, bound: int) -> np.ndarray:
@@ -541,24 +535,27 @@ class ExperimentBackend:
         probe, at = window.nonzero()
         return probe, at, dts[window], flat.reshape(n_probes, m_slices, 4)[window]
 
-    def _measured(self, values: np.ndarray, categories) -> np.ndarray:
+    def _measured(self, values: np.ndarray, charges: dict) -> np.ndarray:
         """Noisy readouts of the (B, L) noiseless values of L observables in B states.
 
         Every readout, of a ket or of a density, takes this one step.
-        The B*L noise samples are one draw from the stream, in the order
-        of B*L scalar readouts (state by state, observable by
-        observable), and each readout is clipped to 5 sigma past [-1, 1];
-        state b's L readouts are charged to categories[b].
+        ``charges`` maps ledger categories to numbers of states, B in
+        all, and each state's L readouts are charged to its category
+        first, so ``MeasurementLedger.record`` refuses an unknown one
+        before anything is drawn.  The B*L noise samples are one draw
+        from the stream, in the order of B*L scalar readouts (state by
+        state, observable by observable), and each readout is clipped to
+        5 sigma past [-1, 1].
         """
+        for category, states in charges.items():
+            self.ledger.record(category, states * values.shape[1])
         sigma = self.config.noise_sigma
         if sigma > 0.0:
             values = values + self._rng.normal(0.0, sigma, size=values.size).reshape(values.shape)
             values = np.clip(values, -1.0 - 5.0 * sigma, 1.0 + 5.0 * sigma)
-        for category in dict.fromkeys(categories):
-            self.ledger.record(category, categories.count(category) * values.shape[1])
         return values
 
-    def _partial(self, states: np.ndarray, observables, categories) -> np.ndarray:
+    def _partial(self, states: np.ndarray, observables, charges: dict) -> np.ndarray:
         """Three-correlator fidelity estimates of B evolved states.
 
         A relaxation-free lab's states are (B, 4) kets, with
@@ -573,19 +570,18 @@ class ExperimentBackend:
             values = _ket_correlators(states)
         else:
             values = _expectations(require_density(states), observables)
-        values = self._measured(values, categories)
+        values = self._measured(values, charges)
         # sum() over the columns adds in the order of a scalar sum of readouts
         return (1.0 - sum(values.T)) / 4.0
 
     def measure_pauli(self, rho: np.ndarray, labels, category: str) -> float:
         """One noisy expectation value of a Pauli string, charged to the ledger."""
         observable = _PAULI[tuple(labels)][None]
-        _check_categories([category])
         rho = require_density(rho)
         if rho.shape != (4, 4):
             raise ValueError(f"need one 4 x 4 density matrix, got shape {rho.shape}")
         value = _expectations(rho[None], observable)
-        return float(self._measured(value, [category])[0, 0])
+        return float(self._measured(value, {category: 1})[0, 0])
 
     def fidelity_partial(self, pulse: PulseSequence, category: str = "fidelity_partial") -> float:
         """Singlet-overlap estimate from 3 correlator measurements.
@@ -596,11 +592,11 @@ class ExperimentBackend:
         evolution (``_pulse_evolution``); a lossy lab reads its density
         (``evolve_open``).
         """
-        _check_categories([category])
+        charges = {category: 1}
         if self._apparatus.relaxation_times:
-            return float(self._partial(self.evolve_open(pulse)[None], _PARTIAL_OPS, [category])[0])
+            return float(self._partial(self.evolve_open(pulse)[None], _PARTIAL_OPS, charges)[0])
         kets = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)[-1]
-        return float(self._partial(kets[-1:], None, [category])[0])
+        return float(self._partial(kets[-1:], None, charges)[0])
 
     def fidelity_partial_batch(
         self,
@@ -608,7 +604,6 @@ class ExperimentBackend:
         slices,
         columns,
         values,
-        categories,
     ) -> np.ndarray:
         """``fidelity_partial`` of B single-entry probes of ``pulse``, evolved together.
 
@@ -616,27 +611,25 @@ class ExperimentBackend:
         [ux1, uy1, ux2, uy2, slice duration] set: entry (slices[b],
         columns[b]) becomes values[b].  Columns 0-3 are programmed
         amplitudes in Hz, column ``DURATION_COLUMN`` the slice's duration
-        in s (T/M on the pulse); probe b is charged to categories[b].
-        The probes are evolved together (``_evolve``).  Noise draws and
-        ledger are those of B ``fidelity_partial`` calls in order; the
+        in s (T/M on the pulse).  A probe is charged by the column it
+        moves: to ``gradient_time`` if it sets a duration, to
+        ``gradient_control`` if it sets an amplitude.  The probes are
+        evolved together (``_evolve``).  Noise draws and ledger are those
+        of B ``fidelity_partial`` calls in order, each charged so; the
         values are theirs up to reordered rounding, within 1e-12.  Every
         argument is checked before anything is evolved, drawn or charged:
-        indices in range, values finite, durations positive, one known
-        category per probe.  The evolved states are checked too, as one
-        stack, before anything is drawn or charged (``_partial``).
+        indices in range, values finite, durations positive.  The evolved
+        states are checked too, as one stack, before anything is drawn or
+        charged (``_partial``).
         """
         slices = _probe_indices(slices, "slices", pulse.n_slices)
         columns = _probe_indices(columns, "columns", DURATION_COLUMN + 1)
         values = np.asarray(values)
-        categories = list(categories)
         if values.ndim != 1 or not len(slices) == len(columns) == len(values):
             raise ValueError(
                 f"need one slice, column and value per probe, got shapes "
                 f"{slices.shape}, {columns.shape} and {values.shape}"
             )
-        if len(categories) != len(values):
-            raise ValueError(f"need {len(values)} ledger categories, got {len(categories)}")
-        _check_categories(categories)
         if values.size and values.dtype.kind not in "iuf":
             raise ValueError(f"probe values must be real numbers, got {values.dtype}")
         values = values.astype(float)
@@ -645,7 +638,9 @@ class ExperimentBackend:
         if not np.all(values[columns == DURATION_COLUMN] > 0):
             raise ValueError("a probe's slice duration must be positive")
         evolved = self._evolve(pulse.amplitudes_hz, pulse.slice_duration_s, slices, columns, values)
-        return self._partial(*evolved, categories)
+        timed = np.count_nonzero(columns == DURATION_COLUMN)
+        return self._partial(*evolved, {"gradient_control": len(values) - timed,
+                                        "gradient_time": timed})
 
     def fidelity_full(self, pulse: PulseSequence) -> float:
         """Target overlap from full 15-observable state reconstruction.
@@ -656,7 +651,7 @@ class ExperimentBackend:
         is taken.
         """
         rho = require_density(self.evolve_open(pulse))
-        values = self._measured(_expectations(rho[None], _TOMOGRAPHY_OPS), ["fidelity_full"])[0]
+        values = self._measured(_expectations(rho[None], _TOMOGRAPHY_OPS), {"fidelity_full": 1})[0]
         estimate = np.eye(4, dtype=np.complex128)
         for value, observable in zip(values.tolist(), _TOMOGRAPHY_OPS):
             estimate = estimate + value * observable

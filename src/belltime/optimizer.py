@@ -55,8 +55,9 @@ climb plateaus, for systems whose reachable fidelity sits below the
 target), and whenever a logged fidelity falls below the scheduled lower
 threshold it returns to climbing with the duration frozen.  Runs stop on
 iteration budget or once the duration has stopped moving at target
-fidelity.  ``verify_trace_invariants`` replays every logged acceptance
-inequality bit-exactly from the trace alone.
+fidelity.  ``verify_trace_invariants`` replays every record's logged
+acceptance inequality and decision bit-exactly from the trace alone,
+baselines included.
 
 The search rule is fixed: its constants are module-level, and
 ``OptimizerConfig`` holds only the settings a run varies.  ``ALPHA`` and
@@ -311,7 +312,9 @@ def finite_diff_gradients(
 
     Every control amplitude is probed twice (2 x 4M probes) and every
     slice duration is probed twice (2 x M probes); each probe is one
-    3-measurement fidelity estimate.  The duration derivative of the
+    3-measurement fidelity estimate, which the backend charges by the
+    probe's column: ``gradient_control`` for an amplitude,
+    ``gradient_time`` for a duration.  The duration derivative of the
     uniform grid is the mean of the per-slice duration derivatives, since
     stretching T by dT stretches every slice by dT/M.
 
@@ -348,9 +351,8 @@ def finite_diff_gradients(
     values[1 : 2 * n_amps : 2] = plus - 2.0 * h
     values[2 * n_amps :: 2] = base + ht
     values[2 * n_amps + 1 :: 2] = base - ht
-    categories = ["gradient_control"] * (2 * n_amps) + ["gradient_time"] * (2 * m_slices)
 
-    j = backend.fidelity_partial_batch(pulse, slices, columns, values, categories)
+    j = backend.fidelity_partial_batch(pulse, slices, columns, values)
     differences = j[0::2] - j[1::2]  # (+, -) pairs
     grad_u = (differences[:n_amps] / (2.0 * h)).reshape(amps.shape)
     slope_sum = 0.0
@@ -644,43 +646,60 @@ def run_optimization(
 
 
 def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
-    """Replay a trace's acceptance inequalities and phase rules exactly.
+    """Replay a trace's acceptance decisions and phase rules exactly.
 
-    Checks, from the logged values alone: every accepted climb record
-    satisfies j_oracle >= j_reference + ALPHA * step * grad_dot; every
-    accepted shrink record satisfies j_oracle >= BETA * j_reference (both
-    recomputed bit-exactly by ``_acceptance_bound``, the loop's own
-    bound, and cross-checked against the logged rhs);
-    durations never increase, and change only at accepted shrink records;
-    and any record whose measured fidelity falls below the scheduled
-    threshold is followed by a climb record at identical duration.  Every
-    record, accepted or rejected, must be of phase step1 or step2: a
-    trace is read back from disk, so its phases are outside input.
-    Raises ValueError naming the first offending record; returns summary
-    counts otherwise.
+    ``config`` is the run's own.  Checks, from the logged values alone:
+    records are numbered 0, 1, 2, ... in order, and each logs its
+    iteration's scheduled threshold, ``lower_threshold(n, config)``.
+    Every record's logged acceptance_rhs reproduces bit-exactly: a
+    trial's from its own fields by ``_acceptance_bound``, the loop's own
+    bound (j_reference + ALPHA * step * grad_dot for a climb, BETA *
+    j_reference for a shrink); a baseline's (step_size_used 0) is its
+    own reading, logged as j_reference with grad_dot 0.  Every record is
+    accepted exactly when j_oracle >= acceptance_rhs.  Durations never
+    increase, and change only at accepted shrink records; and any record
+    whose measured fidelity falls below its threshold is followed by a
+    climb record at identical duration.  Every record, accepted or
+    rejected, must be of phase step1 or step2: a trace is read back from
+    disk, so its phases are outside input.  Raises ValueError naming the
+    first offending record; returns summary counts otherwise.
     """
     n_accepted = 0
     n_step2_accepted = 0
     n_subthreshold = 0
     previous = None
-    for record in records:
+    for n, record in enumerate(records):
+        if record.n != n:
+            raise ValueError(f"record {record.n}: logged at position {n} of the trace")
         if record.phase not in (STEP1, STEP2):
-            raise ValueError(f"record {record.n}: unknown phase {record.phase!r}")
+            raise ValueError(f"record {n}: unknown phase {record.phase!r}")
+        threshold = lower_threshold(n, config)
+        if record.threshold != threshold:
+            raise ValueError(
+                f"record {n}: logged threshold {record.threshold!r} is not the "
+                f"scheduled {threshold!r}"
+            )
+        baseline = record.step_size_used == 0.0
+        if baseline and not (record.j_reference == record.j_oracle and record.grad_dot == 0.0):
+            raise ValueError(
+                f"record {n}: a baseline logs its own reading as j_reference and grad_dot 0, "
+                f"got {record.j_reference!r} for {record.j_oracle!r} and {record.grad_dot!r}"
+            )
+        rhs = record.j_oracle if baseline else _acceptance_bound(
+            record.phase, record.j_reference, record.step_size_used, record.grad_dot)
+        if rhs != record.acceptance_rhs:
+            raise ValueError(
+                f"record {n}: logged acceptance_rhs {record.acceptance_rhs!r} "
+                f"does not reproduce from its own fields ({rhs!r})"
+            )
+        if record.accepted != (record.j_oracle >= rhs):
+            raise ValueError(
+                f"record {n}: {record.phase} logged as accepted={record.accepted} against "
+                f"its acceptance inequality ({record.j_oracle!r} >= {rhs!r})"
+            )
         if record.accepted:
             n_accepted += 1
             n_step2_accepted += record.phase == STEP2
-            rhs = _acceptance_bound(record.phase, record.j_reference, record.step_size_used,
-                                    record.grad_dot)
-            if record.step_size_used > 0.0 and rhs != record.acceptance_rhs:
-                raise ValueError(
-                    f"record {record.n}: logged acceptance_rhs {record.acceptance_rhs!r} "
-                    f"does not reproduce from its own fields ({rhs!r})"
-                )
-            if not record.j_oracle >= rhs:
-                raise ValueError(
-                    f"record {record.n}: accepted {record.phase} violates its "
-                    f"acceptance inequality ({record.j_oracle!r} < {rhs!r})"
-                )
         if previous is not None:
             if record.t_seconds > previous.t_seconds:
                 raise ValueError(
@@ -694,7 +713,7 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
                     f"record {record.n}: duration changed outside an accepted "
                     "shrink step"
                 )
-            if previous.j_oracle < lower_threshold(previous.n, config):
+            if previous.j_oracle < previous.threshold:
                 n_subthreshold += 1
                 if record.phase != STEP1:
                     raise ValueError(

@@ -234,9 +234,9 @@ def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: 
     """
     if not lab_relaxation_times(backend.config):
         psi = reference_ket_evolution(backend, pulse, dts)
-        return float(backend._partial(psi[None], None, [category])[0])
+        return float(backend._partial(psi[None], None, {category: 1})[0])
     rho = reference_pulse_evolution(backend, pulse, dts)
-    return float(backend._partial(rho[None], _PARTIAL_OPS, [category])[0])
+    return float(backend._partial(rho[None], _PARTIAL_OPS, {category: 1})[0])
 
 
 def _reference_probe_pairs(backend, amplitudes, dts, probe_amplitudes, probe_dts):

@@ -793,12 +793,14 @@ class TestEvaluateCommand:
         assert f"error: {path}: expected header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("metadata, rows, message", [
-        ("T_seconds=nan M=1", ["0,1,2,3,4"], "duration_s must be positive and finite, got nan"),
+        ("T_seconds=nan M=1", ["0,1,2,3,4"], "bad metadata line '# T_seconds=nan M=1'"),
+        ("T_seconds=1e999 M=1", ["0,1,2,3,4"], "duration_s must be positive and finite, got inf"),
         ("T_seconds=0.0 M=1", ["0,1,2,3,4"], "duration_s must be positive and finite, got 0.0"),
         ("T_seconds=0.001 M=0", [], "amplitudes_hz must have shape (M, 4) with M >= 1"),
-        ("T_seconds=0.001 M=1", ["0,inf,2,3,4"], "amplitudes_hz contains non-finite entries"),
-        ("T_seconds=0.001 M=1", ["0,1,2,x,4"], "could not convert string to float: 'x'"),
-        ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "invalid literal for int() with base 10: 'a'"),
+        ("T_seconds=0.001 M=1", ["0,1e999,2,3,4"], "amplitudes_hz contains non-finite entries"),
+        ("T_seconds=0.001 M=1", ["0,inf,2,3,4"], "'inf' is not a number as write_pulse_csv spells one"),
+        ("T_seconds=0.001 M=1", ["0,1,2,x,4"], "'x' is not a number as write_pulse_csv spells one"),
+        ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "'a' is not a number as write_pulse_csv spells one"),
         ("T_seconds=1e-3 T_seconds=2e-3 M=1", ["0,1,2,3,4"], "metadata key 'T_seconds' is repeated"),
         ("T_seconds=0.001 M=1 M=1", ["0,1,2,3,4"], "metadata key 'M' is repeated"),
         ("T_seconds=1e-3 M=1 Tseconds=5", ["0,1,2,3,4"], "unknown metadata key 'Tseconds'"),

@@ -132,12 +132,35 @@ AMPLITUDES = _labelled(
 )
 
 # What a near-miss pulse file puts where a number belongs: floats of every
-# kind (NaN and the infinities too), small integers, overflow and words.
+# kind (NaN and the infinities too), small integers, overflow, words, and
+# spellings float() and int() take but write_pulse_csv never writes.
 NUMBER_TEXTS = (
     st.floats().map(repr)
     | st.integers(-2, 6).map(str)
-    | st.sampled_from(["nan", "-inf", "1e999", "0x10", "1_0", "+1", "-0", " 7", "", "x"])
+    | st.sampled_from(["nan", "-inf", "1e999", "0x10", "1_0", "+1", "-0", " 7", "", "x",
+                       "2_0e-4", " 5 ", "\u0663", "\uff11", "1\u00a0"])
 )
+
+# Pulse files that hold a number as write_pulse_csv never spells one, as
+# (metadata, rows): underscores, inner spaces, non-ASCII digits (Arabic-Indic
+# and fullwidth) and a no-break space.  float() and int() take each of them.
+FOREIGN_SPELLINGS = [
+    ("T_seconds=2_0e-4 M=2", ["0,1_0, 5 ,\u0663,0", "1,0,0,0,0"]),
+    ("T_seconds=0.001 M=0_1", ["0,1.0,2.0,3.0,4.0"]),
+    ("T_seconds=0.001 M=\u0661", ["0,1.0,2.0,3.0,4.0"]),
+    ("T_seconds=\uff11e-3 M=1", ["0,1.0,2.0,3.0,4.0"]),
+    ("T_seconds=0.001 M=1", ["\u0660,1.0,2.0,3.0,4.0"]),
+    ("T_seconds=0.001 M=1", ["0 ,1.0,2.0,3.0,4.0"]),
+    ("T_seconds=0.001 M=1", ["0,1.0, 2.0,3.0,4.0"]),
+    ("T_seconds=0.001 M=1", ["0,1_000.5,2.0,3.0,4.0"]),
+    ("T_seconds=0.001 M=1", ["0,1.0,2.0,3.0,\u0664"]),
+    ("T_seconds=0.001 M=1", ["0,1.0,2.0,3.0\u00a0,4.0"]),
+]
+
+
+def pulse_file(meta: str, rows) -> str:
+    """A pulse file's text: the metadata line, the header and ``rows``."""
+    return "\n".join([f"# {meta}", PULSE_HEADER, *rows]) + "\n"
 
 
 @st.composite
@@ -252,8 +275,21 @@ class TestPulseSequence:
         with pytest.raises(ValueError, match="truncated.csv: expected header .* end of file"):
             read_pulse_csv(path)
 
+    @pytest.mark.parametrize("meta, rows", FOREIGN_SPELLINGS, ids=[
+        "found", "M-underscore", "M-arabic-indic", "T-fullwidth", "index-arabic-indic",
+        "index-space", "value-inner-space", "value-underscore", "value-arabic-indic",
+        "value-no-break-space"])
+    def test_a_spelling_write_pulse_csv_never_writes_names_the_file(self, tmp_path, meta, rows):
+        path = tmp_path / "foreign.csv"
+        path.write_text(pulse_file(meta, rows), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_pulse_csv(path)
+
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(data=st.binary(max_size=200) | near_miss_pulse_files())
+    @example(data=pulse_file(*FOREIGN_SPELLINGS[0]).encode())
+    @example(data=pulse_file(*FOREIGN_SPELLINGS[3]).encode())
+    @example(data=pulse_file(*FOREIGN_SPELLINGS[6]).encode())
     def test_hostile_pulse_files_read_or_name_the_file(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "hostile.csv"
         path.write_bytes(data)

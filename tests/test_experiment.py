@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from belltime.experiment import (
     ledger_report,
 )
 from belltime.linalg import DENSITY_TOL, ket, pauli_string, require_density, singlet_state
+from belltime.optimizer import OptimizerConfig, run_optimization, verify_trace_invariants
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
     _relax,
@@ -175,6 +177,11 @@ def entry_probes(pulse, rng, n_rows):
         amplitudes + rng.normal(0.0, 0.1, size=n_rows),
     )
     return slices, columns, values
+
+
+def charged(columns):
+    """The ledger category of each probe: its column says which."""
+    return ["gradient_time" if c == DURATION_COLUMN else "gradient_control" for c in columns]
 
 
 def expand(amplitudes, dts, slices, columns, values):
@@ -576,7 +583,7 @@ class TestRelaxationMap:
 
 @st.composite
 def probes_of_a_pulse(draw):
-    """A pulse and single-entry probes of it, plus one ledger category per probe.
+    """A pulse and single-entry probes of it.
 
     Probes are (slices, columns, values).  Each sets one amplitude, by a
     step from one ulp, which the channel scale can round away, through
@@ -606,10 +613,8 @@ def probes_of_a_pulse(draw):
         for row in draw(st.lists(st.integers(0, len(slices) - 1), max_size=3)):
             for entries in (slices, columns, values):
                 entries.append(entries[row])
-    categories = draw(st.lists(st.sampled_from(LEDGER_CATEGORIES),
-                               min_size=len(slices), max_size=len(slices)))
     probes = np.array(slices, dtype=np.intp), np.array(columns, dtype=np.intp), np.array(values)
-    return pulse, probes, categories
+    return pulse, probes
 
 
 BAD_DURATION = st.sampled_from([0.0, -0.0, -1e-4, -math.inf, math.inf, math.nan])
@@ -618,13 +623,12 @@ BAD_AMPLITUDE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @st.composite
 def malformed_probes(draw):
-    """Single-entry probes of a pulse with exactly one kind of fault, and their categories.
+    """Single-entry probes of a pulse with exactly one kind of fault.
 
     The fault is a slice or column index out of range, an index array
     that does not hold integers, arrays that are not 1-D or of unequal
-    length, a value that is not a finite real, a duration that is not
-    positive and finite, a category list of the wrong length, or a name
-    in it that is not a ledger category.
+    length, a value that is not a finite real, or a duration that is not
+    positive and finite.
     """
     m_slices = draw(st.integers(1, 5))
     n_rows = draw(st.integers(1, 4))
@@ -632,11 +636,10 @@ def malformed_probes(draw):
     slices = np.array([draw(st.integers(0, m_slices - 1)) for _ in range(n_rows)])
     columns = np.array([draw(st.integers(0, DURATION_COLUMN - 1)) for _ in range(n_rows)])
     values = pulse.amplitudes_hz[slices, columns] + 1.0
-    categories = ["gradient_control"] * n_rows
     row = draw(st.integers(0, n_rows - 1))
     fault = draw(st.sampled_from(
         ["slice index", "column index", "not integers", "shape", "length", "value", "duration",
-         "value type", "categories", "unknown category"]
+         "value type"]
     ))
     if fault == "slice index":
         slices[row] = draw(st.sampled_from([m_slices, m_slices + 7, -1, -m_slices]))
@@ -665,13 +668,9 @@ def malformed_probes(draw):
     elif fault == "duration":
         columns[row] = DURATION_COLUMN
         values[row] = draw(BAD_DURATION)
-    elif fault == "value type":
-        values = draw(st.sampled_from([values.astype(np.complex128), values.astype(str)]))
-    elif fault == "unknown category":
-        categories[row] = draw(st.sampled_from(["bogus", "calibration", "Gradient_control"]))
     else:
-        categories = categories + ["gradient_time"] if draw(st.booleans()) else categories[1:]
-    return pulse, (slices, columns, values), categories
+        values = draw(st.sampled_from([values.astype(np.complex128), values.astype(str)]))
+    return pulse, (slices, columns, values)
 
 
 class TestProbeEvolution:
@@ -679,18 +678,18 @@ class TestProbeEvolution:
     @given(probes=probes_of_a_pulse(), low_pass=st.booleans(), relaxing=st.booleans(),
            seed=st.integers(0, 1000))
     def test_each_probe_equals_its_own_evolution(self, probes, low_pass, relaxing, seed):
-        pulse, entries, categories = probes
+        pulse, entries = probes
         overrides = dict(seed=seed, distortion_tau_s=50e-6 if low_pass else 0.0)
         if not relaxing:
             overrides.update(NO_RELAXATION)
         batched = ExperimentBackend(mismatch_config(**overrides))
         single = ExperimentBackend(mismatch_config(**overrides))
-        values = batched.fidelity_partial_batch(pulse, *entries, categories)
+        values = batched.fidelity_partial_batch(pulse, *entries)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         expected = [
             reference_partial(single, pulse.with_amplitudes(a), d, c)
-            for a, d, c in zip(amps, dts, categories)
+            for a, d, c in zip(amps, dts, charged(entries[1]))
         ]
         # completed kets and back-propagated readouts reorder the arithmetic:
         # 1e-12, not bits
@@ -711,7 +710,7 @@ class TestProbeEvolution:
         # on kets for a relaxation-free lab, which hands its probes out as
         # completed kets, and whose readouts agree with the density path's
         # within 1e-12; readouts, ledger and noise stream follow.
-        pulse, entries, categories = probes
+        pulse, entries = probes
         config = mismatch_config(seed=seed, **APPARATUS[apparatus])
         backend, fresh = ExperimentBackend(config), ExperimentBackend(config)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
@@ -736,8 +735,9 @@ class TestProbeEvolution:
         evolved = (backend.evolve_open(pulse), *probed)
         for got, want in zip(evolved, expected):
             assert same_bits(got, want)
-        values = backend.fidelity_partial_batch(pulse, *entries, categories)
-        assert np.array_equal(bits(values), bits(fresh._partial(*expected[1:], categories)))
+        values = backend.fidelity_partial_batch(pulse, *entries)
+        charges = Counter(charged(entries[1]))
+        assert np.array_equal(bits(values), bits(fresh._partial(*expected[1:], charges)))
         assert backend.ledger.as_dict() == fresh.ledger.as_dict()
         assert backend._rng.bit_generator.state == fresh._rng.bit_generator.state
 
@@ -750,32 +750,44 @@ class TestProbeEvolution:
         # stack and in any batch order, and its readout agrees with the
         # density loop's within 1e-12, through the noise stream and ledger
         # of one fidelity_partial call per probe.
-        pulse, entries, categories = probes
+        pulse, entries = probes
+        n_probes = len(entries[0])
         config = mismatch_config(seed=seed, distortion_tau_s=50e-6 if low_pass else 0.0,
                                  **NO_RELAXATION)
         backend, single = ExperimentBackend(config), ExperimentBackend(config)
         args = pulse.amplitudes_hz, pulse.slice_duration_s
         kets, observables = backend._evolve(*args, *entries)
-        assert kets.shape == (len(categories), 4) and observables is None
+        assert kets.shape == (n_probes, 4) and observables is None
         values = _ket_correlators(kets)
-        order = np.random.default_rng(seed).permutation(len(categories))
+        order = np.random.default_rng(seed).permutation(n_probes)
         shuffled, _ = backend._evolve(*args, *(entry[order] for entry in entries))
         assert same_bits(shuffled, kets[order])
         assert np.array_equal(bits(_ket_correlators(shuffled)), bits(values[order]))
-        for b in range(len(categories)):
+        for b in range(n_probes):
             alone, _ = backend._evolve(*args, *(entry[b : b + 1] for entry in entries))
             assert same_bits(alone[0], kets[b])
             assert np.array_equal(bits(_ket_correlators(alone)[0]), bits(values[b]))
-        estimates = backend.fidelity_partial_batch(pulse, *entries, categories)
+        estimates = backend.fidelity_partial_batch(pulse, *entries)
         uniform = np.full(pulse.n_slices, pulse.slice_duration_s)
         amps, dts = expand(pulse.amplitudes_hz, uniform, *entries)
         expected = [
             reference_partial(single, pulse.with_amplitudes(a), d, c)
-            for a, d, c in zip(amps, dts, categories)
+            for a, d, c in zip(amps, dts, charged(entries[1]))
         ]
         np.testing.assert_allclose(estimates, expected, rtol=0.0, atol=1e-12)
         assert backend.ledger.as_dict() == single.ledger.as_dict()
         assert backend._rng.bit_generator.state == single._rng.bit_generator.state
+
+    @pytest.mark.parametrize("apparatus", sorted(APPARATUS))
+    def test_experiment_only_traces_pass_the_audit(self, apparatus):
+        # measured gradients on each emulator path: every record replays, and
+        # every iteration charges its 3 + 30M readouts
+        config = OptimizerConfig(max_iterations=12, m_slices=10, d1_init=1e3)
+        result = run_optimization("experiment-only", SystemModel(G_HZ), config,
+                                  experiment=mismatch_config(**APPARATUS[apparatus]), seed=0)
+        summary = verify_trace_invariants(result.records, config)
+        assert summary["records"] == 12 and 0 < summary["accepted"] < 12
+        assert {r.measurements_this_iter for r in result.records} == {3 + 30 * 10}
 
     def test_a_difference_the_scale_rounds_away_is_no_difference(self):
         # One ulp on a channel scaled by 0.98 sometimes rounds to the
@@ -1042,13 +1054,12 @@ class TestReadout:
         pulse = random_pulse(10, 2.4e-3, 150.0, rng)
         probes = entry_probes(pulse, rng, 150)
         amps, dts = expand(pulse.amplitudes_hz, np.full(10, pulse.slice_duration_s), *probes)
-        categories = ["gradient_control", "gradient_time", "fidelity_partial"] * 50
         batched = ExperimentBackend(mismatch_config(seed=24))
         single = ExperimentBackend(mismatch_config(seed=24))
-        values = batched.fidelity_partial_batch(pulse, *probes, categories)
+        values = batched.fidelity_partial_batch(pulse, *probes)
         expected = [
             reference_partial(single, pulse.with_amplitudes(a), d, c)
-            for a, d, c in zip(amps, dts, categories)
+            for a, d, c in zip(amps, dts, charged(probes[1]))
         ]
         assert np.max(np.abs(values - expected)) <= 1e-12
         assert batched.ledger.as_dict() == single.ledger.as_dict()
@@ -1059,11 +1070,10 @@ class TestReadout:
         pulse = random_pulse(5, 5e-4, 50.0, np.random.default_rng(11))
         slices, columns = np.array([0, 4, 2]), np.array([1, 3, DURATION_COLUMN])
         values = np.array([1.0, 2.0, 1e-4])
-        categories = ["gradient_control"] * 3
 
-        def rejects(match, *probes, categories=categories):
+        def rejects(match, *probes):
             with pytest.raises(ValueError, match=match):
-                backend.fidelity_partial_batch(pulse, *probes, categories)
+                backend.fidelity_partial_batch(pulse, *probes)
 
         rejects(r"slices must lie in \[0, 5\), got 0 to 5", [0, 5, 2], columns, values)
         rejects(r"slices must lie in \[0, 5\), got -1 to 4", [0, 4, -1], columns, values)
@@ -1072,10 +1082,6 @@ class TestReadout:
                 columns, values)
         rejects("columns must be a 1-D array of integers", slices, columns[None], values)
         rejects("one slice, column and value per probe", slices, columns, values[:2])
-        rejects("need 3 ledger categories, got 2", slices, columns, values,
-                categories=categories[:2])
-        rejects("unknown ledger category 'bogus'", slices, columns, values,
-                categories=["gradient_control", "bogus", "gradient_time"])
         rejects("probe values must be real numbers", slices, columns, values.astype(complex))
         rejects("probe values must be finite", slices, columns, [1.0, math.nan, 1e-4])
         for bad in (0.0, -0.0, -1e-4):
@@ -1086,7 +1092,7 @@ class TestReadout:
         backend = ExperimentBackend(mismatch_config())
         pulse = random_pulse(3, 5e-4, 50.0, np.random.default_rng(13))
         before = backend._rng.bit_generator.state
-        values = backend.fidelity_partial_batch(pulse, [], [], [], [])
+        values = backend.fidelity_partial_batch(pulse, [], [], [])
         assert values.shape == (0,)
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
@@ -1094,7 +1100,7 @@ class TestReadout:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(probes=malformed_probes())
     def test_batch_rejects_any_malformed_input_untouched(self, probes):
-        pulse, entries, categories = probes
+        pulse, entries = probes
         backend = ExperimentBackend(mismatch_config(seed=3))
         before = backend._rng.bit_generator.state
 
@@ -1103,7 +1109,7 @@ class TestReadout:
 
         backend._evolve = no_evolution  # this backend only
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            backend.fidelity_partial_batch(pulse, *entries, categories)
+            backend.fidelity_partial_batch(pulse, *entries)
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
 
@@ -1145,7 +1151,7 @@ class TestReadout:
         values = pulse.amplitudes_hz[slices, 0] + 1.0
         match = r"\[5\] is not Hermitian" if corruption == "non-Hermitian" else r"\[5\] trace"
         with pytest.raises(ValueError, match=match):
-            backend.fidelity_partial_batch(pulse, slices, columns, values, ["gradient_control"] * 9)
+            backend.fidelity_partial_batch(pulse, slices, columns, values)
         assert backend.ledger.total_measurements == 0
 
     @pytest.mark.parametrize("apparatus", sorted(APPARATUS))
@@ -1163,7 +1169,7 @@ class TestReadout:
             with pytest.raises(ValueError, match="MAX_SLICE_TURN_RAD"):
                 backend.fidelity_partial(pulse)
             with pytest.raises(ValueError, match="MAX_SLICE_TURN_RAD"):
-                backend.fidelity_partial_batch(pulse, [3], [0], [1.0], ["gradient_control"])
+                backend.fidelity_partial_batch(pulse, [3], [0], [1.0])
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
 
@@ -1283,10 +1289,9 @@ class TestPureStateScreen:
         monkeypatch.setattr("belltime.experiment.require_density", counted)
         pulse = random_pulse(6, 1e-3, 100.0, np.random.default_rng(67))
         probes = entry_probes(pulse, np.random.default_rng(68), 9)
-        categories = ["gradient_control"] * 9
         assert backend.fidelity_partial(pulse) == plain.fidelity_partial(pulse)
-        batch = backend.fidelity_partial_batch(pulse, *probes, categories)
-        assert np.array_equal(bits(batch), bits(plain.fidelity_partial_batch(pulse, *probes, categories)))
+        batch = backend.fidelity_partial_batch(pulse, *probes)
+        assert np.array_equal(bits(batch), bits(plain.fidelity_partial_batch(pulse, *probes)))
         assert calls == ([1, 1, 9, 9] if config.t1_s[0] < math.inf else [])
 
 
@@ -1395,13 +1400,12 @@ class TestLabSymmetries:
         slices, columns, values = map(np.array, zip(*data.draw(st.lists(probe, min_size=1, max_size=20))))
         timed = columns == DURATION_COLUMN
         values[timed] = duration / m_slices * (1.0 + values[timed] / 4000.0)  # within 0.5-1.5 T/M
-        categories = ["gradient_control"] * len(values)
         pulse = PulseSequence(duration, amps)
         config = mismatch_config(amplitude_scale=scales, noise_sigma=0.0, **APPARATUS[apparatus])
 
         def probed(lab_config, amplitudes, moved_columns, moved_values):
             return ExperimentBackend(lab_config).fidelity_partial_batch(
-                pulse.with_amplitudes(amplitudes), slices, moved_columns, moved_values, categories
+                pulse.with_amplitudes(amplitudes), slices, moved_columns, moved_values
             )
 
         j = probed(config, amps, columns, values)
@@ -1429,6 +1433,21 @@ class TestLedger:
         assert backend.ledger.gradient_control == 3
         assert backend.ledger.gradient_time == 3
         assert backend.ledger.total_measurements == 24
+
+    def test_a_batch_charges_each_probe_by_its_column(self):
+        # 3 readouts a probe: to gradient_time for a duration, gradient_control for an amplitude
+        backend = ExperimentBackend(mismatch_config())
+        pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(14))
+        slices, columns, values = entry_probes(pulse, np.random.default_rng(15), 40)
+        timed = np.count_nonzero(columns == DURATION_COLUMN)
+        assert 0 < timed < 40
+        backend.fidelity_partial_batch(pulse, slices, columns, values)
+        assert backend.ledger.as_dict() == {
+            "fidelity_partial": 0,
+            "fidelity_full": 0,
+            "gradient_control": 3 * (40 - timed),
+            "gradient_time": 3 * timed,
+        }
 
     def test_report_arithmetic(self):
         ledger = MeasurementLedger()

@@ -34,6 +34,7 @@ from belltime.optimizer import (
     MODES,
     STEP1,
     STEP2,
+    IterationRecord,
     OptimizerConfig,
     finite_diff_gradients,
     lower_threshold,
@@ -108,6 +109,32 @@ def model():
 def model_run(model):
     """Reference full-length model-only run, shared across tests."""
     return run_optimization("model-only", model, OptimizerConfig(), seed=0)
+
+
+SIXTY_ITERATIONS = OptimizerConfig(max_iterations=60)
+
+
+@pytest.fixture(scope="module")
+def sixty_iterations(model):
+    """A 60-iteration model-only run whose record 30 is a rejected trial."""
+    return run_optimization("model-only", model, SIXTY_ITERATIONS, seed=0)
+
+
+# Rewrites of a sixty_iterations trace, each with the record the audit must
+# name: record 0, a baseline, given a bound and reference of its own;
+# rejected record 30 lifted above its bound, or its bound lowered; record
+# 5's threshold off the schedule; every record renumbered; record 10 dropped.
+AUDIT_MUTATIONS = [
+    pytest.param(lambda rs: rs[0].update(acceptance_rhs=-5.0, j_reference=0.0), 0,
+                 id="baseline-bound"),
+    pytest.param(lambda rs: rs[30].update(j_oracle=rs[30]["acceptance_rhs"] + 0.1), 30,
+                 id="rejected-above-its-bound"),
+    pytest.param(lambda rs: rs[30].update(acceptance_rhs=rs[30]["acceptance_rhs"] - 1.0), 30,
+                 id="bound-lowered"),
+    pytest.param(lambda rs: rs[5].update(threshold=0.5), 5, id="threshold"),
+    pytest.param(lambda rs: [r.update(n=r["n"] + 1) for r in rs], 1, id="renumbered"),
+    pytest.param(lambda rs: rs.pop(10), 11, id="dropped"),
+]
 
 
 class TestConfig:
@@ -819,8 +846,19 @@ class TestTraceAudit:
         assert optimizer._restart_climb_step(*restart) < step
         short = run_optimization("model-only", model, OptimizerConfig(max_iterations=300), seed=0)
         assert short.records != model_run.records[:300]
-        with pytest.raises(ValueError, match="^record 0: "):
+        # a baseline's bound is its own reading, so the first trial is named
+        first_trial = next(r.n for r in model_run.records if r.step_size_used > 0)
+        with pytest.raises(ValueError, match=f"^record {first_trial}: "):
             verify_trace_invariants(model_run.records, OptimizerConfig())
+
+    @pytest.mark.parametrize("mutate, named", AUDIT_MUTATIONS)
+    def test_a_rewritten_record_is_named(self, sixty_iterations, mutate, named):
+        assert verify_trace_invariants(sixty_iterations.records, SIXTY_ITERATIONS)["records"] == 60
+        assert not sixty_iterations.records[30].accepted
+        records = [r.as_dict() for r in sixty_iterations.records]
+        mutate(records)
+        with pytest.raises(ValueError, match=f"^record {named}: "):
+            verify_trace_invariants([IterationRecord(**r) for r in records], SIXTY_ITERATIONS)
 
     def test_tampered_duration_increase_is_caught(self, model_run):
         records = list(model_run.records)
