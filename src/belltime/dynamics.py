@@ -70,6 +70,9 @@ PULSE_HEADER = "slice,ux1_hz,uy1_hz,ux2_hz,uy2_hz"
 # decimal with an optional exponent, and M or a slice index, ASCII digits.
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _DIGITS = re.compile(r"[0-9]+")
+# The whitespace read_pulse_csv trims around a line and splits the metadata
+# line at: ASCII only, where str.strip() and str.split() take any Unicode space.
+_ASCII_SPACE = " \t\n\r\f\v"
 
 # The largest turn t lambda+ (rad) of a slice in closed_form_propagators.  Its U
 # drifts from unitary as eps |H| dt, measured 1.8e-12 at 1e4 rad: 50 such slices
@@ -636,17 +639,19 @@ def read_pulse_csv(path) -> PulseSequence:
     bad header, row or value.  A number must be spelled as
     ``write_pulse_csv`` spells it (``_DECIMAL``, ``_DIGITS``), so
     underscores, inner spaces and non-ASCII digits, which ``float`` and
-    ``int`` would take, are refused.
+    ``int`` would take, are refused.  Only ASCII whitespace counts as
+    space (``_ASCII_SPACE``): a line that starts or ends in a no-break
+    or an em space is refused like any other stray character.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln.strip(_ASCII_SPACE) for ln in fh if ln.strip(_ASCII_SPACE)]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# T_seconds=... M=...' metadata line")
     meta = {}
-    for item in lines[0].lstrip("#").split():
+    for item in re.findall(f"[^{_ASCII_SPACE}]+", lines[0].lstrip("#")):
         key, is_pair, value = item.partition("=")
         if not is_pair:
             raise ValueError(f"{path}: metadata item {item!r} is not key=value in {lines[0]!r}")

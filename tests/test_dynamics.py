@@ -143,7 +143,9 @@ NUMBER_TEXTS = (
 
 # Pulse files that hold a number as write_pulse_csv never spells one, as
 # (metadata, rows): underscores, inner spaces, non-ASCII digits (Arabic-Indic
-# and fullwidth) and a no-break space.  float() and int() take each of them.
+# and fullwidth), a no-break space, and a no-break space between the metadata
+# items or an em space at a row's end.  float(), int(), str.split() or
+# str.strip() take each of them.
 FOREIGN_SPELLINGS = [
     ("T_seconds=2_0e-4 M=2", ["0,1_0, 5 ,\u0663,0", "1,0,0,0,0"]),
     ("T_seconds=0.001 M=0_1", ["0,1.0,2.0,3.0,4.0"]),
@@ -155,12 +157,19 @@ FOREIGN_SPELLINGS = [
     ("T_seconds=0.001 M=1", ["0,1_000.5,2.0,3.0,4.0"]),
     ("T_seconds=0.001 M=1", ["0,1.0,2.0,3.0,\u0664"]),
     ("T_seconds=0.001 M=1", ["0,1.0,2.0,3.0\u00a0,4.0"]),
+    ("T_seconds=0.002\u00a0M=1", ["0,1.0,2.0,3.0,4.0"]),
+    ("T_seconds=0.002 M=1", ["0,1.0,2.0,3.0,4.0\u2003"]),
 ]
 
 
 def pulse_file(meta: str, rows) -> str:
     """A pulse file's text: the metadata line, the header and ``rows``."""
     return "\n".join([f"# {meta}", PULSE_HEADER, *rows]) + "\n"
+
+
+# A pulse file whose metadata line starts with a no-break space, which
+# pulse_file cannot write: str.strip() would take it off.
+NO_BREAK_METADATA = "\u00a0" + pulse_file("T_seconds=0.002 M=1", ["0,1.0,2.0,3.0,4.0"])
 
 
 @st.composite
@@ -278,11 +287,17 @@ class TestPulseSequence:
     @pytest.mark.parametrize("meta, rows", FOREIGN_SPELLINGS, ids=[
         "found", "M-underscore", "M-arabic-indic", "T-fullwidth", "index-arabic-indic",
         "index-space", "value-inner-space", "value-underscore", "value-arabic-indic",
-        "value-no-break-space"])
+        "value-no-break-space", "meta-no-break-space-between", "row-em-space-after"])
     def test_a_spelling_write_pulse_csv_never_writes_names_the_file(self, tmp_path, meta, rows):
         path = tmp_path / "foreign.csv"
         path.write_text(pulse_file(meta, rows), encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_pulse_csv(path)
+
+    def test_a_metadata_line_after_a_no_break_space_names_the_file(self, tmp_path):
+        path = tmp_path / "no_break.csv"
+        path.write_text(NO_BREAK_METADATA, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing '# T_seconds"):
             read_pulse_csv(path)
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -290,6 +305,7 @@ class TestPulseSequence:
     @example(data=pulse_file(*FOREIGN_SPELLINGS[0]).encode())
     @example(data=pulse_file(*FOREIGN_SPELLINGS[3]).encode())
     @example(data=pulse_file(*FOREIGN_SPELLINGS[6]).encode())
+    @example(data=NO_BREAK_METADATA.encode())
     def test_hostile_pulse_files_read_or_name_the_file(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "hostile.csv"
         path.write_bytes(data)
@@ -540,8 +556,11 @@ class TestModelFidelity:
             (dict(g_hz=217.4, m_slices=-3), "m_slices must be positive, got -3"),
             (dict(g_hz=217.4, m_slices=2.5), "m_slices must be an integer, got 2.5"),
             (dict(g_hz=217.4, m_slices=True), "m_slices must be an integer, got True"),
+            (dict(g_hz=1e4), "g_hz = 10000.0 is too strong: at DRIVE_HZ the local segments "
+                             "exceed the coupling window"),
         ],
-        ids=["g 0", "g -5", "g nan", "g inf", "g text", "M 0", "M -3", "M 2.5", "M True"],
+        ids=["g 0", "g -5", "g nan", "g inf", "g text", "M 0", "M -3", "M 2.5", "M True",
+             "g too strong"],
     )
     def test_recipe_rejects_bad_arguments_by_name(self, arguments, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
