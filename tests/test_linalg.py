@@ -7,6 +7,7 @@ exp(-i (pi/2) g ZZ t) at t = 1/(2g) is diag(e^{-i pi/4}, e^{+i pi/4},
 e^{+i pi/4}, e^{-i pi/4}).
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,13 @@ def test_pauli_string_shapes_and_values():
 def test_pauli_string_rejects_unknown_label():
     with pytest.raises(ValueError, match="Pauli label"):
         pauli_string("Q", "I")
+
+
+@pytest.mark.parametrize("bits", ["", "0", "012", "0a", "2 ", "\u0661\u0660"])
+def test_ket_rejects_a_bad_bit_string_by_name(bits):
+    message = f"expected a two-bit string like '01', got {bits!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ket(bits)
 
 
 def test_pauli_strings_are_hermitian_and_unitary():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,19 +122,49 @@ def sixty_iterations(model):
 
 
 # Rewrites of a sixty_iterations trace, each with the record the audit must
-# name: record 0, a baseline, given a bound and reference of its own;
-# rejected record 30 lifted above its bound, or its bound lowered; record
-# 5's threshold off the schedule; every record renumbered; record 10 dropped.
+# name and the start of its message: record 0, a baseline, given a bound and
+# reference of its own; rejected record 30 lifted above its bound, its bound
+# lowered, or its duration moved; record 5's threshold off the schedule;
+# every record renumbered; record 10 dropped; record 1, after sub-threshold
+# baseline 0, rewritten as an accepted shrink that keeps the duration.
 AUDIT_MUTATIONS = [
     pytest.param(lambda rs: rs[0].update(acceptance_rhs=-5.0, j_reference=0.0), 0,
-                 id="baseline-bound"),
+                 "a baseline logs its own reading", id="baseline-bound"),
     pytest.param(lambda rs: rs[30].update(j_oracle=rs[30]["acceptance_rhs"] + 0.1), 30,
-                 id="rejected-above-its-bound"),
+                 "step1 logged as accepted=False", id="rejected-above-its-bound"),
     pytest.param(lambda rs: rs[30].update(acceptance_rhs=rs[30]["acceptance_rhs"] - 1.0), 30,
-                 id="bound-lowered"),
-    pytest.param(lambda rs: rs[5].update(threshold=0.5), 5, id="threshold"),
-    pytest.param(lambda rs: [r.update(n=r["n"] + 1) for r in rs], 1, id="renumbered"),
-    pytest.param(lambda rs: rs.pop(10), 11, id="dropped"),
+                 "logged acceptance_rhs", id="bound-lowered"),
+    pytest.param(lambda rs: rs[30].update(t_seconds=rs[30]["t_seconds"] - 1e-6), 30,
+                 "duration changed outside an accepted shrink step", id="rejected-duration-moved"),
+    pytest.param(lambda rs: rs[5].update(threshold=0.5), 5, "logged threshold", id="threshold"),
+    pytest.param(lambda rs: [r.update(n=r["n"] + 1) for r in rs], 1, "logged at position 0",
+                 id="renumbered"),
+    pytest.param(lambda rs: rs.pop(10), 11, "logged at position 10", id="dropped"),
+    pytest.param(lambda rs: rs[1].update(phase=STEP2, accepted=True,
+                                         acceptance_rhs=optimizer.BETA * rs[1]["j_reference"]),
+                 1, "fidelity .* below threshold at n=0 but the next phase is not a climb",
+                 id="shrink-after-a-sub-threshold-record"),
+]
+
+
+# Every refusal of OptimizerConfig.__post_init__, as (settings, message).
+CONFIG_REFUSALS = [
+    (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
+    (dict(max_iterations=0), "max_iterations must be a positive integer"),
+    (dict(m_slices=0), "m_slices must be a positive integer"),
+    (dict(target_fidelity="0.9"), "target_fidelity must be a real number, got '0.9'"),
+    (dict(threshold_rate=math.inf), "threshold_rate must be finite, got inf"),
+    (dict(target_fidelity=1.0), "target_fidelity must lie in (0, 1), got 1.0"),
+    (dict(target_fidelity=0.0), "target_fidelity must lie in (0, 1), got 0.0"),
+    (dict(threshold_floor=1.2), "threshold_floor must lie in (0, 1), got 1.2"),
+    (dict(threshold_drop=-0.1), "threshold_drop must lie in [0, threshold_floor), got -0.1"),
+    (dict(threshold_drop=0.999), "threshold_drop must lie in [0, threshold_floor), got 0.999"),
+    (dict(threshold_rate=0), "threshold_rate must be positive, got 0.0"),
+    (dict(d1_init=1e-13), "d1_init must exceed D_MIN = 1e-12, got 1e-13"),
+    (dict(fd_step_amplitude_hz=0.0), "fd_step_amplitude_hz must be positive"),
+    (dict(fd_step_time_s=-1e-8), "fd_step_time_s must be positive"),
+    (dict(initial_duration_s=0.0), "initial_duration_s must be positive"),
+    (dict(init_amplitude_hz=-1.0), "init_amplitude_hz must be nonnegative"),
 ]
 
 
@@ -154,15 +185,16 @@ class TestConfig:
         assert optimizer.STEP1_PATIENCE == 40
         assert optimizer.CONTROL_GRADIENT_FLOOR == optimizer.TIME_GRADIENT_FLOOR == 1e-8
 
-    def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(d1_init=1e-13)  # below D_MIN
-        with pytest.raises(ValueError):
-            OptimizerConfig(threshold_floor=1.2)
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(m_slices=0)
+    @pytest.mark.parametrize("settings, message", CONFIG_REFUSALS, ids=[
+        ",".join(f"{key}={value!r}" for key, value in settings.items())
+        for settings, _ in CONFIG_REFUSALS])
+    def test_rejects_bad_fields(self, settings, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizerConfig(**settings)
+
+    def test_lower_threshold_refuses_a_negative_iteration(self):
+        with pytest.raises(ValueError, match=r"^iteration index must be >= 0, got -1$"):
+            lower_threshold(-1, OptimizerConfig())
 
     @pytest.mark.parametrize("config_class, field", [
         (OptimizerConfig, "max_iterations"),
@@ -851,13 +883,15 @@ class TestTraceAudit:
         with pytest.raises(ValueError, match=f"^record {first_trial}: "):
             verify_trace_invariants(model_run.records, OptimizerConfig())
 
-    @pytest.mark.parametrize("mutate, named", AUDIT_MUTATIONS)
-    def test_a_rewritten_record_is_named(self, sixty_iterations, mutate, named):
+    @pytest.mark.parametrize("mutate, named, message", AUDIT_MUTATIONS)
+    def test_a_rewritten_record_is_named(self, sixty_iterations, mutate, named, message):
         assert verify_trace_invariants(sixty_iterations.records, SIXTY_ITERATIONS)["records"] == 60
-        assert not sixty_iterations.records[30].accepted
-        records = [r.as_dict() for r in sixty_iterations.records]
+        records = sixty_iterations.records
+        assert not records[30].accepted and records[1].accepted
+        assert records[0].j_oracle < records[0].threshold
+        records = [r.as_dict() for r in records]
         mutate(records)
-        with pytest.raises(ValueError, match=f"^record {named}: "):
+        with pytest.raises(ValueError, match=f"^record {named}: {message}"):
             verify_trace_invariants([IterationRecord(**r) for r in records], SIXTY_ITERATIONS)
 
     def test_tampered_duration_increase_is_caught(self, model_run):
