@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 import tokenize
+import traceback
 from pathlib import Path
 
 import yaml
@@ -195,14 +196,14 @@ def compare_run(base: Path, head: Path, name: str) -> None:
         if artifact == "trace.jsonl":
             try:
                 print(trace_verdict(b, h, label))
-            except Exception as exc:  # a report line, whatever the trace holds
-                print(exc, file=sys.stderr)
+            except Exception:  # a report line, whatever the trace holds
+                traceback.print_exc()
                 print(f"{label}: the trace comparison failed")
     try:
         label = f"{name}/manifest.json"
         print(manifest_verdict(base / "manifest.json", head / "manifest.json", label))
-    except Exception as exc:  # a report line, whatever the manifests hold
-        print(exc, file=sys.stderr)
+    except Exception:  # a report line, whatever the manifests hold
+        traceback.print_exc()
         print(f"{label}: the manifest comparison failed")
 
 
