@@ -143,9 +143,9 @@ NUMBER_TEXTS = (
 
 # Pulse files that hold a number as write_pulse_csv never spells one, as
 # (metadata, rows): underscores, inner spaces, non-ASCII digits (Arabic-Indic
-# and fullwidth), a no-break space, and a no-break space between the metadata
-# items or an em space at a row's end.  float(), int(), str.split() or
-# str.strip() take each of them.
+# and fullwidth), and a no-break or em space in a value, between the metadata
+# items or at a row's end.  float(), int(), str.split() or str.strip() take
+# each of them.
 FOREIGN_SPELLINGS = [
     ("T_seconds=2_0e-4 M=2", ["0,1_0, 5 ,\u0663,0", "1,0,0,0,0"]),
     ("T_seconds=0.001 M=0_1", ["0,1.0,2.0,3.0,4.0"]),

@@ -81,16 +81,17 @@ def words(root: Path) -> None:
 
 def options() -> None:
     """Print the three config classes' fields, then the run-document keys by the parser's schema."""
-    import dataclasses, typing
+    from dataclasses import fields, is_dataclass
+    from typing import get_args
     from belltime import dynamics, experiment, optimizer, runconfig
     for cls in (dynamics.SystemModel, experiment.ExperimentConfig, optimizer.OptimizerConfig):
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = [f.name for f in fields(cls)]
         print(f"{len(names):4d} settable fields of {cls.__name__}: {' '.join(names)}")
 
     def keys(cls, prefix=""):
         for name, kind in runconfig._field_types(cls).items():
-            kind = next((k for k in typing.get_args(kind) if dataclasses.is_dataclass(k)), kind)
-            yield from keys(kind, f"{prefix}{name}.") if dataclasses.is_dataclass(kind) else [prefix + name]
+            kind = next((k for k in get_args(kind) if is_dataclass(k)), kind)
+            yield from keys(kind, f"{prefix}{name}.") if is_dataclass(kind) else [prefix + name]
     accepted = list(keys(runconfig.RunConfig))
     print(f"{len(accepted):4d} run-document keys: {' '.join(accepted)}")
 
@@ -153,7 +154,7 @@ def print_timings(sides: dict, what: str, unit: str, code: str, own: bool = Fals
 def trace_verdict(base: Path, head: Path, name: str) -> str:
     """Whether two traces make the same decisions, and how far their fidelities lie apart:
     the ROADMAP's "same" is identical decisions and fidelities within 1e-12."""
-    base, head = ([json.loads(line) for line in open(path)] for path in (base, head))
+    base, head = ([json.loads(line) for line in p.read_text().splitlines()] for p in (base, head))
     decisions = ("phase", "accepted", "backtracks", "measurements_this_iter", "event", "t_seconds")
     same = len(base) == len(head) and all(
         all(b[key] == h[key] for key in decisions) for b, h in zip(base, head))
@@ -199,8 +200,8 @@ def compare_run(base: Path, head: Path, name: str) -> None:
             except Exception:  # a report line, whatever the trace holds
                 traceback.print_exc()
                 print(f"{label}: the trace comparison failed")
+    label = f"{name}/manifest.json"
     try:
-        label = f"{name}/manifest.json"
         print(manifest_verdict(base / "manifest.json", head / "manifest.json", label))
     except Exception:  # a report line, whatever the manifests hold
         traceback.print_exc()
