@@ -15,7 +15,6 @@ import argparse
 import csv
 import datetime
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,7 +23,9 @@ import numpy as np
 from . import __version__
 from .cartan import cartan_coordinates, minimum_time_bell, minimum_time_unitary
 from .dynamics import (
+    as_positive_integer,
     model_fidelity,
+    read_number,
     read_pulse_csv,
     write_pulse_csv,
 )
@@ -65,13 +66,24 @@ def _resolved_config(args) -> RunConfig:
     return config.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
+def integer(text: str) -> int:
+    """A flag's integer, read by ``dynamics.read_number``."""
+    return read_number(text, int)
+
+
+def real(text: str) -> float:
+    """A flag's real number, read by ``dynamics.read_number``."""
+    return read_number(text)
+
+
 def _parse_seed_range(text: str) -> list[int]:
-    first, sep, last = text.partition("..")
-    if not sep or not all(end.isascii() and end.isdigit() for end in (first, last)):
-        raise ConfigError(f"seeds: expected a range like 0..4, got {text!r}")
-    a, b = int(first), int(last)
-    if b < a:
-        raise ConfigError(f"seeds: range {text!r} is empty")
+    first, _, last = text.partition("..")
+    try:
+        a, b = integer(first), integer(last)
+    except ValueError as exc:
+        raise ConfigError(f"seeds: expected a range like 0..4, got {text!r}") from exc
+    if not 0 <= a <= b:
+        raise ConfigError(f"seeds: range {text!r} is empty or starts below 0")
     return list(range(a, b + 1))
 
 
@@ -175,9 +187,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_tmin(args) -> int:
-    if not 0.0 < args.g_hz < math.inf:
-        raise ConfigError(f"g-hz: expected a positive finite number, got {args.g_hz}")
-    t_bell = minimum_time_bell(args.g_hz)
+    try:
+        t_bell = minimum_time_bell(args.g_hz)  # checks the coupling as SystemModel does
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"T_min(Bell, g = {args.g_hz} Hz) = {_fmt_ms(t_bell)} ({t_bell!r} s)")
     if args.unitary:
         path = Path(args.unitary)
@@ -196,9 +209,8 @@ def _cmd_tmin(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    if args.iterations < 1:
-        raise ConfigError(f"iterations: expected a positive integer, got {args.iterations}")
     try:
+        as_positive_integer(args.iterations, "iterations")
         split = readouts_per_iteration(args.mode, args.m_slices)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -238,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--config", help="YAML run document")
     p_opt.add_argument("--mode", choices=MODES, help="override the run mode")
     seeding = p_opt.add_mutually_exclusive_group()
-    seeding.add_argument("--seed", type=int, help="override the run seed")
+    seeding.add_argument("--seed", type=integer, help="override the run seed")
     p_opt.add_argument("--out", help="output directory")
-    p_opt.add_argument("--iterations", type=int, help="override max_iterations")
+    p_opt.add_argument("--iterations", type=integer, help="override max_iterations")
     seeding.add_argument("--seeds", help="inclusive seed sweep, e.g. 0..4")
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -250,15 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_tmin = sub.add_parser("tmin", help="minimum entangling times")
-    p_tmin.add_argument("--g-hz", type=float, default=RunConfig().model.g_hz,
+    p_tmin.add_argument("--g-hz", type=real, default=RunConfig().model.g_hz,
                         help="ZZ coupling in Hz")
     p_tmin.add_argument("--unitary", help="4x4 unitary (.npy or text) to time")
     p_tmin.set_defaults(func=_cmd_tmin)
 
     p_budget = sub.add_parser("budget", help="measurement-cost projection")
     p_budget.add_argument("--mode", choices=MODES, default="balanced")
-    p_budget.add_argument("--iterations", type=int, default=2000)
-    p_budget.add_argument("--m-slices", type=int, default=OptimizerConfig.m_slices)
+    p_budget.add_argument("--iterations", type=integer, default=2000)
+    p_budget.add_argument("--m-slices", type=integer, default=OptimizerConfig.m_slices)
     p_budget.set_defaults(func=_cmd_budget)
 
     return parser

@@ -16,9 +16,12 @@ Which function owns what:
   emulated lab's alike, and checks each of its parameters; its
   ``applied_waveforms`` is the apparatus's waveform map.
   ``DESIGN_FIELDS`` names the fields the design model knows, and
-  ``require_ideal`` holds the design path to them.  The value checks
-  (``as_positive`` and its kin) serve ``cartan``, ``recipes`` and
-  ``experiment`` too.
+  ``require_ideal`` holds the design path to them.
+* ``read_number`` is the one reader of a number in outside text: run
+  documents (``runconfig``), command-line flags (``cli``) and pulse
+  files (``read_pulse_csv``).  The range checks, ``as_positive``,
+  ``as_nonnegative`` and ``as_positive_integer`` on ``as_real`` and
+  ``as_integer``, serve every module that takes a number in.
 * ``slice_propagators`` builds the model's propagators through each
   H_m's eigensystem (LAPACK ``eigh``), which the exact gradients need.
 * ``closed_form_propagators`` builds the emulated lab's, which need no
@@ -65,11 +68,12 @@ _CONTROL_VALUES = np.pi * np.take_along_axis(
 
 PULSE_HEADER = "slice,ux1_hz,uy1_hz,ux2_hz,uy2_hz"
 
-# The spellings write_pulse_csv writes and read_pulse_csv alone accepts, each
-# matched against a whole field: a float's repr, an optionally signed ASCII
-# decimal with an optional exponent, and M or a slice index, ASCII digits.
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_DIGITS = re.compile(r"[0-9]+")
+# The spellings of a number in outside text, which read_number alone accepts,
+# each matched against the whole text: a real is an optionally signed ASCII
+# decimal with an optional exponent, which takes every finite float's repr, or
+# the repr of an infinity; an integer is optionally signed ASCII digits.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?inf")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 # The whitespace read_pulse_csv trims around a line and splits the metadata
 # line at: ASCII only, where str.strip() and str.split() take any Unicode space.
 _ASCII_SPACE = " \t\n\r\f\v"
@@ -80,11 +84,37 @@ _ASCII_SPACE = " \t\n\r\f\v"
 MAX_SLICE_TURN_RAD = 1e4
 
 
+def read_number(text: str, kind: type = float):
+    """``text`` as a ``kind``, float or int; a ValueError if it is spelled otherwise.
+
+    The one reader of a number in outside text: a run document's string
+    value, a command-line flag and a pulse file's.  A real must match
+    ``_DECIMAL`` and an integer ``_INTEGER`` as a whole, so surrounding
+    or inner spaces, underscores and non-ASCII digits, which ``float``
+    and ``int`` would take, are refused.  So are ``nan`` and every
+    spelling of an infinity but ``inf`` and ``-inf``, which
+    ``RunConfig.as_document_dict`` writes.  The caller checks the range
+    (``as_positive`` and its kin).
+    """
+    spelling, what = (_INTEGER, "an integer") if kind is int else (_DECIMAL, "a number")
+    if spelling.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not {what} as belltime spells one")
+    return kind(text)
+
+
 def as_integer(value, name: str) -> int:
     """``value`` as an int; a bool or a non-integer raises a ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_positive_integer(value, name: str) -> int:
+    """``value`` as an int >= 1 (``as_integer``); else a ValueError naming ``name``."""
+    value = as_integer(value, name)
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return value
 
 
 def as_real(value, name: str) -> float:
@@ -623,35 +653,30 @@ def write_pulse_csv(pulse: PulseSequence, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _spelled(text: str, spelling: re.Pattern, kind):
-    """``kind(text)``, where ``spelling`` matches the whole of ``text``."""
-    if spelling.fullmatch(text) is None:
-        raise ValueError(f"{text!r} is not a number as write_pulse_csv spells one")
-    return kind(text)
-
-
 def read_pulse_csv(path) -> PulseSequence:
     """Read a pulse written by write_pulse_csv.
 
     Every error the file's contents cause is a ValueError that names the
     file: bytes that are not UTF-8, a metadata item that is not
     key=value, a key other than T_seconds and M or one given twice, a
-    bad header, row or value.  A number must be spelled as
-    ``write_pulse_csv`` spells it (``_DECIMAL``, ``_DIGITS``), so
-    underscores, inner spaces and non-ASCII digits, which ``float`` and
-    ``int`` would take, are refused.  Only ASCII whitespace counts as
-    space (``_ASCII_SPACE``): a line that starts or ends in a no-break
-    or an em space is refused like any other stray character.
+    bad header, row or value.  The metadata line starts with exactly the
+    one ``#`` that ``write_pulse_csv`` writes.  T, M and the amplitudes
+    are read by ``read_number``, so underscores, inner spaces and
+    non-ASCII digits, which ``float`` and ``int`` would take, are
+    refused, and a row's index must read exactly as its position.  Only
+    ASCII whitespace counts as space (``_ASCII_SPACE``): a line that
+    starts or ends in a no-break or an em space is refused like any
+    other stray character.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip(_ASCII_SPACE) for ln in fh if ln.strip(_ASCII_SPACE)]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if not lines or not lines[0].startswith("#"):
+    if not lines or not lines[0].startswith("#") or lines[0].startswith("##"):
         raise ValueError(f"{path}: missing '# T_seconds=... M=...' metadata line")
     meta = {}
-    for item in re.findall(f"[^{_ASCII_SPACE}]+", lines[0].lstrip("#")):
+    for item in re.findall(f"[^{_ASCII_SPACE}]+", lines[0][1:]):
         key, is_pair, value = item.partition("=")
         if not is_pair:
             raise ValueError(f"{path}: metadata item {item!r} is not key=value in {lines[0]!r}")
@@ -661,8 +686,8 @@ def read_pulse_csv(path) -> PulseSequence:
             raise ValueError(f"{path}: metadata key {key!r} is repeated in {lines[0]!r}")
         meta[key] = value
     try:
-        duration = _spelled(meta["T_seconds"], _DECIMAL, float)
-        m_slices = _spelled(meta["M"], _DIGITS, int)
+        duration = read_number(meta["T_seconds"])
+        m_slices = read_number(meta["M"], int)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: bad metadata line {lines[0]!r}") from exc
     if lines[1:2] != [PULSE_HEADER]:
@@ -675,9 +700,9 @@ def read_pulse_csv(path) -> PulseSequence:
         amps = np.empty((m_slices, 4), dtype=np.float64)
         for i, row in enumerate(rows):
             parts = row.split(",")
-            if len(parts) != 5 or _spelled(parts[0], _DIGITS, int) != i:
+            if len(parts) != 5 or parts[0] != str(i):
                 raise ValueError(f"malformed row {i}: {row!r}")
-            amps[i] = [_spelled(x, _DECIMAL, float) for x in parts[1:]]
+            amps[i] = [read_number(x) for x in parts[1:]]
         return PulseSequence(duration, amps)
     except ValueError as exc:  # a value the file holds: name the file
         raise ValueError(f"{path}: {exc}") from exc

@@ -583,8 +583,8 @@ class ExperimentBackend:
         value = _expectations(rho[None], observable)
         return float(self._measured(value, {category: 1})[0, 0])
 
-    def fidelity_partial(self, pulse: PulseSequence, category: str = "fidelity_partial") -> float:
-        """Singlet-overlap estimate from 3 correlator measurements.
+    def fidelity_partial(self, pulse: PulseSequence) -> float:
+        """Singlet-overlap estimate from 3 correlator measurements, charged to ``fidelity_partial``.
 
         The singlet's projector is (II - XX - YY - ZZ)/4, so the estimate
         is (1 - <XX> - <YY> - <ZZ>)/4 of the three noisy readouts.  A
@@ -592,7 +592,7 @@ class ExperimentBackend:
         evolution (``_pulse_evolution``); a lossy lab reads its density
         (``evolve_open``).
         """
-        charges = {category: 1}
+        charges = {"fidelity_partial": 1}
         if self._apparatus.relaxation_times:
             return float(self._partial(self.evolve_open(pulse)[None], _PARTIAL_OPS, charges)[0])
         kets = self._pulse_evolution(pulse.amplitudes_hz, pulse.slice_duration_s)[-1]

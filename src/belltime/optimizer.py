@@ -91,8 +91,9 @@ from .dynamics import (
     GradientBundle,
     PulseSequence,
     SystemModel,
-    as_integer,
-    as_real,
+    as_nonnegative,
+    as_positive,
+    as_positive_integer,
     random_pulse,
     require_ideal,
 )
@@ -158,33 +159,20 @@ class OptimizerConfig:
     init_amplitude_hz: float = 100.0
 
     def __post_init__(self):
+        # each field's check: as_positive unless named here
+        checks = {"max_iterations": as_positive_integer, "m_slices": as_positive_integer,
+                  "threshold_drop": as_nonnegative, "init_amplitude_hz": as_nonnegative}
         for name, value in asdict(self).items():
-            if name in ("max_iterations", "m_slices"):
-                value = as_integer(value, name)
-                if value < 1:
-                    raise ValueError(f"{name} must be a positive integer")
-            else:
-                value = as_real(value, name)
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if not 0.0 < self.target_fidelity < 1.0:
-            raise ValueError(f"target_fidelity must lie in (0, 1), got {self.target_fidelity}")
-        if not 0.0 < self.threshold_floor < 1.0:
-            raise ValueError(f"threshold_floor must lie in (0, 1), got {self.threshold_floor}")
-        if not 0.0 <= self.threshold_drop < self.threshold_floor:
+            object.__setattr__(self, name, checks.get(name, as_positive)(value, name))
+        for name in ("target_fidelity", "threshold_floor"):
+            if not getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if not self.threshold_drop < self.threshold_floor:
             raise ValueError(
                 f"threshold_drop must lie in [0, threshold_floor), got {self.threshold_drop}"
             )
-        if self.threshold_rate <= 0:
-            raise ValueError(f"threshold_rate must be positive, got {self.threshold_rate}")
         if not self.d1_init > D_MIN:
             raise ValueError(f"d1_init must exceed D_MIN = {D_MIN}, got {self.d1_init}")
-        for name in ("fd_step_amplitude_hz", "fd_step_time_s", "initial_duration_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.init_amplitude_hz < 0:
-            raise ValueError("init_amplitude_hz must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -329,15 +317,12 @@ def finite_diff_gradients(
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
     n_amps = amps.size
-    h = fd_step_amplitude_hz
-    ht = fd_step_time_s
+    h = as_positive(fd_step_amplitude_hz, "fd_step_amplitude_hz")
+    ht = as_positive(fd_step_time_s, "fd_step_time_s")
     base = pulse.slice_duration_s
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"fd_step_amplitude_hz must be positive and finite, got {h!r}")
-    if not 0.0 < ht < base:  # a duration probe's slice needs time
+    if not ht < base:  # a duration probe's slice needs time
         raise ValueError(
-            f"fd_step_time_s = {ht!r} s must be positive and shorter than the slice "
-            f"duration T/M = {base!r} s"
+            f"fd_step_time_s = {ht!r} s must be shorter than the slice duration T/M = {base!r} s"
         )
 
     # entry k of the pulse, amplitude (m, c) at k = 4m + c and slice m's
@@ -372,9 +357,7 @@ def readouts_per_iteration(mode: str, m_slices: int) -> dict:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    m_slices = as_integer(m_slices, "m_slices")
-    if m_slices < 1:
-        raise ValueError(f"m_slices must be a positive integer, got {m_slices}")
+    m_slices = as_positive_integer(m_slices, "m_slices")
     if mode == "model-only":
         return {}
     per_estimate = len(PARTIAL_LABELS)

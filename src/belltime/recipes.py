@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cartan import minimum_time_bell
-from .dynamics import PulseSequence, as_integer
+from .dynamics import PulseSequence, as_positive_integer
 
 DRIVE_HZ = 2500.0  # amplitude of every rotation
 
@@ -50,8 +50,7 @@ def bell_recipe_pulse(g_hz: float, m_slices: int = 50) -> PulseSequence:
     local segments' time, and ``m_slices`` must be a positive integer.
     """
     t_bell = minimum_time_bell(g_hz)
-    if as_integer(m_slices, "m_slices") < 1:
-        raise ValueError(f"m_slices must be positive, got {m_slices}")
+    m_slices = as_positive_integer(m_slices, "m_slices")
     quarter = 1.0 / (4.0 * DRIVE_HZ)  # pi/2 rotation
     half = 1.0 / (2.0 * DRIVE_HZ)  # pi rotation
     head = quarter

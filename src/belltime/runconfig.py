@@ -42,7 +42,7 @@ from typing import Optional
 
 import yaml
 
-from .dynamics import DESIGN_FIELDS, SystemModel, as_integer
+from .dynamics import DESIGN_FIELDS, SystemModel, as_integer, read_number
 from .experiment import ExperimentConfig
 from .optimizer import MODES, OptimizerConfig
 
@@ -66,7 +66,11 @@ def _field_types(cls) -> dict:
 def _coerce(where: str, kind, value, default):
     """Convert one document value to the annotated field type ``kind``.
 
-    Numbers may also be numeric strings, since YAML reads 1e-3 as text.
+    A real field also takes a string, since YAML reads 1e-3 as text and
+    ``RunConfig.as_document_dict`` writes an infinity as ``inf``.  The
+    string is read by ``dynamics.read_number``, which takes ASCII
+    decimals and ``inf`` or ``-inf`` alone.  Numbers that YAML types
+    itself (``1.0e-3``, ``.inf``, an unquoted ``1_000``) arrive typed.
     """
     if typing.get_origin(kind) is typing.Union:  # Optional[X]
         if value is None:
@@ -88,8 +92,8 @@ def _coerce(where: str, kind, value, default):
         return tuple(_coerce(where, k, v, None) for k, v in zip(kinds, value))
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except (ValueError, OverflowError):
+            return read_number(value) if isinstance(value, str) else float(value)
+        except (ValueError, OverflowError):  # a spelling read_number refuses, or a huge int
             pass
     raise ConfigError(f"{where}: expected a number, got {value!r}")
 

@@ -224,13 +224,13 @@ def reference_ket_evolution(backend, pulse: PulseSequence, dts: np.ndarray) -> n
 
 
 def reference_partial(backend, pulse: PulseSequence, dts: np.ndarray, category: str) -> float:
-    """``backend.fidelity_partial(pulse, category)`` over the (M,) slice durations ``dts``.
+    """``backend.fidelity_partial(pulse)`` over the (M,) slice durations ``dts``.
 
     A lossy lab's state is ``reference_pulse_evolution``'s density and a
     relaxation-free lab's ``reference_ket_evolution``'s ket, each read
     out through the backend's ``_partial`` as ``fidelity_partial`` reads
-    it, so the noise draws and ledger charge are those of
-    ``fidelity_partial``.
+    it, so the noise draws are those of ``fidelity_partial``; the three
+    readouts are charged to ``category``.
     """
     if not lab_relaxation_times(backend.config):
         psi = reference_ket_evolution(backend, pulse, dts)

@@ -1,7 +1,10 @@
 """Run documents and the command-line surface: parsing, files, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
+import importlib.util
+import io
 import json
 import math
 import os
@@ -14,18 +17,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import belltime
 from belltime import optimizer
-from belltime.cli import main
-from belltime.dynamics import PULSE_HEADER, PulseSequence, read_pulse_csv, write_pulse_csv
+from belltime.cli import build_parser, main
+from belltime.dynamics import (
+    PULSE_HEADER,
+    PulseSequence,
+    read_number,
+    read_pulse_csv,
+    write_pulse_csv,
+)
 from belltime.experiment import ExperimentConfig
 from belltime.linalg import pauli_string
 from belltime.optimizer import MODES, OptimizerConfig, readouts_per_iteration
 from belltime.runconfig import ConfigError, RunConfig, _field_types, load_config, parse_config
 
+ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = "model:\n  g_hz: 217.4\n"
 
 FULL = """
@@ -249,13 +259,12 @@ class TestParseConfig:
 
     def test_readme_example_config_parses(self):
         # The README's quick start runs `--config examples.yaml`, whose only
-        # copy is the YAML block under "A minimal config".
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = re.search(
-            r"A minimal config \(`examples\.yaml`\):\s*```yaml\n(.*?)```", readme, re.S
-        )
-        assert block is not None
-        config = parse_config(block.group(1))
+        # copy is the YAML block under "A minimal config"; tools/bitcheck.py
+        # runs it too.
+        spec = importlib.util.spec_from_file_location("bitcheck", ROOT / "tools" / "bitcheck.py")
+        bitcheck = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bitcheck)
+        config = parse_config(bitcheck.readme_config())
         assert config.mode == "balanced"
         assert config.experiment is not None
 
@@ -337,12 +346,13 @@ def run_configs(draw):
     )
 
 
-def _not_a_number(text: str) -> bool:
+def read_by(kind, text) -> bool:
+    """Whether ``read_number`` reads ``text`` as a ``kind``."""
     try:
-        float(text)
+        read_number(text, kind)
     except ValueError:
-        return True
-    return False
+        return False
+    return True
 
 
 @st.composite
@@ -354,7 +364,7 @@ def wrong_typed_settings(draw):
     length = len(default) if isinstance(default, tuple) else 0
     value = draw(
         st.booleans()
-        | st.text(max_size=10).filter(_not_a_number)
+        | st.text(max_size=10).filter(lambda text: not read_by(float, text))
         | st.lists(st.floats(0.5, 2.0), max_size=6).filter(lambda v: len(v) != length)
         | st.dictionaries(st.text(max_size=5), st.integers(), max_size=3)
     )
@@ -468,6 +478,107 @@ class TestParseConfigProperties:
         parsed_or_refused(yaml.safe_dump(doc))
 
 
+# Texts that float() or int() read and read_number refuses: non-ASCII digits
+# (Arabic-Indic), underscores, a leading no-break space.
+FOREIGN_NUMBERS = ["\u0661\u0662", "1_000", "\u00a012", "\u0663", "1_0", "\u0662\u0661\u0667.4",
+                   "\u0661_000", "\u0665\u0660"]
+
+# Texts where a number belongs: reprs of every float and of integers, the
+# spellings above and others float() takes, and short strings over the
+# characters numbers are made of, ASCII or not.
+NUMBER_TEXTS = (
+    st.floats().map(repr) | st.integers().map(str) | st.sampled_from(
+        FOREIGN_NUMBERS + ["inf", "-inf", "+inf", "Infinity", "nan", "1e999", " 7", "7 ", "0x10",
+                           "+1", "-0", ".5", "5.", "1e5", "1E+05", "", "1.2.3", "--1", "\uff11"])
+    | st.text(st.sampled_from("0123456789+-.eE_inf \t\u00a0\u0663\uff11x"), max_size=8)
+    | st.text(st.characters(codec="utf-8"), max_size=6)
+)
+
+
+def read_in_a_document(text) -> bool:
+    """Whether a run document reads ``text`` as optimizer.d1_init, refused by range or not."""
+    document = yaml.safe_dump({"optimizer": {"d1_init": text}})
+    assert yaml.safe_load(document) == {"optimizer": {"d1_init": text}}
+    try:
+        parse_config(document)
+    except ConfigError as exc:
+        return not str(exc).startswith("optimizer.d1_init: expected a number")
+    return True
+
+
+def read_as_a_flag(command, flag, text) -> bool:
+    """Whether the parser reads ``text`` as ``command``'s ``flag``; no command runs."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            build_parser().parse_args([command, f"{flag}={text}"])
+    except SystemExit:
+        return False
+    return True
+
+
+def read_in_a_pulse_file(path, text) -> bool:
+    """Whether ``read_pulse_csv`` reads ``text`` as T_seconds, refused by range or not."""
+    path.write_text(f"# T_seconds={text} M=1\n{PULSE_HEADER}\n0,1.0,2.0,3.0,4.0\n",
+                    encoding="utf-8")
+    try:
+        read_pulse_csv(path)
+    except ValueError as exc:
+        return f"{path}: duration_s must be positive and finite" in str(exc)
+    return True
+
+
+class TestOneNumberReader:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(text=NUMBER_TEXTS)
+    @example(text=FOREIGN_NUMBERS[0])
+    @example(text=FOREIGN_NUMBERS[1])
+    @example(text=FOREIGN_NUMBERS[2])
+    @example(text=FOREIGN_NUMBERS[3])
+    @example(text=FOREIGN_NUMBERS[4])
+    @example(text=FOREIGN_NUMBERS[5])
+    @example(text=FOREIGN_NUMBERS[6])
+    @example(text=FOREIGN_NUMBERS[7])
+    def test_every_reader_takes_the_texts_read_number_takes(self, tmp_path_factory, text):
+        # before its range check, each reader accepts a text exactly when
+        # read_number does, as a real or as an integer.  A pulse file splits
+        # its metadata line at ASCII whitespace, so there a text holds none.
+        real, integer = read_by(float, text), read_by(int, text)
+        assert not (text in FOREIGN_NUMBERS and (real or integer))
+        assert read_in_a_document(text) == real
+        assert read_as_a_flag("optimize", "--iterations", text) == integer
+        assert read_as_a_flag("budget", "--m-slices", text) == integer
+        if not set(text) & set(" \t\n\r\f\v"):
+            assert read_in_a_pulse_file(tmp_path_factory.getbasetemp() / "t.csv", text) == real
+
+    def test_the_written_spellings_read_back(self):
+        assert read_number(repr(math.inf)) == math.inf and read_number("-inf") == -math.inf
+        assert read_number("-12", int) == -12 and type(read_number("12", int)) is int
+        for value in (0.0, -0.0, 5e-324, 1e300, 0.1, 217.4):
+            assert read_number(repr(value)).hex() == value.hex()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["optimize", "--seed", "\u0663", "--iterations", "1_0"], "--seed"),
+        (["optimize", "--iterations", "1_0"], "--iterations"),
+        (["tmin", "--g-hz", "\u0662\u0661\u0667.4"], "--g-hz"),
+        (["tmin", "--g-hz", "nan"], "--g-hz"),
+        (["budget", "--iterations", "\u0661_000", "--m-slices", "\u0665\u0660"], "--iterations"),
+        (["budget", "--m-slices", "\u0665\u0660"], "--m-slices"),
+    ])
+    def test_a_foreign_flag_value_exits_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = ["--out", str(tmp_path / "run")] if argv[0] == "optimize" else []
+        with pytest.raises(SystemExit) as exited:
+            main(argv + out)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}: invalid " in captured.err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text", FOREIGN_NUMBERS[:3])
+    def test_a_foreign_document_number_names_its_path(self, text):
+        with pytest.raises(ConfigError, match=r"^optimizer\.d1_init: expected a number, got "):
+            parse_config(yaml.safe_dump({"optimizer": {"d1_init": text}}))
+
+
 @st.composite
 def bad_apparatus_settings(draw):
     """(field, settings, numeric): apparatus settings that the check refuses, naming ``field``.
@@ -542,7 +653,7 @@ class TestBudgetArithmetic:
     @pytest.mark.parametrize("flag, value, message", [
         ("--m-slices", "-5", "m_slices must be a positive integer"),
         ("--m-slices", "0", "m_slices must be a positive integer"),
-        ("--iterations", "0", "iterations: expected a positive integer"),
+        ("--iterations", "0", "iterations must be a positive integer, got 0"),
     ])
     def test_budget_command_rejects_invalid_inputs(self, flag, value, message, capsys):
         assert main(["budget", "--mode", "experiment-only", flag, value]) == 2
@@ -587,11 +698,12 @@ class TestTmin:
         assert abs(float(coords.group(1)) - math.pi / 4) < 1e-9
         assert "T_min(unitary) = 2.30 ms" in out
 
-    @pytest.mark.parametrize("g_hz", ["-5", "0", "nan", "inf"])
+    @pytest.mark.parametrize("g_hz", ["-5", "0", "inf"])
     def test_bad_coupling_is_config_error(self, g_hz, capsys):
         assert main(["tmin", "--g-hz", g_hz]) == 2
         captured = capsys.readouterr()
-        assert "config error: g-hz: expected a positive finite number" in captured.err
+        message = f"config error: g_hz must be positive and finite, got {float(g_hz)}"
+        assert captured.err.startswith(message)
         assert captured.out == ""
 
     def test_bad_unitary_file_is_runtime_error(self, tmp_path, capsys):
@@ -657,18 +769,19 @@ class TestOptimizeCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("seeds, message", [
-        ("4..1", "seeds: range '4..1' is empty"),
+        ("4..1", "seeds: range '4..1' is empty or starts below 0"),
         ("3", "seeds: expected a range like 0..4"),
         ("0..x", "seeds: expected a range like 0..4"),
         # digits outside ASCII: a superscript two, which int() rejects, and an
         # Arabic-Indic three, which int() would read as 3
         ("\u00b2..3", "seeds: expected a range like 0..4"),
         ("0..\u0663", "seeds: expected a range like 0..4"),
+        ("-1..3", "seeds: range '-1..3' is empty or starts below 0"),
     ])
     def test_bad_seed_range_is_config_error(self, tmp_path, capsys, seeds, message):
         code = main(
             ["optimize", "--mode", "model-only", "--iterations", "5",
-             "--out", str(tmp_path / "x"), "--seeds", seeds]
+             "--out", str(tmp_path / "x"), f"--seeds={seeds}"]
         )
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
@@ -798,9 +911,10 @@ class TestEvaluateCommand:
         ("T_seconds=0.0 M=1", ["0,1,2,3,4"], "duration_s must be positive and finite, got 0.0"),
         ("T_seconds=0.001 M=0", [], "amplitudes_hz must have shape (M, 4) with M >= 1"),
         ("T_seconds=0.001 M=1", ["0,1e999,2,3,4"], "amplitudes_hz contains non-finite entries"),
-        ("T_seconds=0.001 M=1", ["0,inf,2,3,4"], "'inf' is not a number as write_pulse_csv spells one"),
-        ("T_seconds=0.001 M=1", ["0,1,2,x,4"], "'x' is not a number as write_pulse_csv spells one"),
-        ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "'a' is not a number as write_pulse_csv spells one"),
+        ("T_seconds=0.001 M=1", ["0,inf,2,3,4"], "amplitudes_hz contains non-finite entries"),
+        ("T_seconds=0.001 M=1", ["0,1,2,x,4"], "'x' is not a number as belltime spells one"),
+        ("T_seconds=0.001 M=1", ["a,1,2,3,4"], "malformed row 0: 'a,1,2,3,4'"),
+        ("T_seconds=0.001 M=1", ["+0,1,2,3,4"], "malformed row 0: '+0,1,2,3,4'"),
         ("T_seconds=1e-3 T_seconds=2e-3 M=1", ["0,1,2,3,4"], "metadata key 'T_seconds' is repeated"),
         ("T_seconds=0.001 M=1 M=1", ["0,1,2,3,4"], "metadata key 'M' is repeated"),
         ("T_seconds=1e-3 M=1 Tseconds=5", ["0,1,2,3,4"], "unknown metadata key 'Tseconds'"),

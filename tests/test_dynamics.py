@@ -171,6 +171,11 @@ def pulse_file(meta: str, rows) -> str:
 # pulse_file cannot write: str.strip() would take it off.
 NO_BREAK_METADATA = "\u00a0" + pulse_file("T_seconds=0.002 M=1", ["0,1.0,2.0,3.0,4.0"])
 
+# Pulse files whose metadata line starts with more than the one '#' that
+# write_pulse_csv writes: str.lstrip("#") would take them all off.
+EXTRA_HASH_METADATA = ["#" * n + pulse_file("T_seconds=0.002 M=1", ["0,1.0,2.0,3.0,4.0"])
+                       for n in (1, 2)]
+
 
 @st.composite
 def near_miss_pulse_files(draw):
@@ -294,9 +299,11 @@ class TestPulseSequence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_pulse_csv(path)
 
-    def test_a_metadata_line_after_a_no_break_space_names_the_file(self, tmp_path):
-        path = tmp_path / "no_break.csv"
-        path.write_text(NO_BREAK_METADATA, encoding="utf-8")
+    @pytest.mark.parametrize("text", [NO_BREAK_METADATA, *EXTRA_HASH_METADATA],
+                             ids=["no-break-space", "##", "###"])
+    def test_a_metadata_line_after_a_stray_character_names_the_file(self, tmp_path, text):
+        path = tmp_path / "stray.csv"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing '# T_seconds"):
             read_pulse_csv(path)
 
@@ -306,6 +313,7 @@ class TestPulseSequence:
     @example(data=pulse_file(*FOREIGN_SPELLINGS[3]).encode())
     @example(data=pulse_file(*FOREIGN_SPELLINGS[6]).encode())
     @example(data=NO_BREAK_METADATA.encode())
+    @example(data=EXTRA_HASH_METADATA[1].encode())
     def test_hostile_pulse_files_read_or_name_the_file(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "hostile.csv"
         path.write_bytes(data)
@@ -552,8 +560,8 @@ class TestModelFidelity:
             (dict(g_hz=math.nan), "g_hz must be positive and finite, got nan"),
             (dict(g_hz=math.inf), "g_hz must be positive and finite, got inf"),
             (dict(g_hz="217.4"), "g_hz must be a real number"),
-            (dict(g_hz=217.4, m_slices=0), "m_slices must be positive, got 0"),
-            (dict(g_hz=217.4, m_slices=-3), "m_slices must be positive, got -3"),
+            (dict(g_hz=217.4, m_slices=0), "m_slices must be a positive integer, got 0"),
+            (dict(g_hz=217.4, m_slices=-3), "m_slices must be a positive integer, got -3"),
             (dict(g_hz=217.4, m_slices=2.5), "m_slices must be an integer, got 2.5"),
             (dict(g_hz=217.4, m_slices=True), "m_slices must be an integer, got True"),
             (dict(g_hz=1e4), "g_hz = 10000.0 is too strong: at DRIVE_HZ the local segments "

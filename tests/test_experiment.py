@@ -1118,8 +1118,6 @@ class TestReadout:
         before = backend._rng.bit_generator.state
         pulse = random_pulse(4, 1e-3, 50.0, np.random.default_rng(12))
         with pytest.raises(ValueError, match="unknown ledger category 'bogus'"):
-            backend.fidelity_partial(pulse, category="bogus")
-        with pytest.raises(ValueError, match="unknown ledger category 'bogus'"):
             backend.measure_pauli(backend.evolve_open(pulse), ("Z", "Z"), "bogus")
         assert backend.ledger.total_measurements == 0
         assert backend._rng.bit_generator.state == before
@@ -1428,8 +1426,8 @@ class TestLedger:
         assert backend.ledger.fidelity_partial == 3
         backend.fidelity_full(pulse)
         assert backend.ledger.fidelity_full == 15
-        backend.fidelity_partial(pulse, category="gradient_control")
-        backend.fidelity_partial(pulse, category="gradient_time")
+        backend.fidelity_partial_batch(pulse, [0], [0], [pulse.amplitudes_hz[0, 0]])
+        backend.fidelity_partial_batch(pulse, [0], [DURATION_COLUMN], [pulse.slice_duration_s])
         assert backend.ledger.gradient_control == 3
         assert backend.ledger.gradient_time == 3
         assert backend.ledger.total_measurements == 24

@@ -43,6 +43,7 @@ from belltime.optimizer import (
     run_optimization,
     verify_trace_invariants,
 )
+from belltime.recipes import bell_recipe_pulse
 from belltime.runconfig import RunConfig, _field_types, parse_config
 from oracles import reference_partial
 
@@ -66,33 +67,31 @@ MISMATCH = dict(
 def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_step_time_s):
     """Reference for finite_diff_gradients: one readout per probe.
 
-    An amplitude probe is one ``fidelity_partial`` call; a duration probe,
-    which the backend takes only in a batch, is evolved by
-    ``reference_pulse_evolution`` and read out through the same noise
-    stream and ledger (``reference_partial``).
+    Each probe, an amplitude's or a slice duration's, is evolved by the
+    reference oracles over its own slice durations and read out through
+    the backend's noise stream and ledger (``reference_partial``).
     """
     amps = pulse.amplitudes_hz
     m_slices = pulse.n_slices
+    base = pulse.slice_duration_s
+    uniform = np.full(m_slices, base)
     grad_u = np.zeros_like(amps)
     h = fd_step_amplitude_hz
     for m in range(m_slices):
         for c in range(4):
             probe = amps.copy()
             probe[m, c] += h
-            j_plus = backend.fidelity_partial(
-                pulse.with_amplitudes(probe), category="gradient_control"
-            )
+            j_plus = reference_partial(backend, pulse.with_amplitudes(probe), uniform,
+                                       "gradient_control")
             probe[m, c] -= 2.0 * h
-            j_minus = backend.fidelity_partial(
-                pulse.with_amplitudes(probe), category="gradient_control"
-            )
+            j_minus = reference_partial(backend, pulse.with_amplitudes(probe), uniform,
+                                        "gradient_control")
             grad_u[m, c] = (j_plus - j_minus) / (2.0 * h)
 
     ht = fd_step_time_s
-    base = pulse.slice_duration_s
     slope_sum = 0.0
     for m in range(m_slices):
-        durations = np.full(m_slices, base)
+        durations = uniform.copy()
         durations[m] = base + ht
         j_plus = reference_partial(backend, pulse, durations, "gradient_time")
         durations[m] = base - ht
@@ -150,21 +149,23 @@ AUDIT_MUTATIONS = [
 # Every refusal of OptimizerConfig.__post_init__, as (settings, message).
 CONFIG_REFUSALS = [
     (dict(max_iterations=2.5), "max_iterations must be an integer, got 2.5"),
-    (dict(max_iterations=0), "max_iterations must be a positive integer"),
-    (dict(m_slices=0), "m_slices must be a positive integer"),
+    (dict(max_iterations=0), "max_iterations must be a positive integer, got 0"),
+    (dict(m_slices=0), "m_slices must be a positive integer, got 0"),
     (dict(target_fidelity="0.9"), "target_fidelity must be a real number, got '0.9'"),
-    (dict(threshold_rate=math.inf), "threshold_rate must be finite, got inf"),
+    (dict(threshold_rate=math.inf), "threshold_rate must be positive and finite, got inf"),
+    (dict(target_fidelity=math.nan), "target_fidelity must be positive and finite, got nan"),
+    (dict(d1_init=math.inf), "d1_init must be positive and finite, got inf"),
     (dict(target_fidelity=1.0), "target_fidelity must lie in (0, 1), got 1.0"),
-    (dict(target_fidelity=0.0), "target_fidelity must lie in (0, 1), got 0.0"),
+    (dict(target_fidelity=0.0), "target_fidelity must be positive and finite, got 0.0"),
     (dict(threshold_floor=1.2), "threshold_floor must lie in (0, 1), got 1.2"),
-    (dict(threshold_drop=-0.1), "threshold_drop must lie in [0, threshold_floor), got -0.1"),
+    (dict(threshold_drop=-0.1), "threshold_drop must be >= 0, got -0.1"),
     (dict(threshold_drop=0.999), "threshold_drop must lie in [0, threshold_floor), got 0.999"),
-    (dict(threshold_rate=0), "threshold_rate must be positive, got 0.0"),
+    (dict(threshold_rate=0), "threshold_rate must be positive and finite, got 0.0"),
     (dict(d1_init=1e-13), "d1_init must exceed D_MIN = 1e-12, got 1e-13"),
-    (dict(fd_step_amplitude_hz=0.0), "fd_step_amplitude_hz must be positive"),
-    (dict(fd_step_time_s=-1e-8), "fd_step_time_s must be positive"),
-    (dict(initial_duration_s=0.0), "initial_duration_s must be positive"),
-    (dict(init_amplitude_hz=-1.0), "init_amplitude_hz must be nonnegative"),
+    (dict(fd_step_amplitude_hz=0.0), "fd_step_amplitude_hz must be positive and finite, got 0.0"),
+    (dict(fd_step_time_s=-1e-8), "fd_step_time_s must be positive and finite, got -1e-08"),
+    (dict(initial_duration_s=0.0), "initial_duration_s must be positive and finite, got 0.0"),
+    (dict(init_amplitude_hz=-1.0), "init_amplitude_hz must be >= 0, got -1.0"),
 ]
 
 
@@ -386,7 +387,7 @@ class TestFiniteDifferenceGradients:
         finite_diff_gradients(backend, pulse, 0.1, 1e-8)
         assert rows == [10 * m_slices]
 
-    @pytest.mark.parametrize("fraction", [1.0, 1.5, math.inf, math.nan])
+    @pytest.mark.parametrize("fraction", [1.0, 1.5])
     def test_a_duration_step_past_the_slice_is_named_before_any_charge(self, fraction):
         # base - ht would leave a duration probe's slice no time: the
         # error names the setting and the slice duration, and no probe
@@ -407,6 +408,8 @@ class TestFiniteDifferenceGradients:
         ("fd_step_amplitude_hz", math.inf, 1e-8),
         ("fd_step_time_s", 0.1, 0.0),
         ("fd_step_time_s", 0.1, -1e-8),
+        ("fd_step_time_s", 0.1, math.nan),
+        ("fd_step_time_s", 0.1, math.inf),
     ])
     def test_a_step_that_is_not_positive_is_named_before_any_charge(self, name, h, ht):
         # h = 0 would charge every probe and divide by zero; so would ht = 0.
@@ -761,6 +764,46 @@ class TestEvents:
         result = run_optimization("model-only", model, config, seed=0)
         assert result.records[0].event == EVENT_DEGENERATE_TIME_GRADIENT
         assert all(r.phase == STEP1 for r in result.records)
+
+    def test_a_shrink_that_leaves_no_duration_returns_to_climb(self, model, monkeypatch):
+        # |dJ/dT| just above TIME_GRADIENT_FLOOR makes the shrink direction
+        # du = grad_u / grad_t so long that a step halved down to D_MIN
+        # still leaves T <= 0: the run climbs again and proposes nothing
+        slope = 2.0 * optimizer.TIME_GRADIENT_FLOOR
+        bundles = []
+
+        def steep(*args):
+            bundles.append(dataclasses.replace(
+                dynamics._fidelity_and_gradients(*args), grad_duration=slope))
+            return bundles[-1]
+
+        monkeypatch.setattr(optimizer, "fidelity_and_gradients", steep)
+        config = OptimizerConfig(
+            max_iterations=3, target_fidelity=1e-6, threshold_floor=0.01, threshold_drop=0.005)
+        result = run_optimization("model-only", model, config, seed=0)
+        du = bundles[0].grad_amplitudes / slope
+        assert config.initial_duration_s - optimizer.D_MIN * np.sum(du * du) <= 0.0
+        assert all(r.event == EVENT_DEGENERATE_TIME_GRADIENT for r in result.records)
+        assert all(r.step_size_used == 0.0 for r in result.records)  # baselines only
+        assert {r.t_seconds for r in result.records} == {config.initial_duration_s}
+        verify_trace_invariants(result.records, config)
+
+    def test_a_run_at_target_that_proposes_nothing_stalls(self, model, monkeypatch):
+        # with both floors raised past every gradient nothing proposes a
+        # trial, so a run at target keeps its duration and stops
+        # STALL_WINDOW iterations after it first met the target, returning
+        # that incumbent
+        monkeypatch.setattr(optimizer, "CONTROL_GRADIENT_FLOOR", 1e9)
+        monkeypatch.setattr(optimizer, "TIME_GRADIENT_FLOOR", 1e9)
+        monkeypatch.setattr(optimizer, "STALL_WINDOW", 5)
+        pulse = bell_recipe_pulse(G_HZ)
+        config = OptimizerConfig(max_iterations=50, target_fidelity=0.9, threshold_floor=0.9)
+        result = run_optimization("model-only", model, config, initial_pulse=pulse)
+        first = next(r.n for r in result.records if r.j_oracle >= config.target_fidelity)
+        assert result.termination == "stalled"
+        assert result.records[-1].n == first + optimizer.STALL_WINDOW
+        assert result.final_pulse is pulse
+        verify_trace_invariants(result.records, config)
 
     def test_noisy_climb_recovers_through_baseline_refresh(self, model):
         config = OptimizerConfig(max_iterations=250, d1_init=1e3)

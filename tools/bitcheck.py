@@ -8,6 +8,7 @@ import ast
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -21,15 +22,8 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-# the README's examples.yaml, cut to 200 iterations
-BALANCED = {
-    "mode": "balanced", "seed": 0, "model": {"g_hz": 217.4},
-    "experiment": {"true_g_hz": 219.574, "amplitude_scale": [0.98, 1.0, 0.98, 1.0],
-                   "distortion_tau_s": 50.0e-6, "noise_sigma": 1.0e-3,
-                   "t1_s": [0.730, 0.096], "t2_s": [0.0965, 0.0425], "seed": 100},
-    "optimizer": {"d1_init": 1.0e3, "target_fidelity": 0.93, "threshold_floor": 0.90,
-                  "threshold_drop": 0.099, "threshold_rate": 300.0, "max_iterations": 200},
-}
+# the README's example run document, examples.yaml, of which the README holds the only copy
+README_CONFIG = re.compile(r"A minimal config \(`examples\.yaml`\):\s*```yaml\n(.*?)```", re.S)
 # the experiment keys each config deletes: relaxation, the low-pass, or both
 CONFIGS = {"balanced": (), "filter": ("t1_s", "t2_s"), "relaxation": ("distortion_tau_s",),
            "coherent": ("t1_s", "t2_s", "distortion_tau_s")}
@@ -43,6 +37,14 @@ RUNS = [
     ("experiment-only-filter", "filter", "--mode", "experiment-only", "--iterations", "3"),
     ("experiment-only-relaxation", "relaxation", "--mode", "experiment-only", "--iterations", "12"),
 ]
+
+
+def readme_config() -> str:
+    """The YAML of the README's example run document; a LookupError if the README lost it."""
+    block = README_CONFIG.search((ROOT / "README.md").read_text())
+    if block is None:
+        raise LookupError(f"README.md has no block matching {README_CONFIG.pattern}")
+    return block.group(1)
 
 
 def without_docstrings(path: Path) -> tuple[int, str]:
@@ -235,10 +237,12 @@ def report(base_root: Path, work: Path) -> None:
     for lab in ("lossy", "filter-only"):
         print_timings(sides, f"one measured gradient at the recipe pulse, {lab} lab", "ms",
                       f"import bitcheck; bitcheck.gradient_seconds({lab!r})", own=True)
+    balanced = yaml.safe_load(readme_config())
+    balanced["optimizer"]["max_iterations"] = 200
     for name, deleted in CONFIGS.items():
-        experiment = {k: v for k, v in BALANCED["experiment"].items() if k not in deleted}
+        experiment = {k: v for k, v in balanced["experiment"].items() if k not in deleted}
         (work / f"{name}.yaml").write_text(
-            yaml.safe_dump({**BALANCED, "experiment": experiment}, sort_keys=False))
+            yaml.safe_dump({**balanced, "experiment": experiment}, sort_keys=False))
     for name, config, *overrides in RUNS:
         for side, src in sides.items():
             command = ["-m", "belltime", "optimize", "--config", f"{config}.yaml", *overrides,
