@@ -136,13 +136,9 @@ def _raw_factorization(u: np.ndarray):
         theta = theta.copy()
         theta[0] += np.pi
     d_half = np.exp(-1j * theta)
-    o_left = mm @ p @ np.diag(1.0 / d_half)
-    imag_dev = np.max(np.abs(o_left.imag))
-    if imag_dev > 1e-7:
-        raise DegeneracyError(
-            f"left orthogonal factor not real (residual {imag_dev:.3e})"
-        )
-    o_left = o_left.real
+    # real in exact arithmetic; an imaginary part large enough to matter
+    # moves the reconstruction past RESIDUAL_TOL, which kak_factorize checks
+    o_left = (mm @ p @ np.diag(1.0 / d_half)).real
 
     a = np.array(
         [

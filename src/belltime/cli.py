@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -239,8 +240,21 @@ def _cmd_budget(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subcommands included, that reads a separate value
+    spelled like a negative number (``--g-hz -1e3``, ``--g-hz -inf``,
+    ``--seeds -1..3``) as the flag's, so its range check names it; argparse
+    itself reads only ``-12`` and ``-1.5`` so, and takes any other token
+    that starts with '-' for an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # what argparse asks of a token that starts with '-' and names no option
+        self._negative_number_matcher = re.compile(r"-(?:[0-9.]|inf)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belltime",
         description="Time-optimal two-spin entangling-pulse workbench.",
     )
@@ -286,7 +300,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,7 +2,8 @@
 
 No optimizer runs here: each case writes the four artifacts of a run by
 hand, changes a byte or a field of one side, and reads the report's lines.
-A last check pins the CI step that calls the report as report-only.
+The coverage pass is checked on a small generated module.  A last check
+pins the CI step that calls the report as report-only.
 """
 
 import importlib.util
@@ -99,6 +100,38 @@ def test_code_lines_and_code_ignore_docstrings_and_comments(tmp_path):
     (lines, code), (edited_lines, edited_code) = map(bitcheck.without_docstrings, (prose, edited))
     assert (lines, edited_lines) == (3, 3)
     assert code == edited_code
+
+
+BRANCHY = """def sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+def count(n):
+    while n > 0:
+        n -= 1
+    return n
+"""
+
+
+@pytest.mark.parametrize("calls, expected", [
+    ("sign(2); count(2)", ["branchy.py:2 true side"]),
+    ("sign(-2); sign(2); count(0)", ["branchy.py:8 true side"]),
+    ("sign(-2); count(2)", ["branchy.py:2 false side", "branchy.py:4"]),
+    ("sign(-2); sign(2); count(2)", []),
+    ("sign(-2); sign(2)", ["branchy.py:8", "branchy.py:10"]),
+])
+def test_the_coverage_pass_names_what_no_call_reaches(tmp_path, calls, expected):
+    module = tmp_path / "branchy.py"
+    module.write_text(BRANCHY)
+    (tmp_path / "idle.py").write_text("IDLE = 1\n")
+    spec = importlib.util.spec_from_file_location("branchy", module)
+    branchy = importlib.util.module_from_spec(spec)
+    arcs = bitcheck.trace_arcs(tmp_path, lambda: (
+        spec.loader.exec_module(branchy), exec(calls, vars(branchy))))
+    assert bitcheck.untaken(module, arcs) == expected
+    assert bitcheck.untaken(tmp_path / "idle.py", arcs) == ["idle.py: never run"]
 
 
 def test_ci_runs_the_report_on_pull_requests_only_and_never_as_a_gate():

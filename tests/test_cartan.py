@@ -1,6 +1,7 @@
 """Interaction-coordinate extraction, factorization, and minimum times."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -274,6 +275,32 @@ class TestFactorizationFallback:
             f"no factorization reached residual {RESIDUAL_TOL:.1e} (best {min(residuals):.3e})"
         )
         assert caught.value.__cause__ is None
+
+    def test_a_left_factor_that_is_not_real_fails_by_its_residual(self, monkeypatch):
+        # eigenphases tilted by ~1e-6 leave the left orthogonal factor complex
+        # by about as much; the real part alone misses U, and every attempt
+        # fails the residual check
+        joint = cartan._joint_real_eigenbasis
+
+        def tilted(m):
+            d, p = joint(m)
+            return d * np.exp(2e-6j * np.array([1.0, -1.0, 0.5, -0.5])), p
+
+        monkeypatch.setattr(cartan, "_joint_real_eigenbasis", tilted)
+        with pytest.raises(DegeneracyError) as caught:
+            kak_factorize(random_unitary(np.random.default_rng(73)))
+        best = re.fullmatch(r"no factorization reached residual 1\.0e-08 \(best (.+)\)",
+                            str(caught.value))
+        assert float(best.group(1)) > RESIDUAL_TOL
+        assert caught.value.__cause__ is None
+
+    def test_a_candidate_orthogonal_to_its_reference_is_returned_unchanged(self):
+        # no overlap, no phase to align to; dividing by |overlap| = 0 would
+        # warn and give nan
+        candidate = np.eye(4, dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cartan._align_phase(candidate, pauli_string("Z", "Z")) is candidate
 
 
 class TestFactorizationProperties:

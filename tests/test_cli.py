@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import types
@@ -141,6 +142,10 @@ class TestParseConfig:
     def test_non_finite_settings_rejected_by_name(self, section, field, value):
         with pytest.raises(ConfigError, match=f"{section}: {field}"):
             parse_config(MINIMAL + f"{section}:\n  {field}: {value}\n")
+
+    def test_an_unknown_mode_is_named(self):
+        with pytest.raises(ConfigError, match=r"^mode: expected one of \('model-only', "):
+            parse_config("mode: fast\n")
 
     def test_measured_modes_require_experiment_section(self):
         with pytest.raises(ConfigError, match="experiment section"):
@@ -573,6 +578,25 @@ class TestOneNumberReader:
         assert captured.out == "" and f"argument {flag}: invalid " in captured.err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tmin", "--g-hz", "-1e3"], "g_hz must be positive and finite, got -1000.0"),
+        (["tmin", "--g-hz", "-inf"], "g_hz must be positive and finite, got -inf"),
+        (["tmin", "--g-hz", "-.5"], "g_hz must be positive and finite, got -0.5"),
+        (["optimize", "--seeds", "-1..3"], "seeds: range '-1..3' is empty or starts below 0"),
+    ])
+    @pytest.mark.parametrize("joined", [False, True], ids=["separate", "joined"])
+    def test_a_value_that_starts_with_a_dash_reaches_its_range_check(
+            self, tmp_path, capsys, argv, message, joined):
+        # argparse alone takes a separate -1e3, -inf, -.5 or -1..3 for an
+        # option and stops with "expected one argument"
+        if joined:
+            argv = [argv[0], f"{argv[1]}={argv[2]}"]
+        out = ["--out", str(tmp_path / "run")] if argv[0] == "optimize" else []
+        assert main(argv + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text", FOREIGN_NUMBERS[:3])
     def test_a_foreign_document_number_names_its_path(self, text):
         with pytest.raises(ConfigError, match=r"^optimizer\.d1_init: expected a number, got "):
@@ -956,6 +980,26 @@ class TestPackaging:
             env={**os.environ, "PYTHONPATH": path},
         ).stdout
         assert out.strip() == "[]"
+
+    def test_python_dash_m_belltime_runs_the_cli(self, capsys, monkeypatch):
+        # the module entry point prints what main() prints: run by a fresh
+        # interpreter, and run in this process as ``python -m`` runs it.
+        # Imported under its own name, it runs nothing.
+        assert main(["budget"]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(belltime.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "belltime", "budget"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+        monkeypatch.setattr(sys, "argv", ["belltime", "budget"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("belltime", run_name="__main__")
+        assert exited.value.code == 0 and capsys.readouterr().out == expected
+        assert runpy.run_module("belltime")["main"] is main
+        assert capsys.readouterr().out == ""
 
     def test_all_is_the_public_surface(self):
         # a deletion that leaves a stale __all__ entry or import fails here,

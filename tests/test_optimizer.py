@@ -32,6 +32,7 @@ from belltime.linalg import ket, singlet_state
 from belltime.optimizer import (
     EVENT_DEGENERATE_TIME_GRADIENT,
     EVENT_STALL_STEP1,
+    EVENT_STALL_STEP2,
     MODES,
     STEP1,
     STEP2,
@@ -803,6 +804,22 @@ class TestEvents:
         assert result.termination == "stalled"
         assert result.records[-1].n == first + optimizer.STALL_WINDOW
         assert result.final_pulse is pulse
+        verify_trace_invariants(result.records, config)
+
+    def test_a_shrink_streak_at_the_budget_stalls_and_restarts(self, model, monkeypatch):
+        # BETA above 1 rejects every shrink; with a budget of 3 backtracks,
+        # each third rejection in a row is a shrink stall, which restarts the
+        # streak and, unlike a climb stall, keeps shrinking
+        monkeypatch.setattr(optimizer, "BETA", 2.0)
+        monkeypatch.setattr(optimizer, "MAX_BACKTRACKS", 3)
+        config = OptimizerConfig(max_iterations=8, target_fidelity=0.9, threshold_floor=0.9)
+        result = run_optimization(
+            "model-only", model, config, initial_pulse=bell_recipe_pulse(G_HZ))
+        shrinks = result.records[1:]
+        assert all(r.phase == STEP2 and not r.accepted for r in shrinks)
+        assert [r.backtracks for r in shrinks] == [0, 1, 2, 0, 1, 2, 0]
+        stall = [None, None, EVENT_STALL_STEP2]
+        assert [r.event for r in shrinks] == stall + stall + [None]
         verify_trace_invariants(result.records, config)
 
     def test_noisy_climb_recovers_through_baseline_refresh(self, model):

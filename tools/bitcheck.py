@@ -2,7 +2,8 @@
 
 Runs six CLI configs on both sides (BASE_REF in a temporary git worktree) and prints line and
 code counts, options, prose words, changed modules, timings, each artifact "identical to" or
-"DIFFERS from the base commit", and the head's trace audit of every run.  A report, not a gate."""
+"DIFFERS from the base commit", the head's trace audit of every run, and per side what of
+src/belltime no tier-1 test reaches.  A report, not a gate."""
 
 import ast
 import io
@@ -131,6 +132,88 @@ def audit(*runs: str) -> None:
             print(f"{run}: audit FAILS: {exc}")
 
 
+def trace_arcs(root: Path, run) -> set:
+    """The (file, line, next line) arcs that ``run()`` takes in the files under ``root``,
+    recorded by a ``sys.settrace`` hook; None stands for entering or leaving a frame."""
+    root, arcs = os.path.join(root.resolve(), ""), set()
+
+    def enter(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(root):
+            return None
+        last = None
+
+        def step(frame, event, arg):
+            nonlocal last
+            line = frame.f_lineno if event == "line" else None
+            if event != "exception":  # a raising line goes nowhere, not to a branch side
+                arcs.add((frame.f_code.co_filename, last, line))
+            last = line
+            return step
+        return step
+
+    outer = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        run()
+    finally:
+        sys.settrace(outer)
+    return arcs
+
+
+def untaken(path: Path, arcs: set) -> list[str]:
+    """The statements and ``if``/``while`` sides of module ``path`` that ``arcs`` never take.
+    A statement inside an untaken statement or side is not listed again."""
+    path = path.resolve()
+    moves = {(a, b) for f, a, b in arcs if f == str(path)}
+    ran = {b for _, b in moves}
+    if not ran - {None}:
+        return [f"{path.name}: never run"]
+
+    def head(node):  # the lines a statement runs before its body, decorators included
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        body = getattr(node, "body", None)
+        last = body[0].lineno - 1 if isinstance(body, list) else node.end_lineno
+        return set(range(first, max(last, node.lineno) + 1))
+
+    found = []
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.Global, ast.Nonlocal)) or (
+                    isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+                continue  # compiled to nothing: no line event can reach it
+            if not ran & head(node):
+                found.append(f"{path.name}:{node.lineno}")
+                continue
+            if isinstance(node, (ast.If, ast.While)):
+                test = set(range(node.lineno, node.test.end_lineno + 1))
+                exits = {b for a, b in moves if a in test and b not in test}
+                entry = head(node.body[0])
+                for side, taken, block in (("true", exits & entry, node.body),
+                                           ("false", exits - entry, node.orelse)):
+                    if taken:
+                        visit(block)
+                    else:
+                        found.append(f"{path.name}:{node.lineno} {side} side")
+            else:  # an except clause counts as a statement: its line runs when it is tried
+                for key in ("body", "handlers", "orelse", "finalbody"):
+                    visit(getattr(node, key, []))
+
+    visit(ast.parse(path.read_text()).body)
+    return found
+
+
+def coverage() -> None:
+    """Run tier-1 from the working directory under ``trace_arcs``, then print ``untaken``
+    of every module of its src/belltime, or "(none)"."""
+    import pytest
+    package = Path("src/belltime")
+    arcs = trace_arcs(package, lambda: pytest.main(
+        ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]))
+    found = [line for path in sorted(package.glob("*.py")) for line in untaken(path, arcs)]
+    print(*found or ["(none)"], sep="\n")
+
+
 def python(src: Path, *args: str, **kwargs) -> subprocess.CompletedProcess:
     """A fresh interpreter on ``args`` that imports belltime from ``src``, and this module."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
@@ -253,6 +336,10 @@ def report(base_root: Path, work: Path) -> None:
     runs = [str(p.relative_to(work)) for side in roots for p in sorted(work.glob(f"runs/{side}-*"))]
     python(sides["head"], "-c", "import sys, bitcheck; bitcheck.audit(*sys.argv[1:])", *runs,
            cwd=work, check=True)
+    for side, root in roots.items():
+        print(f"{side}: statements and if/while sides of src/belltime that no tier-1 test "
+              "reaches (report only)")
+        python(sides[side], "-c", "import bitcheck; bitcheck.coverage()", cwd=root)
 
 
 def main(argv) -> None:
