@@ -53,11 +53,11 @@ The phase machine starts climbing at the initial duration, switches to
 shrinking once the baseline reaches the target fidelity (or once the
 climb plateaus, for systems whose reachable fidelity sits below the
 target), and whenever a logged fidelity falls below the scheduled lower
-threshold it returns to climbing with the duration frozen.  Runs stop on
-iteration budget or once the duration has stopped moving at target
-fidelity.  ``verify_trace_invariants`` replays every record's logged
-acceptance inequality and decision bit-exactly from the trace alone,
-baselines included.
+threshold it returns to climbing with the duration frozen.  Every run
+stops on its iteration budget, so its trace holds exactly
+``max_iterations`` records.  ``verify_trace_invariants`` replays every
+record's logged acceptance inequality and decision bit-exactly from the
+trace alone, baselines included.
 
 The search rule is fixed: its constants are module-level, and
 ``OptimizerConfig`` holds only the settings a run varies.  ``ALPHA`` and
@@ -68,9 +68,7 @@ step size by ``BACKTRACK_FACTOR``, a clean acceptance by its inverse, and
 ``STEP1_PATIENCE`` climb rejections since the last acceptance count as a
 plateau.  A climb stalls when no |dJ/du| entry exceeds
 ``CONTROL_GRADIENT_FLOOR``, and a shrink returns to climbing when |dJ/dT|
-does not exceed ``TIME_GRADIENT_FLOOR``.  The run stops once T has moved
-less than ``STALL_EPSILON_T_S`` over ``STALL_WINDOW`` iterations at
-target fidelity.
+does not exceed ``TIME_GRADIENT_FLOOR``.
 """
 
 from __future__ import annotations
@@ -123,8 +121,6 @@ D2_INIT = 1e-6
 D_MIN = 1e-12
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
-STALL_WINDOW = 200
-STALL_EPSILON_T_S = 1e-6  # s
 STEP1_PATIENCE = 40
 CONTROL_GRADIENT_FLOOR = 1e-8  # 1/Hz
 TIME_GRADIENT_FLOOR = 1e-8  # 1/s
@@ -134,8 +130,8 @@ TIME_GRADIENT_FLOOR = 1e-8  # 1/s
 class OptimizerConfig:
     """The settings a run varies; the search rule's constants are module-level.
 
-    ``target_fidelity`` gates the climb-to-shrink switch and the
-    stall-based termination; the scheduled lower threshold
+    ``target_fidelity`` gates the climb-to-shrink switch and the returned
+    pulse; the scheduled lower threshold
 
         threshold_floor - threshold_drop * exp(-n / threshold_rate)
 
@@ -463,9 +459,7 @@ def run_optimization(
     plateau = 0  # consecutive climb rejections since the last acceptance
     pending: Optional[_Proposal] = None
     j_base = math.nan
-    at_target_since = None  # first iteration of the current j_base >= target run
     incumbent: Optional[PulseSequence] = None  # latest state meeting the target
-    termination = "max_iterations"
 
     def enter(new_phase: str) -> None:
         """Switch phase; the rejection counts restart with the new phase."""
@@ -593,19 +587,8 @@ def run_optimization(
             )
         )
 
-        # 4. Stall termination: duration unchanged over a full window spent
-        #    entirely at target fidelity.
         if j_base >= config.target_fidelity:
             incumbent = pulse
-            if at_target_since is None:
-                at_target_since = n
-        else:
-            at_target_since = None
-        if at_target_since is not None and n - at_target_since >= STALL_WINDOW:
-            t_then = records[-1 - STALL_WINDOW].t_seconds
-            if t_then - pulse.duration_s < STALL_EPSILON_T_S:
-                termination = "stalled"
-                break
 
     # The returned pulse is the latest state that met the target fidelity;
     # a run cut off mid way through a shrink-and-recover cycle falls back
@@ -621,7 +604,7 @@ def run_optimization(
         mode=mode,
         final_pulse=final_pulse,
         records=records,
-        termination=termination,
+        termination="max_iterations",  # the one stopping rule
         ledger=ledger,
         final_model_fidelity=model_fidelity(model, final_pulse, *BELL_TASK)[0],
         final_full_fidelity=final_full,
@@ -646,7 +629,10 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
     climb is no shrink.  Every record, accepted or rejected, must be of
     phase step1 or step2: a trace is read back from disk, so its phases
     are outside input.  Raises ValueError naming the first offending
-    record; returns summary counts otherwise.
+    record.  Last, since the iteration budget is the loop's one stopping
+    rule, the trace must hold exactly ``config.max_iterations`` records;
+    a stopping rule added to the loop (ROADMAP item 4) must change this
+    check with it.  Returns summary counts otherwise.
     """
     n_accepted = 0
     n_step2_accepted = 0
@@ -705,6 +691,11 @@ def verify_trace_invariants(records, config: OptimizerConfig) -> dict:
                         f"threshold at n={previous.n} but the next phase is not a climb"
                     )
         previous = record
+    if len(records) != config.max_iterations:
+        raise ValueError(
+            f"the trace holds {len(records)} records, not the run's "
+            f"max_iterations = {config.max_iterations}"
+        )
     return {
         "records": len(records),
         "accepted": n_accepted,

@@ -830,9 +830,13 @@ class TestOptimizeCommand:
         "control_gradient_floor", "time_gradient_floor",
     ])
     def test_search_constants_are_not_settings(self, tmp_path, capsys, name):
-        # Each is a constant of the search rule, at the value it held as a field.
+        # Each is a constant of the search rule, at the value it held as a
+        # field; the stall termination's pair went with that rule, and an
+        # old document that sets them is refused all the same.
+        removed = {"stall_window": 200, "stall_epsilon_t_s": 1e-6}
+        value = removed[name] if name in removed else getattr(optimizer, name.upper())
         config = tmp_path / "cfg.yaml"
-        config.write_text(yaml.safe_dump({"optimizer": {name: getattr(optimizer, name.upper())}}))
+        config.write_text(yaml.safe_dump({"optimizer": {name: value}}))
         assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -55,6 +55,7 @@ from oracles import (
     swapped_channels,
     swapped_spins,
 )
+from test_acceptance import MISMATCH
 
 G_HZ = 217.4
 
@@ -197,17 +198,8 @@ def expand(amplitudes, dts, slices, columns, values):
 
 
 def mismatch_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        true_g_hz=1.01 * G_HZ,
-        amplitude_scale=(0.98, 1.0, 0.98, 1.0),
-        distortion_tau_s=50e-6,
-        noise_sigma=1e-3,
-        t1_s=(0.730, 0.096),
-        t2_s=(0.0965, 0.0425),
-        seed=7,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    """The acceptance apparatus, ``MISMATCH``, with noise seed 7 and ``overrides``."""
+    return ExperimentConfig(**{**MISMATCH, "seed": 7, **overrides})
 
 
 class TestDistortion:

@@ -47,22 +47,15 @@ from belltime.optimizer import (
 from belltime.recipes import bell_recipe_pulse
 from belltime.runconfig import RunConfig, _field_types, parse_config
 from oracles import reference_partial
+# the acceptance apparatus: all of MISMATCH, and COHERENT_MISMATCH, its
+# coupling, amplitude scales and readout noise only
+from test_acceptance import COHERENT_MISMATCH, MISMATCH
 
 G_HZ = 217.4
 
 
 def ideal_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(true_g_hz=G_HZ, **overrides)
-
-
-# The acceptance apparatus (tests/test_acceptance.py): all of MISMATCH, and
-# COHERENT_MISMATCH, its coupling, amplitude scales and readout noise only.
-COHERENT_MISMATCH = dict(
-    true_g_hz=1.01 * G_HZ, amplitude_scale=(0.98, 1.0, 0.98, 1.0), noise_sigma=1e-3,
-)
-MISMATCH = dict(
-    COHERENT_MISMATCH, distortion_tau_s=50e-6, t1_s=(0.730, 0.096), t2_s=(0.0965, 0.0425),
-)
 
 
 def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_step_time_s):
@@ -183,7 +176,6 @@ class TestConfig:
         assert (optimizer.ALPHA, optimizer.BETA) == (0.01, 0.999)
         assert (optimizer.D2_INIT, optimizer.D_MIN) == (1e-6, 1e-12)
         assert (optimizer.BACKTRACK_FACTOR, optimizer.MAX_BACKTRACKS) == (0.5, 30)
-        assert (optimizer.STALL_WINDOW, optimizer.STALL_EPSILON_T_S) == (200, 1e-6)
         assert optimizer.STEP1_PATIENCE == 40
         assert optimizer.CONTROL_GRADIENT_FLOOR == optimizer.TIME_GRADIENT_FLOOR == 1e-8
 
@@ -789,20 +781,19 @@ class TestEvents:
         assert {r.t_seconds for r in result.records} == {config.initial_duration_s}
         verify_trace_invariants(result.records, config)
 
-    def test_a_run_at_target_that_proposes_nothing_stalls(self, model, monkeypatch):
+    def test_a_run_at_target_that_proposes_nothing_runs_its_budget(self, model, monkeypatch):
         # with both floors raised past every gradient nothing proposes a
-        # trial, so a run at target keeps its duration and stops
-        # STALL_WINDOW iterations after it first met the target, returning
-        # that incumbent
+        # trial, so a run at target keeps its duration; the budget alone
+        # stops it, and it returns the pulse it started at target with
         monkeypatch.setattr(optimizer, "CONTROL_GRADIENT_FLOOR", 1e9)
         monkeypatch.setattr(optimizer, "TIME_GRADIENT_FLOOR", 1e9)
-        monkeypatch.setattr(optimizer, "STALL_WINDOW", 5)
         pulse = bell_recipe_pulse(G_HZ)
         config = OptimizerConfig(max_iterations=50, target_fidelity=0.9, threshold_floor=0.9)
         result = run_optimization("model-only", model, config, initial_pulse=pulse)
-        first = next(r.n for r in result.records if r.j_oracle >= config.target_fidelity)
-        assert result.termination == "stalled"
-        assert result.records[-1].n == first + optimizer.STALL_WINDOW
+        assert [r.n for r in result.records] == list(range(50))
+        assert {r.t_seconds for r in result.records} == {pulse.duration_s}
+        assert all(r.j_oracle >= config.target_fidelity for r in result.records)
+        assert result.termination == "max_iterations"
         assert result.final_pulse is pulse
         verify_trace_invariants(result.records, config)
 
@@ -890,15 +881,7 @@ class TestTraceAudit:
             "balanced",
             model,
             config,
-            experiment=ExperimentConfig(
-                true_g_hz=1.01 * G_HZ,
-                amplitude_scale=(0.98, 1.0, 0.98, 1.0),
-                distortion_tau_s=50e-6,
-                noise_sigma=1e-3,
-                t1_s=(0.730, 0.096),
-                t2_s=(0.0965, 0.0425),
-                seed=13,
-            ),
+            experiment=ExperimentConfig(seed=13, **MISMATCH),
             seed=2,
         )
         summary = verify_trace_invariants(result.records, config)
@@ -953,6 +936,22 @@ class TestTraceAudit:
         mutate(records)
         with pytest.raises(ValueError, match=f"^record {named}: {message}"):
             verify_trace_invariants([IterationRecord(**r) for r in records], SIXTY_ITERATIONS)
+
+    @pytest.mark.parametrize("kept", [50, 59, 0])
+    def test_a_trace_cut_short_of_its_budget_is_caught(self, sixty_iterations, kept):
+        # the budget is the loop's one stopping rule, so a run logs exactly
+        # max_iterations records, and a trace missing its tail is refused
+        # even though every record it keeps replays
+        with pytest.raises(ValueError, match=(
+                f"^the trace holds {kept} records, not the run's max_iterations = 60$")):
+            verify_trace_invariants(sixty_iterations.records[:kept], SIXTY_ITERATIONS)
+
+    def test_a_trace_longer_than_its_budget_is_caught(self, sixty_iterations):
+        # the same sixty records audited as a run of fifty
+        fifty = dataclasses.replace(SIXTY_ITERATIONS, max_iterations=50)
+        with pytest.raises(ValueError, match=(
+                "^the trace holds 60 records, not the run's max_iterations = 50$")):
+            verify_trace_invariants(sixty_iterations.records, fifty)
 
     def test_tampered_duration_increase_is_caught(self, model_run):
         records = list(model_run.records)
