@@ -55,7 +55,6 @@ _PATTERN = {
     "z": np.array([1.0, -1.0, -1.0, 1.0]),
 }
 
-CHAMBER_TOL = 1e-9
 _BOUNDARY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8  # max-abs reconstruction error a factorization must reach
 

@@ -44,6 +44,10 @@ slice durations of the test's choosing, and ``reference_partial`` reads
 its state out through the backend's noise stream and ledger, so each
 probe can be checked against its own whole evolution without the
 backend's pulse loop.
+
+Two helpers that several test modules share close the file: ``bits``,
+the int64 words that tell two arrays bit for bit apart, and ``outcome``,
+the message a check raises, or None.
 """
 
 import dataclasses
@@ -544,3 +548,17 @@ def reference_fidelity_and_gradients(
     grad_t = float(2.0 * np.real(np.conj(c) * dc_t))
 
     return GradientBundle(fidelity, grad_amp, grad_t)
+
+
+def bits(x):
+    """The int64 words of a float or complex value or array: they tell -0.0 from +0.0."""
+    return np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.int64)
+
+
+def outcome(check, stack):
+    """The error message of ``check(stack)``, or None when it passes."""
+    try:
+        check(stack)
+    except ValueError as exc:
+        return str(exc)
+    return None

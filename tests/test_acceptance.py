@@ -59,6 +59,12 @@ from belltime.optimizer import (
 
 G_HZ = 217.4
 
+
+def ideal_config(**overrides) -> ExperimentConfig:
+    """A lab at the design coupling with no fault but ``overrides``."""
+    return ExperimentConfig(true_g_hz=G_HZ, **overrides)
+
+
 MISMATCH = dict(
     true_g_hz=1.01 * G_HZ,
     amplitude_scale=(0.98, 1.0, 0.98, 1.0),
@@ -346,7 +352,7 @@ def test_criterion_7_cartan_suite():
 
 
 def test_criterion_8_oracle_equivalence(model):
-    backend = ExperimentBackend(ExperimentConfig(true_g_hz=G_HZ))
+    backend = ExperimentBackend(ideal_config())
     rng = np.random.default_rng(88)
     psi0, target = ket("00"), singlet_state()
     worst = 0.0
@@ -360,7 +366,7 @@ def test_criterion_8_oracle_equivalence(model):
     pure = run_optimization("model-only", model, config, seed=4)
     hybrid = run_optimization(
         "balanced", model, config,
-        experiment=ExperimentConfig(true_g_hz=G_HZ, seed=44), seed=4,
+        experiment=ideal_config(seed=44), seed=4,
     )
     decisions_match = all(
         a.accepted == b.accepted and a.phase == b.phase

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from belltime import cartan
 from belltime.cartan import (
-    CHAMBER_TOL,
     RESIDUAL_TOL,
     CartanCoordinates,
     DegeneracyError,
@@ -27,8 +26,9 @@ from belltime.cartan import (
 from belltime.dynamics import PulseSequence, SystemModel, model_fidelity
 from belltime.linalg import ket, pauli_string, singlet_state
 from oracles import expm_hermitian, nearest_local_product, reference_state
+from test_acceptance import G_HZ
 
-G_HZ = 217.4
+CHAMBER_TOL = 1e-9  # how far outside the canonical chamber a coordinate may fall
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
@@ -304,7 +304,6 @@ class TestFactorizationFallback:
 
 
 class TestFactorizationProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(**DRESSED_CORES)
     def test_round_trip_in_the_chamber(self, core, dressing, phase):
         u = dressed(core, dressing, phase)
@@ -313,14 +312,13 @@ class TestFactorizationProperties:
         recon = f.left_local @ interaction_core(f.coordinates) @ f.right_local
         assert phase_aligned_deviation(recon, u) <= 1e-8
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(**DRESSED_CORES)
     def test_coordinates_ignore_local_dressing(self, core, dressing, phase):
         bare = cartan_coordinates(interaction_core(core)).as_array()
         assert np.allclose(cartan_coordinates(dressed(core, dressing, phase)).as_array(),
                            bare, atol=1e-9)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(core=DRESSED_CORES["core"], dressing=DRESSED_CORES["dressing"],
            fault=st.sampled_from(["scaled", "sheared", "shape", "non-finite"]),
            size=st.floats(1e-6, 10.0), value=st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -440,7 +438,6 @@ class TestCouplingSpeedLimit:
             s1, s2 = np.linalg.svd(psi.reshape(2, 2), compute_uv=False)
             assert fidelity_ceiling(G_HZ, t) == pytest.approx(0.5 + s1 * s2, abs=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         amps=st.integers(1, 60).flatmap(
             lambda m: arrays(np.float64, (m, 4), elements=st.floats(-1e4, 1e4))

@@ -444,14 +444,12 @@ class TestParseConfigProperties:
                             (OptimizerConfig, OPTIMIZER_FIELDS)):
             assert set(fields) == {f.name for f in dataclasses.fields(cls)}
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(config=run_configs())
     def test_document_round_trip(self, config):
         doc = config.as_document_dict()
         json.dumps(doc, allow_nan=False)
         assert parse_config(yaml.safe_dump(doc)) == config
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(setting=wrong_typed_settings())
     def test_wrong_type_names_the_field(self, setting):
         section, field, value = setting
@@ -461,7 +459,6 @@ class TestParseConfigProperties:
         with pytest.raises(ConfigError, match=f"^{where}"):
             RunConfig().replace(**{section: {field: value}})
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         section=st.sampled_from(sorted(SECTION_FIELDS)),
         value=st.booleans() | st.integers() | _finite() | st.text(max_size=10)
@@ -471,13 +468,13 @@ class TestParseConfigProperties:
         with pytest.raises(ConfigError, match=f"^{section}: expected a mapping"):
             parse_config(yaml.safe_dump({section: value}))
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(text=st.text(max_size=200)
            | st.lists(YAML_PIECES | st.text(max_size=3), max_size=40).map("".join))
     def test_arbitrary_text_is_parsed_or_refused_by_config_error(self, text):
         parsed_or_refused(text)
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(doc=hostile_documents())
     def test_hostile_documents_are_parsed_or_refused_by_config_error(self, doc):
         parsed_or_refused(yaml.safe_dump(doc))
@@ -533,7 +530,7 @@ def read_in_a_pulse_file(path, text) -> bool:
 
 
 class TestOneNumberReader:
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(text=NUMBER_TEXTS)
     @example(text=FOREIGN_NUMBERS[0])
     @example(text=FOREIGN_NUMBERS[1])
@@ -637,7 +634,6 @@ def bad_apparatus_settings(draw):
 
 
 class TestApparatusChecks:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(setting=bad_apparatus_settings())
     def test_one_check_names_the_field_everywhere(self, setting):
         # one check for the design model, the lab and the experiment section

@@ -37,6 +37,7 @@ from belltime.dynamics import (
 from belltime.linalg import ket, pauli_string, singlet_state
 from belltime.recipes import bell_recipe_pulse
 from oracles import (
+    bits,
     expm_hermitian,
     reference_fidelity_and_gradients,
     reference_model_fidelity,
@@ -241,7 +242,6 @@ class TestPulseSequence:
         j1 = model_fidelity(MODEL, q, PSI0, TARGET)
         assert j0 == j1
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         amplitudes=arrays(
             np.float64,
@@ -257,9 +257,8 @@ class TestPulseSequence:
         write_pulse_csv(p, path)
         q = read_pulse_csv(path)
         assert q.duration_s.hex() == duration.hex()
-        assert np.array_equal(q.amplitudes_hz.view(np.int64), amplitudes.view(np.int64))
+        assert np.array_equal(bits(q.amplitudes_hz), bits(amplitudes))
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(duration=DURATIONS, amplitudes=AMPLITUDES)
     @example(duration=(True, False), amplitudes=(np.zeros((2, 4)), True))
     @example(duration=(np.array([1e-3]), False), amplitudes=(np.zeros((2, 4)), True))
@@ -273,9 +272,7 @@ class TestPulseSequence:
         p = PulseSequence(d, a)
         assert type(p.duration_s) is float and p.duration_s.hex() == float(d).hex()
         assert p.amplitudes_hz.dtype == np.float64 and not p.amplitudes_hz.flags.writeable
-        assert np.array_equal(
-            p.amplitudes_hz.view(np.int64), np.asarray(a, dtype=np.float64).view(np.int64)
-        )
+        assert np.array_equal(bits(p.amplitudes_hz), bits(np.asarray(a, dtype=np.float64)))
 
     def test_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -307,7 +304,7 @@ class TestPulseSequence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing '# T_seconds"):
             read_pulse_csv(path)
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(data=st.binary(max_size=200) | near_miss_pulse_files())
     @example(data=pulse_file(*FOREIGN_SPELLINGS[0]).encode())
     @example(data=pulse_file(*FOREIGN_SPELLINGS[3]).encode())
@@ -323,11 +320,6 @@ class TestPulseSequence:
             assert str(exc).startswith(f"{path}: ")
         else:
             assert isinstance(pulse, PulseSequence)
-
-
-def bits(x):
-    """The int64 words of a float or complex value or array: they tell -0.0 from +0.0."""
-    return np.ascontiguousarray(x, dtype=np.result_type(x, np.float64)).view(np.int64)
 
 
 @st.composite
@@ -369,7 +361,6 @@ class TestSliceHamiltonian:
         np.testing.assert_allclose(h[1], expected)
         np.testing.assert_allclose(u[1], expm_hermitian(expected, 7e-4), atol=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(stack=control_stacks(), g_hz=st.floats(1.0, 1e3))
     @example(stack=(np.zeros((3, 4)), 2.5e-4), g_hz=217.4)
     @example(stack=(np.full((2, 4), -0.0), np.array([1e-4, 3e-4])), g_hz=217.4)
@@ -415,7 +406,6 @@ class TestClosedFormPropagators:
     # draws them (~180,000 slices), the closed form was within 1.14e-15
     # of scipy's expm, within 5.7e-15 of the eigendecomposition and
     # unitary to 1.4e-15.  Each bound is about three times that.
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(drive=drives())
     @example(drive=(217.4, np.zeros((3, 4)), np.array([1e-4, 2.5e-4, 7.2e-3])))
     @example(drive=(217.4, np.array([[-0.0, 5.0, 0.0, -7.5], [3.0, 4.0, -4.0, 3.0]]),
@@ -433,7 +423,6 @@ class TestClosedFormPropagators:
         assert np.max(np.abs(u - slice_propagators(model, amps, dts)[0])) <= 1.5e-14
         assert np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4))) <= 4e-15
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(stack=control_stacks(), g_hz=st.floats(1.0, 1e3))
     @example(stack=(np.zeros((3, 4)), 2.5e-4), g_hz=217.4)
     @example(stack=(np.full((2, 4), -0.0), np.array([1e-4, 3e-4])), g_hz=217.4)
@@ -514,7 +503,6 @@ class TestModelFidelity:
                 model_fidelity(MODEL, p2, PSI0, target), abs=1e-12
             )
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         amps=st.integers(1, 60).flatmap(
             lambda m: arrays(np.float64, (m, 4), elements=st.floats(-3e3, 3e3))
@@ -528,7 +516,6 @@ class TestModelFidelity:
         expected = abs(np.vdot(target, reference_state(MODEL, p, psi0))) ** 2
         assert abs(model_fidelity(MODEL, p, psi0, target) - expected) <= 1e-12
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         amps=st.integers(1, 60).flatmap(
             lambda m: arrays(np.float64, (m, 4), elements=st.floats(-3e3, 3e3))
@@ -597,7 +584,6 @@ class TestGradients:
         assert b.grad_amplitudes.shape == (5, 4)
         assert b.fidelity == model_fidelity(MODEL, p, PSI0, TARGET)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         amps=st.integers(1, 60).flatmap(
             lambda m: arrays(np.float64, (m, 4), elements=st.floats(-400.0, 400.0))
@@ -629,7 +615,6 @@ class TestGradients:
             assert np.array_equal(bits(kept), bits(fresh))
         assert np.array_equal(states[0], PSI0)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         amps=st.integers(1, 80).flatmap(
             lambda m: arrays(np.float64, (m, 4), elements=st.floats(-3e3, 3e3))
@@ -705,7 +690,7 @@ class TestSymmetries:
     noise about zero.
     """
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(
         amps=st.integers(1, 60).flatmap(
             lambda m: arrays(np.float64, (m, 4), elements=st.floats(-2000.0, 2000.0))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from belltime import linalg
 from belltime.cartan import kak_factorize
 from belltime.linalg import ket, pauli_string, singlet_state
-from oracles import expectation, expm_hermitian, reference_require_density, state_fidelity
+from oracles import expectation, expm_hermitian, outcome, reference_require_density, state_fidelity
 
 
 def random_hermitian(rng, dim=4, scale=1.0):
@@ -296,16 +296,7 @@ def density_stacks(draw):
     return stack
 
 
-def outcome(check, stack):
-    """The error message of ``check(stack)``, or None when it passes."""
-    try:
-        check(stack)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(stack=density_stacks())
 def test_screened_density_check_decides_as_eigenvalues_alone(stack):
     # stacked or alone, each matrix is decided as the written-out check decides it

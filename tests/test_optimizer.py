@@ -49,13 +49,7 @@ from belltime.runconfig import RunConfig, _field_types, parse_config
 from oracles import reference_partial
 # the acceptance apparatus: all of MISMATCH, and COHERENT_MISMATCH, its
 # coupling, amplitude scales and readout noise only
-from test_acceptance import COHERENT_MISMATCH, MISMATCH
-
-G_HZ = 217.4
-
-
-def ideal_config(**overrides) -> ExperimentConfig:
-    return ExperimentConfig(true_g_hz=G_HZ, **overrides)
+from test_acceptance import COHERENT_MISMATCH, G_HZ, MISMATCH, ideal_config
 
 
 def sequential_finite_diff_gradients(backend, pulse, fd_step_amplitude_hz, fd_step_time_s):

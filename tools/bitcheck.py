@@ -1,9 +1,9 @@
 """How this checkout's belltime differs from BASE_REF's: ``python tools/bitcheck.py BASE_REF``.
 
 Runs six CLI configs on both sides (BASE_REF in a temporary git worktree) and prints line and
-code counts, options, prose words, changed modules, timings, each artifact "identical to" or
-"DIFFERS from the base commit", the head's trace audit of every run, and per side what of
-src/belltime no tier-1 test reaches.  A report, not a gate."""
+code counts of src/belltime and tests/, options, prose words, changed modules, timings, each
+artifact "identical to" or "DIFFERS from the base commit", the head's trace audit of every run,
+and per side what of src/belltime no tier-1 test reaches.  A report, not a gate."""
 
 import ast
 import io
@@ -307,6 +307,9 @@ def report(base_root: Path, work: Path) -> None:
         for path, (count, _) in code[side].items():
             print(f"{count:7d} {path}")
         print(f"{sum(count for count, _ in code[side].values()):7d} total")
+        tests = sorted((root / "tests").glob("*.py"))
+        print(f"{side}: tests/ holds {sum(len(p.read_text().splitlines()) for p in tests)} lines, "
+              f"{sum(without_docstrings(p)[0] for p in tests)} of them code (report only)")
         print(f"{side}: options (report only)")
         python(sides[side], "-c", "import bitcheck; bitcheck.options()", check=True)
         print(f"{side}: words of the README and of the docstrings (report only)")
