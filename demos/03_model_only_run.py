@@ -49,7 +49,7 @@ def main():
     print("== Outcome ==")
     t_floor = minimum_time_bell(model.g_hz)
     t_final = result.final_pulse.duration_s
-    print(f"  termination: {result.termination} after {len(result.records)} iterations")
+    print(f"  iterations run: {len(result.records)}, the whole budget")
     print(f"  final J (exact model) = {result.final_model_fidelity:.6f}")
     print(f"  final T = {t_final * 1e3:.4f} ms vs floor {t_floor * 1e3:.4f} ms "
           f"({(t_final / t_floor - 1) * 100:+.2f}%)")

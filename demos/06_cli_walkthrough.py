@@ -60,8 +60,7 @@ def main_demo():
         manifest = json.loads((out / "manifest.json").read_text())
         print(f"  manifest: mode={manifest['inputs']['mode']} "
               f"seed={manifest['inputs']['seed']} "
-              f"iterations={manifest['iterations']} "
-              f"termination={manifest['termination']}")
+              f"max_iterations={manifest['inputs']['optimizer']['max_iterations']}")
         first = json.loads((out / "trace.jsonl").read_text().splitlines()[0])
         print(f"  trace record 0 keys: {', '.join(sorted(first))}")
         print()

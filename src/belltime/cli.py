@@ -122,8 +122,6 @@ def _write_manifest(path: Path, config: RunConfig, seed: int, result) -> None:
             "numpy": np.__version__,
         },
         "inputs": {**config.as_document_dict(), "seed": seed},
-        "termination": result.termination,
-        "iterations": len(result.records),
         "final": {
             "t_seconds": result.final_pulse.duration_s,
             "model_fidelity": result.final_model_fidelity,
@@ -156,7 +154,7 @@ def _cmd_optimize(args) -> int:
         write_pulse_csv(result.final_pulse, run_dir / "final_pulse.csv")
         _write_manifest(run_dir / "manifest.json", config, seed, result)
         line = (
-            f"seed {seed}: {config.mode} finished ({result.termination}) "
+            f"seed {seed}: {config.mode} finished "
             f"T = {_fmt_ms(result.final_pulse.duration_s)}, "
             f"model J = {result.final_model_fidelity:.6f}"
         )

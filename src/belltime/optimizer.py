@@ -211,7 +211,6 @@ class OptimizationResult:
     mode: str
     final_pulse: PulseSequence
     records: list
-    termination: str
     ledger: MeasurementLedger
     final_model_fidelity: float
     final_full_fidelity: Optional[float]
@@ -604,7 +603,6 @@ def run_optimization(
         mode=mode,
         final_pulse=final_pulse,
         records=records,
-        termination="max_iterations",  # the one stopping rule
         ledger=ledger,
         final_model_fidelity=model_fidelity(model, final_pulse, *BELL_TASK)[0],
         final_full_fidelity=final_full,

@@ -26,12 +26,13 @@ RECORDS = [
          event=None),
 ]
 MANIFEST = {
+    "command": "optimize",
     "created_utc": "2026-01-01T00:00:00Z",
-    "ledger": {"fidelity_partial": 6},
-    "final": {"t_seconds": 0.005, "model_fidelity": 0.5, "full_fidelity": None},
-    "termination": "max_iterations",
-    "iterations": 2,
+    "versions": {"belltime": "0.1.0"},
     "inputs": {"seed": 0},
+    "final": {"t_seconds": 0.005, "model_fidelity": 0.5, "full_fidelity": None},
+    "ledger": {"fidelity_partial": 6},
+    "outputs": ["trace.jsonl", "summary.csv", "final_pulse.csv"],
 }
 
 
@@ -66,11 +67,27 @@ GAPS = "max |d j_model| 0, max |d j_reference| 0, max |d acceptance_rhs| 0"
                  ] + TRACE_DIFFERS[1:], id="accepted-flipped"),
     pytest.param(TRACE, {**MANIFEST, "final": {**MANIFEST["final"], "model_fidelity": 0.75}},
                  ALL_IDENTICAL[:3] + [
-                     "run/manifest.json: DIFFERS from the base commit; ledger identical, "
-                     "termination identical, iterations identical, inputs identical, "
+                     "run/manifest.json: DIFFERS from the base commit; command identical, "
+                     "versions identical, inputs identical, ledger identical, outputs identical, "
                      "final.t_seconds identical; |d final.model_fidelity| 0.25, "
                      "|d final.full_fidelity| both null"
                  ], id="manifest-fidelity"),
+    pytest.param(TRACE, {key: value for key, value in MANIFEST.items() if key != "ledger"},
+                 ALL_IDENTICAL[:3] + [
+                     "run/manifest.json: DIFFERS from the base commit; command identical, "
+                     "versions identical, inputs identical, ledger DIFFER, outputs identical, "
+                     "final.t_seconds identical; |d final.model_fidelity| 0, "
+                     "|d final.full_fidelity| both null"
+                 ], id="manifest-key-dropped"),
+    pytest.param(TRACE, {**MANIFEST, "termination": "max_iterations"},
+                 ALL_IDENTICAL[:3] + [
+                     "run/manifest.json: DIFFERS from the base commit; command identical, "
+                     "versions identical, inputs identical, ledger identical, outputs identical, "
+                     "termination DIFFER, final.t_seconds identical; "
+                     "|d final.model_fidelity| 0, |d final.full_fidelity| both null"
+                 ], id="manifest-key-added"),
+    pytest.param(TRACE, {**MANIFEST, "created_utc": "2026-01-02T00:00:00Z"}, ALL_IDENTICAL,
+                 id="manifest-timestamp"),
 ])
 def test_a_run_pair_reads_as_ci_prints_it(tmp_path, capsys, head_trace, head_manifest, expected):
     base = write_run(tmp_path / "base", TRACE, MANIFEST)

@@ -760,6 +760,10 @@ class TestOptimizeCommand:
         assert summary[0] == "n,phase,T_ms,J_oracle,J_model,accepted,measurements"
         assert len(summary) == 31
         manifest = json.loads((out_dir / "manifest.json").read_text())
+        # the run's length is its inputs' max_iterations, stated once
+        assert list(manifest) == [
+            "command", "created_utc", "versions", "inputs", "final", "ledger", "outputs"]
+        assert manifest["inputs"]["optimizer"]["max_iterations"] == 30
         assert manifest["inputs"]["seed"] == 1
         assert manifest["versions"]["belltime"]
         assert manifest["final"]["t_seconds"] == pytest.approx(5e-3)

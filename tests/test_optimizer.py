@@ -787,7 +787,6 @@ class TestEvents:
         assert [r.n for r in result.records] == list(range(50))
         assert {r.t_seconds for r in result.records} == {pulse.duration_s}
         assert all(r.j_oracle >= config.target_fidelity for r in result.records)
-        assert result.termination == "max_iterations"
         assert result.final_pulse is pulse
         verify_trace_invariants(result.records, config)
 

@@ -249,13 +249,15 @@ def trace_verdict(base: Path, head: Path, name: str) -> str:
 
 
 def manifest_verdict(base: Path, head: Path, name: str) -> str:
-    """Whether two manifests hold the same results and inputs but output_dir, and if
-    not, which of the ROADMAP's "same" holds: fields identical, fidelities within 1e-12."""
+    """Whether two manifests agree on every top-level key either holds but the run's
+    timestamp and output_dir, and if not, which of the ROADMAP's "same" holds: keys
+    identical, fidelities within 1e-12.  A key that one side lacks reads as differing."""
     base, head = (json.loads(path.read_text()) for path in (base, head))
     for manifest in (base, head):
-        manifest["inputs"].pop("output_dir", None)
-    fields = ("ledger", "termination", "iterations", "inputs")
-    if all(base[key] == head[key] for key in ("final", *fields)):
+        manifest.get("inputs", {}).pop("output_dir", None)
+    keys = [key for key in {**base, **head} if key != "created_utc"]
+    differ = {key for key in keys if key not in base or key not in head or base[key] != head[key]}
+    if not differ:
         return f"{name}: identical to the base commit"
 
     def gap(key):
@@ -264,7 +266,7 @@ def manifest_verdict(base: Path, head: Path, name: str) -> str:
             return "both null" if b == h else "DIFFER (one is null)"
         return format(abs(b - h), ".3g")
 
-    same = [key + (" identical" if base[key] == head[key] else " DIFFER") for key in fields]
+    same = [key + (" DIFFER" if key in differ else " identical") for key in keys if key != "final"]
     t_same = base["final"]["t_seconds"] == head["final"]["t_seconds"]
     same.append("final.t_seconds " + ("identical" if t_same else "DIFFERS"))
     gaps = [f"|d final.{key}| {gap(key)}" for key in ("model_fidelity", "full_fidelity")]
