@@ -831,9 +831,10 @@ class TestOptimizeCommand:
     ])
     def test_search_constants_are_not_settings(self, tmp_path, capsys, name):
         # Each is a constant of the search rule, at the value it held as a
-        # field; the stall termination's pair went with that rule, and an
-        # old document that sets them is refused all the same.
-        removed = {"stall_window": 200, "stall_epsilon_t_s": 1e-6}
+        # field; the stall termination's pair and plateau promotion's
+        # patience went with their rules, and an old document that sets
+        # them is refused all the same.
+        removed = {"stall_window": 200, "stall_epsilon_t_s": 1e-6, "step1_patience": 40}
         value = removed[name] if name in removed else getattr(optimizer, name.upper())
         config = tmp_path / "cfg.yaml"
         config.write_text(yaml.safe_dump({"optimizer": {name: value}}))

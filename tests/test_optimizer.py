@@ -170,7 +170,7 @@ class TestConfig:
         assert (optimizer.ALPHA, optimizer.BETA) == (0.01, 0.999)
         assert (optimizer.D2_INIT, optimizer.D_MIN) == (1e-6, 1e-12)
         assert (optimizer.BACKTRACK_FACTOR, optimizer.MAX_BACKTRACKS) == (0.5, 30)
-        assert optimizer.STEP1_PATIENCE == 40
+        assert optimizer.RESTART_GAIN == math.sqrt(3) / 4 * 1e-3
         assert optimizer.CONTROL_GRADIENT_FLOOR == optimizer.TIME_GRADIENT_FLOOR == 1e-8
 
     @pytest.mark.parametrize("settings, message", CONFIG_REFUSALS, ids=[
@@ -615,7 +615,7 @@ class TestClosedFormDecisions:
 class TestModelGradientReuse:
     @pytest.mark.parametrize("mode", ["model-only", "balanced"])
     def test_one_gradient_per_accepted_trial(self, model, mode, monkeypatch):
-        calls = {"fidelity": 0, "gradients": 0, "decomposed": 0, "handed": 0, "sizing": 0}
+        calls = {"fidelity": 0, "gradients": 0, "decomposed": 0, "handed": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -637,22 +637,6 @@ class TestModelGradientReuse:
         monkeypatch.setattr(
             dynamics, "slice_propagators", counting("decomposed", slice_propagators)
         )
-        restart_climb_step = optimizer._restart_climb_step
-        restarts = []
-
-        def sizing(*args):
-            # The sizing evaluates each grown step until one fails the climb
-            # inequality, at most MAX_BACKTRACKS of them.
-            restarts.append(args)
-            step = restart_climb_step(*args)
-            grown, growths = args[4].d1_init, 0
-            while grown != step:
-                grown /= optimizer.BACKTRACK_FACTOR
-                growths += 1
-            calls["sizing"] += min(growths + 1, optimizer.MAX_BACKTRACKS)
-            return step
-
-        monkeypatch.setattr(optimizer, "_restart_climb_step", sizing)
         result = short_run(model, mode)
 
         trials = [r for r in result.records if r.step_size_used > 0.0]
@@ -665,16 +649,13 @@ class TestModelGradientReuse:
         # Every graded pulse was the last one evaluated, so each gradient
         # takes that evaluation's sweep (decomposition and forward states),
         # and slice_propagators runs exactly once per model fidelity: once per
-        # iteration, once per restart-sizing trial step and once for the
-        # final pulse.  The sizing starts from the re-measurement's own
-        # model fidelity.
+        # iteration and once for the final pulse.  So a climb restart, which
+        # the balanced run makes after its stall, evaluates nothing.
         assert calls["handed"] == calls["gradients"]
         assert calls["decomposed"] == calls["fidelity"]
-        assert calls["fidelity"] == len(result.records) + 1 + calls["sizing"]
-        stalls = sum(r.event == EVENT_STALL_STEP1 for r in result.records)
-        assert (calls["sizing"] > 0) == (stalls > 0)
-        for _, pulse, j_start, _, _ in restarts:
-            assert j_start == model_fidelity(model, pulse, ket("00"), singlet_state())
+        assert calls["fidelity"] == len(result.records) + 1
+        stalls = [r.n for r in result.records if r.event == EVENT_STALL_STEP1]
+        assert stalls == ([] if mode == "model-only" else [36])
 
     @pytest.mark.parametrize("mode", ["model-only", "balanced"])
     def test_handed_decompositions_change_nothing(self, model, mode, monkeypatch):
@@ -823,8 +804,8 @@ class TestEvents:
         best = max(r.j_oracle for r in result.records)
         assert best > 0.5, "refreshed climb failed to make progress"
 
-    def test_climb_restart_is_sized_on_the_design_model(self, model):
-        config = OptimizerConfig(max_iterations=100, d1_init=1e3)
+    def test_climb_restart_is_sized_by_the_readout_noise(self, model):
+        config = OptimizerConfig(max_iterations=100)
         experiment = ideal_config(noise_sigma=5e-3, seed=12)
         result = run_optimization("balanced", model, config, experiment=experiment, seed=1)
         first = next(r.n for r in result.records if r.event == EVENT_STALL_STEP1)
@@ -834,26 +815,31 @@ class TestEvents:
             "balanced", model, dataclasses.replace(config, max_iterations=first + 2),
             experiment=experiment, seed=1,
         )
-        start = cut.final_pulse
-        psi0, target = ket("00"), singlet_state()
-        bundle = fidelity_and_gradients(model, start, psi0, target)
-        grad = bundle.grad_amplitudes
+        grad = fidelity_and_gradients(
+            model, cut.final_pulse, ket("00"), singlet_state()).grad_amplitudes
+        gain = float(np.sum(grad * grad))
         restarted = result.records[first + 2]
         assert restarted.phase == STEP1
-        assert restarted.grad_dot == pytest.approx(float(np.sum(grad * grad)), rel=1e-12)
-
-        def model_armijo(step):
-            trial = start.with_amplitudes(start.amplitudes_hz + step * grad)
-            gain = model_fidelity(model, trial, psi0, target) - bundle.fidelity
-            return gain >= optimizer.ALPHA * step * float(np.sum(grad * grad))
-
-        step = restarted.step_size_used
-        growth = 1.0 / optimizer.BACKTRACK_FACTOR
-        largest = config.d1_init * growth ** optimizer.MAX_BACKTRACKS
-        assert config.d1_init <= step <= largest
-        assert model_armijo(step)
-        assert step == largest or not model_armijo(growth * step)
+        assert restarted.grad_dot == pytest.approx(gain, rel=1e-12)
+        # the smallest step on the doubling grid whose predicted gain
+        # reaches one readout's noise, or the grid's last
+        grid = [config.d1_init * 2.0 ** k for k in range(optimizer.MAX_BACKTRACKS + 1)]
+        sized = next((step for step in grid if step * gain >= optimizer.RESTART_GAIN), grid[-1])
+        assert restarted.step_size_used == sized > config.d1_init
+        assert optimizer._restart_climb_step(np.full_like(grad, 1e-30), config) == grid[-1]
         assert {r.measurements_this_iter for r in result.records} == {3}
+
+    def test_a_climb_below_target_never_shrinks(self, model, monkeypatch):
+        # ALPHA at 1e9 rejects every climb trial, so the climb stalls after
+        # each MAX_BACKTRACKS rejections, re-measures and restarts, and with
+        # the target never met it never hands over to shrinking
+        monkeypatch.setattr(optimizer, "ALPHA", 1e9)
+        config = OptimizerConfig(max_iterations=100, threshold_floor=0.01, threshold_drop=0.005)
+        result = run_optimization("model-only", model, config, seed=0)
+        assert all(r.phase == STEP1 for r in result.records)
+        assert [r.n for r in result.records if r.event] == [30, 61, 92]
+        assert {r.event for r in result.records} == {None, EVENT_STALL_STEP1}
+        verify_trace_invariants(result.records, config)
 
 
 class TestTraceAudit:
@@ -902,16 +888,10 @@ class TestTraceAudit:
         with pytest.raises(ValueError, match=f"^record {victim.n}: unknown phase '{phase}'$"):
             verify_trace_invariants(records, OptimizerConfig())
 
-    def test_the_loop_the_restart_and_the_audit_share_one_bound(self, model, model_run,
-                                                                monkeypatch):
-        # a stricter bound, patched in its one home, reaches all three of its users
-        start = random_pulse(50, 5e-3, 100.0, np.random.default_rng(0))
-        bundle = fidelity_and_gradients(model, start, ket("00"), singlet_state())
-        restart = (model, start, bundle.fidelity, bundle.grad_amplitudes, OptimizerConfig())
-        step = optimizer._restart_climb_step(*restart)
+    def test_the_loop_and_the_audit_share_one_bound(self, model, model_run, monkeypatch):
+        # a stricter bound, patched in its one home, reaches both of its users
         bound = optimizer._acceptance_bound
         monkeypatch.setattr(optimizer, "_acceptance_bound", lambda *args: bound(*args) + 1e-4)
-        assert optimizer._restart_climb_step(*restart) < step
         short = run_optimization("model-only", model, OptimizerConfig(max_iterations=300), seed=0)
         assert short.records != model_run.records[:300]
         # a baseline's bound is its own reading, so the first trial is named

@@ -1,15 +1,18 @@
-"""Criteria 3, 4 and 5 on held-out pulse seeds 5-24: ``PYTHONPATH=src python tools/heldout.py``.
+"""Criteria 3, 4 and 5 on held-out pulse seeds: ``PYTHONPATH=src python tools/heldout.py``.
 
 The acceptance criteria gate on pulse seeds 0-4.  This report runs the same fixtures from
-``tests/test_acceptance.py`` on seeds 5-24, with noise seeds 100 + s and criterion 5's probe
-at 500 + s as the criteria build them.  Per seed it prints whether each condition holds:
-criterion 3 (model-only J >= 0.999 with T in [2.20, 2.40] ms), criterion 4 (coherent fixture,
-full J >= 0.99 at T <= 2.45 ms), criterion 5 (the model-only optimum degrades on the lossy
-apparatus and the balanced lossy run beats it), and the lossy line (lossy fixture, full
-J >= 0.928 at T <= 2.4 ms).  Every run stops on its iteration budget.  Last it prints each
-count with its 95% Wilson score interval.  A report, not a gate; it takes about a minute and a
-half of CPU.  belltime is imported from ``PYTHONPATH``, so another checkout's ``src`` there
-reports its code on these fixtures.
+``tests/test_acceptance.py`` on seeds 5-24, or on FIRST to LAST, both included, when it is run
+as ``tools/heldout.py FIRST LAST``.  So a rule chosen while looking at seeds 0-24 is confirmed on
+fresh seeds in one command, for example ``tools/heldout.py 25 74``.  A range that is not two
+integers, is reversed or starts below 0 is refused before any run.  The runs take noise seeds
+100 + s and criterion 5's probe at 500 + s as the criteria build them.  Per seed it prints
+whether each condition holds: criterion 3 (model-only J >= 0.999 with T in [2.20, 2.40] ms),
+criterion 4 (coherent fixture, full J >= 0.99 at T <= 2.45 ms), criterion 5 (the model-only
+optimum degrades on the lossy apparatus and the balanced lossy run beats it), and the lossy line
+(lossy fixture, full J >= 0.928 at T <= 2.4 ms).  Every run stops on its iteration budget.  Last
+it prints each count with its 95% Wilson score interval.  A report, not a gate; the default 20
+seeds take about a minute and a half of CPU.  belltime is imported from ``PYTHONPATH``, so
+another checkout's ``src`` there reports its code on these fixtures.
 """
 
 import math
@@ -19,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-SEEDS = range(5, 25)
+SEEDS = range(5, 25)  # the held-out seeds, when no range is given
 Z_95 = statistics.NormalDist().inv_cdf(0.975)
 
 
@@ -38,7 +41,25 @@ def lossy_line_holds(run) -> bool:
     return run.final_full_fidelity >= 0.928 and run.final_pulse.duration_s <= 2.4e-3
 
 
-def main() -> None:
+def seed_range(args: list[str]) -> range:
+    """The pulse seeds ``FIRST LAST`` name, both included, or ``SEEDS`` without them; else a
+    ValueError."""
+    if not args:
+        return SEEDS
+    if len(args) != 2:
+        raise ValueError(f"expected two seeds, FIRST LAST, got {len(args)}")
+    from belltime.dynamics import read_number
+    first, last = (read_number(arg, int) for arg in args)
+    if not 0 <= first <= last:
+        raise ValueError(f"seed range {first}..{last} is empty or starts below 0")
+    return range(first, last + 1)
+
+
+def main(args: list[str]) -> None:
+    try:
+        pulse_seeds = seed_range(args)
+    except ValueError as error:
+        sys.exit(f"usage: tools/heldout.py [FIRST LAST]: {error}")
     from belltime.dynamics import SystemModel
     from belltime.optimizer import OptimizerConfig, run_optimization
     from test_acceptance import (
@@ -49,7 +70,7 @@ def main() -> None:
 
     model = SystemModel(g_hz=G_HZ)
     held = {}  # condition -> the seeds it holds on
-    for s in SEEDS:
+    for s in pulse_seeds:
         alone = run_optimization("model-only", model, OptimizerConfig(), seed=s)
         lossy, coherent = lossy_run(model, s), coherent_run(model, s)
         conditions = {
@@ -67,11 +88,11 @@ def main() -> None:
                  for name, (holds, detail) in conditions.items()]
         print(f"seed {s:2d}: {'; '.join(lines)}", flush=True)
     for name, seeds in held.items():
-        low, high = wilson_interval(len(seeds), len(SEEDS))
-        failed = " ".join(str(s) for s in SEEDS if s not in seeds) or "none"
-        print(f"{name}: {len(seeds)}/{len(SEEDS)} held, 95% Wilson interval "
+        low, high = wilson_interval(len(seeds), len(pulse_seeds))
+        failed = " ".join(str(s) for s in pulse_seeds if s not in seeds) or "none"
+        print(f"{name}: {len(seeds)}/{len(pulse_seeds)} held, 95% Wilson interval "
               f"({low:.3f}, {high:.3f}); fails on seeds {failed}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
